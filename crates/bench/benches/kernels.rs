@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lazydp_dpsgd::counters::KernelCounters;
-use lazydp_dpsgd::noise_update::dense_noisy_update;
+use lazydp_dpsgd::noise_update::dense_noisy_update_with;
 use lazydp_embedding::{EmbeddingTable, SparseGrad};
 use lazydp_rng::counter::CounterNoise;
 use lazydp_rng::{fill_standard_normal, GaussianSampler, Prng, Xoshiro256PlusPlus};
@@ -170,10 +170,11 @@ fn bench_table_update(c: &mut Criterion) {
                 let mut table = EmbeddingTable::zeros(rows, dim);
                 let mut noise = CounterNoise::new(3);
                 let mut counters = KernelCounters::new();
+                let mut buf = Vec::new();
                 let mut iter = 0u64;
                 b.iter(|| {
                     iter += 1;
-                    dense_noisy_update(
+                    dense_noisy_update_with(
                         0,
                         black_box(&mut table),
                         &grad,
@@ -182,6 +183,7 @@ fn bench_table_update(c: &mut Criterion) {
                         1e-4,
                         0.05,
                         &mut counters,
+                        &mut buf,
                     );
                 });
             },

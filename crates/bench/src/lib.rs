@@ -46,7 +46,6 @@ pub mod scaling;
 pub mod sharding;
 pub mod storage;
 pub mod table;
-pub mod timer;
 pub mod utility;
 pub mod xval;
 

@@ -18,9 +18,11 @@
 //! (or `json obs > BENCH_obs.json`).
 
 use crate::table::Table;
-use lazydp_core::{LazyDpConfig, PrivateTrainer};
-use lazydp_data::{FixedBatchLoader, SyntheticConfig, SyntheticDataset};
-use lazydp_dpsgd::{AdaFestConfig, DpConfig};
+use lazydp_core::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
+use lazydp_data::{
+    FixedBatchLoader, LookaheadLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+};
+use lazydp_dpsgd::{AdaFestConfig, AdaFestOptimizer, DpConfig};
 use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_obs::MetricsSnapshot;
 use lazydp_rng::counter::CounterNoise;
@@ -49,13 +51,9 @@ fn instrumented_runs() -> MetricsSnapshot {
     let (model, ds) = setup(2, 96);
     let q = BATCH as f64 / ds.len() as f64;
     let cfg = LazyDpConfig::new(DpConfig::paper_default(BATCH), true).with_threads(2);
-    let mut trainer = PrivateTrainer::make_private_prefetch(
-        model,
-        cfg,
-        FixedBatchLoader::new(ds, BATCH),
-        CounterNoise::new(23),
-        q,
-    );
+    let optimizer = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(23));
+    let loader = PrefetchLoader::new(FixedBatchLoader::new(ds, BATCH));
+    let mut trainer = PrivateTrainer::make_private_optimizer(model, optimizer, loader, q);
     let _ = trainer.train_steps(STEPS);
     let _ = trainer.epsilon(1e-6);
     let _ = trainer.finish();
@@ -64,13 +62,9 @@ fn instrumented_runs() -> MetricsSnapshot {
     let (model, ds) = setup(2, 96);
     let q = BATCH as f64 / ds.len() as f64;
     let cfg = AdaFestConfig::new(DpConfig::paper_default(BATCH), 1.0, 2.0, 16);
-    let mut trainer = PrivateTrainer::make_private_adafest(
-        model,
-        cfg,
-        FixedBatchLoader::new(ds, BATCH),
-        CounterNoise::new(23),
-        q,
-    );
+    let optimizer = AdaFestOptimizer::new(cfg, CounterNoise::new(23));
+    let loader = LookaheadLoader::new(FixedBatchLoader::new(ds, BATCH));
+    let mut trainer = PrivateTrainer::make_private_optimizer(model, optimizer, loader, q);
     let _ = trainer.train_steps(STEPS);
     let _ = trainer.finish();
 

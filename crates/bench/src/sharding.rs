@@ -16,7 +16,7 @@
 //! `cargo run --release -p lazydp_bench --bin figures -- sharding`.
 
 use crate::table::Table;
-use lazydp_core::{LazyDpConfig, PrivateTrainer};
+use lazydp_core::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 use lazydp_data::{AccessDistribution, SyntheticConfig, SyntheticDataset};
 use lazydp_dpsgd::DpConfig;
 use lazydp_model::{Dlrm, DlrmConfig};
@@ -64,11 +64,11 @@ fn step_seconds(
         .with_shards(shards);
     let cfg = LazyDpConfig::new(dp, true);
     let loader = lazydp_data::FixedBatchLoader::new(ds.clone(), batch);
-    let mut trainer = PrivateTrainer::make_private_prefetch(
+    let optimizer = LazyDpOptimizer::new(cfg, model0, CounterNoise::new(3));
+    let mut trainer = PrivateTrainer::make_private_optimizer(
         model0.clone(),
-        cfg,
-        loader,
-        CounterNoise::new(3),
+        optimizer,
+        lazydp_data::PrefetchLoader::new(loader),
         batch as f64 / ds.len() as f64,
     );
     let _ = trainer.train_steps(1); // warmup (fills the prefetch queue)

@@ -13,23 +13,17 @@
 //! `cargo run --release -p lazydp_bench --bin figures -- storage`.
 
 use crate::table::Table;
-use lazydp_core::{LazyDpConfig, PrivateTrainer};
-use lazydp_data::{AccessDistribution, FixedBatchLoader, SyntheticConfig, SyntheticDataset};
+use lazydp_core::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
+use lazydp_data::{
+    AccessDistribution, FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+};
 use lazydp_dpsgd::DpConfig;
 use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_obs::MetricsSnapshot;
 use lazydp_rng::counter::CounterNoise;
 use lazydp_rng::Xoshiro256PlusPlus;
 use lazydp_store::{StorageConfig, StoredTable};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Serializes storage-backed runs process-wide so the `store.*`
-/// registry deltas measured around each run are attributable to that
-/// run alone (the registry is global; concurrent tests would otherwise
-/// bleed into each other's counters). Only this module creates
-/// `StoredTable`s inside the bench process.
-static RUN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Cache capacities measured, as a fraction of the table's total pages
 /// (the {100%, 50%, 25%, 10%} sweep of the issue's acceptance
@@ -61,7 +55,12 @@ fn setup(cfg: &DlrmConfig, batch: usize, steps: usize) -> (Dlrm, SyntheticDatase
 /// run's `store.*` registry delta, released model). The cache's own
 /// counters are not read (rule O1 keeps hot-path state write-only);
 /// instead the run is bracketed by two `lazydp_obs` snapshots under
-/// [`RUN_LOCK`], so the delta is exactly this run's traffic.
+/// `lazydp_fault::exclusive()`, so the delta is exactly this run's
+/// traffic. That lock serializes every section of the process that
+/// drives a `StoredTable` — the other storage runs (the registry is
+/// global; concurrent runs would bleed into each other's counters) and
+/// the `faults` experiment, whose process-wide fault plans would
+/// otherwise fail this run's spill.
 fn stored_run(
     model0: &Dlrm,
     ds: &SyntheticDataset,
@@ -69,20 +68,21 @@ fn stored_run(
     steps: usize,
     storage: StorageConfig,
 ) -> (f64, MetricsSnapshot, Dlrm) {
-    let _serial = RUN_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let cfg = LazyDpConfig::new(DpConfig::paper_default(batch), true).with_storage(storage);
+    let _serial = lazydp_fault::exclusive();
+    let cfg = LazyDpConfig::new(DpConfig::paper_default(batch), true);
     let loader = FixedBatchLoader::new(ds.clone(), batch);
     let before = lazydp_obs::snapshot::capture_metrics();
-    let mut trainer = PrivateTrainer::make_private_stored_prefetch(
-        model0.clone(),
-        cfg,
-        loader,
-        CounterNoise::new(7),
+    let model = model0
+        .clone()
+        .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
+        .expect("spill dir must be writable");
+    let optimizer = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(7));
+    let mut trainer = PrivateTrainer::make_private_optimizer(
+        model,
+        optimizer,
+        PrefetchLoader::new(loader),
         batch as f64 / ds.len() as f64,
-    )
-    .expect("spill dir must be writable");
+    );
     let t0 = Instant::now();
     let _ = trainer.train_steps(steps);
     let secs = t0.elapsed().as_secs_f64() / steps as f64;
@@ -108,11 +108,11 @@ fn delta_hit_rate(delta: &MetricsSnapshot) -> f64 {
 fn memory_run(model0: &Dlrm, ds: &SyntheticDataset, batch: usize, steps: usize) -> Dlrm {
     let cfg = LazyDpConfig::new(DpConfig::paper_default(batch), true);
     let loader = FixedBatchLoader::new(ds.clone(), batch);
-    let mut trainer = PrivateTrainer::make_private_prefetch(
+    let optimizer = LazyDpOptimizer::new(cfg, model0, CounterNoise::new(7));
+    let mut trainer = PrivateTrainer::make_private_optimizer(
         model0.clone(),
-        cfg,
-        loader,
-        CounterNoise::new(7),
+        optimizer,
+        PrefetchLoader::new(loader),
         batch as f64 / ds.len() as f64,
     );
     let _ = trainer.train_steps(steps);

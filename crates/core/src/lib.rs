@@ -26,8 +26,9 @@
 //! `ARCHITECTURE.md`): the flush is hash-partitioned into
 //! `DpConfig::shards` independent [`ShardedHistory`] shards that run
 //! shard-parallel and *overlapped* with the step's dense compute, and
-//! the input pipeline can be made asynchronous
-//! ([`PrivateTrainer::make_private_prefetch`]). Both are bitwise
+//! the input pipeline can be made asynchronous (a
+//! `lazydp_data::PrefetchLoader` handed to
+//! [`PrivateTrainer::make_private_optimizer`]). Both are bitwise
 //! invisible in the trained model.
 //!
 //! The user-facing entry point mirrors the paper's Fig. 9 wrapper:

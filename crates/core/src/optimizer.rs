@@ -21,12 +21,11 @@
 use crate::history::ShardedHistory;
 use crate::plan::{flush_next_rows_sharded, NoisePlan, NoisePlanEntry, ShardedFlush};
 use lazydp_data::MiniBatch;
-use lazydp_dpsgd::clip::{clip_weights_into, clipped_fraction};
-use lazydp_dpsgd::{DpConfig, KernelCounters, Optimizer, StepStats};
+use lazydp_dpsgd::{DpConfig, DpStep, KernelCounters, Optimizer, StepStats, TableStage};
 use lazydp_embedding::sparse::dedup_indices_into;
-use lazydp_embedding::{CoalesceScratch, EmbeddingStorage};
+use lazydp_embedding::EmbeddingStorage;
 use lazydp_exec::Executor;
-use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
+use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
 use lazydp_store::StorageConfig;
 
@@ -45,15 +44,14 @@ pub struct LazyDpConfig {
     /// Whether aggregated noise sampling (§5.2.2) is enabled.
     pub ans: bool,
     /// Out-of-core embedding storage (page size, cache capacity, spill
-    /// dir) used by [`PrivateTrainer::make_private_stored`] and
-    /// [`Checkpoint::restore_stored`]; `None` keeps tables in memory.
+    /// dir) used by [`Checkpoint::restore_stored`]; `None` means the
+    /// engine defaults.
     ///
     /// Lives here rather than on [`DpConfig`] because only LazyDP's
     /// `O(batch)` sparse access pattern makes paging viable — eager
     /// DP-SGD's dense full-table noisy update would thrash any bounded
     /// cache, which is exactly the traffic the paper removes.
     ///
-    /// [`PrivateTrainer::make_private_stored`]: crate::PrivateTrainer::make_private_stored
     /// [`Checkpoint::restore_stored`]: crate::Checkpoint::restore_stored
     pub storage: Option<StorageConfig>,
 }
@@ -80,14 +78,12 @@ impl LazyDpConfig {
         }
     }
 
-    /// Enables disk-backed embedding tables with the given storage
-    /// engine configuration (see `lazydp_store::StorageConfig`). Takes
-    /// effect in [`PrivateTrainer::make_private_stored`] /
+    /// Sets the storage engine configuration (see
+    /// `lazydp_store::StorageConfig`) a checkpoint is restored onto by
     /// [`Checkpoint::restore_stored`]; the trained model is bitwise
     /// identical to the in-memory backend for any page size and cache
     /// capacity.
     ///
-    /// [`PrivateTrainer::make_private_stored`]: crate::PrivateTrainer::make_private_stored
     /// [`Checkpoint::restore_stored`]: crate::Checkpoint::restore_stored
     #[must_use]
     pub fn with_storage(mut self, storage: StorageConfig) -> Self {
@@ -129,44 +125,28 @@ impl LazyDpConfig {
     }
 }
 
-/// Step-scoped scratch state of the LazyDP optimizer: the forward
-/// cache, gradient buffers, lookahead target lists, noise-plan entries,
-/// and every working vector the step needs. Lazily sized on the first
-/// step; after warm-up a steady-state [`LazyDpOptimizer::step`] on the
-/// sequential path performs **zero heap allocations** (pinned by the
-/// `alloc_steady_state` integration test).
-#[derive(Debug, Clone, Default)]
-struct StepScratch {
-    cache: DlrmCache,
-    model_scratch: DlrmScratch,
-    grads: DlrmGrads,
-    logit_g: Vec<f32>,
-    norms: Vec<f64>,
+/// The LazyDP optimizer (Algorithm 1): the shared DP-SGD(F)-style
+/// [`DpStep`] front half, lazy noise updates driven by one-batch
+/// lookahead, and (optionally) aggregated noise sampling. The sparse
+/// bookkeeping is hash-partitioned into `cfg.dp.shards` shards per
+/// table (see the module docs). After warm-up a steady-state
+/// [`step`](Optimizer::step) on the sequential path performs **zero
+/// heap allocations** (pinned by the `alloc_steady_state` integration
+/// test).
+#[derive(Debug, Clone)]
+pub struct LazyDpOptimizer<N> {
+    cfg: LazyDpConfig,
+    /// The step core; a field disjoint from `history` so the overlap
+    /// path can run the clipped aggregate on it while the flush worker
+    /// mutably borrows the history.
+    core: DpStep<N>,
+    history: Vec<ShardedHistory>,
     /// Deduped next-batch rows, one list per table.
     targets: Vec<Vec<u64>>,
     /// Phase-1 noise-plan entries (sequential flush path).
     entries: Vec<NoisePlanEntry>,
-    /// Phase-2 sampled noise block and draw scratch.
+    /// Phase-2 sampled noise block (sequential flush path).
     noise_acc: Vec<f32>,
-    noise_buf: Vec<f32>,
-    /// Dense MLP noise buffer.
-    dense_buf: Vec<f32>,
-    coalesce: CoalesceScratch,
-}
-
-/// The LazyDP optimizer (Algorithm 1): DP-SGD(F)-style gradient
-/// derivation, lazy noise updates driven by one-batch lookahead, and
-/// (optionally) aggregated noise sampling. The sparse bookkeeping is
-/// hash-partitioned into `cfg.dp.shards` shards per table (see the
-/// module docs).
-#[derive(Debug, Clone)]
-pub struct LazyDpOptimizer<N> {
-    cfg: LazyDpConfig,
-    noise: N,
-    history: Vec<ShardedHistory>,
-    iter: u64,
-    counters: KernelCounters,
-    scratch: StepScratch,
 }
 
 impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
@@ -184,18 +164,12 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
         } else {
             1
         };
-        Self {
-            cfg,
-            noise,
-            history: model
-                .tables
-                .iter()
-                .map(|t| ShardedHistory::new(t.rows(), shards))
-                .collect(),
-            iter: 0,
-            counters: KernelCounters::new(),
-            scratch: StepScratch::default(),
-        }
+        let history = model
+            .tables
+            .iter()
+            .map(|t| ShardedHistory::new(t.rows(), shards))
+            .collect();
+        Self::from_state(cfg, noise, history, 0)
     }
 
     /// Rebuilds an optimizer from checkpointed state (see
@@ -220,12 +194,12 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
             }
         }
         Self {
+            core: DpStep::new(cfg.dp, noise, iter),
             cfg,
-            noise,
             history,
-            iter,
-            counters: KernelCounters::new(),
-            scratch: StepScratch::default(),
+            targets: Vec::new(),
+            entries: Vec::new(),
+            noise_acc: Vec::new(),
         }
     }
 
@@ -244,7 +218,7 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
     /// Current training iteration (1-based after the first step).
     #[must_use]
     pub fn iteration(&self) -> u64 {
-        self.iter
+        self.core.iteration()
     }
 
     /// Total HistoryTable memory (the §7.2 overhead: 4 bytes/row —
@@ -258,7 +232,7 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
     /// to pin the `Optimizer<T>` backend parameter just to read them).
     #[must_use]
     pub fn counters(&self) -> KernelCounters {
-        self.counters
+        self.core.counters
     }
 
     /// Algorithm name as the paper spells it (inherent twin of
@@ -271,62 +245,6 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
         } else {
             "LazyDP(w/o ANS)"
         }
-    }
-
-    /// DP-SGD(F)-style clipped aggregate (ghost norms + reweighted
-    /// backward), identical to the strongest eager baseline. An
-    /// associated function (not a method) so [`Optimizer::step`] can run
-    /// it concurrently with the lookahead flush, which borrows the
-    /// history. The gradients land in `scratch.grads`; every working
-    /// buffer comes from `scratch`, so the steady-state aggregate
-    /// allocates nothing.
-    fn clipped_aggregate<T: EmbeddingStorage>(
-        dp: &DpConfig,
-        model: &Dlrm<T>,
-        batch: &MiniBatch,
-        counters: &mut KernelCounters,
-        scratch: &mut StepScratch,
-    ) -> f64 {
-        if batch.is_empty() {
-            scratch.grads.reset_for(model);
-            return 0.0;
-        }
-        {
-            lazydp_obs::span!("step.forward");
-            model.forward_with(batch, &mut scratch.cache, &mut scratch.model_scratch);
-        }
-        counters.rows_gathered += batch.total_lookups() as u64;
-        Dlrm::logit_grads_into(&scratch.cache, &batch.labels, false, &mut scratch.logit_g);
-        let c = dp.max_grad_norm;
-        let StepScratch {
-            cache,
-            model_scratch,
-            grads,
-            logit_g,
-            norms,
-            ..
-        } = scratch;
-        // Fused ghost-clipping backward: ghost norms, clip factors, and
-        // the clipped aggregate in one gradient chain — bitwise
-        // identical to the old norms-then-reweighted-backward pair. The
-        // norms are copied out of the closure so the clipped fraction
-        // can be reported without re-deriving them.
-        {
-            lazydp_obs::span!("step.backward_clip");
-            model.backward_clipped_with(
-                cache,
-                batch,
-                logit_g,
-                |n, w| {
-                    norms.clear();
-                    norms.extend_from_slice(n);
-                    clip_weights_into(n, c, w);
-                },
-                grads,
-                model_scratch,
-            );
-        }
-        clipped_fraction(&scratch.norms, c)
     }
 
     /// Flushes every pending noise update, bringing the model to the
@@ -345,36 +263,29 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
     /// cache, so release never needs the whole table resident.
     pub fn finalize_model<T: EmbeddingStorage>(&mut self, model: &mut Dlrm<T>) {
         lazydp_obs::span!("finalize.flush_all");
-        let lr = self.cfg.dp.lr;
-        let per_step_std = self.cfg.dp.noise_std_per_coord();
+        let ans = self.cfg.ans;
         let exec = Executor::new(self.cfg.dp.threads);
+        let TableStage {
+            noise,
+            counters,
+            iter,
+            noise_std,
+            lr,
+            ..
+        } = self.core.table_stage();
         for (t, table) in model.tables.iter_mut().enumerate() {
             let dim = table.dim();
             let spec = self.history[t].spec();
             for s in 0..spec.shards() {
-                let plan = NoisePlan::for_all_rows_of_shard(
-                    t as u32,
-                    self.iter,
-                    spec,
-                    s,
-                    &mut self.history[t].shards_mut()[s],
-                    &mut self.counters,
-                );
+                let shard = &mut self.history[t].shards_mut()[s];
+                let plan = NoisePlan::for_all_rows_of_shard(iter, spec, s, shard, counters);
                 lazydp_obs::metrics()
                     .trainer
                     .finalize_rows
                     .add(plan.entries().len() as u64);
                 for seg in plan.entries().chunks(FINALIZE_SEGMENT_ENTRIES) {
                     let noise_buf = NoisePlan::sample_entries(
-                        t as u32,
-                        self.iter,
-                        seg,
-                        dim,
-                        per_step_std,
-                        self.cfg.ans,
-                        &mut self.noise,
-                        &exec,
-                        &mut self.counters,
+                        t as u32, iter, seg, dim, noise_std, ans, noise, &exec, counters,
                     );
                     for (e, nv) in seg.iter().zip(noise_buf.chunks_exact(dim)) {
                         table.with_row_mut(e.row, |row| {
@@ -382,8 +293,8 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
                                 *w -= lr * n;
                             }
                         });
-                        self.counters.table_rows_read += 1;
-                        self.counters.table_rows_written += 1;
+                        counters.table_rows_read += 1;
+                        counters.table_rows_written += 1;
                     }
                 }
             }
@@ -406,12 +317,10 @@ where
         batch: &MiniBatch,
         next: Option<&MiniBatch>,
     ) -> StepStats {
-        self.iter += 1;
-        let iter = self.iter;
+        let iter = self.core.begin_step();
         let dp = self.cfg.dp;
         let ans = self.cfg.ans;
         let std = dp.noise_std_per_coord();
-        let lr = dp.lr;
         let exec = Executor::new(dp.threads);
 
         // Lookahead pre-pass (Algorithm 1 line 12): dedup the rows each
@@ -421,12 +330,10 @@ where
         // next iteration".
         let has_next = next.is_some();
         if let Some(next_batch) = next {
-            self.scratch
-                .targets
-                .resize_with(model.tables.len(), Vec::new);
-            for (t, targets) in self.scratch.targets.iter_mut().enumerate() {
+            self.targets.resize_with(model.tables.len(), Vec::new);
+            for (t, targets) in self.targets.iter_mut().enumerate() {
                 let idx: &[u64] = next_batch.sparse.get(t).map_or(&[], |s| s.flat_indices());
-                self.counters.duplicates_removed += dedup_indices_into(idx, targets) as u64;
+                self.core.counters.duplicates_removed += dedup_indices_into(idx, targets) as u64;
             }
         }
 
@@ -447,23 +354,26 @@ where
         // gather is served from the page cache — prefetch is a no-op for
         // in-memory backends and never changes row values.
         let single_shard = self.history.iter().all(|h| h.num_shards() == 1);
-        let overlap = has_next && self.noise.addressable() && (dp.threads > 1 || !single_shard);
+        let overlap =
+            has_next && self.core.noise().addressable() && (dp.threads > 1 || !single_shard);
         let mut flushes: Vec<ShardedFlush> = Vec::new();
         let clipped = if overlap {
             lazydp_obs::span!("step.flush_overlap");
             lazydp_obs::metrics().trainer.flush_overlaps.incr();
-            let targets = std::mem::take(&mut self.scratch.targets);
             let dims: Vec<usize> = model.tables.iter().map(|t| t.dim()).collect();
-            let noise = &self.noise;
+            // The worker samples through its own handle: an addressable
+            // source is a pure function of the address, so a clone
+            // draws the same values while the core stays borrowed by
+            // the aggregate.
+            let noise = self.core.noise().clone();
             let history = &mut self.history;
-            let scratch = &mut self.scratch;
-            let counters = &mut self.counters;
+            let targets = &self.targets;
+            let core = &mut self.core;
             let model_ref: &Dlrm<T> = model;
-            let targets_ref = &targets;
             let ((fs, fc), cl) = lazydp_exec::overlap(
                 move || {
                     let mut c = KernelCounters::new();
-                    let fs: Vec<ShardedFlush> = targets_ref
+                    let fs: Vec<ShardedFlush> = targets
                         .iter()
                         .enumerate()
                         .map(|(t, tg)| {
@@ -476,7 +386,7 @@ where
                                 dims[t],
                                 std,
                                 ans,
-                                noise,
+                                &noise,
                                 &exec,
                                 &mut c,
                             )
@@ -484,49 +394,21 @@ where
                         .collect();
                     (fs, c)
                 },
-                || Self::clipped_aggregate(&dp, model_ref, batch, counters, scratch),
+                || core.clipped_aggregate(model_ref, batch),
             );
-            self.counters.merge(&fc);
-            self.scratch.targets = targets;
+            self.core.counters.merge(&fc);
             flushes = fs;
             cl
         } else {
-            Self::clipped_aggregate(&dp, model, batch, &mut self.counters, &mut self.scratch)
+            self.core.clipped_aggregate(model, batch)
         };
-        self.scratch.grads.scale(1.0 / dp.nominal_batch as f32);
-        {
-            let StepScratch {
-                grads, coalesce, ..
-            } = &mut self.scratch;
-            self.counters.duplicates_removed += grads.coalesce_with(coalesce) as u64;
-        }
+        self.core.scale_and_coalesce();
 
         // MLP layers: identical treatment to eager DP-SGD (gradient +
         // dense noise every iteration) — Algorithm 1 omits them because
         // "both DP-SGD(F) and LazyDP apply the identical DP protection
         // for MLP layers".
-        {
-            lazydp_obs::span!("step.dense_update");
-            model.bottom.apply(&self.scratch.grads.bottom, lr);
-            model.top.apply(&self.scratch.grads.top, lr);
-            model.bottom.apply_dense_noise_with(
-                &mut self.noise,
-                iter,
-                0,
-                std,
-                lr,
-                &mut self.scratch.dense_buf,
-            );
-            model.top.apply_dense_noise_with(
-                &mut self.noise,
-                iter,
-                64,
-                std,
-                lr,
-                &mut self.scratch.dense_buf,
-            );
-        }
-        self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
+        self.core.dense_update(model);
 
         // Kill point `step`: the dense half of the step has landed, the
         // sparse updates have not — the most state-torn instant of a
@@ -534,20 +416,20 @@ where
         // bitwise from the last checkpoint.
         lazydp_fault::point(lazydp_fault::Site::MidStep, iter);
 
-        // Embedding tables: merge the (sparse) gradient with the lazy
-        // noise of the rows the *next* iteration will gather, then apply
-        // one sparse update (Algorithm 1 lines 11–25).
-        for (t, table) in model.tables.iter_mut().enumerate() {
+        // Table stage: merge the (sparse) gradient with the lazy noise
+        // of the rows the *next* iteration will gather, then apply one
+        // sparse update (Algorithm 1 lines 11–25).
+        let TableStage {
+            grads,
+            noise,
+            counters,
+            noise_buf,
+            lr,
+            ..
+        } = self.core.table_stage();
+        let (entries, noise_acc) = (&mut self.entries, &mut self.noise_acc);
+        for (t, (table, update)) in model.tables.iter_mut().zip(grads).enumerate() {
             let dim = table.dim();
-            let StepScratch {
-                grads,
-                targets,
-                entries,
-                noise_acc,
-                noise_buf,
-                ..
-            } = &mut self.scratch;
-            let update = &mut grads.tables[t];
             if overlap {
                 // The flush was sampled concurrently above; land it.
                 flushes[t].merge_into(update);
@@ -557,28 +439,13 @@ where
                 // over an unsharded history): phase 1 bookkeeping,
                 // phase 2 sampling, both through step-scoped scratch.
                 lazydp_obs::span!("step.flush_seq");
-                let tg: &[u64] = &targets[t];
+                let tg: &[u64] = &self.targets[t];
                 table.prefetch_rows(tg);
-                NoisePlan::plan_next_rows(
-                    tg,
-                    iter,
-                    &mut self.history[t].shards_mut()[0],
-                    update,
-                    &mut self.counters,
-                    entries,
-                );
+                let shard = &mut self.history[t].shards_mut()[0];
+                NoisePlan::plan_next_rows(tg, iter, shard, update, counters, entries);
                 if !entries.is_empty() {
                     NoisePlan::sample_entries_into(
-                        t as u32,
-                        iter,
-                        entries,
-                        dim,
-                        std,
-                        ans,
-                        &mut self.noise,
-                        &exec,
-                        &mut self.counters,
-                        noise_acc,
+                        t as u32, iter, entries, dim, std, ans, noise, &exec, counters, noise_acc,
                         noise_buf,
                     );
                     for (e, nv) in entries.iter().zip(noise_acc.chunks_exact(dim)) {
@@ -592,15 +459,11 @@ where
                 lazydp_obs::span!("step.sparse_update");
                 table.sparse_update(update, lr);
             }
-            self.counters.table_rows_read += update.len() as u64;
-            self.counters.table_rows_written += update.len() as u64;
+            counters.table_rows_read += update.len() as u64;
+            counters.table_rows_written += update.len() as u64;
         }
-        self.counters.steps += 1;
         lazydp_obs::metrics().trainer.steps.incr();
-        StepStats {
-            realized_batch: batch.batch_size(),
-            clipped_fraction: clipped,
-        }
+        self.core.finish_step(batch, clipped)
     }
 
     fn finalize(&mut self, model: &mut Dlrm<T>) {
@@ -608,7 +471,7 @@ where
     }
 
     fn counters(&self) -> KernelCounters {
-        self.counters
+        self.core.counters
     }
 }
 

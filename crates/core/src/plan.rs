@@ -17,7 +17,7 @@
 //!    so the result is bitwise identical for any thread count
 //!    (DESIGN.md invariant #4).
 //!
-//! Both the per-step flush ([`NoisePlan::for_next_rows`]) and the
+//! Both the per-step flush ([`NoisePlan::plan_next_rows`]) and the
 //! release-time flush ([`NoisePlan::for_all_rows`] in
 //! `LazyDpOptimizer::finalize_model`) run on this machinery.
 
@@ -49,8 +49,6 @@ pub struct NoisePlanEntry {
 /// with their delay counts already taken from the [`HistoryTable`].
 #[derive(Debug, Clone)]
 pub struct NoisePlan {
-    table_id: u32,
-    iter: u64,
     entries: Vec<NoisePlanEntry>,
 }
 
@@ -59,34 +57,14 @@ impl NoisePlan {
     /// delays of every row in `targets` (the deduped rows the *next*
     /// iteration gathers) and assigns each pending row a slot in
     /// `update`, appending zero entries for rows the gradient did not
-    /// touch.
+    /// touch. Plans into a caller-owned entry buffer (cleared and
+    /// refilled), so the per-step flush plans without allocating. Pair
+    /// with [`sample_entries_into`](Self::sample_entries_into).
     ///
     /// `update` must be coalesced (sorted, duplicate-free) on entry and
     /// `targets` must be sorted and duplicate-free
     /// ([`dedup_indices`](lazydp_embedding::sparse::dedup_indices)
     /// output).
-    #[must_use]
-    pub fn for_next_rows(
-        table_id: u32,
-        iter: u64,
-        targets: &[u64],
-        history: &mut HistoryTable,
-        update: &mut SparseGrad,
-        counters: &mut KernelCounters,
-    ) -> Self {
-        let mut entries = Vec::new();
-        Self::plan_next_rows(targets, iter, history, update, counters, &mut entries);
-        Self {
-            table_id,
-            iter,
-            entries,
-        }
-    }
-
-    /// The phase-1 walk of [`for_next_rows`](Self::for_next_rows) into a
-    /// caller-owned entry buffer (cleared and refilled), so the per-step
-    /// flush plans without allocating. Pair with
-    /// [`sample_entries_into`](Self::sample_entries_into).
     pub fn plan_next_rows(
         targets: &[u64],
         iter: u64,
@@ -127,14 +105,13 @@ impl NoisePlan {
     /// straight to table rows, not to a sparse update).
     #[must_use]
     pub fn for_all_rows(
-        table_id: u32,
         iter: u64,
         rows: usize,
         history: &mut HistoryTable,
         counters: &mut KernelCounters,
     ) -> Self {
         debug_assert_eq!(rows, history.rows(), "history covers the table");
-        Self::for_all_rows_of_shard(table_id, iter, ShardSpec::new(1), 0, history, counters)
+        Self::for_all_rows_of_shard(iter, ShardSpec::new(1), 0, history, counters)
     }
 
     /// [`for_all_rows`](Self::for_all_rows) over one shard of a
@@ -148,7 +125,6 @@ impl NoisePlan {
     /// Panics if `shard` is out of range for `spec`.
     #[must_use]
     pub fn for_all_rows_of_shard(
-        table_id: u32,
         iter: u64,
         spec: ShardSpec,
         shard: usize,
@@ -169,11 +145,7 @@ impl NoisePlan {
                 slot: entries.len(),
             });
         }
-        Self {
-            table_id,
-            iter,
-            entries,
-        }
+        Self { entries }
     }
 
     /// The planned rows.
@@ -194,9 +166,12 @@ impl NoisePlan {
         self.entries.is_empty()
     }
 
-    /// Phase 2: samples every planned row's pending noise data-parallel
-    /// on `exec`, returning a `len() × dim` row-major buffer in plan
-    /// order (gradient units — callers scale by −η when applying).
+    /// Phase 2: samples the pending noise of every row in `entries`
+    /// data-parallel on `exec`, returning an `entries.len() × dim`
+    /// row-major buffer in plan order (gradient units — callers scale
+    /// by −η when applying). Takes an explicit entry slice so
+    /// `finalize_model` can flush a huge table in bounded segments
+    /// without materializing table-sized noise buffers.
     ///
     /// Per entry this reproduces Algorithm 1 exactly: with ANS one draw
     /// `~ N(0, delays·σ²C²/B²)` (line 38); without, the `delays`
@@ -208,34 +183,6 @@ impl NoisePlan {
     /// stateful (non-addressable) ones are sampled sequentially through
     /// the live `&mut` reference instead, so their stream advances
     /// exactly as the pre-plan serial flush did.
-    pub fn sample_noise<N>(
-        &self,
-        dim: usize,
-        per_step_std: f32,
-        ans: bool,
-        noise: &mut N,
-        exec: &Executor,
-        counters: &mut KernelCounters,
-    ) -> Vec<f32>
-    where
-        N: RowNoise + Clone + Send + Sync,
-    {
-        Self::sample_entries(
-            self.table_id,
-            self.iter,
-            &self.entries,
-            dim,
-            per_step_std,
-            ans,
-            noise,
-            exec,
-            counters,
-        )
-    }
-
-    /// [`sample_noise`](Self::sample_noise) over an explicit entry
-    /// slice — lets `finalize_model` flush a huge table in bounded
-    /// segments without materializing table-sized noise buffers.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_entries<N>(
         table_id: u32,
@@ -453,8 +400,8 @@ struct ShardFlushTask<'a> {
 ///
 /// Requires an [`addressable`](RowNoise::addressable) noise source (the
 /// per-shard clones of a stateful stream would replay correlated noise);
-/// callers must fall back to [`NoisePlan::for_next_rows`] +
-/// [`NoisePlan::sample_noise`] otherwise.
+/// callers must fall back to [`NoisePlan::plan_next_rows`] +
+/// [`NoisePlan::sample_entries_into`] otherwise.
 ///
 /// # Panics
 ///
@@ -573,16 +520,22 @@ mod tests {
     }
 
     #[test]
-    fn for_next_rows_plans_only_pending_targets_and_slots_them() {
+    fn plan_next_rows_plans_only_pending_targets_and_slots_them() {
         let mut h = history_at(8, &[(2, 5)]); // row 2 already flushed at 5
         let mut update = SparseGrad::from_entries(2, vec![(1, vec![1.0, 1.0])]);
         let _ = update.coalesce();
         let mut c = KernelCounters::new();
-        let plan = NoisePlan::for_next_rows(0, 5, &[1, 2, 4], &mut h, &mut update, &mut c);
+        // A stale entry proves the buffer is cleared, not appended to.
+        let mut plan = vec![NoisePlanEntry {
+            row: 99,
+            delays: 1,
+            slot: 0,
+        }];
+        NoisePlan::plan_next_rows(&[1, 2, 4], 5, &mut h, &mut update, &mut c, &mut plan);
         // Row 2 owes nothing at iter 5; rows 1 and 4 owe 5 each.
         assert_eq!(plan.len(), 2);
         assert_eq!(
-            plan.entries()[0],
+            plan[0],
             NoisePlanEntry {
                 row: 1,
                 delays: 5,
@@ -591,7 +544,7 @@ mod tests {
         );
         // Row 4 was absent from the gradient: appended as a zero entry.
         assert_eq!(
-            plan.entries()[1],
+            plan[1],
             NoisePlanEntry {
                 row: 4,
                 delays: 5,
@@ -607,7 +560,7 @@ mod tests {
     fn for_all_rows_plans_every_pending_row() {
         let mut h = history_at(4, &[(1, 3), (3, 7)]);
         let mut c = KernelCounters::new();
-        let plan = NoisePlan::for_all_rows(0, 7, 4, &mut h, &mut c);
+        let plan = NoisePlan::for_all_rows(7, 4, &mut h, &mut c);
         let rows: Vec<u64> = plan.entries().iter().map(|e| e.row).collect();
         let delays: Vec<u64> = plan.entries().iter().map(|e| e.delays).collect();
         assert_eq!(rows, vec![0, 1, 2]); // row 3 is current
@@ -615,12 +568,12 @@ mod tests {
         assert_eq!(c.history_reads, 4);
         assert_eq!(c.history_writes, 3);
         // Idempotent: a second scan owes nothing.
-        let again = NoisePlan::for_all_rows(0, 7, 4, &mut h, &mut c);
+        let again = NoisePlan::for_all_rows(7, 4, &mut h, &mut c);
         assert!(again.is_empty());
     }
 
     #[test]
-    fn sample_noise_is_thread_count_independent() {
+    fn sample_entries_is_thread_count_independent() {
         let entries: Vec<NoisePlanEntry> = (0..100)
             .map(|k| NoisePlanEntry {
                 row: k as u64 * 3,
@@ -713,7 +666,7 @@ mod tests {
 
     #[test]
     fn sharded_flush_matches_the_monolithic_path_bitwise() {
-        // The 1-shard reference: for_next_rows + sample_noise, applied
+        // The 1-shard reference: plan_next_rows + sample_entries, applied
         // through plan slots (exactly what the pre-sharding optimizer
         // did), must agree per-row with merge_into for every shard
         // count — same entries, same noise, same counters.
@@ -741,16 +694,20 @@ mod tests {
         }
         let mut ref_update = mk_update();
         let mut ref_c = KernelCounters::new();
-        let plan = NoisePlan::for_next_rows(
-            2,
-            iter,
+        let mut plan = Vec::new();
+        NoisePlan::plan_next_rows(
             &targets,
+            iter,
             &mut ref_hist,
             &mut ref_update,
             &mut ref_c,
+            &mut plan,
         );
-        let buf = plan.sample_noise(dim, 0.3, true, &mut noise, &Executor::new(3), &mut ref_c);
-        for (e, nv) in plan.entries().iter().zip(buf.chunks_exact(dim)) {
+        let exec = Executor::new(3);
+        let buf = NoisePlan::sample_entries(
+            2, iter, &plan, dim, 0.3, true, &mut noise, &exec, &mut ref_c,
+        );
+        for (e, nv) in plan.iter().zip(buf.chunks_exact(dim)) {
             for (w, &n) in ref_update.entry_mut(e.slot).iter_mut().zip(nv.iter()) {
                 *w += n;
             }
@@ -808,7 +765,7 @@ mod tests {
             let _ = mono.take_delays(r, it);
         }
         let mut c_mono = KernelCounters::new();
-        let want = NoisePlan::for_all_rows(0, 7, rows, &mut mono, &mut c_mono);
+        let want = NoisePlan::for_all_rows(7, rows, &mut mono, &mut c_mono);
         let mut want_pairs: Vec<(u64, u64)> =
             want.entries().iter().map(|e| (e.row, e.delays)).collect();
         want_pairs.sort_unstable();
@@ -821,7 +778,7 @@ mod tests {
         let mut c_sh = KernelCounters::new();
         let mut got_pairs: Vec<(u64, u64)> = Vec::new();
         for (s, shard) in sharded.shards_mut().iter_mut().enumerate() {
-            let plan = NoisePlan::for_all_rows_of_shard(0, 7, spec, s, shard, &mut c_sh);
+            let plan = NoisePlan::for_all_rows_of_shard(7, spec, s, shard, &mut c_sh);
             got_pairs.extend(plan.entries().iter().map(|e| (e.row, e.delays)));
         }
         got_pairs.sort_unstable();

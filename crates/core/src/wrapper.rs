@@ -2,40 +2,36 @@
 //!
 //! The paper packages LazyDP as a wrapper that transforms a (model,
 //! optimizer, data_loader) triple into LazyDP-enabled instances.
-//! [`PrivateTrainer`] is the Rust equivalent: it owns the model, a
-//! [`LazyDpOptimizer`], a [`LookaheadSource`] (the Fig. 9(b) "LazyDP
-//! data loader" with its input queue — synchronous [`LookaheadLoader`]
-//! or async [`PrefetchLoader`]), and an [`RdpAccountant`] that tracks
+//! [`PrivateTrainer`] is the Rust equivalent: it owns the model, an
+//! [`AccountedOptimizer`] (a [`LazyDpOptimizer`] for the Fig. 9 call),
+//! a [`LookaheadSource`] (the Fig. 9(b) "LazyDP data loader" with its
+//! input queue — synchronous [`LookaheadLoader`] or the async
+//! `lazydp_data::PrefetchLoader`), and an [`RdpAccountant`] that tracks
 //! the (ε, δ) budget as training proceeds.
 
 use crate::accounted::AccountedOptimizer;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
-use lazydp_data::{BatchSource, LookaheadLoader, LookaheadSource, PrefetchLoader};
-use lazydp_dpsgd::{AdaFestConfig, AdaFestOptimizer, KernelCounters, StepStats};
+use lazydp_data::{BatchSource, LookaheadLoader, LookaheadSource};
+use lazydp_dpsgd::{KernelCounters, StepStats};
 use lazydp_embedding::{EmbeddingStorage, EmbeddingTable};
 use lazydp_model::Dlrm;
 use lazydp_privacy::RdpAccountant;
 use lazydp_rng::RowNoise;
-use lazydp_store::StoredTable;
-use std::io;
 
-/// A private training session created by
-/// [`make_private`](Self::make_private) (synchronous input pipeline),
-/// [`make_private_prefetch`](Self::make_private_prefetch) (async
-/// pipeline), [`make_private_with`](Self::make_private_with) (any
-/// [`LookaheadSource`]), or
-/// [`make_private_stored`](Self::make_private_stored) /
-/// [`make_private_stored_prefetch`](Self::make_private_stored_prefetch)
-/// (disk-backed embedding tables). All of them train the bitwise-same
-/// model given the same batch stream and noise seed — the backend
-/// parameter `T` changes where embedding rows live, never their values.
-///
-/// `O` is the training algorithm: the constructors above build a
-/// [`LazyDpOptimizer`]; any other [`AccountedOptimizer`] (DP-AdaFEST
-/// via [`make_private_adafest`](Self::make_private_adafest), or eager
-/// DP-SGD / EANA via
-/// [`make_private_optimizer`](Self::make_private_optimizer)) gets the
-/// same loop and per-step accounting of the mechanism it reports.
+/// A private training session. Two constructors:
+/// [`make_private`](Self::make_private) is the paper's Fig. 9 call
+/// (LazyDP over the synchronous lookahead loader);
+/// [`make_private_optimizer`](Self::make_private_optimizer) composes
+/// the pieces explicitly — any [`AccountedOptimizer`] (`O`: LazyDP,
+/// DP-AdaFEST, eager DP-SGD, EANA), any [`LookaheadSource`] (`L`: e.g.
+/// `PrefetchLoader::new(source)` for the async double-buffered
+/// pipeline), and any embedding backend (`T`: e.g. disk-backed tables
+/// via `model.try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))`).
+/// Every combination gets the same loop and per-step accounting of the
+/// mechanism the optimizer reports, and all of them train the
+/// bitwise-same model given the same algorithm, batch stream and noise
+/// seed — the loader and the backend change where batches and embedding
+/// rows come from, never their values.
 #[derive(Debug)]
 pub struct PrivateTrainer<L, O, T: EmbeddingStorage = EmbeddingTable> {
     model: Dlrm<T>,
@@ -81,176 +77,10 @@ where
         noise: N,
         sampling_rate: f64,
     ) -> Self {
-        Self::make_private_with(
-            model,
-            cfg,
-            LookaheadLoader::new(source),
-            noise,
-            sampling_rate,
-        )
-    }
-}
-
-impl<S, N> PrivateTrainer<LookaheadLoader<S>, LazyDpOptimizer<N>, StoredTable>
-where
-    S: BatchSource,
-    N: RowNoise + Clone + Send + Sync,
-{
-    /// [`make_private`](PrivateTrainer::make_private) with **disk-backed
-    /// embedding tables**: the in-memory model's tables are spilled to
-    /// the paged storage engine configured by `cfg.storage` (or the
-    /// `lazydp_store::StorageConfig` defaults when unset), and training
-    /// proceeds with only the page cache resident per table. The
-    /// released model is bitwise identical to the in-memory run — the
-    /// out-of-core tentpole invariant, proven by the workspace proptests
-    /// and `examples/out_of_core.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spill-file I/O errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sampling_rate ∉ (0, 1]`.
-    pub fn make_private_stored(
-        model: Dlrm,
-        cfg: LazyDpConfig,
-        source: S,
-        noise: N,
-        sampling_rate: f64,
-    ) -> io::Result<Self> {
-        let model = store_model(model, &cfg)?;
-        Ok(Self::make_private_with(
-            model,
-            cfg,
-            LookaheadLoader::new(source),
-            noise,
-            sampling_rate,
-        ))
-    }
-}
-
-impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage>
-    PrivateTrainer<PrefetchLoader, LazyDpOptimizer<N>, T>
-{
-    /// [`make_private`](PrivateTrainer::make_private) with the
-    /// asynchronous double-buffered input pipeline: batches are
-    /// generated on a background thread and the next batch's indices
-    /// are in view before each step runs. Delivers the identical batch
-    /// stream — and therefore the bitwise-identical model — as the
-    /// synchronous loader over the same `source`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sampling_rate ∉ (0, 1]`.
-    #[must_use]
-    pub fn make_private_prefetch<S: BatchSource + Send + 'static>(
-        model: Dlrm<T>,
-        cfg: LazyDpConfig,
-        source: S,
-        noise: N,
-        sampling_rate: f64,
-    ) -> Self {
-        Self::make_private_with(
-            model,
-            cfg,
-            PrefetchLoader::new(source),
-            noise,
-            sampling_rate,
-        )
-    }
-}
-
-impl<N: RowNoise + Clone + Send + Sync>
-    PrivateTrainer<PrefetchLoader, LazyDpOptimizer<N>, StoredTable>
-{
-    /// The full out-of-core pipeline: disk-backed embedding tables
-    /// (see [`make_private_stored`](PrivateTrainer::make_private_stored))
-    /// **and** the async input pipeline, whose
-    /// [`peek_next_indices`](PrefetchLoader::peek_next_indices) lookahead
-    /// window is what lets the optimizer fault step *t+1*'s pages in
-    /// while step *t*'s dense compute runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spill-file I/O errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sampling_rate ∉ (0, 1]`.
-    pub fn make_private_stored_prefetch<S: BatchSource + Send + 'static>(
-        model: Dlrm,
-        cfg: LazyDpConfig,
-        source: S,
-        noise: N,
-        sampling_rate: f64,
-    ) -> io::Result<Self> {
-        let model = store_model(model, &cfg)?;
-        Ok(Self::make_private_with(
-            model,
-            cfg,
-            PrefetchLoader::new(source),
-            noise,
-            sampling_rate,
-        ))
-    }
-}
-
-/// Spills an in-memory model's tables to the storage engine configured
-/// by `cfg.storage` (engine defaults when unset).
-fn store_model(model: Dlrm, cfg: &LazyDpConfig) -> io::Result<Dlrm<StoredTable>> {
-    let storage = cfg.storage.clone().unwrap_or_default();
-    Ok(model.try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))?)
-}
-
-impl<L: LookaheadSource, N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage>
-    PrivateTrainer<L, LazyDpOptimizer<N>, T>
-{
-    /// [`make_private`](PrivateTrainer::make_private) over an
-    /// already-constructed lookahead pipeline (any [`LookaheadSource`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sampling_rate ∉ (0, 1]`.
-    #[must_use]
-    pub fn make_private_with(
-        model: Dlrm<T>,
-        cfg: LazyDpConfig,
-        loader: L,
-        noise: N,
-        sampling_rate: f64,
-    ) -> Self {
         let optimizer = LazyDpOptimizer::new(cfg, &model, noise);
-        Self::make_private_optimizer(model, optimizer, loader, sampling_rate)
-    }
-}
-
-impl<S, N, T> PrivateTrainer<LookaheadLoader<S>, AdaFestOptimizer<N>, T>
-where
-    S: BatchSource,
-    N: RowNoise,
-    T: EmbeddingStorage,
-{
-    /// [`make_private`](PrivateTrainer::make_private) for **DP-AdaFEST**
-    /// (sparsity-preserving DP training): the per-step mechanism is the
-    /// composed selection+noise pair, and the accountant charges
-    /// `Mechanism::SelectThenNoise` accordingly — the reported ε is
-    /// strictly larger than a plain Gaussian run at the same `σ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sampling_rate ∉ (0, 1]`.
-    #[must_use]
-    pub fn make_private_adafest(
-        model: Dlrm<T>,
-        cfg: AdaFestConfig,
-        source: S,
-        noise: N,
-        sampling_rate: f64,
-    ) -> Self {
         Self::make_private_optimizer(
             model,
-            AdaFestOptimizer::new(cfg, noise),
+            optimizer,
             LookaheadLoader::new(source),
             sampling_rate,
         )
@@ -298,8 +128,7 @@ impl<L: LookaheadSource, O: AccountedOptimizer<T>, T: EmbeddingStorage> PrivateT
         let mut stats = Vec::with_capacity(n);
         for _ in 0..n {
             let (cur, next) = self.loader.advance();
-            let (cur, next) = (cur.clone(), next.clone());
-            stats.push(self.optimizer.step(&mut self.model, &cur, Some(&next)));
+            stats.push(self.optimizer.step(&mut self.model, cur, Some(next)));
             let _ = self.loader.finish_iteration();
             self.accountant
                 .compose_mechanism(&mechanism, self.sampling_rate, 1);
@@ -353,7 +182,10 @@ impl<L: LookaheadSource, O: AccountedOptimizer<T>, T: EmbeddingStorage> PrivateT
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lazydp_data::{FixedBatchLoader, PoissonLoader, SyntheticConfig, SyntheticDataset};
+    use lazydp_data::{
+        FixedBatchLoader, PoissonLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+    };
+    use lazydp_dpsgd::{AdaFestConfig, AdaFestOptimizer};
     use lazydp_model::DlrmConfig;
     use lazydp_rng::counter::CounterNoise;
     use lazydp_rng::Xoshiro256PlusPlus;
@@ -429,11 +261,12 @@ mod tests {
                 .with_shards(shards);
             let q = 32.0 / 256.0;
             if prefetch {
-                let mut t = PrivateTrainer::make_private_prefetch(
-                    model(),
-                    cfg,
-                    loader,
-                    CounterNoise::new(9),
+                let model = model();
+                let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(9));
+                let mut t = PrivateTrainer::make_private_optimizer(
+                    model,
+                    opt,
+                    PrefetchLoader::new(loader),
                     q,
                 );
                 let _ = t.train_steps(8);
@@ -497,11 +330,10 @@ mod tests {
             CounterNoise::new(6),
             q,
         );
-        let mut ada = PrivateTrainer::make_private_adafest(
+        let mut ada = PrivateTrainer::make_private_optimizer(
             model(),
-            lazydp_dpsgd::AdaFestConfig::new(dp, 1.0, 8.0, 8),
-            FixedBatchLoader::new(ds, 32),
-            CounterNoise::new(6),
+            AdaFestOptimizer::new(AdaFestConfig::new(dp, 1.0, 8.0, 8), CounterNoise::new(6)),
+            LookaheadLoader::new(FixedBatchLoader::new(ds, 32)),
             q,
         );
         let _ = lazy.train_steps(10);

@@ -49,13 +49,13 @@
 //! count exceeds `max_lookups`, so the bound — and therefore the
 //! reported ε — is enforced, not assumed.
 
-use crate::clip::{clip_weights_into, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
 use crate::optimizer::{Optimizer, StepStats};
+use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
-use lazydp_embedding::{CoalesceScratch, EmbeddingStorage, ShardSpec, SparseGrad};
-use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
+use lazydp_embedding::{EmbeddingStorage, ShardSpec, SparseGrad};
+use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
 
 /// Dense-parameter namespace for the selection draws, disjoint from the
@@ -210,7 +210,7 @@ pub fn select_partitions_into<N: RowNoise>(
 /// `O(table rows)`. Each row's update is independent and its noise is
 /// addressed by `(table, row, iter)`, so for addressable sources the
 /// visit order is immaterial and every selected row's update is bitwise
-/// that of [`dense_noisy_update`](crate::noise_update::dense_noisy_update)
+/// that of [`dense_noisy_update_with`](crate::noise_update::dense_noisy_update_with)
 /// (for stream sources like `SequentialNoise` — only distributionally
 /// equivalent by contract — the draw order is partition-major).
 ///
@@ -294,30 +294,15 @@ fn assert_lookup_bound(batch: &MiniBatch, max_lookups: usize) {
     }
 }
 
-/// Reusable per-step buffers — the whole step allocates nothing once
-/// these reach steady-state size.
-#[derive(Debug, Clone, Default)]
-struct AdaFestScratch {
-    cache: DlrmCache,
-    model_scratch: DlrmScratch,
-    grads: DlrmGrads,
-    logit_g: Vec<f32>,
-    norms: Vec<f64>,
-    dense_buf: Vec<f32>,
-    noise_buf: Vec<f32>,
-    coalesce: CoalesceScratch,
-    counts: Vec<u64>,
-    selected: Vec<bool>,
-}
-
-/// The DP-AdaFEST optimizer (see the module docs).
+/// The DP-AdaFEST optimizer (see the module docs): the shared
+/// [`DpStep`] front half plus select-then-noise partitions. The whole
+/// step allocates nothing at steady state.
 #[derive(Debug, Clone)]
 pub struct AdaFestOptimizer<N> {
     cfg: AdaFestConfig,
-    noise: N,
-    counters: KernelCounters,
-    iter: u64,
-    scratch: AdaFestScratch,
+    core: DpStep<N>,
+    counts: Vec<u64>,
+    selected: Vec<bool>,
 }
 
 impl<N: RowNoise> AdaFestOptimizer<N> {
@@ -326,10 +311,9 @@ impl<N: RowNoise> AdaFestOptimizer<N> {
     pub fn new(cfg: AdaFestConfig, noise: N) -> Self {
         Self {
             cfg,
-            noise,
-            counters: KernelCounters::new(),
-            iter: 0,
-            scratch: AdaFestScratch::default(),
+            core: DpStep::new(cfg.dp, noise, 0),
+            counts: Vec::new(),
+            selected: Vec::new(),
         }
     }
 
@@ -337,46 +321,6 @@ impl<N: RowNoise> AdaFestOptimizer<N> {
     #[must_use]
     pub fn config(&self) -> &AdaFestConfig {
         &self.cfg
-    }
-
-    /// Ghost-clipped aggregate into the scratch grads (associated fn so
-    /// the borrows split); mirrors DP-SGD(F) bitwise.
-    fn clipped_aggregate<T: EmbeddingStorage>(
-        dp: &DpConfig,
-        model: &Dlrm<T>,
-        batch: &MiniBatch,
-        counters: &mut KernelCounters,
-        scratch: &mut AdaFestScratch,
-    ) -> f64 {
-        if batch.is_empty() {
-            scratch.grads.reset_for(model);
-            return 0.0;
-        }
-        model.forward_with(batch, &mut scratch.cache, &mut scratch.model_scratch);
-        counters.rows_gathered += batch.total_lookups() as u64;
-        Dlrm::logit_grads_into(&scratch.cache, &batch.labels, false, &mut scratch.logit_g);
-        let c = dp.max_grad_norm;
-        let AdaFestScratch {
-            cache,
-            model_scratch,
-            grads,
-            logit_g,
-            norms,
-            ..
-        } = scratch;
-        model.backward_clipped_with(
-            cache,
-            batch,
-            logit_g,
-            |n, w| {
-                norms.clear();
-                norms.extend_from_slice(n);
-                clip_weights_into(n, c, w);
-            },
-            grads,
-            model_scratch,
-        );
-        clipped_fraction(&scratch.norms, c)
     }
 }
 
@@ -391,55 +335,33 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
         batch: &MiniBatch,
         _next: Option<&MiniBatch>,
     ) -> StepStats {
-        self.iter += 1;
+        self.core.begin_step();
         assert_lookup_bound(batch, self.cfg.max_lookups);
+        let clipped = self.core.clipped_aggregate(model, batch);
+        self.core.scale_and_coalesce();
+        self.core.dense_update(model);
+        // Table stage: privately select partitions, then noise them.
         // σ_select is relative to the count query's sensitivity; the
         // realized per-count noise std carries the Δ = max_lookups·√T
         // factor so the accountant's unit-sensitivity view is honest.
         let select_std = self.cfg.selection_noise_std(model.tables.len());
-        let clipped = Self::clipped_aggregate(
-            &self.cfg.dp,
-            model,
-            batch,
-            &mut self.counters,
-            &mut self.scratch,
-        );
-        let b = self.cfg.dp.nominal_batch as f32;
-        let std = self.cfg.dp.noise_std_per_coord();
-        let lr = self.cfg.dp.lr;
-        let AdaFestScratch {
+        let threshold = self.cfg.threshold;
+        let (counts, selected) = (&mut self.counts, &mut self.selected);
+        let TableStage {
             grads,
-            dense_buf,
+            noise,
+            counters,
             noise_buf,
-            coalesce,
-            counts,
-            selected,
-            ..
-        } = &mut self.scratch;
-        grads.scale(1.0 / b);
-        self.counters.duplicates_removed += grads.coalesce_with(coalesce) as u64;
-        model.bottom.apply(&grads.bottom, lr);
-        model.top.apply(&grads.top, lr);
-        model
-            .bottom
-            .apply_dense_noise_with(&mut self.noise, self.iter, 0, std, lr, dense_buf);
-        model
-            .top
-            .apply_dense_noise_with(&mut self.noise, self.iter, 64, std, lr, dense_buf);
-        self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
-        for (t, (table, g)) in model.tables.iter_mut().zip(grads.tables.iter()).enumerate() {
+            iter,
+            noise_std,
+            lr,
+        } = self.core.table_stage();
+        for (t, (table, g)) in model.tables.iter_mut().zip(grads.iter()).enumerate() {
+            let t = t as u32;
             let spec = ShardSpec::new(self.cfg.partitions_for(table.rows()));
             spec.partition_counts_into(g.indices(), counts);
-            select_partitions_into(
-                t as u32,
-                counts,
-                select_std,
-                self.cfg.threshold,
-                &mut self.noise,
-                self.iter,
-                selected,
-            );
-            self.counters.gaussian_samples += counts.len() as u64;
+            select_partitions_into(t, counts, select_std, threshold, noise, iter, selected);
+            counters.gaussian_samples += counts.len() as u64;
             // The selection outcome is itself a differentially private
             // release (that is the point of private partition
             // selection), so aggregate selected/dropped tallies are
@@ -454,28 +376,14 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
                 .partitions_dropped
                 .add(selected.len() as u64 - n_selected);
             partition_noisy_update_with(
-                t as u32,
-                table,
-                &spec,
-                selected,
-                g,
-                &mut self.noise,
-                self.iter,
-                std,
-                lr,
-                &mut self.counters,
-                noise_buf,
+                t, table, &spec, selected, g, noise, iter, noise_std, lr, counters, noise_buf,
             );
         }
-        self.counters.steps += 1;
-        StepStats {
-            realized_batch: batch.batch_size(),
-            clipped_fraction: clipped,
-        }
+        self.core.finish_step(batch, clipped)
     }
 
     fn counters(&self) -> KernelCounters {
-        self.counters
+        self.core.counters
     }
 }
 

@@ -16,15 +16,15 @@
 //! All three then perform the identical **dense noisy update** on every
 //! embedding table — the §4 bottleneck.
 
-use crate::clip::{clip_weights, clip_weights_into, clipped_fraction};
+use crate::clip::{clip_weights, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
-use crate::noise_update::dense_noisy_update_with;
+use crate::noise_update::{dense_noisy_update_with, par_dense_noisy_update};
 use crate::optimizer::{Optimizer, StepStats};
-use crate::parallel_update::par_dense_noisy_update;
+use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
-use lazydp_embedding::{CoalesceScratch, SparseGrad};
-use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch, MlpGrads};
+use lazydp_embedding::SparseGrad;
+use lazydp_model::{Dlrm, DlrmGrads, MlpGrads};
 use lazydp_rng::RowNoise;
 
 /// How per-example clipping is computed (see module docs).
@@ -50,31 +50,15 @@ impl ClipStyle {
     }
 }
 
-/// Reusable per-step buffers. With [`ClipStyle::Fast`] and a single
-/// noise thread the whole step runs allocation-free once these reach
-/// steady-state size (pinned by `tests/alloc_steady_state_eager.rs`);
-/// the (B) and (R) styles still materialize per-example state.
-#[derive(Debug, Clone, Default)]
-struct EagerScratch {
-    cache: DlrmCache,
-    model_scratch: DlrmScratch,
-    grads: DlrmGrads,
-    logit_g: Vec<f32>,
-    norms: Vec<f64>,
-    dense_buf: Vec<f32>,
-    noise_buf: Vec<f32>,
-    coalesce: CoalesceScratch,
-}
-
-/// Eager (non-lazy) DP-SGD optimizer.
+/// Eager (non-lazy) DP-SGD optimizer: the shared [`DpStep`] front half
+/// plus a dense noisy update of every table. With [`ClipStyle::Fast`]
+/// and a single noise thread the whole step runs allocation-free at
+/// steady state (pinned by `tests/alloc_steady_state_eager.rs`); the
+/// (B) and (R) styles still materialize per-example state.
 #[derive(Debug, Clone)]
 pub struct EagerDpSgd<N> {
-    cfg: DpConfig,
+    core: DpStep<N>,
     style: ClipStyle,
-    noise: N,
-    counters: KernelCounters,
-    iter: u64,
-    scratch: EagerScratch,
 }
 
 impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
@@ -82,194 +66,63 @@ impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
     #[must_use]
     pub fn new(cfg: DpConfig, style: ClipStyle, noise: N) -> Self {
         Self {
-            cfg,
+            core: DpStep::new(cfg, noise, 0),
             style,
-            noise,
-            counters: KernelCounters::new(),
-            iter: 0,
-            scratch: EagerScratch::default(),
         }
-    }
-
-    /// The configured clipping style.
-    #[must_use]
-    pub fn style(&self) -> ClipStyle {
-        self.style
     }
 
     /// The hyper-parameters.
     #[must_use]
     pub fn config(&self) -> &DpConfig {
-        &self.cfg
-    }
-
-    /// Derives the clipped, summed gradient `Σ_i min(1, C/‖g_i‖)·g_i`
-    /// (not yet divided by B) into the scratch grads and returns the
-    /// clipped fraction.
-    fn clipped_aggregate(&mut self, model: &Dlrm, batch: &MiniBatch) -> f64 {
-        self.counters.rows_gathered += batch.total_lookups() as u64;
-        let c = self.cfg.max_grad_norm;
-        match self.style {
-            ClipStyle::Fast => {
-                // Fused ghost-clipping backward: one gradient chain
-                // yields the ghost norms and the clipped aggregate
-                // (bitwise-identical to norms-then-reweighted-backward),
-                // entirely in reusable scratch buffers.
-                model.forward_with(
-                    batch,
-                    &mut self.scratch.cache,
-                    &mut self.scratch.model_scratch,
-                );
-                Dlrm::logit_grads_into(
-                    &self.scratch.cache,
-                    &batch.labels,
-                    false,
-                    &mut self.scratch.logit_g,
-                );
-                let EagerScratch {
-                    cache,
-                    model_scratch,
-                    grads,
-                    logit_g,
-                    norms,
-                    ..
-                } = &mut self.scratch;
-                model.backward_clipped_with(
-                    cache,
-                    batch,
-                    logit_g,
-                    |n, w| {
-                        norms.clear();
-                        norms.extend_from_slice(n);
-                        clip_weights_into(n, c, w);
-                    },
-                    grads,
-                    model_scratch,
-                );
-                clipped_fraction(&self.scratch.norms, c)
-            }
-            ClipStyle::Reweighted => {
-                // Norm pass via materialization (the recomputation cost
-                // DP-SGD(R) pays), aggregate via the reweighted pass.
-                let cache = model.forward(batch);
-                let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
-                let norms = materialized_norms(model, &cache, batch, &gl);
-                let w = clip_weights(&norms, c);
-                self.scratch.grads = model.backward(&cache, batch, &gl, Some(&w));
-                clipped_fraction(&norms, c)
-            }
-            ClipStyle::PerExample => {
-                let cache = model.forward(batch);
-                let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
-                let mut per_ex = model.per_example_grads(&cache, batch, &gl);
-                for g in &mut per_ex {
-                    g.coalesce();
-                }
-                let norms: Vec<f64> = per_ex.iter().map(DlrmGrads::norm_sq).collect();
-                let w = clip_weights(&norms, c);
-                let mut sum = DlrmGrads {
-                    bottom: MlpGrads::zeros_like(&model.bottom),
-                    top: MlpGrads::zeros_like(&model.top),
-                    tables: model
-                        .tables
-                        .iter()
-                        .map(|t| SparseGrad::new(t.dim()))
-                        .collect(),
-                };
-                for (g, &wi) in per_ex.iter().zip(w.iter()) {
-                    sum.bottom.axpy(wi, &g.bottom);
-                    sum.top.axpy(wi, &g.top);
-                    for (acc, gt) in sum.tables.iter_mut().zip(g.tables.iter()) {
-                        for (idx, vals) in gt.iter() {
-                            let entry = acc.push_zeros(idx);
-                            for (e, &v) in entry.iter_mut().zip(vals.iter()) {
-                                *e = wi * v;
-                            }
-                        }
-                    }
-                }
-                self.scratch.grads = sum;
-                clipped_fraction(&norms, c)
-            }
-        }
-    }
-
-    /// Applies the noisy update from the scratch grads: MLP grads +
-    /// dense MLP noise, then the dense noisy update on every table.
-    fn noisy_update(&mut self, model: &mut Dlrm) {
-        let b = self.cfg.nominal_batch as f32;
-        let std = self.cfg.noise_std_per_coord();
-        let lr = self.cfg.lr;
-        let EagerScratch {
-            grads,
-            dense_buf,
-            noise_buf,
-            coalesce,
-            ..
-        } = &mut self.scratch;
-        grads.scale(1.0 / b);
-        self.counters.duplicates_removed += grads.coalesce_with(coalesce) as u64;
-        model.bottom.apply(&grads.bottom, lr);
-        model.top.apply(&grads.top, lr);
-        model
-            .bottom
-            .apply_dense_noise_with(&mut self.noise, self.iter, 0, std, lr, dense_buf);
-        model
-            .top
-            .apply_dense_noise_with(&mut self.noise, self.iter, 64, std, lr, dense_buf);
-        self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
-        let threads = self.cfg.threads;
-        let parallel = threads > 1 && self.noise.addressable();
-        for (t, (table, g)) in model.tables.iter_mut().zip(grads.tables.iter()).enumerate() {
-            if parallel {
-                // The paper's tuned multi-threaded baseline (§6): the
-                // chunk-addressed parallel sweep, identical to the
-                // sequential kernel for addressable noise sources.
-                par_dense_noisy_update(
-                    t as u32,
-                    table,
-                    g,
-                    &self.noise,
-                    self.iter,
-                    std,
-                    lr,
-                    threads,
-                    &mut self.counters,
-                );
-            } else {
-                dense_noisy_update_with(
-                    t as u32,
-                    table,
-                    g,
-                    &mut self.noise,
-                    self.iter,
-                    std,
-                    lr,
-                    &mut self.counters,
-                    noise_buf,
-                );
-            }
-        }
+        self.core.config()
     }
 }
 
-/// Per-example squared norms via full materialization (the DP-SGD(R)
-/// norm pass). Public so tests can cross-check ghost norms against it.
-#[must_use]
-pub fn materialized_norms(
+/// The DP-SGD(B)/(R) clipped aggregate and clipped fraction: both
+/// materialize per-example gradients for the norms; (B) then sums the
+/// clipped per-example gradients, (R) runs one reweighted per-batch
+/// backward instead. The reference side of
+/// `b_r_f_produce_mathematically_identical_models`.
+fn materialized_aggregate(
+    style: ClipStyle,
     model: &Dlrm,
-    cache: &lazydp_model::DlrmCache,
     batch: &MiniBatch,
-    grad_logits: &[f32],
-) -> Vec<f64> {
-    let mut per_ex = model.per_example_grads(cache, batch, grad_logits);
-    per_ex
-        .iter_mut()
-        .map(|g| {
-            g.coalesce();
-            g.norm_sq()
-        })
-        .collect()
+    c: f64,
+) -> (DlrmGrads, f64) {
+    let cache = model.forward(batch);
+    let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
+    let mut per_ex = model.per_example_grads(&cache, batch, &gl);
+    for g in &mut per_ex {
+        g.coalesce();
+    }
+    let norms: Vec<f64> = per_ex.iter().map(DlrmGrads::norm_sq).collect();
+    let w = clip_weights(&norms, c);
+    let clipped = clipped_fraction(&norms, c);
+    if style == ClipStyle::Reweighted {
+        return (model.backward(&cache, batch, &gl, Some(&w)), clipped);
+    }
+    let mut sum = DlrmGrads {
+        bottom: MlpGrads::zeros_like(&model.bottom),
+        top: MlpGrads::zeros_like(&model.top),
+        tables: model
+            .tables
+            .iter()
+            .map(|t| SparseGrad::new(t.dim()))
+            .collect(),
+    };
+    for (g, &wi) in per_ex.iter().zip(w.iter()) {
+        sum.bottom.axpy(wi, &g.bottom);
+        sum.top.axpy(wi, &g.top);
+        for (acc, gt) in sum.tables.iter_mut().zip(g.tables.iter()) {
+            for (idx, vals) in gt.iter() {
+                let entry = acc.push_zeros(idx);
+                for (e, &v) in entry.iter_mut().zip(vals.iter()) {
+                    *e = wi * v;
+                }
+            }
+        }
+    }
+    (sum, clipped)
 }
 
 impl<N: RowNoise + Clone + Send + Sync> Optimizer for EagerDpSgd<N> {
@@ -283,25 +136,48 @@ impl<N: RowNoise + Clone + Send + Sync> Optimizer for EagerDpSgd<N> {
         batch: &MiniBatch,
         _next: Option<&MiniBatch>,
     ) -> StepStats {
-        self.iter += 1;
-        let clipped = if batch.is_empty() {
-            // Poisson sampling may deal an empty batch; DP still adds
-            // noise (the mechanism releases a noisy zero gradient).
-            self.scratch.grads.reset_for(model);
-            0.0
+        self.core.begin_step();
+        let clipped = if self.style == ClipStyle::Fast || batch.is_empty() {
+            self.core.clipped_aggregate(model, batch)
         } else {
-            self.clipped_aggregate(model, batch)
+            let c = self.core.config().max_grad_norm;
+            let (grads, clipped) = materialized_aggregate(self.style, model, batch, c);
+            self.core.counters.rows_gathered += batch.total_lookups() as u64;
+            self.core.scratch.grads = grads;
+            clipped
         };
-        self.noisy_update(model);
-        self.counters.steps += 1;
-        StepStats {
-            realized_batch: batch.batch_size(),
-            clipped_fraction: clipped,
+        self.core.scale_and_coalesce();
+        self.core.dense_update(model);
+        // Table stage: every row of every table receives fresh noise.
+        let threads = self.core.config().threads;
+        let TableStage {
+            grads,
+            noise,
+            counters,
+            noise_buf,
+            iter,
+            noise_std,
+            lr,
+        } = self.core.table_stage();
+        let parallel = threads > 1 && noise.addressable();
+        for (t, (table, g)) in model.tables.iter_mut().zip(grads.iter()).enumerate() {
+            let t = t as u32;
+            if parallel {
+                // The paper's tuned multi-threaded baseline (§6): the
+                // chunk-addressed parallel sweep, identical to the
+                // sequential kernel for addressable noise sources.
+                par_dense_noisy_update(t, table, g, noise, iter, noise_std, lr, threads, counters);
+            } else {
+                dense_noisy_update_with(
+                    t, table, g, noise, iter, noise_std, lr, counters, noise_buf,
+                );
+            }
         }
+        self.core.finish_step(batch, clipped)
     }
 
     fn counters(&self) -> KernelCounters {
-        self.counters
+        self.core.counters
     }
 }
 

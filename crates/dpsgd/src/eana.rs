@@ -8,39 +8,22 @@
 //! never occurred in the data (§2.5). LazyDP achieves the same
 //! asymptotic cost while preserving the exact DP-SGD guarantee.
 
-use crate::clip::{clip_weights_into, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
 use crate::noise_update::sparse_noisy_update_with;
 use crate::optimizer::{Optimizer, StepStats};
+use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
-use lazydp_embedding::CoalesceScratch;
-use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
+use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
 
-/// Reusable per-step buffers — one EANA step allocates nothing once
-/// these reach steady-state size (pinned by
+/// The EANA optimizer: the shared [`DpStep`] front half (ghost-norm
+/// clipping, MLP update + noise) plus accessed-rows-only table noise.
+/// One step allocates nothing at steady state (pinned by
 /// `tests/alloc_steady_state_eana.rs`).
-#[derive(Debug, Clone, Default)]
-struct EanaScratch {
-    cache: DlrmCache,
-    model_scratch: DlrmScratch,
-    grads: DlrmGrads,
-    logit_g: Vec<f32>,
-    norms: Vec<f64>,
-    dense_buf: Vec<f32>,
-    noise_buf: Vec<f32>,
-    coalesce: CoalesceScratch,
-}
-
-/// The EANA optimizer (ghost-norm clipping + accessed-rows-only noise).
 #[derive(Debug, Clone)]
 pub struct EanaOptimizer<N> {
-    cfg: DpConfig,
-    noise: N,
-    counters: KernelCounters,
-    iter: u64,
-    scratch: EanaScratch,
+    core: DpStep<N>,
 }
 
 impl<N: RowNoise> EanaOptimizer<N> {
@@ -48,18 +31,14 @@ impl<N: RowNoise> EanaOptimizer<N> {
     #[must_use]
     pub fn new(cfg: DpConfig, noise: N) -> Self {
         Self {
-            cfg,
-            noise,
-            counters: KernelCounters::new(),
-            iter: 0,
-            scratch: EanaScratch::default(),
+            core: DpStep::new(cfg, noise, 0),
         }
     }
 
     /// The hyper-parameters.
     #[must_use]
     pub fn config(&self) -> &DpConfig {
-        &self.cfg
+        self.core.config()
     }
 }
 
@@ -74,104 +53,33 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
         batch: &MiniBatch,
         _next: Option<&MiniBatch>,
     ) -> StepStats {
-        self.iter += 1;
-        if batch.is_empty() {
-            // No accessed rows ⇒ EANA adds no embedding noise at all —
-            // exactly the information leak §2.5 describes. MLP noise is
-            // still added (dense layers are always "accessed").
-            let std = self.cfg.noise_std_per_coord();
-            model.bottom.apply_dense_noise_with(
-                &mut self.noise,
-                self.iter,
-                0,
-                std,
-                self.cfg.lr,
-                &mut self.scratch.dense_buf,
-            );
-            model.top.apply_dense_noise_with(
-                &mut self.noise,
-                self.iter,
-                64,
-                std,
-                self.cfg.lr,
-                &mut self.scratch.dense_buf,
-            );
-            self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
-            self.counters.steps += 1;
-            return StepStats::default();
-        }
-        model.forward_with(
-            batch,
-            &mut self.scratch.cache,
-            &mut self.scratch.model_scratch,
-        );
-        self.counters.rows_gathered += batch.total_lookups() as u64;
-        Dlrm::logit_grads_into(
-            &self.scratch.cache,
-            &batch.labels,
-            false,
-            &mut self.scratch.logit_g,
-        );
-        let c = self.cfg.max_grad_norm;
-        let EanaScratch {
-            cache,
-            model_scratch,
+        self.core.begin_step();
+        let clipped = self.core.clipped_aggregate(model, batch);
+        self.core.scale_and_coalesce();
+        self.core.dense_update(model);
+        // Table stage: noise lands only on the rows the batch accessed.
+        // An empty batch accesses none, so EANA adds no embedding noise
+        // at all — exactly the information leak §2.5 describes (the MLP
+        // noise above still lands: dense layers are always "accessed").
+        let TableStage {
             grads,
-            logit_g,
-            norms,
-            dense_buf,
+            noise,
+            counters,
             noise_buf,
-            coalesce,
-        } = &mut self.scratch;
-        // Fused ghost-clipping backward (same single-chain pass as the
-        // eager DP-SGD(F) baseline and the LazyDP step).
-        model.backward_clipped_with(
-            cache,
-            batch,
-            logit_g,
-            |n, w| {
-                norms.clear();
-                norms.extend_from_slice(n);
-                clip_weights_into(n, c, w);
-            },
-            grads,
-            model_scratch,
-        );
-        grads.scale(1.0 / self.cfg.nominal_batch as f32);
-        self.counters.duplicates_removed += grads.coalesce_with(coalesce) as u64;
-        let std = self.cfg.noise_std_per_coord();
-        let lr = self.cfg.lr;
-        model.bottom.apply(&grads.bottom, lr);
-        model.top.apply(&grads.top, lr);
-        model
-            .bottom
-            .apply_dense_noise_with(&mut self.noise, self.iter, 0, std, lr, dense_buf);
-        model
-            .top
-            .apply_dense_noise_with(&mut self.noise, self.iter, 64, std, lr, dense_buf);
-        self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
-        for (t, (table, g)) in model.tables.iter_mut().zip(grads.tables.iter()).enumerate() {
+            iter,
+            noise_std,
+            lr,
+        } = self.core.table_stage();
+        for (t, (table, g)) in model.tables.iter_mut().zip(grads.iter()).enumerate() {
             sparse_noisy_update_with(
-                t as u32,
-                table,
-                g,
-                &mut self.noise,
-                self.iter,
-                std,
-                lr,
-                &mut self.counters,
-                noise_buf,
+                t as u32, table, g, noise, iter, noise_std, lr, counters, noise_buf,
             );
         }
-        self.counters.steps += 1;
-        StepStats {
-            realized_batch: batch.batch_size(),
-            clipped_fraction: clipped_fraction(norms, c),
-        }
+        self.core.finish_step(batch, clipped)
     }
 
     fn counters(&self) -> KernelCounters {
-        self.counters
+        self.core.counters
     }
 }
 

@@ -1,9 +1,12 @@
 //! DP-SGD baseline optimizers: the algorithms LazyDP is compared against.
 //!
 //! The paper's §2.4–§2.5 and §7.4 define five training algorithms on top
-//! of the same DLRM model; all are implemented here **functionally** (real
+//! of the same DLRM model (DP-AdaFEST, from the related work, is a sixth);
+//! all are implemented here **functionally** (real
 //! clipping, real Box–Muller noise, real updates) with instrumentation
-//! counters that the calibrated performance model cross-validates against:
+//! counters that the calibrated performance model cross-validates against.
+//! The private ones embed one shared step front half, [`DpStep`] (ghost
+//! clip, MLP update + MLP noise), and add only their table-noise stage:
 //!
 //! | Paper name | Type | Gradient derivation | Noise target |
 //! |---|---|---|---|
@@ -12,11 +15,13 @@
 //! | DP-SGD(R) | [`EagerDpSgd`] + [`ClipStyle::Reweighted`] | norm pass + reweighted pass (Lee & Kifer) | every row of every table |
 //! | DP-SGD(F) | [`EagerDpSgd`] + [`ClipStyle::Fast`] | ghost norms + reweighted pass (Denison et al.) | every row of every table |
 //! | EANA | [`EanaOptimizer`] | ghost norms + reweighted pass | **accessed rows only** (weaker privacy, §7.4) |
+//! | DP-AdaFEST | [`AdaFestOptimizer`] | ghost norms + reweighted pass | rows of **privately selected partitions** only (Ghazi et al.; composed select-then-noise mechanism) |
 //!
 //! DP-SGD(B), (R) and (F) produce *mathematically identical* models given
 //! the same noise draws — asserted by this crate's tests using the
 //! counter-based noise sources from `lazydp-rng`. LazyDP itself lives in
-//! `lazydp-core` and implements the same [`Optimizer`] trait.
+//! `lazydp-core`: the same [`DpStep`] front half, the same [`Optimizer`]
+//! trait, and a deferred (lookahead-flushed) table stage.
 //!
 //! # Example: one eager DP-SGD(F) step
 //!
@@ -51,8 +56,8 @@ pub mod eager;
 pub mod eana;
 pub mod noise_update;
 pub mod optimizer;
-pub mod parallel_update;
 pub mod sgd;
+pub mod step;
 
 pub use adafest::{AdaFestConfig, AdaFestOptimizer};
 pub use clip::{clip_weights, clip_weights_into};
@@ -60,6 +65,7 @@ pub use config::DpConfig;
 pub use counters::KernelCounters;
 pub use eager::{ClipStyle, EagerDpSgd};
 pub use eana::EanaOptimizer;
+pub use noise_update::par_dense_noisy_update;
 pub use optimizer::{Optimizer, StepStats};
-pub use parallel_update::par_dense_noisy_update;
 pub use sgd::SgdOptimizer;
+pub use step::{DpStep, TableStage};

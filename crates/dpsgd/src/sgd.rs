@@ -4,24 +4,20 @@
 use crate::counters::KernelCounters;
 use crate::noise_update::sparse_grad_update;
 use crate::optimizer::{Optimizer, StepStats};
+use crate::step::StepScratch;
 use lazydp_data::MiniBatch;
-use lazydp_embedding::CoalesceScratch;
-use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
+use lazydp_model::Dlrm;
 
 /// Plain mini-batch SGD with sparse embedding updates (paper Fig. 4(a)).
 ///
-/// Owns its forward cache, gradient buffers, and scratch arena: after
-/// the first step sizes them, steady-state steps perform no heap
-/// allocations (the same arena discipline as `LazyDpOptimizer`).
+/// Owns the same step scratch arena as the DP optimizers (forward
+/// cache, gradient buffers): after the first step sizes it,
+/// steady-state steps perform no heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct SgdOptimizer {
     lr: f32,
     counters: KernelCounters,
-    cache: DlrmCache,
-    grads: DlrmGrads,
-    scratch: DlrmScratch,
-    logit_g: Vec<f32>,
-    coalesce: CoalesceScratch,
+    scratch: StepScratch,
 }
 
 impl SgdOptimizer {
@@ -35,7 +31,6 @@ impl SgdOptimizer {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         Self {
             lr,
-            counters: KernelCounters::new(),
             ..Self::default()
         }
     }
@@ -55,21 +50,22 @@ impl Optimizer for SgdOptimizer {
         if batch.is_empty() {
             return StepStats::default();
         }
-        model.forward_with(batch, &mut self.cache, &mut self.scratch);
+        let s = &mut self.scratch;
+        model.forward_with(batch, &mut s.cache, &mut s.model_scratch);
         self.counters.rows_gathered += batch.total_lookups() as u64;
-        Dlrm::logit_grads_into(&self.cache, &batch.labels, true, &mut self.logit_g);
+        Dlrm::logit_grads_into(&s.cache, &batch.labels, true, &mut s.logit_g);
         model.backward_with(
-            &self.cache,
+            &s.cache,
             batch,
-            &self.logit_g,
+            &s.logit_g,
             None,
-            &mut self.grads,
-            &mut self.scratch,
+            &mut s.grads,
+            &mut s.model_scratch,
         );
-        self.counters.duplicates_removed += self.grads.coalesce_with(&mut self.coalesce) as u64;
-        model.bottom.apply(&self.grads.bottom, self.lr);
-        model.top.apply(&self.grads.top, self.lr);
-        for (table, g) in model.tables.iter_mut().zip(self.grads.tables.iter()) {
+        self.counters.duplicates_removed += s.grads.coalesce_with(&mut s.coalesce) as u64;
+        model.bottom.apply(&s.grads.bottom, self.lr);
+        model.top.apply(&s.grads.top, self.lr);
+        for (table, g) in model.tables.iter_mut().zip(s.grads.tables.iter()) {
             sparse_grad_update(table, g, self.lr, &mut self.counters);
         }
         self.counters.steps += 1;

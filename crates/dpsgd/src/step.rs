@@ -1,0 +1,227 @@
+//! The DP step every private optimizer shares.
+//!
+//! Eager DP-SGD(F), EANA, DP-AdaFEST and LazyDP run the *same* front
+//! half each iteration — forward, fused ghost-norm clip, reweighted
+//! backward, `1/B` scaling and coalescing, MLP update plus MLP noise
+//! (Algorithm 1 "omits the MLP layers because both apply the identical
+//! protection") — and differ only in **which embedding rows receive
+//! noise, and when**. [`DpStep`] is that front half, written once: it
+//! owns the hyper-parameters, the noise source, the iteration counter,
+//! the work counters and the one step-scoped scratch arena. An
+//! optimizer embeds a `DpStep`, drives
+//!
+//! ```text
+//! begin_step → clipped_aggregate → scale_and_coalesce → dense_update
+//!            → (its own table stage, over `table_stage()`) → finish_step
+//! ```
+//!
+//! and keeps only its table stage. After warm-up sizes the scratch, the
+//! front half performs **zero heap allocations** (pinned per algorithm
+//! by the `alloc_steady_state*` integration tests).
+
+use crate::clip::{clip_weights_into, clipped_fraction};
+use crate::config::DpConfig;
+use crate::counters::KernelCounters;
+use crate::optimizer::StepStats;
+use lazydp_data::MiniBatch;
+use lazydp_embedding::{CoalesceScratch, EmbeddingStorage, SparseGrad};
+use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
+use lazydp_rng::RowNoise;
+
+/// Dense-parameter noise namespaces of the two MLPs (one id per layer
+/// from the base up; AdaFEST's selection draws start at 128).
+const BOTTOM_PARAM_BASE: u32 = 0;
+const TOP_PARAM_BASE: u32 = 64;
+
+/// Step-scoped scratch: the forward cache, the gradient buffers and
+/// every working vector a step needs, lazily sized on the first step.
+/// The one arena of all four DP optimizers; non-private SGD borrows its
+/// forward/backward half.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StepScratch {
+    pub(crate) cache: DlrmCache,
+    pub(crate) model_scratch: DlrmScratch,
+    pub(crate) grads: DlrmGrads,
+    pub(crate) logit_g: Vec<f32>,
+    pub(crate) coalesce: CoalesceScratch,
+    norms: Vec<f64>,
+    /// Dense MLP noise buffer.
+    dense_buf: Vec<f32>,
+    /// `dim`-wide draw scratch of the table stage.
+    noise_buf: Vec<f32>,
+}
+
+/// The shared front half of a DP training step (see the module docs).
+#[derive(Debug, Clone)]
+pub struct DpStep<N> {
+    cfg: DpConfig,
+    noise: N,
+    iter: u64,
+    /// Cumulative logical-work counters (plain tallies: the front half
+    /// and every table stage add the work they perform).
+    pub counters: KernelCounters,
+    pub(crate) scratch: StepScratch,
+}
+
+/// What a table stage works on once the front half is done: the
+/// scaled, coalesced per-table gradients and the pieces of the step
+/// core its noise kernels need, borrowed disjointly.
+#[derive(Debug)]
+pub struct TableStage<'a, N> {
+    /// One coalesced sparse gradient per embedding table.
+    pub grads: &'a mut [SparseGrad],
+    /// The noise source.
+    pub noise: &'a mut N,
+    /// The work counters.
+    pub counters: &'a mut KernelCounters,
+    /// Reusable draw scratch for the row-noise kernels.
+    pub noise_buf: &'a mut Vec<f32>,
+    /// The current iteration (1-based).
+    pub iter: u64,
+    /// Per-coordinate noise std `σ·C/B`.
+    pub noise_std: f32,
+    /// Learning rate η.
+    pub lr: f32,
+}
+
+impl<N: RowNoise> DpStep<N> {
+    /// Creates the step core. `iter` is the number of steps already
+    /// taken: 0 for a fresh run, the checkpointed iteration on resume.
+    #[must_use]
+    pub fn new(cfg: DpConfig, noise: N, iter: u64) -> Self {
+        Self {
+            cfg,
+            noise,
+            iter,
+            counters: KernelCounters::new(),
+            scratch: StepScratch::default(),
+        }
+    }
+
+    /// The hyper-parameters.
+    #[must_use]
+    pub fn config(&self) -> &DpConfig {
+        &self.cfg
+    }
+
+    /// The noise source.
+    #[must_use]
+    pub fn noise(&self) -> &N {
+        &self.noise
+    }
+
+    /// Current training iteration (1-based after the first step).
+    #[must_use]
+    pub fn iteration(&self) -> u64 {
+        self.iter
+    }
+
+    /// Opens a step: advances and returns the iteration.
+    pub fn begin_step(&mut self) -> u64 {
+        self.iter += 1;
+        self.iter
+    }
+
+    /// Derives the clipped, summed gradient `Σ_i min(1, C/‖g_i‖)·g_i`
+    /// (not yet divided by B) into the scratch grads with the fused
+    /// ghost-clipping backward — one gradient chain yields the ghost
+    /// norms, the clip factors and the clipped aggregate — and returns
+    /// the clipped fraction. Does not touch the noise source, so LazyDP
+    /// may run it concurrently with its lookahead flush.
+    pub fn clipped_aggregate<T: EmbeddingStorage>(
+        &mut self,
+        model: &Dlrm<T>,
+        batch: &MiniBatch,
+    ) -> f64 {
+        let s = &mut self.scratch;
+        if batch.is_empty() {
+            // Poisson sampling may deal an empty batch; DP still adds
+            // noise (the mechanism releases a noisy zero gradient).
+            s.grads.reset_for(model);
+            return 0.0;
+        }
+        {
+            lazydp_obs::span!("step.forward");
+            model.forward_with(batch, &mut s.cache, &mut s.model_scratch);
+        }
+        self.counters.rows_gathered += batch.total_lookups() as u64;
+        Dlrm::logit_grads_into(&s.cache, &batch.labels, false, &mut s.logit_g);
+        let c = self.cfg.max_grad_norm;
+        let norms = &mut s.norms;
+        {
+            lazydp_obs::span!("step.backward_clip");
+            // The norms are copied out of the closure so the clipped
+            // fraction can be reported without re-deriving them.
+            model.backward_clipped_with(
+                &s.cache,
+                batch,
+                &s.logit_g,
+                |n, w| {
+                    norms.clear();
+                    norms.extend_from_slice(n);
+                    clip_weights_into(n, c, w);
+                },
+                &mut s.grads,
+                &mut s.model_scratch,
+            );
+        }
+        clipped_fraction(norms, c)
+    }
+
+    /// Averages the aggregate over the nominal batch and coalesces the
+    /// per-table gradients (sorted, duplicate-free rows).
+    pub fn scale_and_coalesce(&mut self) {
+        let s = &mut self.scratch;
+        s.grads.scale(1.0 / self.cfg.nominal_batch as f32);
+        self.counters.duplicates_removed += s.grads.coalesce_with(&mut s.coalesce) as u64;
+    }
+
+    /// The MLP half of the update: gradient plus dense noise on every
+    /// bottom/top parameter, every iteration, for every algorithm.
+    pub fn dense_update<T: EmbeddingStorage>(&mut self, model: &mut Dlrm<T>) {
+        let std = self.cfg.noise_std_per_coord();
+        let lr = self.cfg.lr;
+        let s = &mut self.scratch;
+        {
+            lazydp_obs::span!("step.dense_update");
+            model.bottom.apply(&s.grads.bottom, lr);
+            model.top.apply(&s.grads.top, lr);
+            for (mlp, base) in [
+                (&mut model.bottom, BOTTOM_PARAM_BASE),
+                (&mut model.top, TOP_PARAM_BASE),
+            ] {
+                mlp.apply_dense_noise_with(
+                    &mut self.noise,
+                    self.iter,
+                    base,
+                    std,
+                    lr,
+                    &mut s.dense_buf,
+                );
+            }
+        }
+        self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
+    }
+
+    /// Hands the table stage its inputs (see [`TableStage`]).
+    pub fn table_stage(&mut self) -> TableStage<'_, N> {
+        TableStage {
+            grads: &mut self.scratch.grads.tables,
+            noise: &mut self.noise,
+            counters: &mut self.counters,
+            noise_buf: &mut self.scratch.noise_buf,
+            iter: self.iter,
+            noise_std: self.cfg.noise_std_per_coord(),
+            lr: self.cfg.lr,
+        }
+    }
+
+    /// Closes a step: counts it and reports its diagnostics.
+    pub fn finish_step(&mut self, batch: &MiniBatch, clipped_fraction: f64) -> StepStats {
+        self.counters.steps += 1;
+        StepStats {
+            realized_batch: batch.batch_size(),
+            clipped_fraction,
+        }
+    }
+}

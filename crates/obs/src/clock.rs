@@ -5,9 +5,9 @@
 //! wall-clock reads are inherently non-deterministic, so a timing call
 //! sitting next to training logic is a standing invitation to let "how
 //! long did it take" leak into "what did it compute". This module is
-//! the single sanctioned home of the clock — `lazydp_bench::timer`
-//! re-exports [`Stopwatch`] from here, and the span machinery in
-//! [`crate::trace`] reads [`now_ns`] only when tracing is on.
+//! the single sanctioned home of the clock: benches and examples time
+//! with [`Stopwatch`], and the span machinery in [`crate::trace`] reads
+//! [`now_ns`] only when tracing is on.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};

@@ -12,10 +12,10 @@ pub const CACHE_PAGES_ENV: &str = "LAZYDP_STORE_PAGES";
 /// Configuration of the out-of-core embedding storage engine: page
 /// geometry, cache budget, and where spill files live.
 ///
-/// Flows into training through
+/// Passed directly to the [`StoredTable`](crate::StoredTable)
+/// constructors, or carried by
 /// [`LazyDpConfig::with_storage`](../lazydp_core/struct.LazyDpConfig.html)
-/// and `PrivateTrainer::make_private_stored*`, or is passed directly to
-/// the [`StoredTable`](crate::StoredTable) constructors.
+/// into `Checkpoint::restore_stored`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageConfig {
     /// Rows per page. A page is the unit of disk I/O and cache

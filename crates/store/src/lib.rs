@@ -20,9 +20,11 @@
 //!   run against it unchanged.
 //!
 //! [`StorageConfig`] carries the knobs (page size, cache capacity in
-//! pages, spill directory) and flows through
-//! `LazyDpConfig::with_storage` / `PrivateTrainer::make_private_stored`
-//! in `lazydp-core`; the `LAZYDP_STORE_PAGES` environment variable
+//! pages, spill directory): it is passed to the [`StoredTable`]
+//! constructors (`model.try_map_tables(|_, t| StoredTable::from_dense(&t,
+//! &storage))` spills a dense model) or rides on
+//! `LazyDpConfig::with_storage` into `Checkpoint::restore_stored` in
+//! `lazydp-core`; the `LAZYDP_STORE_PAGES` environment variable
 //! ([`CACHE_PAGES_ENV`]) force-overrides the cache capacity so CI can
 //! exercise the eviction paths under the whole test suite.
 //!

@@ -19,9 +19,10 @@
 //! Run with: `cargo run --release --example adafest`
 
 use lazydp::data::{
-    AccessDistribution, FixedBatchLoader, SkewLevel, SyntheticConfig, SyntheticDataset,
+    AccessDistribution, FixedBatchLoader, LookaheadLoader, SkewLevel, SyntheticConfig,
+    SyntheticDataset,
 };
-use lazydp::dpsgd::{AdaFestConfig, ClipStyle, DpConfig, EagerDpSgd, Optimizer};
+use lazydp::dpsgd::{AdaFestConfig, AdaFestOptimizer, ClipStyle, DpConfig, EagerDpSgd, Optimizer};
 use lazydp::lazy::PrivateTrainer;
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
@@ -60,11 +61,10 @@ fn main() {
     // for three one-hot tables — so the realized per-count noise std is
     // 0.15·√3 ≈ 0.26.
     let cfg = AdaFestConfig::new(dp, 0.15, 0.5, 16);
-    let mut trainer = PrivateTrainer::make_private_adafest(
+    let mut trainer = PrivateTrainer::make_private_optimizer(
         fresh_model(),
-        cfg,
-        FixedBatchLoader::new(ds.clone(), BATCH),
-        CounterNoise::new(7),
+        AdaFestOptimizer::new(cfg, CounterNoise::new(7)),
+        LookaheadLoader::new(FixedBatchLoader::new(ds.clone(), BATCH)),
         q,
     );
     trainer.train_steps(STEPS);
@@ -84,7 +84,7 @@ fn main() {
     let mut eager = EagerDpSgd::new(dp, ClipStyle::Fast, CounterNoise::new(7));
     let mut ada_model = fresh_model();
     let all_cfg = AdaFestConfig::paper_default(BATCH).select_all();
-    let mut ada = lazydp::dpsgd::AdaFestOptimizer::new(all_cfg, CounterNoise::new(7));
+    let mut ada = AdaFestOptimizer::new(all_cfg, CounterNoise::new(7));
     for i in 0..STEPS {
         let b = ds.batch_of(&(i * BATCH..(i + 1) * BATCH).collect::<Vec<_>>());
         eager.step(&mut eager_model, &b, None);

@@ -14,13 +14,15 @@
 //!
 //! Run with: `cargo run --release --example out_of_core`
 
-use lazydp::data::{AccessDistribution, FixedBatchLoader, SyntheticConfig, SyntheticDataset};
+use lazydp::data::{
+    AccessDistribution, FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+};
 use lazydp::embedding::EmbeddingStorage;
-use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
+use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
-use lazydp::store::StorageConfig;
+use lazydp::store::{StorageConfig, StoredTable};
 
 fn main() {
     let tables = 2usize;
@@ -44,30 +46,27 @@ fn main() {
     // 16-row pages → 256 pages per table; a 32-page cache keeps at most
     // ~12% of each table resident.
     let storage = StorageConfig::new().with_page_rows(16).with_cache_pages(32);
-    let cfg = LazyDpConfig::paper_default(batch)
-        .with_shards(2)
-        .with_storage(storage);
+    let cfg = LazyDpConfig::paper_default(batch).with_shards(2);
 
-    // In-memory reference.
-    let mut mem = PrivateTrainer::make_private_prefetch(
+    // In-memory reference, async double-buffered input pipeline.
+    let opt = LazyDpOptimizer::new(cfg.clone(), &model, CounterNoise::new(5));
+    let mut mem = PrivateTrainer::make_private_optimizer(
         model.clone(),
-        cfg.clone(),
-        make_loader(),
-        CounterNoise::new(5),
+        opt,
+        PrefetchLoader::new(make_loader()),
         q,
     );
     let _ = mem.train_steps(steps);
     let mem_model = mem.finish();
 
-    // Disk-backed run: same model, same batches, same noise seed.
-    let mut stored = PrivateTrainer::make_private_stored_prefetch(
-        model,
-        cfg,
-        make_loader(),
-        CounterNoise::new(5),
-        q,
-    )
-    .expect("spill directory must be writable");
+    // Disk-backed run: same model spilled to the paged storage engine,
+    // same batches, same noise seed.
+    let model = model
+        .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
+        .expect("spill directory must be writable");
+    let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(5));
+    let mut stored =
+        PrivateTrainer::make_private_optimizer(model, opt, PrefetchLoader::new(make_loader()), q);
     let _ = stored.train_steps(steps);
     let stored_model = stored.finish();
 

@@ -17,10 +17,10 @@ use lazydp::data::{FixedBatchLoader, LookaheadLoader, SyntheticConfig, Synthetic
 use lazydp::dpsgd::{ClipStyle, DpConfig, EagerDpSgd, Optimizer, SgdOptimizer};
 use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
+use lazydp::obs::clock::Stopwatch;
 use lazydp::privacy::RdpAccountant;
 use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
-use lazydp_bench::timer::Stopwatch;
 
 const BATCH: usize = 64;
 const STEPS: usize = 30;

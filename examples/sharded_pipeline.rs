@@ -5,7 +5,7 @@
 //! * `LazyDpConfig::with_shards(S)` hash-partitions each table's
 //!   pending-noise bookkeeping into `S` shards whose flush runs
 //!   shard-parallel, overlapped with the dense compute;
-//! * `PrivateTrainer::make_private_prefetch` generates batches on a
+//! * A `PrefetchLoader` under the trainer generates batches on a
 //!   background thread (double buffering), so input generation is off
 //!   the critical path and the next batch's indices are in view before
 //!   each step.
@@ -16,8 +16,8 @@
 //!
 //! Run with: `cargo run --release --example sharded_pipeline`
 
-use lazydp::data::{FixedBatchLoader, SyntheticConfig, SyntheticDataset};
-use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
+use lazydp::data::{FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset};
+use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
@@ -46,11 +46,11 @@ fn main() {
         let _ = sync.train_steps(steps);
         released.push((format!("sync,     S={shards}"), sync.finish()));
         // Async double-buffered pipeline.
-        let mut pre = PrivateTrainer::make_private_prefetch(
+        let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(5));
+        let mut pre = PrivateTrainer::make_private_optimizer(
             model.clone(),
-            cfg,
-            make_loader(),
-            CounterNoise::new(5),
+            opt,
+            PrefetchLoader::new(make_loader()),
             q,
         );
         let _ = pre.train_steps(steps);

@@ -18,9 +18,9 @@ use lazydp::dpsgd::DpConfig;
 use lazydp::embedding::{SparseGrad, VirtualTable};
 use lazydp::lazy::TerabyteLazyEmbedding;
 use lazydp::model::config::CRITEO_TB_CAPPED_ROWS;
+use lazydp::obs::clock::Stopwatch;
 use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
-use lazydp_bench::timer::Stopwatch;
 
 const DIM: usize = 128;
 const BATCH: usize = 2048;

@@ -11,8 +11,8 @@
 //! # Example
 //!
 //! ```
-//! use lazydp::data::{FixedBatchLoader, SyntheticConfig, SyntheticDataset};
-//! use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
+//! use lazydp::data::{FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset};
+//! use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 //! use lazydp::model::{Dlrm, DlrmConfig};
 //! use lazydp::rng::counter::CounterNoise;
 //! use lazydp::rng::Xoshiro256PlusPlus;
@@ -23,8 +23,9 @@
 //! let loader = FixedBatchLoader::new(ds, 16);
 //! // 2-way sharded sparse state, async double-buffered input pipeline.
 //! let cfg = LazyDpConfig::paper_default(16).with_shards(2);
-//! let mut trainer = PrivateTrainer::make_private_prefetch(
-//!     model, cfg, loader, CounterNoise::new(7), 16.0 / 128.0);
+//! let optimizer = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(7));
+//! let mut trainer = PrivateTrainer::make_private_optimizer(
+//!     model, optimizer, PrefetchLoader::new(loader), 16.0 / 128.0);
 //! trainer.train_steps(3);
 //! let _released = trainer.finish();
 //! ```

@@ -5,7 +5,10 @@
 use lazydp::data::{
     FixedBatchLoader, LookaheadLoader, MiniBatch, SyntheticConfig, SyntheticDataset,
 };
-use lazydp::dpsgd::{ClipStyle, DpConfig, EagerDpSgd, EanaOptimizer, Optimizer};
+use lazydp::dpsgd::{
+    AdaFestConfig, AdaFestOptimizer, ClipStyle, DpConfig, EagerDpSgd, EanaOptimizer, Optimizer,
+    StepStats,
+};
 use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
@@ -131,6 +134,121 @@ fn eana_leak_signature() {
         untouched_differ > 0,
         "DP-SGD must have noised untouched rows"
     );
+}
+
+/// One real batch, then one empty Poisson batch, from the same initial
+/// model: the model after each step and each step's diagnostics.
+fn two_steps(
+    model0: &Dlrm,
+    batches: &[MiniBatch],
+    opt: &mut dyn Optimizer,
+) -> ([Dlrm; 2], [StepStats; 2]) {
+    let empty = MiniBatch::default();
+    let mut model = model0.clone();
+    let s1 = opt.step(&mut model, &batches[0], Some(&empty));
+    let after_real = model.clone();
+    let s2 = opt.step(&mut model, &empty, Some(&batches[1]));
+    ([after_real, model], [s1, s2])
+}
+
+/// Every bottom/top weight and bias, as bit patterns.
+fn mlp_bits(m: &Dlrm) -> Vec<u32> {
+    m.bottom
+        .layers()
+        .iter()
+        .chain(m.top.layers())
+        .flat_map(|l| l.weight.as_slice().iter().chain(l.bias.iter()))
+        .map(|w| w.to_bits())
+        .collect()
+}
+
+/// The shared front half, pinned from outside: forward, ghost clip,
+/// MLP update and MLP noise are one body, so whatever an algorithm does
+/// to the tables, its MLPs and step diagnostics are bitwise the other
+/// algorithms' — on a real batch and on an empty Poisson batch.
+#[test]
+fn one_step_from_the_same_state_gives_bitwise_equal_mlps_for_all_four_algorithms() {
+    let (model0, batches) = setup();
+    let dp = DpConfig::new(0.9, 0.6, 0.05, BATCH);
+    let noise = || CounterNoise::new(1618);
+    let ada = AdaFestConfig::new(dp, 1.0, 1.5, 8);
+    let mut algorithms: Vec<(&str, Box<dyn Optimizer>)> = vec![
+        (
+            "DP-SGD(F)",
+            Box::new(EagerDpSgd::new(dp, ClipStyle::Fast, noise())),
+        ),
+        ("EANA", Box::new(EanaOptimizer::new(dp, noise()))),
+        (
+            "AdaFEST(select-all)",
+            Box::new(AdaFestOptimizer::new(ada.select_all(), noise())),
+        ),
+        (
+            "AdaFEST(τ=1.5)",
+            Box::new(AdaFestOptimizer::new(ada, noise())),
+        ),
+        (
+            "LazyDP",
+            Box::new(LazyDpOptimizer::new(
+                LazyDpConfig::new(dp, true),
+                &model0,
+                noise(),
+            )),
+        ),
+    ];
+    let mut runs = algorithms
+        .iter_mut()
+        .map(|(name, opt)| (*name, two_steps(&model0, &batches, opt.as_mut())));
+    let (_, (want_models, want_stats)) = runs.next().expect("eager runs first");
+    assert_eq!(want_stats[0].realized_batch, BATCH);
+    assert!(
+        want_stats[0].clipped_fraction > 0.0,
+        "C must clip something for the comparison to have teeth"
+    );
+    assert_eq!(want_stats[1], StepStats::default());
+    assert_ne!(mlp_bits(&want_models[0]), mlp_bits(&model0));
+    assert_ne!(mlp_bits(&want_models[1]), mlp_bits(&want_models[0]));
+    for (name, (models, stats)) in runs {
+        assert_eq!(stats, want_stats, "{name}: step diagnostics");
+        for (step, (got, want)) in models.iter().zip(want_models.iter()).enumerate() {
+            assert!(
+                mlp_bits(got) == mlp_bits(want),
+                "{name}: MLPs differ from eager after step {step}"
+            );
+        }
+    }
+}
+
+/// EANA is eager DP-SGD(F) restricted to the rows the batch touched:
+/// bitwise eager's update on those, bitwise nothing anywhere else — so
+/// an empty batch moves no table row at all.
+#[test]
+fn eana_is_eager_restricted_to_touched_rows() {
+    let (model0, batches) = setup();
+    let dp = DpConfig::new(0.9, 0.6, 0.05, BATCH);
+    let mut eager = EagerDpSgd::new(dp, ClipStyle::Fast, CounterNoise::new(1618));
+    let mut eana = EanaOptimizer::new(dp, CounterNoise::new(1618));
+    let ([eager_model, _], _) = two_steps(&model0, &batches, &mut eager);
+    let ([eana_model, eana_after_empty], _) = two_steps(&model0, &batches, &mut eana);
+    let (mut touched, mut untouched) = (0, 0);
+    for t in 0..TABLES {
+        let accessed = batches[0].table_indices(t);
+        for r in 0..ROWS as usize {
+            let got = eana_model.tables[t].row(r);
+            if accessed.contains(&(r as u64)) {
+                assert_eq!(got, eager_model.tables[t].row(r), "table {t} row {r}");
+                assert_ne!(got, model0.tables[t].row(r), "table {t} row {r}");
+                touched += 1;
+            } else {
+                assert_eq!(got, model0.tables[t].row(r), "table {t} row {r}");
+                untouched += 1;
+            }
+        }
+        assert_eq!(
+            eana_after_empty.tables[t], eana_model.tables[t],
+            "the empty batch must move no row of table {t}"
+        );
+    }
+    assert!(touched > 0 && untouched > 0, "need both kinds of row");
 }
 
 /// The LookaheadLoader driving a LazyDP run sees each batch exactly once

@@ -12,9 +12,11 @@
 //! One `#[test]` only: the obs mode is process-global, so a concurrent
 //! test sweeping it would race.
 
-use lazydp::data::{FixedBatchLoader, SyntheticConfig, SyntheticDataset};
-use lazydp::dpsgd::{AdaFestConfig, DpConfig};
-use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
+use lazydp::data::{
+    FixedBatchLoader, LookaheadLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+};
+use lazydp::dpsgd::{AdaFestConfig, AdaFestOptimizer, DpConfig};
+use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::obs::ObsMode;
 use lazydp::rng::counter::CounterNoise;
@@ -37,11 +39,10 @@ fn lazydp_run(model: &Dlrm, ds: &SyntheticDataset) -> Dlrm {
     let cfg = LazyDpConfig::new(DpConfig::paper_default(BATCH), true)
         .with_threads(2)
         .with_shards(2);
-    let mut trainer = PrivateTrainer::make_private_prefetch(
+    let mut trainer = PrivateTrainer::make_private_optimizer(
         model.clone(),
-        cfg,
-        FixedBatchLoader::new(ds.clone(), BATCH),
-        CounterNoise::new(11),
+        LazyDpOptimizer::new(cfg, model, CounterNoise::new(11)),
+        PrefetchLoader::new(FixedBatchLoader::new(ds.clone(), BATCH)),
         q,
     );
     let _ = trainer.train_steps(STEPS);
@@ -52,11 +53,10 @@ fn lazydp_run(model: &Dlrm, ds: &SyntheticDataset) -> Dlrm {
 fn adafest_run(model: &Dlrm, ds: &SyntheticDataset) -> Dlrm {
     let q = BATCH as f64 / ds.len() as f64;
     let cfg = AdaFestConfig::new(DpConfig::paper_default(BATCH), 1.0, 2.0, 16);
-    let mut trainer = PrivateTrainer::make_private_adafest(
+    let mut trainer = PrivateTrainer::make_private_optimizer(
         model.clone(),
-        cfg,
-        FixedBatchLoader::new(ds.clone(), BATCH),
-        CounterNoise::new(11),
+        AdaFestOptimizer::new(cfg, CounterNoise::new(11)),
+        LookaheadLoader::new(FixedBatchLoader::new(ds.clone(), BATCH)),
         q,
     );
     let _ = trainer.train_steps(STEPS);
@@ -107,5 +107,16 @@ fn released_models_are_bitwise_identical_across_obs_modes() {
         events.iter().any(|e| e.name == "step.forward"),
         "forward span missing from trace"
     );
+    // The step front half is one body shared by every DP optimizer, so
+    // an AdaFEST-only run records the same phase spans LazyDP does (the
+    // buffer was drained just above).
+    let _ = adafest_run(&model, &ds);
+    let events = lazydp::obs::trace::take_trace_events();
+    for span in ["step.forward", "step.backward_clip", "step.dense_update"] {
+        assert!(
+            events.iter().any(|e| e.name == span),
+            "AdaFEST step did not record `{span}`"
+        );
+    }
     lazydp::obs::set_mode(ObsMode::Counters);
 }

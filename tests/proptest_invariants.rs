@@ -264,7 +264,9 @@ proptest! {
         seed in 0u64..1000,
         shards in 1usize..5,
     ) {
-        use lazydp::data::{AccessDistribution, FixedBatchLoader, SyntheticConfig, SyntheticDataset};
+        use lazydp::data::{
+            AccessDistribution, FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+        };
         use lazydp::lazy::PrivateTrainer;
         let rows = 64u64;
         let tables = 2usize;
@@ -287,8 +289,9 @@ proptest! {
             model0.clone(), cfg.clone(), mk_loader(), CounterNoise::new(seed), q);
         let _ = sync_t.train_steps(5);
         let sync_model = sync_t.finish();
-        let mut pre_t = PrivateTrainer::make_private_prefetch(
-            model0, cfg, mk_loader(), CounterNoise::new(seed), q);
+        let opt = LazyDpOptimizer::new(cfg, &model0, CounterNoise::new(seed));
+        let mut pre_t = PrivateTrainer::make_private_optimizer(
+            model0, opt, PrefetchLoader::new(mk_loader()), q);
         let _ = pre_t.train_steps(5);
         let pre_model = pre_t.finish();
         for (t, (a, b)) in sync_model.tables.iter().zip(pre_model.tables.iter()).enumerate() {
