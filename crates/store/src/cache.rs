@@ -7,22 +7,24 @@
 //! not-recently-referenced frame the clock hand finds (writing it back
 //! first if dirty). Eviction order is **deterministic** for a fixed
 //! access schedule: the hand starts at frame 0, every fault advances it
-//! by the same rule, and nothing in the policy depends on time, hashing
-//! order, or thread identity. (Concurrent accessors of one table — the
-//! lookahead prefetch racing the dense compute — interleave their
-//! *schedules* nondeterministically, which may shift hit/miss counts,
-//! but every access goes through this one coherent cache, so row values
-//! are exact regardless. See `StoredTable`'s docs.)
+//! by the same rule, and nothing in the policy depends on time or thread
+//! identity. (Concurrent accessors of one table — the lookahead prefetch
+//! racing the dense compute — interleave their *schedules*
+//! nondeterministically, which may shift hit/miss counts, but every
+//! access goes through this one coherent cache, so row values are exact
+//! regardless. See `StoredTable`'s docs.)
 
 use crate::error::StorageError;
 use crate::pagefile::PageFile;
 use lazydp_obs::CacheCounters;
-use std::collections::HashMap;
 
 /// Frame page id meaning "belongs to no page": set when an eviction's
 /// replacement load fails after the old mapping was already removed.
 /// Can never collide with a real id — tables address pages `0..pages`.
 const ORPHAN_PAGE: usize = usize::MAX;
+
+/// Page-table entry meaning "not resident".
+const NOT_RESIDENT: u32 = u32::MAX;
 
 /// One resident page.
 #[derive(Debug)]
@@ -41,8 +43,12 @@ pub struct PageCache {
     capacity: usize,
     page_elems: usize,
     frames: Vec<Frame>,
-    /// page id → frame slot.
-    map: HashMap<usize, usize>,
+    /// The page table: `table[page]` is the frame slot holding `page`,
+    /// or [`NOT_RESIDENT`]. Dense and indexed by page id — residency is
+    /// consulted on every row access, and an array load costs nothing
+    /// where a hash did — at 4 bytes per page of the table, grown to the
+    /// highest page id ever resident.
+    table: Vec<u32>,
     hand: usize,
     /// Per-instance counters, mirrored into the `lazydp_obs` registry
     /// (`store.*` metrics) on every record.
@@ -64,7 +70,7 @@ impl PageCache {
             capacity,
             page_elems,
             frames: Vec::new(),
-            map: HashMap::new(),
+            table: Vec::new(),
             hand: 0,
             counters: CacheCounters::new(),
         }
@@ -90,20 +96,34 @@ impl PageCache {
         self.counters.obs_read()
     }
 
+    /// The frame slot holding `page`, if it is resident.
+    fn slot_of(&self, page: usize) -> Option<usize> {
+        match self.table.get(page) {
+            Some(&slot) if slot != NOT_RESIDENT => Some(slot as usize),
+            _ => None,
+        }
+    }
+
     /// Faults `page` in (loading from `file` on a miss, evicting via the
-    /// clock if full) and returns its frame slot. The frame's reference
-    /// bit is set.
+    /// clock if full) and returns its frame slot, for
+    /// [`frame`](Self::frame) / [`frame_mut`](Self::frame_mut). The
+    /// slot holds `page` until the next fault on this cache. The frame's
+    /// reference bit is set.
+    ///
+    /// Counters move only once the I/O they count has succeeded, so a
+    /// miss that bounded retry had to re-issue is still one miss and one
+    /// page of `bytes_loaded`; `evictions` counts pages that lost
+    /// residency (recycling an orphan frame is not one).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the load or an eviction write-back.
-    fn fault(&mut self, page: usize, file: &mut PageFile) -> Result<usize, StorageError> {
-        if let Some(&slot) = self.map.get(&page) {
+    pub fn touch(&mut self, page: usize, file: &mut PageFile) -> Result<usize, StorageError> {
+        if let Some(slot) = self.slot_of(page) {
             self.counters.record_hit();
             self.frames[slot].referenced = true;
             return Ok(slot);
         }
-        self.counters.record_miss(file.page_bytes());
         let slot = if self.frames.len() < self.capacity {
             let mut data = vec![0.0f32; self.page_elems];
             file.read_page(page, &mut data)?;
@@ -117,36 +137,37 @@ impl PageCache {
         } else {
             let slot = self.evict_slot();
             if self.frames[slot].dirty {
-                self.counters.record_write_back(file.page_bytes());
-                file.write_page(self.frames[slot].page, &self.frames[slot].data)?;
-                // Mark clean *before* the fallible load below: if the
-                // load errors, the frame is an unmapped clean orphan
-                // that a later eviction discards harmlessly — leaving
-                // it dirty would eventually write stale bytes over a
-                // newer copy of the evicted page.
-                self.frames[slot].dirty = false;
-            }
-            self.counters.record_eviction();
-            let evicted = self.frames[slot].page;
-            self.map.remove(&evicted);
-            if let Err(e) = file.read_page(page, &mut self.frames[slot].data) {
-                // The old mapping is already gone, so on a failed load
-                // the frame's bytes belong to no page. Poison its id:
-                // if it kept `evicted` and that page were later faulted
-                // into another frame, evicting this orphan would unmap
-                // the *live* frame — stranding its dirty updates and
-                // silently resurrecting the stale file copy.
-                let frame = &mut self.frames[slot];
-                frame.page = ORPHAN_PAGE;
-                frame.referenced = false;
-                return Err(e);
+                // Clean *before* the fallible load below: were the frame
+                // to stay dirty as an orphan, it would eventually write
+                // stale bytes over a newer copy of the evicted page.
+                self.write_back(slot, file)?;
             }
             let frame = &mut self.frames[slot];
+            if frame.page != ORPHAN_PAGE {
+                self.table[frame.page] = NOT_RESIDENT;
+                self.counters.record_eviction();
+            }
+            // The old mapping is gone, so until the load succeeds the
+            // frame's bytes belong to no page. Poison its id: if it kept
+            // the evicted one and that page were later faulted into
+            // another frame, recycling this orphan would unmap the
+            // *live* frame — stranding its dirty updates and silently
+            // resurrecting the stale file copy.
+            frame.page = ORPHAN_PAGE;
+            frame.referenced = false;
+            file.read_page(page, &mut frame.data)?;
             frame.page = page;
             frame.referenced = true;
             slot
         };
-        self.map.insert(page, slot);
+        self.counters.record_miss(file.page_bytes());
+        if page >= self.table.len() {
+            self.table.resize(page + 1, NOT_RESIDENT);
+        }
+        self.table[page] = u32::try_from(slot)
+            .ok()
+            .filter(|&s| s != NOT_RESIDENT)
+            .expect("fewer than u32::MAX frames");
         Ok(slot)
     }
 
@@ -165,6 +186,29 @@ impl PageCache {
         }
     }
 
+    /// Writes the dirty frame in `slot` back to `file` and marks it
+    /// clean; the traffic is counted (as spill bytes) once it landed.
+    fn write_back(&mut self, slot: usize, file: &mut PageFile) -> Result<(), StorageError> {
+        let frame = &mut self.frames[slot];
+        file.write_page(frame.page, &frame.data)?;
+        frame.dirty = false;
+        self.counters.record_write_back(file.page_bytes());
+        Ok(())
+    }
+
+    /// The page held in `slot`, as returned by [`touch`](Self::touch).
+    #[must_use]
+    pub fn frame(&self, slot: usize) -> &[f32] {
+        &self.frames[slot].data
+    }
+
+    /// Like [`frame`](Self::frame), mutably; marks the frame dirty.
+    pub fn frame_mut(&mut self, slot: usize) -> &mut [f32] {
+        let frame = &mut self.frames[slot];
+        frame.dirty = true;
+        &mut frame.data
+    }
+
     /// Runs `f` on the resident copy of `page`.
     ///
     /// # Errors
@@ -176,8 +220,8 @@ impl PageCache {
         file: &mut PageFile,
         f: impl FnOnce(&[f32]) -> R,
     ) -> Result<R, StorageError> {
-        let slot = self.fault(page, file)?;
-        Ok(f(&self.frames[slot].data))
+        let slot = self.touch(page, file)?;
+        Ok(f(self.frame(slot)))
     }
 
     /// Runs `f` on the resident copy of `page` mutably and marks the
@@ -192,37 +236,16 @@ impl PageCache {
         file: &mut PageFile,
         f: impl FnOnce(&mut [f32]) -> R,
     ) -> Result<R, StorageError> {
-        let slot = self.fault(page, file)?;
-        self.frames[slot].dirty = true;
-        Ok(f(&mut self.frames[slot].data))
+        let slot = self.touch(page, file)?;
+        Ok(f(self.frame_mut(slot)))
     }
 
     /// The resident copy of `page`, if any, setting its reference bit.
-    /// No hit is recorded — this is for callers that already faulted
-    /// the page in (and accounted the access) via [`PageCache::touch`].
+    /// Never faults and records no hit.
     pub fn peek(&mut self, page: usize) -> Option<&[f32]> {
-        let &slot = self.map.get(&page)?;
+        let slot = self.slot_of(page)?;
         self.frames[slot].referenced = true;
         Some(&self.frames[slot].data)
-    }
-
-    /// Like [`PageCache::peek`], mutably; marks the frame dirty.
-    pub fn peek_mut(&mut self, page: usize) -> Option<&mut [f32]> {
-        let &slot = self.map.get(&page)?;
-        let frame = &mut self.frames[slot];
-        frame.referenced = true;
-        frame.dirty = true;
-        Some(&mut frame.data)
-    }
-
-    /// Faults `page` in without exposing it (the prefetch primitive).
-    ///
-    /// # Errors
-    ///
-    /// Propagates fault I/O errors.
-    pub fn touch(&mut self, page: usize, file: &mut PageFile) -> Result<(), StorageError> {
-        let _ = self.fault(page, file)?;
-        Ok(())
     }
 
     /// Writes every dirty frame back to `file` (frames stay resident and
@@ -234,9 +257,7 @@ impl PageCache {
     pub fn flush(&mut self, file: &mut PageFile) -> Result<(), StorageError> {
         for slot in 0..self.frames.len() {
             if self.frames[slot].dirty {
-                self.counters.record_write_back(file.page_bytes());
-                file.write_page(self.frames[slot].page, &self.frames[slot].data)?;
-                self.frames[slot].dirty = false;
+                self.write_back(slot, file)?;
             }
         }
         Ok(())
@@ -380,5 +401,264 @@ mod tests {
         }
         assert_eq!(c.resident(), 4);
         assert_eq!(c.capacity(), 4);
+    }
+
+    /// Ordinals below this are left alone by the plans of the two tests
+    /// that follow: plans are process-wide, and not every test that
+    /// reads a page holds `lazydp_fault::exclusive()` (ROADMAP 4e) —
+    /// but none of them takes a file this far.
+    const QUIET_OPS: u64 = 128;
+
+    /// A page file whose read and write ordinals both stand at
+    /// [`QUIET_OPS`] (its pages still all zero).
+    fn seasoned_file(pages: usize, elems: usize) -> PageFile {
+        let mut f = file(pages, elems);
+        let mut buf = vec![0.0f32; elems];
+        for _ in 0..QUIET_OPS {
+            f.read_page(0, &mut buf).unwrap();
+            f.write_page(0, &buf).unwrap();
+        }
+        f
+    }
+
+    #[test]
+    fn a_retried_fault_is_counted_once() {
+        use lazydp_fault::{FaultKind, FaultPlan, Site};
+        let _serial = lazydp_fault::exclusive();
+        // Eight distinct pages through three frames: every access is a
+        // miss whatever the eviction order, every page is dirtied once
+        // and so written back once (five evictions + the final flush).
+        let run = |plan: FaultPlan| {
+            lazydp_fault::install(FaultPlan::new(0));
+            let mut f = seasoned_file(8, 2);
+            lazydp_fault::install(plan);
+            let mut c = PageCache::new(3, 2);
+            for p in 0..8 {
+                lazydp_fault::with_retry(|| c.with_page_mut(p, &mut f, |d| d[0] = p as f32 + 1.0))
+                    .unwrap();
+            }
+            lazydp_fault::with_retry(|| c.flush(&mut f)).unwrap();
+            lazydp_fault::clear();
+            let mut buf = [0.0f32; 2];
+            for p in 0..8 {
+                f.read_page(p, &mut buf).unwrap();
+                assert_eq!(buf, [p as f32 + 1.0, 0.0], "page {p}");
+            }
+            c.stats()
+        };
+        let clean = run(FaultPlan::new(0));
+        // One failed load while the cache still grows (its 2nd), one
+        // into an evicted frame (its 6th), one failed write-back.
+        let faulted = run(FaultPlan::new(0)
+            .rule(Site::PageRead, QUIET_OPS + 1, FaultKind::Transient)
+            .rule(Site::PageRead, QUIET_OPS + 5, FaultKind::Transient)
+            .rule(Site::PageWrite, QUIET_OPS + 2, FaultKind::Transient));
+        assert_eq!((clean.hits, clean.misses, clean.write_backs), (0, 8, 8));
+        assert_eq!(
+            (faulted.hits, faulted.misses, faulted.bytes_loaded),
+            (clean.hits, clean.misses, clean.bytes_loaded),
+            "a re-issued load is still one miss and one page of traffic"
+        );
+        assert_eq!(
+            (faulted.write_backs, faulted.bytes_spilled),
+            (clean.write_backs, clean.bytes_spilled),
+            "a re-issued write-back is still one write-back"
+        );
+    }
+
+    /// Page size of the differential below.
+    const ELEMS: usize = 3;
+
+    /// Reference model of the cache for the differential below: the same
+    /// clock policy over plain vectors, residency by linear scan, page
+    /// contents in a `BTreeMap`.
+    struct Model {
+        capacity: usize,
+        /// `(page, referenced, dirty)`; `page == ORPHAN_PAGE` is an
+        /// orphan.
+        frames: Vec<(usize, bool, bool)>,
+        hand: usize,
+        values: std::collections::BTreeMap<usize, Vec<f32>>,
+        reads: u64,
+        failing_reads: Vec<u64>,
+        orphaned: usize,
+        stats: lazydp_obs::CacheView,
+    }
+
+    impl Model {
+        /// Mirrors `PageCache::touch`; `false` = the load was failed by
+        /// the plan.
+        fn touch(&mut self, page: usize, page_bytes: u64) -> bool {
+            if let Some(fr) = self.frames.iter_mut().find(|fr| fr.0 == page) {
+                fr.1 = true;
+                self.stats.hits += 1;
+                return true;
+            }
+            let load_ok = !self.failing_reads.contains(&self.reads);
+            if self.frames.len() < self.capacity {
+                self.reads += 1;
+                if !load_ok {
+                    return false;
+                }
+                self.frames.push((page, true, false));
+            } else {
+                let slot = loop {
+                    let slot = self.hand;
+                    self.hand = (self.hand + 1) % self.frames.len();
+                    if self.frames[slot].1 {
+                        self.frames[slot].1 = false;
+                    } else {
+                        break slot;
+                    }
+                };
+                let (evicted, _, dirty) = self.frames[slot];
+                if dirty {
+                    self.stats.write_backs += 1;
+                    self.stats.bytes_spilled += page_bytes;
+                }
+                if evicted != ORPHAN_PAGE {
+                    self.stats.evictions += 1;
+                }
+                self.reads += 1;
+                if !load_ok {
+                    self.frames[slot] = (ORPHAN_PAGE, false, false);
+                    self.orphaned += 1;
+                    return false;
+                }
+                self.frames[slot] = (page, true, false);
+            }
+            self.stats.misses += 1;
+            self.stats.bytes_loaded += page_bytes;
+            true
+        }
+
+        /// What `page` holds (never-written pages read as zeros).
+        fn content(&self, page: usize) -> Vec<f32> {
+            self.values.get(&page).cloned().unwrap_or(vec![0.0; ELEMS])
+        }
+
+        fn resident(&self) -> Vec<usize> {
+            let mut pages: Vec<usize> = self
+                .frames
+                .iter()
+                .map(|fr| fr.0)
+                .filter(|&p| p != ORPHAN_PAGE)
+                .collect();
+            pages.sort_unstable();
+            pages
+        }
+    }
+
+    #[test]
+    fn random_schedules_match_the_reference_model() {
+        use lazydp_fault::{FaultKind, FaultPlan, Site};
+        use lazydp_rng::{Prng, Xoshiro256PlusPlus};
+        // Mostly a dozen hot ids, now and then one far above anything
+        // mapped before (the page table must grow, not index out of
+        // bounds), in a file large enough to hold them all.
+        const FAR: [usize; 3] = [1_000, 4_097, 70_000];
+        let _serial = lazydp_fault::exclusive();
+        let mut orphaned = 0;
+        for seed in 0..24u64 {
+            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+            let mut pick = |n: u64| (rng.next_u64() % n) as usize;
+            let capacity = 1 + pick(5);
+            // Three loads fail somewhere in the schedule: an early one
+            // meets the still-growing cache, later ones orphan an
+            // evicted frame.
+            let failing_reads: Vec<u64> = (0..3).map(|_| QUIET_OPS + pick(150) as u64).collect();
+            let mut plan = FaultPlan::new(seed);
+            for &n in &failing_reads {
+                plan = plan.rule(Site::PageRead, n, FaultKind::Transient);
+            }
+            lazydp_fault::install(FaultPlan::new(0));
+            let mut f = seasoned_file(FAR[2] + 1, ELEMS);
+            lazydp_fault::install(plan);
+            let page_bytes = f.page_bytes();
+            let mut c = PageCache::new(capacity, ELEMS);
+            let mut m = Model {
+                capacity,
+                frames: Vec::new(),
+                hand: 0,
+                values: std::collections::BTreeMap::new(),
+                reads: QUIET_OPS,
+                failing_reads,
+                orphaned: 0,
+                stats: lazydp_obs::CacheView::default(),
+            };
+            for step in 0..400 {
+                let page = if pick(16) == 0 {
+                    FAR[pick(3)]
+                } else {
+                    pick(12)
+                };
+                let ctx = format!("seed {seed} step {step} page {page}");
+                match pick(8) {
+                    0 => {
+                        c.flush(&mut f).unwrap();
+                        for fr in &mut m.frames {
+                            if fr.2 {
+                                fr.2 = false;
+                                m.stats.write_backs += 1;
+                                m.stats.bytes_spilled += page_bytes;
+                            }
+                        }
+                    }
+                    1 => {
+                        // `peek` never faults, but does set the bit.
+                        let content = m.content(page);
+                        let want = m.frames.iter_mut().find(|fr| fr.0 == page).map(|fr| {
+                            fr.1 = true;
+                            content
+                        });
+                        assert_eq!(c.peek(page).map(<[f32]>::to_vec), want, "{ctx}");
+                    }
+                    2 | 3 => {
+                        let ok = m.touch(page, page_bytes);
+                        assert_eq!(c.touch(page, &mut f).is_ok(), ok, "{ctx}");
+                    }
+                    4 | 5 => {
+                        let ok = m.touch(page, page_bytes);
+                        let want = m.content(page);
+                        match c.with_page(page, &mut f, <[f32]>::to_vec) {
+                            Ok(got) => assert!(ok && got == want, "{ctx}: {got:?} vs {want:?}"),
+                            Err(e) => assert!(!ok, "{ctx}: {e}"),
+                        }
+                    }
+                    _ => {
+                        let (k, v) = (pick(ELEMS as u64), step as f32);
+                        let ok = m.touch(page, page_bytes);
+                        let res = c.with_page_mut(page, &mut f, |d| d[k] = v);
+                        assert_eq!(res.is_ok(), ok, "{ctx}");
+                        if ok {
+                            m.values.entry(page).or_insert(vec![0.0; ELEMS])[k] = v;
+                            let fr = m.frames.iter_mut().find(|fr| fr.0 == page);
+                            fr.expect("just touched").2 = true;
+                        }
+                    }
+                }
+                assert_eq!(c.stats(), m.stats, "{ctx}");
+                let mut got: Vec<(usize, Vec<f32>)> =
+                    c.resident_pages().map(|(p, d)| (p, d.to_vec())).collect();
+                got.sort_by_key(|(p, _)| *p);
+                let want: Vec<(usize, Vec<f32>)> = m
+                    .resident()
+                    .into_iter()
+                    .map(|p| (p, m.content(p)))
+                    .collect();
+                assert_eq!(got, want, "{ctx}");
+            }
+            // What reached the file is the model's content too.
+            lazydp_fault::install(FaultPlan::new(0));
+            c.flush(&mut f).unwrap();
+            let mut buf = [0.0f32; ELEMS];
+            for (&page, want) in &m.values {
+                f.read_page(page, &mut buf).unwrap();
+                assert_eq!(&buf[..], &want[..], "seed {seed}: file copy of page {page}");
+            }
+            lazydp_fault::clear();
+            orphaned += m.orphaned;
+        }
+        assert!(orphaned >= 24, "the schedules must reach the orphan case");
     }
 }

@@ -13,7 +13,8 @@
 //! * [`PageFile`] — fixed-size row pages in a plain spill file, explicit
 //!   positioned I/O (no mmap, no dependencies), deleted on drop;
 //! * [`PageCache`] — a bounded hot set with clock (second-chance)
-//!   eviction, dirty write-back, and hit/miss/spill counters;
+//!   eviction, dirty write-back, a dense page table for residency, and
+//!   hit/miss/spill counters;
 //! * [`StoredTable`] — the disk-backed table implementing
 //!   `lazydp_embedding::EmbeddingStorage`, so `LazyDpOptimizer`, the
 //!   sharded pending-noise flush, `finalize_model`, and checkpointing
@@ -30,8 +31,12 @@
 //!
 //! # Fault model
 //!
-//! Every page carries an FNV-1a-64 checksum trailer, verified at
-//! fault-in; device failures surface as typed [`StorageError`]s,
+//! Every page carries a `lazydp_fault::checksum::page_sum64` trailer,
+//! written on every write-back and verified on every fault-in (a
+//! word-parallel checksum, not the FNV-1a of the checkpoint formats:
+//! spill files are scratch that no later process reads, so the trailer
+//! is not a persisted format and can be as fast as the I/O it guards);
+//! device failures surface as typed [`StorageError`]s,
 //! transient ones absorbed by bounded retry, persistent ones by
 //! degrading the table to a bitwise-identical in-memory backend.
 //! Deterministic fault injection (the `LAZYDP_FAULTS` plan in

@@ -3,7 +3,7 @@
 //!
 //! A [`PageFile`] is the disk half of the storage engine: `pages` slots,
 //! each holding `page_elems` little-endian `f32`s followed by an 8-byte
-//! FNV-1a-64 trailer over those data bytes, accessed with explicit
+//! [`page_sum64`] trailer over those data bytes, accessed with explicit
 //! positioned reads/writes (`read_exact_at`/`write_all_at` on Unix, a
 //! seek-based fallback elsewhere). No mmap, no external dependencies —
 //! the file is created sparse (zero pages cost no disk until written),
@@ -14,7 +14,12 @@
 //! surfaces as [`StorageError::Corrupt`] instead of silently training on
 //! garbage. A trailer of zero is the never-written sentinel (sparse
 //! pages read back all-zero) and is accepted only when the data bytes
-//! are themselves all zero.
+//! are themselves all zero. The trailer is not a persisted format: a
+//! spill file is scratch owned by one process, never reopened (a crashed
+//! run's leftovers are swept, not read), so the checksum function only
+//! has to agree with itself within a build — which is what lets it be
+//! the word-parallel [`page_sum64`] rather than the byte-serial FNV-1a
+//! the checkpoint formats are pinned to.
 //!
 //! Every read and write consults the active [`lazydp_fault`] plan under
 //! this file's **own** operation ordinals, so a fixed plan reproduces
@@ -28,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use lazydp_fault::checksum::fnv1a64;
+use lazydp_fault::checksum::page_sum64;
 use lazydp_fault::{FaultKind, InjectedKill, Site};
 
 use crate::error::StorageError;
@@ -224,9 +229,11 @@ impl PageFile {
         })?;
         let (data, trailer) = self.scratch.split_at(self.page_elems * 4);
         let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        // Trailer 0 + all-zero data = a never-written sparse slot.
-        if stored != 0 || data.iter().any(|&b| b != 0) {
-            let computed = fnv1a64(data);
+        // Trailer 0 + all-zero data = a never-written sparse slot. The
+        // zero scan is an OR-fold, not `any`: without the early exit it
+        // vectorizes, where `any` tests the page one byte at a time.
+        if stored != 0 || data.iter().fold(0u8, |acc, &b| acc | b) != 0 {
+            let computed = page_sum64(data);
             if computed != stored {
                 lazydp_obs::metrics().fault.checksum_failures.incr();
                 return Err(StorageError::Corrupt {
@@ -267,7 +274,7 @@ impl PageFile {
         {
             b.copy_from_slice(&v.to_le_bytes());
         }
-        let sum = fnv1a64(&self.scratch[..data_bytes]);
+        let sum = page_sum64(&self.scratch[..data_bytes]);
         self.scratch[data_bytes..].copy_from_slice(&sum.to_le_bytes());
         if injected == Some(FaultKind::Corrupt) {
             // A torn page: one data byte flips *after* the checksum was

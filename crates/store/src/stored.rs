@@ -208,25 +208,26 @@ impl StoredTable {
     }
 
     /// Makes `page` accessible: on the paged backend, faults it into the
-    /// cache (retrying transient device errors); if retries exhaust on
-    /// an I/O error, degrades the table to the resident backend. The
-    /// lock is held by the caller throughout, so the page cannot be
-    /// evicted between this and the caller's access.
+    /// cache (retrying transient device errors) and returns its frame
+    /// slot; if retries exhaust on an I/O error, degrades the table to
+    /// the resident backend. `None` means the backend is (now)
+    /// resident. The lock is held by the caller throughout, so the page
+    /// cannot be evicted between this and the caller's access.
     ///
     /// # Panics
     ///
     /// Panics on unrecoverable corruption (checksum mismatch), or when
     /// the device died *and* draining the surviving pages failed too.
-    fn ensure_page(&self, backend: &mut Backend, page: usize) {
+    fn ensure_page(&self, backend: &mut Backend, page: usize) -> Option<usize> {
         let Backend::Paged(engine) = &mut *backend else {
-            return;
+            return None;
         };
         let res = {
             let eng = &mut *engine;
             lazydp_fault::with_retry(|| eng.cache.touch(page, &mut eng.file))
         };
         match res {
-            Ok(()) => {}
+            Ok(slot) => Some(slot),
             Err(e) if e.retryable() => {
                 // The spill device is gone for good. Graceful
                 // degradation: pull every row into memory (bitwise) and
@@ -238,8 +239,33 @@ impl StoredTable {
                          the table to memory failed too: {drain_err}"
                     ),
                 }
+                None
             }
             Err(corrupt) => panic!("unrecoverable storage corruption: {corrupt}"),
+        }
+    }
+
+    /// The elements of `page`, made accessible by
+    /// [`ensure_page`](Self::ensure_page) — residency is resolved once
+    /// per access, the slot it yields indexes the frame directly.
+    fn page<'a>(&self, backend: &'a mut Backend, page: usize) -> &'a [f32] {
+        let slot = self.ensure_page(backend, page);
+        match (backend, slot) {
+            (Backend::Paged(engine), Some(slot)) => engine.cache.frame(slot),
+            (Backend::Resident(data), _) => &data[page * self.page_elems()..][..self.page_elems()],
+            (Backend::Paged(_), None) => unreachable!("a paged backend yields a slot"),
+        }
+    }
+
+    /// Like [`page`](Self::page), mutably; a cached frame becomes dirty.
+    fn page_mut<'a>(&self, backend: &'a mut Backend, page: usize) -> &'a mut [f32] {
+        let slot = self.ensure_page(backend, page);
+        match (backend, slot) {
+            (Backend::Paged(engine), Some(slot)) => engine.cache.frame_mut(slot),
+            (Backend::Resident(data), _) => {
+                &mut data[page * self.page_elems()..][..self.page_elems()]
+            }
+            (Backend::Paged(_), None) => unreachable!("a paged backend yields a slot"),
         }
     }
 
@@ -413,40 +439,14 @@ impl EmbeddingStorage for StoredTable {
 
     fn with_row<R>(&self, r: u64, f: impl FnOnce(&[f32]) -> R) -> R {
         let (page, start) = self.locate(r);
-        let dim = self.dim;
         let mut guard = self.lock();
-        self.ensure_page(&mut guard, page);
-        match &mut *guard {
-            Backend::Paged(engine) => {
-                let data = engine.cache.peek(page).expect("page pinned by ensure_page");
-                f(&data[start..start + dim])
-            }
-            Backend::Resident(data) => {
-                let base = page * self.page_elems() + start;
-                f(&data[base..base + dim])
-            }
-        }
+        f(&self.page(&mut guard, page)[start..start + self.dim])
     }
 
     fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
         let (page, start) = self.locate(r);
-        let dim = self.dim;
-        let page_elems = self.page_elems();
         let mut guard = self.lock();
-        self.ensure_page(&mut guard, page);
-        match &mut *guard {
-            Backend::Paged(engine) => {
-                let data = engine
-                    .cache
-                    .peek_mut(page)
-                    .expect("page pinned by ensure_page");
-                f(&mut data[start..start + dim])
-            }
-            Backend::Resident(data) => {
-                let base = page * page_elems + start;
-                f(&mut data[base..base + dim])
-            }
-        }
+        f(&mut self.page_mut(&mut guard, page)[start..start + self.dim])
     }
 
     fn gather(&self, indices: &[u64]) -> Matrix {
@@ -455,45 +455,21 @@ impl EmbeddingStorage for StoredTable {
         let mut guard = self.lock();
         for (i, &idx) in indices.iter().enumerate() {
             let (page, start) = self.locate(idx);
-            self.ensure_page(&mut guard, page);
-            match &mut *guard {
-                Backend::Paged(engine) => {
-                    let data = engine.cache.peek(page).expect("page pinned by ensure_page");
-                    out.row_mut(i)
-                        .copy_from_slice(&data[start..start + self.dim]);
-                }
-                Backend::Resident(data) => {
-                    let base = page * self.page_elems() + start;
-                    out.row_mut(i).copy_from_slice(&data[base..base + self.dim]);
-                }
-            }
+            let data = self.page(&mut guard, page);
+            out.row_mut(i)
+                .copy_from_slice(&data[start..start + self.dim]);
         }
         out
     }
 
     fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
         assert_eq!(grad.dim(), self.dim, "sparse grad dim mismatch");
-        let page_elems = self.page_elems();
         let mut guard = self.lock();
         for (idx, values) in grad.iter() {
             let (page, start) = self.locate(idx);
-            self.ensure_page(&mut guard, page);
-            match &mut *guard {
-                Backend::Paged(engine) => {
-                    let data = engine
-                        .cache
-                        .peek_mut(page)
-                        .expect("page pinned by ensure_page");
-                    for (w, &g) in data[start..start + self.dim].iter_mut().zip(values.iter()) {
-                        *w -= lr * g;
-                    }
-                }
-                Backend::Resident(data) => {
-                    let base = page * page_elems + start;
-                    for (w, &g) in data[base..base + self.dim].iter_mut().zip(values.iter()) {
-                        *w -= lr * g;
-                    }
-                }
+            let data = self.page_mut(&mut guard, page);
+            for (w, &g) in data[start..start + self.dim].iter_mut().zip(values.iter()) {
+                *w -= lr * g;
             }
         }
     }
