@@ -20,7 +20,8 @@
 //!
 //! Run at full scale (release) with
 //! `cargo run --release -p lazydp_bench --bin figures -- kernels`
-//! (JSON: `figures -- json kernels` → `BENCH_kernels.json` in CI).
+//! (JSON: `figures -- json kernels`). A local experiment: the
+//! committed per-layer trajectory is `benchmark/results/`.
 
 use crate::table::Table;
 use lazydp_core::{LazyDpConfig, LazyDpOptimizer};

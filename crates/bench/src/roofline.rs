@@ -15,8 +15,8 @@
 //!
 //! Run at full scale (release) with
 //! `cargo run --release -p lazydp_bench --bin figures -- roofline`
-//! (JSON: `figures -- json roofline` → `BENCH_roofline.json` in CI,
-//! one artifact per matrix leg next to `BENCH_kernels.json`).
+//! (JSON: `figures -- json roofline`). A local experiment: the
+//! committed per-layer trajectory is `benchmark/results/`.
 
 use crate::table::Table;
 use lazydp_model::{Mlp, MlpGrads};

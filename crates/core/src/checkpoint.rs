@@ -188,8 +188,7 @@ impl Checkpoint {
 
     /// [`restore`](Self::restore) onto **disk-backed** embedding tables:
     /// the checkpointed rows are streamed page-sequentially into the
-    /// storage engine configured by `storage` (falling back to
-    /// `cfg.storage`, then the engine defaults) — no intermediate dense
+    /// storage engine configured by `storage` — no intermediate dense
     /// copy of the tables is ever materialized, so peak memory stays at
     /// the checkpoint payload plus one page cache per table. Because the
     /// on-disk checkpoint format stores rows in global order with no
@@ -207,19 +206,15 @@ impl Checkpoint {
         &self,
         cfg: LazyDpConfig,
         noise: N,
-        storage: Option<&StorageConfig>,
+        storage: &StorageConfig,
     ) -> io::Result<(Dlrm<StoredTable>, LazyDpOptimizer<N>)> {
-        let engine_cfg = storage
-            .cloned()
-            .or_else(|| cfg.storage.clone())
-            .unwrap_or_default();
         // Zero-initialized stored tables (sparse spill files — no RNG
         // draws, no dense staging); every weight is overwritten below.
         let mut seed_rng = lazydp_rng::Xoshiro256PlusPlus::seed_from(0);
         let mut model = Dlrm::<StoredTable>::try_new_with(
             self.config.clone(),
             &mut seed_rng,
-            |rows, dim, _| StoredTable::zeros(rows, dim, &engine_cfg),
+            |rows, dim, _| StoredTable::zeros(rows, dim, storage),
         )?;
         self.fill_model(&mut model);
         let opt = self.rebuild_optimizer(cfg, noise);
@@ -678,7 +673,7 @@ mod tests {
             .expect("save");
         let ck = Checkpoint::load(&mut buf.as_slice()).expect("load");
         let (mut m3, mut o3) = ck
-            .restore_stored(cfg, CounterNoise::new(4), Some(&scfg))
+            .restore_stored(cfg, CounterNoise::new(4), &scfg)
             .expect("restore onto the paged backend");
         for i in 4..steps {
             o3.step(&mut m3, &bs[i], Some(&bs[i + 1]));

@@ -8,8 +8,8 @@
 //! `H` is only written for the sparsely-accessed rows (§5.2.1).
 //!
 //! [`ShardedHistory`] hash-partitions one table's history across `S`
-//! independent [`HistoryTable`] shards using the same [`ShardSpec`] as
-//! `lazydp_embedding::ShardedTable`, so the serial phase-1 bookkeeping
+//! independent [`HistoryTable`] shards using the workspace's one
+//! row→shard partition, [`ShardSpec`], so the serial phase-1 bookkeeping
 //! of a [`NoisePlan`](crate::plan::NoisePlan) flush can run
 //! shard-parallel: each shard's delays are per-row state, so any
 //! partition of the rows yields the same delays — sharding changes who

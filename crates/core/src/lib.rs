@@ -64,7 +64,6 @@ pub mod optimizer;
 pub mod overhead;
 pub mod plan;
 pub mod recovery;
-pub mod scale;
 pub mod wrapper;
 
 pub use accounted::AccountedOptimizer;
@@ -75,5 +74,4 @@ pub use optimizer::{LazyDpConfig, LazyDpOptimizer};
 pub use overhead::{history_table_bytes, input_queue_bytes, OverheadReport};
 pub use plan::{flush_next_rows_sharded, NoisePlan, NoisePlanEntry, ShardedFlush};
 pub use recovery::{open_and_sweep, CheckpointError, CheckpointStore};
-pub use scale::TerabyteLazyEmbedding;
 pub use wrapper::PrivateTrainer;

@@ -27,7 +27,6 @@ use lazydp_embedding::EmbeddingStorage;
 use lazydp_exec::Executor;
 use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
-use lazydp_store::StorageConfig;
 
 /// Planned rows flushed per staging segment in
 /// [`LazyDpOptimizer::finalize_model`] — bounds the noise buffer even
@@ -35,25 +34,13 @@ use lazydp_store::StorageConfig;
 const FINALIZE_SEGMENT_ENTRIES: usize = 16_384;
 
 /// LazyDP hyper-parameters: the DP-SGD parameters plus the ANS switch
-/// (the paper evaluates both `LazyDP` and `LazyDP(w/o ANS)`, Fig. 10)
-/// and, optionally, the out-of-core storage knobs.
+/// (the paper evaluates both `LazyDP` and `LazyDP(w/o ANS)`, Fig. 10).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LazyDpConfig {
     /// The shared DP-SGD hyper-parameters (σ, C, η, B).
     pub dp: DpConfig,
     /// Whether aggregated noise sampling (§5.2.2) is enabled.
     pub ans: bool,
-    /// Out-of-core embedding storage (page size, cache capacity, spill
-    /// dir) used by [`Checkpoint::restore_stored`]; `None` means the
-    /// engine defaults.
-    ///
-    /// Lives here rather than on [`DpConfig`] because only LazyDP's
-    /// `O(batch)` sparse access pattern makes paging viable — eager
-    /// DP-SGD's dense full-table noisy update would thrash any bounded
-    /// cache, which is exactly the traffic the paper removes.
-    ///
-    /// [`Checkpoint::restore_stored`]: crate::Checkpoint::restore_stored
-    pub storage: Option<StorageConfig>,
 }
 
 impl LazyDpConfig {
@@ -63,32 +50,14 @@ impl LazyDpConfig {
         Self {
             dp: DpConfig::paper_default(nominal_batch),
             ans: true,
-            storage: None,
         }
     }
 
     /// Convenience constructor over explicit DP parameters and the ANS
-    /// switch (in-memory storage).
+    /// switch.
     #[must_use]
     pub fn new(dp: DpConfig, ans: bool) -> Self {
-        Self {
-            dp,
-            ans,
-            storage: None,
-        }
-    }
-
-    /// Sets the storage engine configuration (see
-    /// `lazydp_store::StorageConfig`) a checkpoint is restored onto by
-    /// [`Checkpoint::restore_stored`]; the trained model is bitwise
-    /// identical to the in-memory backend for any page size and cache
-    /// capacity.
-    ///
-    /// [`Checkpoint::restore_stored`]: crate::Checkpoint::restore_stored
-    #[must_use]
-    pub fn with_storage(mut self, storage: StorageConfig) -> Self {
-        self.storage = Some(storage);
-        self
+        Self { dp, ans }
     }
 
     /// Disables ANS (the `LazyDP(w/o ANS)` ablation).

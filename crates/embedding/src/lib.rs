@@ -17,39 +17,14 @@
 //!   coalescing" stage of Fig. 11),
 //! * [`AccessTracker`] — per-row access statistics used to validate the
 //!   skewed-workload generators against Fig. 13(d)'s definitions,
-//! * [`VirtualTable`] — a lazily-materialized table that lets the
-//!   functional LazyDP stack run at the paper's true 96 GB+ logical
-//!   scale (only touched rows are resident; see `lazydp-core::scale`),
-//! * [`ShardedTable`] / [`ShardSpec`] — the table hash-partitioned into
-//!   `S` independent shards so sparse updates (and, in `lazydp-core`,
-//!   the pending-noise flush) run shard-parallel while staying bitwise
-//!   identical to the 1-shard path,
-//! * [`EmbeddingStorage`] — the row-access trait those backends (and
-//!   `lazydp_store::StoredTable`, the out-of-core paged backend) share,
-//!   so the whole training stack is generic over where rows live.
-//!
-//! # Example: sharding a table without changing its contents
-//!
-//! ```
-//! use lazydp_embedding::{EmbeddingTable, ShardedTable, SparseGrad};
-//! use lazydp_exec::Executor;
-//! use lazydp_rng::Xoshiro256PlusPlus;
-//!
-//! let mut rng = Xoshiro256PlusPlus::seed_from(1);
-//! let dense = EmbeddingTable::init_uniform(100, 8, &mut rng);
-//! let mut sharded = ShardedTable::from_dense(&dense, 4);
-//!
-//! // Same rows, same gathers — only the in-memory layout changed.
-//! assert_eq!(sharded.gather(&[0, 97, 3]), dense.gather(&[0, 97, 3]));
-//!
-//! // Sparse updates apply shard-parallel, bitwise equal to the dense path.
-//! let mut grad = SparseGrad::from_entries(8, vec![(3, vec![1.0; 8])]);
-//! let _ = grad.coalesce();
-//! sharded.par_sparse_update(&grad, 0.05, &Executor::new(4));
-//! let mut expect = dense.clone();
-//! expect.sparse_update(&grad, 0.05);
-//! assert_eq!(sharded.to_dense(), expect);
-//! ```
+//! * [`ShardSpec`] — the row→shard hash partition every sharded
+//!   structure (`lazydp-core`'s `ShardedHistory` and flush plans,
+//!   DP-AdaFEST's partition counts) shares, so training stays bitwise
+//!   identical for any shard count,
+//! * [`EmbeddingStorage`] — the row-access trait the two table backends
+//!   ([`EmbeddingTable`] in memory, `lazydp_store::StoredTable` out of
+//!   core) share, so the whole training stack is generic over where
+//!   rows live.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,12 +35,10 @@ pub mod shard;
 pub mod sparse;
 pub mod storage;
 pub mod table;
-pub mod virtual_table;
 
 pub use access::AccessTracker;
 pub use bag::{EmbeddingBag, Pooling};
-pub use shard::{ShardSpec, ShardedTable};
+pub use shard::ShardSpec;
 pub use sparse::{CoalesceScratch, SparseGrad};
 pub use storage::EmbeddingStorage;
 pub use table::EmbeddingTable;
-pub use virtual_table::VirtualTable;

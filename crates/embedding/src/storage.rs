@@ -6,13 +6,12 @@
 //! individual rows. [`EmbeddingStorage`] captures exactly that surface,
 //! so the optimizer stack (`lazydp-core`), the DLRM forward/backward
 //! (`lazydp-model`), and checkpointing are written once and run
-//! unchanged against any backend:
+//! unchanged against either backend:
 //!
 //! * [`EmbeddingTable`] — dense in-memory rows (the default),
-//! * [`ShardedTable`] — hash-partitioned in-memory shards,
 //! * `lazydp_store::StoredTable` — the out-of-core paged backend, where
 //!   only a bounded page cache is resident and the cold majority of the
-//!   table lives on disk.
+//!   table lives on disk (or, never written, nowhere at all).
 //!
 //! The contract is *bitwise*: for the same logical row contents, every
 //! backend must return identical bytes from [`with_row`] and apply
@@ -26,13 +25,12 @@
 //! [`with_row_mut`]: EmbeddingStorage::with_row_mut
 //! [`sparse_update`]: EmbeddingStorage::sparse_update
 
-use crate::shard::ShardedTable;
 use crate::sparse::SparseGrad;
 use crate::table::EmbeddingTable;
 use lazydp_tensor::Matrix;
 
 /// Row-granular access to one embedding table, independent of where the
-/// rows live (RAM, shards, or disk pages). See the module docs for the
+/// rows live (RAM or disk pages). See the module docs for the
 /// bitwise contract between backends.
 pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
     /// Number of rows (embedding vectors).
@@ -150,40 +148,6 @@ impl EmbeddingStorage for EmbeddingTable {
     }
 }
 
-impl EmbeddingStorage for ShardedTable {
-    fn rows(&self) -> usize {
-        ShardedTable::rows(self)
-    }
-
-    fn dim(&self) -> usize {
-        ShardedTable::dim(self)
-    }
-
-    fn bytes(&self) -> u64 {
-        ShardedTable::bytes(self)
-    }
-
-    fn with_row<R>(&self, r: u64, f: impl FnOnce(&[f32]) -> R) -> R {
-        f(self.row(r))
-    }
-
-    fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
-        f(self.row_mut(r))
-    }
-
-    fn gather(&self, indices: &[u64]) -> Matrix {
-        ShardedTable::gather(self, indices)
-    }
-
-    fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
-        ShardedTable::sparse_update(self, grad, lr);
-    }
-
-    fn to_dense_table(&self) -> EmbeddingTable {
-        self.to_dense()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,12 +193,6 @@ mod tests {
     fn dense_table_satisfies_the_trait_contract() {
         let d = dense(12, 4);
         check_backend(d.clone(), &d);
-    }
-
-    #[test]
-    fn sharded_table_satisfies_the_trait_contract() {
-        let d = dense(12, 4);
-        check_backend(ShardedTable::from_dense(&d, 3), &d);
     }
 
     #[test]

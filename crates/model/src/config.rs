@@ -53,8 +53,11 @@ impl DlrmConfig {
     /// The paper's default model: MLPerf (v2.1) DLRM, 96 GB of
     /// embeddings, scaled down by `scale_div` (the paper itself scales
     /// 10×↓ to 1000×↓ for its Fig. 3 sweep). `scale_div = 1` is the full
-    /// model — only the performance model can hold that; functional runs
-    /// should use large divisors.
+    /// model: in-memory tables (and every eager algorithm) need the
+    /// paper's 256 GB host or the performance model for it, while LazyDP
+    /// trains it on lazily-initialised `lazydp_store::StoredTable`s
+    /// (`examples/terabyte_scale.rs`); in-memory functional runs should
+    /// use large divisors.
     ///
     /// # Panics
     ///

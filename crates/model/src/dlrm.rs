@@ -153,8 +153,7 @@ impl DlrmGrads {
 /// The DLRM model, generic over where its embedding rows live.
 ///
 /// `T` is the embedding backend — any [`EmbeddingStorage`]: the default
-/// in-memory [`EmbeddingTable`], a hash-partitioned
-/// `lazydp_embedding::ShardedTable`, or the out-of-core
+/// in-memory [`EmbeddingTable`] or the out-of-core
 /// `lazydp_store::StoredTable`. The MLPs are always resident (they are
 /// tiny next to the tables); only the embedding rows move backends. The
 /// whole forward/backward below is written against the trait, so every

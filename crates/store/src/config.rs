@@ -13,9 +13,7 @@ pub const CACHE_PAGES_ENV: &str = "LAZYDP_STORE_PAGES";
 /// geometry, cache budget, and where spill files live.
 ///
 /// Passed directly to the [`StoredTable`](crate::StoredTable)
-/// constructors, or carried by
-/// [`LazyDpConfig::with_storage`](../lazydp_core/struct.LazyDpConfig.html)
-/// into `Checkpoint::restore_stored`.
+/// constructors and to `Checkpoint::restore_stored`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageConfig {
     /// Rows per page. A page is the unit of disk I/O and cache

@@ -23,9 +23,10 @@
 //! [`StorageConfig`] carries the knobs (page size, cache capacity in
 //! pages, spill directory): it is passed to the [`StoredTable`]
 //! constructors (`model.try_map_tables(|_, t| StoredTable::from_dense(&t,
-//! &storage))` spills a dense model) or rides on
-//! `LazyDpConfig::with_storage` into `Checkpoint::restore_stored` in
-//! `lazydp-core`; the `LAZYDP_STORE_PAGES` environment variable
+//! &storage))` spills a dense model, `StoredTable::lazy_uniform` builds
+//! one that costs nothing until touched) and to
+//! `Checkpoint::restore_stored` in `lazydp-core`; the
+//! `LAZYDP_STORE_PAGES` environment variable
 //! ([`CACHE_PAGES_ENV`]) force-overrides the cache capacity so CI can
 //! exercise the eviction paths under the whole test suite.
 //!

@@ -12,9 +12,13 @@
 //!
 //! The trailer is verified on every fault-in: a torn or bit-rotted page
 //! surfaces as [`StorageError::Corrupt`] instead of silently training on
-//! garbage. A trailer of zero is the never-written sentinel (sparse
-//! pages read back all-zero) and is accepted only when the data bytes
-//! are themselves all zero. The trailer is not a persisted format: a
+//! garbage. A trailer of zero over all-zero data bytes is the
+//! never-written sentinel (what a sparse slot reads back as), and what
+//! such a page *holds* is decided here and nowhere else: zeros, or —
+//! with [`PageFile::set_row_fill`] — a pure function of `(seed, row)`,
+//! so a table's initial contents cost no I/O and no disk until a page
+//! is dirtied. Every written page carries a non-zero trailer, explicit
+//! zeros included. The trailer is not a persisted format: a
 //! spill file is scratch owned by one process, never reopened (a crashed
 //! run's leftovers are swept, not read), so the checksum function only
 //! has to agree with itself within a build — which is what lets it be
@@ -35,6 +39,8 @@ use std::sync::{Mutex, PoisonError};
 
 use lazydp_fault::checksum::page_sum64;
 use lazydp_fault::{FaultKind, InjectedKill, Site};
+use lazydp_rng::counter::CounterRng;
+use lazydp_rng::Prng;
 
 use crate::error::StorageError;
 
@@ -84,6 +90,32 @@ pub fn sweep_stale_spill_files(dir: &Path) -> io::Result<usize> {
     Ok(removed)
 }
 
+/// The row-addressed initial contents [`PageFile::set_row_fill`]
+/// installs.
+#[derive(Debug)]
+struct RowFill {
+    rng: CounterRng,
+    rows: usize,
+    dim: usize,
+}
+
+impl RowFill {
+    fn fill_page(&self, page: usize, out: &mut [f32]) {
+        let bound = 1.0 / (self.rows as f32).sqrt();
+        let first = page * (out.len() / self.dim);
+        for (r, row) in (first..).zip(out.chunks_exact_mut(self.dim)) {
+            if r >= self.rows {
+                row.fill(0.0);
+                continue;
+            }
+            let mut stream = self.rng.derive(r as u64).stream(0);
+            for w in row {
+                *w = (stream.next_f32() * 2.0 - 1.0) * bound;
+            }
+        }
+    }
+}
+
 /// A file of fixed-size, checksummed `f32` pages with positioned I/O.
 #[derive(Debug)]
 pub struct PageFile {
@@ -91,6 +123,8 @@ pub struct PageFile {
     path: PathBuf,
     page_elems: usize,
     pages: usize,
+    /// What never-written pages hold; `None` is zeros.
+    fill: Option<RowFill>,
     /// Scratch byte buffer reused across reads/writes (one slot:
     /// data bytes plus the checksum trailer).
     scratch: Vec<u8>,
@@ -124,8 +158,7 @@ impl PageFile {
                 .create_new(true)
                 .open(&path)?;
             // A sparse zero file: unwritten slots read back as zero data
-            // plus a zero trailer — the never-written sentinel — which
-            // is exactly the zero-initialized table the callers expect.
+            // plus a zero trailer — the never-written sentinel.
             file.set_len((pages as u64) * slot_bytes(page_elems))?;
             Ok(file)
         };
@@ -140,10 +173,33 @@ impl PageFile {
             path,
             page_elems,
             pages,
+            fill: None,
             scratch: vec![0u8; slot_bytes(page_elems) as usize],
             read_ops: 0,
             write_ops: 0,
         })
+    }
+
+    /// Makes never-written pages read as the uniform `±1/√rows`
+    /// initialisation of a `rows × dim` table instead of zeros: row `r`
+    /// is drawn from `CounterRng::new(seed).derive(r).stream(0)`, so its
+    /// value is the same for any page size, and rows past `rows` (the
+    /// last page's padding) stay zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if pages do not hold whole `dim`-wide rows.
+    pub fn set_row_fill(&mut self, seed: u64, rows: usize, dim: usize) {
+        assert!(
+            dim > 0 && self.page_elems.is_multiple_of(dim),
+            "pages of {} elements do not hold whole {dim}-wide rows",
+            self.page_elems
+        );
+        self.fill = Some(RowFill {
+            rng: CounterRng::new(seed),
+            rows,
+            dim,
+        });
     }
 
     /// Number of pages.
@@ -232,7 +288,8 @@ impl PageFile {
         // Trailer 0 + all-zero data = a never-written sparse slot. The
         // zero scan is an OR-fold, not `any`: without the early exit it
         // vectorizes, where `any` tests the page one byte at a time.
-        if stored != 0 || data.iter().fold(0u8, |acc, &b| acc | b) != 0 {
+        let written = stored != 0 || data.iter().fold(0u8, |acc, &b| acc | b) != 0;
+        if written {
             let computed = page_sum64(data);
             if computed != stored {
                 lazydp_obs::metrics().fault.checksum_failures.incr();
@@ -243,6 +300,9 @@ impl PageFile {
                     computed,
                 });
             }
+        } else if let Some(fill) = &self.fill {
+            fill.fill_page(page, out);
+            return Ok(());
         }
         for (v, b) in out.iter_mut().zip(data.chunks_exact(4)) {
             *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -363,6 +423,41 @@ mod tests {
         assert_eq!(buf, [0.0; 4]);
         f.read_page(1, &mut buf).expect("read sparse zeros");
         assert_eq!(buf, [0.0; 4]);
+    }
+
+    #[test]
+    fn row_fill_covers_exactly_the_never_written_pages() {
+        let _serial = lazydp_fault::exclusive();
+        // 5 rows of 2 in 2-row pages: the last page is half padding.
+        let filled = |page_elems: usize| {
+            let mut f = PageFile::create(&temp_dir(), 6, page_elems).expect("create");
+            f.set_row_fill(7, 5, 2);
+            f
+        };
+        let mut f = filled(4);
+        let mut init = [[0.0f32; 4]; 3];
+        for (page, buf) in init.iter_mut().enumerate() {
+            f.read_page(page, buf).expect("read");
+        }
+        let bound = 1.0 / 5f32.sqrt();
+        assert!(init[0].iter().all(|w| *w != 0.0 && w.abs() <= bound));
+        assert_ne!(init[0][..2], init[0][2..], "one stream per row");
+        assert_eq!(init[2][2..], [0.0; 2], "padding past the last row is zero");
+        // Addressed by row: 1-row pages hold the same values.
+        let mut one_row = filled(2);
+        let mut row = [0.0f32; 2];
+        one_row.read_page(3, &mut row).expect("read");
+        assert_eq!(row, init[1][2..]);
+        // A written page — explicit zeros included — is never refilled.
+        f.write_page(0, &[0.0; 4]).expect("write");
+        f.write_page(1, &[1.5, -2.0, 0.25, 1e-30]).expect("write");
+        let mut buf = [9.0f32; 4];
+        f.read_page(0, &mut buf).expect("read");
+        assert_eq!(buf, [0.0; 4], "written zeros carry a non-zero trailer");
+        f.read_page(1, &mut buf).expect("read");
+        assert_eq!(buf, [1.5, -2.0, 0.25, 1e-30]);
+        f.read_page(2, &mut buf).expect("read");
+        assert_eq!(buf, init[2], "unwritten neighbours keep their fill");
     }
 
     #[test]

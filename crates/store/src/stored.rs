@@ -123,6 +123,35 @@ impl StoredTable {
         })
     }
 
+    /// Creates a table holding a uniform `±1/√rows` initialisation
+    /// without writing it: [`zeros`](Self::zeros), except that a page
+    /// nothing has written yet reads as a pure function of `(seed, row)`
+    /// (see [`PageFile::set_row_fill`]), computed when it is faulted in.
+    /// Construction is O(1) in the table size, memory and disk track the
+    /// pages training has dirtied, and row values do not depend on the
+    /// page size or the cache capacity. (The draws are addressed per
+    /// row, so they differ from [`init_uniform`](Self::init_uniform)'s
+    /// sequential ones; [`to_dense`](Self::to_dense) gives the in-memory
+    /// twin.)
+    ///
+    /// # Errors
+    ///
+    /// Propagates spill-file creation errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0` or `dim == 0`.
+    pub fn lazy_uniform(
+        rows: usize,
+        dim: usize,
+        seed: u64,
+        cfg: &StorageConfig,
+    ) -> Result<Self, StorageError> {
+        let out = Self::zeros(rows, dim, cfg)?;
+        paged(&mut out.lock()).file.set_row_fill(seed, rows, dim);
+        Ok(out)
+    }
+
     /// Spills a dense in-memory table to disk (bitwise copy of every
     /// row, written page-sequentially, bypassing the cache). Transient
     /// write faults are retried.
@@ -733,6 +762,153 @@ mod tests {
         want.sparse_update(&grad, 0.1);
         assert_eq!(s.to_dense(), want);
         s.sync().expect("sync is a no-op when degraded");
+    }
+
+    /// Shape of the lazy-initialisation tests: every page size but 1
+    /// leaves the last page partly padding.
+    const LAZY_ROWS: usize = 37;
+    const LAZY_DIM: usize = 5;
+
+    fn lazy(page_rows: usize, cache_pages: usize) -> StoredTable {
+        StoredTable::lazy_uniform(LAZY_ROWS, LAZY_DIM, 0xC0FFEE, &cfg(page_rows, cache_pages))
+            .expect("spill")
+    }
+
+    /// The same initialisation read through one page that holds the
+    /// whole table.
+    fn lazy_reference() -> EmbeddingTable {
+        lazy(64, 8).to_dense()
+    }
+
+    #[test]
+    fn lazy_rows_do_not_depend_on_page_size_or_cache_capacity() {
+        let _serial = lazydp_fault::exclusive();
+        let want = lazy_reference();
+        let bound = 1.0 / (LAZY_ROWS as f32).sqrt();
+        assert!(want.as_slice().iter().all(|w| w.abs() <= bound));
+        assert_ne!(want.row(0), want.row(1), "rows draw from their own stream");
+        for page_rows in [1usize, 4, 64] {
+            for cache_pages in [1usize, 8] {
+                let s = lazy(page_rows, cache_pages);
+                // Single rows first, out of order, before any scan.
+                for r in [36u64, 0, 17, 4] {
+                    s.with_row(r, |row| assert_eq!(row, want.row(r as usize), "row {r}"));
+                }
+                assert_eq!(s.to_dense(), want, "pages {page_rows} cache {cache_pages}");
+            }
+        }
+        let reseeded = StoredTable::lazy_uniform(LAZY_ROWS, LAZY_DIM, 0xC0FFEF, &cfg(4, 2))
+            .expect("spill")
+            .to_dense();
+        assert_ne!(reseeded, want, "the fill is keyed by the seed");
+    }
+
+    #[test]
+    fn a_clean_lazy_page_is_dropped_unwritten_and_refaults_to_the_same_bits() {
+        let _serial = lazydp_fault::exclusive();
+        let want = lazy_reference();
+        let s = lazy(4, 1);
+        let all: Vec<u64> = (0..LAZY_ROWS as u64).collect();
+        // Ten pages through one frame, twice over: every page is evicted
+        // and faulted in again.
+        for _ in 0..2 {
+            assert_eq!(EmbeddingStorage::gather(&s, &all), want.gather(&all));
+        }
+        let stats = s.stats();
+        assert_eq!(
+            (stats.write_backs, stats.bytes_spilled),
+            (0, 0),
+            "reading the initial contents writes nothing"
+        );
+        if s.cache_pages() < s.total_pages() {
+            assert!(stats.evictions > 0, "an undersized cache must evict");
+        }
+    }
+
+    #[test]
+    fn dirtied_lazy_pages_round_trip_and_verify_beside_unwritten_ones() {
+        let _serial = lazydp_fault::exclusive();
+        let mut want = lazy_reference();
+        let mut s = lazy(4, 1);
+        // Row 5 shares its page with three untouched rows; row 36 sits
+        // on the padded last page; page 2 becomes all zeros.
+        for r in [5u64, 36] {
+            s.with_row_mut(r, |row| row[0] += 1.0);
+            want.row_mut(r as usize)[0] += 1.0;
+        }
+        for r in 8..12u64 {
+            s.with_row_mut(r, |row| row.fill(0.0));
+            want.row_mut(r as usize).fill(0.0);
+        }
+        assert_eq!(s.to_dense(), want, "the scan evicts every dirty page");
+        s.verify_pages()
+            .expect("written and unwritten pages verify");
+        assert_eq!(s.to_dense(), want, "verifying moved no value");
+        if s.cache_pages() < s.total_pages() {
+            assert!(s.stats().write_backs >= 3, "dirty pages must spill");
+        }
+    }
+
+    #[test]
+    fn persistent_write_failure_on_a_lazy_table_drains_the_fill() {
+        let _g = lazydp_fault::exclusive();
+        let mut want = lazy_reference();
+        let mut s = lazy(2, 1);
+        // Plans are process-wide and not every test that writes a page
+        // holds `exclusive()` (ROADMAP 4e): take this file's write
+        // ordinal past anything those reach — rewriting one page, the
+        // rest stay never-written — before failing every later write.
+        const QUIET_WRITES: u64 = 128;
+        for _ in 0..QUIET_WRITES {
+            s.with_row_mut(36, |row| row[0] += 1.0);
+            want.row_mut(36)[0] += 1.0;
+            s.sync().expect("sync");
+        }
+        lazydp_fault::install(FaultPlan::new(0).rule(
+            Site::PageWrite,
+            QUIET_WRITES,
+            FaultKind::Persistent,
+        ));
+        let mut grad = SparseGrad::from_entries(
+            LAZY_DIM,
+            vec![
+                (0, vec![1.0; LAZY_DIM]),
+                (9, vec![-2.0; LAZY_DIM]),
+                (19, vec![0.5; LAZY_DIM]),
+            ],
+        );
+        let _ = grad.coalesce();
+        want.sparse_update(&grad, 0.1);
+        s.sparse_update(&grad, 0.1);
+        let got = s.to_dense();
+        lazydp_fault::clear();
+        assert!(s.degraded(), "persistent write failure must degrade");
+        assert_eq!(got, want, "never-written pages drain as their fill");
+    }
+
+    #[test]
+    fn a_lazy_table_is_resident_only_where_it_was_touched() {
+        let _serial = lazydp_fault::exclusive();
+        // 3.2 GB logical; the cache could hold every page touched below.
+        let (rows, dim) = (50_000_000usize, 16usize);
+        let mut s = StoredTable::lazy_uniform(rows, dim, 3, &cfg(64, 256)).expect("spill");
+        let mut rng = Xoshiro256PlusPlus::seed_from(5);
+        let mut touched = BTreeSet::new();
+        for _ in 0..10 {
+            let mut grad = SparseGrad::new(dim);
+            for _ in 0..8 {
+                grad.push_zeros(rng.next_below(rows as u64)).fill(0.01);
+            }
+            let _ = grad.coalesce();
+            s.sparse_update(&grad, 0.1);
+            let next: Vec<u64> = (0..8).map(|_| rng.next_below(rows as u64)).collect();
+            let _ = EmbeddingStorage::gather(&s, &next);
+            touched.extend(grad.indices().iter().chain(&next).map(|&r| r / 64));
+        }
+        assert!(touched.len() <= 160, "≤ 16 rows per iteration");
+        let page_bytes = (64 * dim * 4) as u64;
+        assert!(s.resident_bytes() <= touched.len() as u64 * page_bytes);
+        assert_eq!(EmbeddingStorage::bytes(&s), 3_200_000_000);
     }
 
     #[test]

@@ -1,122 +1,157 @@
-//! Functional LazyDP at the paper's **true 96 GB scale** — on a laptop.
+//! LazyDP at the paper's **true 96 GB scale** — the real optimizer, on a
+//! laptop.
 //!
 //! Eager DP-SGD's dense noisy update is the reason the paper needed a
-//! 256 GB server: every iteration touches all 187,727,727 embedding
+//! 256 GB server: every iteration touches all 187,767,399 embedding
 //! rows (24 billion Gaussian draws + a 96 GB stream). LazyDP touches
-//! `O(batch)` rows — so with lazily-materialized virtual tables the
-//! *real algorithm* (real Box–Muller draws, real ANS, the real 751 MB
-//! HistoryTable) runs here at full logical scale.
+//! `O(batch)` rows — so the full-size MLPerf DLRM (26 Criteo tables,
+//! dim 128) is built here on `StoredTable::lazy_uniform` tables, whose
+//! rows are a pure function of `(seed, row)` until training dirties
+//! their page, and trained with the same `LazyDpOptimizer` +
+//! `PrivateTrainer` every test and benchmark drives: forward, fused
+//! clipped backward, MLP noise, lookahead flush with ANS, the 751 MB
+//! HistoryTable, and the accountant's ε.
 //!
-//! This example trains the embedding side of the full-size MLPerf DLRM
-//! (26 Criteo tables, 187.7 M rows, dim 128) for 20 LazyDP iterations at
-//! batch 2048, then reports what eager DP-SGD would have had to do.
+//! The run stops without `finalize`: releasing the model means flushing
+//! the pending noise of every row — the one dense sweep LazyDP owes, and
+//! 96 GB of spill here. What eager DP-SGD would have paid per step is
+//! reported instead, priced at the Gaussian rate this run measures.
 //!
 //! Run with: `cargo run --release --example terabyte_scale`
 
-use lazydp::data::AccessDistribution;
-use lazydp::dpsgd::DpConfig;
-use lazydp::embedding::{SparseGrad, VirtualTable};
-use lazydp::lazy::TerabyteLazyEmbedding;
-use lazydp::model::config::CRITEO_TB_CAPPED_ROWS;
+use lazydp::data::{
+    AccessDistribution, PoissonLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+};
+use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
+use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::obs::clock::Stopwatch;
 use lazydp::rng::counter::CounterNoise;
-use lazydp::rng::Xoshiro256PlusPlus;
+use lazydp::rng::{Prng, RowNoise, Xoshiro256PlusPlus};
+use lazydp::store::{StorageConfig, StoredTable};
 
-const DIM: usize = 128;
 const BATCH: usize = 2048;
 const STEPS: usize = 20;
+/// Dataset length: Poisson sampling at `q = BATCH / SAMPLES = 1/2000`.
+const SAMPLES: usize = BATCH * 2000;
+const DELTA: f64 = 1e-6;
+
+/// Peak resident set of this process in MB (`VmHWM`), where the OS
+/// reports one.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib * 1024.0 / 1e6)
+}
 
 fn main() {
-    let dp = DpConfig::paper_default(BATCH);
+    let config = DlrmConfig::mlperf(1);
+    // 2 KiB pages (4 rows) keep the write-back of a uniformly-touched
+    // row close to the row itself; ≤ 16 MiB of cache per table.
+    let storage = StorageConfig::new()
+        .with_page_rows(4)
+        .with_cache_pages(8192);
+
+    println!("building the full-size MLPerf DLRM on lazily-initialised stored tables…");
+    let t0 = Stopwatch::start();
     let mut rng = Xoshiro256PlusPlus::seed_from(1);
-
-    println!("building 26 virtual Criteo tables (logical 96 GB) + HistoryTables…");
-    let t0 = Stopwatch::start();
-    let mut tables: Vec<TerabyteLazyEmbedding<CounterNoise>> = CRITEO_TB_CAPPED_ROWS
-        .iter()
-        .enumerate()
-        .map(|(t, &rows)| {
-            TerabyteLazyEmbedding::new(
-                VirtualTable::new(rows, DIM, 0xC0FFEE + t as u64),
-                dp,
-                true, // ANS on
-                CounterNoise::new(7),
-                t as u32,
-            )
-        })
-        .collect();
-    let dists: Vec<AccessDistribution> = CRITEO_TB_CAPPED_ROWS
-        .iter()
-        .map(|&r| AccessDistribution::uniform(r))
-        .collect();
-    let history_gb: u64 = tables.iter().map(|t| t.history_bytes()).sum();
+    let model = Dlrm::try_new_with(config.clone(), &mut rng, |rows, dim, rng| {
+        StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &storage)
+    })
+    .expect("spill directory must be writable");
     println!(
-        "  ready in {:?} — HistoryTables: {:.0} MB (paper §7.2: 751 MB)\n",
-        t0.elapsed(),
-        history_gb as f64 / 1e6
+        "  {} tables, {} rows × {} = {:.1} GB logical, built in {:?}",
+        config.num_tables(),
+        config.total_rows(),
+        config.embedding_dim,
+        config.embedding_bytes() as f64 / 1e9,
+        t0.elapsed()
+    );
+    let optimizer = LazyDpOptimizer::new(
+        LazyDpConfig::paper_default(BATCH),
+        &model,
+        CounterNoise::new(7),
+    );
+    println!(
+        "  HistoryTable: {:.0} MB (paper §7.2: 751 MB)\n",
+        optimizer.history_bytes() as f64 / 1e6
     );
 
-    // Pre-draw the access trace (batch 2048, pooling 1 per table).
-    let draw_batch = |rng: &mut Xoshiro256PlusPlus| -> Vec<Vec<u64>> {
-        dists.iter().map(|d| d.sample_many(rng, BATCH)).collect()
-    };
-    let mut cur = draw_batch(&mut rng);
+    let dataset = SyntheticDataset::new(SyntheticConfig {
+        num_dense: config.num_dense,
+        table_rows: config.table_rows.clone(),
+        pooling: config.pooling,
+        num_samples: SAMPLES,
+        distributions: config
+            .table_rows
+            .iter()
+            .map(|&rows| AccessDistribution::uniform(rows))
+            .collect(),
+        seed: 0xC0FFEE,
+    });
+    let loader = PoissonLoader::new(dataset, BATCH, 3);
+    let q = loader.sampling_rate();
+    let mut trainer =
+        PrivateTrainer::make_private_optimizer(model, optimizer, PrefetchLoader::new(loader), q);
+
     let t0 = Stopwatch::start();
-    for _ in 0..STEPS {
-        let next = draw_batch(&mut rng);
-        for (t, table) in tables.iter_mut().enumerate() {
-            // Synthetic clipped+scaled gradient for the current rows
-            // (the MLP side of the model is not the bottleneck and is
-            // omitted here; `private_dlrm` covers full training).
-            let mut grad = SparseGrad::new(DIM);
-            for &r in &cur[t] {
-                let e = grad.push_zeros(r);
-                e.fill(1e-4);
-            }
-            let _ = grad.coalesce();
-            table.step(&grad, &next[t]);
-        }
-        cur = next;
-    }
+    let _ = trainer.train_steps(STEPS - 1);
+    let before_last = trainer.counters();
+    let _ = trainer.train_steps(1);
     let train_time = t0.elapsed();
+    let counters = trainer.counters();
+    let (eps, order) = trainer.epsilon(DELTA);
+    assert!(eps.is_finite() && eps > 0.0, "ε = {eps}");
 
-    let drawn: u64 = tables.iter().map(|t| t.counters().gaussian_samples).sum();
-    let eager: u128 = tables.iter().map(|t| t.eager_equivalent_samples()).sum();
-    let resident: u64 = tables.iter().map(|t| t.table().physical_bytes()).sum();
-    let touched: usize = tables.iter().map(|t| t.table().materialized_rows()).sum();
-    let logical: u64 = tables.iter().map(|t| t.table().logical_bytes()).sum();
+    println!("{STEPS} LazyDP steps @ batch {BATCH} in {train_time:?}");
+    println!("  per step: {:?}", train_time / STEPS as u32);
+    println!("  privacy spent: ε = {eps:.4} at δ = {DELTA:e} (q = {q:.1e}, RDP order {order})");
 
-    println!("{STEPS} LazyDP iterations @ batch {BATCH} in {train_time:?}");
-    println!("  per-iteration: {:?}", train_time / STEPS as u32);
-    println!("\nwork done (real, counted):");
-    println!("  Gaussian draws:      {drawn:>16}");
+    // Every row the last lookahead flushed is up to date; all others
+    // still owe noise (no `finalize`, see the module docs).
+    let up_to_date = counters.delta_since(&before_last).history_writes;
+    println!("\nwork done (counted by the optimizer):");
+    println!("  Gaussian draws:      {:>16}", counters.gaussian_samples);
+    println!("  table rows written:  {:>16}", counters.table_rows_written);
     println!(
-        "  rows materialized:   {touched:>16}  ({:.1} MB of {:.1} GB logical)",
-        resident as f64 / 1e6,
-        logical as f64 / 1e9
+        "  rows owing noise:    {:>16}  of {} (settled at release, not per step)",
+        config.total_rows() - up_to_date,
+        config.total_rows()
     );
-    println!("\nwhat eager DP-SGD would have needed for the same {STEPS} iterations:");
+
+    println!("\nmemory and disk (measured):");
+    match peak_rss_mb() {
+        Some(mb) => println!("  peak RSS:            {mb:>13.0} MB"),
+        None => println!("  peak RSS:            n/a on this OS"),
+    }
+    lazydp::obs::export::print_store_summary();
+
+    // The Gaussian rate of this host, from re-drawing one step's worth
+    // of the run's own samples through the same per-row kernel.
+    let dim = config.embedding_dim;
+    let redraw_rows = counters.gaussian_samples / STEPS as u64 / dim as u64;
+    let mut noise = CounterNoise::new(7);
+    let mut buf = vec![0.0f32; dim];
+    let t0 = Stopwatch::start();
+    for row in 0..redraw_rows {
+        noise.fill_unit(0, row, 1, &mut buf);
+        std::hint::black_box(&buf);
+    }
+    let rate = (redraw_rows * dim as u64) as f64 / t0.elapsed().as_secs_f64();
+
+    let eager = (u128::from(config.total_rows()) * dim as u128 + u128::from(config.mlp_params()))
+        * STEPS as u128;
+    println!("\nwhat eager DP-SGD would have needed for the same {STEPS} steps:");
     println!(
         "  Gaussian draws:      {eager:>16}  ({}× more)",
-        eager / u128::from(drawn.max(1))
+        eager / u128::from(counters.gaussian_samples.max(1))
     );
-    // Price the eager draws with this machine's own measured Box–Muller
-    // rate (~15 ns/sample, see EXPERIMENTS.md §3).
-    let eager_secs = eager as f64 * 15e-9;
     println!(
-        "  sampling time alone: {:>13.0} s  (at this host's measured 15 ns/draw)",
-        eager_secs
+        "  sampling time alone: {:>13.0} s  (at the {:.1} Msamples/s measured just now)",
+        eager as f64 / rate,
+        rate / 1e6
     );
-    println!("  plus a 96 GB dense noisy-gradient stream per iteration — unrunnable here.");
-
-    // Row-level release: settle pending noise for a served row.
-    let before = tables[0].table().read_row(12345);
-    let after = tables[0].flush_row(12345);
-    println!("\nrow-level release (flush_row): row 12345 of table 0");
-    println!(
-        "  pending-noise settled: value moved by {:.2e}",
-        lazydp::tensor::vecops::max_abs_diff(&before, &after)
-    );
-    println!("\n✔ the paper's thesis, executed: private training cost tracks the batch,");
-    println!("  not the table — 96 GB of logical model, megabytes of physical state.");
+    println!("  plus a 96 GB dense noisy-gradient stream per step — unrunnable here.");
+    println!("\n✔ the paper's thesis, executed by the optimizer the tests pin: private");
+    println!("  training cost tracks the batch, not the table.");
 }

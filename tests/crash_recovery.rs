@@ -207,7 +207,7 @@ fn kill_and_resume(
     let released = if stored {
         let storage = spill_cfg();
         let (mut m, mut o) = ckpt
-            .restore_stored(cfg, CounterNoise::new(NOISE_SEED), Some(&storage))
+            .restore_stored(cfg, CounterNoise::new(NOISE_SEED), &storage)
             .expect("restore onto disk-backed tables");
         for i in o.iteration() as usize..STEPS {
             o.step(&mut m, &batches[i], Some(&batches[i + 1]));

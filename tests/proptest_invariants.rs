@@ -8,7 +8,7 @@ use lazydp::embedding::SparseGrad;
 use lazydp::lazy::{aggregated_std, HistoryTable, LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
-use lazydp::rng::Xoshiro256PlusPlus;
+use lazydp::rng::{Prng, Xoshiro256PlusPlus};
 use proptest::prelude::*;
 
 /// Builds batches from a proptest-chosen access script so the trace
@@ -306,8 +306,11 @@ proptest! {
     /// plus `finalize_model` — on the paged `StoredTable` backend is
     /// **bitwise** identical to the in-memory run on Zipf-skewed
     /// traces, across page geometries, cache capacities (including a
-    /// pathological 1-page cache), and shard counts {1, 4}. Paging
-    /// changes where rows live, never their values.
+    /// pathological 1-page cache), shard counts {1, 4}, and both ways a
+    /// stored model comes to be: a dense one spilled page by page, or
+    /// `lazy_uniform` tables that are written nowhere until training
+    /// dirties a page. Paging changes where rows live, never their
+    /// values.
     #[test]
     fn stored_backend_matches_memory_backend(
         exponent in 0.4f64..1.4,
@@ -315,6 +318,7 @@ proptest! {
         page_rows in 1usize..9,
         cache_pages in 1usize..10,
         four_shards in proptest::bool::ANY,
+        lazy_init in proptest::bool::ANY,
     ) {
         use lazydp::data::AccessDistribution;
         use lazydp::store::{StorageConfig, StoredTable};
@@ -327,15 +331,39 @@ proptest! {
             .map(|_| dist.sample_many(&mut trace_rng, 5))
             .collect();
         let (_, batches) = batches_from_script(2, rows, &script);
-        let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-        let model0 = Dlrm::new(DlrmConfig::tiny(2, rows, 4), &mut rng);
         let cfg = LazyDpConfig::new(
             DpConfig::new(0.8, 1.0, 0.05, 4).with_shards(shards),
             true,
         );
+        let scfg = StorageConfig::new()
+            .with_page_rows(page_rows)
+            .with_cache_pages(cache_pages);
+        let tiny = DlrmConfig::tiny(2, rows, 4);
+        let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+        let (mut mem, mut stored) = if lazy_init {
+            // Same RNG draws on both sides (MLPs, then one fill seed per
+            // table); the memory side is the step-0 `to_dense` snapshot.
+            let lazy_table = |rows, dim, rng: &mut Xoshiro256PlusPlus| {
+                StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &scfg)
+            };
+            let mem = Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), |rows, dim, rng| {
+                lazy_table(rows, dim, rng).map(|t| t.to_dense())
+            });
+            let stored = Dlrm::try_new_with(tiny, &mut rng, lazy_table);
+            (
+                mem.expect("spill dir must be writable"),
+                stored.expect("spill dir must be writable"),
+            )
+        } else {
+            let mem = Dlrm::new(tiny, &mut rng);
+            let stored = mem
+                .clone()
+                .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
+                .expect("spill dir must be writable");
+            (mem, stored)
+        };
 
         // In-memory reference.
-        let mut mem = model0.clone();
         let mut o_mem = LazyDpOptimizer::new(cfg.clone(), &mem, CounterNoise::new(seed));
         for i in 0..steps {
             o_mem.step(&mut mem, &batches[i], Some(&batches[i + 1]));
@@ -343,12 +371,6 @@ proptest! {
         o_mem.finalize_model(&mut mem);
 
         // Paged backend over the same trace, seed, and config.
-        let scfg = StorageConfig::new()
-            .with_page_rows(page_rows)
-            .with_cache_pages(cache_pages);
-        let mut stored = model0
-            .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
-            .expect("spill dir must be writable");
         let mut o_st = LazyDpOptimizer::new(cfg, &stored, CounterNoise::new(seed));
         for i in 0..steps {
             o_st.step(&mut stored, &batches[i], Some(&batches[i + 1]));
@@ -358,8 +380,8 @@ proptest! {
         for (t, (a, b)) in mem.tables.iter().zip(stored.tables.iter()).enumerate() {
             prop_assert!(
                 b.max_abs_diff_dense(a) == 0.0,
-                "table {t} diverged on the paged backend \
-                 (page_rows {page_rows}, cache {cache_pages}, shards {shards})"
+                "table {t} diverged on the paged backend (page_rows {page_rows}, \
+                 cache {cache_pages}, shards {shards}, lazy {lazy_init})"
             );
         }
     }
@@ -489,40 +511,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// VirtualTable is observationally equivalent to a dense
-    /// EmbeddingTable under arbitrary interleavings of reads, writes,
-    /// and sparse updates.
-    #[test]
-    fn virtual_table_equals_dense_table(
-        ops in proptest::collection::vec(
-            (0u64..50, -2.0f32..2.0, proptest::bool::ANY), 1..40),
-    ) {
-        use lazydp::embedding::{EmbeddingTable, VirtualTable};
-        let rows = 50u64;
-        let dim = 3usize;
-        let mut virt = VirtualTable::new(rows, dim, 9);
-        let mut dense: EmbeddingTable = virt.to_dense();
-        for (row, delta, use_sparse) in ops {
-            if use_sparse {
-                let mut g = SparseGrad::new(dim);
-                let e = g.push_zeros(row);
-                e.fill(delta);
-                virt.sparse_update(&g, 0.5);
-                dense.sparse_update(&g, 0.5);
-            } else {
-                virt.row_mut(row)[1] += delta;
-                dense.row_mut(row as usize)[1] += delta;
-            }
-            // Read-back equivalence on the touched row and a probe row.
-            prop_assert_eq!(virt.read_row(row), dense.row(row as usize).to_vec());
-            let probe = (row + 7) % rows;
-            prop_assert_eq!(virt.read_row(probe), dense.row(probe as usize).to_vec());
-        }
-        // Full-table equivalence at the end.
-        let materialized = virt.to_dense();
-        prop_assert!(materialized.max_abs_diff(&dense) == 0.0);
-    }
 
     /// Parallel noise fill is deterministic and independent of buffer
     /// slicing — chunk boundaries never duplicate or correlate values
