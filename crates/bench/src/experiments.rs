@@ -628,10 +628,6 @@ pub fn experiment_ids() -> Vec<(&'static str, &'static str)> {
             "thread scaling: LazyDP step wall-clock vs executor width",
         ),
         (
-            "sharding",
-            "shard scaling: LazyDP step wall-clock vs sparse-state shard count",
-        ),
-        (
             "storage",
             "out-of-core storage: page-cache capacity sweep (hit rate, spill bytes, bitwise identity)",
         ),
@@ -680,7 +676,6 @@ pub fn run_experiment(id: &str) -> Option<Table> {
         "utility" => crate::utility::utility_tradeoff(),
         "adafest" => crate::adafest::adafest_traffic(),
         "scaling" => crate::scaling::thread_scaling(),
-        "sharding" => crate::sharding::shard_scaling(),
         "storage" => crate::storage::storage_sweep(),
         "kernels" => crate::kernels::kernel_throughput(),
         "obs" => crate::obs::obs_rollup(),

@@ -53,7 +53,7 @@ fn setup() -> (Dlrm, Vec<MiniBatch>) {
 }
 
 fn cfg() -> LazyDpConfig {
-    LazyDpConfig::new(DpConfig::new(0.9, 1.0, 0.05, BATCH), false).with_shards(2)
+    LazyDpConfig::new(DpConfig::new(0.9, 1.0, 0.05, BATCH), false)
 }
 
 fn spill() -> StorageConfig {

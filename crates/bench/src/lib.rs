@@ -28,7 +28,7 @@
 //! let table = run_experiment("e12").expect("registered experiment");
 //! assert!(table.markdown().contains("HistoryTable"));
 //! // Every listed id has a runner.
-//! assert!(experiment_ids().iter().any(|(id, _)| *id == "sharding"));
+//! assert!(experiment_ids().iter().any(|(id, _)| *id == "scaling"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,7 +43,6 @@ pub mod leak;
 pub mod obs;
 pub mod roofline;
 pub mod scaling;
-pub mod sharding;
 pub mod storage;
 pub mod table;
 pub mod utility;

@@ -3,8 +3,7 @@
 //! LazyDP adds a subtlety that eager DP-SGD does not have: at any point
 //! mid-training, the embedding tables are missing their **pending**
 //! noise — the model on the heap is *not* the DP-protected model. A
-//! correct checkpoint must therefore persist the
-//! [`HistoryTable`](crate::history::HistoryTable)s and
+//! correct checkpoint must therefore persist the [`HistoryTable`]s and
 //! the iteration counter along with the weights, so that a resumed run
 //! continues to owe exactly the same noise. Dropping the history and
 //! resuming with a fresh one would double-charge noise (a fresh history
@@ -20,7 +19,7 @@
 //! *placement* of these bytes (temp file + `sync_all` + atomic rename +
 //! versioned manifest) lives in [`crate::recovery`].
 
-use crate::history::ShardedHistory;
+use crate::history::HistoryTable;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
 use lazydp_embedding::EmbeddingStorage;
 use lazydp_fault::checksum::fnv1a64;
@@ -115,9 +114,7 @@ pub struct Checkpoint {
     pub config: DlrmConfig,
     /// Flat weights: bottom layers, top layers, embedding tables.
     weights: Vec<Vec<f32>>,
-    /// Per-table last-noise-applied iterations, always in **global** row
-    /// order — a checkpoint carries no shard layout, so it restores into
-    /// any shard count (the on-disk format is shard-independent).
+    /// Per-table last-noise-applied iterations, in row order.
     history: Vec<Vec<u32>>,
     /// Training iteration at capture time.
     pub iteration: u64,
@@ -155,7 +152,7 @@ impl Checkpoint {
             history: opt
                 .history_tables()
                 .iter()
-                .map(ShardedHistory::to_raw_global)
+                .map(|h| h.as_raw().to_vec())
                 .collect(),
             iteration: opt.iteration(),
         }
@@ -163,11 +160,6 @@ impl Checkpoint {
 
     /// Restores the model and optimizer. `noise` must be the same
     /// source (same seed) as the interrupted run for exact continuation.
-    ///
-    /// The stored history is repartitioned into `cfg.dp.shards` shards —
-    /// the shard count may differ from the run that saved the
-    /// checkpoint, and (with an addressable noise source) the resumed
-    /// training is bitwise identical either way.
     ///
     /// # Panics
     ///
@@ -251,17 +243,16 @@ impl Checkpoint {
         }
     }
 
-    /// Rebuilds the optimizer from the checkpointed history (always
-    /// stored in global row order, repartitioned into `cfg.dp.shards`).
+    /// Rebuilds the optimizer from the checkpointed history.
     fn rebuild_optimizer<N: RowNoise + Clone + Send + Sync>(
         &self,
         cfg: LazyDpConfig,
         noise: N,
     ) -> LazyDpOptimizer<N> {
-        let history: Vec<ShardedHistory> = self
+        let history = self
             .history
             .iter()
-            .map(|h| ShardedHistory::from_raw_global(h, cfg.dp.shards))
+            .map(|h| HistoryTable::from_raw(h.clone()))
             .collect();
         LazyDpOptimizer::from_state(cfg, noise, history, self.iteration)
     }
@@ -548,7 +539,7 @@ mod tests {
             CounterNoise::new(4),
             m.tables
                 .iter()
-                .map(|t| ShardedHistory::new(t.rows(), 1))
+                .map(|t| HistoryTable::new(t.rows()))
                 .collect(),
             4,
         );
@@ -567,51 +558,6 @@ mod tests {
             diff > 1e-4,
             "dropping the history must visibly corrupt the model (diff {diff})"
         );
-    }
-
-    #[test]
-    fn resume_across_shard_count_change_is_bitwise_exact() {
-        // The checkpoint format is shard-independent: a run saved at
-        // S=1 must resume at S=4 (and back) with a bitwise-identical
-        // finalized model. CounterNoise is addressable, so both the
-        // resumed steps and the release-time flush are exercised on the
-        // sharded path.
-        let (model0, ds, mut cfg) = setup();
-        cfg.ans = true;
-        let bs = batches(&ds, 9);
-        let steps = 8usize;
-        // Uninterrupted single-shard reference.
-        let mut m_full = model0.clone();
-        let mut o_full = LazyDpOptimizer::new(cfg.clone(), &m_full, CounterNoise::new(4));
-        for i in 0..steps {
-            o_full.step(&mut m_full, &bs[i], Some(&bs[i + 1]));
-        }
-        o_full.finalize_model(&mut m_full);
-        // Interrupted at step 4 on S=1, resumed on S=4 (and S=8).
-        for resume_shards in [4usize, 8] {
-            let mut m = model0.clone();
-            let mut o = LazyDpOptimizer::new(cfg.clone(), &m, CounterNoise::new(4));
-            for i in 0..4 {
-                o.step(&mut m, &bs[i], Some(&bs[i + 1]));
-            }
-            let mut buf = Vec::new();
-            Checkpoint::capture(&m, &o).save(&mut buf).expect("save");
-            let ck = Checkpoint::load(&mut buf.as_slice()).expect("load");
-            let resumed_cfg = cfg.clone().with_shards(resume_shards);
-            let (mut m2, mut o2) = ck.restore(resumed_cfg, CounterNoise::new(4));
-            assert_eq!(o2.history_tables()[0].num_shards(), resume_shards);
-            for i in 4..steps {
-                o2.step(&mut m2, &bs[i], Some(&bs[i + 1]));
-            }
-            o2.finalize_model(&mut m2);
-            for (a, b) in m_full.tables.iter().zip(m2.tables.iter()) {
-                assert_eq!(
-                    a.max_abs_diff(b),
-                    0.0,
-                    "S=1 -> S={resume_shards} resume must be bitwise exact"
-                );
-            }
-        }
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //!    sampling. The substitution is distributional, so the privacy
 //!    guarantee is untouched (same σ, q, T — see `lazydp-privacy`).
 //!
-//! Scaling machinery on top of the algorithm (PRs 2–3, see
-//! `ARCHITECTURE.md`): the flush is hash-partitioned into
-//! `DpConfig::shards` independent [`ShardedHistory`] shards that run
-//! shard-parallel and *overlapped* with the step's dense compute, and
-//! the input pipeline can be made asynchronous (a
+//! Scaling machinery on top of the algorithm (see `ARCHITECTURE.md`):
+//! with an addressable noise source and more than one thread the
+//! per-step [`LookaheadFlush`] is *overlapped* with the step's dense
+//! compute, and the input pipeline can be made asynchronous (a
 //! `lazydp_data::PrefetchLoader` handed to
 //! [`PrivateTrainer::make_private_optimizer`]). Both are bitwise
 //! invisible in the trained model.
@@ -44,7 +43,7 @@
 //! let model = Dlrm::new(DlrmConfig::tiny(2, 64, 8), &mut rng);
 //! let ds = SyntheticDataset::new(SyntheticConfig::small(2, 64, 256));
 //! let loader = FixedBatchLoader::new(ds, 32);
-//! let cfg = LazyDpConfig::paper_default(32).with_shards(2);
+//! let cfg = LazyDpConfig::paper_default(32);
 //! let mut trainer = PrivateTrainer::make_private(
 //!     model, cfg, loader, CounterNoise::new(7), 32.0 / 256.0);
 //! trainer.train_steps(4);
@@ -69,9 +68,9 @@ pub mod wrapper;
 pub use accounted::AccountedOptimizer;
 pub use ans::aggregated_std;
 pub use checkpoint::Checkpoint;
-pub use history::{HistoryTable, ShardedHistory};
+pub use history::HistoryTable;
 pub use optimizer::{LazyDpConfig, LazyDpOptimizer};
 pub use overhead::{history_table_bytes, input_queue_bytes, OverheadReport};
-pub use plan::{flush_next_rows_sharded, NoisePlan, NoisePlanEntry, ShardedFlush};
+pub use plan::{LookaheadFlush, NoisePlanEntry};
 pub use recovery::{open_and_sweep, CheckpointError, CheckpointStore};
 pub use wrapper::PrivateTrainer;

@@ -1,25 +1,26 @@
 //! The LazyDP optimizer — Algorithm 1 of the paper.
 //!
-//! The per-row pending-noise flush is structured as a two-phase
-//! [`NoisePlan`]: [`HistoryTable`](crate::history::HistoryTable)
-//! bookkeeping, then noise sampling on the `lazydp_exec` executor (see
-//! [`crate::plan`]). With an addressable noise source two further
-//! levers apply, both bitwise-invisible in the trained model:
+//! The per-row pending-noise flush is two-phase:
+//! [`HistoryTable`] bookkeeping, then noise sampling on the
+//! `lazydp_exec` executor (see [`crate::plan`]). The per-step lookahead
+//! flush is one [`LookaheadFlush`] per table, and the only choice about
+//! it is *where* it is filled, made from what the code observes, never
+//! from an option:
 //!
-//! * **Sharding** — the sparse state is hash-partitioned into
-//!   `DpConfig::shards` independent [`ShardedHistory`] shards, and both
-//!   flush phases run shard-parallel ([`flush_next_rows_sharded`]).
-//! * **Overlap** — the lookahead flush only needs the *next* batch's
-//!   indices and the history, never the gradients, so
-//!   [`step`](Optimizer::step) samples it on a scoped worker
-//!   concurrently with the current step's dense forward/backward
-//!   compute and merges the result into the sparse update afterwards.
+//! * **Overlap** — the flush only needs the *next* batch's indices and
+//!   the history, never the gradients, so with an addressable (pure)
+//!   noise source and `threads > 1` [`step`](Optimizer::step) fills it
+//!   on a scoped worker concurrently with the current step's dense
+//!   forward/backward compute.
+//! * **Inline** — a stateful-stream source (whose draw order must be
+//!   kept) or a single-width executor fills it in the table stage.
 //!
-//! Non-addressable (stateful-stream) noise sources fall back to the
-//! sequential 1-shard path, preserving their draw order exactly.
+//! Either way it lands through the same
+//! [`merge_into`](LookaheadFlush::merge_into), and the trained model is
+//! bitwise the same.
 
-use crate::history::ShardedHistory;
-use crate::plan::{flush_next_rows_sharded, NoisePlan, NoisePlanEntry, ShardedFlush};
+use crate::history::HistoryTable;
+use crate::plan::{plan_all_rows, sample_entries_into, LookaheadFlush};
 use lazydp_data::MiniBatch;
 use lazydp_dpsgd::{DpConfig, DpStep, KernelCounters, Optimizer, StepStats, TableStage};
 use lazydp_embedding::sparse::dedup_indices_into;
@@ -78,30 +79,14 @@ impl LazyDpConfig {
         self.dp = self.dp.with_threads(threads);
         self
     }
-
-    /// Sets the sparse-state shard count (delegates to
-    /// [`DpConfig::with_shards`]). Takes effect only with an
-    /// addressable noise source; the trained model is bitwise identical
-    /// for any value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.dp = self.dp.with_shards(shards);
-        self
-    }
 }
 
 /// The LazyDP optimizer (Algorithm 1): the shared DP-SGD(F)-style
 /// [`DpStep`] front half, lazy noise updates driven by one-batch
-/// lookahead, and (optionally) aggregated noise sampling. The sparse
-/// bookkeeping is hash-partitioned into `cfg.dp.shards` shards per
-/// table (see the module docs). After warm-up a steady-state
-/// [`step`](Optimizer::step) on the sequential path performs **zero
-/// heap allocations** (pinned by the `alloc_steady_state` integration
-/// test).
+/// lookahead, and (optionally) aggregated noise sampling. After warm-up
+/// a steady-state [`step`](Optimizer::step) on a single-width executor
+/// performs **zero heap allocations** (pinned by the
+/// `alloc_steady_state` integration test).
 #[derive(Debug, Clone)]
 pub struct LazyDpOptimizer<N> {
     cfg: LazyDpConfig,
@@ -109,34 +94,24 @@ pub struct LazyDpOptimizer<N> {
     /// path can run the clipped aggregate on it while the flush worker
     /// mutably borrows the history.
     core: DpStep<N>,
-    history: Vec<ShardedHistory>,
+    history: Vec<HistoryTable>,
     /// Deduped next-batch rows, one list per table.
     targets: Vec<Vec<u64>>,
-    /// Phase-1 noise-plan entries (sequential flush path).
-    entries: Vec<NoisePlanEntry>,
-    /// Phase-2 sampled noise block (sequential flush path).
-    noise_acc: Vec<f32>,
+    /// The lookahead flush of each table, refilled every step.
+    flushes: Vec<LookaheadFlush>,
 }
 
 impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
-    /// Creates a LazyDP optimizer for `model` (the [`ShardedHistory`]s
-    /// are sized from its embedding tables and partitioned into
-    /// `cfg.dp.shards` shards — or 1 if `noise` is not addressable,
-    /// since only addressable sources may be sampled shard-parallel).
-    /// Generic over the model's embedding backend: only row counts are
-    /// read here, so in-memory and disk-backed models build identical
-    /// optimizer state.
+    /// Creates a LazyDP optimizer for `model` (one [`HistoryTable`] per
+    /// embedding table). Generic over the model's embedding backend:
+    /// only row counts are read here, so in-memory and disk-backed
+    /// models build identical optimizer state.
     #[must_use]
     pub fn new<T: EmbeddingStorage>(cfg: LazyDpConfig, model: &Dlrm<T>, noise: N) -> Self {
-        let shards = if noise.addressable() {
-            cfg.dp.shards
-        } else {
-            1
-        };
         let history = model
             .tables
             .iter()
-            .map(|t| ShardedHistory::new(t.rows(), shards))
+            .map(|t| HistoryTable::new(t.rows()))
             .collect();
         Self::from_state(cfg, noise, history, 0)
     }
@@ -144,37 +119,20 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
     /// Rebuilds an optimizer from checkpointed state (see
     /// [`crate::checkpoint`]). `history` must have one entry per table
     /// and `iter` must be the iteration the history was captured at.
-    /// The histories' shard count need not match `cfg.dp.shards` — a
-    /// checkpoint taken at any shard count resumes at any other. A
-    /// non-addressable noise source forces the sequential flush path, so
-    /// sharded histories are repartitioned to 1 shard for it.
     #[must_use]
-    pub fn from_state(
-        cfg: LazyDpConfig,
-        noise: N,
-        mut history: Vec<ShardedHistory>,
-        iter: u64,
-    ) -> Self {
-        if !noise.addressable() {
-            for h in &mut history {
-                if h.num_shards() > 1 {
-                    *h = ShardedHistory::from_raw_global(&h.to_raw_global(), 1);
-                }
-            }
-        }
+    pub fn from_state(cfg: LazyDpConfig, noise: N, history: Vec<HistoryTable>, iter: u64) -> Self {
         Self {
             core: DpStep::new(cfg.dp, noise, iter),
             cfg,
+            flushes: vec![LookaheadFlush::default(); history.len()],
             history,
             targets: Vec::new(),
-            entries: Vec::new(),
-            noise_acc: Vec::new(),
         }
     }
 
     /// The per-table history tables (checkpoint capture).
     #[must_use]
-    pub fn history_tables(&self) -> &[ShardedHistory] {
+    pub fn history_tables(&self) -> &[HistoryTable] {
         &self.history
     }
 
@@ -190,11 +148,10 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
         self.core.iteration()
     }
 
-    /// Total HistoryTable memory (the §7.2 overhead: 4 bytes/row —
-    /// sharding adds nothing per row).
+    /// Total HistoryTable memory (the §7.2 overhead: 4 bytes/row).
     #[must_use]
     pub fn history_bytes(&self) -> u64 {
-        self.history.iter().map(ShardedHistory::bytes).sum()
+        self.history.iter().map(HistoryTable::bytes).sum()
     }
 
     /// Cumulative logical-work counters (inherent so callers don't need
@@ -221,15 +178,14 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
     /// adversary sees the final model, so deferred noise must land
     /// before release). Idempotent.
     ///
-    /// Runs on the same two-phase [`NoisePlan`] machinery as the
-    /// per-step flush, one history shard at a time: the shard scan is
-    /// serial, the noise sampling inside each bounded segment is
-    /// data-parallel on the executor. Rows are visited in shard-major
-    /// instead of global order, but each row's noise is addressed by its
-    /// global id, so the released model is bitwise identical for any
-    /// shard count — and for any embedding backend: on a disk-backed
-    /// table each bounded segment touches its rows through the page
-    /// cache, so release never needs the whole table resident.
+    /// Runs on the same two-phase machinery as the per-step flush: the
+    /// history scan ([`plan_all_rows`]) is serial, the noise sampling
+    /// inside each bounded segment is data-parallel on the executor.
+    /// Each row's noise is addressed by `(table, row, iter)`, so the
+    /// released model is bitwise identical for any thread count — and
+    /// for any embedding backend: on a disk-backed table each bounded
+    /// segment touches its rows through the page cache, so release never
+    /// needs the whole table resident.
     pub fn finalize_model<T: EmbeddingStorage>(&mut self, model: &mut Dlrm<T>) {
         lazydp_obs::span!("finalize.flush_all");
         let ans = self.cfg.ans;
@@ -237,34 +193,45 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
         let TableStage {
             noise,
             counters,
+            noise_buf,
             iter,
             noise_std,
             lr,
             ..
         } = self.core.table_stage();
-        for (t, table) in model.tables.iter_mut().enumerate() {
+        // Plan and noise-block staging, shared by every table and freed
+        // on return (a full-table plan is table-sized).
+        let mut entries = Vec::new();
+        let mut noise_acc = Vec::new();
+        for (t, (table, history)) in model.tables.iter_mut().zip(&mut self.history).enumerate() {
             let dim = table.dim();
-            let spec = self.history[t].spec();
-            for s in 0..spec.shards() {
-                let shard = &mut self.history[t].shards_mut()[s];
-                let plan = NoisePlan::for_all_rows_of_shard(iter, spec, s, shard, counters);
-                lazydp_obs::metrics()
-                    .trainer
-                    .finalize_rows
-                    .add(plan.entries().len() as u64);
-                for seg in plan.entries().chunks(FINALIZE_SEGMENT_ENTRIES) {
-                    let noise_buf = NoisePlan::sample_entries(
-                        t as u32, iter, seg, dim, noise_std, ans, noise, &exec, counters,
-                    );
-                    for (e, nv) in seg.iter().zip(noise_buf.chunks_exact(dim)) {
-                        table.with_row_mut(e.row, |row| {
-                            for (w, &n) in row.iter_mut().zip(nv.iter()) {
-                                *w -= lr * n;
-                            }
-                        });
-                        counters.table_rows_read += 1;
-                        counters.table_rows_written += 1;
-                    }
+            plan_all_rows(iter, history, counters, &mut entries);
+            lazydp_obs::metrics()
+                .trainer
+                .finalize_rows
+                .add(entries.len() as u64);
+            for seg in entries.chunks(FINALIZE_SEGMENT_ENTRIES) {
+                sample_entries_into(
+                    t as u32,
+                    iter,
+                    seg,
+                    dim,
+                    noise_std,
+                    ans,
+                    noise,
+                    &exec,
+                    counters,
+                    &mut noise_acc,
+                    noise_buf,
+                );
+                for (e, nv) in seg.iter().zip(noise_acc.chunks_exact(dim)) {
+                    table.with_row_mut(e.row, |row| {
+                        for (w, &n) in row.iter_mut().zip(nv.iter()) {
+                            *w -= lr * n;
+                        }
+                    });
+                    counters.table_rows_read += 1;
+                    counters.table_rows_written += 1;
                 }
             }
         }
@@ -307,66 +274,58 @@ where
         }
 
         // Gradient derivation and lookahead flush. The flush needs only
-        // the next-batch targets, the history shards, and the (pure)
-        // noise source — never the gradients — so with an addressable
-        // source and a multi-width executor it runs shard-parallel on a
-        // scoped worker *while* the main thread does the dense
-        // forward/backward. Stateful sources keep the sequential 1-shard
-        // path below to preserve their draw order; a single-width
-        // executor takes the same sequential path (the overlap worker
+        // the next-batch targets, the history, and the noise source —
+        // never the gradients — so with an addressable (pure) source and
+        // a multi-width executor it is filled on a scoped worker *while*
+        // the main thread does the dense forward/backward. A stateful
+        // source is filled in the table stage below to preserve its draw
+        // order, and so is a single-width executor (the overlap worker
         // would only interleave with itself), which also keeps the
         // steady-state step allocation-free. Values are identical either
         // way: addressable noise is a pure function of the address. The
-        // flushing side also asks the storage backend to fault in the
+        // filling side also asks the storage backend to fault in the
         // pages of exactly the rows step t+1 gathers (the set LazyDP's
         // delayed noising touches), so on a disk-backed table the next
         // gather is served from the page cache — prefetch is a no-op for
         // in-memory backends and never changes row values.
-        let single_shard = self.history.iter().all(|h| h.num_shards() == 1);
-        let overlap =
-            has_next && self.core.noise().addressable() && (dp.threads > 1 || !single_shard);
-        let mut flushes: Vec<ShardedFlush> = Vec::new();
+        let overlap = has_next && self.core.noise().addressable() && dp.threads > 1;
         let clipped = if overlap {
             lazydp_obs::span!("step.flush_overlap");
             lazydp_obs::metrics().trainer.flush_overlaps.incr();
-            let dims: Vec<usize> = model.tables.iter().map(|t| t.dim()).collect();
             // The worker samples through its own handle: an addressable
             // source is a pure function of the address, so a clone
             // draws the same values while the core stays borrowed by
             // the aggregate.
-            let noise = self.core.noise().clone();
+            let mut noise = self.core.noise().clone();
             let history = &mut self.history;
+            let flushes = &mut self.flushes;
             let targets = &self.targets;
             let core = &mut self.core;
             let model_ref: &Dlrm<T> = model;
-            let ((fs, fc), cl) = lazydp_exec::overlap(
+            let (fc, cl) = lazydp_exec::overlap(
                 move || {
                     let mut c = KernelCounters::new();
-                    let fs: Vec<ShardedFlush> = targets
-                        .iter()
-                        .enumerate()
-                        .map(|(t, tg)| {
-                            model_ref.tables[t].prefetch_rows(tg);
-                            flush_next_rows_sharded(
-                                t as u32,
-                                iter,
-                                tg,
-                                &mut history[t],
-                                dims[t],
-                                std,
-                                ans,
-                                &noise,
-                                &exec,
-                                &mut c,
-                            )
-                        })
-                        .collect();
-                    (fs, c)
+                    for (t, (flush, tg)) in flushes.iter_mut().zip(targets).enumerate() {
+                        let table = &model_ref.tables[t];
+                        table.prefetch_rows(tg);
+                        flush.fill(
+                            t as u32,
+                            iter,
+                            tg,
+                            &mut history[t],
+                            table.dim(),
+                            std,
+                            ans,
+                            &mut noise,
+                            &exec,
+                            &mut c,
+                        );
+                    }
+                    c
                 },
                 || core.clipped_aggregate(model_ref, batch),
             );
             self.core.counters.merge(&fc);
-            flushes = fs;
             cl
         } else {
             self.core.clipped_aggregate(model, batch)
@@ -392,37 +351,30 @@ where
             grads,
             noise,
             counters,
-            noise_buf,
             lr,
             ..
         } = self.core.table_stage();
-        let (entries, noise_acc) = (&mut self.entries, &mut self.noise_acc);
         for (t, (table, update)) in model.tables.iter_mut().zip(grads).enumerate() {
-            let dim = table.dim();
-            if overlap {
-                // The flush was sampled concurrently above; land it.
-                flushes[t].merge_into(update);
-            } else if has_next {
-                // Sequential two-phase flush (a stateful source drawing
-                // through the live stream, or a single-width executor
-                // over an unsharded history): phase 1 bookkeeping,
-                // phase 2 sampling, both through step-scoped scratch.
-                lazydp_obs::span!("step.flush_seq");
-                let tg: &[u64] = &self.targets[t];
-                table.prefetch_rows(tg);
-                let shard = &mut self.history[t].shards_mut()[0];
-                NoisePlan::plan_next_rows(tg, iter, shard, update, counters, entries);
-                if !entries.is_empty() {
-                    NoisePlan::sample_entries_into(
-                        t as u32, iter, entries, dim, std, ans, noise, &exec, counters, noise_acc,
-                        noise_buf,
+            if has_next {
+                let flush = &mut self.flushes[t];
+                if !overlap {
+                    lazydp_obs::span!("step.flush_seq");
+                    let tg: &[u64] = &self.targets[t];
+                    table.prefetch_rows(tg);
+                    flush.fill(
+                        t as u32,
+                        iter,
+                        tg,
+                        &mut self.history[t],
+                        table.dim(),
+                        std,
+                        ans,
+                        noise,
+                        &exec,
+                        counters,
                     );
-                    for (e, nv) in entries.iter().zip(noise_acc.chunks_exact(dim)) {
-                        for (w, &n) in update.entry_mut(e.slot).iter_mut().zip(nv.iter()) {
-                            *w += n;
-                        }
-                    }
                 }
+                flush.merge_into(update);
             }
             {
                 lazydp_obs::span!("step.sparse_update");
@@ -614,58 +566,6 @@ mod tests {
         assert!(
             l <= s * 2,
             "lazy noise work grew with table size: {s} vs {l}"
-        );
-    }
-
-    #[test]
-    fn trained_model_is_independent_of_the_shards_knob() {
-        // The tentpole invariant: step + finalize are bitwise identical
-        // for any shard count (and any thread count on top).
-        let (model0, ds) = setup(3, 48, 160);
-        let batches: Vec<MiniBatch> = (0..=6)
-            .map(|i| ds.batch_of(&(i * 16..(i + 1) * 16).collect::<Vec<_>>()))
-            .collect();
-        let run = |shards: usize, threads: usize, ans: bool| -> Dlrm {
-            let cfg = LazyDpConfig::new(
-                DpConfig::new(0.9, 1.0, 0.05, 16)
-                    .with_threads(threads)
-                    .with_shards(shards),
-                ans,
-            );
-            let mut model = model0.clone();
-            let mut opt = LazyDpOptimizer::new(cfg.clone(), &model, CounterNoise::new(21));
-            for i in 0..6 {
-                opt.step(&mut model, &batches[i], Some(&batches[i + 1]));
-            }
-            opt.finalize_model(&mut model);
-            model
-        };
-        for ans in [true, false] {
-            let base = run(1, 1, ans);
-            for shards in [2usize, 4, 8] {
-                for threads in [1usize, 4] {
-                    let m = run(shards, threads, ans);
-                    assert_eq!(
-                        max_table_diff(&base, &m),
-                        0.0,
-                        "shards={shards} threads={threads} ans={ans} changed the model"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stateful_noise_falls_back_to_one_shard() {
-        use lazydp_rng::SequentialNoise;
-        let (model, _) = setup(2, 32, 16);
-        let cfg = LazyDpConfig::new(DpConfig::new(1.0, 1.0, 0.1, 8).with_shards(4), true);
-        let noise = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(3));
-        let opt = LazyDpOptimizer::new(cfg.clone(), &model, noise);
-        assert_eq!(
-            opt.history_tables()[0].num_shards(),
-            1,
-            "non-addressable sources must train unsharded"
         );
     }
 

@@ -388,7 +388,7 @@ pub fn open_and_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::ShardedHistory;
+    use crate::history::HistoryTable;
     use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
     use lazydp_dpsgd::DpConfig;
     use lazydp_fault::FaultPlan;
@@ -407,7 +407,7 @@ mod tests {
             model
                 .tables
                 .iter()
-                .map(|t| ShardedHistory::new(t.rows(), 1))
+                .map(|t| HistoryTable::new(t.rows()))
                 .collect(),
             iteration,
         );

@@ -62,9 +62,7 @@ where
     /// [`LazyDpConfig::with_threads`]. The GEMMs underneath
     /// forward/backward follow the *process-global* width
     /// (`lazydp_exec::set_global_threads` / `LAZYDP_THREADS`) instead.
-    /// The sparse-state shard count rides in on `cfg.dp.shards`
-    /// ([`LazyDpConfig::with_shards`]). Any combination trains the
-    /// bitwise-same model.
+    /// Any combination trains the bitwise-same model.
     ///
     /// # Panics
     ///
@@ -251,14 +249,11 @@ mod tests {
     #[test]
     fn prefetch_pipeline_trains_the_bitwise_same_model() {
         // The async double-buffered loader must be training-invisible:
-        // same source, same seed ⇒ same batches ⇒ same model, across
-        // shard counts too.
-        let train = |prefetch: bool, shards: usize| -> Dlrm {
+        // same source, same seed ⇒ same batches ⇒ same model.
+        let train = |prefetch: bool| -> Dlrm {
             let ds = dataset(256);
             let loader = FixedBatchLoader::new(ds, 32);
-            let cfg = LazyDpConfig::paper_default(32)
-                .with_threads(2)
-                .with_shards(shards);
+            let cfg = LazyDpConfig::paper_default(32).with_threads(2);
             let q = 32.0 / 256.0;
             if prefetch {
                 let model = model();
@@ -278,16 +273,9 @@ mod tests {
                 t.finish()
             }
         };
-        let base = train(false, 1);
-        for shards in [1usize, 4] {
-            let m = train(true, shards);
-            for (a, b) in base.tables.iter().zip(m.tables.iter()) {
-                assert_eq!(
-                    a.max_abs_diff(b),
-                    0.0,
-                    "prefetch (shards {shards}) changed the model"
-                );
-            }
+        let (base, m) = (train(false), train(true));
+        for (a, b) in base.tables.iter().zip(m.tables.iter()) {
+            assert_eq!(a.max_abs_diff(b), 0.0, "prefetch changed the model");
         }
     }
 

@@ -21,8 +21,8 @@
 //! Selection draws come from the deterministic dense-parameter address
 //! space of [`RowNoise::fill_unit_dense`] under [`SELECT_PARAM_BASE`],
 //! addressed by `(table, partition, iter)` — selection is a pure
-//! function of `(seed, batch)`, independent of thread count, shard
-//! count, and storage backend. The per-row update kernel is the dense
+//! function of `(seed, batch)`, independent of thread count and
+//! storage backend. The per-row update kernel is the dense
 //! noisy-update arithmetic restricted to selected partitions, walking
 //! only their row strides; each row's update is independent and its
 //! noise is addressed by `(table, row, iter)`, so the visit order is

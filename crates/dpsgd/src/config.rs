@@ -20,19 +20,12 @@ pub struct DpConfig {
     /// (`lazydp_exec::global_threads` / `LAZYDP_THREADS`), not by this
     /// field. Every kernel is chunk-addressed on the `lazydp_exec`
     /// executor, so with an addressable noise source the trained model
-    /// is bitwise identical for any value here. [`new`](Self::new)
-    /// defaults it to [`lazydp_exec::global_threads`].
+    /// is bitwise identical for any value here — including where LazyDP
+    /// fills its lookahead flush: overlapped with the dense
+    /// forward/backward iff the source is addressable and `threads > 1`,
+    /// inline otherwise. [`new`](Self::new) defaults it to
+    /// [`lazydp_exec::global_threads`].
     pub threads: usize,
-    /// Hash-partition shard count `S` for the sparse embedding state
-    /// (LazyDP's `ShardedHistory` bookkeeping and pending-noise flush;
-    /// rows are assigned shard `row mod S`). Shards flush concurrently,
-    /// each using the executor width left over by the fan-out
-    /// (`threads / S`, so `S = 1` keeps full thread-parallel sampling);
-    /// like `threads`, the trained model is bitwise identical for any
-    /// value when the noise source is addressable (non-addressable
-    /// sources fall back to the 1-shard sequential path). Defaults
-    /// to 1.
-    pub shards: usize,
 }
 
 impl DpConfig {
@@ -59,7 +52,6 @@ impl DpConfig {
             lr,
             nominal_batch,
             threads: lazydp_exec::global_threads(),
-            shards: 1,
         }
     }
 
@@ -72,18 +64,6 @@ impl DpConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         self.threads = threads;
-        self
-    }
-
-    /// Sets the sparse-state shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        self.shards = shards;
         self
     }
 
@@ -130,22 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_and_override() {
-        let cfg = DpConfig::paper_default(8);
-        assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.with_shards(4).shards, 4);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one thread")]
     fn rejects_zero_threads() {
         let _ = DpConfig::paper_default(8).with_threads(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn rejects_zero_shards() {
-        let _ = DpConfig::paper_default(8).with_shards(0);
     }
 
     #[test]

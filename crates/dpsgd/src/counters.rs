@@ -54,10 +54,10 @@ impl KernelCounters {
         }
     }
 
-    /// Accumulates another counter set into this one (used to merge the
-    /// per-shard counters of a shard-parallel flush — each shard counts
-    /// privately, then the totals are summed, so the merged counts are
-    /// identical to a serial walk's).
+    /// Accumulates another counter set into this one (LazyDP's overlap
+    /// worker counts its lookahead flush privately while the main thread
+    /// counts the clipped aggregate; the sum is what an inline flush
+    /// would have counted).
     pub fn merge(&mut self, other: &Self) {
         self.gaussian_samples += other.gaussian_samples;
         self.table_rows_written += other.table_rows_written;

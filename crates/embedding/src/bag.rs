@@ -106,7 +106,7 @@ impl EmbeddingBag {
     ///
     /// Generic over the table backend (any [`EmbeddingStorage`]): the
     /// accumulation arithmetic is identical whether the rows come from
-    /// memory, shards, or disk pages.
+    /// memory or disk pages.
     ///
     /// # Panics
     ///

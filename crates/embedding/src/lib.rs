@@ -17,10 +17,8 @@
 //!   coalescing" stage of Fig. 11),
 //! * [`AccessTracker`] — per-row access statistics used to validate the
 //!   skewed-workload generators against Fig. 13(d)'s definitions,
-//! * [`ShardSpec`] — the row→shard hash partition every sharded
-//!   structure (`lazydp-core`'s `ShardedHistory` and flush plans,
-//!   DP-AdaFEST's partition counts) shares, so training stays bitwise
-//!   identical for any shard count,
+//! * [`ShardSpec`] — the row→partition hash DP-AdaFEST selects and
+//!   noises by (its only user),
 //! * [`EmbeddingStorage`] — the row-access trait the two table backends
 //!   ([`EmbeddingTable`] in memory, `lazydp_store::StoredTable` out of
 //!   core) share, so the whole training stack is generic over where

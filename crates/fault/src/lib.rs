@@ -80,11 +80,14 @@ pub enum Site {
     CkptSync,
     /// `ckpt.rename` — the atomic rename publishing a checkpoint.
     CkptRename,
-    /// `step` — a kill point inside the optimizer step, after the
-    /// lookahead flush but before the sparse updates land.
+    /// `step` — a kill point inside the optimizer step, after the dense
+    /// update but before the sparse updates land (an overlapped
+    /// lookahead flush has already run by then, an inline one has not).
     MidStep,
-    /// `flush` — a kill point inside the sharded pending-noise flush
-    /// (runs on the overlap worker when overlap is active).
+    /// `flush` — a kill point at the head of LazyDP's per-step lookahead
+    /// flush (`LookaheadFlush::fill`, table 0), wherever it runs: on the
+    /// overlap worker, or inline in the table stage on a single-width
+    /// executor or with a stateful noise source.
     MidFlush,
     /// `checkpoint` — a kill point between writing a checkpoint's temp
     /// file and publishing it (rename + manifest update).

@@ -2,7 +2,7 @@
 //! determinism & privacy contract of the LazyDP reproduction.
 //!
 //! The reproduction's value rests on two invariants that refactors can
-//! silently break: **bitwise determinism** across threads/shards/backends
+//! silently break: **bitwise determinism** across threads/backends
 //! (the LazyDP ≡ eager DP-SGD equivalence), and **DP hygiene** (model
 //! state only ever leaves through the clip→noise release path). This
 //! crate turns the prose contract in `ARCHITECTURE.md` into a CI gate:

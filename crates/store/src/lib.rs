@@ -17,7 +17,7 @@
 //!   hit/miss/spill counters;
 //! * [`StoredTable`] — the disk-backed table implementing
 //!   `lazydp_embedding::EmbeddingStorage`, so `LazyDpOptimizer`, the
-//!   sharded pending-noise flush, `finalize_model`, and checkpointing
+//!   lookahead pending-noise flush, `finalize_model`, and checkpointing
 //!   run against it unchanged.
 //!
 //! [`StorageConfig`] carries the knobs (page size, cache capacity in

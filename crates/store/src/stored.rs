@@ -48,7 +48,7 @@ enum Backend {
 /// resident with clock eviction and dirty write-back.
 ///
 /// `StoredTable` implements [`EmbeddingStorage`], so the whole LazyDP
-/// training stack — `LazyDpOptimizer::step`, the sharded pending-noise
+/// training stack — `LazyDpOptimizer::step`, the lookahead pending-noise
 /// flush, `finalize_model`, and checkpointing — runs against it
 /// unchanged, and (the tentpole invariant, proven by the workspace
 /// proptests and `examples/out_of_core.rs`) releases a model **bitwise

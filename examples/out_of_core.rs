@@ -3,7 +3,7 @@
 //! The storage tentpole end to end: a DLRM whose embedding tables are
 //! spilled to disk pages (`lazydp_store::StoredTable`) with a page
 //! cache deliberately sized to ~12% of each table, trained through the
-//! full LazyDP pipeline (sharded sparse state + async prefetch input
+//! full LazyDP pipeline (lookahead flush + async prefetch input
 //! queue, which also drives page prefetch for step *t+1*'s rows), then
 //! released and compared against the in-memory run:
 //!
@@ -46,7 +46,7 @@ fn main() {
     // 16-row pages → 256 pages per table; a 32-page cache keeps at most
     // ~12% of each table resident.
     let storage = StorageConfig::new().with_page_rows(16).with_cache_pages(32);
-    let cfg = LazyDpConfig::paper_default(batch).with_shards(2);
+    let cfg = LazyDpConfig::paper_default(batch);
 
     // In-memory reference, async double-buffered input pipeline.
     let opt = LazyDpOptimizer::new(cfg.clone(), &model, CounterNoise::new(5));

@@ -21,8 +21,8 @@
 //! let model = Dlrm::new(DlrmConfig::tiny(2, 64, 8), &mut rng);
 //! let ds = SyntheticDataset::new(SyntheticConfig::small(2, 64, 128));
 //! let loader = FixedBatchLoader::new(ds, 16);
-//! // 2-way sharded sparse state, async double-buffered input pipeline.
-//! let cfg = LazyDpConfig::paper_default(16).with_shards(2);
+//! // Async double-buffered input pipeline.
+//! let cfg = LazyDpConfig::paper_default(16);
 //! let optimizer = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(7));
 //! let mut trainer = PrivateTrainer::make_private_optimizer(
 //!     model, optimizer, PrefetchLoader::new(loader), 16.0 / 128.0);

@@ -9,17 +9,18 @@
 //! * **mid-step** — the dense half of an optimizer step has landed, the
 //!   sparse half has not;
 //! * **mid-flush** — the lazy-noise flush for the next batch's rows is
-//!   partially applied (fires on the overlap worker thread, so this
-//!   also proves the panic payload survives the join);
+//!   under way (at 4 threads it fires on the overlap worker thread, so
+//!   this also proves the panic payload survives the join; at 1 thread
+//!   it fires inline in the table stage, after the dense update);
 //! * **mid-checkpoint** — the checkpoint file is written and synced but
 //!   not yet atomically renamed into place;
 //!
 //! — then catches the kill, reopens the [`CheckpointStore`], resumes
 //! from the last-good manifest entry, replays to the end, and asserts
 //! the released model is **bitwise identical** to an uninterrupted run.
-//! The grid covers threads {1,4} × shards {1,4} × {in-memory,
-//! disk-backed} embedding storage, all against one single-thread
-//! in-memory reference.
+//! The grid covers threads {1,4} × {in-memory, disk-backed} embedding
+//! storage, every cell run, all against one single-thread in-memory
+//! reference.
 //!
 //! A final case injects *corruption* instead of a kill and asserts the
 //! torn page is detected by its checksum at fault-in rather than
@@ -57,10 +58,8 @@ fn setup() -> (Dlrm, Vec<MiniBatch>) {
     (model, batches)
 }
 
-fn cfg(threads: usize, shards: usize) -> LazyDpConfig {
-    LazyDpConfig::new(DpConfig::new(0.9, 1.0, 0.05, BATCH), false)
-        .with_threads(threads)
-        .with_shards(shards)
+fn cfg(threads: usize) -> LazyDpConfig {
+    LazyDpConfig::new(DpConfig::new(0.9, 1.0, 0.05, BATCH), false).with_threads(threads)
 }
 
 fn spill_cfg() -> StorageConfig {
@@ -120,7 +119,7 @@ fn assert_bitwise(reference: &Dlrm, got: &Dlrm, label: &str) {
 /// must reproduce bit for bit.
 fn reference_model(model0: &Dlrm, batches: &[MiniBatch]) -> Dlrm {
     let mut m = model0.clone();
-    let mut o = LazyDpOptimizer::new(cfg(1, 1), &m, CounterNoise::new(NOISE_SEED));
+    let mut o = LazyDpOptimizer::new(cfg(1), &m, CounterNoise::new(NOISE_SEED));
     for i in 0..STEPS {
         o.step(&mut m, &batches[i], Some(&batches[i + 1]));
     }
@@ -138,19 +137,18 @@ fn reference_model(model0: &Dlrm, batches: &[MiniBatch]) -> Dlrm {
 fn kill_and_resume(
     site: Site,
     threads: usize,
-    shards: usize,
     stored: bool,
     model0: &Dlrm,
     batches: &[MiniBatch],
 ) -> Dlrm {
     quiet_injected_kills();
     let tag = format!(
-        "{}-t{threads}-s{shards}-{}",
+        "{}-t{threads}-{}",
         site.name().replace('.', "-"),
         if stored { "disk" } else { "mem" }
     );
     let dir = fresh_dir(&tag);
-    let cfg = cfg(threads, shards);
+    let cfg = cfg(threads);
 
     // MidCheckpoint ordinals count saves (0-based): ordinal KILL_ITER-1
     // is the save *after* step KILL_ITER, so in every case the newest
@@ -232,21 +230,13 @@ fn grid(site: Site) {
     let (model0, batches) = setup();
     let reference = reference_model(&model0, &batches);
     for threads in [1usize, 4] {
-        for shards in [1usize, 4] {
-            // The mid-flush point lives on the sharded overlap path,
-            // which a 1-thread 1-shard run never takes (it flushes
-            // inline with the gather) — there is no flush to tear.
-            if site == Site::MidFlush && threads == 1 && shards == 1 {
-                continue;
-            }
-            for stored in [false, true] {
-                let released = kill_and_resume(site, threads, shards, stored, &model0, &batches);
-                assert_bitwise(
-                    &reference,
-                    &released,
-                    &format!("{site} kill, threads={threads} shards={shards} stored={stored}"),
-                );
-            }
+        for stored in [false, true] {
+            let released = kill_and_resume(site, threads, stored, &model0, &batches);
+            assert_bitwise(
+                &reference,
+                &released,
+                &format!("{site} kill, threads={threads} stored={stored}"),
+            );
         }
     }
 }
@@ -278,7 +268,7 @@ fn mid_checkpoint_kill_leaves_no_stale_files_after_sweep() {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         let mut store = CheckpointStore::open(&dir).expect("open");
         let mut m = model0.clone();
-        let mut o = LazyDpOptimizer::new(cfg(1, 1), &m, CounterNoise::new(NOISE_SEED));
+        let mut o = LazyDpOptimizer::new(cfg(1), &m, CounterNoise::new(NOISE_SEED));
         for i in 0..3 {
             o.step(&mut m, &batches[i], Some(&batches[i + 1]));
             store.save(&Checkpoint::capture(&m, &o)).expect("save");
@@ -323,7 +313,7 @@ fn injected_page_corruption_is_detected_not_trained_on() {
             .clone()
             .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
             .expect("spill tables");
-        let mut o = LazyDpOptimizer::new(cfg(1, 1), &m, CounterNoise::new(NOISE_SEED));
+        let mut o = LazyDpOptimizer::new(cfg(1), &m, CounterNoise::new(NOISE_SEED));
         for i in 0..STEPS {
             o.step(&mut m, &batches[i], Some(&batches[i + 1]));
         }

@@ -34,11 +34,8 @@ fn setup() -> (Dlrm, SyntheticDataset) {
 
 fn lazydp_run(model: &Dlrm, ds: &SyntheticDataset) -> Dlrm {
     let q = BATCH as f64 / ds.len() as f64;
-    // threads=2 + shards=2 exercises the overlap worker and the
-    // shard-parallel flush under every obs mode.
-    let cfg = LazyDpConfig::new(DpConfig::paper_default(BATCH), true)
-        .with_threads(2)
-        .with_shards(2);
+    // threads=2 exercises the overlap worker under every obs mode.
+    let cfg = LazyDpConfig::new(DpConfig::paper_default(BATCH), true).with_threads(2);
     let mut trainer = PrivateTrainer::make_private_optimizer(
         model.clone(),
         LazyDpOptimizer::new(cfg, model, CounterNoise::new(11)),

@@ -205,54 +205,6 @@ proptest! {
         }
     }
 
-    /// The sharding tentpole invariant: a full LazyDP run — `step`s plus
-    /// `finalize_model` — is **bitwise** identical for any sparse-state
-    /// shard count, on random Zipf-skewed access traces. Each shard
-    /// owns its rows' history and noise addressed by *global* row id,
-    /// so shards ∈ {1, 2, 4, 8} must agree exactly.
-    #[test]
-    fn lazydp_training_is_shard_count_independent(
-        exponent in 0.4f64..1.4,
-        seed in 0u64..1000,
-        ans in proptest::bool::ANY,
-    ) {
-        use lazydp::data::AccessDistribution;
-        let rows = 48u64;
-        let steps = 4usize;
-        let dist = AccessDistribution::zipf(rows, exponent);
-        let mut trace_rng = Xoshiro256PlusPlus::seed_from(seed ^ 0x0051_4a4d);
-        let script: Vec<Vec<u64>> = (0..=steps)
-            .map(|_| dist.sample_many(&mut trace_rng, 5))
-            .collect();
-        let (_, batches) = batches_from_script(2, rows, &script);
-        let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-        let model0 = Dlrm::new(DlrmConfig::tiny(2, rows, 4), &mut rng);
-        let run = |shards: usize| -> Dlrm {
-            let dp = DpConfig::new(0.8, 1.0, 0.05, 4).with_shards(shards);
-            let mut model = model0.clone();
-            let mut opt = LazyDpOptimizer::new(
-                LazyDpConfig::new(dp, ans),
-                &model,
-                CounterNoise::new(seed),
-            );
-            for i in 0..steps {
-                opt.step(&mut model, &batches[i], Some(&batches[i + 1]));
-            }
-            opt.finalize_model(&mut model);
-            model
-        };
-        let base = run(1);
-        for shards in [2usize, 4, 8] {
-            let m = run(shards);
-            for (t, (a, b)) in base.tables.iter().zip(m.tables.iter()).enumerate() {
-                prop_assert!(
-                    a.max_abs_diff(b) == 0.0,
-                    "table {t} changed at {shards} shards"
-                );
-            }
-        }
-    }
-
     /// The async-pipeline tentpole invariant: training through the
     /// background-thread `PrefetchLoader` produces the bitwise-same
     /// model as the synchronous `LookaheadLoader` over the same
@@ -262,7 +214,6 @@ proptest! {
     fn prefetch_loader_matches_synchronous_loader(
         exponent in 0.4f64..1.4,
         seed in 0u64..1000,
-        shards in 1usize..5,
     ) {
         use lazydp::data::{
             AccessDistribution, FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
@@ -280,10 +231,7 @@ proptest! {
         };
         let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ 0x00f0_0d1e);
         let model0 = Dlrm::new(DlrmConfig::tiny(tables, rows, 4), &mut rng);
-        let cfg = LazyDpConfig::new(
-            DpConfig::new(0.8, 1.0, 0.05, 16).with_shards(shards),
-            true,
-        );
+        let cfg = LazyDpConfig::new(DpConfig::new(0.8, 1.0, 0.05, 16), true);
         let q = 16.0 / 128.0;
         let mut sync_t = PrivateTrainer::make_private(
             model0.clone(), cfg.clone(), mk_loader(), CounterNoise::new(seed), q);
@@ -306,7 +254,7 @@ proptest! {
     /// plus `finalize_model` — on the paged `StoredTable` backend is
     /// **bitwise** identical to the in-memory run on Zipf-skewed
     /// traces, across page geometries, cache capacities (including a
-    /// pathological 1-page cache), shard counts {1, 4}, and both ways a
+    /// pathological 1-page cache), and both ways a
     /// stored model comes to be: a dense one spilled page by page, or
     /// `lazy_uniform` tables that are written nowhere until training
     /// dirties a page. Paging changes where rows live, never their
@@ -317,24 +265,19 @@ proptest! {
         seed in 0u64..1000,
         page_rows in 1usize..9,
         cache_pages in 1usize..10,
-        four_shards in proptest::bool::ANY,
         lazy_init in proptest::bool::ANY,
     ) {
         use lazydp::data::AccessDistribution;
         use lazydp::store::{StorageConfig, StoredTable};
         let rows = 48u64;
         let steps = 4usize;
-        let shards = if four_shards { 4usize } else { 1 };
         let dist = AccessDistribution::zipf(rows, exponent);
         let mut trace_rng = Xoshiro256PlusPlus::seed_from(seed ^ 0x0070_4a6e);
         let script: Vec<Vec<u64>> = (0..=steps)
             .map(|_| dist.sample_many(&mut trace_rng, 5))
             .collect();
         let (_, batches) = batches_from_script(2, rows, &script);
-        let cfg = LazyDpConfig::new(
-            DpConfig::new(0.8, 1.0, 0.05, 4).with_shards(shards),
-            true,
-        );
+        let cfg = LazyDpConfig::new(DpConfig::new(0.8, 1.0, 0.05, 4), true);
         let scfg = StorageConfig::new()
             .with_page_rows(page_rows)
             .with_cache_pages(cache_pages);
@@ -381,19 +324,19 @@ proptest! {
             prop_assert!(
                 b.max_abs_diff_dense(a) == 0.0,
                 "table {t} diverged on the paged backend (page_rows {page_rows}, \
-                 cache {cache_pages}, shards {shards}, lazy {lazy_init})"
+                 cache {cache_pages}, lazy {lazy_init})"
             );
         }
     }
 
     /// DP-AdaFEST's determinism contract: a full run — `step`s plus
     /// `finalize` — is **bitwise** invariant across the threads knob
-    /// {1, 4}, the shards knob {1, 4}, and the storage backend
+    /// {1, 4} and the storage backend
     /// (in-memory vs paged `StoredTable`), on random Zipf-skewed access
     /// traces. Selection and noise are addressed by (table, partition/
     /// row, iter), never by execution order.
     #[test]
-    fn adafest_training_is_invariant_across_threads_shards_and_backends(
+    fn adafest_training_is_invariant_across_threads_and_backends(
         exponent in 0.4f64..1.4,
         seed in 0u64..1000,
         partition_rows in 1usize..20,
@@ -411,47 +354,42 @@ proptest! {
         let (_, batches) = batches_from_script(2, rows, &script);
         let mut rng = Xoshiro256PlusPlus::seed_from(seed);
         let model0 = Dlrm::new(DlrmConfig::tiny(2, rows, 4), &mut rng);
-        let cfg_for = |threads: usize, shards: usize| AdaFestConfig::new(
-            DpConfig::new(0.8, 1.0, 0.05, 4).with_threads(threads).with_shards(shards),
+        let cfg_for = |threads: usize| AdaFestConfig::new(
+            DpConfig::new(0.8, 1.0, 0.05, 4).with_threads(threads),
             1.0,
             1.5,
             partition_rows,
         );
-        let run_mem = |threads: usize, shards: usize| -> Dlrm {
+        let run_mem = |threads: usize| -> Dlrm {
             let mut model = model0.clone();
-            let mut opt = AdaFestOptimizer::new(cfg_for(threads, shards), CounterNoise::new(seed));
+            let mut opt = AdaFestOptimizer::new(cfg_for(threads), CounterNoise::new(seed));
             for b in batches.iter().take(steps) {
                 opt.step(&mut model, b, None);
             }
             opt.finalize(&mut model);
             model
         };
-        let base = run_mem(1, 1);
-        for (threads, shards) in [(4usize, 1usize), (1, 4), (4, 4)] {
-            let m = run_mem(threads, shards);
-            for (t, (a, b)) in base.tables.iter().zip(m.tables.iter()).enumerate() {
-                prop_assert!(
-                    a.max_abs_diff(b) == 0.0,
-                    "table {t} changed at threads {threads} / shards {shards}"
-                );
-            }
-            for (a, b) in base
-                .top
-                .layers()
-                .iter()
-                .zip(m.top.layers().iter())
-                .chain(base.bottom.layers().iter().zip(m.bottom.layers().iter()))
-            {
-                prop_assert!(a.weight.max_abs_diff(&b.weight) == 0.0);
-                prop_assert!(a.bias == b.bias);
-            }
+        let base = run_mem(1);
+        let m = run_mem(4);
+        for (t, (a, b)) in base.tables.iter().zip(m.tables.iter()).enumerate() {
+            prop_assert!(a.max_abs_diff(b) == 0.0, "table {t} changed at 4 threads");
+        }
+        for (a, b) in base
+            .top
+            .layers()
+            .iter()
+            .zip(m.top.layers().iter())
+            .chain(base.bottom.layers().iter().zip(m.bottom.layers().iter()))
+        {
+            prop_assert!(a.weight.max_abs_diff(&b.weight) == 0.0);
+            prop_assert!(a.bias == b.bias);
         }
         // Paged backend over the same trace, seed, and config.
         let scfg = StorageConfig::new().with_page_rows(3).with_cache_pages(2);
         let mut stored = model0
             .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
             .expect("spill dir must be writable");
-        let mut opt = AdaFestOptimizer::new(cfg_for(4, 4), CounterNoise::new(seed));
+        let mut opt = AdaFestOptimizer::new(cfg_for(4), CounterNoise::new(seed));
         for b in batches.iter().take(steps) {
             opt.step(&mut stored, b, None);
         }
