@@ -12,7 +12,6 @@ use lazydp_dpsgd::{
 use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_rng::counter::CounterNoise;
 use lazydp_rng::Xoshiro256PlusPlus;
-use std::time::Instant;
 
 const TABLES: usize = 2;
 const ROWS: u64 = 32_768;
@@ -34,11 +33,10 @@ fn setup(skew: SkewLevel) -> (Dlrm, Vec<MiniBatch>) {
     (model, batches)
 }
 
-fn run_lazy(ans: bool, skew: SkewLevel, finalize: bool) -> (KernelCounters, f64) {
+fn run_lazy(ans: bool, skew: SkewLevel, finalize: bool) -> KernelCounters {
     let (mut model, batches) = setup(skew);
     let cfg = LazyDpConfig::new(DpConfig::paper_default(BATCH), ans);
     let mut opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(5));
-    let t0 = Instant::now();
     for i in 0..STEPS {
         opt.step(&mut model, &batches[i], Some(&batches[i + 1]));
     }
@@ -48,7 +46,7 @@ fn run_lazy(ans: bool, skew: SkewLevel, finalize: bool) -> (KernelCounters, f64)
         // exclude it and the conservation ablation includes it.
         opt.finalize_model(&mut model);
     }
-    (opt.counters(), t0.elapsed().as_secs_f64())
+    opt.counters()
 }
 
 /// Ablation: aggregated noise sampling on vs off (functional run).
@@ -61,7 +59,7 @@ pub fn abl_ans() -> Table {
     let mut t = Table::new(
         "abl_ans",
         "Ablation — aggregated noise sampling (functional, incl. finalize flush)",
-        &["variant", "Gaussian draws", "wall time", "draws vs eager"],
+        &["variant", "Gaussian draws", "draws vs eager"],
     )
     .with_note(
         "Eager DP-SGD draws table_elements × iterations; LazyDP(w/o ANS) conserves that \
@@ -75,21 +73,17 @@ pub fn abl_ans() -> Table {
         ClipStyle::Fast,
         CounterNoise::new(5),
     );
-    let t0 = Instant::now();
     for b in batches.iter().take(STEPS) {
         eager.step(&mut model, b, None);
     }
-    let eager_time = t0.elapsed().as_secs_f64();
     let eager_draws = eager.counters().gaussian_samples;
-    let fmt_t = |s: f64| format!("{:.1} ms", s * 1e3);
     t.push_row(vec![
         "DP-SGD(F) (eager)".into(),
         eager_draws.to_string(),
-        fmt_t(eager_time),
         "1.00×".into(),
     ]);
     for ans in [false, true] {
-        let (c, secs) = run_lazy(ans, SkewLevel::Random, true);
+        let c = run_lazy(ans, SkewLevel::Random, true);
         t.push_row(vec![
             if ans {
                 "LazyDP (ANS)"
@@ -98,7 +92,6 @@ pub fn abl_ans() -> Table {
             }
             .into(),
             c.gaussian_samples.to_string(),
-            fmt_t(secs),
             format!("{:.2}×", c.gaussian_samples as f64 / eager_draws as f64),
         ]);
     }
@@ -119,7 +112,7 @@ pub fn abl_skew() -> Table {
          2.2 → 1.9× trend.",
     );
     for skew in SkewLevel::all() {
-        let (c, _) = run_lazy(true, skew, false);
+        let c = run_lazy(true, skew, false);
         t.push_row(vec![
             skew.label().into(),
             c.gaussian_samples.to_string(),
@@ -215,7 +208,7 @@ pub fn abl_queue() -> Table {
          therefore change no work term, only memory (batch × tables × pooling × 4 B per \
          extra slot). Measured noise draws at depth 2 are the invariant baseline.",
     );
-    let (c2, _) = run_lazy(true, SkewLevel::Random, false);
+    let c2 = run_lazy(true, SkewLevel::Random, false);
     let paper_cfg = DlrmConfig::mlperf(1);
     let slot = input_queue_bytes(&paper_cfg, 2048);
     for depth in 2usize..=5 {

@@ -23,7 +23,6 @@ use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_privacy::{Mechanism, RdpAccountant};
 use lazydp_rng::counter::CounterNoise;
 use lazydp_rng::Xoshiro256PlusPlus;
-use std::time::Instant;
 
 const TABLES: usize = 2;
 const DIM: usize = 16;
@@ -67,11 +66,10 @@ fn dp() -> DpConfig {
 
 /// Runs `STEPS` iterations of one algorithm (plus its finalize flush,
 /// so LazyDP's deferred rows are settled and counted) and returns the
-/// kernel counters and wall time.
-fn run_algo(which: &str, rows: u64) -> (KernelCounters, f64) {
+/// kernel counters.
+fn run_algo(which: &str, rows: u64) -> KernelCounters {
     let (mut model, batches) = setup(rows);
-    let t0 = Instant::now();
-    let counters = match which {
+    match which {
         "eager" => {
             let mut opt = EagerDpSgd::new(dp(), ClipStyle::Fast, CounterNoise::new(9));
             for b in batches.iter().take(STEPS) {
@@ -99,8 +97,7 @@ fn run_algo(which: &str, rows: u64) -> (KernelCounters, f64) {
             <AdaFestOptimizer<CounterNoise> as Optimizer>::counters(&opt)
         }
         _ => unreachable!("unknown algorithm {which}"),
-    };
-    (counters, t0.elapsed().as_secs_f64())
+    }
 }
 
 fn epsilon_for(mech: &Mechanism) -> f64 {
@@ -124,7 +121,6 @@ pub fn adafest_traffic() -> Table {
             "rows written",
             "noise bytes",
             &format!("ε ({STEPS} steps, δ=1e-6)"),
-            "wall time",
         ],
     )
     .with_note(
@@ -149,7 +145,6 @@ pub fn adafest_traffic() -> Table {
             },
         ),
     ];
-    let fmt_t = |s: f64| format!("{:.1} ms", s * 1e3);
     for rows in SIZES {
         for (label, mech) in &mechs {
             let which = match *label {
@@ -157,7 +152,7 @@ pub fn adafest_traffic() -> Table {
                 "LazyDP" => "lazydp",
                 _ => "adafest",
             };
-            let (c, secs) = run_algo(which, rows);
+            let c = run_algo(which, rows);
             t.push_row(vec![
                 rows.to_string(),
                 (*label).into(),
@@ -165,7 +160,6 @@ pub fn adafest_traffic() -> Table {
                 c.table_rows_written.to_string(),
                 c.table_bytes_written(DIM).to_string(),
                 format!("{:.2}", epsilon_for(mech)),
-                fmt_t(secs),
             ]);
         }
     }
@@ -185,7 +179,7 @@ mod tests {
         let large = SIZES[2];
         let grow = large as f64 / small as f64; // 16×
 
-        let written = |which: &str, rows: u64| run_algo(which, rows).0.table_rows_written as f64;
+        let written = |which: &str, rows: u64| run_algo(which, rows).table_rows_written as f64;
 
         let eager_ratio = written("eager", large) / written("eager", small);
         let lazy_ratio = written("lazydp", large) / written("lazydp", small);

@@ -1,12 +1,12 @@
 //! CLI: regenerate the paper's tables and figures.
 //!
 //! ```text
-//! cargo run --release -p lazydp-bench --bin figures -- list
-//! cargo run --release -p lazydp-bench --bin figures -- fig10
-//! cargo run --release -p lazydp-bench --bin figures -- all
-//! cargo run --release -p lazydp-bench --bin figures -- report > report.md
-//! cargo run --release -p lazydp-bench --bin figures -- csv fig10
-//! cargo run --release -p lazydp-bench --bin figures -- json storage
+//! cargo run --release -p lazydp_bench --bin figures -- list
+//! cargo run --release -p lazydp_bench --bin figures -- fig10
+//! cargo run --release -p lazydp_bench --bin figures -- all
+//! cargo run --release -p lazydp_bench --bin figures -- report > report.md
+//! cargo run --release -p lazydp_bench --bin figures -- csv fig10
+//! cargo run --release -p lazydp_bench --bin figures -- json adafest
 //! ```
 
 use lazydp_bench::{experiment_ids, full_report, run_experiment};

@@ -160,8 +160,10 @@ pub fn fig6() -> Table {
     .with_note(
         "Paper: the Box–Muller noise-sampling kernel sits at N = 101 and achieves \
          ≈ 215 GFLOPS (81% of peak, compute-bound); the noisy-gradient update sits at \
-         N = 2, deep in the memory-bound ramp. A real-hardware analogue of this sweep \
-         runs in `cargo bench -p lazydp-bench --bench roofline`.",
+         N = 2, deep in the memory-bound ramp. The harness measures the same two \
+         kernels on the host: `rng.fill_dense_msamples_s` (Box–Muller), \
+         `dpsgd.dense_noisy_update_mrows_s` (the update sweep) and \
+         `tensor.fma_peak_gflops` (the ceiling) in `benchmark/results/*.json`.",
     );
     let s = spec();
     let ridge = 215.0 * 64.0 / 8.0 / (s.stream_bw() / 1e9); // informational only
@@ -624,28 +626,8 @@ pub fn experiment_ids() -> Vec<(&'static str, &'static str)> {
             "DP-AdaFEST vs eager/LazyDP: noise traffic vs table size (functional)",
         ),
         (
-            "scaling",
-            "thread scaling: LazyDP step wall-clock vs executor width",
-        ),
-        (
-            "storage",
-            "out-of-core storage: page-cache capacity sweep (hit rate, spill bytes, bitwise identity)",
-        ),
-        (
-            "kernels",
-            "kernel layer: blocked-GEMM GFLOP/s, single-pass Gaussian samples/s, step before/after",
-        ),
-        (
-            "obs",
-            "observability rollup: lazydp_obs registry delta across a LazyDP + DP-AdaFEST run",
-        ),
-        (
             "faults",
             "fault-injection resilience: transient storm, dead spill device, kill+resume replay cost",
-        ),
-        (
-            "roofline",
-            "roofline: forward/backward/fused-clipped GFLOP/s vs measured FMA peak",
         ),
     ]
 }
@@ -675,12 +657,7 @@ pub fn run_experiment(id: &str) -> Option<Table> {
         "abl_queue" => crate::ablation::abl_queue(),
         "utility" => crate::utility::utility_tradeoff(),
         "adafest" => crate::adafest::adafest_traffic(),
-        "scaling" => crate::scaling::thread_scaling(),
-        "storage" => crate::storage::storage_sweep(),
-        "kernels" => crate::kernels::kernel_throughput(),
-        "obs" => crate::obs::obs_rollup(),
         "faults" => crate::faults::fault_resilience(),
-        "roofline" => crate::roofline::roofline(),
         _ => return None,
     })
 }

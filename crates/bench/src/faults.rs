@@ -111,7 +111,7 @@ fn kill_resume_run(model0: &Dlrm, batches: &[MiniBatch]) -> (Dlrm, usize) {
             }
         }));
     });
-    let dir = std::env::temp_dir().join(format!("lazydp-bench-faults-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("lazydp-figures-faults-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     lazydp_fault::install(FaultPlan::new(1).rule(Site::MidStep, KILL_ITER, FaultKind::Kill));
     let attempt = catch_unwind(AssertUnwindSafe(|| {

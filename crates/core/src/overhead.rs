@@ -4,7 +4,7 @@
 //! mini-batch in the `InputQueue` and the per-row `HistoryTable`. §7.2
 //! quantifies both for the default 96 GB model: **213 KB** and **751 MB**
 //! (< 1% of the model). These calculators reproduce those numbers from a
-//! model configuration and power the `e12` experiment in `lazydp-bench`.
+//! model configuration and power the `e12` experiment in `lazydp_bench`.
 
 use lazydp_model::DlrmConfig;
 

@@ -15,7 +15,7 @@
 //!
 //! See [`rules::RULES`] (or run `lazydp-lint rules`): D1 (no
 //! `HashMap`/`HashSet` in non-test code), D2 (no wall clock outside
-//! `crates/bench`), D3 (no raw `thread::{spawn,scope}` outside
+//! `crates/obs`), D3 (no raw `thread::{spawn,scope}` outside
 //! `lazydp_exec`), D4 (no float `.sum()`/`.fold(…)` outside
 //! `lazydp_tensor`), D5 (`#![forbid(unsafe_code)]` in every crate root),
 //! P1 (no debug-printing gradient-bearing values), P2 (no `rand::` or

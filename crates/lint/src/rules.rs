@@ -8,7 +8,7 @@
 //! | ID | Invariant protected |
 //! |----|---------------------|
 //! | D1 | Bitwise replay: no `HashMap`/`HashSet` in non-test code (unordered iteration) |
-//! | D2 | Replayability: no `Instant`/`SystemTime` outside `crates/bench` and `crates/obs` |
+//! | D2 | Replayability: no `Instant`/`SystemTime` outside `crates/obs` |
 //! | D3 | Deterministic parallelism: no `std::thread::{spawn,scope}` outside `lazydp_exec` |
 //! | D4 | Fixed accumulation order: no float `.sum()`/`.fold(…)` outside `lazydp_tensor` |
 //! | D5 | Memory safety: every crate root carries `#![forbid(unsafe_code)]` |
@@ -39,9 +39,10 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "D2",
-        summary: "no Instant::now/SystemTime outside crates/bench and crates/obs",
+        summary: "no Instant::now/SystemTime outside crates/obs",
         invariant: "wall-clock reads make runs unreplayable; the clock lives in \
-                    lazydp_obs::clock (Stopwatch, span timing) and lazydp_bench",
+                    lazydp_obs::clock (Stopwatch, span timing) and only benchmark/ \
+                    reports what it reads",
     },
     Rule {
         id: "D3",
@@ -247,15 +248,14 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
         }
 
         // D2: wall clock.
-        if !(in_bench || in_obs) && (name == "Instant" || name == "SystemTime") {
+        if !in_obs && (name == "Instant" || name == "SystemTime") {
             push(
                 "D2",
                 t,
                 format!(
-                    "wall-clock type `{name}` outside crates/bench and \
-                     crates/obs: timing belongs in lazydp_obs::clock (e.g. \
-                     `Stopwatch`, `span!`) or lazydp_bench, or allowlist a \
-                     measurement-only span"
+                    "wall-clock type `{name}` outside crates/obs: timing \
+                     belongs in lazydp_obs::clock (e.g. `Stopwatch`, \
+                     `span!`), or allowlist a measurement-only span"
                 ),
             );
         }

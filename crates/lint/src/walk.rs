@@ -2,7 +2,7 @@
 //!
 //! Scanned, relative to the workspace root: `src/`, `examples/`, and
 //! every `crates/*/{src,examples}/`. Skipped: `tests/` and `benches/`
-//! directories (integration tests and criterion benches are test code),
+//! directories (integration tests and benches are test code),
 //! `target/`, and `vendor/` (third-party stubs are outside the
 //! contract).
 

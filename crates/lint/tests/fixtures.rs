@@ -36,7 +36,7 @@ fn d1_ignores_btreemap_and_test_code() {
 // ---------------------------------------------------------------- D2 --
 
 #[test]
-fn d2_flags_wall_clock_outside_bench() {
+fn d2_flags_wall_clock_outside_obs() {
     let src = "fn f() { let t = std::time::Instant::now(); let _ = t; }\n";
     let v = flags("crates/core/src/x.rs", src, "D2");
     assert_eq!(v.len(), 1, "{v:?}");
@@ -44,16 +44,11 @@ fn d2_flags_wall_clock_outside_bench() {
 }
 
 #[test]
-fn d2_permits_wall_clock_in_bench_crate() {
-    let src = "fn f() { let t = std::time::Instant::now(); let _ = t.elapsed(); }\n";
-    assert!(flags("crates/bench/src/timing.rs", src, "D2").is_empty());
-}
-
-#[test]
-fn d2_permits_wall_clock_in_obs_crate() {
+fn d2_permits_wall_clock_in_obs_crate_only() {
     let src = "fn f() { let t = std::time::Instant::now(); let _ = t.elapsed(); }\n";
     assert!(flags("crates/obs/src/clock.rs", src, "D2").is_empty());
-    // The sanctioned set is exactly bench + obs; everything else flags.
+    // `crates/bench` prices and counts; `benchmark/` is where time is measured.
+    assert_eq!(flags("crates/bench/src/timing.rs", src, "D2").len(), 1);
     assert_eq!(flags("crates/store/src/cache.rs", src, "D2").len(), 1);
 }
 
@@ -221,7 +216,7 @@ fn o1_flags_obs_reads_in_hot_paths() {
 #[test]
 fn o1_permits_reads_in_bench_obs_and_tests() {
     let snap = "fn f() -> u64 { lazydp_obs::snapshot::capture_metrics().counter(\"x\") }\n";
-    assert!(flags("crates/bench/src/obs.rs", snap, "O1").is_empty());
+    assert!(flags("crates/bench/src/faults.rs", snap, "O1").is_empty());
     assert!(flags("crates/obs/src/export.rs", snap, "O1").is_empty());
     let test_only = "#[cfg(test)]\nmod tests {\n    fn f() { let _ = \
                      lazydp_obs::snapshot::capture_metrics(); }\n}\n";

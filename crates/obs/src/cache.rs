@@ -3,7 +3,7 @@
 //! The paged store wants two views of the same events: exact
 //! *per-cache* counts (its unit tests pin eviction sequences down to
 //! the individual fault) and fleet-wide totals in the
-//! [`crate::metrics()`] registry (what `figures -- storage` and the
+//! [`crate::metrics()`] registry (what `benchmark/` and the
 //! exporters read). [`CacheCounters`] provides both from one record
 //! call: the owned fields always increment — they are plain `u64`s
 //! behind the cache's own `&mut`, free and deterministic — while the

@@ -1,12 +1,12 @@
 //! Wall-clock measurement, quarantined.
 //!
 //! The workspace lint pass (rule **D2**) bans `std::time::Instant` and
-//! `SystemTime` everywhere outside `crates/bench` and `crates/obs`:
-//! wall-clock reads are inherently non-deterministic, so a timing call
-//! sitting next to training logic is a standing invitation to let "how
-//! long did it take" leak into "what did it compute". This module is
-//! the single sanctioned home of the clock: benches and examples time
-//! with [`Stopwatch`], and the span machinery in [`crate::trace`] reads
+//! `SystemTime` everywhere outside `crates/obs`: wall-clock reads are
+//! inherently non-deterministic, so a timing call sitting next to
+//! training logic is a standing invitation to let "how long did it
+//! take" leak into "what did it compute". This module is the single
+//! sanctioned home of the clock: `benchmark/` and examples time with
+//! [`Stopwatch`], and the span machinery in [`crate::trace`] reads
 //! [`now_ns`] only when tracing is on.
 
 use std::sync::OnceLock;

@@ -39,13 +39,11 @@
 
 pub mod counter;
 pub mod gaussian;
-pub mod parallel;
 pub mod prng;
 pub mod stats;
 pub mod subsample;
 
 pub use counter::{CounterRng, CounterStream, RowNoise, SequentialNoise};
 pub use gaussian::{box_muller, fill_standard_normal, GaussianSampler};
-pub use parallel::{par_accumulate_noise, par_fill_standard_normal};
 pub use prng::{Prng, SplitMix64, Xoshiro256PlusPlus};
 pub use subsample::{poisson_sample, sample_without_replacement};

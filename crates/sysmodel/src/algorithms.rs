@@ -2,7 +2,7 @@
 //!
 //! The op-count formulas here mirror, one for one, the instrumented
 //! kernels of `lazydp-dpsgd` / `lazydp-core` (cross-validated in
-//! `lazydp-bench`): e.g. eager DP-SGD draws `total_rows × dim` Gaussians
+//! `lazydp_bench`): e.g. eager DP-SGD draws `total_rows × dim` Gaussians
 //! and streams the whole table, LazyDP draws `unique_next × dim` (with
 //! ANS) and scatters `unique_cur + unique_next` rows.
 

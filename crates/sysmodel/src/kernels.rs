@@ -13,7 +13,7 @@ use crate::spec::SystemSpec;
 /// AVX compute instructions per 8-wide vector for Box–Muller noise
 /// sampling (paper §4.3). Kept numerically identical to
 /// `lazydp_rng::gaussian::BOX_MULLER_AVX_OPS_PER_VECTOR`; a cross-crate
-/// test in `lazydp-bench` asserts they match.
+/// test in `lazydp_bench` asserts they match.
 pub const NOISE_SAMPLING_AVX_OPS: u32 = 101;
 
 /// AVX compute instructions per element for the noisy-gradient update

@@ -14,7 +14,7 @@
 //! samples, rows streamed/gathered, GEMM flops) are the *same formulas*
 //! the functional optimizers in `lazydp-dpsgd`/`lazydp-core` execute and
 //! count via `KernelCounters`; tests in
-//! `lazydp-bench` assert both sides agree at small scale. The roofline
+//! `lazydp_bench` assert both sides agree at small scale. The roofline
 //! constants themselves are validated against the paper's quoted
 //! micro-measurements (215 GFLOPS at N=101 = 81% of peak; 85.5% of
 //! stream bandwidth; noise sampling + noisy update = 83.1% of model

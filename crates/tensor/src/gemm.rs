@@ -73,8 +73,8 @@ pub fn blocked_chunk_rows(chunk_rows: usize, total_rows: usize) -> usize {
 
 /// Which kernel implementation [`Matrix::matmul`] and friends dispatch
 /// to. Both produce bitwise-identical results (see the module docs);
-/// the switch exists so the `kernels` experiment can measure the
-/// before/after throughput within one binary.
+/// the switch exists so CI's `LAZYDP_GEMM=reference` leg can run the
+/// whole suite over the reference kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmMode {
     /// The packed, register-blocked micro-kernels (the default).

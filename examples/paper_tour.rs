@@ -73,5 +73,5 @@ fn main() {
     }
 
     println!("\nFull figure-by-figure reproduction:");
-    println!("  cargo run --release -p lazydp-bench --bin figures -- all");
+    println!("  cargo run --release -p lazydp_bench --bin figures -- all");
 }

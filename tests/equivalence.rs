@@ -73,8 +73,10 @@ fn lazydp_equals_eager_dpsgd_full_pipeline() {
     }
     lazy.finalize_model(&mut lazy_model);
 
+    // Not bitwise — deferred draws are summed, then applied — but a few
+    // ulps: 2.98e-8 measured here; the harness checks the same 1e-6.
     let d = max_model_diff(&eager_model, &lazy_model);
-    assert!(d < 2e-3, "LazyDP diverged from eager DP-SGD by {d}");
+    assert!(d < 1e-6, "LazyDP diverged from eager DP-SGD by {d}");
 }
 
 /// All three eager variants coincide (B ≡ R ≡ F), via the facade.
@@ -95,8 +97,9 @@ fn all_eager_variants_coincide() {
         }
         finals.push(m);
     }
-    assert!(max_model_diff(&finals[0], &finals[1]) < 1e-3, "B vs R");
-    assert!(max_model_diff(&finals[1], &finals[2]) < 1e-3, "R vs F");
+    // Measured 1.49e-8 (B vs R) and 1.86e-9 (R vs F): summation order only.
+    assert!(max_model_diff(&finals[0], &finals[1]) < 1e-7, "B vs R");
+    assert!(max_model_diff(&finals[1], &finals[2]) < 1e-8, "R vs F");
 }
 
 /// EANA differs from DP-SGD exactly on the never-accessed rows (the

@@ -62,6 +62,17 @@ fn headline_numbers_in_paper_bands() {
     assert_eq!(oom, "OOM");
 }
 
+/// The functional tables are CI's diffable artifacts: no column may
+/// depend on the host's speed, so two runs agree row for row.
+#[test]
+fn functional_tables_are_a_pure_function_of_their_seeds() {
+    for id in ["abl_ans", "adafest"] {
+        let first = run_experiment(id).expect("exists").rows;
+        let second = run_experiment(id).expect("exists").rows;
+        assert_eq!(first, second, "{id} differs between two runs");
+    }
+}
+
 #[test]
 fn fig6_identifies_both_kernels() {
     let t = run_experiment("fig6").expect("exists");

@@ -450,25 +450,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Parallel noise fill is deterministic and independent of buffer
-    /// slicing — chunk boundaries never duplicate or correlate values
-    /// enough to shift the sample mean.
-    #[test]
-    fn parallel_fill_statistics(threads in 1usize..6, seed in 0u64..500) {
-        use lazydp::rng::par_fill_standard_normal;
-        let mut buf = vec![0.0f32; 8192];
-        par_fill_standard_normal(seed, &mut buf, threads);
-        let mean: f64 = buf.iter().map(|&x| f64::from(x)).sum::<f64>() / buf.len() as f64;
-        prop_assert!(mean.abs() < 0.1, "mean {mean} (threads {threads})");
-        let distinct: std::collections::HashSet<u32> =
-            buf.iter().map(|x| x.to_bits()).collect();
-        prop_assert!(distinct.len() > buf.len() / 2, "values must not repeat");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
     /// V2 checkpoint robustness: flipping any single bit or truncating
     /// the byte stream at any point yields a typed error from
     /// [`Checkpoint::from_bytes`] — never a panic, never a silent load
