@@ -12,10 +12,14 @@
 //! below demonstrate both the correct round-trip and that failure mode.
 //!
 //! The format is a simple little-endian binary stream (no external
-//! serialization dependency), versioned and magic-tagged. Version 2
-//! appends an FNV-1a-64 checksum over the whole payload: any flipped or
-//! truncated byte surfaces as a typed `InvalidData` error at load —
-//! never a panic, never a silent load of torn state. Crash-consistent
+//! serialization dependency), versioned and magic-tagged. An FNV-1a-64
+//! checksum trails the whole payload: any flipped or truncated byte
+//! surfaces as a typed `InvalidData` error at load — never a panic,
+//! never a silent load of torn state. Version 3 has version 2's bytes
+//! but marks the lane-wise Box–Muller noise stream: a version-2
+//! checkpoint owes noise from the old libm stream, and resuming it on
+//! the new one would match neither uninterrupted run, so it is refused
+//! as an unsupported version. Crash-consistent
 //! *placement* of these bytes (temp file + `sync_all` + atomic rename +
 //! versioned manifest) lives in [`crate::recovery`].
 
@@ -29,7 +33,7 @@ use lazydp_store::{StorageConfig, StoredTable};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"LAZYDP\x01\x00";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Bytes before the checksummed payload: magic + version word.
 const HEADER_LEN: usize = 12;
 /// The FNV-1a-64 payload checksum trailing the stream.
@@ -257,7 +261,7 @@ impl Checkpoint {
         LazyDpOptimizer::from_state(cfg, noise, history, self.iteration)
     }
 
-    /// Serializes to a writer (the version-2 stream: header, payload,
+    /// Serializes to a writer (the version-3 stream: header, payload,
     /// FNV-1a-64 payload checksum trailer).
     ///
     /// # Errors
@@ -649,5 +653,19 @@ mod tests {
             .expect("save");
         buf[8] = 0xFF;
         assert!(Checkpoint::load(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn version_2_checkpoints_are_refused() {
+        // A v2 checkpoint owes noise from the pre-v3 sampler stream; it
+        // must not resume, even with an intact payload and checksum.
+        let (model, _, cfg) = setup();
+        let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(1));
+        let mut buf = Checkpoint::capture(&model, &opt).to_bytes();
+        assert!(Checkpoint::from_bytes(&buf).is_ok());
+        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = Checkpoint::from_bytes(&buf).expect_err("v2 must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported checkpoint version");
     }
 }

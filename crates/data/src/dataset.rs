@@ -159,8 +159,8 @@ impl SyntheticDataset {
         // Map to roughly N(0, 0.5²) via two uniforms (cheap CLT-free
         // approach: one Box-Muller draw).
         let mut stream = CounterRng::new(bits).stream(0);
-        let (z, _) = gaussian::box_muller(stream.next_f64_open(), stream.next_f64());
-        0.5 * z as f32
+        let (z, _) = gaussian::pair(stream.next_u64(), stream.next_u64());
+        0.5 * z
     }
 
     /// Generates sample `i`: `(dense, per-table indices, label)`.

@@ -70,6 +70,16 @@ impl Prng for CounterStream {
         self.pos = self.pos.wrapping_add(1);
         v
     }
+
+    /// Each slot is an independent `at(pos + i)`, so the hash runs
+    /// lane-wise over the whole block (the Gaussian fills' 32-draw
+    /// blocks).
+    fn fill_u64(&mut self, out: &mut [u64]) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.rng.at(self.pos.wrapping_add(i as u64));
+        }
+        self.pos = self.pos.wrapping_add(out.len() as u64);
+    }
 }
 
 /// Source of *standard-normal* noise addressable by `(table, row, iter)`.

@@ -5,8 +5,17 @@
 //! load, ~101 AVX trigonometric/logarithmic/other compute instructions,
 //! and an AVX store, making it strongly *compute-bound* (Fig. 6: 215
 //! GFLOPS effective, 81% of peak). This module implements the same
-//! transform in scalar Rust and exports the instruction-count constants
-//! that `lazydp-sysmodel` uses to model the kernel at paper scale.
+//! transform as one lane-wise `f32` body, [`pair`], and exports the
+//! instruction-count constants that `lazydp-sysmodel` uses to model the
+//! kernel at paper scale.
+//!
+//! [`pair`] is built only from IEEE correctly-rounded operations
+//! (`+ − × ÷ √`, exact integer→float conversions, bit casts) with fixed
+//! polynomials for `ln` and `sin`/`cos` — no libm call. Every fill applies
+//! it over fixed 16-pair blocks that LLVM autovectorizes; because each
+//! operation has exactly one correct result, the vectorized blocks, the
+//! scalar tail and a build for any other x86-64 level all produce the same
+//! noise bits (pinned by `known_answer_bits`).
 
 use crate::prng::Prng;
 
@@ -23,74 +32,111 @@ pub const AVX_F32_LANES: u32 = 8;
 /// (§4.3: "requiring only two computations for each loaded data element").
 pub const UPDATE_OPS_PER_ELEMENT: u32 = 2;
 
-/// The Box–Muller transform: maps two uniforms to two independent
-/// standard-normal samples.
+/// One Box–Muller pair from two raw 64-bit draws: `(r cos θ, r sin θ)`
+/// with `r = √(−2 ln u1)`, `u1 = ((a >> 11) + 1) · 2⁻⁵³ ∈ (0, 1]`, and
+/// `θ = 2π · (b >> 37) · 2⁻²⁷`.
 ///
-/// `u1` must lie in `(0, 1]` (the logarithm argument) and `u2` in
-/// `[0, 1)`. Use [`Prng::next_f64_open`] / [`Prng::next_f64`].
-///
-/// # Panics
-///
-/// Debug-asserts the input ranges.
-#[inline]
+/// Every Gaussian draw of the workspace goes through this one body. It
+/// uses only correctly-rounded operations, so its bits do not depend on
+/// the build or on how many lanes run it at once. `u1 = 1` gives exactly
+/// zero; the smallest `u1`, `2⁻⁵³`, gives the largest radius, `8.5717`.
+#[inline(always)]
 #[must_use]
-pub fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
-    debug_assert!(u1 > 0.0 && u1 <= 1.0, "u1 out of (0,1]: {u1}");
-    debug_assert!((0.0..1.0).contains(&u2), "u2 out of [0,1): {u2}");
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = 2.0 * std::f64::consts::PI * u2;
-    (r * theta.cos(), r * theta.sin())
+pub fn pair(a: u64, b: u64) -> (f32, f32) {
+    let r = radius(a);
+    let (cos, sin) = cos_sin(b);
+    (r * cos, r * sin)
 }
 
-/// Box–Muller pairs converted per batched-uniform refill of
-/// [`fill_mapped`] (64 raw `u64` draws per refill).
-const FILL_BATCH_PAIRS: usize = 32;
+/// `√(−2 ln u1)` for `u1 = m · 2⁻⁵³`, `m = (a >> 11) + 1 ≤ 2⁵³` (exact as
+/// an `f64`). Writing `m = 2ᵏ · f` with `f ∈ [√½, √2)` gives
+/// `−ln u1 = (53 − k) ln 2 − ln f`, and `ln f = 2 atanh(s / (2 + s))` with
+/// `s = f − 1` (exact) is a short odd series in `f32`: its first omitted
+/// term is below 2⁻²⁶ relative, and `s` near 0 keeps `u1` near 1 accurate.
+#[inline(always)]
+fn radius(a: u64) -> f32 {
+    const SQRT_HALF: u64 = 0x3fe6_a09e_667f_3bcd;
+    const ONE: u64 = 0x3ff0_0000_0000_0000;
+    let m = ((a >> 11) + 1) as i64 as f64;
+    // Moves the exponent step from 2 to √2 (the musl `log` reduction).
+    let bits = m.to_bits() + (ONE - SQRT_HALF);
+    let k = (bits >> 52) as i32 - 1023;
+    let f = f64::from_bits((bits & ((1 << 52) - 1)) + SQRT_HALF);
+    let s = (f - 1.0) as f32;
+    let u = s / (2.0 + s);
+    let w = u * u;
+    let ln_f = u * (2.0 + w * (2.0 / 3.0 + w * (2.0 / 5.0 + w * (2.0 / 7.0 + w * (2.0 / 9.0)))));
+    ((53 - k) as f32 * (2.0 * std::f32::consts::LN_2) - 2.0 * ln_f).sqrt()
+}
 
-/// The single-pass fill kernel shared by every Gaussian fill: draws
-/// uniforms in batches of `2 × FILL_BATCH_PAIRS` raw `u64`s
-/// ([`Prng::fill_u64`]), converts each pair through Box–Muller, and
-/// applies `f` to each `f32` sample as it is stored — so an affine
-/// output transform (mean/std) costs no second sweep over `out`.
-///
-/// Uniform consumption is *identical* to the historical two-pass
-/// implementation: `2 * ceil(out.len() / 2)` draws in the same order,
-/// converted by the same [`u64_to_unit_f64`]/[`u64_to_unit_f64_open`]
-/// mapping — the stream position and every produced bit match it
-/// exactly (pinned by `single_pass_fill_is_bitwise_the_two_pass_fill`).
-///
-/// [`u64_to_unit_f64`]: crate::prng::u64_to_unit_f64
-/// [`u64_to_unit_f64_open`]: crate::prng::u64_to_unit_f64_open
+/// `(cos θ, sin θ)` for `θ = 2π · (b >> 37) · 2⁻²⁷`: the top 3 bits pick
+/// an octant, the next 24 a point `x ∈ [0, 1)` in it, and fixed
+/// polynomials on `[0, π/4]` (Cephes `sinf`/`cosf`) do the rest. Odd
+/// octants run backwards from their far edge (`1 − x`, exact), so every
+/// octant is a swap and sign flip of the first.
+#[inline(always)]
+fn cos_sin(b: u64) -> (f32, f32) {
+    let octant = (b >> 61) as u32;
+    let x = ((b >> 37) & 0xff_ffff) as i32 as f32 * (1.0 / 16_777_216.0);
+    let x = if octant & 1 == 1 { 1.0 - x } else { x };
+    let phi = x * std::f32::consts::FRAC_PI_4;
+    let w = phi * phi;
+    let sin = phi + phi * w * (-1.666_665_4e-1 + w * (8.332_161e-3 + w * -1.951_529_6e-4));
+    let cos =
+        (w * w * (4.166_664_6e-2 + w * (-1.388_731_6e-3 + w * 2.443_315_7e-5)) - 0.5 * w) + 1.0;
+    let (cos, sin) = if (octant + 1) & 2 == 0 {
+        (cos, sin)
+    } else {
+        (sin, cos)
+    };
+    let cos_sign = ((octant + 2) & 4) << 29;
+    let sin_sign = (octant & 4) << 29;
+    (
+        f32::from_bits(cos.to_bits() ^ cos_sign),
+        f32::from_bits(sin.to_bits() ^ sin_sign),
+    )
+}
+
+/// Box–Muller pairs per block of [`fill_mapped`]: the fixed array length
+/// LLVM vectorizes [`pair`] over.
+const BLOCK_PAIRS: usize = 16;
+
+/// The fill kernel shared by every Gaussian fill: draws raw `u64`s in
+/// blocks of `2 × BLOCK_PAIRS` ([`Prng::fill_u64`]), runs [`pair`] over
+/// each block's fixed arrays, and applies `f` to each sample as it is
+/// stored — so an affine output transform costs no second sweep. The
+/// tail runs `pair` one pair at a time, so a short fill does exact-size
+/// work; draw `2i` and `2i + 1` always feed output pair `i`.
 #[inline]
 fn fill_mapped<R: Prng>(rng: &mut R, out: &mut [f32], f: impl Fn(f32) -> f32) {
-    use crate::prng::{u64_to_unit_f64, u64_to_unit_f64_open};
-    let mut uniforms = [0u64; 2 * FILL_BATCH_PAIRS];
-    let mut blocks = out.chunks_exact_mut(2 * FILL_BATCH_PAIRS);
+    let mut bits = [0u64; 2 * BLOCK_PAIRS];
+    let mut blocks = out.chunks_exact_mut(2 * BLOCK_PAIRS);
     for block in &mut blocks {
-        rng.fill_u64(&mut uniforms);
-        for (pair, u) in block.chunks_exact_mut(2).zip(uniforms.chunks_exact(2)) {
-            let (z0, z1) = box_muller(u64_to_unit_f64_open(u[0]), u64_to_unit_f64(u[1]));
-            pair[0] = f(z0 as f32);
-            pair[1] = f(z1 as f32);
+        rng.fill_u64(&mut bits);
+        let mut z0 = [0.0f32; BLOCK_PAIRS];
+        let mut z1 = [0.0f32; BLOCK_PAIRS];
+        for ((z0, z1), ab) in z0.iter_mut().zip(&mut z1).zip(bits.chunks_exact(2)) {
+            (*z0, *z1) = pair(ab[0], ab[1]);
+        }
+        for ((o, &z0), &z1) in block.chunks_exact_mut(2).zip(&z0).zip(&z1) {
+            o[0] = f(z0);
+            o[1] = f(z1);
         }
     }
-    let rem = blocks.into_remainder();
-    let mut pairs = rem.chunks_exact_mut(2);
-    for pair in &mut pairs {
-        let (z0, z1) = box_muller(rng.next_f64_open(), rng.next_f64());
-        pair[0] = f(z0 as f32);
-        pair[1] = f(z1 as f32);
-    }
-    if let Some(last) = pairs.into_remainder().first_mut() {
-        let (z0, _z1) = box_muller(rng.next_f64_open(), rng.next_f64());
-        *last = f(z0 as f32);
+    for o in blocks.into_remainder().chunks_mut(2) {
+        let (z0, z1) = pair(rng.next_u64(), rng.next_u64());
+        o[0] = f(z0);
+        if let Some(last) = o.get_mut(1) {
+            *last = f(z1);
+        }
     }
 }
 
 /// Fills `out` with independent standard-normal `f32` samples using
-/// Box–Muller over the supplied uniform generator, drawing uniforms in
-/// batches (see `fill_mapped`).
+/// Box–Muller over the supplied uniform generator, drawing in blocks (see
+/// `fill_mapped`).
 ///
-/// Consumes exactly `2 * ceil(out.len() / 2)` uniforms, so the stream
+/// Consumes exactly `2 * ceil(out.len() / 2)` draws, so the stream
 /// position after the call is a deterministic function of `out.len()` —
 /// a property the counter-based noise sources rely on.
 pub fn fill_standard_normal<R: Prng>(rng: &mut R, out: &mut [f32]) {
@@ -158,17 +204,12 @@ impl GaussianSampler {
     }
 
     /// Fills `out` with samples in a single pass: the `mean + std·z`
-    /// affine is folded into the Box–Muller conversion loop instead of a
-    /// second sweep over `out`. Bitwise identical to the historical
-    /// two-pass implementation (`fill_standard_normal` followed by an
-    /// affine sweep), including the identity short-circuit for
-    /// `N(0, 1)`, and consumes the same uniforms in the same order.
+    /// affine is folded into the Box–Muller loop. Consumes the same
+    /// draws as [`fill_standard_normal`], and for `N(0, 1)` gives its
+    /// exact bits.
     pub fn fill<R: Prng>(&self, rng: &mut R, out: &mut [f32]) {
         if self.mean == 0.0 && self.std == 1.0 {
-            // The affine would not be a bitwise no-op here (it maps the
-            // rare exact `-0.0` sample to `+0.0`), so N(0,1) keeps the
-            // raw path — exactly as the two-pass version skipped its
-            // scaling sweep.
+            // The affine is not a bitwise no-op: it maps `-0.0` to `+0.0`.
             fill_standard_normal(rng, out);
         } else {
             let (mean, std) = (self.mean, self.std);
@@ -176,25 +217,10 @@ impl GaussianSampler {
         }
     }
 
-    /// Draws a single sample.
+    /// Draws a single sample (two raw draws, one [`pair`]).
     pub fn sample<R: Prng>(&self, rng: &mut R) -> f32 {
-        let (z, _) = box_muller(rng.next_f64_open(), rng.next_f64());
-        self.mean + self.std * z as f32
-    }
-
-    /// Adds `scale * sample` to every element of `acc` — the fused
-    /// "noisy gradient generation" primitive (Algorithm 1 line 34).
-    pub fn accumulate<R: Prng>(&self, rng: &mut R, scale: f32, acc: &mut [f32]) {
-        let mut chunks = acc.chunks_exact_mut(2);
-        for pair in &mut chunks {
-            let (z0, z1) = box_muller(rng.next_f64_open(), rng.next_f64());
-            pair[0] += scale * (self.mean + self.std * z0 as f32);
-            pair[1] += scale * (self.mean + self.std * z1 as f32);
-        }
-        if let Some(last) = chunks.into_remainder().first_mut() {
-            let (z0, _) = box_muller(rng.next_f64_open(), rng.next_f64());
-            *last += scale * (self.mean + self.std * z0 as f32);
-        }
+        let (z, _) = pair(rng.next_u64(), rng.next_u64());
+        self.mean + self.std * z
     }
 }
 
@@ -207,8 +233,36 @@ impl Default for GaussianSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::{CounterNoise, RowNoise};
     use crate::prng::Xoshiro256PlusPlus;
     use crate::stats;
+
+    /// The textbook f64 transform through libm — the reference [`pair`]
+    /// is measured against. `u1 ∈ (0, 1]`, `u2 ∈ [0, 1)`.
+    fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+        let r = (-2.0 * u1.ln()).sqrt();
+        let theta = 2.0 * std::f64::consts::PI * u2;
+        (r * theta.cos(), r * theta.sin())
+    }
+
+    /// [`box_muller`] on the uniforms [`pair`] reads from `a` and `b`.
+    fn reference(a: u64, b: u64) -> (f64, f64) {
+        box_muller(
+            ((a >> 11) + 1) as f64 / (1u64 << 53) as f64,
+            (b >> 37) as f64 / (1u64 << 27) as f64,
+        )
+    }
+
+    /// `2²²` standard-normal samples from one long fill.
+    fn big_sample(seed: u64) -> Vec<f64> {
+        let mut buf = vec![0.0f32; 1 << 22];
+        fill_standard_normal(&mut Xoshiro256PlusPlus::seed_from(seed), &mut buf);
+        buf.iter().map(|&x| f64::from(x)).collect()
+    }
+
+    /// Two-sided 5σ tail probability of a normal, the significance of
+    /// every distribution bound below.
+    const FIVE_SIGMA_ALPHA: f64 = 5.733e-7;
 
     #[test]
     fn box_muller_known_values() {
@@ -222,113 +276,138 @@ mod tests {
     }
 
     #[test]
-    fn standard_normal_moments_and_ks() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(7);
-        let mut buf = vec![0.0f32; 100_000];
-        fill_standard_normal(&mut rng, &mut buf);
-        let mut xs: Vec<f64> = buf.iter().map(|&x| f64::from(x)).collect();
-        let (mean, var) = stats::mean_var(&xs);
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-        let skew = stats::skewness(&xs);
-        assert!(skew.abs() < 0.03, "skewness {skew}");
-        let kurt = stats::excess_kurtosis(&xs);
-        assert!(kurt.abs() < 0.08, "excess kurtosis {kurt}");
-        let ks = stats::ks_statistic_normal(&mut xs, 0.0, 1.0);
-        assert!(ks < stats::ks_critical(xs.len(), 0.001), "ks {ks}");
+    fn known_answer_bits() {
+        // The first pinned noise bits: identical in debug and release and
+        // under every `target-cpu` (CI runs this on each leg).
+        let mut got = [0.0f32; 64];
+        CounterNoise::new(1).fill_unit(0, 0, 1, &mut got);
+        let bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, COUNTER_KAT);
+        let mut got = [0.0f32; 65];
+        GaussianSampler::standard().fill(&mut Xoshiro256PlusPlus::seed_from(1), &mut got);
+        let bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, SAMPLER_KAT);
     }
 
-    /// The pre-single-pass implementation, kept verbatim as the
-    /// regression reference: unit normals first, then a separate
-    /// mean/std sweep.
-    fn two_pass_fill<R: Prng>(sampler: &GaussianSampler, rng: &mut R, out: &mut [f32]) {
-        let mut chunks = out.chunks_exact_mut(2);
-        for pair in &mut chunks {
-            let (z0, z1) = box_muller(rng.next_f64_open(), rng.next_f64());
-            pair[0] = z0 as f32;
-            pair[1] = z1 as f32;
+    /// `CounterNoise::new(1).fill_unit(0, 0, 1, _)`, 64 samples: two
+    /// vectorized blocks.
+    #[rustfmt::skip]
+    const COUNTER_KAT: [u32; 64] = [
+        0xbfd5_ec8b, 0x3ec4_5db1, 0xbfc0_aa44, 0xbf80_5b1b, 0xbf99_2f3e, 0xbdca_7e27, 0xbf14_1844, 0xc023_ebff,
+        0x3eb5_b930, 0x3f66_788c, 0xbf8d_c7a7, 0xbf70_93dd, 0xbe38_9c51, 0xbeb7_514e, 0xbfa0_b151, 0xbfbc_9f53,
+        0xc031_e3a9, 0xbfa6_cdb3, 0x3daf_af81, 0xc011_a309, 0xbe56_cb8a, 0x3fae_ecfd, 0x3ec5_26cd, 0xbcac_02f9,
+        0x3e02_3952, 0x3dc0_7820, 0x3f99_0776, 0x3e7e_408a, 0x3faa_aace, 0x3f8e_8039, 0x3edb_5cb9, 0xbf40_a013,
+        0xc023_9a8a, 0xbf93_2736, 0xbf80_0568, 0xbf29_b3ec, 0x3de2_f37f, 0x3d95_0483, 0xbddf_71ea, 0xbf99_faf8,
+        0x3ea8_cbf9, 0x3f63_b7c1, 0x3c60_ec5d, 0x3f56_5504, 0xbe7f_9181, 0x3dfa_e1c8, 0xbf3e_0f6b, 0x3ef0_e3a1,
+        0x3ed3_a0ba, 0x3f83_d0d7, 0xc00d_9e82, 0xbf91_03bb, 0x3f31_646e, 0xbea7_a8b1, 0x3f60_229d, 0x3fcb_f69c,
+        0x3f85_71ef, 0x3e95_4957, 0xbf22_6fde, 0xbf23_cb77, 0x3fe3_7a91, 0x3e10_2300, 0xbe91_7bb1, 0xbeb9_e613,
+    ];
+
+    /// `GaussianSampler::standard().fill` over `Xoshiro256PlusPlus::seed_from(1)`,
+    /// 65 samples: two blocks and a one-element scalar tail.
+    #[rustfmt::skip]
+    const SAMPLER_KAT: [u32; 65] = [
+        0xbc40_90b2, 0xbf25_60d3, 0xbd50_d93d, 0xc009_4210, 0xbfc6_42bf, 0xbf7d_5125, 0xbe24_a9a0, 0xbcc3_3a82,
+        0x3fb7_edf5, 0x3fce_c52d, 0xbe67_339f, 0x3ead_989c, 0xbfe7_4552, 0x3fb4_5ed0, 0x3f9c_18f7, 0x3fe9_ecc0,
+        0xbf88_7219, 0x3e3b_a8a9, 0xbe3c_2877, 0xbe6a_1f4c, 0x3ee3_ca51, 0xbfc8_ffa4, 0xbfd2_2be6, 0x3f7e_16dd,
+        0xbfad_4c8d, 0xbf82_9119, 0x3fe9_f3eb, 0xbe53_c3ae, 0xbdfd_7aa0, 0xbf7c_0be1, 0xbf1a_557b, 0xbf53_12e8,
+        0xbf58_ff0a, 0xbf4c_9a73, 0xbe0a_d9c1, 0x3e8c_7407, 0xbe55_423c, 0xc006_4c6b, 0xbe25_f8f6, 0xbed8_7aaf,
+        0xbf9d_374f, 0x3c05_0d27, 0x3ef9_6194, 0xbfa4_effa, 0xbf60_4361, 0xbf18_f57f, 0x3e9a_7399, 0x3f6b_7c97,
+        0x4004_b4f2, 0x3f4e_a05b, 0xbf32_40c1, 0xbea4_f56a, 0x3f5b_5525, 0x3fa1_eacf, 0xbfa4_d92a, 0x3dad_aec2,
+        0xbdf4_15d8, 0x3fde_2e81, 0x3f97_785c, 0x3f2d_01ce, 0xbfe8_5724, 0x3ee3_405d, 0xbec0_bfe7, 0x3ee3_801b,
+        0x3f0e_720f,
+    ];
+
+    #[test]
+    fn pair_matches_the_f64_reference() {
+        let check = |a: u64, b: u64| {
+            let (z0, z1) = pair(a, b);
+            let (r0, r1) = reference(a, b);
+            for (z, r) in [(z0, r0), (z1, r1)] {
+                let err = (f64::from(z) - r).abs();
+                assert!(
+                    err <= 1e-6 * r.abs().max(1.0),
+                    "a {a:#x} b {b:#x}: {z} vs {r}"
+                );
+            }
+        };
+        let mut rng = Xoshiro256PlusPlus::seed_from(5);
+        for _ in 0..1 << 22 {
+            check(rng.next_u64(), rng.next_u64());
         }
-        if let Some(last) = chunks.into_remainder().first_mut() {
-            let (z0, _z1) = box_muller(rng.next_f64_open(), rng.next_f64());
-            *last = z0 as f32;
-        }
-        if sampler.mean() != 0.0 || sampler.std() != 1.0 {
-            for x in out {
-                *x = sampler.mean() + sampler.std() * *x;
+        // Extremes: u1 at both ends, θ at every octant edge.
+        for a in [0, 1 << 11, u64::MAX >> 1, u64::MAX - (1 << 11), u64::MAX] {
+            for o in 0..8u64 {
+                check(a, o << 61);
+                check(a, (o << 61) | ((1 << 61) - 1));
             }
         }
+        // u1 = 1 is exactly zero; u1 = 2⁻⁵³ is the largest radius.
+        assert_eq!(pair(u64::MAX, 12345), (0.0, 0.0));
+        let (r, zero) = pair(0, 0);
+        assert!((r - 8.5717).abs() < 1e-4 && zero == 0.0, "r {r}");
     }
 
     #[test]
-    fn single_pass_fill_is_bitwise_the_two_pass_fill() {
-        // The satellite regression: folding the affine into the
-        // conversion loop (and batching the uniform draws) must change
-        // neither a single output bit nor the PRNG stream position —
-        // for every parity/length class around the batch size and for
-        // identity and non-identity affines alike.
-        for &(mean, std) in &[(0.0f32, 1.0f32), (3.0, 0.5), (-1.25, 2.0), (0.0, 0.125)] {
-            let sampler = GaussianSampler::new(mean, std);
-            for len in [0usize, 1, 2, 5, 63, 64, 65, 128, 1023] {
-                let mut rng_new = Xoshiro256PlusPlus::seed_from(42 + len as u64);
-                let mut rng_ref = Xoshiro256PlusPlus::seed_from(42 + len as u64);
-                let mut got = vec![0.0f32; len];
-                let mut want = vec![0.0f32; len];
-                sampler.fill(&mut rng_new, &mut got);
-                two_pass_fill(&sampler, &mut rng_ref, &mut want);
-                let got_bits: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-                let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got_bits, want_bits, "mean {mean} std {std} len {len}");
-                assert_eq!(
-                    rng_new.next_u64(),
-                    rng_ref.next_u64(),
-                    "stream position moved (mean {mean} std {std} len {len})"
-                );
-            }
-        }
+    fn tail_mass_beyond_four_sigma() {
+        // P(|z| > 4) = 6.334e-5: where a polynomial `ln` would show.
+        let n = 1usize << 22;
+        let beyond = big_sample(17).iter().filter(|z| z.abs() > 4.0).count() as f64;
+        let expect = 6.334e-5 * n as f64;
+        assert!(
+            (beyond - expect).abs() <= 5.0 * expect.sqrt(),
+            "{beyond} vs {expect}"
+        );
+    }
+
+    #[test]
+    fn standard_normal_moments_and_ks() {
+        let mut xs = big_sample(7);
+        let n = xs.len() as f64;
+        let (mean, var) = stats::mean_var(&xs);
+        assert!(mean.abs() < 5.0 / n.sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 5.0 * (2.0 / n).sqrt(), "var {var}");
+        let skew = stats::skewness(&xs);
+        assert!(skew.abs() < 5.0 * (6.0 / n).sqrt(), "skewness {skew}");
+        let kurt = stats::excess_kurtosis(&xs);
+        assert!(
+            kurt.abs() < 5.0 * (24.0 / n).sqrt(),
+            "excess kurtosis {kurt}"
+        );
+        let ks = stats::ks_statistic_normal(&mut xs, 0.0, 1.0);
+        assert!(
+            ks < stats::ks_critical(xs.len(), FIVE_SIGMA_ALPHA),
+            "ks {ks}"
+        );
     }
 
     #[test]
     fn counter_stream_fill_unit_is_bitwise_stable_under_batching() {
-        // fill_unit paths run the same batched kernel over a counter
-        // stream; the values must equal a pair-at-a-time conversion of
-        // the same counters.
-        use crate::counter::{CounterNoise, RowNoise};
-        use crate::prng::{u64_to_unit_f64, u64_to_unit_f64_open};
-        let noise = CounterNoise::new(99);
+        // 129 = four 16-pair blocks + a 1-element tail: every element must
+        // be `pair` over the same counters taken one pair at a time.
         let mut got = vec![0.0f32; 129];
-        let mut n = noise;
-        n.fill_unit(3, 17, 5, &mut got);
+        let mut noise = CounterNoise::new(99);
+        noise.fill_unit(3, 17, 5, &mut got);
         let mut stream = noise.stream_for(3, 17, 5);
-        for (i, &g) in got.iter().enumerate() {
-            if i % 2 == 0 {
-                let (z0, z1) = box_muller(
-                    u64_to_unit_f64_open(stream.next_u64()),
-                    u64_to_unit_f64(stream.next_u64()),
-                );
-                assert_eq!(g.to_bits(), (z0 as f32).to_bits(), "element {i}");
-                if i + 1 < got.len() {
-                    assert_eq!(
-                        got[i + 1].to_bits(),
-                        (z1 as f32).to_bits(),
-                        "element {}",
-                        i + 1
-                    );
-                }
-            }
+        for (i, g) in got.chunks(2).enumerate() {
+            let (z0, z1) = pair(stream.next_u64(), stream.next_u64());
+            let want = [z0.to_bits(), z1.to_bits()];
+            let g: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(g, want[..g.len()], "pair {i}");
         }
     }
 
     #[test]
     fn odd_length_fill_consumes_deterministic_uniforms() {
-        let mut a = Xoshiro256PlusPlus::seed_from(3);
-        let mut b = Xoshiro256PlusPlus::seed_from(3);
-        let mut buf = vec![0.0f32; 5];
-        fill_standard_normal(&mut a, &mut buf);
-        // 5 outputs -> 3 Box-Muller invocations -> 6 uniforms.
-        for _ in 0..6 {
-            let _ = b.next_f64();
+        for len in [0usize, 1, 2, 31, 32, 33, 63, 64, 65, 1023] {
+            let mut a = Xoshiro256PlusPlus::seed_from(3);
+            let mut b = Xoshiro256PlusPlus::seed_from(3);
+            fill_standard_normal(&mut a, &mut vec![0.0f32; len]);
+            for _ in 0..len.div_ceil(2) * 2 {
+                let _ = b.next_u64();
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "len {len}");
         }
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -341,20 +420,6 @@ mod tests {
         let (mean, var) = stats::mean_var(&xs);
         assert!((mean - 3.0).abs() < 0.02, "mean {mean}");
         assert!((var - 0.25).abs() < 0.01, "var {var}");
-    }
-
-    #[test]
-    fn accumulate_adds_scaled_noise() {
-        let mut rng_a = Xoshiro256PlusPlus::seed_from(4);
-        let mut rng_b = Xoshiro256PlusPlus::seed_from(4);
-        let sampler = GaussianSampler::new(0.0, 2.0);
-        let mut acc = vec![10.0f32; 9];
-        sampler.accumulate(&mut rng_a, 0.5, &mut acc);
-        let mut reference = vec![0.0f32; 9];
-        sampler.fill(&mut rng_b, &mut reference);
-        for (a, r) in acc.iter().zip(reference.iter()) {
-            assert!((a - (10.0 + 0.5 * r)).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -44,6 +44,6 @@ pub mod stats;
 pub mod subsample;
 
 pub use counter::{CounterRng, CounterStream, RowNoise, SequentialNoise};
-pub use gaussian::{box_muller, fill_standard_normal, GaussianSampler};
+pub use gaussian::{fill_standard_normal, GaussianSampler};
 pub use prng::{Prng, SplitMix64, Xoshiro256PlusPlus};
 pub use subsample::{poisson_sample, sample_without_replacement};

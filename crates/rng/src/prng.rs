@@ -13,25 +13,6 @@
 //! [`rand::RngCore`], so they compose with the `rand` ecosystem where
 //! convenient (e.g. `rand::seq` shuffles in the data loader).
 
-/// Converts 64 uniform bits to a uniform `f64` in `[0, 1)` using the top
-/// 53 bits — the exact conversion behind [`Prng::next_f64`], exposed so
-/// batched consumers (the single-pass Gaussian fills) produce the same
-/// value from the same bits.
-#[inline]
-#[must_use]
-pub fn u64_to_unit_f64(bits: u64) -> f64 {
-    // 2^-53 scaling of the high 53 bits.
-    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Converts 64 uniform bits to a uniform `f64` in `(0, 1]` — the exact
-/// conversion behind [`Prng::next_f64_open`].
-#[inline]
-#[must_use]
-pub fn u64_to_unit_f64_open(bits: u64) -> f64 {
-    ((bits >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Minimal uniform-generator interface used throughout the workspace.
 ///
 /// The methods have deterministic, platform-independent output for a given
@@ -53,15 +34,16 @@ pub trait Prng {
     ///
     /// Uses the top 53 bits so every representable value is equally likely.
     fn next_f64(&mut self) -> f64 {
-        u64_to_unit_f64(self.next_u64())
+        // 2^-53 scaling of the high 53 bits.
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Returns a uniform `f64` in the half-open interval `(0, 1]`.
     ///
-    /// This is the form Box–Muller needs for its logarithm argument
-    /// (`ln 0` must never occur).
+    /// This is the form a logarithm argument needs (`ln 0` must never
+    /// occur).
     fn next_f64_open(&mut self) -> f64 {
-        u64_to_unit_f64_open(self.next_u64())
+        ((self.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Returns a uniform `f32` in `[0, 1)`.

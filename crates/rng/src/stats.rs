@@ -108,23 +108,20 @@ pub fn ks_statistic_normal(xs: &mut [f64], mean: f64, std: f64) -> f64 {
 }
 
 /// Approximate KS critical value at significance `alpha` for sample size
-/// `n` (asymptotic formula `c(α)·√(1/n)`), valid for `n ≳ 35`.
+/// `n`: the asymptotic formula `c(α)·√(1/n)` with the closed form
+/// `c(α) = √(−ln(α/2)/2)` (1.224 / 1.358 / 1.628 / 1.949 at
+/// α = 0.1 / 0.05 / 0.01 / 0.001), valid for `n ≳ 35`.
 ///
-/// Supported `alpha`: 0.1, 0.05, 0.01, 0.001 (others fall back to 0.001,
-/// i.e. the most permissive threshold in this set is *not* silently
-/// chosen — the strictest is).
+/// # Panics
+///
+/// Panics unless `0 < alpha < 1`.
 #[must_use]
 pub fn ks_critical(n: usize, alpha: f64) -> f64 {
-    let c = if (alpha - 0.1).abs() < 1e-12 {
-        1.224
-    } else if (alpha - 0.05).abs() < 1e-12 {
-        1.358
-    } else if (alpha - 0.01).abs() < 1e-12 {
-        1.628
-    } else {
-        1.949 // alpha = 0.001
-    };
-    c / (n as f64).sqrt()
+    assert!(
+        alpha > 0.0 && alpha < 1.0,
+        "alpha must be in (0, 1), got {alpha}"
+    );
+    (-(alpha / 2.0).ln() / 2.0).sqrt() / (n as f64).sqrt()
 }
 
 /// Two-sample mean z-score: how many standard errors apart the means of
@@ -211,5 +208,24 @@ mod tests {
     fn ks_critical_decreases_with_n() {
         assert!(ks_critical(100, 0.05) > ks_critical(10_000, 0.05));
         assert!(ks_critical(1000, 0.1) < ks_critical(1000, 0.001));
+    }
+
+    #[test]
+    fn ks_critical_follows_alpha_between_table_values() {
+        for (alpha, c) in [(0.1, 1.224), (0.05, 1.358), (0.01, 1.628), (0.001, 1.949)] {
+            assert!((ks_critical(1, alpha) - c).abs() < 5e-4, "alpha {alpha}");
+        }
+        // An untabulated α must not fall back to the loosest threshold.
+        let c = ks_critical(1, 0.02);
+        assert!(
+            ks_critical(1, 0.05) < c && c < ks_critical(1, 0.01),
+            "c {c}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be in (0, 1)")]
+    fn ks_critical_rejects_alpha_outside_the_unit_interval() {
+        let _ = ks_critical(100, 1.0);
     }
 }
