@@ -31,15 +31,7 @@ pub fn interaction_forward(kind: InteractionKind, inputs: &[Matrix]) -> Matrix {
 ///
 /// Panics if `inputs` is empty or shapes disagree.
 pub fn interaction_forward_into(kind: InteractionKind, inputs: &[Matrix], out: &mut Matrix) {
-    assert!(!inputs.is_empty(), "interaction needs at least one input");
-    let (batch, dim) = inputs[0].shape();
-    for m in inputs {
-        assert_eq!(
-            m.shape(),
-            (batch, dim),
-            "interaction inputs must share shape"
-        );
-    }
+    let (batch, dim) = shared_shape(inputs);
     match kind {
         InteractionKind::Concat => {
             out.reset_zeroed(batch, dim * inputs.len());
@@ -59,9 +51,26 @@ pub fn interaction_forward_into(kind: InteractionKind, inputs: &[Matrix], out: &
                 row[..dim].copy_from_slice(inputs[0].row(b));
                 let mut k = dim;
                 for i in 0..n {
-                    for j in (i + 1)..n {
+                    let xi = inputs[i].row(b);
+                    // `DOT_LANES` pairs (i, j) at a time as independent
+                    // chains: each is still one `acc += x * y` per d,
+                    // ascending, so every dot keeps its serial bits.
+                    let mut blocks = inputs[i + 1..].chunks_exact(DOT_LANES);
+                    for block in &mut blocks {
+                        let ys: [&[f32]; DOT_LANES] =
+                            std::array::from_fn(|l| &block[l].row(b)[..xi.len()]);
+                        let mut acc = [0.0f32; DOT_LANES];
+                        for (d, &x) in xi.iter().enumerate() {
+                            for (a, y) in acc.iter_mut().zip(&ys) {
+                                *a += x * y[d];
+                            }
+                        }
+                        row[k..k + DOT_LANES].copy_from_slice(&acc);
+                        k += DOT_LANES;
+                    }
+                    for input in blocks.remainder() {
                         let mut acc = 0.0f32;
-                        for (x, y) in inputs[i].row(b).iter().zip(inputs[j].row(b)) {
+                        for (x, y) in xi.iter().zip(input.row(b)) {
                             acc += x * y;
                         }
                         row[k] = acc;
@@ -72,6 +81,19 @@ pub fn interaction_forward_into(kind: InteractionKind, inputs: &[Matrix], out: &
         }
     }
 }
+
+/// The `(batch, dim)` every interaction input shares.
+fn shared_shape(inputs: &[Matrix]) -> (usize, usize) {
+    assert!(!inputs.is_empty(), "interaction needs at least one input");
+    let shape = inputs[0].shape();
+    for m in inputs {
+        assert_eq!(m.shape(), shape, "interaction inputs must share shape");
+    }
+    shape
+}
+
+/// Pairwise dots the forward runs side by side per input `i`.
+const DOT_LANES: usize = 8;
 
 /// Backward pass: gradient of each interaction input given the gradient
 /// of the interaction output.
@@ -95,15 +117,15 @@ pub fn interaction_backward(
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree with what [`interaction_forward`] produced.
+/// Panics if `inputs` is empty, their shapes disagree, or `grad_out`'s
+/// shape disagrees with what [`interaction_forward`] produced.
 pub fn interaction_backward_into(
     kind: InteractionKind,
     inputs: &[Matrix],
     grad_out: &Matrix,
     grads: &mut Vec<Matrix>,
 ) {
-    assert!(!inputs.is_empty(), "interaction needs at least one input");
-    let (batch, dim) = inputs[0].shape();
+    let (batch, dim) = shared_shape(inputs);
     grads.resize_with(inputs.len(), || Matrix::zeros(0, 0));
     match kind {
         InteractionKind::Concat => {
@@ -119,22 +141,31 @@ pub fn interaction_backward_into(
             for g in grads.iter_mut() {
                 g.reset_zeroed(batch, dim);
             }
+            // Column of pair (i, j), i < j, in the forward's output.
+            let pair = |i: usize, j: usize| dim + i * n - i * (i + 1) / 2 + (j - i - 1);
             for b in 0..batch {
                 let g = grad_out.row(b);
-                // Pass-through part for the bottom vector.
-                grads[0].row_mut(b).copy_from_slice(&g[..dim]);
-                let mut k = dim;
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        let gk = g[k];
+                for (m, grad) in grads.iter_mut().enumerate() {
+                    // d(z_i·z_j)/dz_i = z_j: output m gathers every pair
+                    // it belongs to, partners p ascending. That is the
+                    // order the pair-major loop (`k` ascending) added
+                    // them in, with the same `*` then `+=` per element,
+                    // so the sweep over d vectorizes without moving a bit.
+                    let out = grad.row_mut(b);
+                    if m == 0 {
+                        // Pass-through part for the bottom vector.
+                        out.copy_from_slice(&g[..dim]);
+                    }
+                    for (p, input) in inputs.iter().enumerate() {
+                        if p == m {
+                            continue;
+                        }
+                        let gk = g[pair(m.min(p), m.max(p))];
                         if gk != 0.0 {
-                            // d(z_i·z_j)/dz_i = z_j and vice versa.
-                            for d in 0..dim {
-                                grads[i].row_mut(b)[d] += gk * inputs[j].row(b)[d];
-                                grads[j].row_mut(b)[d] += gk * inputs[i].row(b)[d];
+                            for (o, x) in out.iter_mut().zip(input.row(b)) {
+                                *o += gk * x;
                             }
                         }
-                        k += 1;
                     }
                 }
             }
@@ -154,6 +185,107 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    /// The pair-major Dot forward the kernel replaced: one serial
+    /// `acc += x * y` chain per pair.
+    fn reference_dot_forward(inputs: &[Matrix]) -> Matrix {
+        let (batch, dim) = inputs[0].shape();
+        let n = inputs.len();
+        let mut out = Matrix::zeros(batch, dim + n * (n - 1) / 2);
+        for b in 0..batch {
+            let row = out.row_mut(b);
+            row[..dim].copy_from_slice(inputs[0].row(b));
+            let mut k = dim;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let mut acc = 0.0f32;
+                    for (x, y) in inputs[i].row(b).iter().zip(inputs[j].row(b)) {
+                        acc += x * y;
+                    }
+                    row[k] = acc;
+                    k += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// The pair-major Dot backward the kernel replaced: per pair `k`,
+    /// both partners' gradients updated element by element.
+    fn reference_dot_backward(inputs: &[Matrix], grad_out: &Matrix) -> Vec<Matrix> {
+        let (batch, dim) = inputs[0].shape();
+        let n = inputs.len();
+        let mut grads = vec![Matrix::zeros(batch, dim); n];
+        for b in 0..batch {
+            let g = grad_out.row(b);
+            grads[0].row_mut(b).copy_from_slice(&g[..dim]);
+            let mut k = dim;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let gk = g[k];
+                    if gk != 0.0 {
+                        for d in 0..dim {
+                            grads[i].row_mut(b)[d] += gk * inputs[j].row(b)[d];
+                            grads[j].row_mut(b)[d] += gk * inputs[i].row(b)[d];
+                        }
+                    }
+                    k += 1;
+                }
+            }
+        }
+        grads
+    }
+
+    /// Irregular values (so reassociation would show in the low bits),
+    /// with exact zeros of both signs in `grad_out` and one infinite
+    /// input entry: `0 * inf` is NaN, so the `gk != 0` skip must fire
+    /// on exactly the pairs the reference skips.
+    fn awkward_case(n: usize, dim: usize, batch: usize) -> (Vec<Matrix>, Matrix) {
+        let mut ins: Vec<Matrix> = (0..n)
+            .map(|t| {
+                Matrix::from_fn(batch, dim, |i, j| {
+                    ((t * 131 + i * 17 + j * 7) as f32 * 0.618).sin() * 3.7
+                })
+            })
+            .collect();
+        ins[n - 1].row_mut(batch - 1)[dim - 1] = f32::INFINITY;
+        let cols = dim + n * (n - 1) / 2;
+        let grad_out = Matrix::from_fn(batch, cols, |i, j| match (i + j) % 5 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((i * 29 + j * 11) as f32 * 0.377).cos() * 1.9,
+        });
+        (ins, grad_out)
+    }
+
+    fn assert_bitwise(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn dot_kernels_match_the_pair_major_loops_bitwise() {
+        for n in [1usize, 2, 3, 9, 27] {
+            for dim in [1usize, 3, 64, 128] {
+                for batch in [1usize, 5, 128] {
+                    let (ins, grad_out) = awkward_case(n, dim, batch);
+                    let what = format!("n={n} dim={dim} batch={batch}");
+                    assert_bitwise(
+                        &interaction_forward(InteractionKind::Dot, &ins),
+                        &reference_dot_forward(&ins),
+                        &format!("forward {what}"),
+                    );
+                    let got = interaction_backward(InteractionKind::Dot, &ins, &grad_out);
+                    let want = reference_dot_backward(&ins, &grad_out);
+                    for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_bitwise(g, w, &format!("backward input {t} {what}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -232,5 +364,14 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
         let _ = interaction_forward(InteractionKind::Dot, &[a, b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share shape")]
+    fn backward_rejects_mismatched_inputs() {
+        let a = Matrix::zeros(2, 4);
+        let b = Matrix::zeros(2, 3);
+        let grad_out = Matrix::zeros(2, 4 + 1);
+        let _ = interaction_backward(InteractionKind::Dot, &[a, b], &grad_out);
     }
 }

@@ -84,11 +84,36 @@ pub fn compute_rdp_step(sigma: f64, q: f64, alpha: u32) -> f64 {
 ///
 /// Usage: [`compose`](Self::compose) once per homogeneous training phase,
 /// then [`epsilon`](Self::epsilon) for the (ε, δ) guarantee.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A trainer composes one step at a time, almost always of the same
+/// `(mechanism, q)`. The accountant therefore keeps the per-step RDP
+/// vector of the last `(mechanism, q)` and a count of steps composed
+/// at it since it changed; the count folds in as one scaled add
+/// (`steps · rdp_step`) when the pair changes or the curve is read.
+/// Composing `T` single steps is thus bit for bit one `T`-step compose,
+/// and a steady-state compose neither evaluates the RDP sum nor
+/// allocates.
+#[derive(Debug, Clone)]
 pub struct RdpAccountant {
     orders: Vec<u32>,
+    /// RDP of every run before the current one.
     rdp: Vec<f64>,
     steps: u64,
+    /// The current run: its `(mechanism, q)`, per-step RDP at each
+    /// order, and how many steps it holds.
+    run: Option<(Mechanism, f64)>,
+    run_rdp: Vec<f64>,
+    run_steps: u64,
+}
+
+impl PartialEq for RdpAccountant {
+    /// Equal when the orders, the step count and the total RDP curve
+    /// are, however the steps were split into calls.
+    fn eq(&self, other: &Self) -> bool {
+        self.orders == other.orders
+            && self.steps == other.steps
+            && self.rdp_curve().eq(other.rdp_curve())
+    }
 }
 
 impl Default for RdpAccountant {
@@ -118,6 +143,9 @@ impl RdpAccountant {
             orders,
             rdp: vec![0.0; n],
             steps: 0,
+            run: None,
+            run_rdp: vec![0.0; n],
+            run_steps: 0,
         }
     }
 
@@ -142,10 +170,30 @@ impl RdpAccountant {
     ///
     /// Panics on invalid mechanism multipliers or `q ∉ [0, 1]`.
     pub fn compose_mechanism(&mut self, mechanism: &Mechanism, q: f64, steps: u64) {
-        for (i, &alpha) in self.orders.iter().enumerate() {
-            self.rdp[i] += steps as f64 * mechanism.rdp_step(q, alpha);
+        let same = self
+            .run
+            .is_some_and(|(m, rq)| m == *mechanism && rq.to_bits() == q.to_bits());
+        if !same {
+            for (total, &per_step) in self.rdp.iter_mut().zip(&self.run_rdp) {
+                *total = Self::with_run(*total, self.run_steps, per_step);
+            }
+            for (r, &alpha) in self.run_rdp.iter_mut().zip(&self.orders) {
+                *r = mechanism.rdp_step(q, alpha);
+            }
+            self.run = Some((*mechanism, q));
+            self.run_steps = 0;
         }
+        self.run_steps += steps;
         self.steps += steps;
+    }
+
+    /// `total` plus a run of `steps` steps costing `per_step` each.
+    fn with_run(total: f64, steps: u64, per_step: f64) -> f64 {
+        if steps == 0 {
+            total
+        } else {
+            total + steps as f64 * per_step
+        }
     }
 
     /// Total steps composed so far.
@@ -164,8 +212,8 @@ impl RdpAccountant {
     pub fn epsilon(&self, delta: f64) -> (f64, u32) {
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
         let mut best = (f64::INFINITY, self.orders[0]);
-        for (i, &alpha) in self.orders.iter().enumerate() {
-            let eps = rdp_to_epsilon(self.rdp[i], f64::from(alpha), delta);
+        for (alpha, rdp) in self.rdp_curve() {
+            let eps = rdp_to_epsilon(rdp, f64::from(alpha), delta);
             if eps < best.0 {
                 best = (eps, alpha);
             }
@@ -175,7 +223,11 @@ impl RdpAccountant {
 
     /// The tracked `(order, total_rdp)` pairs.
     pub fn rdp_curve(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.orders.iter().copied().zip(self.rdp.iter().copied())
+        let pending = self.rdp.iter().zip(&self.run_rdp);
+        self.orders
+            .iter()
+            .copied()
+            .zip(pending.map(|(&total, &per_step)| Self::with_run(total, self.run_steps, per_step)))
     }
 }
 
@@ -275,6 +327,58 @@ mod tests {
             assert!((r500 - 500.0 * r1).abs() < 1e-9);
         }
         assert_eq!(many.steps(), 500);
+    }
+
+    fn curve_bits(acc: &RdpAccountant) -> Vec<u64> {
+        acc.rdp_curve().map(|(_, r)| r.to_bits()).collect()
+    }
+
+    #[test]
+    fn single_step_composes_equal_one_batched_compose_bitwise() {
+        let m = Mechanism::SelectThenNoise {
+            sigma: 1.1,
+            sigma_select: 2.0,
+        };
+        let mut stepped = RdpAccountant::new();
+        for _ in 0..1000 {
+            stepped.compose_mechanism(&m, 0.01, 1);
+        }
+        let mut batched = RdpAccountant::new();
+        batched.compose_mechanism(&m, 0.01, 1000);
+        assert_eq!(curve_bits(&stepped), curve_bits(&batched));
+        assert_eq!(
+            stepped.epsilon(1e-6).0.to_bits(),
+            batched.epsilon(1e-6).0.to_bits()
+        );
+        assert_eq!(stepped.steps(), 1000);
+        // One batched compose is one scaled add of the per-step cost.
+        for (alpha, r) in batched.rdp_curve() {
+            assert_eq!(r.to_bits(), (1000.0 * m.rdp_step(0.01, alpha)).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_new_sampling_rate_invalidates_the_cached_step() {
+        // 500 steps at q, then 500 at q': the second run must be charged
+        // at q', i.e. equal a fresh accountant that composes the two
+        // runs as two batched calls.
+        let mut stepped = RdpAccountant::new();
+        for q in [0.01, 0.02] {
+            for _ in 0..500 {
+                stepped.compose(1.1, q, 1);
+            }
+        }
+        let mut batched = RdpAccountant::new();
+        batched.compose(1.1, 0.01, 500);
+        batched.compose(1.1, 0.02, 500);
+        assert_eq!(curve_bits(&stepped), curve_bits(&batched));
+        let mut stale = RdpAccountant::new();
+        stale.compose(1.1, 0.01, 1000);
+        assert!(stepped.epsilon(1e-6).0 > stale.epsilon(1e-6).0);
+        // ... and switching back re-evaluates q rather than reusing q'.
+        stepped.compose(1.1, 0.01, 10);
+        batched.compose(1.1, 0.01, 10);
+        assert_eq!(curve_bits(&stepped), curve_bits(&batched));
     }
 
     #[test]
