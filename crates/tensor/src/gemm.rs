@@ -31,19 +31,28 @@
 //! `a.mul_add(b, acc) == acc` exactly when `a == 0.0` and `b` is finite
 //! (a property the GEMM proptests pin down).
 //!
-//! The blocked and reference kernels therefore agree bit-for-bit; the
-//! [`GemmMode`] switch exists so benchmarks can measure the before/after
-//! throughput on the same build, not because the results differ.
+//! The blocked and reference kernels therefore agree bit-for-bit, and
+//! the reference kernels stay only as the oracle the tests compare
+//! against.
+//!
+//! # Vectorization
+//!
+//! The three innermost loops (the `MR × NR` micro-kernel, the eight
+//! lanes of [`dot_tree`], and `matmul_t`'s eight-row lane sweep) are
+//! safe Rust over fixed-size arrays. [`f32::mul_add`] is correctly
+//! rounded, so LLVM may run those lanes as vector FMAs without changing
+//! a bit: it does under `target-cpu=native` and `x86-64-v3`, and a plain
+//! `x86-64` build computes the same bits through libm `fmaf`, only
+//! slower.
 
 use crate::matrix::Matrix;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// SIMD lanes the accumulation tree of [`dot_tree`] is built from
-/// (eight `f32`s — one AVX2 vector).
+/// Lanes the accumulation tree of [`dot_tree`] is built from (eight
+/// `f32`s — one 256-bit vector).
 pub const LANES: usize = 8;
 
-/// Columns per micro-panel / micro-kernel width (two AVX2 vectors).
+/// Columns per micro-panel / micro-kernel width (two 256-bit vectors).
 pub const NR: usize = 16;
 
 /// Rows per micro-kernel block.
@@ -69,92 +78,6 @@ pub fn blocked_chunk_rows(chunk_rows: usize, total_rows: usize) -> usize {
         .next_multiple_of(MR)
         .max(4 * MR)
         .clamp(1, total_rows.max(1))
-}
-
-/// Which kernel implementation [`Matrix::matmul`] and friends dispatch
-/// to. Both produce bitwise-identical results (see the module docs);
-/// the switch exists so CI's `LAZYDP_GEMM=reference` leg can run the
-/// whole suite over the reference kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GemmMode {
-    /// The packed, register-blocked micro-kernels (the default).
-    #[default]
-    Blocked,
-    /// The pre-blocking naive loops (zero-skip i-k-j / dot loops) over
-    /// the same accumulation primitives.
-    Reference,
-}
-
-/// `GEMM_MODE` encoding: 0 = not yet resolved (first [`gemm_mode`] call
-/// reads `LAZYDP_GEMM`), 1 = [`GemmMode::Blocked`],
-/// 2 = [`GemmMode::Reference`].
-static GEMM_MODE: AtomicU8 = AtomicU8::new(0);
-
-fn encode_gemm_mode(mode: GemmMode) -> u8 {
-    match mode {
-        GemmMode::Blocked => 1,
-        GemmMode::Reference => 2,
-    }
-}
-
-/// Parses a `LAZYDP_GEMM` value (`"blocked"` or `"reference"`,
-/// case-insensitive, surrounding whitespace ignored). Anything else is
-/// `None` — unknown values fall back to the default rather than
-/// panicking, mirroring `LAZYDP_THREADS`.
-#[must_use]
-pub fn parse_gemm_mode(value: &str) -> Option<GemmMode> {
-    let v = value.trim();
-    if v.eq_ignore_ascii_case("blocked") {
-        Some(GemmMode::Blocked)
-    } else if v.eq_ignore_ascii_case("reference") {
-        Some(GemmMode::Reference)
-    } else {
-        None
-    }
-}
-
-/// Kernel implementation from the `LAZYDP_GEMM` environment variable
-/// (if set to a value [`parse_gemm_mode`] accepts) or the default.
-#[must_use]
-pub fn detect_gemm_mode() -> GemmMode {
-    std::env::var("LAZYDP_GEMM")
-        .ok()
-        .and_then(|v| parse_gemm_mode(&v))
-        .unwrap_or_default()
-}
-
-/// Selects the kernel implementation process-wide, overriding any
-/// `LAZYDP_GEMM` setting. Safe to flip at any time: both modes are
-/// bitwise identical.
-pub fn set_gemm_mode(mode: GemmMode) {
-    GEMM_MODE.store(encode_gemm_mode(mode), Ordering::Relaxed);
-}
-
-/// The currently selected kernel implementation. The first call
-/// resolves it from `LAZYDP_GEMM` (mirroring how `LAZYDP_THREADS`
-/// resolves the executor width); later calls return the cached (or
-/// [`set_gemm_mode`]-overridden) value.
-#[must_use]
-pub fn gemm_mode() -> GemmMode {
-    match GEMM_MODE.load(Ordering::Relaxed) {
-        1 => GemmMode::Blocked,
-        2 => GemmMode::Reference,
-        _ => {
-            let detected = detect_gemm_mode();
-            // compare_exchange so a concurrent set_gemm_mode is never
-            // clobbered by this lazy init.
-            match GEMM_MODE.compare_exchange(
-                0,
-                encode_gemm_mode(detected),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => detected,
-                Err(2) => GemmMode::Reference,
-                Err(_) => GemmMode::Blocked,
-            }
-        }
-    }
 }
 
 thread_local! {
@@ -264,20 +187,20 @@ fn pack_a_cols(a: &Matrix, i0: usize, m: usize, k0: usize, kx: usize, out: &mut 
     }
 }
 
-/// The scalar micro-kernel body: accumulates an `M × NR` output block
-/// over one packed k-panel. `apan` is k-major `M`-wide, `bpan` k-major
+/// The micro-kernel: accumulates an `M × NR` output block over one
+/// packed k-panel. `apan` is k-major `M`-wide, `bpan` k-major
 /// `NR`-wide; each output element receives one `mul_add` per k step,
 /// ascending — the canonical accumulation order of the determinism
-/// contract. The AVX2 body in [`crate::simd`] reproduces exactly this
-/// operation sequence (one fused multiply-add per element per k,
-/// identical rounding), so the runtime SIMD gate never changes a bit.
+/// contract. Each accumulator row is an `NR`-lane array, which LLVM
+/// runs as two 256-bit FMA vectors per k step under `native` or
+/// `x86-64-v3`.
 ///
 /// `inline(never)` is deliberate: compiled standalone, LLVM keeps the
 /// `M × NR` accumulator block in vector registers for the whole k loop;
 /// inlined into the packing drivers it has been observed to spill.
 #[inline(never)]
 #[allow(clippy::needless_range_loop)]
-pub(crate) fn micro_kernel_scalar<const M: usize>(
+fn micro_kernel<const M: usize>(
     apan: &[f32],
     bpan: &[f32],
     out_rows: &mut [f32],
@@ -320,7 +243,7 @@ fn panel_sweep<const M: usize>(
         let j0 = jp * NR;
         let nrw = NR.min(n - j0);
         let bp = &bpan[jp * kx * NR..(jp + 1) * kx * NR];
-        crate::simd::micro_kernel::<M>(apan, bp, out_rows, n, j0, nrw);
+        micro_kernel::<M>(apan, bp, out_rows, n, j0, nrw);
     }
 }
 
@@ -609,7 +532,7 @@ pub(crate) fn t_matmul_blocked(
 /// per-example clip factors `w` are folded into the B packing
 /// ([`pack_b_panel_range_scaled`]), so per output element the operation
 /// sequence is `acc = a_ki.mul_add(w_k * b_kj, acc)` over ascending k —
-/// exactly what [`reference_t_matmul_scaled_into`] computes, and exactly
+/// exactly what [`reference_t_matmul_scaled`] computes, and exactly
 /// what the two-pass path computes once its weighted backward routes
 /// through this kernel.
 pub(crate) fn t_matmul_scaled_blocked(
@@ -639,12 +562,10 @@ fn reduce_lanes(l: &[f32; LANES]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-/// Scalar body of the eight-lane dot accumulation over the
-/// `LANES`-aligned prefix: lane `t` gathers elements `t, t+8, t+16, …`
-/// ascending via one `mul_add` each. The AVX2 body in [`crate::simd`]
-/// performs the identical per-lane operation sequence with one
-/// `vfmaddps` per eight elements, so both produce the same bits.
-pub(crate) fn dot_lanes_scalar(a: &[f32], b: &[f32], lanes: &mut [f32; LANES]) {
+/// The eight-lane dot accumulation over the `LANES`-aligned prefix:
+/// lane `t` gathers elements `t, t+8, t+16, …` ascending via one
+/// `mul_add` each — one vector FMA per eight elements once vectorized.
+fn dot_lanes(a: &[f32], b: &[f32], lanes: &mut [f32; LANES]) {
     for (av, bv) in a.chunks_exact(LANES).zip(b.chunks_exact(LANES)) {
         for t in 0..LANES {
             lanes[t] = av[t].mul_add(bv[t], lanes[t]);
@@ -658,12 +579,16 @@ pub(crate) fn dot_lanes_scalar(a: &[f32], b: &[f32], lanes: &mut [f32; LANES]) {
 /// folded in last through a single sequential accumulator. This is the
 /// canonical inner product of [`Matrix::matmul_t`]; any blocking of that
 /// kernel must reproduce it bit-for-bit.
+///
+/// # Panics
+///
+/// Panics if `a.len() != b.len()`.
 #[must_use]
 pub fn dot_tree(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_tree length mismatch");
+    assert_eq!(a.len(), b.len(), "dot_tree length mismatch");
     let k8 = a.len() - a.len() % LANES;
     let mut lanes = [0.0f32; LANES];
-    crate::simd::dot_lanes(&a[..k8], &b[..k8], &mut lanes);
+    dot_lanes(&a[..k8], &b[..k8], &mut lanes);
     let mut rem = 0.0f32;
     for (&x, &y) in a[k8..].iter().zip(&b[k8..]) {
         rem = x.mul_add(y, rem);
@@ -671,16 +596,12 @@ pub fn dot_tree(a: &[f32], b: &[f32]) -> f32 {
     reduce_lanes(&lanes) + rem
 }
 
-/// Scalar body of the [`NRT`]-row lane accumulation of `matmul_t`: for
-/// each of the eight B rows, lane `t` gathers elements `t, t+8, …` of
-/// the `k8`-aligned prefix ascending, one `mul_add` per element — the
-/// same per-lane sequence as [`dot_lanes_scalar`], eight rows at a time.
-pub(crate) fn mt_lanes_scalar(
-    a_row: &[f32],
-    brows: &[&[f32]; NRT],
-    k8: usize,
-    lanes: &mut [[f32; LANES]; NRT],
-) {
+/// The [`NRT`]-row lane accumulation of `matmul_t`: for each of the
+/// eight B rows, lane `t` gathers elements `t, t+8, …` of the
+/// `k8`-aligned prefix ascending, one `mul_add` per element — the same
+/// per-lane sequence as [`dot_lanes`], eight rows at a time, so each
+/// loaded `a` vector feeds eight FMAs.
+fn mt_lanes(a_row: &[f32], brows: &[&[f32]; NRT], k8: usize, lanes: &mut [[f32; LANES]; NRT]) {
     let mut pos = 0;
     while pos < k8 {
         let av: &[f32; LANES] = a_row[pos..pos + LANES].try_into().expect("lane chunk");
@@ -705,7 +626,7 @@ fn matmul_t_row(a_row: &[f32], b: &Matrix, out_row: &mut [f32]) {
     while j + NRT <= n {
         let brows: [&[f32]; NRT] = std::array::from_fn(|jj| b.row(j + jj));
         let mut lanes = [[0.0f32; LANES]; NRT];
-        crate::simd::mt_lanes(a_row, &brows, k8, &mut lanes);
+        mt_lanes(a_row, &brows, k8, &mut lanes);
         let mut rems = [0.0f32; NRT];
         for p in k8..k {
             let x = a_row[p];
@@ -730,96 +651,6 @@ pub(crate) fn matmul_t_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, chunk_r
     lazydp_exec::global().par_for(out.as_mut_slice(), chunk_rows * n, |c, chunk| {
         for (r, out_row) in chunk.chunks_mut(n).enumerate() {
             matmul_t_row(a.row(c * chunk_rows + r), b, out_row);
-        }
-    });
-}
-
-/// Reference `matmul` kernel: the pre-blocking i-k-j loop with its
-/// zero-skip fast path, over the shared single-accumulator `mul_add`
-/// accumulation. Bitwise identical to [`matmul_blocked`] for finite
-/// inputs.
-pub(crate) fn reference_matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, chunk_rows: usize) {
-    let n = b.cols();
-    lazydp_exec::global().par_for(out.as_mut_slice(), chunk_rows * n, |c, out_chunk| {
-        for (k_row, out_row) in out_chunk.chunks_mut(n).enumerate() {
-            let a_row = a.row(c * chunk_rows + k_row);
-            for (k, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(k);
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = av.mul_add(bv, *o);
-                }
-            }
-        }
-    });
-}
-
-/// Reference `t_matmul` kernel (pre-blocking structure, shared
-/// accumulation; see [`reference_matmul_into`]).
-pub(crate) fn reference_t_matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, chunk_rows: usize) {
-    let n = b.cols();
-    lazydp_exec::global().par_for(out.as_mut_slice(), chunk_rows * n, |c, out_chunk| {
-        for (k_row, out_row) in out_chunk.chunks_mut(n).enumerate() {
-            let i = c * chunk_rows + k_row;
-            for r in 0..a.rows() {
-                let av = a.row(r)[i];
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(r);
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = av.mul_add(bv, *o);
-                }
-            }
-        }
-    });
-}
-
-/// Reference fused clipped weight-gradient kernel
-/// (`out += aᵀ · diag(w) · b`): the `t_matmul` reference loop with the
-/// clip factor applied to the B element before the shared `mul_add` —
-/// `acc = a_ki.mul_add(w_k * b_kj, acc)`, ascending k, exactly the
-/// per-element operation sequence of [`t_matmul_scaled_blocked`] (which
-/// computes `w_k * b_kj` once at packing time). The zero-skip stays
-/// bitwise-neutral: `w_k * b_kj` is finite whenever `w` and `b` are.
-pub(crate) fn reference_t_matmul_scaled_into(
-    a: &Matrix,
-    b: &Matrix,
-    w: &[f32],
-    out: &mut Matrix,
-    chunk_rows: usize,
-) {
-    let n = b.cols();
-    assert_eq!(w.len(), a.rows(), "one scale per contraction row");
-    lazydp_exec::global().par_for(out.as_mut_slice(), chunk_rows * n, |c, out_chunk| {
-        for (k_row, out_row) in out_chunk.chunks_mut(n).enumerate() {
-            let i = c * chunk_rows + k_row;
-            for (r, &wr) in w.iter().enumerate() {
-                let av = a.row(r)[i];
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(r);
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = av.mul_add(wr * bv, *o);
-                }
-            }
-        }
-    });
-}
-
-/// Reference `matmul_t` kernel: one [`dot_tree`] per output element in
-/// the plain double loop.
-pub(crate) fn reference_matmul_t_into(a: &Matrix, b: &Matrix, out: &mut Matrix, chunk_rows: usize) {
-    let n = b.rows();
-    lazydp_exec::global().par_for(out.as_mut_slice(), chunk_rows * n, |c, out_chunk| {
-        for (k_row, out_row) in out_chunk.chunks_mut(n).enumerate() {
-            let a_row = a.row(c * chunk_rows + k_row);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = dot_tree(a_row, b.row(j));
-            }
         }
     });
 }
@@ -972,7 +803,10 @@ pub fn t_matmul_scaled_macro_tiled(
     out
 }
 
-/// `a · b` through the reference kernel (pre-blocking loop structure).
+/// `a · b` through the reference kernel: the pre-blocking i-k-j loop
+/// with its zero-skip fast path, one `mul_add` per element per k,
+/// ascending. Bitwise identical to [`matmul_with_tiles`] for finite
+/// inputs.
 ///
 /// # Panics
 ///
@@ -981,14 +815,22 @@ pub fn t_matmul_scaled_macro_tiled(
 pub fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "reference_matmul dimension mismatch");
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    if out.is_empty() || a.cols() == 0 {
-        return out;
+    for i in 0..a.rows() {
+        let out_row = out.row_mut(i);
+        for (k, &av) in a.row(i).iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
+                *o = av.mul_add(bv, *o);
+            }
+        }
     }
-    reference_matmul_into(a, b, &mut out, a.rows().max(1));
     out
 }
 
-/// `aᵀ · b` through the reference kernel.
+/// `aᵀ · b` through the reference kernel (the [`reference_matmul`]
+/// loop with the contraction running over `a`'s rows).
 ///
 /// # Panics
 ///
@@ -997,14 +839,28 @@ pub fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 pub fn reference_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "reference_t_matmul dimension mismatch");
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    if out.is_empty() || a.rows() == 0 {
-        return out;
+    for i in 0..a.cols() {
+        let out_row = out.row_mut(i);
+        for r in 0..a.rows() {
+            let av = a.row(r)[i];
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out_row.iter_mut().zip(b.row(r)) {
+                *o = av.mul_add(bv, *o);
+            }
+        }
     }
-    reference_t_matmul_into(a, b, &mut out, a.cols().max(1));
     out
 }
 
-/// `aᵀ · diag(w) · b` through the reference fused-clip kernel.
+/// `aᵀ · diag(w) · b` through the reference fused-clip kernel: the
+/// [`reference_t_matmul`] loop with the clip factor applied to the B
+/// element before the `mul_add` — `acc = a_ki.mul_add(w_k * b_kj, acc)`,
+/// ascending k, exactly the per-element operation sequence of the
+/// blocked kernel (which computes `w_k * b_kj` once at packing time).
+/// The zero-skip stays bitwise-neutral: `w_k * b_kj` is finite whenever
+/// `w` and `b` are.
 ///
 /// # Panics
 ///
@@ -1014,14 +870,23 @@ pub fn reference_t_matmul_scaled(a: &Matrix, b: &Matrix, w: &[f32]) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "t_matmul_scaled dimension mismatch");
     assert_eq!(w.len(), a.rows(), "one clip factor per contraction row");
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    if out.is_empty() || a.rows() == 0 {
-        return out;
+    for i in 0..a.cols() {
+        let out_row = out.row_mut(i);
+        for (r, &wr) in w.iter().enumerate() {
+            let av = a.row(r)[i];
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out_row.iter_mut().zip(b.row(r)) {
+                *o = av.mul_add(wr * bv, *o);
+            }
+        }
     }
-    reference_t_matmul_scaled_into(a, b, w, &mut out, a.cols().max(1));
     out
 }
 
-/// `a · bᵀ` through the reference kernel.
+/// `a · bᵀ` through the reference kernel: one [`dot_tree`] per output
+/// element in the plain double loop.
 ///
 /// # Panics
 ///
@@ -1029,12 +894,7 @@ pub fn reference_t_matmul_scaled(a: &Matrix, b: &Matrix, w: &[f32]) -> Matrix {
 #[must_use]
 pub fn reference_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "reference_matmul_t dimension mismatch");
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    if out.is_empty() || a.cols() == 0 {
-        return out;
-    }
-    reference_matmul_t_into(a, b, &mut out, a.rows().max(1));
-    out
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| dot_tree(a.row(i), b.row(j)))
 }
 
 #[cfg(test)]
@@ -1183,34 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_mode_env_parsing() {
-        assert_eq!(parse_gemm_mode("blocked"), Some(GemmMode::Blocked));
-        assert_eq!(parse_gemm_mode(" Reference "), Some(GemmMode::Reference));
-        assert_eq!(parse_gemm_mode("BLOCKED"), Some(GemmMode::Blocked));
-        assert_eq!(parse_gemm_mode(""), None);
-        assert_eq!(parse_gemm_mode("fast"), None);
-    }
-
-    #[test]
-    fn simd_gate_does_not_change_bits() {
-        let a = pseudo_random(19, 67, 31, true);
-        let b = pseudo_random(67, 23, 32, true);
-        let bt = pseudo_random(23, 67, 33, true);
-        let w: Vec<f32> = (0..67).map(|i| ((i * 7) % 5) as f32 / 4.0).collect();
-        let at = pseudo_random(67, 19, 34, true);
-        let was = crate::simd::simd_enabled();
-        crate::simd::set_simd_enabled(true);
-        let mm_on = matmul_with_tiles(&a, &b, 16, 5);
-        let mt_on = matmul_t_with_tiles(&a, &bt, 5);
-        let sc_on = t_matmul_scaled_with_tiles(&at, &b, &w, 16, 5);
-        crate::simd::set_simd_enabled(false);
-        assert_eq!(mm_on, matmul_with_tiles(&a, &b, 16, 5));
-        assert_eq!(mt_on, matmul_t_with_tiles(&a, &bt, 5));
-        assert_eq!(sc_on, t_matmul_scaled_with_tiles(&at, &b, &w, 16, 5));
-        crate::simd::set_simd_enabled(was);
-    }
-
-    #[test]
     fn dot_tree_matches_f64_dot_closely() {
         let a: Vec<f32> = (0..103)
             .map(|i| ((i * 37) % 19) as f32 / 7.0 - 1.0)
@@ -1224,11 +1056,8 @@ mod tests {
     }
 
     #[test]
-    fn gemm_mode_roundtrip() {
-        assert_eq!(gemm_mode(), GemmMode::Blocked);
-        set_gemm_mode(GemmMode::Reference);
-        assert_eq!(gemm_mode(), GemmMode::Reference);
-        set_gemm_mode(GemmMode::Blocked);
-        assert_eq!(gemm_mode(), GemmMode::Blocked);
+    #[should_panic(expected = "dot_tree length mismatch")]
+    fn dot_tree_rejects_mismatched_lengths() {
+        let _ = dot_tree(&[1.0, 2.0, 3.0], &[1.0, 1.0]);
     }
 }

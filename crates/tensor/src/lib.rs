@@ -17,11 +17,7 @@
 //! assert_eq!(a.matmul(&b), a);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module (and only that module)
-// opts back in with a file-level `#![allow(unsafe_code)]` for its
-// runtime-gated `core::arch::x86_64` kernel bodies. Every other crate
-// root in the workspace keeps `#![forbid(unsafe_code)]`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;
@@ -30,13 +26,10 @@ pub mod init;
 pub mod loss;
 pub mod matrix;
 pub mod ops;
-pub mod simd;
 pub mod vecops;
 
 pub use arena::ScratchArena;
-pub use gemm::{detect_gemm_mode, gemm_mode, parse_gemm_mode, set_gemm_mode, GemmMode};
 pub use init::{xavier_uniform, InitKind};
 pub use loss::{bce_with_logits, bce_with_logits_grad, bce_with_logits_grad_into, mse};
 pub use matrix::Matrix;
 pub use ops::Activation;
-pub use simd::{detect_simd, parse_simd_override, set_simd_enabled, simd_enabled};

@@ -11,6 +11,7 @@
 //! reuses a caller-owned output matrix, so steady-state training steps
 //! allocate nothing (see [`crate::arena::ScratchArena`]).
 
+use crate::gemm;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -297,15 +298,8 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.rows, self.cols * other.cols);
-        match crate::gemm::gemm_mode() {
-            crate::gemm::GemmMode::Blocked => {
-                let chunk_rows = crate::gemm::blocked_chunk_rows(chunk_rows, self.rows);
-                crate::gemm::matmul_blocked(self, other, out, crate::gemm::DEFAULT_KC, chunk_rows);
-            }
-            crate::gemm::GemmMode::Reference => {
-                crate::gemm::reference_matmul_into(self, other, out, chunk_rows);
-            }
-        }
+        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.rows);
+        gemm::matmul_blocked(self, other, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
     /// `selfᵀ · other` without materializing the transpose.
@@ -339,21 +333,8 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.cols, self.rows * other.cols);
-        match crate::gemm::gemm_mode() {
-            crate::gemm::GemmMode::Blocked => {
-                let chunk_rows = crate::gemm::blocked_chunk_rows(chunk_rows, self.cols);
-                crate::gemm::t_matmul_blocked(
-                    self,
-                    other,
-                    out,
-                    crate::gemm::DEFAULT_KC,
-                    chunk_rows,
-                );
-            }
-            crate::gemm::GemmMode::Reference => {
-                crate::gemm::reference_t_matmul_into(self, other, out, chunk_rows);
-            }
-        }
+        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.cols);
+        gemm::t_matmul_blocked(self, other, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
     /// `selfᵀ · diag(w) · other` without materializing either the
@@ -394,22 +375,8 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.cols, self.rows * other.cols);
-        match crate::gemm::gemm_mode() {
-            crate::gemm::GemmMode::Blocked => {
-                let chunk_rows = crate::gemm::blocked_chunk_rows(chunk_rows, self.cols);
-                crate::gemm::t_matmul_scaled_blocked(
-                    self,
-                    other,
-                    w,
-                    out,
-                    crate::gemm::DEFAULT_KC,
-                    chunk_rows,
-                );
-            }
-            crate::gemm::GemmMode::Reference => {
-                crate::gemm::reference_t_matmul_scaled_into(self, other, w, out, chunk_rows);
-            }
-        }
+        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.cols);
+        gemm::t_matmul_scaled_blocked(self, other, w, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
     /// `self · otherᵀ` without materializing the transpose.
@@ -443,14 +410,7 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.rows, self.cols * other.rows);
-        match crate::gemm::gemm_mode() {
-            crate::gemm::GemmMode::Blocked => {
-                crate::gemm::matmul_t_blocked(self, other, out, chunk_rows);
-            }
-            crate::gemm::GemmMode::Reference => {
-                crate::gemm::reference_matmul_t_into(self, other, out, chunk_rows);
-            }
-        }
+        gemm::matmul_t_blocked(self, other, out, chunk_rows);
     }
 
     /// Element-wise sum `self + other`.

@@ -9,6 +9,7 @@ use lazydp::dpsgd::{
     AdaFestConfig, AdaFestOptimizer, ClipStyle, DpConfig, EagerDpSgd, EanaOptimizer, Optimizer,
     StepStats,
 };
+use lazydp::fault::checksum::Fnv1a64;
 use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
@@ -100,6 +101,68 @@ fn all_eager_variants_coincide() {
     // Measured 1.49e-8 (B vs R) and 1.86e-9 (R vs F): summation order only.
     assert!(max_model_diff(&finals[0], &finals[1]) < 1e-7, "B vs R");
     assert!(max_model_diff(&finals[1], &finals[2]) < 1e-8, "R vs F");
+}
+
+/// FNV-1a-64 over every released weight as little-endian `f32` bytes:
+/// MLP weights and biases in layer order, then every table in order.
+fn release_digest(m: &Dlrm) -> u64 {
+    let mut h = Fnv1a64::new();
+    let layers = m.bottom.layers().iter().chain(m.top.layers());
+    let params = layers.flat_map(|l| l.weight.as_slice().iter().chain(&l.bias));
+    for v in params.chain(m.tables.iter().flat_map(|t| t.as_slice())) {
+        h.update(&v.to_le_bytes());
+    }
+    h.finish()
+}
+
+/// The end-to-end known answer: four steps of each algorithm on a tiny
+/// DLRM release exactly these bits, in debug and release, under
+/// `target-cpu` native, `x86-64-v3` and plain `x86-64`. The kernels use
+/// only correctly-rounded operations (`f32::mul_add`, the lane-wise
+/// Box–Muller) in a fixed order, so vector width never shows. The
+/// shapes hit the kernels' tails: batch 13 leaves a one-row
+/// micro-kernel block, and widths 11 and 12 leave a `k % 8` tail in
+/// `matmul_t`.
+#[test]
+fn release_digests_are_pinned() {
+    const BATCH: usize = 13;
+    let mut cfg = DlrmConfig::tiny(3, 40, 12);
+    cfg.bottom_layers = vec![20, 12];
+    cfg.top_layers = vec![11, 1];
+    let model0 = Dlrm::new(cfg, &mut Xoshiro256PlusPlus::seed_from(2024));
+    let ds = SyntheticDataset::new(SyntheticConfig::small(3, 40, BATCH * 5));
+    let batches: Vec<MiniBatch> = (0..5)
+        .map(|i| ds.batch_of(&(i * BATCH..(i + 1) * BATCH).collect::<Vec<_>>()))
+        .collect();
+    let dp = DpConfig::new(0.9, 0.6, 0.05, BATCH);
+    let noise = || CounterNoise::new(99);
+    let train = |opt: &mut dyn Optimizer| {
+        let mut m = model0.clone();
+        for i in 0..4 {
+            opt.step(&mut m, &batches[i], Some(&batches[i + 1]));
+        }
+        m
+    };
+    let eager = train(&mut EagerDpSgd::new(dp, ClipStyle::Fast, noise()));
+    let eana = train(&mut EanaOptimizer::new(dp, noise()));
+    let ada = AdaFestConfig::new(dp, 1.0, 0.0, 8).select_all();
+    let adafest = train(&mut AdaFestOptimizer::new(ada, noise()));
+    let mut lazy_opt = LazyDpOptimizer::new(LazyDpConfig::new(dp, true), &model0, noise());
+    let mut lazy = train(&mut lazy_opt);
+    lazy_opt.finalize_model(&mut lazy);
+    let got = [&eager, &eana, &adafest, &lazy].map(release_digest);
+    // Select-all AdaFEST is eager DP-SGD(F) bit for bit, so their
+    // digests agree.
+    assert_eq!(
+        got.map(|d| format!("{d:016x}")),
+        [
+            "8d9d7c9c9a7fbe63",
+            "7f11b32b23c2f8d4",
+            "8d9d7c9c9a7fbe63",
+            "7813b459c9e80ee3"
+        ],
+        "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP"
+    );
 }
 
 /// EANA differs from DP-SGD exactly on the never-accessed rows (the
