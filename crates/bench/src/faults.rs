@@ -3,7 +3,7 @@
 //!
 //! Four short disk-backed LazyDP runs, all over identical data/noise:
 //!
-//! 1. **clean** — no plan installed; the released model is the bitwise
+//! 1. **clean** — an empty plan; the released model is the bitwise
 //!    reference for every other run.
 //! 2. **transient storm** — a deterministic rate plan fails ~5% of page
 //!    reads and writes; bounded retry must absorb every one (released
@@ -15,8 +15,10 @@
 //!    last-good manifest entry, and replay to the end; the table
 //!    reports the replay cost (steps re-run / total).
 //!
-//! All numbers come from `lazydp_fault` decisions and the
-//! `lazydp_obs` `fault.*` counters — no wall-clock, so the table is
+//! Each run builds the objects its plan breaks inside
+//! `lazydp_fault::scoped`, so the plan reaches those and nothing else
+//! in the process. All numbers come from `lazydp_fault` decisions and
+//! the `lazydp_obs` `fault.*` counters — no wall-clock, so the table is
 //! deterministic and diffable across runs (the CI fault leg uploads it
 //! as `BENCH_faults.json`).
 //!
@@ -33,6 +35,7 @@ use lazydp_rng::counter::CounterNoise;
 use lazydp_rng::Xoshiro256PlusPlus;
 use lazydp_store::{StorageConfig, StoredTable};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 const TABLES: usize = 2;
 const ROWS: u64 = 96;
@@ -60,16 +63,20 @@ fn spill() -> StorageConfig {
     StorageConfig::new().with_page_rows(8).with_cache_pages(4)
 }
 
-/// One full disk-backed run under whatever plan is installed; returns
-/// the released model (densified) and the `fault.*` counter delta.
-fn stored_run(model0: &Dlrm, batches: &[MiniBatch]) -> (Dlrm, MetricsSnapshot) {
+/// One full disk-backed run whose tables and optimizer follow `plan`;
+/// returns the released model (densified) and the `fault.*` counter
+/// delta.
+fn stored_run(plan: FaultPlan, model0: &Dlrm, batches: &[MiniBatch]) -> (Dlrm, MetricsSnapshot) {
     let before = lazydp_obs::snapshot::capture_metrics();
     let storage = spill();
-    let mut m = model0
-        .clone()
-        .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
-        .expect("spill tables");
-    let mut o = LazyDpOptimizer::new(cfg(), &m, CounterNoise::new(NOISE_SEED));
+    let (mut m, mut o) = lazydp_fault::scoped(plan, || {
+        let m = model0
+            .clone()
+            .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
+            .expect("spill tables");
+        let o = LazyDpOptimizer::new(cfg(), &m, CounterNoise::new(NOISE_SEED));
+        (m, o)
+    });
     for i in 0..STEPS {
         o.step(&mut m, &batches[i], Some(&batches[i + 1]));
     }
@@ -113,17 +120,22 @@ fn kill_resume_run(model0: &Dlrm, batches: &[MiniBatch]) -> (Dlrm, usize) {
     });
     let dir = std::env::temp_dir().join(format!("lazydp-figures-faults-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    lazydp_fault::install(FaultPlan::new(1).rule(Site::MidStep, KILL_ITER, FaultKind::Kill));
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut store = CheckpointStore::open(&dir).expect("open checkpoint dir");
         let mut m = model0.clone();
-        let mut o = LazyDpOptimizer::new(cfg(), &m, CounterNoise::new(NOISE_SEED));
+        let (mut store, mut o) = lazydp_fault::scoped(
+            FaultPlan::new(1).rule(Site::MidStep, KILL_ITER, FaultKind::Kill),
+            || {
+                (
+                    CheckpointStore::open(&dir).expect("open checkpoint dir"),
+                    LazyDpOptimizer::new(cfg(), &m, CounterNoise::new(NOISE_SEED)),
+                )
+            },
+        );
         for i in 0..STEPS {
             o.step(&mut m, &batches[i], Some(&batches[i + 1]));
             store.save(&Checkpoint::capture(&m, &o)).expect("save");
         }
     }));
-    lazydp_fault::clear();
     let payload = attempt.expect_err("the plan must kill the run");
     assert!(
         payload.downcast_ref::<InjectedKill>().is_some(),
@@ -154,20 +166,23 @@ fn kill_resume_run(model0: &Dlrm, batches: &[MiniBatch]) -> (Dlrm, usize) {
 /// degradation under the dead-device plan.
 #[must_use]
 pub fn fault_resilience() -> Table {
-    let _serial = lazydp_fault::exclusive();
+    // The table reports `fault.*` deltas of the process-wide obs
+    // registry, so two runs of this experiment in one process (the
+    // figures tests run it from several threads) must not overlap.
+    static RUNNING: Mutex<()> = Mutex::new(());
+    let _one_run_at_a_time = RUNNING.lock().unwrap_or_else(PoisonError::into_inner);
     let (model0, batches) = setup();
 
-    lazydp_fault::clear();
-    let (reference, _) = stored_run(&model0, &batches);
+    let (reference, _) = stored_run(FaultPlan::new(0), &model0, &batches);
 
     // Transient storm: ~5% of page reads and writes fail once.
-    lazydp_fault::install(
+    let (stormed, storm) = stored_run(
         FaultPlan::new(7)
             .rate_rule(Site::PageRead, 0.05, FaultKind::Transient)
             .rate_rule(Site::PageWrite, 0.05, FaultKind::Transient),
+        &model0,
+        &batches,
     );
-    let (stormed, storm) = stored_run(&model0, &batches);
-    lazydp_fault::clear();
     let storm_diff = max_diff(&reference, &stormed);
     assert_eq!(storm_diff, 0.0, "transient storm must be absorbed bitwise");
     assert_eq!(
@@ -178,9 +193,11 @@ pub fn fault_resilience() -> Table {
 
     // Dead spill device: every page write fails from ordinal 24 on —
     // past the initial spill, so the failure lands mid-training.
-    lazydp_fault::install(FaultPlan::new(7).rule(Site::PageWrite, 24, FaultKind::Persistent));
-    let (degraded, dead) = stored_run(&model0, &batches);
-    lazydp_fault::clear();
+    let (degraded, dead) = stored_run(
+        FaultPlan::new(7).rule(Site::PageWrite, 24, FaultKind::Persistent),
+        &model0,
+        &batches,
+    );
     let degraded_diff = max_diff(&reference, &degraded);
     assert_eq!(degraded_diff, 0.0, "degradation must be bitwise");
 

@@ -23,8 +23,7 @@
 //!    guarantee is untouched (same σ, q, T — see `lazydp-privacy`).
 //!
 //! Scaling machinery on top of the algorithm (see `ARCHITECTURE.md`):
-//! with an addressable noise source and more than one thread the
-//! per-step [`LookaheadFlush`] is *overlapped* with the step's dense
+//! with more than one thread the per-step [`LookaheadFlush`] is *overlapped* with the step's dense
 //! compute, and the input pipeline can be made asynchronous (a
 //! `lazydp_data::PrefetchLoader` handed to
 //! [`PrivateTrainer::make_private_optimizer`]). Both are bitwise
@@ -72,5 +71,5 @@ pub use history::HistoryTable;
 pub use optimizer::{LazyDpConfig, LazyDpOptimizer};
 pub use overhead::{history_table_bytes, input_queue_bytes, OverheadReport};
 pub use plan::{LookaheadFlush, NoisePlanEntry};
-pub use recovery::{open_and_sweep, CheckpointError, CheckpointStore};
+pub use recovery::{CheckpointError, CheckpointStore};
 pub use wrapper::PrivateTrainer;

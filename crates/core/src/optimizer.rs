@@ -8,12 +8,10 @@
 //! from an option:
 //!
 //! * **Overlap** — the flush only needs the *next* batch's indices and
-//!   the history, never the gradients, so with an addressable (pure)
-//!   noise source and `threads > 1` [`step`](Optimizer::step) fills it
-//!   on a scoped worker concurrently with the current step's dense
-//!   forward/backward compute.
-//! * **Inline** — a stateful-stream source (whose draw order must be
-//!   kept) or a single-width executor fills it in the table stage.
+//!   the history, never the gradients, so with `threads > 1`
+//!   [`step`](Optimizer::step) fills it on a scoped worker concurrently
+//!   with the current step's dense forward/backward compute.
+//! * **Inline** — a single-width executor fills it in the table stage.
 //!
 //! Either way it lands through the same
 //! [`merge_into`](LookaheadFlush::merge_into), and the trained model is
@@ -26,6 +24,7 @@ use lazydp_dpsgd::{DpConfig, DpStep, KernelCounters, Optimizer, StepStats, Table
 use lazydp_embedding::sparse::dedup_indices_into;
 use lazydp_embedding::EmbeddingStorage;
 use lazydp_exec::Executor;
+use lazydp_fault::{Faults, Site};
 use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
 
@@ -99,6 +98,9 @@ pub struct LazyDpOptimizer<N> {
     targets: Vec<Vec<u64>>,
     /// The lookahead flush of each table, refilled every step.
     flushes: Vec<LookaheadFlush>,
+    /// The fault plan of the `step` and `flush` kill points, captured at
+    /// construction.
+    faults: Faults,
 }
 
 impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
@@ -119,6 +121,8 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
     /// Rebuilds an optimizer from checkpointed state (see
     /// [`crate::checkpoint`]). `history` must have one entry per table
     /// and `iter` must be the iteration the history was captured at.
+    /// Every constructor ends here, where the optimizer captures the
+    /// fault plan [`Faults::current`] resolves.
     #[must_use]
     pub fn from_state(cfg: LazyDpConfig, noise: N, history: Vec<HistoryTable>, iter: u64) -> Self {
         Self {
@@ -127,6 +131,7 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
             flushes: vec![LookaheadFlush::default(); history.len()],
             history,
             targets: Vec::new(),
+            faults: Faults::current(),
         }
     }
 
@@ -275,28 +280,27 @@ where
 
         // Gradient derivation and lookahead flush. The flush needs only
         // the next-batch targets, the history, and the noise source —
-        // never the gradients — so with an addressable (pure) source and
-        // a multi-width executor it is filled on a scoped worker *while*
-        // the main thread does the dense forward/backward. A stateful
-        // source is filled in the table stage below to preserve its draw
-        // order, and so is a single-width executor (the overlap worker
-        // would only interleave with itself), which also keeps the
-        // steady-state step allocation-free. Values are identical either
-        // way: addressable noise is a pure function of the address. The
-        // filling side also asks the storage backend to fault in the
-        // pages of exactly the rows step t+1 gathers (the set LazyDP's
-        // delayed noising touches), so on a disk-backed table the next
-        // gather is served from the page cache — prefetch is a no-op for
-        // in-memory backends and never changes row values.
-        let overlap = has_next && self.core.noise().addressable() && dp.threads > 1;
+        // never the gradients — so on a multi-width executor it is
+        // filled on a scoped worker *while* the main thread does the
+        // dense forward/backward. A single-width executor fills it in the
+        // table stage below instead (the overlap worker would only
+        // interleave with itself), which also keeps the steady-state step
+        // allocation-free. Values are identical either way: the noise is
+        // a pure function of its address. The filling side also asks the
+        // storage backend to fault in the pages of exactly the rows step
+        // t+1 gathers (the set LazyDP's delayed noising touches), so on a
+        // disk-backed table the next gather is served from the page
+        // cache — prefetch is a no-op for in-memory backends and never
+        // changes row values.
+        let overlap = has_next && dp.threads > 1;
         let clipped = if overlap {
             lazydp_obs::span!("step.flush_overlap");
             lazydp_obs::metrics().trainer.flush_overlaps.incr();
-            // The worker samples through its own handle: an addressable
-            // source is a pure function of the address, so a clone
-            // draws the same values while the core stays borrowed by
-            // the aggregate.
+            // The worker samples through its own handle: the source is a
+            // pure function of the address, so a clone draws the same
+            // values while the core stays borrowed by the aggregate.
             let mut noise = self.core.noise().clone();
+            let faults = &self.faults;
             let history = &mut self.history;
             let flushes = &mut self.flushes;
             let targets = &self.targets;
@@ -308,6 +312,12 @@ where
                     for (t, (flush, tg)) in flushes.iter_mut().zip(targets).enumerate() {
                         let table = &model_ref.tables[t];
                         table.prefetch_rows(tg);
+                        // Kill point `flush`: a crash mid-flush leaves
+                        // the history partially advanced. Only table 0
+                        // hosts it, so one kill fires per step.
+                        if t == 0 {
+                            faults.point(Site::MidFlush, iter);
+                        }
                         flush.fill(
                             t as u32,
                             iter,
@@ -342,7 +352,7 @@ where
         // sparse updates have not — the most state-torn instant of a
         // step. The recovery harness proves a crash here resumes
         // bitwise from the last checkpoint.
-        lazydp_fault::point(lazydp_fault::Site::MidStep, iter);
+        self.faults.point(Site::MidStep, iter);
 
         // Table stage: merge the (sparse) gradient with the lazy noise
         // of the rows the *next* iteration will gather, then apply one
@@ -361,6 +371,9 @@ where
                     lazydp_obs::span!("step.flush_seq");
                     let tg: &[u64] = &self.targets[t];
                     table.prefetch_rows(tg);
+                    if t == 0 {
+                        self.faults.point(Site::MidFlush, iter);
+                    }
                     flush.fill(
                         t as u32,
                         iter,
@@ -618,6 +631,35 @@ mod tests {
         assert!(
             c.history_reads <= 16,
             "at most one read per unique next row"
+        );
+    }
+
+    #[test]
+    fn a_scoped_kill_plan_follows_the_optimizer_onto_the_overlap_worker() {
+        use lazydp_fault::{FaultKind, FaultPlan, InjectedKill};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (mut model, ds) = setup(2, 32, 32);
+        let batches: Vec<MiniBatch> = (0..3)
+            .map(|i| ds.batch_of(&(i * 8..(i + 1) * 8).collect::<Vec<_>>()))
+            .collect();
+        // Built inside the scope, stepped after it ends: at 4 threads the
+        // flush (and its kill point) runs on the overlap worker.
+        let cfg = LazyDpConfig::paper_default(8).with_threads(4);
+        let mut opt = lazydp_fault::scoped(
+            FaultPlan::new(0).rule(Site::MidFlush, 2, FaultKind::Kill),
+            || LazyDpOptimizer::new(cfg, &model, CounterNoise::new(5)),
+        );
+        opt.step(&mut model, &batches[0], Some(&batches[1]));
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            opt.step(&mut model, &batches[1], Some(&batches[2]));
+        }))
+        .expect_err("iteration 2 dies at the flush");
+        assert_eq!(
+            payload.downcast_ref::<InjectedKill>(),
+            Some(&InjectedKill {
+                site: Site::MidFlush,
+                ordinal: 2
+            })
         );
     }
 

@@ -77,14 +77,12 @@ pub fn plan_all_rows(
 /// draws addressed by the iteration whose noise they are — the exact
 /// values eager DP-SGD would have drawn (lines 32–35).
 ///
-/// The parallel path clones the source per chunk, which is only sound
-/// for [`addressable`](RowNoise::addressable) sources; stateful
-/// (non-addressable) ones are sampled sequentially through the live
-/// `&mut` reference instead, so their stream advances in plan order. On
-/// a single-width executor (or a stateful source) the whole phase runs
-/// through `acc` and `buf` with zero allocation; the multi-worker path
-/// still hands each chunk its own scratch (worker threads are scoped to
-/// the region, so per-chunk buffers cannot be pooled across steps).
+/// The parallel path clones the source per chunk, which draws the same
+/// values because a [`RowNoise`] source is a pure function of the
+/// address. On a single-width executor the whole phase runs through
+/// `acc` and `buf` with zero allocation; the multi-worker path still
+/// hands each chunk its own scratch (worker threads are scoped to the
+/// region, so per-chunk buffers cannot be pooled across steps).
 #[allow(clippy::too_many_arguments)]
 pub fn sample_entries_into<N>(
     table_id: u32,
@@ -103,13 +101,13 @@ pub fn sample_entries_into<N>(
 {
     acc.clear();
     acc.resize(entries.len() * dim, 0.0);
-    if dim > 0 && exec.is_parallel() && noise.addressable() {
+    if dim > 0 && exec.is_parallel() {
         let noise = &*noise;
         exec.par_for(acc.as_mut_slice(), ENTRIES_PER_CHUNK * dim, |c, chunk| {
             // One scratch buffer and one noise handle per chunk —
-            // reused across its rows. Cloning is free and sound here:
-            // an addressable source is a pure function of the
-            // (table, row, iter) address.
+            // reused across its rows. Cloning is free and sound: the
+            // source is a pure function of the (table, row, iter)
+            // address.
             let mut worker_noise = noise.clone();
             let mut buf = vec![0.0f32; dim];
             let first = c * ENTRIES_PER_CHUNK;
@@ -127,10 +125,9 @@ pub fn sample_entries_into<N>(
             }
         });
     } else if dim > 0 {
-        // Inline path (single worker, or a stateful source that must
-        // draw sequentially in plan order through the live reference):
-        // same values — an addressable source is a pure function of the
-        // address, and chunking never changes the per-row arithmetic.
+        // Inline path (single worker): same values — the source is a
+        // pure function of the address, and chunking never changes the
+        // per-row arithmetic.
         buf.clear();
         buf.resize(dim, 0.0);
         for (e, out) in entries.iter().zip(acc.chunks_mut(dim)) {
@@ -213,12 +210,6 @@ impl LookaheadFlush {
     ) where
         N: RowNoise + Clone + Send + Sync,
     {
-        // Kill point `flush`: a crash mid-flush leaves the history's
-        // last-touched iterations partially advanced. Only table 0 hosts
-        // the point so one kill fires per step, not per table.
-        if table_id == 0 {
-            lazydp_fault::point(lazydp_fault::Site::MidFlush, iter);
-        }
         self.dim = dim;
         self.entries.clear();
         let trainer = &lazydp_obs::metrics().trainer;
@@ -491,41 +482,6 @@ mod tests {
                 assert_eq!(c.gaussian_samples, c2.gaussian_samples);
             }
         }
-    }
-
-    #[test]
-    fn stateful_sources_fill_in_plan_order_with_advancing_state() {
-        // A non-addressable source must not be cloned per chunk (that
-        // would repeat the same stream): even on a multi-width executor
-        // the rows get distinct draws, taken in plan order, and the
-        // caller's stream state advances across fills.
-        use lazydp_rng::{SequentialNoise, Xoshiro256PlusPlus};
-        let targets: Vec<u64> = (0..80).collect();
-        let dim = 4usize;
-        let mut noise = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(2));
-        let mut c = KernelCounters::new();
-        let exec = Executor::new(4);
-        let mut h = HistoryTable::new(80);
-        let mut flush = LookaheadFlush::default();
-        flush.fill(
-            1, 1, &targets, &mut h, dim, 1.0, true, &mut noise, &exec, &mut c,
-        );
-        let first = flush.noise.clone();
-        // Plan order: a fresh stream drawn row after row gives the same
-        // block.
-        let mut replay = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(2));
-        let mut buf = vec![0.0f32; dim];
-        for (row, got) in targets.iter().zip(first.chunks(dim)) {
-            replay.fill_unit(1, *row, 1, &mut buf);
-            assert_eq!(got, buf.as_slice(), "row {row}");
-        }
-        for pair in first.chunks(dim).take(8).collect::<Vec<_>>().windows(2) {
-            assert_ne!(pair[0], pair[1], "rows must not share draws");
-        }
-        flush.fill(
-            1, 2, &targets, &mut h, dim, 1.0, true, &mut noise, &exec, &mut c,
-        );
-        assert_ne!(first, flush.noise, "stream state must advance across fills");
     }
 
     #[test]

@@ -20,15 +20,16 @@
 //! the "last-good" fallback the kill-and-resume harness
 //! (`tests/crash_recovery.rs`) exercises at every injected kill point.
 //!
-//! All file operations consult the deterministic fault plan
-//! (`lazydp_fault`) under this store's own operation ordinals:
+//! All file operations consult the deterministic fault plan the store
+//! captured when it was opened (`lazydp_fault::Faults`) under this
+//! store's own operation ordinals:
 //! `ckpt.write`, `ckpt.sync`, `ckpt.rename` inject I/O failures
 //! (absorbed by bounded retry) and `checkpoint` is the kill point
 //! between writing and publishing.
 
 use crate::checkpoint::Checkpoint;
 use lazydp_fault::checksum::fnv1a64;
-use lazydp_fault::{FaultKind, InjectedKill, Site};
+use lazydp_fault::{FaultKind, Faults, InjectedKill, Site};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -109,7 +110,9 @@ const MANIFEST_HEADER: &str = "lazydp-manifest v1";
 pub struct CheckpointStore {
     dir: PathBuf,
     entries: Vec<ManifestEntry>,
-    /// This store's own operation ordinals for fault-plan decisions.
+    /// The fault plan this store follows, and its own operation
+    /// ordinals for the plan's decisions.
+    faults: Faults,
     write_ops: u64,
     sync_ops: u64,
     rename_ops: u64,
@@ -117,11 +120,11 @@ pub struct CheckpointStore {
     saves: u64,
 }
 
-/// Consults the fault plan at a checkpoint I/O site: injected I/O
-/// failures come back as errors (the caller retries), an injected kill
-/// panics with the typed payload.
-fn inject(site: Site, ordinal: u64, path: &Path) -> Result<(), CheckpointError> {
-    match lazydp_fault::decide(site, ordinal) {
+/// Consults `faults` at a checkpoint I/O site: injected I/O failures
+/// come back as errors (the caller retries), an injected kill panics
+/// with the typed payload.
+fn inject(faults: &Faults, site: Site, ordinal: u64, path: &Path) -> Result<(), CheckpointError> {
+    match faults.decide(site, ordinal) {
         None => Ok(()),
         Some(FaultKind::Kill) => std::panic::panic_any(InjectedKill { site, ordinal }),
         Some(kind) => Err(CheckpointError::Io {
@@ -142,7 +145,8 @@ fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(io::Error) -> Che
 
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory and loads its
-    /// manifest.
+    /// manifest. The store follows the fault plan
+    /// [`Faults::current`] resolves here.
     ///
     /// # Errors
     ///
@@ -165,6 +169,7 @@ impl CheckpointStore {
         Ok(Self {
             dir,
             entries,
+            faults: Faults::current(),
             write_ops: 0,
             sync_ops: 0,
             rename_ops: 0,
@@ -209,7 +214,7 @@ impl CheckpointStore {
         // The crash window: the bytes are durable under the tmp name but
         // nothing references them. A kill here must resume from the
         // previous manifest entry, and the sweep must remove the tmp.
-        lazydp_fault::point(Site::MidCheckpoint, save_ordinal);
+        self.faults.point(Site::MidCheckpoint, save_ordinal);
         self.rename(&tmp, &path)?;
         self.entries.push(ManifestEntry {
             iteration: ck.iteration,
@@ -290,28 +295,30 @@ impl CheckpointStore {
     /// fault injection at the `ckpt.write` / `ckpt.sync` sites and
     /// bounded retry around the whole attempt.
     fn write_synced(&mut self, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let faults = &self.faults;
         let write_ops = &mut self.write_ops;
         let sync_ops = &mut self.sync_ops;
         lazydp_fault::with_retry(|| {
             let ord = *write_ops;
             *write_ops += 1;
-            inject(Site::CkptWrite, ord, path)?;
+            inject(faults, Site::CkptWrite, ord, path)?;
             let mut f = File::create(path).map_err(io_err("ckpt.write", path))?;
             f.write_all(bytes).map_err(io_err("ckpt.write", path))?;
             let ord = *sync_ops;
             *sync_ops += 1;
-            inject(Site::CkptSync, ord, path)?;
+            inject(faults, Site::CkptSync, ord, path)?;
             f.sync_all().map_err(io_err("ckpt.sync", path))
         })
     }
 
     /// Atomic rename with fault injection and bounded retry.
     fn rename(&mut self, from: &Path, to: &Path) -> Result<(), CheckpointError> {
+        let faults = &self.faults;
         let rename_ops = &mut self.rename_ops;
         lazydp_fault::with_retry(|| {
             let ord = *rename_ops;
             *rename_ops += 1;
-            inject(Site::CkptRename, ord, to)?;
+            inject(faults, Site::CkptRename, ord, to)?;
             std::fs::rename(from, to).map_err(io_err("ckpt.rename", to))
         })
     }
@@ -362,27 +369,6 @@ fn parse_manifest(text: &str) -> Result<Vec<ManifestEntry>, String> {
         });
     }
     Ok(entries)
-}
-
-/// Prepares a directory for a resumed run: sweeps checkpoint debris
-/// (`*.tmp`, unlisted `ckpt-*.bin`) **and** stale spill files an earlier
-/// crashed process left in `spill_dir`, then returns the opened store.
-///
-/// # Errors
-///
-/// As [`CheckpointStore::open`] / [`CheckpointStore::sweep_stale`];
-/// spill-sweep failures are reported the same way.
-pub fn open_and_sweep(
-    ckpt_dir: impl Into<PathBuf>,
-    spill_dir: &Path,
-) -> Result<CheckpointStore, CheckpointError> {
-    let store = CheckpointStore::open(ckpt_dir)?;
-    store.sweep_stale()?;
-    if spill_dir.exists() {
-        lazydp_store::sweep_stale_spill_files(spill_dir)
-            .map_err(io_err("spill.sweep", spill_dir))?;
-    }
-    Ok(store)
 }
 
 #[cfg(test)]
@@ -487,19 +473,17 @@ mod tests {
 
     #[test]
     fn transient_faults_on_every_site_are_absorbed() {
-        let _g = lazydp_fault::exclusive();
         let dir = fresh_dir("transient");
-        lazydp_fault::install(
+        let mut store = lazydp_fault::scoped(
             FaultPlan::new(5)
                 .rule(Site::CkptWrite, 0, FaultKind::Transient)
                 .rule(Site::CkptSync, 1, FaultKind::Transient)
                 .rule(Site::CkptRename, 0, FaultKind::Transient),
+            || CheckpointStore::open(&dir).expect("open"),
         );
-        let mut store = CheckpointStore::open(&dir).expect("open");
         store
             .save(&tiny_checkpoint(2))
             .expect("retries absorb all three");
-        lazydp_fault::clear();
         let ck = store.resume_latest().expect("resume").expect("some");
         assert_eq!(ck.iteration, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -507,17 +491,17 @@ mod tests {
 
     #[test]
     fn kill_before_publish_resumes_from_previous_checkpoint() {
-        let _g = lazydp_fault::exclusive();
         let dir = fresh_dir("kill");
-        let mut store = CheckpointStore::open(&dir).expect("open");
-        store.save(&tiny_checkpoint(3)).expect("save");
         // Kill the second save in the window after the tmp file is
         // durable but before the rename publishes it.
-        lazydp_fault::install(FaultPlan::new(0).rule(Site::MidCheckpoint, 1, FaultKind::Kill));
+        let mut store = lazydp_fault::scoped(
+            FaultPlan::new(0).rule(Site::MidCheckpoint, 1, FaultKind::Kill),
+            || CheckpointStore::open(&dir).expect("open"),
+        );
+        store.save(&tiny_checkpoint(3)).expect("save");
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let _ = store.save(&tiny_checkpoint(6));
         }));
-        lazydp_fault::clear();
         let kill = unwound
             .expect_err("must die at the kill point")
             .downcast_ref::<InjectedKill>()

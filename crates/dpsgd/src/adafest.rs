@@ -208,11 +208,9 @@ pub fn select_partitions_into<N: RowNoise>(
 /// the stride `p, p+S, p+2S, …` under the `row mod S` scheme), so the
 /// per-step cost is `O(selected partitions · partition rows)`, not
 /// `O(table rows)`. Each row's update is independent and its noise is
-/// addressed by `(table, row, iter)`, so for addressable sources the
-/// visit order is immaterial and every selected row's update is bitwise
-/// that of [`dense_noisy_update_with`](crate::noise_update::dense_noisy_update_with)
-/// (for stream sources like `SequentialNoise` — only distributionally
-/// equivalent by contract — the draw order is partition-major).
+/// addressed by `(table, row, iter)`, so the visit order is immaterial
+/// and every selected row's update is bitwise that of
+/// [`dense_noisy_update_with`](crate::noise_update::dense_noisy_update_with).
 ///
 /// # Panics
 ///

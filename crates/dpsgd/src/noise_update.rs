@@ -114,16 +114,13 @@ pub fn dense_noisy_update_with<N: RowNoise>(
 }
 
 /// [`dense_noisy_update_with`] over `threads` workers. Identical to the
-/// sequential entry for any [`addressable`](RowNoise::addressable)
-/// `RowNoise` (e.g. [`CounterNoise`](lazydp_rng::counter::CounterNoise))
-/// at any thread count. Non-addressable (stateful) sources are
-/// **rejected**: the per-chunk clones would replay the same stream in
-/// every chunk, producing correlated noise — use the sequential entry
-/// for those (as [`EagerDpSgd`](crate::EagerDpSgd) does automatically).
+/// sequential entry at any thread count: each chunk samples through its
+/// own clone of `noise`, which draws the same values because a
+/// [`RowNoise`] source is a pure function of the address.
 ///
 /// # Panics
 ///
-/// Panics if `noise` is not addressable, `grad` is not coalesced
+/// Panics if `grad` is not coalesced
 /// (sorted, duplicate-free rows), dimensions mismatch, or
 /// `threads == 0`.
 #[allow(clippy::too_many_arguments)]
@@ -140,11 +137,6 @@ pub fn par_dense_noisy_update<N>(
 ) where
     N: RowNoise + Clone + Send + Sync,
 {
-    assert!(
-        noise.addressable(),
-        "parallel noisy update needs an addressable noise source \
-         (cloning a stateful stream per chunk would correlate the noise)"
-    );
     begin_dense_sweep(table, grad, counters);
     let dim = table.dim();
     Executor::new(threads).par_for(table.as_mut_slice(), ROWS_PER_CHUNK * dim, |c, chunk| {
@@ -370,16 +362,6 @@ mod tests {
         let n = CounterNoise::new(1);
         let mut c = KernelCounters::new();
         par_dense_noisy_update(0, &mut t, &g, &n, 1, 0.1, 0.1, 2, &mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "addressable")]
-    fn parallel_update_rejects_stateful_noise() {
-        use lazydp_rng::{SequentialNoise, Xoshiro256PlusPlus};
-        let mut t = EmbeddingTable::zeros(4, 2);
-        let n = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(3));
-        let mut c = KernelCounters::new();
-        par_dense_noisy_update(0, &mut t, &SparseGrad::new(2), &n, 1, 0.1, 0.1, 2, &mut c);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! loses work that has already spent irrevocable privacy budget. This
 //! crate is how the workspace *proves* it survives such failures: the
 //! storage engine (`lazydp_store`) and the checkpoint path
-//! (`lazydp_core`) consult an installed [`FaultPlan`] at well-known
-//! injection **sites**, and the plan decides — as a pure function of
+//! (`lazydp_core`) consult a [`FaultPlan`] at well-known injection
+//! **sites**, and the plan decides — as a pure function of
 //! `(seed, site, operation ordinal)` — whether that operation fails,
 //! and how. The same plan therefore reproduces the identical failure
 //! sequence on every run, which is what makes the kill-and-resume
@@ -29,17 +29,21 @@
 //!   be caught by a recovery harness that then resumes from the
 //!   last-good checkpoint.
 //!
-//! # Ordinals are per call-site owner, not global
+//! # Plans and ordinals belong to the owner
 //!
 //! Each injecting object (a `PageFile`, a `CheckpointStore`, an
-//! optimizer) counts its **own** operations and passes the count as the
-//! ordinal. Two runs that construct the same objects and perform the
-//! same schedule therefore see the same `(site, ordinal)` stream — no
-//! global counter races across unrelated tables or tests. (Concurrent
-//! accessors of one object interleave their schedules, which can shift
-//! which operation a *rate* rule hits; values stay exact because every
-//! injected failure is retried or recovered, never absorbed into row
-//! data.)
+//! optimizer) captures its plan once, at construction, as a [`Faults`]
+//! handle: the plan of the innermost [`scoped`] call on the constructing
+//! thread, or else the `LAZYDP_FAULTS` plan (read once per process).
+//! Every site of that object consults its own handle, on whatever thread
+//! the operation runs, so no plan set up for one test or experiment
+//! reaches an object another one built. The object also counts its
+//! **own** operations and passes the count as the ordinal: two runs
+//! that construct the same objects and perform the same schedule see
+//! the same `(site, ordinal)` stream. (Concurrent accessors of one
+//! object interleave their schedules, which can shift which operation a
+//! *rate* rule hits; values stay exact because every injected failure
+//! is retried or recovered, never absorbed into row data.)
 //!
 //! # The `LAZYDP_FAULTS` environment knob
 //!
@@ -55,16 +59,16 @@
 //! Example: `LAZYDP_FAULTS=7:page.read*0.01=transient,page.write*0.01=transient`
 //! makes ~1% of spill-file I/O fail transiently — the whole test suite
 //! must still pass bitwise (CI's fault leg). Unset, empty, or `off`
-//! disables injection; a programmatic [`install`] overrides the
-//! environment until [`clear`].
+//! disables injection. Objects built inside [`scoped`] follow its plan
+//! instead, for their whole lifetime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checksum;
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::sync::{Arc, OnceLock};
 
 /// A named injection point. Every site is owned by one layer of the
 /// stack; the owner counts its own operations and passes the ordinal.
@@ -85,9 +89,8 @@ pub enum Site {
     /// lookahead flush has already run by then, an inline one has not).
     MidStep,
     /// `flush` — a kill point at the head of LazyDP's per-step lookahead
-    /// flush (`LookaheadFlush::fill`, table 0), wherever it runs: on the
-    /// overlap worker, or inline in the table stage on a single-width
-    /// executor or with a stateful noise source.
+    /// flush (table 0), wherever it runs: on the overlap worker, or
+    /// inline in the table stage on a single-width executor.
     MidFlush,
     /// `checkpoint` — a kill point between writing a checkpoint's temp
     /// file and publishing it (rename + manifest update).
@@ -196,8 +199,8 @@ struct FaultRule {
 /// A deterministic failure schedule: a seed plus a list of rules.
 ///
 /// Build one programmatically with [`FaultPlan::new`] + [`FaultPlan::rule`],
-/// or parse the `LAZYDP_FAULTS` spec with [`FaultPlan::parse`]. Install
-/// process-wide with [`install`].
+/// or parse the `LAZYDP_FAULTS` spec with [`FaultPlan::parse`]. Hand it
+/// to the objects built inside [`scoped`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
@@ -334,87 +337,92 @@ fn unit_hash(seed: u64, site: Site, ordinal: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-// ---------- process-wide plan ---------------------------------------------
+// ---------- owner-captured plans ------------------------------------------
 
-/// Plan state: not yet resolved from the environment.
-const STATE_UNRESOLVED: u8 = u8::MAX;
-/// Plan state: no injection (fast path — one relaxed load per site).
-const STATE_OFF: u8 = 0;
-/// Plan state: a plan is active; consult it under the lock.
-const STATE_ON: u8 = 1;
+/// The plan one fault-injecting object follows, captured once when the
+/// object is built ([`Faults::current`]) and consulted at every one of
+/// its sites, on whatever thread the operation runs. Without a plan a
+/// site costs one branch on this field.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Faults(Option<Arc<FaultPlan>>);
 
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNRESOLVED);
-static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-
-fn plan_lock() -> MutexGuard<'static, Option<Arc<FaultPlan>>> {
-    // A panicking holder cannot leave a torn plan: the guarded value is
-    // a single Arc swap.
-    PLAN.lock().unwrap_or_else(PoisonError::into_inner)
+thread_local! {
+    /// The plan of the innermost [`scoped`] call on this thread.
+    static SCOPED: RefCell<Option<Faults>> = const { RefCell::new(None) };
 }
 
-/// Installs `plan` process-wide, overriding `LAZYDP_FAULTS` until
-/// [`clear`] is called.
-pub fn install(plan: FaultPlan) {
-    let state = if plan.is_empty() { STATE_OFF } else { STATE_ON };
-    *plan_lock() = Some(Arc::new(plan));
-    STATE.store(state, Ordering::Release);
-}
-
-/// Removes any installed plan and re-arms resolution from the
-/// `LAZYDP_FAULTS` environment variable (so a test that installs a plan
-/// hands the environment's plan back to the rest of the process).
-pub fn clear() {
-    *plan_lock() = None;
-    STATE.store(STATE_UNRESOLVED, Ordering::Release);
-}
-
-#[cold]
-fn resolve_env() -> u8 {
-    let mut guard = plan_lock();
-    // Another thread may have resolved or installed while we waited.
-    let state = STATE.load(Ordering::Acquire);
-    if state != STATE_UNRESOLVED {
-        return state;
+impl Faults {
+    fn of(plan: FaultPlan) -> Self {
+        Self((!plan.is_empty()).then(|| Arc::new(plan)))
     }
-    let plan = match std::env::var("LAZYDP_FAULTS") {
+
+    /// The plan an object built here and now follows: the innermost
+    /// [`scoped`] plan on this thread, or else `LAZYDP_FAULTS`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `LAZYDP_FAULTS` is set but does not parse: an injection
+    /// plan must never be silently ignored (the CI leg depends on it).
+    #[must_use]
+    pub fn current() -> Self {
+        SCOPED
+            .with(|s| s.borrow().clone())
+            .unwrap_or_else(|| env_plan().clone())
+    }
+
+    /// Whether operation `ordinal` at `site` fails under this plan; fired
+    /// faults are counted in the `fault.injected` obs metric.
+    #[must_use]
+    pub fn decide(&self, site: Site, ordinal: u64) -> Option<FaultKind> {
+        let kind = self.0.as_ref()?.decide(site, ordinal)?;
+        lazydp_obs::metrics().fault.injected.incr();
+        Some(kind)
+    }
+
+    /// A kill point: panics with an [`InjectedKill`] payload when the plan
+    /// fires **any** kind at `(site, ordinal)` (kill sites have no payload
+    /// to corrupt or retry, so every kind means "die here"). No-op
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics (by design) when the plan fires.
+    pub fn point(&self, site: Site, ordinal: u64) {
+        if self.decide(site, ordinal).is_some() {
+            std::panic::panic_any(InjectedKill { site, ordinal });
+        }
+    }
+}
+
+/// The `LAZYDP_FAULTS` plan, read once per process.
+fn env_plan() -> &'static Faults {
+    static ENV: OnceLock<Faults> = OnceLock::new();
+    ENV.get_or_init(|| match std::env::var("LAZYDP_FAULTS") {
         Ok(s) if !s.trim().is_empty() && s.trim() != "off" && s.trim() != "0" => {
             match FaultPlan::parse(&s) {
-                Ok(p) => p,
-                // A misconfigured injection plan must not be silently
-                // ignored — the CI leg depends on it being active.
+                Ok(p) => Faults::of(p),
                 Err(e) => panic!("invalid LAZYDP_FAULTS: {e}"),
             }
         }
-        _ => FaultPlan::default(),
-    };
-    let state = if plan.is_empty() { STATE_OFF } else { STATE_ON };
-    *guard = Some(Arc::new(plan));
-    STATE.store(state, Ordering::Release);
-    state
+        _ => Faults::default(),
+    })
 }
 
-/// True when a non-empty plan is active (env or installed).
-#[must_use]
-pub fn active() -> bool {
-    let mut state = STATE.load(Ordering::Acquire);
-    if state == STATE_UNRESOLVED {
-        state = resolve_env();
+/// Runs `f` with `plan` as the plan every fault-injecting object built
+/// on this thread inside `f` captures (an empty plan injects nothing,
+/// whatever `LAZYDP_FAULTS` says). Objects keep their plan after `f`
+/// returns; objects built before, after, or on other threads are
+/// untouched. Scopes nest, and the enclosing plan is restored when `f`
+/// returns or unwinds.
+pub fn scoped<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Faults>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| *s.borrow_mut() = self.0.take());
+        }
     }
-    state == STATE_ON
-}
-
-/// Whether operation `ordinal` at `site` fails under the active plan.
-/// The disabled fast path is one relaxed atomic load; fired faults are
-/// counted in the `fault.injected` obs metric.
-#[must_use]
-pub fn decide(site: Site, ordinal: u64) -> Option<FaultKind> {
-    if !active() {
-        return None;
-    }
-    let plan = plan_lock().clone()?;
-    let kind = plan.decide(site, ordinal)?;
-    lazydp_obs::metrics().fault.injected.incr();
-    Some(kind)
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(Faults::of(plan)))));
+    f()
 }
 
 /// The panic payload of an injected kill — the in-process stand-in for
@@ -431,20 +439,6 @@ pub struct InjectedKill {
 impl std::fmt::Display for InjectedKill {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "injected kill at {}#{}", self.site, self.ordinal)
-    }
-}
-
-/// A kill point: panics with an [`InjectedKill`] payload when the
-/// active plan fires **any** kind at `(site, ordinal)` (kill sites have
-/// no payload to corrupt or retry, so every kind means "die here").
-/// No-op otherwise.
-///
-/// # Panics
-///
-/// Panics (by design) when the plan fires.
-pub fn point(site: Site, ordinal: u64) {
-    if decide(site, ordinal).is_some() {
-        std::panic::panic_any(InjectedKill { site, ordinal });
     }
 }
 
@@ -509,16 +503,6 @@ pub fn with_retry<T, E: Retryable>(mut op: impl FnMut() -> Result<T, E>) -> Resu
         }
     }
     unreachable!("loop returns on the last attempt")
-}
-
-/// Serializes tests (and harness sections) that install process-wide
-/// plans — the plan is global state, and `cargo test` runs in parallel.
-#[must_use = "the section is serialized only while the guard lives"]
-pub fn exclusive() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A test that panicked mid-section (e.g. an injected kill) poisons
-    // the lock; the next section recovers and installs its own plan.
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -596,37 +580,93 @@ mod tests {
         assert_eq!(p.decide(Site::PageRead, 3), Some(FaultKind::Transient));
     }
 
-    #[test]
-    fn install_decide_clear_round_trip() {
-        let _g = exclusive();
-        install(FaultPlan::new(3).rule(Site::CkptSync, 1, FaultKind::Transient));
-        assert!(active());
-        assert_eq!(decide(Site::CkptSync, 1), Some(FaultKind::Transient));
-        assert_eq!(decide(Site::CkptSync, 0), None);
-        clear();
-        // Post-clear state depends on the environment; under `cargo
-        // test` without LAZYDP_FAULTS this site must be quiet again.
-        if std::env::var("LAZYDP_FAULTS").is_err() {
-            assert_eq!(decide(Site::CkptSync, 1), None);
-        }
+    fn sync_plan() -> FaultPlan {
+        FaultPlan::new(3).rule(Site::CkptSync, 1, FaultKind::Transient)
     }
 
     #[test]
-    fn kill_point_panics_with_a_typed_payload() {
-        let _g = exclusive();
-        install(FaultPlan::new(0).rule(Site::MidStep, 7, FaultKind::Kill));
-        point(Site::MidStep, 6); // no-op
-        let err = std::panic::catch_unwind(|| point(Site::MidStep, 7)).expect_err("must panic");
-        let kill = err.downcast_ref::<InjectedKill>().expect("typed payload");
+    fn a_scoped_plan_never_reaches_other_threads_or_earlier_owners() {
+        let before = Faults::current();
+        let (inside, elsewhere) = scoped(sync_plan(), || {
+            let elsewhere = std::thread::spawn(Faults::current).join().expect("join");
+            (Faults::current(), elsewhere)
+        });
+        assert_eq!(inside.decide(Site::CkptSync, 1), Some(FaultKind::Transient));
+        assert_eq!(inside.decide(Site::CkptSync, 0), None);
+        for h in [before, elsewhere, Faults::current()] {
+            assert_eq!(&h, env_plan(), "must follow LAZYDP_FAULTS");
+        }
+        // An empty scoped plan injects nothing, whatever the environment.
+        assert_eq!(scoped(FaultPlan::new(0), Faults::current), Faults(None));
+    }
+
+    #[test]
+    fn a_captured_plan_outlives_its_scope_and_crosses_threads() {
+        let h = scoped(
+            FaultPlan::new(0).rule(Site::MidFlush, 4, FaultKind::Kill),
+            Faults::current,
+        );
+        let payload = std::thread::spawn(move || {
+            h.point(Site::MidFlush, 3); // no-op
+            h.point(Site::MidFlush, 4);
+        })
+        .join()
+        .expect_err("the captured plan fires on another thread");
+        let kill = payload
+            .downcast_ref::<InjectedKill>()
+            .expect("typed payload");
         assert_eq!(
             *kill,
             InjectedKill {
-                site: Site::MidStep,
-                ordinal: 7
+                site: Site::MidFlush,
+                ordinal: 4
             }
         );
-        assert_eq!(kill.to_string(), "injected kill at step#7");
-        clear();
+        assert_eq!(kill.to_string(), "injected kill at flush#4");
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_plan_on_exit_and_unwind() {
+        let inner = || FaultPlan::new(0).rule(Site::MidStep, 1, FaultKind::Kill);
+        scoped(sync_plan(), || {
+            let outer = Faults::current();
+            let h = scoped(inner(), Faults::current);
+            assert_eq!(h.decide(Site::MidStep, 1), Some(FaultKind::Kill));
+            assert_eq!(Faults::current(), outer, "restored on exit");
+            let unwound = std::panic::catch_unwind(|| {
+                scoped(inner(), || Faults::current().point(Site::MidStep, 1));
+            });
+            assert!(unwound.is_err());
+            assert_eq!(Faults::current(), outer, "restored on unwind");
+        });
+        assert_eq!(&Faults::current(), env_plan());
+    }
+
+    #[test]
+    fn an_owner_built_outside_any_scope_follows_lazydp_faults() {
+        // The environment is read once per process, so the check runs in
+        // a child process of this test binary with a known plan.
+        const SPEC: &str = "5:ckpt.rename@2=transient";
+        if std::env::var("LAZYDP_FAULTS").as_deref() == Ok(SPEC) {
+            let here = Faults::current();
+            let there = std::thread::spawn(Faults::current).join().expect("join");
+            for h in [here, there] {
+                assert_eq!(h.decide(Site::CkptRename, 2), Some(FaultKind::Transient));
+                assert_eq!(h.decide(Site::CkptRename, 1), None);
+            }
+            return;
+        }
+        let name = "tests::an_owner_built_outside_any_scope_follows_lazydp_faults";
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", name, "--test-threads=1"])
+            .env("LAZYDP_FAULTS", SPEC)
+            .output()
+            .expect("spawn the child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}"
+        );
     }
 
     #[test]

@@ -368,10 +368,12 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
         // plan rule) computed from a gradient-bearing value would make
         // the failure schedule data-dependent, leaking per-example
         // information through fault counters, retry timing, and which
-        // operations fail. The `lazydp_fault` ident anchors the
-        // statement, mirroring the obs extension above.
+        // operations fail. The call is anchored by a `lazydp_fault` ident
+        // in the statement (mirroring the obs extension above) or by a
+        // `Site::` path in its arguments — the spelling of a call on an
+        // owner's `Faults` handle.
         if (name == "point" || name == "decide" || name == "injected_io_error")
-            && statement_mentions(&toks, i, "lazydp_fault")
+            && (statement_mentions(&toks, i, "lazydp_fault") || args_name_site(&toks, i + 1))
         {
             if let Some(arg) = sensitive_macro_arg(&toks, i + 1) {
                 push(
@@ -587,6 +589,28 @@ fn statement_mentions(toks: &[Token], i: usize, ident: &str) -> bool {
         .find(|&j| matches!(toks[j].kind, TokenKind::Punct(';' | '{' | '}')))
         .map_or(i.saturating_sub(WINDOW), |j| j + 1);
     toks[start..i].iter().any(|t| t.is_ident(ident))
+}
+
+/// Whether the argument list opening at token `open_paren_idx` names a
+/// fault site by path (`Site::…`).
+fn args_name_site(toks: &[Token], open_paren_idx: usize) -> bool {
+    if !toks.get(open_paren_idx).is_some_and(|t| t.is_punct('(')) {
+        return false;
+    }
+    let mut depth = 0i32;
+    for w in toks[open_paren_idx..].windows(3) {
+        if w[0].is_punct('(') {
+            depth += 1;
+        } else if w[0].is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                return false;
+            }
+        } else if w[0].is_ident("Site") && w[1].is_punct(':') && w[2].is_punct(':') {
+            return true;
+        }
+    }
+    false
 }
 
 /// If the macro argument list opening at token `open_paren_idx` mentions

@@ -137,6 +137,12 @@ fn p1_flags_gradient_derived_fault_ordinals() {
     let decide = "fn f(norm_bucket: u64) -> bool { \
                   lazydp_fault::decide(lazydp_fault::Site::PageRead, norm_bucket).is_some() }\n";
     assert_eq!(flags("crates/store/src/x.rs", decide, "P1").len(), 1);
+    // A call on an owner's handle under `use lazydp_fault::Site` names
+    // no `lazydp_fault` in the statement; the `Site::` path anchors it.
+    let handle = "use lazydp_fault::Site;\n\
+                  fn f(&self, grad_count: u64) { \
+                  self.faults.point(Site::MidStep, grad_count); }\n";
+    assert_eq!(flags("crates/core/src/x.rs", handle, "P1").len(), 1);
 }
 
 #[test]

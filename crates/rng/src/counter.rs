@@ -82,18 +82,17 @@ impl Prng for CounterStream {
     }
 }
 
-/// Source of *standard-normal* noise addressable by `(table, row, iter)`.
+/// Source of *standard-normal* noise addressed by `(table, row, iter)`.
 ///
 /// DP optimizers scale the returned unit noise by `σ·C/B` themselves
 /// (Algorithm 1, lines 34/38), so one source serves every algorithm.
 ///
-/// Two families of implementations exist:
-///
-/// * [`CounterNoise`] — pure function of the address; lets LazyDP and
-///   eager DP-SGD draw identical values in different orders (used to test
-///   Fig. 7's exact-equivalence claim).
-/// * [`SequentialNoise`] — an ordinary PRNG stream, matching how a real
-///   deployment would sample; only distributionally equivalent.
+/// A source is a pure function of `(seed, table, row, iter)`: the same
+/// address yields the same values in any call order, from any clone.
+/// That is what lets LazyDP and eager DP-SGD draw identical values in
+/// different orders (Fig. 7's exact-equivalence claim, tested with
+/// [`CounterNoise`]) and what lets the parallel kernels clone the source
+/// per chunk and still produce the bits of the sequential sweep.
 pub trait RowNoise {
     /// Fills `out` with standard-normal noise for embedding row `row` of
     /// table `table` attributed to training iteration `iter`.
@@ -106,16 +105,6 @@ pub trait RowNoise {
     /// table id; implementations may override for different layouts.
     fn fill_unit_dense(&mut self, param: u32, iter: u64, offset: u64, out: &mut [f32]) {
         self.fill_unit(u32::MAX - param, offset, iter, out);
-    }
-
-    /// Whether the noise is a pure function of the `(table, row, iter)`
-    /// address (and a seed). Only addressable sources may be sampled
-    /// in parallel: the parallel kernels clone the source per chunk, and
-    /// clones of a *stateful* stream would replay identical values in
-    /// every chunk — correlated noise that breaks the DP guarantee.
-    /// Optimizers fall back to sequential sampling when this is `false`.
-    fn addressable(&self) -> bool {
-        false
     }
 }
 
@@ -150,38 +139,6 @@ impl RowNoise for CounterNoise {
     fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]) {
         let mut stream = self.stream_for(table, row, iter);
         gaussian::fill_standard_normal(&mut stream, out);
-    }
-
-    fn addressable(&self) -> bool {
-        true
-    }
-}
-
-/// Sequential-PRNG [`RowNoise`] (deployment-style sampling).
-///
-/// The address arguments are ignored; values come off one stream in call
-/// order. Use [`CounterNoise`] when exact cross-algorithm reproducibility
-/// is required.
-#[derive(Debug, Clone)]
-pub struct SequentialNoise<R> {
-    rng: R,
-}
-
-impl<R: Prng> SequentialNoise<R> {
-    /// Wraps a PRNG as a noise source.
-    pub fn new(rng: R) -> Self {
-        Self { rng }
-    }
-
-    /// Consumes the wrapper, returning the inner generator.
-    pub fn into_inner(self) -> R {
-        self.rng
-    }
-}
-
-impl<R: Prng> RowNoise for SequentialNoise<R> {
-    fn fill_unit(&mut self, _table: u32, _row: u64, _iter: u64, out: &mut [f32]) {
-        gaussian::fill_standard_normal(&mut self.rng, out);
     }
 }
 
@@ -259,23 +216,5 @@ mod tests {
         n.fill_unit(0, 0, 1, &mut a);
         n.fill_unit_dense(0, 1, 0, &mut b);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn addressability_flags() {
-        use crate::prng::Xoshiro256PlusPlus;
-        assert!(CounterNoise::new(1).addressable());
-        assert!(!SequentialNoise::new(Xoshiro256PlusPlus::seed_from(1)).addressable());
-    }
-
-    #[test]
-    fn sequential_noise_draws_in_order() {
-        use crate::prng::Xoshiro256PlusPlus;
-        let mut s = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(1));
-        let mut a = vec![0.0f32; 4];
-        let mut b = vec![0.0f32; 4];
-        s.fill_unit(0, 0, 0, &mut a);
-        s.fill_unit(0, 0, 0, &mut b);
-        assert_ne!(a, b, "sequential source must advance");
     }
 }

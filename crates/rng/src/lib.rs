@@ -43,7 +43,7 @@ pub mod prng;
 pub mod stats;
 pub mod subsample;
 
-pub use counter::{CounterRng, CounterStream, RowNoise, SequentialNoise};
+pub use counter::{CounterRng, CounterStream, RowNoise};
 pub use gaussian::{fill_standard_normal, GaussianSampler};
 pub use prng::{Prng, SplitMix64, Xoshiro256PlusPlus};
 pub use subsample::{poisson_sample, sample_without_replacement};

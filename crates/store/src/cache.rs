@@ -337,17 +337,17 @@ mod tests {
     #[test]
     fn failed_replacement_load_orphans_the_frame_without_aliasing() {
         use lazydp_fault::{FaultKind, FaultPlan, Site};
-        let _serial = lazydp_fault::exclusive();
-        let mut f = file(4, 1);
+        let mut f = lazydp_fault::scoped(
+            FaultPlan::new(1).rule(Site::PageRead, 2, FaultKind::Transient),
+            || file(4, 1),
+        );
         let mut c = PageCache::new(2, 1);
         c.with_page_mut(0, &mut f, |p| p[0] = 10.0).unwrap(); // read #0
         c.touch(1, &mut f).unwrap(); // read #1, cache full
                                      // Fail the next load (read #2): page 0 is evicted (written
                                      // back) and its map entry removed before the replacement read
                                      // errors — the frame must become a true orphan, not keep id 0.
-        lazydp_fault::install(FaultPlan::new(1).rule(Site::PageRead, 2, FaultKind::Transient));
         assert!(c.touch(2, &mut f).is_err(), "injected load must surface");
-        lazydp_fault::clear();
         let live: Vec<usize> = c.resident_pages().map(|(p, _)| p).collect();
         assert_eq!(live, vec![1], "the orphan frame must not be reported");
         // Page 0 comes back into the *other* frame and is updated...
@@ -403,42 +403,20 @@ mod tests {
         assert_eq!(c.capacity(), 4);
     }
 
-    /// Ordinals below this are left alone by the plans of the two tests
-    /// that follow: plans are process-wide, and not every test that
-    /// reads a page holds `lazydp_fault::exclusive()` (ROADMAP 4e) —
-    /// but none of them takes a file this far.
-    const QUIET_OPS: u64 = 128;
-
-    /// A page file whose read and write ordinals both stand at
-    /// [`QUIET_OPS`] (its pages still all zero).
-    fn seasoned_file(pages: usize, elems: usize) -> PageFile {
-        let mut f = file(pages, elems);
-        let mut buf = vec![0.0f32; elems];
-        for _ in 0..QUIET_OPS {
-            f.read_page(0, &mut buf).unwrap();
-            f.write_page(0, &buf).unwrap();
-        }
-        f
-    }
-
     #[test]
     fn a_retried_fault_is_counted_once() {
         use lazydp_fault::{FaultKind, FaultPlan, Site};
-        let _serial = lazydp_fault::exclusive();
         // Eight distinct pages through three frames: every access is a
         // miss whatever the eviction order, every page is dirtied once
         // and so written back once (five evictions + the final flush).
         let run = |plan: FaultPlan| {
-            lazydp_fault::install(FaultPlan::new(0));
-            let mut f = seasoned_file(8, 2);
-            lazydp_fault::install(plan);
+            let mut f = lazydp_fault::scoped(plan, || file(8, 2));
             let mut c = PageCache::new(3, 2);
             for p in 0..8 {
                 lazydp_fault::with_retry(|| c.with_page_mut(p, &mut f, |d| d[0] = p as f32 + 1.0))
                     .unwrap();
             }
             lazydp_fault::with_retry(|| c.flush(&mut f)).unwrap();
-            lazydp_fault::clear();
             let mut buf = [0.0f32; 2];
             for p in 0..8 {
                 f.read_page(p, &mut buf).unwrap();
@@ -450,9 +428,9 @@ mod tests {
         // One failed load while the cache still grows (its 2nd), one
         // into an evicted frame (its 6th), one failed write-back.
         let faulted = run(FaultPlan::new(0)
-            .rule(Site::PageRead, QUIET_OPS + 1, FaultKind::Transient)
-            .rule(Site::PageRead, QUIET_OPS + 5, FaultKind::Transient)
-            .rule(Site::PageWrite, QUIET_OPS + 2, FaultKind::Transient));
+            .rule(Site::PageRead, 1, FaultKind::Transient)
+            .rule(Site::PageRead, 5, FaultKind::Transient)
+            .rule(Site::PageWrite, 2, FaultKind::Transient));
         assert_eq!((clean.hits, clean.misses, clean.write_backs), (0, 8, 8));
         assert_eq!(
             (faulted.hits, faulted.misses, faulted.bytes_loaded),
@@ -557,7 +535,6 @@ mod tests {
         // mapped before (the page table must grow, not index out of
         // bounds), in a file large enough to hold them all.
         const FAR: [usize; 3] = [1_000, 4_097, 70_000];
-        let _serial = lazydp_fault::exclusive();
         let mut orphaned = 0;
         for seed in 0..24u64 {
             let mut rng = Xoshiro256PlusPlus::seed_from(seed);
@@ -566,14 +543,12 @@ mod tests {
             // Three loads fail somewhere in the schedule: an early one
             // meets the still-growing cache, later ones orphan an
             // evicted frame.
-            let failing_reads: Vec<u64> = (0..3).map(|_| QUIET_OPS + pick(150) as u64).collect();
+            let failing_reads: Vec<u64> = (0..3).map(|_| pick(150) as u64).collect();
             let mut plan = FaultPlan::new(seed);
             for &n in &failing_reads {
                 plan = plan.rule(Site::PageRead, n, FaultKind::Transient);
             }
-            lazydp_fault::install(FaultPlan::new(0));
-            let mut f = seasoned_file(FAR[2] + 1, ELEMS);
-            lazydp_fault::install(plan);
+            let mut f = lazydp_fault::scoped(plan, || file(FAR[2] + 1, ELEMS));
             let page_bytes = f.page_bytes();
             let mut c = PageCache::new(capacity, ELEMS);
             let mut m = Model {
@@ -581,7 +556,7 @@ mod tests {
                 frames: Vec::new(),
                 hand: 0,
                 values: std::collections::BTreeMap::new(),
-                reads: QUIET_OPS,
+                reads: 0,
                 failing_reads,
                 orphaned: 0,
                 stats: lazydp_obs::CacheView::default(),
@@ -648,15 +623,15 @@ mod tests {
                     .collect();
                 assert_eq!(got, want, "{ctx}");
             }
-            // What reached the file is the model's content too.
-            lazydp_fault::install(FaultPlan::new(0));
+            // What reached the file is the model's content too (the file
+            // keeps its plan, so a failing read ordinal may still lie
+            // ahead: retry past it).
             c.flush(&mut f).unwrap();
             let mut buf = [0.0f32; ELEMS];
             for (&page, want) in &m.values {
-                f.read_page(page, &mut buf).unwrap();
+                lazydp_fault::with_retry(|| f.read_page(page, &mut buf)).unwrap();
                 assert_eq!(&buf[..], &want[..], "seed {seed}: file copy of page {page}");
             }
-            lazydp_fault::clear();
             orphaned += m.orphaned;
         }
         assert!(orphaned >= 24, "the schedules must reach the orphan case");

@@ -40,8 +40,10 @@
 //! device failures surface as typed [`StorageError`]s,
 //! transient ones absorbed by bounded retry, persistent ones by
 //! degrading the table to a bitwise-identical in-memory backend.
-//! Deterministic fault injection (the `LAZYDP_FAULTS` plan in
-//! `lazydp_fault`) drives all of these paths in tests and CI; see
+//! Deterministic fault injection (a `lazydp_fault` plan each spill file
+//! captures when it is created: `LAZYDP_FAULTS`, or a
+//! `lazydp_fault::scoped` one) drives all of these paths in tests and
+//! CI; see
 //! `ARCHITECTURE.md` § "Fault model & recovery contract".
 //!
 //! # Example: a table bigger than its cache

@@ -25,10 +25,10 @@
 //! the word-parallel [`page_sum64`] rather than the byte-serial FNV-1a
 //! the checkpoint formats are pinned to.
 //!
-//! Every read and write consults the active [`lazydp_fault`] plan under
-//! this file's **own** operation ordinals, so a fixed plan reproduces
-//! the identical failure sequence on every run regardless of what other
-//! tables are doing.
+//! Every read and write consults the fault plan the file captured when
+//! it was created ([`lazydp_fault::Faults`]) under this file's **own**
+//! operation ordinals, so a fixed plan reproduces the identical failure
+//! sequence on every run regardless of what other tables are doing.
 
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use lazydp_fault::checksum::page_sum64;
-use lazydp_fault::{FaultKind, InjectedKill, Site};
+use lazydp_fault::{FaultKind, Faults, InjectedKill, Site};
 use lazydp_rng::counter::CounterRng;
 use lazydp_rng::Prng;
 
@@ -128,13 +128,16 @@ pub struct PageFile {
     /// Scratch byte buffer reused across reads/writes (one slot:
     /// data bytes plus the checksum trailer).
     scratch: Vec<u8>,
-    /// This file's own operation ordinals for fault-plan decisions.
+    /// The fault plan this file follows, and its own operation
+    /// ordinals for the plan's decisions.
+    faults: Faults,
     read_ops: u64,
     write_ops: u64,
 }
 
 impl PageFile {
-    /// Creates a sparse, zero-filled page file in `dir`.
+    /// Creates a sparse, zero-filled page file in `dir`, following the
+    /// fault plan [`Faults::current`] resolves here.
     ///
     /// # Errors
     ///
@@ -175,6 +178,7 @@ impl PageFile {
             pages,
             fill: None,
             scratch: vec![0u8; slot_bytes(page_elems) as usize],
+            faults: Faults::current(),
             read_ops: 0,
             write_ops: 0,
         })
@@ -232,15 +236,15 @@ impl PageFile {
         (page as u64) * slot_bytes(self.page_elems)
     }
 
-    /// Consults the fault plan for this operation; returns the injected
-    /// I/O failure if one fires, panics on an injected kill.
+    /// Consults this file's fault plan for this operation; returns the
+    /// injected I/O failure if one fires, panics on an injected kill.
     fn injection(
         &self,
         site: Site,
         ordinal: u64,
         page: usize,
     ) -> Result<Option<FaultKind>, StorageError> {
-        match lazydp_fault::decide(site, ordinal) {
+        match self.faults.decide(site, ordinal) {
             None => Ok(None),
             Some(FaultKind::Kill) => {
                 std::panic::panic_any(InjectedKill { site, ordinal });
@@ -427,7 +431,6 @@ mod tests {
 
     #[test]
     fn row_fill_covers_exactly_the_never_written_pages() {
-        let _serial = lazydp_fault::exclusive();
         // 5 rows of 2 in 2-row pages: the last page is half padding.
         let filled = |page_elems: usize| {
             let mut f = PageFile::create(&temp_dir(), 6, page_elems).expect("create");
@@ -535,25 +538,25 @@ mod tests {
 
     #[test]
     fn injected_transient_faults_fail_that_ordinal_only() {
-        let _g = lazydp_fault::exclusive();
-        lazydp_fault::install(FaultPlan::new(0).rule(Site::PageRead, 1, FaultKind::Transient));
-        let mut f = PageFile::create(&temp_dir(), 1, 2).expect("create");
+        let mut f = lazydp_fault::scoped(
+            FaultPlan::new(0).rule(Site::PageRead, 1, FaultKind::Transient),
+            || PageFile::create(&temp_dir(), 1, 2).expect("create"),
+        );
         let mut buf = [0.0f32; 2];
         f.read_page(0, &mut buf).expect("ordinal 0 clean");
         let err = f.read_page(0, &mut buf).expect_err("ordinal 1 fails");
         assert!(err.retryable());
         f.read_page(0, &mut buf).expect("ordinal 2 clean again");
-        lazydp_fault::clear();
     }
 
     #[test]
     fn injected_write_corruption_is_caught_at_fault_in() {
-        let _g = lazydp_fault::exclusive();
-        lazydp_fault::install(FaultPlan::new(0).rule(Site::PageWrite, 0, FaultKind::Corrupt));
-        let mut f = PageFile::create(&temp_dir(), 1, 4).expect("create");
+        let mut f = lazydp_fault::scoped(
+            FaultPlan::new(0).rule(Site::PageWrite, 0, FaultKind::Corrupt),
+            || PageFile::create(&temp_dir(), 1, 4).expect("create"),
+        );
         f.write_page(0, &[1.0, 2.0, 3.0, 4.0])
             .expect("the write itself succeeds (torn silently)");
-        lazydp_fault::clear();
         let mut buf = [0.0f32; 4];
         assert!(
             matches!(f.read_page(0, &mut buf), Err(StorageError::Corrupt { .. })),
@@ -580,5 +583,37 @@ mod tests {
         drop(live);
         let _ = std::fs::remove_file(&unrelated);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A plan that fails page read #0 of every file built under it.
+    fn first_read_fails() -> FaultPlan {
+        FaultPlan::new(0).rule(Site::PageRead, 0, FaultKind::Transient)
+    }
+
+    #[test]
+    fn a_plan_scoped_on_one_thread_never_reaches_a_file_built_on_another() {
+        let mut before = PageFile::create(&temp_dir(), 1, 2).expect("create");
+        let mut elsewhere = lazydp_fault::scoped(first_read_fails(), || {
+            std::thread::spawn(|| PageFile::create(&temp_dir(), 1, 2).expect("create"))
+                .join()
+                .expect("join")
+        });
+        // Both follow the process default, not the scope.
+        let default_fails = Faults::current().decide(Site::PageRead, 0).is_some();
+        for f in [&mut before, &mut elsewhere] {
+            assert_eq!(f.read_page(0, &mut [0.0; 2]).is_err(), default_fails);
+        }
+    }
+
+    #[test]
+    fn a_file_built_in_a_scope_keeps_its_plan_on_any_thread() {
+        let mut f = lazydp_fault::scoped(first_read_fails(), || {
+            PageFile::create(&temp_dir(), 1, 2).expect("create")
+        });
+        let err = std::thread::spawn(move || f.read_page(0, &mut [0.0; 2]))
+            .join()
+            .expect("join")
+            .expect_err("read #0 fails off-thread, after the scope");
+        assert!(err.retryable());
     }
 }

@@ -76,7 +76,8 @@ enum Backend {
 /// does not match at fault-in is *unrecoverable*: the engine panics with
 /// a message naming the checksum mismatch rather than training on torn
 /// bytes. Deterministic fault injection for all of this is driven by
-/// the `LAZYDP_FAULTS` plan (see `lazydp_fault`).
+/// the fault plan the table's spill file captures at construction
+/// (`LAZYDP_FAULTS`, or a `lazydp_fault::scoped` plan).
 ///
 /// # Concurrency
 ///
@@ -585,14 +586,13 @@ mod tests {
 
     #[test]
     fn transient_read_storm_is_value_neutral_single_threaded() {
-        let _serial = lazydp_fault::exclusive();
         let d = dense(64, 4);
         let mut want = d.clone();
-        let mut s = StoredTable::from_dense(&d, &cfg(4, 3)).expect("spill");
-        lazydp_fault::install(
+        let mut s = lazydp_fault::scoped(
             FaultPlan::new(7)
                 .rate_rule(Site::PageRead, 0.10, FaultKind::Transient)
                 .rate_rule(Site::PageWrite, 0.10, FaultKind::Transient),
+            || StoredTable::from_dense(&d, &cfg(4, 3)).expect("spill"),
         );
         let mut rng = Xoshiro256PlusPlus::seed_from(11);
         for step in 0..200u64 {
@@ -605,7 +605,6 @@ mod tests {
             let gw = EmbeddingStorage::gather(&want, &probe);
             assert_eq!(gs, gw, "step {step}: storm must not change a value");
         }
-        lazydp_fault::clear();
         assert_eq!(s.max_abs_diff_dense(&want), 0.0);
     }
 
@@ -716,34 +715,33 @@ mod tests {
 
     #[test]
     fn transient_faults_are_absorbed_bitwise() {
-        let _g = lazydp_fault::exclusive();
         let d = dense(20, 3);
         let want = {
-            // Reference run with no plan installed.
+            // Reference run with no plan of its own.
             let s = StoredTable::from_dense(&d, &cfg(2, 1)).expect("spill");
             s.to_dense()
         };
-        lazydp_fault::install(
+        let s = lazydp_fault::scoped(
             FaultPlan::new(11)
                 .rate_rule(Site::PageRead, 0.2, FaultKind::Transient)
                 .rate_rule(Site::PageWrite, 0.2, FaultKind::Transient),
+            || StoredTable::from_dense(&d, &cfg(2, 1)).expect("spill"),
         );
-        let s = StoredTable::from_dense(&d, &cfg(2, 1)).expect("spill");
         let got = s.to_dense();
-        lazydp_fault::clear();
         assert_eq!(got, want, "retried I/O must be value-invisible");
         assert_eq!(got, d);
     }
 
     #[test]
     fn persistent_write_failure_degrades_bitwise() {
-        let _g = lazydp_fault::exclusive();
         let d = dense(20, 3);
         // from_dense writes pages 0..10 (write ordinals 0..9); fail every
         // write from ordinal 10 on — the first eviction write-back dies,
         // retries exhaust, and the table must fall back to memory.
-        let mut s = StoredTable::from_dense(&d, &cfg(2, 1)).expect("spill");
-        lazydp_fault::install(FaultPlan::new(0).rule(Site::PageWrite, 10, FaultKind::Persistent));
+        let mut s = lazydp_fault::scoped(
+            FaultPlan::new(0).rule(Site::PageWrite, 10, FaultKind::Persistent),
+            || StoredTable::from_dense(&d, &cfg(2, 1)).expect("spill"),
+        );
         let mut want = d.clone();
         let mut grad = SparseGrad::from_entries(
             3,
@@ -753,7 +751,6 @@ mod tests {
         want.sparse_update(&grad, 0.1);
         s.sparse_update(&grad, 0.1);
         let got = s.to_dense();
-        lazydp_fault::clear();
         assert!(s.degraded(), "persistent write failure must degrade");
         assert_eq!(s.cache_pages(), s.total_pages());
         assert_eq!(got, want, "degradation must be bitwise-invisible");
@@ -782,7 +779,6 @@ mod tests {
 
     #[test]
     fn lazy_rows_do_not_depend_on_page_size_or_cache_capacity() {
-        let _serial = lazydp_fault::exclusive();
         let want = lazy_reference();
         let bound = 1.0 / (LAZY_ROWS as f32).sqrt();
         assert!(want.as_slice().iter().all(|w| w.abs() <= bound));
@@ -805,7 +801,6 @@ mod tests {
 
     #[test]
     fn a_clean_lazy_page_is_dropped_unwritten_and_refaults_to_the_same_bits() {
-        let _serial = lazydp_fault::exclusive();
         let want = lazy_reference();
         let s = lazy(4, 1);
         let all: Vec<u64> = (0..LAZY_ROWS as u64).collect();
@@ -827,7 +822,6 @@ mod tests {
 
     #[test]
     fn dirtied_lazy_pages_round_trip_and_verify_beside_unwritten_ones() {
-        let _serial = lazydp_fault::exclusive();
         let mut want = lazy_reference();
         let mut s = lazy(4, 1);
         // Row 5 shares its page with three untouched rows; row 36 sits
@@ -851,24 +845,16 @@ mod tests {
 
     #[test]
     fn persistent_write_failure_on_a_lazy_table_drains_the_fill() {
-        let _g = lazydp_fault::exclusive();
         let mut want = lazy_reference();
-        let mut s = lazy(2, 1);
-        // Plans are process-wide and not every test that writes a page
-        // holds `exclusive()` (ROADMAP 4e): take this file's write
-        // ordinal past anything those reach — rewriting one page, the
-        // rest stay never-written — before failing every later write.
-        const QUIET_WRITES: u64 = 128;
-        for _ in 0..QUIET_WRITES {
-            s.with_row_mut(36, |row| row[0] += 1.0);
-            want.row_mut(36)[0] += 1.0;
-            s.sync().expect("sync");
-        }
-        lazydp_fault::install(FaultPlan::new(0).rule(
-            Site::PageWrite,
-            QUIET_WRITES,
-            FaultKind::Persistent,
-        ));
+        // Write ordinal 0 lands one rewritten page beside never-written
+        // ones; every later write fails.
+        let mut s = lazydp_fault::scoped(
+            FaultPlan::new(0).rule(Site::PageWrite, 1, FaultKind::Persistent),
+            || lazy(2, 1),
+        );
+        s.with_row_mut(36, |row| row[0] += 1.0);
+        want.row_mut(36)[0] += 1.0;
+        s.sync().expect("sync");
         let mut grad = SparseGrad::from_entries(
             LAZY_DIM,
             vec![
@@ -881,14 +867,12 @@ mod tests {
         want.sparse_update(&grad, 0.1);
         s.sparse_update(&grad, 0.1);
         let got = s.to_dense();
-        lazydp_fault::clear();
         assert!(s.degraded(), "persistent write failure must degrade");
         assert_eq!(got, want, "never-written pages drain as their fill");
     }
 
     #[test]
     fn a_lazy_table_is_resident_only_where_it_was_touched() {
-        let _serial = lazydp_fault::exclusive();
         // 3.2 GB logical; the cache could hold every page touched below.
         let (rows, dim) = (50_000_000usize, 16usize);
         let mut s = StoredTable::lazy_uniform(rows, dim, 3, &cfg(64, 256)).expect("spill");
@@ -913,23 +897,27 @@ mod tests {
 
     #[test]
     fn corrupt_pages_panic_rather_than_train() {
-        let _g = lazydp_fault::exclusive();
-        lazydp_fault::install(FaultPlan::new(0).rule(Site::PageWrite, 2, FaultKind::Corrupt));
+        let plan = FaultPlan::new(0).rule(Site::PageWrite, 2, FaultKind::Corrupt);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            // 2 pages, 1-frame cache. Write ordinals: zeros writes none;
-            // ordinal 0-1 don't happen here (no from_dense) — force an
-            // eviction write-back at ordinal 2 via enough traffic.
-            let mut s = StoredTable::zeros(4, 2, &cfg(2, 1)).expect("spill");
+            // One page more than the cache holds (1 frame, or what
+            // LAZYDP_STORE_PAGES forces). Write ordinals: zeros writes
+            // none — page 0's third write-back (ordinal 2) is torn.
+            let storage = cfg(2, 1);
+            let pages = storage.effective_cache_pages() + 1;
+            let mut s = lazydp_fault::scoped(plan, || {
+                StoredTable::zeros(2 * pages, 2, &storage).expect("spill")
+            });
             s.with_row_mut(0, |row| row.copy_from_slice(&[1.0, 2.0])); // page 0 dirty
             s.sync().expect("write ordinal 0: clean");
             s.with_row_mut(0, |row| row[0] += 1.0);
             s.sync().expect("write ordinal 1: clean");
             s.with_row_mut(0, |row| row[0] += 1.0);
             s.sync().expect("write ordinal 2: torn silently");
-            s.with_row_mut(2, |_| ()); // evict page 0 (clean now)
+            for page in 1..pages {
+                s.with_row(2 * page as u64, |_| ()); // evicts page 0 (clean now)
+            }
             s.with_row(0, |_| ()); // fault torn page back in: must panic
         }));
-        lazydp_fault::clear();
         let payload = unwound.expect_err("torn page must not be trained on");
         let msg = payload
             .downcast_ref::<String>()

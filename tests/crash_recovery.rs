@@ -2,7 +2,8 @@
 //! is crash-consistent.
 //!
 //! Each case trains a tiny DLRM with a checkpoint saved after every
-//! step, installs a deterministic [`FaultPlan`] that kills the process
+//! step, its optimizer, tables and checkpoint store built under a
+//! deterministic [`FaultPlan`] (`fault::scoped`) that kills the process
 //! (in-process stand-in: a panic with an [`InjectedKill`] payload) at
 //! one of the three most state-torn instants —
 //!
@@ -28,6 +29,7 @@
 
 use lazydp::data::{MiniBatch, SyntheticConfig, SyntheticDataset};
 use lazydp::dpsgd::{DpConfig, Optimizer};
+use lazydp::embedding::EmbeddingStorage;
 use lazydp::fault::{self, FaultKind, FaultPlan, InjectedKill, Site};
 use lazydp::lazy::{Checkpoint, CheckpointStore, LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
@@ -115,22 +117,45 @@ fn assert_bitwise(reference: &Dlrm, got: &Dlrm, label: &str) {
     }
 }
 
+/// Steps `o` from its own iteration to the end of `batches`, saving a
+/// checkpoint into `store` after every step when one is given, and
+/// returns the finalized release (densified).
+fn run_to_end<T: EmbeddingStorage>(
+    mut m: Dlrm<T>,
+    mut o: LazyDpOptimizer<CounterNoise>,
+    batches: &[MiniBatch],
+    mut store: Option<&mut CheckpointStore>,
+) -> Dlrm {
+    for i in o.iteration() as usize..STEPS {
+        o.step(&mut m, &batches[i], Some(&batches[i + 1]));
+        if let Some(store) = store.as_deref_mut() {
+            store.save(&Checkpoint::capture(&m, &o)).expect("save");
+        }
+    }
+    o.finalize_model(&mut m);
+    m.map_tables(|_, t| t.to_dense_table())
+}
+
+/// `model0` spilled to disk-paged tables.
+fn spilled(model0: &Dlrm) -> Dlrm<StoredTable> {
+    let storage = spill_cfg();
+    model0
+        .clone()
+        .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
+        .expect("spill tables")
+}
+
 /// The uninterrupted single-thread in-memory run every recovered run
 /// must reproduce bit for bit.
 fn reference_model(model0: &Dlrm, batches: &[MiniBatch]) -> Dlrm {
-    let mut m = model0.clone();
-    let mut o = LazyDpOptimizer::new(cfg(1), &m, CounterNoise::new(NOISE_SEED));
-    for i in 0..STEPS {
-        o.step(&mut m, &batches[i], Some(&batches[i + 1]));
-    }
-    o.finalize_model(&mut m);
-    m
+    let o = LazyDpOptimizer::new(cfg(1), model0, CounterNoise::new(NOISE_SEED));
+    run_to_end(model0.clone(), o, batches, None)
 }
 
-/// Runs training-with-checkpointing until the installed plan kills it,
-/// asserts the kill fired at the expected site, clears the plan, resumes
-/// from the last-good manifest entry, replays to the end, and returns
-/// the released (dense) model.
+/// Runs training-with-checkpointing under a plan that kills it, asserts
+/// the kill fired at the expected site, resumes (with objects built
+/// outside the plan) from the last-good manifest entry, replays to the
+/// end, and returns the released (dense) model.
 ///
 /// `stored` routes the embedding tables through the disk-paged backend
 /// on both the killed attempt and the resumed run.
@@ -157,32 +182,20 @@ fn kill_and_resume(
         Site::MidCheckpoint => KILL_ITER - 1,
         _ => KILL_ITER,
     };
-    fault::install(FaultPlan::new(1).rule(site, ordinal, FaultKind::Kill));
+    let plan = FaultPlan::new(1).rule(site, ordinal, FaultKind::Kill);
 
     // --- the doomed attempt ---------------------------------------------
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut store = CheckpointStore::open(&dir).expect("open checkpoint dir");
-        if stored {
-            let storage = spill_cfg();
-            let mut m = model0
-                .clone()
-                .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
-                .expect("spill tables");
-            let mut o = LazyDpOptimizer::new(cfg.clone(), &m, CounterNoise::new(NOISE_SEED));
-            for i in 0..STEPS {
-                o.step(&mut m, &batches[i], Some(&batches[i + 1]));
-                store.save(&Checkpoint::capture(&m, &o)).expect("save");
+        fault::scoped(plan, || {
+            let mut store = CheckpointStore::open(&dir).expect("open checkpoint dir");
+            let o = LazyDpOptimizer::new(cfg.clone(), model0, CounterNoise::new(NOISE_SEED));
+            if stored {
+                run_to_end(spilled(model0), o, batches, Some(&mut store));
+            } else {
+                run_to_end(model0.clone(), o, batches, Some(&mut store));
             }
-        } else {
-            let mut m = model0.clone();
-            let mut o = LazyDpOptimizer::new(cfg.clone(), &m, CounterNoise::new(NOISE_SEED));
-            for i in 0..STEPS {
-                o.step(&mut m, &batches[i], Some(&batches[i + 1]));
-                store.save(&Checkpoint::capture(&m, &o)).expect("save");
-            }
-        }
+        });
     }));
-    fault::clear();
     let payload = attempt.expect_err("the fault plan must kill the run");
     let kill = payload
         .downcast_ref::<InjectedKill>()
@@ -202,23 +215,15 @@ fn kill_and_resume(
         "{tag}: resumed from the wrong checkpoint"
     );
 
+    let noise = CounterNoise::new(NOISE_SEED);
     let released = if stored {
-        let storage = spill_cfg();
-        let (mut m, mut o) = ckpt
-            .restore_stored(cfg, CounterNoise::new(NOISE_SEED), &storage)
+        let (m, o) = ckpt
+            .restore_stored(cfg, noise, &spill_cfg())
             .expect("restore onto disk-backed tables");
-        for i in o.iteration() as usize..STEPS {
-            o.step(&mut m, &batches[i], Some(&batches[i + 1]));
-        }
-        o.finalize_model(&mut m);
-        m.map_tables(|_, t| t.to_dense())
+        run_to_end(m, o, batches, None)
     } else {
-        let (mut m, mut o) = ckpt.restore(cfg, CounterNoise::new(NOISE_SEED));
-        for i in o.iteration() as usize..STEPS {
-            o.step(&mut m, &batches[i], Some(&batches[i + 1]));
-        }
-        o.finalize_model(&mut m);
-        m
+        let (m, o) = ckpt.restore(cfg, noise);
+        run_to_end(m, o, batches, None)
     };
     let _ = std::fs::remove_dir_all(&dir);
     released
@@ -226,7 +231,6 @@ fn kill_and_resume(
 
 /// The full grid for one kill site.
 fn grid(site: Site) {
-    let _serial = fault::exclusive();
     let (model0, batches) = setup();
     let reference = reference_model(&model0, &batches);
     for threads in [1usize, 4] {
@@ -260,13 +264,14 @@ fn kill_mid_checkpoint_resumes_bitwise_across_the_grid() {
 /// `sweep_stale` collects it and the manifest never points at it.
 #[test]
 fn mid_checkpoint_kill_leaves_no_stale_files_after_sweep() {
-    let _serial = fault::exclusive();
     quiet_injected_kills();
     let (model0, batches) = setup();
     let dir = fresh_dir("sweep-check");
-    fault::install(FaultPlan::new(1).rule(Site::MidCheckpoint, 1, FaultKind::Kill));
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut store = CheckpointStore::open(&dir).expect("open");
+        let mut store = fault::scoped(
+            FaultPlan::new(1).rule(Site::MidCheckpoint, 1, FaultKind::Kill),
+            || CheckpointStore::open(&dir).expect("open"),
+        );
         let mut m = model0.clone();
         let mut o = LazyDpOptimizer::new(cfg(1), &m, CounterNoise::new(NOISE_SEED));
         for i in 0..3 {
@@ -274,7 +279,6 @@ fn mid_checkpoint_kill_leaves_no_stale_files_after_sweep() {
             store.save(&Checkpoint::capture(&m, &o)).expect("save");
         }
     }));
-    fault::clear();
     assert!(attempt.is_err(), "second save must die pre-rename");
 
     let orphans = |dir: &PathBuf| {
@@ -301,26 +305,16 @@ fn mid_checkpoint_kill_leaves_no_stale_files_after_sweep() {
 /// silently continuing on torn weights.
 #[test]
 fn injected_page_corruption_is_detected_not_trained_on() {
-    let _serial = fault::exclusive();
     let (model0, batches) = setup();
-    // Corrupt the 5th page write-back; some later fault-in of that page
-    // must detect it. (Corruption is not retryable and not degradable —
-    // the only safe response is to stop.)
-    fault::install(FaultPlan::new(1).rule(Site::PageWrite, 4, FaultKind::Corrupt));
+    // Corrupt the 5th page write-back of each table; some later fault-in
+    // of that page must detect it. (Corruption is not retryable and not
+    // degradable — the only safe response is to stop.)
+    let plan = FaultPlan::new(1).rule(Site::PageWrite, 4, FaultKind::Corrupt);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let storage = spill_cfg();
-        let mut m = model0
-            .clone()
-            .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
-            .expect("spill tables");
-        let mut o = LazyDpOptimizer::new(cfg(1), &m, CounterNoise::new(NOISE_SEED));
-        for i in 0..STEPS {
-            o.step(&mut m, &batches[i], Some(&batches[i + 1]));
-        }
-        o.finalize_model(&mut m);
-        m.map_tables(|_, t| t.to_dense())
+        let m = fault::scoped(plan, || spilled(&model0));
+        let o = LazyDpOptimizer::new(cfg(1), &m, CounterNoise::new(NOISE_SEED));
+        run_to_end(m, o, &batches, None)
     }));
-    fault::clear();
     let payload = attempt.expect_err("corrupted page must abort training");
     let msg = payload
         .downcast_ref::<String>()
