@@ -8,9 +8,12 @@
 //! * **(B)** — materialize per-example gradients, clip, sum (Abadi et
 //!   al.; memory-hungry).
 //! * **(R)** — derive per-example norms first (recomputation), then one
-//!   *reweighted* per-batch pass (Lee & Kifer).
+//!   *reweighted* per-batch pass (Lee & Kifer). Here the reweighted pass
+//!   is the model's one clipped backward, `Dlrm::backward_clipped_with`,
+//!   whose clip closure ignores the ghost norms and writes the weights
+//!   from the materialized norms.
 //! * **(F)** — derive the norms with the ghost-norm trick (no
-//!   per-example weight grads at all), then the reweighted pass
+//!   per-example weight grads at all) inside that same clipped backward
 //!   (Denison et al.). The paper uses (F) as the strongest baseline.
 //!
 //! All three then perform the identical **dense noisy update** on every
@@ -24,7 +27,7 @@ use crate::optimizer::{Optimizer, StepStats};
 use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
 use lazydp_embedding::SparseGrad;
-use lazydp_model::{Dlrm, DlrmGrads, MlpGrads};
+use lazydp_model::{Dlrm, DlrmGrads, DlrmScratch, MlpGrads};
 use lazydp_rng::RowNoise;
 
 /// How per-example clipping is computed (see module docs).
@@ -80,8 +83,8 @@ impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
 
 /// The DP-SGD(B)/(R) clipped aggregate and clipped fraction: both
 /// materialize per-example gradients for the norms; (B) then sums the
-/// clipped per-example gradients, (R) runs one reweighted per-batch
-/// backward instead. The reference side of
+/// clipped per-example gradients, (R) hands the clip weights to the
+/// clipped backward instead. The reference side of
 /// `b_r_f_produce_mathematically_identical_models`.
 fn materialized_aggregate(
     style: ClipStyle,
@@ -99,7 +102,16 @@ fn materialized_aggregate(
     let w = clip_weights(&norms, c);
     let clipped = clipped_fraction(&norms, c);
     if style == ClipStyle::Reweighted {
-        return (model.backward(&cache, batch, &gl, Some(&w)), clipped);
+        let mut grads = DlrmGrads::default();
+        model.backward_clipped_with(
+            &cache,
+            batch,
+            &gl,
+            |_, out| *out = w,
+            &mut grads,
+            &mut DlrmScratch::default(),
+        );
+        return (grads, clipped);
     }
     let mut sum = DlrmGrads {
         bottom: MlpGrads::zeros_like(&model.bottom),

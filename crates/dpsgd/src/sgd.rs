@@ -58,7 +58,6 @@ impl Optimizer for SgdOptimizer {
             &s.cache,
             batch,
             &s.logit_g,
-            None,
             &mut s.grads,
             &mut s.model_scratch,
         );

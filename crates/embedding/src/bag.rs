@@ -100,26 +100,14 @@ impl EmbeddingBag {
         self.pooling
     }
 
-    /// Forward: pooled output, one row per sample (`B × dim`).
-    ///
-    /// Samples with an empty index list produce a zero vector.
+    /// Forward: the pooled output, one row per sample (`B × dim`), into
+    /// a caller-owned matrix (reshaped, zeroed, and refilled; no
+    /// allocation at steady state). Samples with an empty index list
+    /// produce a zero vector.
     ///
     /// Generic over the table backend (any [`EmbeddingStorage`]): the
     /// accumulation arithmetic is identical whether the rows come from
     /// memory or disk pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range for `table`.
-    #[must_use]
-    pub fn forward<T: EmbeddingStorage>(&self, table: &T, batch: &BagIndices) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(table, batch, &mut out);
-        out
-    }
-
-    /// [`forward`](Self::forward) into a caller-owned output matrix
-    /// (reshaped, zeroed, and refilled; no allocation at steady state).
     ///
     /// # Panics
     ///
@@ -153,24 +141,12 @@ impl EmbeddingBag {
         }
     }
 
-    /// Backward: per-row sparse gradient from the pooled-output gradient
-    /// (`B × dim`). The result is **un-coalesced** (one entry per lookup)
-    /// so callers can decide when to pay for coalescing — mirroring the
-    /// paper's separation of "gradient coalescing" as its own stage
-    /// (Fig. 11).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_out` has the wrong shape.
-    #[must_use]
-    pub fn backward(&self, grad_out: &Matrix, batch: &BagIndices, dim: usize) -> SparseGrad {
-        let mut grad = SparseGrad::new(dim);
-        self.backward_into(grad_out, batch, dim, &mut grad);
-        grad
-    }
-
-    /// [`backward`](Self::backward) into a caller-owned sparse gradient
-    /// (reset and refilled, keeping its allocations).
+    /// Backward: the per-row sparse gradient from the pooled-output
+    /// gradient (`B × dim`), into a caller-owned sparse gradient (reset
+    /// and refilled, keeping its allocations). The result is
+    /// **un-coalesced** (one entry per lookup) so callers can decide when
+    /// to pay for coalescing — mirroring the paper's separation of
+    /// "gradient coalescing" as its own stage (Fig. 11).
     ///
     /// # Panics
     ///
@@ -259,24 +235,10 @@ impl EmbeddingBag {
     /// `c_{i,r} · δ_i` where `c_{i,r}` is the number of times `r` occurs
     /// in the sample's lookups, so
     /// `‖g_i‖² = (Σ_r c_{i,r}²) · ‖δ_i‖²`. Mean pooling scales by
-    /// `1/L_i²`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_out` has the wrong number of rows.
-    #[must_use]
-    pub fn per_example_norm_sq(&self, grad_out: &Matrix, batch: &BagIndices) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.per_example_norm_sq_into(grad_out, batch, &mut out, &mut Vec::new());
-        out
-    }
-
-    /// [`per_example_norm_sq`](Self::per_example_norm_sq) into
-    /// caller-owned buffers. Duplicate counts come from sorting the
-    /// sample's lookups into `idx_scratch` and measuring runs — no hash
-    /// map, no allocation at steady state, and identical results (the
-    /// `Σ c²` terms are exact small integers, so summation order cannot
-    /// change the value).
+    /// `1/L_i²`. Duplicate counts come from sorting the sample's lookups
+    /// into `idx_scratch` and measuring runs — no hash map and no
+    /// allocation at steady state (the `Σ c²` terms are exact small
+    /// integers, so summation order cannot change the value).
     ///
     /// # Panics
     ///
@@ -347,11 +309,13 @@ mod tests {
     fn forward_sum_and_mean() {
         let t = table_with_rows(&[&[1.0, 0.0], &[0.0, 2.0], &[4.0, 4.0]]);
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![2], vec![]]);
-        let sum = EmbeddingBag::new(Pooling::Sum).forward(&t, &batch);
+        let mut sum = Matrix::default();
+        EmbeddingBag::new(Pooling::Sum).forward_into(&t, &batch, &mut sum);
         assert_eq!(sum.row(0), &[1.0, 2.0]);
         assert_eq!(sum.row(1), &[4.0, 4.0]);
         assert_eq!(sum.row(2), &[0.0, 0.0]);
-        let mean = EmbeddingBag::new(Pooling::Mean).forward(&t, &batch);
+        let mut mean = Matrix::default();
+        EmbeddingBag::new(Pooling::Mean).forward_into(&t, &batch, &mut mean);
         assert_eq!(mean.row(0), &[0.5, 1.0]);
         assert_eq!(mean.row(1), &[4.0, 4.0]);
     }
@@ -360,7 +324,8 @@ mod tests {
     fn backward_scatter_matches_forward_structure() {
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![1, 1]]);
         let grad_out = Matrix::from_rows(&[&[1.0, 2.0], &[10.0, 20.0]]);
-        let mut g = EmbeddingBag::new(Pooling::Sum).backward(&grad_out, &batch, 2);
+        let mut g = SparseGrad::default();
+        EmbeddingBag::new(Pooling::Sum).backward_into(&grad_out, &batch, 2, &mut g);
         assert_eq!(g.len(), 4, "one entry per lookup before coalescing");
         g.coalesce();
         let dense = g.to_dense_map();
@@ -373,7 +338,8 @@ mod tests {
     fn backward_mean_scales_by_bag_length() {
         let batch = BagIndices::from_samples(&[vec![0, 1, 2, 3]]);
         let grad_out = Matrix::from_rows(&[&[4.0]]);
-        let g = EmbeddingBag::new(Pooling::Mean).backward(&grad_out, &batch, 1);
+        let mut g = SparseGrad::default();
+        EmbeddingBag::new(Pooling::Mean).backward_into(&grad_out, &batch, 1, &mut g);
         for (_, v) in g.iter() {
             assert_eq!(v, &[1.0]);
         }
@@ -387,16 +353,22 @@ mod tests {
         let batch = BagIndices::from_samples(&[vec![0, 1, 1]]);
         let bag = EmbeddingBag::new(Pooling::Sum);
         let grad_out = Matrix::filled(1, 2, 1.0);
-        let mut g = bag.backward(&grad_out, &batch, 2);
+        let mut g = SparseGrad::default();
+        bag.backward_into(&grad_out, &batch, 2, &mut g);
         g.coalesce();
+        let mut out = Matrix::default();
+        let mut loss = |t: &EmbeddingTable| -> f32 {
+            bag.forward_into(t, &batch, &mut out);
+            out.as_slice().iter().sum()
+        };
         let eps = 1e-3f32;
         for (idx, gvals) in g.iter() {
             for d in 0..2 {
                 let orig = t.row(idx as usize)[d];
                 t.row_mut(idx as usize)[d] = orig + eps;
-                let up: f32 = bag.forward(&t, &batch).as_slice().iter().sum();
+                let up = loss(&t);
                 t.row_mut(idx as usize)[d] = orig - eps;
-                let down: f32 = bag.forward(&t, &batch).as_slice().iter().sum();
+                let down = loss(&t);
                 t.row_mut(idx as usize)[d] = orig;
                 let fd = (up - down) / (2.0 * eps);
                 assert!(
@@ -414,12 +386,14 @@ mod tests {
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![2, 2, 3]]);
         let grad_out = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 0.5]]);
         let bag = EmbeddingBag::new(Pooling::Sum);
-        let ghost = bag.per_example_norm_sq(&grad_out, &batch);
+        let mut ghost = Vec::new();
+        bag.per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());
         // Explicit: materialize each example's sparse grad and take its norm.
         for i in 0..2 {
             let single = BagIndices::from_samples(&[batch.sample(i).to_vec()]);
             let g_i = Matrix::from_vec(1, 2, grad_out.row(i).to_vec());
-            let mut sg = bag.backward(&g_i, &single, 2);
+            let mut sg = SparseGrad::default();
+            bag.backward_into(&g_i, &single, 2, &mut sg);
             sg.coalesce();
             let explicit = sg.norm_sq();
             assert!(
@@ -435,9 +409,11 @@ mod tests {
         let batch = BagIndices::from_samples(&[vec![0, 1, 1]]);
         let grad_out = Matrix::from_rows(&[&[3.0]]);
         let bag = EmbeddingBag::new(Pooling::Mean);
-        let ghost = bag.per_example_norm_sq(&grad_out, &batch);
+        let mut ghost = Vec::new();
+        bag.per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());
         let single = BagIndices::from_samples(&[batch.sample(0).to_vec()]);
-        let mut sg = bag.backward(&grad_out, &single, 1);
+        let mut sg = SparseGrad::default();
+        bag.backward_into(&grad_out, &single, 1, &mut sg);
         sg.coalesce();
         assert!((ghost[0] - sg.norm_sq()).abs() < 1e-9);
     }

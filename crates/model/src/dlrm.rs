@@ -2,11 +2,10 @@
 //! interaction + top MLP (paper Fig. 1).
 
 use crate::config::DlrmConfig;
-use crate::interaction::{
-    interaction_backward, interaction_backward_into, interaction_forward_into,
-};
+use crate::interaction::{interaction_backward_into, interaction_forward_into};
 use crate::mlp::{Mlp, MlpCache, MlpGrads};
 use lazydp_data::MiniBatch;
+use lazydp_embedding::bag::BagIndices;
 use lazydp_embedding::{
     CoalesceScratch, EmbeddingBag, EmbeddingStorage, EmbeddingTable, Pooling, SparseGrad,
 };
@@ -43,15 +42,22 @@ impl DlrmCache {
     }
 }
 
-/// Reusable working state for the DLRM forward/backward passes — the
+/// `cache`'s input activation slot, created on first use: the DLRM
+/// forward writes each MLP's input straight into it.
+fn input_slot(cache: &mut MlpCache) -> &mut Matrix {
+    if cache.activations.is_empty() {
+        cache.activations.push(Matrix::zeros(0, 0));
+    }
+    &mut cache.activations[0]
+}
+
+/// Reusable working state for the DLRM backward passes — the
 /// model-level slice of the step-scoped scratch arena. Owned by the
-/// trainer/optimizer and lazily sized on the first step; with it, the
-/// whole forward + ghost-norm + reweighted-backward pipeline performs
-/// zero heap allocations at steady state.
+/// trainer/optimizer and lazily sized on the first step; with it and a
+/// reused [`DlrmCache`], the forward and either backward (plain or
+/// clipped) perform zero heap allocations at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DlrmScratch {
-    /// Dense-feature input matrix (`B × num_dense`).
-    x: Matrix,
     /// Logit-gradient column (`B × 1`).
     g: Matrix,
     /// Gradient of the top-MLP input (the interaction output).
@@ -308,7 +314,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is inconsistent or empty.
+    /// Panics as [`forward_with`](Self::forward_with) does.
     #[must_use]
     pub fn forward(&self, batch: &MiniBatch) -> DlrmCache {
         let mut cache = DlrmCache::default();
@@ -316,25 +322,43 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         cache
     }
 
-    /// [`forward`](Self::forward) into a reusable cache with working
-    /// buffers from `scratch` — the zero-allocation forward of the
-    /// training hot loop. Bitwise identical to the allocating path.
+    /// [`forward`](Self::forward) into a reusable cache — the
+    /// zero-allocation forward of the training hot loop. The dense
+    /// features and the interaction output are written straight into the
+    /// MLPs' input activation slots, so no input is copied twice. The
+    /// forward needs no working buffers beyond `cache`; `_scratch` is
+    /// taken so that it and the backwards share one call shape.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is inconsistent or empty.
+    /// Panics if the batch is empty or inconsistent, or if its number of
+    /// sparse or dense features differs from the model's.
     pub fn forward_with(
         &self,
         batch: &MiniBatch,
         cache: &mut DlrmCache,
-        scratch: &mut DlrmScratch,
+        _scratch: &mut DlrmScratch,
     ) {
         assert!(batch.is_consistent(), "inconsistent mini-batch");
         assert!(!batch.is_empty(), "empty mini-batch");
-        scratch
-            .x
-            .assign_from_slice(batch.batch_size(), batch.num_dense, &batch.dense);
-        self.bottom.forward_into(&scratch.x, &mut cache.bottom);
+        assert!(
+            batch.sparse.len() == self.tables.len(),
+            "mini-batch has {} sparse features, model has {} tables",
+            batch.sparse.len(),
+            self.tables.len()
+        );
+        assert!(
+            batch.num_dense == self.config.num_dense,
+            "mini-batch has {} dense features, model expects {}",
+            batch.num_dense,
+            self.config.num_dense
+        );
+        input_slot(&mut cache.bottom).assign_from_slice(
+            batch.batch_size(),
+            batch.num_dense,
+            &batch.dense,
+        );
+        self.bottom.forward_in_place(&mut cache.bottom);
         cache
             .inter_inputs
             .resize_with(1 + self.tables.len(), || Matrix::zeros(0, 0));
@@ -342,15 +366,10 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         for (t, table) in self.tables.iter().enumerate() {
             self.bags[t].forward_into(table, &batch.sparse[t], &mut cache.inter_inputs[t + 1]);
         }
-        // The interaction output is written straight into the top MLP's
-        // input activation slot, skipping a copy.
-        if cache.top.activations.is_empty() {
-            cache.top.activations.push(Matrix::zeros(0, 0));
-        }
         interaction_forward_into(
             self.config.interaction,
             &cache.inter_inputs,
-            &mut cache.top.activations[0],
+            input_slot(&mut cache.top),
         );
         self.top.forward_in_place(&mut cache.top);
     }
@@ -362,51 +381,13 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         bce_with_logits(&cache.logits(), &batch.labels)
     }
 
-    /// Per-batch backward pass.
-    ///
-    /// `grad_logits[i]` is ∂L/∂logit_i; pass `weights` to compute the
-    /// reweighted sum `Σ_i w_i·grad_i` instead (the DP-SGD(R)/(F)
-    /// second pass) — valid because the backward graph is linear in the
-    /// logit gradient.
-    ///
-    /// The returned table gradients are **un-coalesced**.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree with the cached batch size.
-    #[must_use]
-    pub fn backward(
+    /// Loads `grad_logits` as the `B × 1` top-MLP output gradient and
+    /// gives `grads` one sparse gradient per table — the start of both
+    /// backward passes.
+    fn begin_backward(
         &self,
-        cache: &DlrmCache,
         batch: &MiniBatch,
         grad_logits: &[f32],
-        weights: Option<&[f32]>,
-    ) -> DlrmGrads {
-        let mut grads = DlrmGrads::default();
-        self.backward_with(
-            cache,
-            batch,
-            grad_logits,
-            weights,
-            &mut grads,
-            &mut DlrmScratch::default(),
-        );
-        grads
-    }
-
-    /// [`backward`](Self::backward) into caller-owned gradients with
-    /// working buffers from `scratch` (zero allocation at steady state;
-    /// bitwise identical to the allocating path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree with the cached batch size.
-    pub fn backward_with(
-        &self,
-        cache: &DlrmCache,
-        batch: &MiniBatch,
-        grad_logits: &[f32],
-        weights: Option<&[f32]>,
         grads: &mut DlrmGrads,
         scratch: &mut DlrmScratch,
     ) {
@@ -420,86 +401,72 @@ impl<T: EmbeddingStorage> Dlrm<T> {
                 .map(|t| SparseGrad::new(t.dim()))
                 .collect();
         }
-        // The weighted path propagates the *unscaled* gradient chain
-        // (identical bits to the ghost-norm chain) and applies the
-        // per-example weights only at the parameter-gradient sites —
-        // the arrangement under which the fused clipped backward is
-        // bitwise-identical to this two-pass path.
-        if let Some(w) = weights {
-            assert_eq!(w.len(), b, "one weight per example");
-            self.top.backward_weighted_into(
-                &cache.top,
-                &scratch.g,
-                w,
-                &mut grads.top,
-                &mut scratch.grad_top_in,
-                &mut scratch.arena,
-            );
-        } else {
-            self.top.backward_into(
-                &cache.top,
-                &scratch.g,
-                &mut grads.top,
-                &mut scratch.grad_top_in,
-                &mut scratch.arena,
-            );
-        }
+    }
+
+    /// Per-batch backward pass (plain SGD) into caller-owned gradients,
+    /// with working buffers from `scratch` (zero allocation at steady
+    /// state). `grad_logits[i]` is ∂L/∂logit_i. The table gradients are
+    /// **un-coalesced**.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths disagree with the cached batch size.
+    pub fn backward_with(
+        &self,
+        cache: &DlrmCache,
+        batch: &MiniBatch,
+        grad_logits: &[f32],
+        grads: &mut DlrmGrads,
+        scratch: &mut DlrmScratch,
+    ) {
+        self.begin_backward(batch, grad_logits, grads, scratch);
+        self.top.backward_into(
+            &cache.top,
+            &scratch.g,
+            &mut grads.top,
+            &mut scratch.grad_top_in,
+            &mut scratch.arena,
+        );
         interaction_backward_into(
             self.config.interaction,
             &cache.inter_inputs,
             &scratch.grad_top_in,
             &mut scratch.inter_grads,
         );
-        if let Some(w) = weights {
-            self.bottom.backward_weighted_into(
-                &cache.bottom,
-                &scratch.inter_grads[0],
-                w,
-                &mut grads.bottom,
-                &mut scratch.grad_x,
-                &mut scratch.arena,
+        self.bottom.backward_into(
+            &cache.bottom,
+            &scratch.inter_grads[0],
+            &mut grads.bottom,
+            &mut scratch.grad_x,
+            &mut scratch.arena,
+        );
+        for t in 0..self.tables.len() {
+            self.bags[t].backward_into(
+                &scratch.inter_grads[t + 1],
+                &batch.sparse[t],
+                self.config.embedding_dim,
+                &mut grads.tables[t],
             );
-            for t in 0..self.tables.len() {
-                self.bags[t].backward_weighted_into(
-                    &scratch.inter_grads[t + 1],
-                    &batch.sparse[t],
-                    w,
-                    self.config.embedding_dim,
-                    &mut grads.tables[t],
-                );
-            }
-        } else {
-            self.bottom.backward_into(
-                &cache.bottom,
-                &scratch.inter_grads[0],
-                &mut grads.bottom,
-                &mut scratch.grad_x,
-                &mut scratch.arena,
-            );
-            for t in 0..self.tables.len() {
-                self.bags[t].backward_into(
-                    &scratch.inter_grads[t + 1],
-                    &batch.sparse[t],
-                    self.config.embedding_dim,
-                    &mut grads.tables[t],
-                );
-            }
         }
     }
 
-    /// Fused ghost-clipping backward over the whole model: one gradient
-    /// chain computes the per-example ghost norms (dense MLPs + sparse
-    /// bags, in the exact accumulation order of
-    /// [`per_example_grad_norms_with`](Self::per_example_grad_norms_with)),
-    /// `clip` turns them into per-example weights, and the clipped
-    /// aggregate gradients come from the cached per-layer activation
-    /// gradients with the weights applied inside the weight-grad GEMM
-    /// epilogue — the chain is never re-run, and per-example weight
-    /// gradients are never materialized.
+    /// The clipped backward — the one composition every DP algorithm
+    /// reaches its clipped aggregate through (paper §2.5: DP-SGD(R) and
+    /// (F) differ only in where the weights come from). One gradient
+    /// chain computes the per-example ghost norms (top MLP layers, then
+    /// bottom MLP layers, then each bag, summed in that order), `clip`
+    /// turns them into per-example weights, and the clipped aggregate
+    /// `Σ_i w_i · grad_i` comes from the cached per-layer activation
+    /// gradients with the weights applied inside the weight-grad GEMM's
+    /// B packing — two GEMMs per dense layer; the chain is never re-run
+    /// and per-example weight gradients are never materialized. `clip`
+    /// may ignore the norms and write weights of its own (DP-SGD(R)
+    /// passes its materialized clip weights this way).
     ///
-    /// Bitwise-identical to `per_example_grad_norms_with` + `clip` +
-    /// `backward_with(Some(w))` (proptest-pinned), at two GEMMs per
-    /// dense layer instead of three.
+    /// Pinned by `tests/fused_clipped.rs` (bitwise across executor
+    /// threads; within tolerance of the materialized
+    /// [`per_example_grads`](Self::per_example_grads)) and by the
+    /// end-to-end release digests.
     ///
     /// # Panics
     ///
@@ -513,19 +480,8 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         grads: &mut DlrmGrads,
         scratch: &mut DlrmScratch,
     ) {
-        let b = batch.batch_size();
-        assert_eq!(grad_logits.len(), b, "one logit grad per example");
-        scratch.g.assign_from_slice(b, 1, grad_logits);
-        if grads.tables.len() != self.tables.len() {
-            grads.tables = self
-                .tables
-                .iter()
-                .map(|t| SparseGrad::new(t.dim()))
-                .collect();
-        }
-        // Phase A: ghost-norm chain with per-layer dz stashing. The
-        // norm accumulation order (top layers, then bottom layers, then
-        // each bag) replicates per_example_grad_norms_with bit for bit.
+        self.begin_backward(batch, grad_logits, grads, scratch);
+        // Phase A: the ghost-norm chain, stashing each layer's δ.
         let mut norms = scratch.arena.take_f64(0);
         self.top.backward_ghost_norms_cached_into(
             &cache.top,
@@ -568,7 +524,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         scratch.arena.put_f64(emb_norms);
         let mut w = scratch.arena.take_f32(0);
         clip(&norms, &mut w);
-        // Phase B: clipped parameter gradients from the cached dz; the
+        // Phase B: clipped parameter gradients from the cached δ; the
         // interaction gradients still hold Phase A's (unscaled) values,
         // so the bag backward reads them directly.
         self.top
@@ -592,116 +548,10 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         scratch.arena.put_f64(norms);
     }
 
-    /// [`backward_clipped_with`](Self::backward_clipped_with) allocating
-    /// its own outputs and scratch (tests and examples).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree with the cached batch size.
-    #[must_use]
-    pub fn backward_clipped(
-        &self,
-        cache: &DlrmCache,
-        batch: &MiniBatch,
-        grad_logits: &[f32],
-        clip: impl FnOnce(&[f64], &mut Vec<f32>),
-    ) -> DlrmGrads {
-        let mut grads = DlrmGrads::default();
-        self.backward_clipped_with(
-            cache,
-            batch,
-            grad_logits,
-            clip,
-            &mut grads,
-            &mut DlrmScratch::default(),
-        );
-        grads
-    }
-
-    /// Per-example gradient L2 norms via ghost norms (DP-SGD(F) style):
-    /// no per-example weight gradient is materialized anywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree with the cached batch size.
-    #[must_use]
-    pub fn per_example_grad_norms(
-        &self,
-        cache: &DlrmCache,
-        batch: &MiniBatch,
-        grad_logits: &[f32],
-    ) -> Vec<f64> {
-        let mut norms = Vec::new();
-        self.per_example_grad_norms_with(
-            cache,
-            batch,
-            grad_logits,
-            &mut norms,
-            &mut DlrmScratch::default(),
-        );
-        norms
-    }
-
-    /// [`per_example_grad_norms`](Self::per_example_grad_norms) into a
-    /// caller-owned vector with working buffers from `scratch` (zero
-    /// allocation at steady state; identical results).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree with the cached batch size.
-    pub fn per_example_grad_norms_with(
-        &self,
-        cache: &DlrmCache,
-        batch: &MiniBatch,
-        grad_logits: &[f32],
-        norms: &mut Vec<f64>,
-        scratch: &mut DlrmScratch,
-    ) {
-        let b = batch.batch_size();
-        assert_eq!(grad_logits.len(), b, "one logit grad per example");
-        scratch.g.assign_from_slice(b, 1, grad_logits);
-        self.top.backward_ghost_norms_into(
-            &cache.top,
-            &scratch.g,
-            norms,
-            &mut scratch.grad_top_in,
-            &mut scratch.arena,
-        );
-        interaction_backward_into(
-            self.config.interaction,
-            &cache.inter_inputs,
-            &scratch.grad_top_in,
-            &mut scratch.inter_grads,
-        );
-        let mut bottom_norms = scratch.arena.take_f64(0);
-        self.bottom.backward_ghost_norms_into(
-            &cache.bottom,
-            &scratch.inter_grads[0],
-            &mut bottom_norms,
-            &mut scratch.grad_x,
-            &mut scratch.arena,
-        );
-        for (n, bn) in norms.iter_mut().zip(bottom_norms.iter()) {
-            *n += bn;
-        }
-        let mut emb_norms = bottom_norms; // reuse the pooled buffer
-        for t in 0..self.tables.len() {
-            self.bags[t].per_example_norm_sq_into(
-                &scratch.inter_grads[t + 1],
-                &batch.sparse[t],
-                &mut emb_norms,
-                &mut scratch.bag_idx,
-            );
-            for (n, en) in norms.iter_mut().zip(emb_norms.iter()) {
-                *n += en;
-            }
-        }
-        scratch.arena.put_f64(emb_norms);
-    }
-
-    /// Materialized per-example gradients (DP-SGD(B) style). Memory is
-    /// `O(B × params)` for the MLP part — exactly the overhead the paper
-    /// describes in §2.5.
+    /// Materialized per-example gradients (DP-SGD(B) style), each with
+    /// un-coalesced table gradients. Memory is `O(B × params)` for the
+    /// MLP part — exactly the overhead the paper describes in §2.5. This
+    /// is the definition the clipped backward is tested against.
     ///
     /// # Panics
     ///
@@ -716,29 +566,48 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         let b = batch.batch_size();
         assert_eq!(grad_logits.len(), b, "one logit grad per example");
         let g = Matrix::from_vec(b, 1, grad_logits.to_vec());
-        let (_, grad_top_in) = self.top.backward(&cache.top, &g);
-        let inter_grads =
-            interaction_backward(self.config.interaction, &cache.inter_inputs, &grad_top_in);
+        let mut grad_top_in = Matrix::default();
+        self.top.backward_into(
+            &cache.top,
+            &g,
+            &mut MlpGrads::default(),
+            &mut grad_top_in,
+            &mut ScratchArena::default(),
+        );
+        let mut inter_grads = Vec::new();
+        interaction_backward_into(
+            self.config.interaction,
+            &cache.inter_inputs,
+            &grad_top_in,
+            &mut inter_grads,
+        );
         let top_per_ex = self.top.per_example_grads(&cache.top, &g);
         let bottom_per_ex = self
             .bottom
             .per_example_grads(&cache.bottom, &inter_grads[0]);
-        (0..b)
-            .map(|i| {
+        let dim = self.config.embedding_dim;
+        top_per_ex
+            .into_iter()
+            .zip(bottom_per_ex)
+            .enumerate()
+            .map(|(i, (top, bottom))| {
                 let tables = (0..self.tables.len())
                     .map(|t| {
-                        let dim = self.config.embedding_dim;
-                        let single = lazydp_embedding::bag::BagIndices::from_samples(&[batch
-                            .sparse[t]
-                            .sample(i)
-                            .to_vec()]);
-                        let gi = Matrix::from_vec(1, dim, inter_grads[t + 1].row(i).to_vec());
-                        self.bags[t].backward(&gi, &single, dim)
+                        let single =
+                            BagIndices::from_samples(&[batch.sparse[t].sample(i).to_vec()]);
+                        let mut grad = SparseGrad::default();
+                        self.bags[t].backward_into(
+                            &inter_grads[t + 1].row_matrix(i),
+                            &single,
+                            dim,
+                            &mut grad,
+                        );
+                        grad
                     })
                     .collect();
                 DlrmGrads {
-                    bottom: bottom_per_ex[i].clone(),
-                    top: top_per_ex[i].clone(),
+                    bottom,
+                    top,
                     tables,
                 }
             })
@@ -779,6 +648,7 @@ mod tests {
     use super::*;
     use lazydp_data::{SyntheticConfig, SyntheticDataset};
     use lazydp_rng::Xoshiro256PlusPlus;
+    use std::collections::BTreeMap;
 
     fn tiny_setup(batch: usize) -> (Dlrm, MiniBatch, SyntheticDataset) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
@@ -787,6 +657,57 @@ mod tests {
         let ds = SyntheticDataset::new(SyntheticConfig::small(3, 50, 256));
         let b = ds.batch_of(&(0..batch).collect::<Vec<_>>());
         (model, b, ds)
+    }
+
+    /// `agg` equals `Σ_i w_i · per_ex[i]` to `tol` on every MLP weight
+    /// and bias and on every coalesced table row.
+    fn assert_weighted_sum(
+        model: &Dlrm,
+        per_ex: &[DlrmGrads],
+        w: &[f32],
+        agg: &DlrmGrads,
+        tol: f32,
+    ) {
+        let mut bottom = MlpGrads::zeros_like(&model.bottom);
+        let mut top = MlpGrads::zeros_like(&model.top);
+        for (g, &wi) in per_ex.iter().zip(w) {
+            bottom.axpy(wi, &g.bottom);
+            top.axpy(wi, &g.top);
+        }
+        for (name, want, got) in [("bottom", &bottom, &agg.bottom), ("top", &top, &agg.top)] {
+            assert_eq!(want.layers.len(), got.layers.len(), "{name} layers");
+            for (l, (a, b)) in want.layers.iter().zip(&got.layers).enumerate() {
+                assert!(a.dw.max_abs_diff(&b.dw) < tol, "{name} layer {l} dw");
+                for (x, y) in a.db.iter().zip(&b.db) {
+                    assert!((x - y).abs() < tol, "{name} layer {l} db: {x} vs {y}");
+                }
+            }
+        }
+        assert_eq!(
+            agg.tables.len(),
+            model.tables.len(),
+            "one gradient per table"
+        );
+        for (t, got) in agg.tables.iter().enumerate() {
+            let mut want: BTreeMap<u64, Vec<f32>> = BTreeMap::new();
+            for (g, &wi) in per_ex.iter().zip(w) {
+                for (idx, vals) in g.tables[t].iter() {
+                    let row = want.entry(idx).or_insert_with(|| vec![0.0; vals.len()]);
+                    for (a, v) in row.iter_mut().zip(vals) {
+                        *a += wi * v;
+                    }
+                }
+            }
+            let mut got = got.clone();
+            got.coalesce();
+            let got = got.to_dense_map();
+            assert!(want.keys().eq(got.keys()), "table {t}: row sets differ");
+            for (idx, vals) in &got {
+                for (a, b) in want[idx].iter().zip(vals) {
+                    assert!((a - b).abs() < tol, "table {t} row {idx}: {a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -798,11 +719,39 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "mini-batch has 4 sparse features, model has 3 tables")]
+    fn forward_rejects_a_batch_with_more_sparse_features_than_tables() {
+        let (model, _, _) = tiny_setup(1);
+        let ds = SyntheticDataset::new(SyntheticConfig::small(4, 50, 8));
+        let _ = model.forward(&ds.batch_of(&[0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "mini-batch has 2 sparse features, model has 3 tables")]
+    fn forward_rejects_a_batch_with_fewer_sparse_features_than_tables() {
+        let (model, _, _) = tiny_setup(1);
+        let ds = SyntheticDataset::new(SyntheticConfig::small(2, 50, 8));
+        let _ = model.forward(&ds.batch_of(&[0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "mini-batch has 12 dense features, model expects 13")]
+    fn forward_rejects_a_batch_with_the_wrong_dense_width() {
+        let (model, _, _) = tiny_setup(1);
+        let ds = SyntheticDataset::new(SyntheticConfig {
+            num_dense: 12,
+            ..SyntheticConfig::small(3, 50, 8)
+        });
+        let _ = model.forward(&ds.batch_of(&[0, 1]));
+    }
+
+    #[test]
     fn backward_gradients_match_finite_difference_on_embedding() {
         let (mut model, batch, _) = tiny_setup(4);
         let cache = model.forward(&batch);
         let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
-        let mut grads = model.backward(&cache, &batch, &gl, None);
+        let mut grads = DlrmGrads::default();
+        model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
         grads.coalesce();
         let eps = 1e-3f32;
         // Probe the first nonzero embedding-grad coordinate of table 0.
@@ -827,7 +776,9 @@ mod tests {
         let (mut model, batch, _) = tiny_setup(4);
         let cache = model.forward(&batch);
         let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
-        let grads = model.backward(&cache, &batch, &gl, None);
+        let mut grads = DlrmGrads::default();
+        model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
+        grads.coalesce();
         let eps = 1e-3f32;
         let expect = grads.top.layers[0].dw[(0, 0)];
         let orig = model.top.layers()[0].weight[(0, 0)];
@@ -840,83 +791,21 @@ mod tests {
         assert!((expect - fd).abs() < 1e-2, "top w grad {expect} vs {fd}");
     }
 
-    fn clip_min_one(norms: &[f64], c: f64, w: &mut Vec<f32>) {
-        w.clear();
-        w.extend(norms.iter().map(|&n| {
-            let norm = n.sqrt();
-            if norm <= c {
-                1.0
-            } else {
-                (c / norm) as f32
-            }
-        }));
-    }
-
-    #[test]
-    fn fused_clipped_backward_matches_two_pass_bitwise() {
-        let (model, batch, _) = tiny_setup(6);
-        let cache = model.forward(&batch);
-        let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
-        // Middle C clips some examples; tiny C clips all; huge C none.
-        for c in [1e-4f64, 0.05, 1e6] {
-            let norms = model.per_example_grad_norms(&cache, &batch, &gl);
-            let mut w = Vec::new();
-            clip_min_one(&norms, c, &mut w);
-            let two_pass = model.backward(&cache, &batch, &gl, Some(&w));
-            let mut seen = Vec::new();
-            let fused = model.backward_clipped(&cache, &batch, &gl, |n, out| {
-                seen = n.to_vec();
-                clip_min_one(n, c, out);
-            });
-            assert_eq!(seen, norms, "C={c}: fused ghost norms");
-            assert_eq!(two_pass, fused, "C={c}: clipped aggregate grads");
-        }
-    }
-
     #[test]
     fn per_example_grads_sum_to_batch_grads() {
         let (model, batch, _) = tiny_setup(4);
         let cache = model.forward(&batch);
         let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
-        let mut batch_grads = model.backward(&cache, &batch, &gl, None);
-        batch_grads.coalesce();
+        let mut batch_grads = DlrmGrads::default();
+        model.backward_with(
+            &cache,
+            &batch,
+            &gl,
+            &mut batch_grads,
+            &mut DlrmScratch::default(),
+        );
         let per_ex = model.per_example_grads(&cache, &batch, &gl);
-        // Sum the per-example grads and compare (MLP part).
-        let mut sum_bottom = MlpGrads::zeros_like(&model.bottom);
-        let mut sum_top = MlpGrads::zeros_like(&model.top);
-        for g in &per_ex {
-            sum_bottom.axpy(1.0, &g.bottom);
-            sum_top.axpy(1.0, &g.top);
-        }
-        for (a, b) in sum_bottom
-            .layers
-            .iter()
-            .zip(batch_grads.bottom.layers.iter())
-        {
-            assert!(a.dw.max_abs_diff(&b.dw) < 1e-4);
-        }
-        for (a, b) in sum_top.layers.iter().zip(batch_grads.top.layers.iter()) {
-            assert!(a.dw.max_abs_diff(&b.dw) < 1e-4);
-        }
-        // Embedding part: sum of per-example dense maps equals batch map.
-        for t in 0..3 {
-            let mut sum_map: std::collections::HashMap<u64, Vec<f32>> = Default::default();
-            for g in &per_ex {
-                for (idx, vals) in g.tables[t].to_dense_map() {
-                    let e = sum_map.entry(idx).or_insert_with(|| vec![0.0; 8]);
-                    for (a, v) in e.iter_mut().zip(vals.iter()) {
-                        *a += v;
-                    }
-                }
-            }
-            let batch_map = batch_grads.tables[t].to_dense_map();
-            assert_eq!(sum_map.len(), batch_map.len(), "table {t} rows");
-            for (idx, vals) in &batch_map {
-                for (a, b) in sum_map[idx].iter().zip(vals.iter()) {
-                    assert!((a - b).abs() < 1e-4, "table {t} row {idx}");
-                }
-            }
-        }
+        assert_weighted_sum(&model, &per_ex, &[1.0; 4], &batch_grads, 1e-4);
     }
 
     #[test]
@@ -924,8 +813,20 @@ mod tests {
         let (model, batch, _) = tiny_setup(6);
         let cache = model.forward(&batch);
         let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
-        let ghost = model.per_example_grad_norms(&cache, &batch, &gl);
+        let mut ghost = Vec::new();
+        model.backward_clipped_with(
+            &cache,
+            &batch,
+            &gl,
+            |n, w| {
+                ghost = n.to_vec();
+                w.resize(n.len(), 1.0);
+            },
+            &mut DlrmGrads::default(),
+            &mut DlrmScratch::default(),
+        );
         let per_ex = model.per_example_grads(&cache, &batch, &gl);
+        assert_eq!(ghost.len(), per_ex.len());
         for (i, g) in per_ex.iter().enumerate() {
             let mut materialized = g.clone();
             materialized.coalesce(); // per-example norms need coalesced rows
@@ -945,16 +846,17 @@ mod tests {
         let cache = model.forward(&batch);
         let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
         let weights = [0.25f32, 1.0, 0.0, 0.5];
-        let mut weighted = model.backward(&cache, &batch, &gl, Some(&weights));
-        weighted.coalesce();
+        let mut weighted = DlrmGrads::default();
+        model.backward_clipped_with(
+            &cache,
+            &batch,
+            &gl,
+            |_, w| w.extend_from_slice(&weights),
+            &mut weighted,
+            &mut DlrmScratch::default(),
+        );
         let per_ex = model.per_example_grads(&cache, &batch, &gl);
-        let mut sum_top = MlpGrads::zeros_like(&model.top);
-        for (g, &w) in per_ex.iter().zip(weights.iter()) {
-            sum_top.axpy(w, &g.top);
-        }
-        for (a, b) in sum_top.layers.iter().zip(weighted.top.layers.iter()) {
-            assert!(a.dw.max_abs_diff(&b.dw) < 1e-5);
-        }
+        assert_weighted_sum(&model, &per_ex, &weights, &weighted, 1e-5);
     }
 
     #[test]
@@ -966,7 +868,8 @@ mod tests {
         for _ in 0..60 {
             let cache = model.forward(&batch);
             let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
-            let mut grads = model.backward(&cache, &batch, &gl, None);
+            let mut grads = DlrmGrads::default();
+            model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
             grads.coalesce();
             model.apply(&grads, 0.1);
         }
@@ -983,7 +886,8 @@ mod tests {
         let before = model.tables[0].clone();
         let cache = model.forward(&batch);
         let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
-        let mut grads = model.backward(&cache, &batch, &gl, None);
+        let mut grads = DlrmGrads::default();
+        model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
         grads.coalesce();
         model.apply(&grads, 0.5);
         let touched: std::collections::HashSet<u64> =

@@ -4,28 +4,15 @@
 use crate::config::InteractionKind;
 use lazydp_tensor::Matrix;
 
-/// Forward pass of the interaction.
+/// Forward pass of the interaction into a caller-owned output matrix
+/// (reshaped and overwritten in place; no allocation at steady state).
 ///
 /// `inputs` holds `n = T+1` matrices of identical shape `B × d`:
 /// `inputs[0]` is the bottom-MLP output, `inputs[1..]` the pooled
 /// embeddings. For [`InteractionKind::Dot`] the output is
-/// `[bottom | pairwise dot products]` of width `d + n(n−1)/2`; for
-/// [`InteractionKind::Concat`] it is all inputs side by side.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or shapes disagree.
-#[must_use]
-pub fn interaction_forward(kind: InteractionKind, inputs: &[Matrix]) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    interaction_forward_into(kind, inputs, &mut out);
-    out
-}
-
-/// [`interaction_forward`] into a caller-owned output matrix (reshaped
-/// and overwritten in place; no allocation at steady state). The
-/// arithmetic — including the plain ascending dot accumulation of the
-/// pairwise terms — is identical to the allocating path.
+/// `[bottom | pairwise dot products]` of width `d + n(n−1)/2`, each dot
+/// one plain ascending accumulation; for [`InteractionKind::Concat`] it
+/// is all inputs side by side.
 ///
 /// # Panics
 ///
@@ -95,30 +82,14 @@ fn shared_shape(inputs: &[Matrix]) -> (usize, usize) {
 /// Pairwise dots the forward runs side by side per input `i`.
 const DOT_LANES: usize = 8;
 
-/// Backward pass: gradient of each interaction input given the gradient
-/// of the interaction output.
-///
-/// # Panics
-///
-/// Panics if shapes disagree with what [`interaction_forward`] produced.
-#[must_use]
-pub fn interaction_backward(
-    kind: InteractionKind,
-    inputs: &[Matrix],
-    grad_out: &Matrix,
-) -> Vec<Matrix> {
-    let mut grads = Vec::new();
-    interaction_backward_into(kind, inputs, grad_out, &mut grads);
-    grads
-}
-
-/// [`interaction_backward`] into a caller-owned vector of per-input
-/// gradient matrices (each reshaped and overwritten in place).
+/// Backward pass: the gradient of each interaction input, given the
+/// gradient of the interaction output, into a caller-owned vector of
+/// per-input matrices (each reshaped and overwritten in place).
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty, their shapes disagree, or `grad_out`'s
-/// shape disagrees with what [`interaction_forward`] produced.
+/// shape disagrees with what [`interaction_forward_into`] produced.
 pub fn interaction_backward_into(
     kind: InteractionKind,
     inputs: &[Matrix],
@@ -273,12 +244,15 @@ mod tests {
                 for batch in [1usize, 5, 128] {
                     let (ins, grad_out) = awkward_case(n, dim, batch);
                     let what = format!("n={n} dim={dim} batch={batch}");
+                    let mut out = Matrix::default();
+                    interaction_forward_into(InteractionKind::Dot, &ins, &mut out);
                     assert_bitwise(
-                        &interaction_forward(InteractionKind::Dot, &ins),
+                        &out,
                         &reference_dot_forward(&ins),
                         &format!("forward {what}"),
                     );
-                    let got = interaction_backward(InteractionKind::Dot, &ins, &grad_out);
+                    let mut got = Vec::new();
+                    interaction_backward_into(InteractionKind::Dot, &ins, &grad_out, &mut got);
                     let want = reference_dot_backward(&ins, &grad_out);
                     for (t, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert_bitwise(g, w, &format!("backward input {t} {what}"));
@@ -291,7 +265,8 @@ mod tests {
     #[test]
     fn dot_forward_shape_and_values() {
         let ins = inputs(3, 2, 4);
-        let out = interaction_forward(InteractionKind::Dot, &ins);
+        let mut out = Matrix::default();
+        interaction_forward_into(InteractionKind::Dot, &ins, &mut out);
         assert_eq!(out.shape(), (2, 4 + 3));
         // First dim columns replicate the bottom vector.
         assert_eq!(&out.row(0)[..4], ins[0].row(0));
@@ -308,9 +283,11 @@ mod tests {
     #[test]
     fn concat_forward_roundtrip() {
         let ins = inputs(3, 2, 4);
-        let out = interaction_forward(InteractionKind::Concat, &ins);
+        let mut out = Matrix::default();
+        interaction_forward_into(InteractionKind::Concat, &ins, &mut out);
         assert_eq!(out.shape(), (2, 12));
-        let back = interaction_backward(InteractionKind::Concat, &ins, &out);
+        let mut back = Vec::new();
+        interaction_backward_into(InteractionKind::Concat, &ins, &out, &mut back);
         for (b, i) in back.iter().zip(ins.iter()) {
             assert_eq!(b, i, "concat backward is a split");
         }
@@ -320,11 +297,13 @@ mod tests {
     fn dot_backward_matches_finite_difference() {
         let ins = inputs(3, 2, 3);
         let grad_out = Matrix::from_fn(2, 3 + 3, |i, j| ((i + j) as f32 * 0.37).cos());
-        let grads = interaction_backward(InteractionKind::Dot, &ins, &grad_out);
+        let mut grads = Vec::new();
+        interaction_backward_into(InteractionKind::Dot, &ins, &grad_out, &mut grads);
         // Scalar loss: sum(grad_out ⊙ forward(inputs)).
         let loss = |ins: &[Matrix]| -> f32 {
-            interaction_forward(InteractionKind::Dot, ins)
-                .as_slice()
+            let mut out = Matrix::default();
+            interaction_forward_into(InteractionKind::Dot, ins, &mut out);
+            out.as_slice()
                 .iter()
                 .zip(grad_out.as_slice())
                 .map(|(a, g)| a * g)
@@ -353,7 +332,8 @@ mod tests {
     #[test]
     fn single_input_dot_has_no_pairs() {
         let ins = inputs(1, 3, 4);
-        let out = interaction_forward(InteractionKind::Dot, &ins);
+        let mut out = Matrix::default();
+        interaction_forward_into(InteractionKind::Dot, &ins, &mut out);
         assert_eq!(out.shape(), (3, 4));
         assert_eq!(out, ins[0]);
     }
@@ -363,7 +343,7 @@ mod tests {
     fn rejects_mismatched_inputs() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
-        let _ = interaction_forward(InteractionKind::Dot, &[a, b]);
+        interaction_forward_into(InteractionKind::Dot, &[a, b], &mut Matrix::default());
     }
 
     #[test]
@@ -372,6 +352,6 @@ mod tests {
         let a = Matrix::zeros(2, 4);
         let b = Matrix::zeros(2, 3);
         let grad_out = Matrix::zeros(2, 4 + 1);
-        let _ = interaction_backward(InteractionKind::Dot, &[a, b], &grad_out);
+        interaction_backward_into(InteractionKind::Dot, &[a, b], &grad_out, &mut Vec::new());
     }
 }

@@ -13,11 +13,22 @@
 //! The crate supports the three gradient-derivation styles the paper
 //! compares (§2.5):
 //!
-//! * per-batch gradients (plain SGD),
-//! * materialized **per-example** gradients (DP-SGD(B)),
-//! * **ghost norms** — per-example gradient L2 norms computed without
-//!   materializing per-example weight gradients (DP-SGD(F)), plus the
-//!   reweighted batch pass that both DP-SGD(R) and DP-SGD(F) share.
+//! * per-batch gradients (plain SGD, [`Dlrm::backward_with`]),
+//! * materialized **per-example** gradients (DP-SGD(B),
+//!   [`Dlrm::per_example_grads`]),
+//! * the **clipped backward** ([`Dlrm::backward_clipped_with`]): one
+//!   gradient chain yields the per-example gradient L2 norms without
+//!   materializing per-example weight gradients (*ghost norms*), a clip
+//!   closure turns them into weights, and the clipped aggregate comes
+//!   from the same chain's cached activation gradients. It is the one
+//!   clipped composition: DP-SGD(F) clips the ghost norms, DP-SGD(R)
+//!   passes weights from its materialized norms. It is pinned against
+//!   `per_example_grads` and by end-to-end release digests, not against
+//!   a second composition.
+//!
+//! Each pass has one body, taking caller-owned buffers (`_into` /
+//! `_with`); [`Dlrm::forward`], [`Dlrm::loss`] and [`Dlrm::logit_grads`]
+//! are allocating conveniences over those bodies.
 //!
 //! # Example
 //!

@@ -6,11 +6,15 @@
 //! matrix belongs to one example. Only the weight-gradient GEMM
 //! (`aᵀ·δ`) sums over examples. Therefore:
 //!
-//! * plain SGD / the reweighted pass run one weight-grad GEMM,
-//! * DP-SGD(B) materializes `B` outer products (`a_i δ_iᵀ`),
-//! * DP-SGD(F) reads per-example norms straight off the activations and
-//!   activation gradients: `‖grad_W L_i‖² = ‖a_i‖²·‖δ_i‖²` per linear
-//!   layer (the *ghost norm*), never materializing per-example grads.
+//! * plain SGD runs one weight-grad GEMM per layer
+//!   ([`Mlp::backward_into`]),
+//! * DP-SGD(B) materializes `B` outer products (`a_i δ_iᵀ`,
+//!   [`Mlp::per_example_grads`]),
+//! * the fused clipped backward reads per-example norms straight off
+//!   the activations and activation gradients: `‖grad_W L_i‖² =
+//!   ‖a_i‖²·‖δ_i‖²` per linear layer (the *ghost norm*), then runs one
+//!   clip-scaled weight-grad GEMM per layer over the cached `δ`s, never
+//!   materializing per-example grads.
 
 use lazydp_rng::{Prng, RowNoise};
 use lazydp_tensor::ops::add_bias;
@@ -164,7 +168,7 @@ impl MlpGrads {
 
 /// Forward cache: the input and every layer's post-activation output.
 ///
-/// Reusable: [`Mlp::forward_into`] reshapes the cached matrices in
+/// Reusable: [`Mlp::forward_in_place`] reshapes the cached matrices in
 /// place, so a cache driven by a trainer allocates only until every
 /// activation has reached its steady-state size.
 #[derive(Debug, Clone, Default)]
@@ -229,41 +233,17 @@ impl Mlp {
         self.layers.iter().map(LinearLayer::params).sum()
     }
 
-    /// Forward pass, caching all activations.
+    /// Forward pass over a cache whose `activations[0]` the caller has
+    /// already filled with the layer input (the DLRM path writes the
+    /// dense features and the interaction output straight into those
+    /// slots). The remaining activation slots are reshaped and
+    /// overwritten in place, so steady-state forward passes allocate
+    /// nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols()` differs from the first layer's input width.
-    #[must_use]
-    pub fn forward(&self, x: &Matrix) -> MlpCache {
-        let mut cache = MlpCache::default();
-        self.forward_into(x, &mut cache);
-        cache
-    }
-
-    /// [`forward`](Self::forward) into a reusable cache: every
-    /// activation matrix is reshaped and overwritten in place, so
-    /// steady-state forward passes allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from the first layer's input width.
-    pub fn forward_into(&self, x: &Matrix, cache: &mut MlpCache) {
-        if cache.activations.is_empty() {
-            cache.activations.push(Matrix::zeros(0, 0));
-        }
-        cache.activations[0].copy_from(x);
-        self.forward_in_place(cache);
-    }
-
-    /// Runs the forward pass over a cache whose `activations[0]` the
-    /// caller has already filled with the layer input (the DLRM path
-    /// writes the interaction output straight into that slot, skipping a
-    /// copy). The remaining activation slots are reshaped in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache has no input activation.
+    /// Panics if the cache has no input activation, or if its width
+    /// differs from the first layer's input width.
     pub fn forward_in_place(&self, cache: &mut MlpCache) {
         assert!(
             !cache.activations.is_empty(),
@@ -281,32 +261,13 @@ impl Mlp {
         }
     }
 
-    /// Standard per-batch backward pass.
-    ///
-    /// Returns the weight gradients and the gradient with respect to the
-    /// MLP input. `grad_out` is `∂L/∂output` (post-activation).
-    #[must_use]
-    pub fn backward(&self, cache: &MlpCache, grad_out: &Matrix) -> (MlpGrads, Matrix) {
-        let mut grads = MlpGrads::default();
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(
-            cache,
-            grad_out,
-            &mut grads,
-            &mut grad_in,
-            &mut ScratchArena::new(),
-        );
-        (grads, grad_in)
-    }
-
-    /// [`backward`](Self::backward) into caller-owned gradients and
-    /// input-gradient matrix, with working matrices checked out of
-    /// `arena` — the zero-allocation backward of the training hot loop.
-    /// `grads` is (re)shaped to match the MLP on first use.
-    ///
-    /// The activation backward runs in place on a ping-pong pair of
-    /// scratch matrices; per-layer arithmetic (and therefore every
-    /// output bit) is identical to the allocating path.
+    /// Standard per-batch backward pass: the weight gradients into
+    /// `grads` and the gradient with respect to the MLP input into
+    /// `grad_in`, given `grad_out = ∂L/∂output` (post-activation).
+    /// `grads` is (re)shaped to match the MLP on first use; the
+    /// activation backward runs in place on a ping-pong pair of
+    /// matrices checked out of `arena`, so steady-state calls allocate
+    /// nothing.
     pub fn backward_into(
         &self,
         cache: &MlpCache,
@@ -335,144 +296,19 @@ impl Mlp {
         arena.put_matrix(next);
     }
 
-    /// Ghost-norm backward pass (DP-SGD(F), §2.5): per-example squared
-    /// gradient norms without materializing per-example weight grads.
+    /// First phase of the fused ghost-clipping backward (DP-SGD(F),
+    /// §2.5): per-example squared gradient norms without materializing
+    /// per-example weight gradients. Per layer `‖a_i δ_iᵀ‖² =
+    /// ‖a_i‖²·‖δ_i‖²`, plus `‖δ_i‖²` for the bias, is summed into
+    /// `norms`.
     ///
-    /// Returns `(per_example_norm_sq, grad_input)`; the input gradient is
-    /// per-example (rows), so callers can keep propagating (e.g. into
-    /// embedding ghost norms).
-    #[must_use]
-    pub fn backward_ghost_norms(&self, cache: &MlpCache, grad_out: &Matrix) -> (Vec<f64>, Matrix) {
-        let mut norms = Vec::new();
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_ghost_norms_into(
-            cache,
-            grad_out,
-            &mut norms,
-            &mut grad_in,
-            &mut ScratchArena::new(),
-        );
-        (norms, grad_in)
-    }
-
-    /// [`backward_ghost_norms`](Self::backward_ghost_norms) into
-    /// caller-owned buffers (same arithmetic, no allocation at steady
-    /// state).
-    pub fn backward_ghost_norms_into(
-        &self,
-        cache: &MlpCache,
-        grad_out: &Matrix,
-        norms: &mut Vec<f64>,
-        grad_in: &mut Matrix,
-        arena: &mut ScratchArena,
-    ) {
-        let batch = grad_out.rows();
-        norms.clear();
-        norms.resize(batch, 0.0);
-        let mut grad = arena.take_matrix(0, 0);
-        grad.copy_from(grad_out);
-        let mut next = arena.take_matrix(0, 0);
-        let mut a_norms = arena.take_f64(0);
-        let mut d_norms = arena.take_f64(0);
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let a_out = &cache.activations[l + 1];
-            let a_in = &cache.activations[l];
-            layer.activation.backward_inplace(a_out, &mut grad); // grad is now dz
-            a_in.row_norms_sq_into(&mut a_norms);
-            grad.row_norms_sq_into(&mut d_norms);
-            for i in 0..batch {
-                // ‖a_i δ_iᵀ‖² = ‖a_i‖²·‖δ_i‖²; bias grad adds ‖δ_i‖².
-                norms[i] += a_norms[i] * d_norms[i] + d_norms[i];
-            }
-            grad.matmul_t_into(&layer.weight, &mut next);
-            std::mem::swap(&mut grad, &mut next);
-        }
-        std::mem::swap(grad_in, &mut grad);
-        arena.put_f64(d_norms);
-        arena.put_f64(a_norms);
-        arena.put_matrix(grad);
-        arena.put_matrix(next);
-    }
-
-    /// Reweighted backward pass (the second pass of DP-SGD(R)/(F)):
-    /// computes `Σ_i w_i · grad_i` by propagating the **unscaled**
-    /// gradient chain (identical bits to the ghost-norm chain) and
-    /// applying `w_i` only at the parameter-gradient reductions — the
-    /// weight-grad GEMM (`aᵀ · diag(w) · δ`, fused into the packed-B
-    /// epilogue) and the weighted bias column-sums. Valid because the
-    /// backward graph is linear in the output gradient, and the only
-    /// arrangement under which the fused clipped pass can be
-    /// bitwise-identical to this two-pass path.
-    ///
-    /// The returned input gradient is **unscaled** (per-example rows,
-    /// no `w_i` applied) — callers propagating it must apply weights at
-    /// their own parameter-gradient sites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != grad_out.rows()`.
-    #[must_use]
-    pub fn backward_weighted(
-        &self,
-        cache: &MlpCache,
-        grad_out: &Matrix,
-        weights: &[f32],
-    ) -> (MlpGrads, Matrix) {
-        let mut grads = MlpGrads::default();
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_weighted_into(
-            cache,
-            grad_out,
-            weights,
-            &mut grads,
-            &mut grad_in,
-            &mut ScratchArena::new(),
-        );
-        (grads, grad_in)
-    }
-
-    /// [`backward_weighted`](Self::backward_weighted) into caller-owned
-    /// buffers (see [`backward_into`](Self::backward_into)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != grad_out.rows()`.
-    pub fn backward_weighted_into(
-        &self,
-        cache: &MlpCache,
-        grad_out: &Matrix,
-        weights: &[f32],
-        grads: &mut MlpGrads,
-        grad_in: &mut Matrix,
-        arena: &mut ScratchArena,
-    ) {
-        assert_eq!(weights.len(), grad_out.rows(), "one weight per example");
-        if grads.layers.len() != self.layers.len() {
-            *grads = MlpGrads::zeros_like(self);
-        }
-        let mut grad = arena.take_matrix(0, 0);
-        grad.copy_from(grad_out);
-        let mut next = arena.take_matrix(0, 0);
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let a_out = &cache.activations[l + 1];
-            let a_in = &cache.activations[l];
-            layer.activation.backward_inplace(a_out, &mut grad); // grad is now dz
-            a_in.t_matmul_scaled_into(&grad, weights, &mut grads.layers[l].dw);
-            grad.weighted_col_sums_into(weights, &mut grads.layers[l].db);
-            grad.matmul_t_into(&layer.weight, &mut next);
-            std::mem::swap(&mut grad, &mut next);
-        }
-        std::mem::swap(grad_in, &mut grad);
-        arena.put_matrix(grad);
-        arena.put_matrix(next);
-    }
-
-    /// Ghost-norm backward that additionally stashes each layer's
-    /// post-activation gradient `δ` (dz) into `dz_cache` — the first
-    /// phase of the fused clipped backward. The chain, the norm
-    /// accumulation, and the returned input gradient are bit-identical
-    /// to [`backward_ghost_norms_into`](Self::backward_ghost_norms_into);
-    /// the stash costs two buffer swaps per layer, no copies.
+    /// Each layer's post-activation gradient `δ` (dz) is parked in
+    /// `dz_cache` (two buffer swaps per layer, no copies) for
+    /// [`weighted_grads_from_cached`](Self::weighted_grads_from_cached).
+    /// `grad_in` is the **unscaled** per-example input gradient, bitwise
+    /// equal to [`backward_into`](Self::backward_into)'s, so callers keep
+    /// propagating it (e.g. into the embedding ghost norms) before any
+    /// clip factor exists.
     pub fn backward_ghost_norms_cached_into(
         &self,
         cache: &MlpCache,
@@ -516,13 +352,15 @@ impl Mlp {
         arena.put_matrix(next);
     }
 
-    /// Second phase of the fused clipped backward: parameter gradients
-    /// from the dz matrices stashed by
+    /// Second phase of the fused ghost-clipping backward: the clipped
+    /// aggregate `Σ_i w_i · grad_i` from the `δ` matrices stashed by
     /// [`backward_ghost_norms_cached_into`](Self::backward_ghost_norms_cached_into),
-    /// with clip factors applied inside the weight-grad GEMM epilogue.
-    /// The per-layer GEMM inputs and kernels are exactly those of
-    /// [`backward_weighted_into`](Self::backward_weighted_into), so the
-    /// grads match that two-pass path bit for bit.
+    /// never re-running the gradient chain. The weights apply only at
+    /// the parameter-gradient reductions: folded into the weight-grad
+    /// GEMM's B packing (`aᵀ · diag(w) · δ`) and the weighted bias
+    /// column-sums. That is valid because the backward graph is linear
+    /// in the output gradient, and costs two GEMMs per layer in all
+    /// (`δ·Wᵀ` in the first phase, the scaled `aᵀ·δ` here).
     ///
     /// # Panics
     ///
@@ -543,66 +381,6 @@ impl Mlp {
             a_in.t_matmul_scaled_into(&dz_cache[l], weights, &mut grads.layers[l].dw);
             dz_cache[l].weighted_col_sums_into(weights, &mut grads.layers[l].db);
         }
-    }
-
-    /// Fused ghost-clipping backward (ROADMAP item 1, after FlashDP):
-    /// one pass computes per-example ghost norms *and* the clipped
-    /// aggregate gradient, never materializing per-example weight
-    /// gradients and never re-running the gradient chain. `clip` maps
-    /// the per-example squared norms to per-example weights (e.g.
-    /// `min(1, C/‖g_i‖)`).
-    ///
-    /// Versus ghost-norms-then-weighted-backward this saves one full
-    /// activation-gradient chain — per layer, the 3-GEMM two-pass
-    /// backward (ghost `δ·Wᵀ` + weighted `aᵀ·diag(w)δ` + weighted
-    /// `δ·Wᵀ`) becomes 2 GEMMs — while producing **bit-identical**
-    /// gradients, norms, and input gradient (pinned by proptests).
-    #[must_use]
-    pub fn backward_clipped(
-        &self,
-        cache: &MlpCache,
-        grad_out: &Matrix,
-        clip: impl FnOnce(&[f64], &mut Vec<f32>),
-    ) -> (MlpGrads, Matrix) {
-        let mut grads = MlpGrads::default();
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_clipped_into(
-            cache,
-            grad_out,
-            clip,
-            &mut grads,
-            &mut grad_in,
-            &mut Vec::new(),
-            &mut ScratchArena::new(),
-        );
-        (grads, grad_in)
-    }
-
-    /// [`backward_clipped`](Self::backward_clipped) into caller-owned
-    /// buffers: `dz_cache` holds the per-layer activation gradients
-    /// between the two phases (resized on first use, reused after), the
-    /// arena supplies the norm and weight vectors — zero steady-state
-    /// allocation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_clipped_into(
-        &self,
-        cache: &MlpCache,
-        grad_out: &Matrix,
-        clip: impl FnOnce(&[f64], &mut Vec<f32>),
-        grads: &mut MlpGrads,
-        grad_in: &mut Matrix,
-        dz_cache: &mut Vec<Matrix>,
-        arena: &mut ScratchArena,
-    ) {
-        let mut norms = arena.take_f64(0);
-        self.backward_ghost_norms_cached_into(
-            cache, grad_out, &mut norms, grad_in, dz_cache, arena,
-        );
-        let mut weights = arena.take_f32(0);
-        clip(&norms, &mut weights);
-        self.weighted_grads_from_cached(cache, dz_cache, &weights, grads);
-        arena.put_f32(weights);
-        arena.put_f64(norms);
     }
 
     /// Materialized per-example gradients (DP-SGD(B), §2.4): one
@@ -668,21 +446,9 @@ impl Mlp {
     /// layers").
     ///
     /// `param_base` namespaces this MLP's layers inside the noise
-    /// source's dense-parameter address space.
-    pub fn apply_dense_noise<N: RowNoise>(
-        &mut self,
-        noise: &mut N,
-        iter: u64,
-        param_base: u32,
-        scale: f32,
-        lr: f32,
-    ) {
-        self.apply_dense_noise_with(noise, iter, param_base, scale, lr, &mut Vec::new());
-    }
-
-    /// [`apply_dense_noise`](Self::apply_dense_noise) drawing into a
-    /// caller-owned noise buffer (resized per layer, allocation-free at
-    /// steady state).
+    /// source's dense-parameter address space. The draws go through the
+    /// caller-owned `buf` (resized per layer, allocation-free at steady
+    /// state).
     pub fn apply_dense_noise_with<N: RowNoise>(
         &mut self,
         noise: &mut N,
@@ -713,22 +479,31 @@ mod tests {
     use super::*;
     use lazydp_rng::Xoshiro256PlusPlus;
 
-    fn mlp_and_input(widths: &[usize]) -> (Mlp, Matrix) {
+    /// A seeded MLP over 5 inputs and its forward cache on a fixed
+    /// 4-example batch (`activations[0]` is the input).
+    fn mlp_and_cache(widths: &[usize]) -> (Mlp, MlpCache) {
         let mut rng = Xoshiro256PlusPlus::seed_from(42);
         let mlp = Mlp::new(5, widths, &mut rng);
         let x = Matrix::from_fn(4, 5, |i, j| ((i * 7 + j * 3) as f32 % 5.0 - 2.0) / 3.0);
-        (mlp, x)
+        let mut cache = MlpCache {
+            activations: vec![x],
+        };
+        mlp.forward_in_place(&mut cache);
+        (mlp, cache)
     }
 
     /// Scalar loss for gradient checking: sum of outputs.
     fn loss_of(mlp: &Mlp, x: &Matrix) -> f32 {
-        mlp.forward(x).output().as_slice().iter().sum()
+        let mut cache = MlpCache {
+            activations: vec![x.clone()],
+        };
+        mlp.forward_in_place(&mut cache);
+        cache.output().as_slice().iter().sum()
     }
 
     #[test]
     fn forward_shapes() {
-        let (mlp, x) = mlp_and_input(&[8, 3]);
-        let cache = mlp.forward(&x);
+        let (mlp, cache) = mlp_and_cache(&[8, 3]);
         assert_eq!(cache.activations.len(), 3);
         assert_eq!(cache.output().shape(), (4, 3));
         assert_eq!(mlp.params(), 5 * 8 + 8 + 8 * 3 + 3);
@@ -736,10 +511,17 @@ mod tests {
 
     #[test]
     fn backward_matches_finite_difference() {
-        let (mut mlp, x) = mlp_and_input(&[6, 2]);
-        let cache = mlp.forward(&x);
+        let (mut mlp, cache) = mlp_and_cache(&[6, 2]);
+        let x = cache.activations[0].clone();
         let grad_out = Matrix::filled(4, 2, 1.0); // d(sum)/d(out) = 1
-        let (grads, grad_in) = mlp.backward(&cache, &grad_out);
+        let (mut grads, mut grad_in) = Default::default();
+        mlp.backward_into(
+            &cache,
+            &grad_out,
+            &mut grads,
+            &mut grad_in,
+            &mut ScratchArena::default(),
+        );
         let eps = 1e-3f32;
         // Check a scattering of weight coordinates in both layers.
         for l in 0..2 {
@@ -783,10 +565,16 @@ mod tests {
 
     #[test]
     fn per_example_grads_sum_to_batch_grad() {
-        let (mlp, x) = mlp_and_input(&[7, 4, 2]);
-        let cache = mlp.forward(&x);
+        let (mlp, cache) = mlp_and_cache(&[7, 4, 2]);
         let grad_out = Matrix::from_fn(4, 2, |i, j| (i as f32 - 1.5) * (j as f32 + 0.5));
-        let (batch_grads, _) = mlp.backward(&cache, &grad_out);
+        let mut batch_grads = MlpGrads::default();
+        mlp.backward_into(
+            &cache,
+            &grad_out,
+            &mut batch_grads,
+            &mut Matrix::default(),
+            &mut ScratchArena::default(),
+        );
         let per_ex = mlp.per_example_grads(&cache, &grad_out);
         assert_eq!(per_ex.len(), 4);
         let mut sum = MlpGrads::zeros_like(&mlp);
@@ -803,10 +591,17 @@ mod tests {
 
     #[test]
     fn ghost_norms_match_materialized_per_example_norms() {
-        let (mlp, x) = mlp_and_input(&[6, 3, 2]);
-        let cache = mlp.forward(&x);
+        let (mlp, cache) = mlp_and_cache(&[6, 3, 2]);
         let grad_out = Matrix::from_fn(4, 2, |i, j| ((i + 2 * j) as f32).sin());
-        let (ghost, _) = mlp.backward_ghost_norms(&cache, &grad_out);
+        let mut ghost = Vec::new();
+        mlp.backward_ghost_norms_cached_into(
+            &cache,
+            &grad_out,
+            &mut ghost,
+            &mut Matrix::default(),
+            &mut Vec::new(),
+            &mut ScratchArena::default(),
+        );
         let per_ex = mlp.per_example_grads(&cache, &grad_out);
         for (i, g) in per_ex.iter().enumerate() {
             let explicit = g.norm_sq();
@@ -819,84 +614,79 @@ mod tests {
     }
 
     #[test]
-    fn ghost_norm_input_grad_matches_plain_backward() {
-        let (mlp, x) = mlp_and_input(&[6, 2]);
-        let cache = mlp.forward(&x);
-        let grad_out = Matrix::filled(4, 2, 0.7);
-        let (_, gi_plain) = mlp.backward(&cache, &grad_out);
-        let (_, gi_ghost) = mlp.backward_ghost_norms(&cache, &grad_out);
-        assert!(gi_plain.max_abs_diff(&gi_ghost) < 1e-7);
+    fn fused_chain_input_grad_is_the_unscaled_plain_backward() {
+        // Contract: the fused chain propagates the unscaled gradient
+        // (clip factors apply only at parameter-gradient sites), so its
+        // input gradient is the plain backward's, bit for bit.
+        let (mlp, cache) = mlp_and_cache(&[6, 2]);
+        let grad_out = Matrix::from_fn(4, 2, |i, j| (i as f32 - 0.4) * (j as f32 + 0.9));
+        let (mut gi_plain, mut gi_fused) = (Matrix::default(), Matrix::default());
+        let mut arena = ScratchArena::default();
+        mlp.backward_into(
+            &cache,
+            &grad_out,
+            &mut MlpGrads::default(),
+            &mut gi_plain,
+            &mut arena,
+        );
+        mlp.backward_ghost_norms_cached_into(
+            &cache,
+            &grad_out,
+            &mut Vec::new(),
+            &mut gi_fused,
+            &mut Vec::new(),
+            &mut arena,
+        );
+        assert_eq!(gi_fused.shape(), gi_plain.shape());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gi_fused), bits(&gi_plain));
     }
 
     #[test]
     fn weighted_backward_equals_weighted_sum_of_per_example() {
-        let (mlp, x) = mlp_and_input(&[5, 2]);
-        let cache = mlp.forward(&x);
+        let (mlp, cache) = mlp_and_cache(&[5, 2]);
         let grad_out = Matrix::from_fn(4, 2, |i, j| (i as f32 + 1.0) * 0.3 - j as f32 * 0.2);
         let weights = [0.5f32, 1.0, 0.0, 2.0];
-        let (wg, _) = mlp.backward_weighted(&cache, &grad_out, &weights);
+        let mut dz = Vec::new();
+        mlp.backward_ghost_norms_cached_into(
+            &cache,
+            &grad_out,
+            &mut Vec::new(),
+            &mut Matrix::default(),
+            &mut dz,
+            &mut ScratchArena::default(),
+        );
+        let mut wg = MlpGrads::default();
+        mlp.weighted_grads_from_cached(&cache, &dz, &weights, &mut wg);
         let per_ex = mlp.per_example_grads(&cache, &grad_out);
         let mut expect = MlpGrads::zeros_like(&mlp);
         for (g, &w) in per_ex.iter().zip(weights.iter()) {
             expect.axpy(w, g);
         }
-        for (a, b) in wg.layers.iter().zip(expect.layers.iter()) {
-            assert!(a.dw.max_abs_diff(&b.dw) < 1e-5);
-        }
-    }
-
-    fn clip_min_one(norms: &[f64], c: f64, w: &mut Vec<f32>) {
-        w.clear();
-        w.extend(norms.iter().map(|&n| {
-            let norm = n.sqrt();
-            if norm <= c {
-                1.0
-            } else {
-                (c / norm) as f32
+        for (l, (a, b)) in wg.layers.iter().zip(expect.layers.iter()).enumerate() {
+            assert!(a.dw.max_abs_diff(&b.dw) < 1e-5, "layer {l} dw");
+            for (x, y) in a.db.iter().zip(b.db.iter()) {
+                assert!((x - y).abs() < 1e-5, "layer {l} db: {x} vs {y}");
             }
-        }));
-    }
-
-    #[test]
-    fn fused_clipped_backward_matches_two_pass_bitwise() {
-        let (mlp, x) = mlp_and_input(&[7, 4, 2]);
-        let cache = mlp.forward(&x);
-        let grad_out = Matrix::from_fn(4, 2, |i, j| ((i * 3 + 2 * j) as f32).sin());
-        // Middle C clips some examples; tiny C clips all; huge C none.
-        for c in [1e-3f64, 0.5, 1e6] {
-            let (norms, gi_two) = mlp.backward_ghost_norms(&cache, &grad_out);
-            let mut w = Vec::new();
-            clip_min_one(&norms, c, &mut w);
-            let (grads_two, _) = mlp.backward_weighted(&cache, &grad_out, &w);
-            let (grads_fused, gi_fused) =
-                mlp.backward_clipped(&cache, &grad_out, |n, w| clip_min_one(n, c, w));
-            assert_eq!(grads_two, grads_fused, "C={c}");
-            assert_eq!(gi_two, gi_fused, "C={c} input grad");
         }
-    }
-
-    #[test]
-    fn weighted_backward_input_grad_is_unscaled() {
-        // Contract: backward_weighted_into propagates the unscaled
-        // chain, so its input gradient equals the plain backward's.
-        let (mlp, x) = mlp_and_input(&[5, 2]);
-        let cache = mlp.forward(&x);
-        let grad_out = Matrix::from_fn(4, 2, |i, j| (i as f32 - 0.4) * (j as f32 + 0.9));
-        let weights = [0.25f32, 1.0, 0.0, 1.75];
-        let (_, gi_weighted) = mlp.backward_weighted(&cache, &grad_out, &weights);
-        let (_, gi_plain) = mlp.backward(&cache, &grad_out);
-        assert_eq!(gi_weighted, gi_plain);
     }
 
     #[test]
     fn apply_moves_against_gradient() {
-        let (mut mlp, x) = mlp_and_input(&[4, 1]);
-        let before = loss_of(&mlp, &x);
-        let cache = mlp.forward(&x);
+        let (mut mlp, cache) = mlp_and_cache(&[4, 1]);
+        let x = &cache.activations[0];
+        let before = loss_of(&mlp, x);
         let grad_out = Matrix::filled(4, 1, 1.0);
-        let (grads, _) = mlp.backward(&cache, &grad_out);
+        let mut grads = MlpGrads::default();
+        mlp.backward_into(
+            &cache,
+            &grad_out,
+            &mut grads,
+            &mut Matrix::default(),
+            &mut ScratchArena::default(),
+        );
         mlp.apply(&grads, 0.01);
-        let after = loss_of(&mlp, &x);
+        let after = loss_of(&mlp, x);
         assert!(
             after < before,
             "gradient step must reduce sum-loss: {before} -> {after}"
@@ -905,16 +695,17 @@ mod tests {
 
     #[test]
     fn dense_noise_perturbs_all_layers_deterministically() {
-        let (mut a, _) = mlp_and_input(&[4, 2]);
+        let (mut a, _) = mlp_and_cache(&[4, 2]);
         let mut b = a.clone();
-        let mut n1 = lazydp_rng::counter::CounterNoise::new(9);
-        let mut n2 = lazydp_rng::counter::CounterNoise::new(9);
-        a.apply_dense_noise(&mut n1, 3, 0, 0.5, 0.1);
-        b.apply_dense_noise(&mut n2, 3, 0, 0.5, 0.1);
+        let noisy = |m: &mut Mlp, seed: u64| {
+            let mut noise = lazydp_rng::counter::CounterNoise::new(seed);
+            m.apply_dense_noise_with(&mut noise, 3, 0, 0.5, 0.1, &mut Vec::new());
+        };
+        noisy(&mut a, 9);
+        noisy(&mut b, 9);
         assert_eq!(a, b, "same seed, same noise");
         let mut c = a.clone();
-        let mut n3 = lazydp_rng::counter::CounterNoise::new(10);
-        c.apply_dense_noise(&mut n3, 3, 0, 0.5, 0.1);
+        noisy(&mut c, 10);
         assert_ne!(a, c, "different seed, different noise");
     }
 }

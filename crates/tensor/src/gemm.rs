@@ -532,9 +532,8 @@ pub(crate) fn t_matmul_blocked(
 /// per-example clip factors `w` are folded into the B packing
 /// ([`pack_b_panel_range_scaled`]), so per output element the operation
 /// sequence is `acc = a_ki.mul_add(w_k * b_kj, acc)` over ascending k —
-/// exactly what [`reference_t_matmul_scaled`] computes, and exactly
-/// what the two-pass path computes once its weighted backward routes
-/// through this kernel.
+/// exactly what [`reference_t_matmul_scaled`] computes. Every clipped
+/// aggregate's MLP weight gradients come from this kernel.
 pub(crate) fn t_matmul_scaled_blocked(
     a: &Matrix,
     b: &Matrix,

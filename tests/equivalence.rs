@@ -150,18 +150,25 @@ fn release_digests_are_pinned() {
     let mut lazy_opt = LazyDpOptimizer::new(LazyDpConfig::new(dp, true), &model0, noise());
     let mut lazy = train(&mut lazy_opt);
     lazy_opt.finalize_model(&mut lazy);
-    let got = [&eager, &eana, &adafest, &lazy].map(release_digest);
+    let per_example = train(&mut EagerDpSgd::new(dp, ClipStyle::PerExample, noise()));
+    let reweighted = train(&mut EagerDpSgd::new(dp, ClipStyle::Reweighted, noise()));
+    let got = [&eager, &eana, &adafest, &lazy, &per_example, &reweighted].map(release_digest);
     // Select-all AdaFEST is eager DP-SGD(F) bit for bit, so their
-    // digests agree.
+    // digests agree. DP-SGD(R) also equals (F) on this input: its
+    // materialized norms and the ghost norms give the same clip weights
+    // here, and the weighted phase is shared. (B) sums materialized
+    // per-example gradients, so its last bits differ.
     assert_eq!(
         got.map(|d| format!("{d:016x}")),
         [
             "8d9d7c9c9a7fbe63",
             "7f11b32b23c2f8d4",
             "8d9d7c9c9a7fbe63",
-            "7813b459c9e80ee3"
+            "7813b459c9e80ee3",
+            "779f348fd289472e",
+            "8d9d7c9c9a7fbe63"
         ],
-        "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP"
+        "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP, DP-SGD(B), DP-SGD(R)"
     );
 }
 
