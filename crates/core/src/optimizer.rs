@@ -451,7 +451,7 @@ mod tests {
         let mut eager = EagerDpSgd::new(cfg, ClipStyle::Fast, CounterNoise::new(99));
         let mut eager_logits: Vec<Vec<f32>> = Vec::new();
         for batch in batches.iter().take(steps) {
-            eager_logits.push(eager_model.forward(batch).logits());
+            eager_logits.push(eager_model.forward(batch).logits().to_vec());
             eager.step(&mut eager_model, batch, None);
         }
 
@@ -461,7 +461,7 @@ mod tests {
         let mut lazy = LazyDpOptimizer::new(lazy_cfg, &lazy_model, CounterNoise::new(99));
         let mut lazy_logits: Vec<Vec<f32>> = Vec::new();
         for i in 0..steps {
-            lazy_logits.push(lazy_model.forward(&batches[i]).logits());
+            lazy_logits.push(lazy_model.forward(&batches[i]).logits().to_vec());
             lazy.step(&mut lazy_model, &batches[i], Some(&batches[i + 1]));
         }
         lazy.finalize_model(&mut lazy_model);

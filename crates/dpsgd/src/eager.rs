@@ -93,7 +93,8 @@ fn materialized_aggregate(
     c: f64,
 ) -> (DlrmGrads, f64) {
     let cache = model.forward(batch);
-    let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
+    let mut gl = Vec::new();
+    Dlrm::logit_grads_into(&cache, &batch.labels, false, &mut gl);
     let mut per_ex = model.per_example_grads(&cache, batch, &gl);
     for g in &mut per_ex {
         g.coalesce();

@@ -10,7 +10,7 @@ use lazydp_model::Dlrm;
 
 /// Plain mini-batch SGD with sparse embedding updates (paper Fig. 4(a)).
 ///
-/// Owns the same step scratch arena as the DP optimizers (forward
+/// Owns the same step scratch as the DP optimizers (forward
 /// cache, gradient buffers): after the first step sizes it,
 /// steady-state steps perform no heap allocations.
 #[derive(Debug, Clone, Default)]

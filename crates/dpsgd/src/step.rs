@@ -7,7 +7,7 @@
 //! protection") — and differ only in **which embedding rows receive
 //! noise, and when**. [`DpStep`] is that front half, written once: it
 //! owns the hyper-parameters, the noise source, the iteration counter,
-//! the work counters and the one step-scoped scratch arena. An
+//! the work counters and the one step-scoped scratch. An
 //! optimizer embeds a `DpStep`, drives
 //!
 //! ```text
@@ -35,7 +35,7 @@ const TOP_PARAM_BASE: u32 = 64;
 
 /// Step-scoped scratch: the forward cache, the gradient buffers and
 /// every working vector a step needs, lazily sized on the first step.
-/// The one arena of all four DP optimizers; non-private SGD borrows its
+/// The one scratch of all four DP optimizers; non-private SGD borrows its
 /// forward/backward half.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StepScratch {

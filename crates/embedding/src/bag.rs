@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn backward_scatter_matches_forward_structure() {
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![1, 1]]);
-        let grad_out = Matrix::from_rows(&[&[1.0, 2.0], &[10.0, 20.0]]);
+        let grad_out = Matrix::from_vec(2, 2, vec![1.0, 2.0, 10.0, 20.0]);
         let mut g = SparseGrad::default();
         EmbeddingBag::new(Pooling::Sum).backward_into(&grad_out, &batch, 2, &mut g);
         assert_eq!(g.len(), 4, "one entry per lookup before coalescing");
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn backward_mean_scales_by_bag_length() {
         let batch = BagIndices::from_samples(&[vec![0, 1, 2, 3]]);
-        let grad_out = Matrix::from_rows(&[&[4.0]]);
+        let grad_out = Matrix::from_vec(1, 1, vec![4.0]);
         let mut g = SparseGrad::default();
         EmbeddingBag::new(Pooling::Mean).backward_into(&grad_out, &batch, 1, &mut g);
         for (_, v) in g.iter() {
@@ -352,7 +352,7 @@ mod tests {
         let mut t = table_with_rows(&[&[0.5, -0.5], &[1.5, 2.5]]);
         let batch = BagIndices::from_samples(&[vec![0, 1, 1]]);
         let bag = EmbeddingBag::new(Pooling::Sum);
-        let grad_out = Matrix::filled(1, 2, 1.0);
+        let grad_out = Matrix::from_vec(1, 2, vec![1.0; 2]);
         let mut g = SparseGrad::default();
         bag.backward_into(&grad_out, &batch, 2, &mut g);
         g.coalesce();
@@ -384,7 +384,7 @@ mod tests {
     #[allow(clippy::needless_range_loop)]
     fn ghost_norm_matches_explicit_per_example_norm() {
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![2, 2, 3]]);
-        let grad_out = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 0.5]]);
+        let grad_out = Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 0.5]);
         let bag = EmbeddingBag::new(Pooling::Sum);
         let mut ghost = Vec::new();
         bag.per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());
@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn ghost_norm_mean_pooling() {
         let batch = BagIndices::from_samples(&[vec![0, 1, 1]]);
-        let grad_out = Matrix::from_rows(&[&[3.0]]);
+        let grad_out = Matrix::from_vec(1, 1, vec![3.0]);
         let bag = EmbeddingBag::new(Pooling::Mean);
         let mut ghost = Vec::new();
         bag.per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());

@@ -47,7 +47,7 @@ impl SparseGrad {
     }
 
     /// Empties the gradient (and re-dims it), keeping both backing
-    /// allocations — the arena-reuse entry point: a cleared gradient
+    /// allocations — the scratch-reuse entry point: a cleared gradient
     /// refilled with at most as many entries as it ever held allocates
     /// nothing.
     pub fn reset(&mut self, dim: usize) {

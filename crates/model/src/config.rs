@@ -237,10 +237,21 @@ impl DlrmConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if the bottom MLP does not end at `embedding_dim`,
-    /// the top MLP does not end at width 1, any table is empty, or
-    /// `pooling == 0`.
+    /// Returns `Err` if `embedding_dim` or any MLP width is zero, the
+    /// bottom MLP does not end at `embedding_dim`, the top MLP does not
+    /// end at width 1, any table is empty, or `pooling == 0`.
     pub fn validate(&self) -> Result<(), String> {
+        if self.embedding_dim == 0 {
+            return Err("embedding_dim must be positive".to_owned());
+        }
+        for (field, widths) in [
+            ("bottom_layers", &self.bottom_layers),
+            ("top_layers", &self.top_layers),
+        ] {
+            if widths.contains(&0) {
+                return Err(format!("{field} widths must be positive (got {widths:?})"));
+            }
+        }
         if self.bottom_layers.last() != Some(&self.embedding_dim) {
             return Err(format!(
                 "bottom MLP must end at embedding_dim {} (got {:?})",
@@ -356,6 +367,20 @@ mod tests {
         let mut cfg = DlrmConfig::tiny(2, 10, 8);
         cfg.table_rows = vec![];
         assert!(cfg.validate().is_err(), "no tables");
+    }
+
+    #[test]
+    fn validation_rejects_zero_widths() {
+        let err = DlrmConfig::tiny(2, 16, 0).validate().unwrap_err();
+        assert!(err.contains("embedding_dim"), "{err}");
+        let mut cfg = DlrmConfig::tiny(2, 16, 4);
+        cfg.bottom_layers = vec![0, 4];
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("bottom_layers"), "{err}");
+        let mut cfg = DlrmConfig::tiny(2, 16, 4);
+        cfg.top_layers = vec![0, 1];
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("top_layers"), "{err}");
     }
 
     #[test]

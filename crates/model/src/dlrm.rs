@@ -10,7 +10,7 @@ use lazydp_embedding::{
     CoalesceScratch, EmbeddingBag, EmbeddingStorage, EmbeddingTable, Pooling, SparseGrad,
 };
 use lazydp_rng::Prng;
-use lazydp_tensor::{bce_with_logits, bce_with_logits_grad, Matrix, ScratchArena};
+use lazydp_tensor::{bce_with_logits, bce_with_logits_grad_into, Matrix};
 
 /// Forward-pass cache for one mini-batch.
 ///
@@ -28,16 +28,10 @@ pub struct DlrmCache {
 }
 
 impl DlrmCache {
-    /// The output logits (one per example).
+    /// The output logits, one per example (the `B × 1` top output,
+    /// row-major).
     #[must_use]
-    pub fn logits(&self) -> Vec<f32> {
-        self.top.output().as_slice().to_vec()
-    }
-
-    /// The output logits as a borrowed slice (the `B × 1` top output,
-    /// row-major — allocation-free accessor for the hot loop).
-    #[must_use]
-    pub fn logits_slice(&self) -> &[f32] {
+    pub fn logits(&self) -> &[f32] {
         self.top.output().as_slice()
     }
 }
@@ -52,10 +46,10 @@ fn input_slot(cache: &mut MlpCache) -> &mut Matrix {
 }
 
 /// Reusable working state for the DLRM backward passes — the
-/// model-level slice of the step-scoped scratch arena. Owned by the
-/// trainer/optimizer and lazily sized on the first step; with it and a
-/// reused [`DlrmCache`], the forward and either backward (plain or
-/// clipped) perform zero heap allocations at steady state.
+/// model-level slice of the step scratch, one named buffer per use.
+/// Owned by the trainer/optimizer and lazily sized on the first step;
+/// with it and a reused [`DlrmCache`], the forward and either backward
+/// (plain or clipped) perform zero heap allocations at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DlrmScratch {
     /// Logit-gradient column (`B × 1`).
@@ -66,8 +60,19 @@ pub struct DlrmScratch {
     inter_grads: Vec<Matrix>,
     /// Discarded input-gradient of the bottom MLP.
     grad_x: Matrix,
-    /// Typed buffer pools for the MLP passes.
-    arena: ScratchArena,
+    /// Ping-pong partner of the working gradient in the MLP passes.
+    spare: Matrix,
+    /// One MLP layer's per-example activation norms (ghost norms).
+    a_norms: Vec<f64>,
+    /// One MLP layer's per-example `δ` norms (ghost norms).
+    d_norms: Vec<f64>,
+    /// Per-example squared gradient norms of the clipped backward.
+    norms: Vec<f64>,
+    /// One part's per-example norms (bottom MLP, then each bag) before
+    /// they are added into `norms`.
+    part_norms: Vec<f64>,
+    /// Per-example clip weights of the clipped backward.
+    clip_w: Vec<f32>,
     /// Sorted-run scratch for the embedding ghost norms.
     bag_idx: Vec<u64>,
     /// Per-layer top-MLP activation gradients stashed between the two
@@ -192,25 +197,19 @@ impl Dlrm {
         })
     }
 
-    /// Per-example logit gradients of the BCE loss.
+    /// Per-example logit gradients of the BCE loss into a caller-owned
+    /// vector, reading the logits straight off the cached top output
+    /// (allocation-free at steady state).
     ///
     /// `mean = true` gives ∂(mean loss)/∂z (plain SGD); `mean = false`
     /// gives per-example ∂loss_i/∂z_i (the DP clipping convention —
     /// DP-SGD averages *after* clipping).
     ///
     /// (Defined on the default instantiation — it never touches the
-    /// embedding backend — so `Dlrm::logit_grads(..)` keeps resolving
+    /// embedding backend — so `Dlrm::logit_grads_into(..)` resolves
     /// without a turbofish.)
-    #[must_use]
-    pub fn logit_grads(cache: &DlrmCache, labels: &[f32], mean: bool) -> Vec<f32> {
-        bce_with_logits_grad(&cache.logits(), labels, mean)
-    }
-
-    /// [`logit_grads`](Self::logit_grads) into a caller-owned vector,
-    /// reading the logits straight off the cached top output
-    /// (allocation-free at steady state).
     pub fn logit_grads_into(cache: &DlrmCache, labels: &[f32], mean: bool, out: &mut Vec<f32>) {
-        lazydp_tensor::bce_with_logits_grad_into(cache.logits_slice(), labels, mean, out);
+        bce_with_logits_grad_into(cache.logits(), labels, mean, out);
     }
 }
 
@@ -378,7 +377,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     #[must_use]
     pub fn loss(&self, batch: &MiniBatch) -> f64 {
         let cache = self.forward(batch);
-        bce_with_logits(&cache.logits(), &batch.labels)
+        bce_with_logits(cache.logits(), &batch.labels)
     }
 
     /// Loads `grad_logits` as the `B × 1` top-MLP output gradient and
@@ -425,7 +424,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             &scratch.g,
             &mut grads.top,
             &mut scratch.grad_top_in,
-            &mut scratch.arena,
+            &mut scratch.spare,
         );
         interaction_backward_into(
             self.config.interaction,
@@ -438,7 +437,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             &scratch.inter_grads[0],
             &mut grads.bottom,
             &mut scratch.grad_x,
-            &mut scratch.arena,
+            &mut scratch.spare,
         );
         for t in 0..self.tables.len() {
             self.bags[t].backward_into(
@@ -482,70 +481,66 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     ) {
         self.begin_backward(batch, grad_logits, grads, scratch);
         // Phase A: the ghost-norm chain, stashing each layer's δ.
-        let mut norms = scratch.arena.take_f64(0);
+        let s = scratch;
         self.top.backward_ghost_norms_cached_into(
             &cache.top,
-            &scratch.g,
-            &mut norms,
-            &mut scratch.grad_top_in,
-            &mut scratch.top_dz,
-            &mut scratch.arena,
+            &s.g,
+            &mut s.norms,
+            &mut s.grad_top_in,
+            &mut s.top_dz,
+            &mut s.spare,
+            &mut s.a_norms,
+            &mut s.d_norms,
         );
         interaction_backward_into(
             self.config.interaction,
             &cache.inter_inputs,
-            &scratch.grad_top_in,
-            &mut scratch.inter_grads,
+            &s.grad_top_in,
+            &mut s.inter_grads,
         );
-        let mut bottom_norms = scratch.arena.take_f64(0);
         self.bottom.backward_ghost_norms_cached_into(
             &cache.bottom,
-            &scratch.inter_grads[0],
-            &mut bottom_norms,
-            &mut scratch.grad_x,
-            &mut scratch.bottom_dz,
-            &mut scratch.arena,
+            &s.inter_grads[0],
+            &mut s.part_norms,
+            &mut s.grad_x,
+            &mut s.bottom_dz,
+            &mut s.spare,
+            &mut s.a_norms,
+            &mut s.d_norms,
         );
-        for (n, bn) in norms.iter_mut().zip(bottom_norms.iter()) {
+        for (n, bn) in s.norms.iter_mut().zip(s.part_norms.iter()) {
             *n += bn;
         }
-        let mut emb_norms = bottom_norms; // reuse the pooled buffer
         for t in 0..self.tables.len() {
             self.bags[t].per_example_norm_sq_into(
-                &scratch.inter_grads[t + 1],
+                &s.inter_grads[t + 1],
                 &batch.sparse[t],
-                &mut emb_norms,
-                &mut scratch.bag_idx,
+                &mut s.part_norms,
+                &mut s.bag_idx,
             );
-            for (n, en) in norms.iter_mut().zip(emb_norms.iter()) {
+            for (n, en) in s.norms.iter_mut().zip(s.part_norms.iter()) {
                 *n += en;
             }
         }
-        scratch.arena.put_f64(emb_norms);
-        let mut w = scratch.arena.take_f32(0);
-        clip(&norms, &mut w);
+        let w = &mut s.clip_w;
+        w.clear();
+        clip(&s.norms, w);
         // Phase B: clipped parameter gradients from the cached δ; the
         // interaction gradients still hold Phase A's (unscaled) values,
         // so the bag backward reads them directly.
         self.top
-            .weighted_grads_from_cached(&cache.top, &scratch.top_dz, &w, &mut grads.top);
-        self.bottom.weighted_grads_from_cached(
-            &cache.bottom,
-            &scratch.bottom_dz,
-            &w,
-            &mut grads.bottom,
-        );
+            .weighted_grads_from_cached(&cache.top, &s.top_dz, w, &mut grads.top);
+        self.bottom
+            .weighted_grads_from_cached(&cache.bottom, &s.bottom_dz, w, &mut grads.bottom);
         for t in 0..self.tables.len() {
             self.bags[t].backward_weighted_into(
-                &scratch.inter_grads[t + 1],
+                &s.inter_grads[t + 1],
                 &batch.sparse[t],
-                &w,
+                w,
                 self.config.embedding_dim,
                 &mut grads.tables[t],
             );
         }
-        scratch.arena.put_f32(w);
-        scratch.arena.put_f64(norms);
     }
 
     /// Materialized per-example gradients (DP-SGD(B) style), each with
@@ -572,7 +567,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             &g,
             &mut MlpGrads::default(),
             &mut grad_top_in,
-            &mut ScratchArena::default(),
+            &mut Matrix::default(),
         );
         let mut inter_grads = Vec::new();
         interaction_backward_into(
@@ -595,9 +590,10 @@ impl<T: EmbeddingStorage> Dlrm<T> {
                     .map(|t| {
                         let single =
                             BagIndices::from_samples(&[batch.sparse[t].sample(i).to_vec()]);
+                        let grad_i = inter_grads[t + 1].row(i).to_vec();
                         let mut grad = SparseGrad::default();
                         self.bags[t].backward_into(
-                            &inter_grads[t + 1].row_matrix(i),
+                            &Matrix::from_vec(1, dim, grad_i),
                             &single,
                             dim,
                             &mut grad,
@@ -749,7 +745,8 @@ mod tests {
     fn backward_gradients_match_finite_difference_on_embedding() {
         let (mut model, batch, _) = tiny_setup(4);
         let cache = model.forward(&batch);
-        let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
+        let mut gl = Vec::new();
+        Dlrm::logit_grads_into(&cache, &batch.labels, true, &mut gl);
         let mut grads = DlrmGrads::default();
         model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
         grads.coalesce();
@@ -775,7 +772,8 @@ mod tests {
     fn backward_gradients_match_finite_difference_on_mlp() {
         let (mut model, batch, _) = tiny_setup(4);
         let cache = model.forward(&batch);
-        let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
+        let mut gl = Vec::new();
+        Dlrm::logit_grads_into(&cache, &batch.labels, true, &mut gl);
         let mut grads = DlrmGrads::default();
         model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
         grads.coalesce();
@@ -795,7 +793,8 @@ mod tests {
     fn per_example_grads_sum_to_batch_grads() {
         let (model, batch, _) = tiny_setup(4);
         let cache = model.forward(&batch);
-        let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
+        let mut gl = Vec::new();
+        Dlrm::logit_grads_into(&cache, &batch.labels, false, &mut gl);
         let mut batch_grads = DlrmGrads::default();
         model.backward_with(
             &cache,
@@ -812,7 +811,8 @@ mod tests {
     fn ghost_norms_match_materialized_norms() {
         let (model, batch, _) = tiny_setup(6);
         let cache = model.forward(&batch);
-        let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
+        let mut gl = Vec::new();
+        Dlrm::logit_grads_into(&cache, &batch.labels, false, &mut gl);
         let mut ghost = Vec::new();
         model.backward_clipped_with(
             &cache,
@@ -844,7 +844,8 @@ mod tests {
     fn weighted_backward_equals_weighted_per_example_sum() {
         let (model, batch, _) = tiny_setup(4);
         let cache = model.forward(&batch);
-        let gl = Dlrm::logit_grads(&cache, &batch.labels, false);
+        let mut gl = Vec::new();
+        Dlrm::logit_grads_into(&cache, &batch.labels, false, &mut gl);
         let weights = [0.25f32, 1.0, 0.0, 0.5];
         let mut weighted = DlrmGrads::default();
         model.backward_clipped_with(
@@ -867,7 +868,8 @@ mod tests {
         let before = model.loss(&batch);
         for _ in 0..60 {
             let cache = model.forward(&batch);
-            let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
+            let mut gl = Vec::new();
+            Dlrm::logit_grads_into(&cache, &batch.labels, true, &mut gl);
             let mut grads = DlrmGrads::default();
             model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
             grads.coalesce();
@@ -885,7 +887,8 @@ mod tests {
         let (mut model, batch, _) = tiny_setup(3);
         let before = model.tables[0].clone();
         let cache = model.forward(&batch);
-        let gl = Dlrm::logit_grads(&cache, &batch.labels, true);
+        let mut gl = Vec::new();
+        Dlrm::logit_grads_into(&cache, &batch.labels, true, &mut gl);
         let mut grads = DlrmGrads::default();
         model.backward_with(&cache, &batch, &gl, &mut grads, &mut DlrmScratch::default());
         grads.coalesce();

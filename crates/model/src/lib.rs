@@ -27,8 +27,8 @@
 //!   a second composition.
 //!
 //! Each pass has one body, taking caller-owned buffers (`_into` /
-//! `_with`); [`Dlrm::forward`], [`Dlrm::loss`] and [`Dlrm::logit_grads`]
-//! are allocating conveniences over those bodies.
+//! `_with`); [`Dlrm::forward`] and [`Dlrm::loss`] are allocating
+//! conveniences over those bodies.
 //!
 //! # Example
 //!

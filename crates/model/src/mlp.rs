@@ -18,7 +18,7 @@
 
 use lazydp_rng::{Prng, RowNoise};
 use lazydp_tensor::ops::add_bias;
-use lazydp_tensor::{Activation, InitKind, Matrix, ScratchArena};
+use lazydp_tensor::{Activation, InitKind, Matrix};
 
 /// One linear layer `y = act(x·W + b)` with `W: in × out`.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,51 +264,49 @@ impl Mlp {
     /// Standard per-batch backward pass: the weight gradients into
     /// `grads` and the gradient with respect to the MLP input into
     /// `grad_in`, given `grad_out = ∂L/∂output` (post-activation).
-    /// `grads` is (re)shaped to match the MLP on first use; the
-    /// activation backward runs in place on a ping-pong pair of
-    /// matrices checked out of `arena`, so steady-state calls allocate
-    /// nothing.
+    /// `grads` is (re)shaped to match the MLP on first use. The working
+    /// gradient is `grad_in` itself, ping-ponged with `spare` through
+    /// the layers, so steady-state calls allocate nothing.
     pub fn backward_into(
         &self,
         cache: &MlpCache,
         grad_out: &Matrix,
         grads: &mut MlpGrads,
         grad_in: &mut Matrix,
-        arena: &mut ScratchArena,
+        spare: &mut Matrix,
     ) {
         if grads.layers.len() != self.layers.len() {
             *grads = MlpGrads::zeros_like(self);
         }
-        let mut grad = arena.take_matrix(0, 0);
+        let grad = grad_in;
         grad.copy_from(grad_out);
-        let mut next = arena.take_matrix(0, 0);
         for (l, layer) in self.layers.iter().enumerate().rev() {
             let a_out = &cache.activations[l + 1];
             let a_in = &cache.activations[l];
-            layer.activation.backward_inplace(a_out, &mut grad); // grad is now dz
-            a_in.t_matmul_into(&grad, &mut grads.layers[l].dw);
+            layer.activation.backward_inplace(a_out, grad); // grad is now dz
+            a_in.t_matmul_into(grad, &mut grads.layers[l].dw);
             grad.col_sums_into(&mut grads.layers[l].db);
-            grad.matmul_t_into(&layer.weight, &mut next);
-            std::mem::swap(&mut grad, &mut next);
+            grad.matmul_t_into(&layer.weight, spare);
+            std::mem::swap(grad, spare);
         }
-        std::mem::swap(grad_in, &mut grad);
-        arena.put_matrix(grad);
-        arena.put_matrix(next);
     }
 
     /// First phase of the fused ghost-clipping backward (DP-SGD(F),
     /// §2.5): per-example squared gradient norms without materializing
     /// per-example weight gradients. Per layer `‖a_i δ_iᵀ‖² =
     /// ‖a_i‖²·‖δ_i‖²`, plus `‖δ_i‖²` for the bias, is summed into
-    /// `norms`.
+    /// `norms`; `a_norms` and `d_norms` hold one layer's per-example
+    /// activation and `δ` norms at a time.
     ///
     /// Each layer's post-activation gradient `δ` (dz) is parked in
     /// `dz_cache` (two buffer swaps per layer, no copies) for
     /// [`weighted_grads_from_cached`](Self::weighted_grads_from_cached).
-    /// `grad_in` is the **unscaled** per-example input gradient, bitwise
-    /// equal to [`backward_into`](Self::backward_into)'s, so callers keep
-    /// propagating it (e.g. into the embedding ghost norms) before any
-    /// clip factor exists.
+    /// `grad_in` is the working gradient, ping-ponged with `spare` like
+    /// [`backward_into`](Self::backward_into)'s; it ends as the
+    /// **unscaled** per-example input gradient, bitwise equal to
+    /// `backward_into`'s, so callers keep propagating it (e.g. into the
+    /// embedding ghost norms) before any clip factor exists.
+    #[allow(clippy::too_many_arguments)]
     pub fn backward_ghost_norms_cached_into(
         &self,
         cache: &MlpCache,
@@ -316,40 +314,34 @@ impl Mlp {
         norms: &mut Vec<f64>,
         grad_in: &mut Matrix,
         dz_cache: &mut Vec<Matrix>,
-        arena: &mut ScratchArena,
+        spare: &mut Matrix,
+        a_norms: &mut Vec<f64>,
+        d_norms: &mut Vec<f64>,
     ) {
         let batch = grad_out.rows();
         norms.clear();
         norms.resize(batch, 0.0);
         dz_cache.resize_with(self.layers.len(), || Matrix::zeros(0, 0));
-        let mut grad = arena.take_matrix(0, 0);
+        let grad = grad_in;
         grad.copy_from(grad_out);
-        let mut next = arena.take_matrix(0, 0);
-        let mut a_norms = arena.take_f64(0);
-        let mut d_norms = arena.take_f64(0);
         for (l, layer) in self.layers.iter().enumerate().rev() {
             let a_out = &cache.activations[l + 1];
             let a_in = &cache.activations[l];
-            layer.activation.backward_inplace(a_out, &mut grad); // grad is now dz
-            a_in.row_norms_sq_into(&mut a_norms);
-            grad.row_norms_sq_into(&mut d_norms);
+            layer.activation.backward_inplace(a_out, grad); // grad is now dz
+            a_in.row_norms_sq_into(a_norms);
+            grad.row_norms_sq_into(d_norms);
             for i in 0..batch {
                 // ‖a_i δ_iᵀ‖² = ‖a_i‖²·‖δ_i‖²; bias grad adds ‖δ_i‖².
                 norms[i] += a_norms[i] * d_norms[i] + d_norms[i];
             }
-            grad.matmul_t_into(&layer.weight, &mut next);
+            grad.matmul_t_into(&layer.weight, spare);
             // Stash dz without copying: park it in the cache slot, then
             // continue the chain with the freshly propagated gradient.
             // Whatever the slots previously held is fully overwritten by
             // the next iteration's kernels.
-            std::mem::swap(&mut grad, &mut dz_cache[l]);
-            std::mem::swap(&mut grad, &mut next);
+            std::mem::swap(grad, &mut dz_cache[l]);
+            std::mem::swap(grad, spare);
         }
-        std::mem::swap(grad_in, &mut grad);
-        arena.put_f64(d_norms);
-        arena.put_f64(a_norms);
-        arena.put_matrix(grad);
-        arena.put_matrix(next);
     }
 
     /// Second phase of the fused ghost-clipping backward: the clipped
@@ -394,24 +386,26 @@ impl Mlp {
         let mut dzs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
         let mut grad = grad_out.clone();
         for (l, layer) in self.layers.iter().enumerate().rev() {
-            let a_out = &cache.activations[l + 1];
-            let dz = layer.activation.backward(a_out, &grad);
-            grad = dz.matmul_t(&layer.weight);
-            dzs.push(dz);
+            layer
+                .activation
+                .backward_inplace(&cache.activations[l + 1], &mut grad); // grad is now dz
+            let mut next = Matrix::default();
+            grad.matmul_t_into(&layer.weight, &mut next);
+            dzs.push(std::mem::replace(&mut grad, next));
         }
         dzs.reverse();
         (0..batch)
             .map(|i| {
-                let layers = self
-                    .layers
-                    .iter()
-                    .enumerate()
-                    .map(|(l, _)| {
-                        let a_i = cache.activations[l].row_matrix(i);
-                        let dz_i = dzs[l].row_matrix(i);
+                // Example `i`'s row of `m` as a `1 × cols` matrix.
+                let row_i = |m: &Matrix| Matrix::from_vec(1, m.cols(), m.row(i).to_vec());
+                let layers = (0..self.layers.len())
+                    .map(|l| {
+                        let dz_i = row_i(&dzs[l]);
+                        let mut dw = Matrix::default();
+                        row_i(&cache.activations[l]).t_matmul_into(&dz_i, &mut dw);
                         LayerGrad {
-                            dw: a_i.t_matmul(&dz_i),
-                            db: dz_i.row(0).to_vec(),
+                            dw,
+                            db: dz_i.as_slice().to_vec(),
                         }
                     })
                     .collect();
@@ -513,14 +507,14 @@ mod tests {
     fn backward_matches_finite_difference() {
         let (mut mlp, cache) = mlp_and_cache(&[6, 2]);
         let x = cache.activations[0].clone();
-        let grad_out = Matrix::filled(4, 2, 1.0); // d(sum)/d(out) = 1
+        let grad_out = Matrix::from_vec(4, 2, vec![1.0; 8]); // d(sum)/d(out) = 1
         let (mut grads, mut grad_in) = Default::default();
         mlp.backward_into(
             &cache,
             &grad_out,
             &mut grads,
             &mut grad_in,
-            &mut ScratchArena::default(),
+            &mut Matrix::default(),
         );
         let eps = 1e-3f32;
         // Check a scattering of weight coordinates in both layers.
@@ -573,7 +567,7 @@ mod tests {
             &grad_out,
             &mut batch_grads,
             &mut Matrix::default(),
-            &mut ScratchArena::default(),
+            &mut Matrix::default(),
         );
         let per_ex = mlp.per_example_grads(&cache, &grad_out);
         assert_eq!(per_ex.len(), 4);
@@ -600,7 +594,9 @@ mod tests {
             &mut ghost,
             &mut Matrix::default(),
             &mut Vec::new(),
-            &mut ScratchArena::default(),
+            &mut Matrix::default(),
+            &mut Vec::new(),
+            &mut Vec::new(),
         );
         let per_ex = mlp.per_example_grads(&cache, &grad_out);
         for (i, g) in per_ex.iter().enumerate() {
@@ -621,13 +617,12 @@ mod tests {
         let (mlp, cache) = mlp_and_cache(&[6, 2]);
         let grad_out = Matrix::from_fn(4, 2, |i, j| (i as f32 - 0.4) * (j as f32 + 0.9));
         let (mut gi_plain, mut gi_fused) = (Matrix::default(), Matrix::default());
-        let mut arena = ScratchArena::default();
         mlp.backward_into(
             &cache,
             &grad_out,
             &mut MlpGrads::default(),
             &mut gi_plain,
-            &mut arena,
+            &mut Matrix::default(),
         );
         mlp.backward_ghost_norms_cached_into(
             &cache,
@@ -635,7 +630,9 @@ mod tests {
             &mut Vec::new(),
             &mut gi_fused,
             &mut Vec::new(),
-            &mut arena,
+            &mut Matrix::default(),
+            &mut Vec::new(),
+            &mut Vec::new(),
         );
         assert_eq!(gi_fused.shape(), gi_plain.shape());
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -654,7 +651,9 @@ mod tests {
             &mut Vec::new(),
             &mut Matrix::default(),
             &mut dz,
-            &mut ScratchArena::default(),
+            &mut Matrix::default(),
+            &mut Vec::new(),
+            &mut Vec::new(),
         );
         let mut wg = MlpGrads::default();
         mlp.weighted_grads_from_cached(&cache, &dz, &weights, &mut wg);
@@ -676,14 +675,14 @@ mod tests {
         let (mut mlp, cache) = mlp_and_cache(&[4, 1]);
         let x = &cache.activations[0];
         let before = loss_of(&mlp, x);
-        let grad_out = Matrix::filled(4, 1, 1.0);
+        let grad_out = Matrix::from_vec(4, 1, vec![1.0; 4]);
         let mut grads = MlpGrads::default();
         mlp.backward_into(
             &cache,
             &grad_out,
             &mut grads,
             &mut Matrix::default(),
-            &mut ScratchArena::default(),
+            &mut Matrix::default(),
         );
         mlp.apply(&grads, 0.01);
         let after = loss_of(&mlp, x);

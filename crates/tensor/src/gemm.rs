@@ -1,7 +1,8 @@
 //! Register-blocked GEMM micro-kernels — the dense-compute layer.
 //!
-//! The three GEMM variants backprop needs ([`Matrix::matmul`],
-//! [`Matrix::t_matmul`], [`Matrix::matmul_t`]) share one packed,
+//! The GEMM variants backprop needs ([`Matrix::matmul_into`],
+//! [`Matrix::t_matmul_into`], [`Matrix::t_matmul_scaled_into`],
+//! [`Matrix::matmul_t_into`]) share one packed,
 //! register-blocked implementation here. The structure follows the
 //! classic BLIS decomposition, scaled down to the MLP sizes of this
 //! workload:
@@ -23,17 +24,16 @@
 //! only changes *which* elements are computed together, never the
 //! per-element operation sequence, so results are **bitwise identical
 //! for any tile size (`kc`), any executor chunking, and any thread
-//! count** — and bitwise identical to the naive reference kernels
-//! ([`reference_matmul`], [`reference_t_matmul`], [`reference_matmul_t`]),
-//! which keep the pre-blocking loop structure (including the zero-skip
+//! count** — and bitwise identical to the naive reference kernels of
+//! this module's tests (`reference_matmul` & co.), which keep the pre-blocking loop structure (including the zero-skip
 //! fast path) over the same shared accumulation primitives. The
 //! zero-skip is bitwise-neutral for finite inputs because
 //! `a.mul_add(b, acc) == acc` exactly when `a == 0.0` and `b` is finite
 //! (a property the GEMM proptests pin down).
 //!
-//! The blocked and reference kernels therefore agree bit-for-bit, and
-//! the reference kernels stay only as the oracle the tests compare
-//! against.
+//! The blocked and reference kernels therefore agree bit-for-bit; the
+//! reference kernels, and the hooks that force explicit tilings, exist
+//! only in the tests, as the oracle they compare against.
 //!
 //! # Vectorization
 //!
@@ -50,18 +50,18 @@ use std::cell::RefCell;
 
 /// Lanes the accumulation tree of [`dot_tree`] is built from (eight
 /// `f32`s — one 256-bit vector).
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Columns per micro-panel / micro-kernel width (two 256-bit vectors).
-pub const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// Rows per micro-kernel block.
-pub const MR: usize = 6;
+pub(crate) const MR: usize = 6;
 
 /// Default k-panel depth: how many rows of B are packed per panel.
 /// MLP layers in this workload have `k ≤ 1024`, so most GEMMs pack B in
 /// at most four panels.
-pub const DEFAULT_KC: usize = 256;
+pub(crate) const DEFAULT_KC: usize = 256;
 
 /// `matmul_t` computes this many output columns (rows of B) per sweep of
 /// the shared `a` row, reusing each loaded `a` vector eight times.
@@ -73,7 +73,7 @@ pub(crate) const NRT: usize = 8;
 /// scratch checkout amortize). Purely a performance choice — chunking
 /// never affects the computed bits.
 #[must_use]
-pub fn blocked_chunk_rows(chunk_rows: usize, total_rows: usize) -> usize {
+pub(crate) fn blocked_chunk_rows(chunk_rows: usize, total_rows: usize) -> usize {
     chunk_rows
         .next_multiple_of(MR)
         .max(4 * MR)
@@ -484,8 +484,8 @@ fn blocked_driver(
     });
 }
 
-/// Blocked `out += a · b` over a zeroed `out` (the [`Matrix::matmul`]
-/// kernel).
+/// Blocked `out += a · b` over a zeroed `out` (the
+/// [`Matrix::matmul_into`] kernel).
 pub(crate) fn matmul_blocked(
     a: &Matrix,
     b: &Matrix,
@@ -506,7 +506,7 @@ pub(crate) fn matmul_blocked(
 }
 
 /// Blocked `out += aᵀ · b` over a zeroed `out` (the
-/// [`Matrix::t_matmul`] kernel). The contraction runs over `a`'s rows
+/// [`Matrix::t_matmul_into`] kernel). The contraction runs over `a`'s rows
 /// (the batch dimension of the weight-gradient GEMM), ascending.
 pub(crate) fn t_matmul_blocked(
     a: &Matrix,
@@ -532,7 +532,7 @@ pub(crate) fn t_matmul_blocked(
 /// per-example clip factors `w` are folded into the B packing
 /// ([`pack_b_panel_range_scaled`]), so per output element the operation
 /// sequence is `acc = a_ki.mul_add(w_k * b_kj, acc)` over ascending k —
-/// exactly what [`reference_t_matmul_scaled`] computes. Every clipped
+/// exactly what the tests' `reference_t_matmul_scaled` computes. Every clipped
 /// aggregate's MLP weight gradients come from this kernel.
 pub(crate) fn t_matmul_scaled_blocked(
     a: &Matrix,
@@ -576,14 +576,14 @@ fn dot_lanes(a: &[f32], b: &[f32], lanes: &mut [f32; LANES]) {
 /// lane `t` accumulates elements `t, t+8, t+16, …` ascending, the lanes
 /// are reduced pairwise (`reduce_lanes`), and the `len % 8` tail is
 /// folded in last through a single sequential accumulator. This is the
-/// canonical inner product of [`Matrix::matmul_t`]; any blocking of that
-/// kernel must reproduce it bit-for-bit.
+/// canonical inner product of [`Matrix::matmul_t_into`]; any blocking
+/// of that kernel must reproduce it bit-for-bit.
 ///
 /// # Panics
 ///
 /// Panics if `a.len() != b.len()`.
 #[must_use]
-pub fn dot_tree(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_tree(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot_tree length mismatch");
     let k8 = a.len() - a.len() % LANES;
     let mut lanes = [0.0f32; LANES];
@@ -644,7 +644,7 @@ fn matmul_t_row(a_row: &[f32], b: &Matrix, out_row: &mut [f32]) {
     }
 }
 
-/// Blocked `out = a · bᵀ` (the [`Matrix::matmul_t`] kernel).
+/// Blocked `out = a · bᵀ` (the [`Matrix::matmul_t_into`] kernel).
 pub(crate) fn matmul_t_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, chunk_rows: usize) {
     let n = b.rows();
     lazydp_exec::global().par_for(out.as_mut_slice(), chunk_rows * n, |c, chunk| {
@@ -654,251 +654,201 @@ pub(crate) fn matmul_t_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, chunk_r
     });
 }
 
-/// `a · b` through the blocked kernel with explicit tile parameters
-/// (`kc` k-panel depth, `chunk_rows` executor chunking) — exposed so the
-/// invariance proptests can sweep tilings.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-#[must_use]
-pub fn matmul_with_tiles(a: &Matrix, b: &Matrix, kc: usize, chunk_rows: usize) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul_with_tiles dimension mismatch");
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    if out.is_empty() || a.cols() == 0 {
-        return out;
-    }
-    matmul_blocked(a, b, &mut out, kc, chunk_rows.clamp(1, a.rows().max(1)));
-    out
-}
-
-/// `aᵀ · b` through the blocked kernel with explicit tile parameters
-/// (see [`matmul_with_tiles`]).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-#[must_use]
-pub fn t_matmul_with_tiles(a: &Matrix, b: &Matrix, kc: usize, chunk_rows: usize) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "t_matmul_with_tiles dimension mismatch");
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    if out.is_empty() || a.rows() == 0 {
-        return out;
-    }
-    t_matmul_blocked(a, b, &mut out, kc, chunk_rows.clamp(1, a.cols().max(1)));
-    out
-}
-
-/// `aᵀ · diag(w) · b` through the blocked fused-clip kernel with
-/// explicit tile parameters (see [`matmul_with_tiles`]).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or if `w.len() != a.rows()`.
-#[must_use]
-pub fn t_matmul_scaled_with_tiles(
-    a: &Matrix,
-    b: &Matrix,
-    w: &[f32],
-    kc: usize,
-    chunk_rows: usize,
-) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "t_matmul_scaled dimension mismatch");
-    assert_eq!(w.len(), a.rows(), "one clip factor per contraction row");
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    if out.is_empty() || a.rows() == 0 {
-        return out;
-    }
-    t_matmul_scaled_blocked(a, b, w, &mut out, kc, chunk_rows.clamp(1, a.cols().max(1)));
-    out
-}
-
-/// `a · bᵀ` through the blocked kernel with explicit executor chunking
-/// (see [`matmul_with_tiles`]; `matmul_t` has no k-panel).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-#[must_use]
-pub fn matmul_t_with_tiles(a: &Matrix, b: &Matrix, chunk_rows: usize) -> Matrix {
-    assert_eq!(a.cols(), b.cols(), "matmul_t_with_tiles dimension mismatch");
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    if out.is_empty() || a.cols() == 0 {
-        return out;
-    }
-    matmul_t_blocked(a, b, &mut out, chunk_rows.clamp(1, a.rows().max(1)));
-    out
-}
-
-/// `a · b` forced through the 2-D macro-tile driver with explicit row
-/// and column blocks — exposed so the invariance tests and benches can
-/// pin the tiled path bitwise against the row driver and the reference
-/// kernels regardless of the automatic engagement heuristics.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-#[must_use]
-pub fn matmul_macro_tiled(
-    a: &Matrix,
-    b: &Matrix,
-    kc: usize,
-    row_block: usize,
-    col_block: usize,
-) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul_macro_tiled dimension mismatch");
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    if out.is_empty() || a.cols() == 0 {
-        return out;
-    }
-    let n = b.cols();
-    tiled_driver(
-        a,
-        n,
-        &mut out,
-        a.cols(),
-        kc.max(1),
-        row_block.clamp(1, a.rows().max(1)),
-        col_block.clamp(1, n),
-        pack_a_rows,
-        |k0, kx, j0, jw, dst| pack_b_panel_range(b, k0, kx, j0, jw, dst),
-    );
-    out
-}
-
-/// `aᵀ · diag(w) · b` forced through the 2-D macro-tile driver (see
-/// [`matmul_macro_tiled`]).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or if `w.len() != a.rows()`.
-#[must_use]
-pub fn t_matmul_scaled_macro_tiled(
-    a: &Matrix,
-    b: &Matrix,
-    w: &[f32],
-    kc: usize,
-    row_block: usize,
-    col_block: usize,
-) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "t_matmul_scaled dimension mismatch");
-    assert_eq!(w.len(), a.rows(), "one clip factor per contraction row");
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    if out.is_empty() || a.rows() == 0 {
-        return out;
-    }
-    let n = b.cols();
-    tiled_driver(
-        a,
-        n,
-        &mut out,
-        a.rows(),
-        kc.max(1),
-        row_block.clamp(1, a.cols().max(1)),
-        col_block.clamp(1, n),
-        pack_a_cols,
-        |k0, kx, j0, jw, dst| pack_b_panel_range_scaled(b, w, k0, kx, j0, jw, dst),
-    );
-    out
-}
-
-/// `a · b` through the reference kernel: the pre-blocking i-k-j loop
-/// with its zero-skip fast path, one `mul_add` per element per k,
-/// ascending. Bitwise identical to [`matmul_with_tiles`] for finite
-/// inputs.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-#[must_use]
-pub fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "reference_matmul dimension mismatch");
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        let out_row = out.row_mut(i);
-        for (k, &av) in a.row(i).iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
-                *o = av.mul_add(bv, *o);
-            }
-        }
-    }
-    out
-}
-
-/// `aᵀ · b` through the reference kernel (the [`reference_matmul`]
-/// loop with the contraction running over `a`'s rows).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-#[must_use]
-pub fn reference_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "reference_t_matmul dimension mismatch");
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    for i in 0..a.cols() {
-        let out_row = out.row_mut(i);
-        for r in 0..a.rows() {
-            let av = a.row(r)[i];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row.iter_mut().zip(b.row(r)) {
-                *o = av.mul_add(bv, *o);
-            }
-        }
-    }
-    out
-}
-
-/// `aᵀ · diag(w) · b` through the reference fused-clip kernel: the
-/// [`reference_t_matmul`] loop with the clip factor applied to the B
-/// element before the `mul_add` — `acc = a_ki.mul_add(w_k * b_kj, acc)`,
-/// ascending k, exactly the per-element operation sequence of the
-/// blocked kernel (which computes `w_k * b_kj` once at packing time).
-/// The zero-skip stays bitwise-neutral: `w_k * b_kj` is finite whenever
-/// `w` and `b` are.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or if `w.len() != a.rows()`.
-#[must_use]
-pub fn reference_t_matmul_scaled(a: &Matrix, b: &Matrix, w: &[f32]) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "t_matmul_scaled dimension mismatch");
-    assert_eq!(w.len(), a.rows(), "one clip factor per contraction row");
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    for i in 0..a.cols() {
-        let out_row = out.row_mut(i);
-        for (r, &wr) in w.iter().enumerate() {
-            let av = a.row(r)[i];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row.iter_mut().zip(b.row(r)) {
-                *o = av.mul_add(wr * bv, *o);
-            }
-        }
-    }
-    out
-}
-
-/// `a · bᵀ` through the reference kernel: one [`dot_tree`] per output
-/// element in the plain double loop.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-#[must_use]
-pub fn reference_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.cols(), "reference_matmul_t dimension mismatch");
-    Matrix::from_fn(a.rows(), b.rows(), |i, j| dot_tree(a.row(i), b.row(j)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `a · b` through the blocked kernel with explicit tile parameters
+    /// (`kc` k-panel depth, `chunk_rows` executor chunking), so the
+    /// invariance tests can sweep tilings.
+    fn matmul_with_tiles(a: &Matrix, b: &Matrix, kc: usize, chunk_rows: usize) -> Matrix {
+        assert_eq!(a.cols(), b.rows(), "matmul_with_tiles dimension mismatch");
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        if out.is_empty() || a.cols() == 0 {
+            return out;
+        }
+        matmul_blocked(a, b, &mut out, kc, chunk_rows.clamp(1, a.rows().max(1)));
+        out
+    }
+
+    /// `aᵀ · b` through the blocked kernel with explicit tile parameters
+    /// (see [`matmul_with_tiles`]).
+    fn t_matmul_with_tiles(a: &Matrix, b: &Matrix, kc: usize, chunk_rows: usize) -> Matrix {
+        assert_eq!(a.rows(), b.rows(), "t_matmul_with_tiles dimension mismatch");
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        if out.is_empty() || a.rows() == 0 {
+            return out;
+        }
+        t_matmul_blocked(a, b, &mut out, kc, chunk_rows.clamp(1, a.cols().max(1)));
+        out
+    }
+
+    /// `aᵀ · diag(w) · b` through the blocked fused-clip kernel with
+    /// explicit tile parameters (see [`matmul_with_tiles`]).
+    fn t_matmul_scaled_with_tiles(
+        a: &Matrix,
+        b: &Matrix,
+        w: &[f32],
+        kc: usize,
+        chunk_rows: usize,
+    ) -> Matrix {
+        assert_eq!(a.rows(), b.rows(), "t_matmul_scaled dimension mismatch");
+        assert_eq!(w.len(), a.rows(), "one clip factor per contraction row");
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        if out.is_empty() || a.rows() == 0 {
+            return out;
+        }
+        t_matmul_scaled_blocked(a, b, w, &mut out, kc, chunk_rows.clamp(1, a.cols().max(1)));
+        out
+    }
+
+    /// `a · bᵀ` through the blocked kernel with explicit executor chunking
+    /// (see [`matmul_with_tiles`]; `matmul_t` has no k-panel).
+    fn matmul_t_with_tiles(a: &Matrix, b: &Matrix, chunk_rows: usize) -> Matrix {
+        assert_eq!(a.cols(), b.cols(), "matmul_t_with_tiles dimension mismatch");
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        if out.is_empty() || a.cols() == 0 {
+            return out;
+        }
+        matmul_t_blocked(a, b, &mut out, chunk_rows.clamp(1, a.rows().max(1)));
+        out
+    }
+
+    /// `a · b` forced through the 2-D macro-tile driver with explicit row
+    /// and column blocks, so the invariance tests can pin the tiled path
+    /// regardless of the automatic engagement heuristics.
+    fn matmul_macro_tiled(
+        a: &Matrix,
+        b: &Matrix,
+        kc: usize,
+        row_block: usize,
+        col_block: usize,
+    ) -> Matrix {
+        assert_eq!(a.cols(), b.rows(), "matmul_macro_tiled dimension mismatch");
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        if out.is_empty() || a.cols() == 0 {
+            return out;
+        }
+        let n = b.cols();
+        tiled_driver(
+            a,
+            n,
+            &mut out,
+            a.cols(),
+            kc.max(1),
+            row_block.clamp(1, a.rows().max(1)),
+            col_block.clamp(1, n),
+            pack_a_rows,
+            |k0, kx, j0, jw, dst| pack_b_panel_range(b, k0, kx, j0, jw, dst),
+        );
+        out
+    }
+
+    /// `aᵀ · diag(w) · b` forced through the 2-D macro-tile driver (see
+    /// [`matmul_macro_tiled`]).
+    fn t_matmul_scaled_macro_tiled(
+        a: &Matrix,
+        b: &Matrix,
+        w: &[f32],
+        kc: usize,
+        row_block: usize,
+        col_block: usize,
+    ) -> Matrix {
+        assert_eq!(a.rows(), b.rows(), "t_matmul_scaled dimension mismatch");
+        assert_eq!(w.len(), a.rows(), "one clip factor per contraction row");
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        if out.is_empty() || a.rows() == 0 {
+            return out;
+        }
+        let n = b.cols();
+        tiled_driver(
+            a,
+            n,
+            &mut out,
+            a.rows(),
+            kc.max(1),
+            row_block.clamp(1, a.cols().max(1)),
+            col_block.clamp(1, n),
+            pack_a_cols,
+            |k0, kx, j0, jw, dst| pack_b_panel_range_scaled(b, w, k0, kx, j0, jw, dst),
+        );
+        out
+    }
+
+    /// `a · b` through the reference kernel: the pre-blocking i-k-j loop
+    /// with its zero-skip fast path, one `mul_add` per element per k,
+    /// ascending. Bitwise identical to [`matmul_with_tiles`] for finite
+    /// inputs.
+    fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.rows(), "reference_matmul dimension mismatch");
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            let out_row = out.row_mut(i);
+            for (k, &av) in a.row(i).iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
+                    *o = av.mul_add(bv, *o);
+                }
+            }
+        }
+        out
+    }
+
+    /// `aᵀ · b` through the reference kernel (the [`reference_matmul`]
+    /// loop with the contraction running over `a`'s rows).
+    fn reference_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.rows(), b.rows(), "reference_t_matmul dimension mismatch");
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for i in 0..a.cols() {
+            let out_row = out.row_mut(i);
+            for r in 0..a.rows() {
+                let av = a.row(r)[i];
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(b.row(r)) {
+                    *o = av.mul_add(bv, *o);
+                }
+            }
+        }
+        out
+    }
+
+    /// `aᵀ · diag(w) · b` through the reference fused-clip kernel: the
+    /// [`reference_t_matmul`] loop with the clip factor applied to the B
+    /// element before the `mul_add` — `acc = a_ki.mul_add(w_k * b_kj, acc)`,
+    /// ascending k, exactly the per-element operation sequence of the
+    /// blocked kernel (which computes `w_k * b_kj` once at packing time).
+    /// The zero-skip stays bitwise-neutral: `w_k * b_kj` is finite whenever
+    /// `w` and `b` are.
+    fn reference_t_matmul_scaled(a: &Matrix, b: &Matrix, w: &[f32]) -> Matrix {
+        assert_eq!(a.rows(), b.rows(), "t_matmul_scaled dimension mismatch");
+        assert_eq!(w.len(), a.rows(), "one clip factor per contraction row");
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for i in 0..a.cols() {
+            let out_row = out.row_mut(i);
+            for (r, &wr) in w.iter().enumerate() {
+                let av = a.row(r)[i];
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(b.row(r)) {
+                    *o = av.mul_add(wr * bv, *o);
+                }
+            }
+        }
+        out
+    }
+
+    /// `a · bᵀ` through the reference kernel: one [`dot_tree`] per output
+    /// element in the plain double loop.
+    fn reference_matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.cols(), "reference_matmul_t dimension mismatch");
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| dot_tree(a.row(i), b.row(j)))
+    }
 
     fn pseudo_random(rows: usize, cols: usize, seed: u32, zeros: bool) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| {
@@ -1058,5 +1008,226 @@ mod tests {
     #[should_panic(expected = "dot_tree length mismatch")]
     fn dot_tree_rejects_mismatched_lengths() {
         let _ = dot_tree(&[1.0, 2.0, 3.0], &[1.0, 1.0]);
+    }
+
+    /// Deterministic matrix with a tunable fraction of exact zeros (the
+    /// ReLU-sparse pattern the zero-skip fast path exists for).
+    fn matrix_with_zeros(rows: usize, cols: usize, seed: u64, zero_mod: u64) -> Matrix {
+        Matrix::from_fn(rows, cols, |i, j| {
+            let x = (i as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add((j as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9))
+                .wrapping_add(seed);
+            let x = x ^ (x >> 29);
+            if zero_mod > 0 && x.is_multiple_of(zero_mod) {
+                0.0
+            } else {
+                ((x % 2000) as f32 - 1000.0) / 333.0
+            }
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    // Property tests of the determinism contract: the blocked kernels
+    // are bitwise identical to the reference kernels for arbitrary
+    // shapes (empty ones included) and contents; the reference kernels'
+    // zero-skip is bitwise neutral (the blocked kernels have no skip, so
+    // agreement on zero-heavy operands *is* the neutrality proof); and
+    // results are invariant across tile sizes and executor widths.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Blocked == reference, bitwise, for every GEMM variant — across
+        /// random shapes, zero densities (zero-skip neutrality), and tile
+        /// sizes.
+        #[test]
+        fn blocked_gemms_match_reference_bitwise_across_tiles(
+            m in 0usize..40,
+            k in 0usize..70,
+            n in 0usize..40,
+            seed in 0u64..1_000,
+            zero_mod in 0u64..5, // 0 = dense, 2 = half zeros, …
+            kc in 1usize..80,
+            chunk in 1usize..40,
+        ) {
+            let a = matrix_with_zeros(m, k, seed, zero_mod);
+            let b = matrix_with_zeros(k, n, seed ^ 1, zero_mod);
+            let at = matrix_with_zeros(k, m, seed ^ 2, zero_mod);
+            let bt = matrix_with_zeros(n, k, seed ^ 3, zero_mod);
+            prop_assert_eq!(
+                bits(&matmul_with_tiles(&a, &b, kc, chunk)),
+                bits(&reference_matmul(&a, &b)),
+                "matmul {}x{}x{} kc={} chunk={}", m, k, n, kc, chunk
+            );
+            prop_assert_eq!(
+                bits(&t_matmul_with_tiles(&at, &b, kc, chunk)),
+                bits(&reference_t_matmul(&at, &b)),
+                "t_matmul {}x{}x{} kc={} chunk={}", m, k, n, kc, chunk
+            );
+            prop_assert_eq!(
+                bits(&matmul_t_with_tiles(&a, &bt, chunk)),
+                bits(&reference_matmul_t(&a, &bt)),
+                "matmul_t {}x{}x{} chunk={}", m, k, n, chunk
+            );
+        }
+
+        /// The dispatched `_into` kernels equal the reference kernels
+        /// bitwise (empty shapes included) and are invariant across
+        /// executor widths — the `LAZYDP_THREADS` leg of the determinism
+        /// contract, including zero-heavy operands.
+        #[test]
+        fn dispatched_gemms_are_thread_count_invariant(
+            m in 0usize..48,
+            k in 0usize..64,
+            n in 0usize..48,
+            seed in 0u64..1_000,
+            zero_mod in 0u64..4,
+        ) {
+            let a = matrix_with_zeros(m, k, seed, zero_mod);
+            let b = matrix_with_zeros(k, n, seed ^ 5, zero_mod);
+            let at = matrix_with_zeros(k, m, seed ^ 6, zero_mod);
+            let bt = matrix_with_zeros(n, k, seed ^ 7, zero_mod);
+            let run = || {
+                let (mut mm, mut tm, mut mt) = (Matrix::default(), Matrix::default(), Matrix::default());
+                a.matmul_into(&b, &mut mm);
+                at.t_matmul_into(&b, &mut tm);
+                a.matmul_t_into(&bt, &mut mt);
+                [bits(&mm), bits(&tm), bits(&mt)]
+            };
+            let initial = lazydp_exec::global_threads();
+            lazydp_exec::set_global_threads(1);
+            let base = run();
+            prop_assert_eq!(
+                &base,
+                &[
+                    bits(&reference_matmul(&a, &b)),
+                    bits(&reference_t_matmul(&at, &b)),
+                    bits(&reference_matmul_t(&a, &bt)),
+                ],
+                "{}x{}x{} vs reference", m, k, n
+            );
+            for threads in [2usize, 3, 8] {
+                lazydp_exec::set_global_threads(threads);
+                prop_assert_eq!(&base, &run(), "{} threads", threads);
+            }
+            lazydp_exec::set_global_threads(initial);
+        }
+
+        /// The fused scale-in-the-epilogue weight-gradient kernel: blocked
+        /// == reference, bitwise, across shapes, clip-factor contents
+        /// (including all-zero and all-one weights), zero densities, and
+        /// tile sizes.
+        #[test]
+        fn scaled_t_matmul_matches_reference_bitwise_across_tiles(
+            k in 0usize..70,
+            m in 0usize..40,
+            n in 0usize..40,
+            seed in 0u64..1_000,
+            zero_mod in 0u64..5,
+            kc in 1usize..80,
+            chunk in 1usize..40,
+            wkind in 0u8..4, // 0 = mixed, 1 = all ones, 2 = all zeros, 3 = tiny
+        ) {
+            let at = matrix_with_zeros(k, m, seed ^ 11, zero_mod);
+            let b = matrix_with_zeros(k, n, seed ^ 12, zero_mod);
+            let w: Vec<f32> = (0..k).map(|i| match wkind {
+                1 => 1.0,
+                2 => 0.0,
+                3 => 1e-4,
+                _ => ((i as u64).wrapping_mul(seed | 1) % 17) as f32 / 16.0,
+            }).collect();
+            prop_assert_eq!(
+                bits(&t_matmul_scaled_with_tiles(&at, &b, &w, kc, chunk)),
+                bits(&reference_t_matmul_scaled(&at, &b, &w)),
+                "t_matmul_scaled {}x{}x{} kc={} chunk={} wkind={}", k, m, n, kc, chunk, wkind
+            );
+        }
+
+        /// The 2-D macro-tile driver is bitwise identical to the row-split
+        /// driver (and therefore to the reference kernels) for arbitrary
+        /// row/column blockings of both the plain and the scaled GEMM.
+        #[test]
+        fn macro_tiled_drivers_match_row_driver_bitwise(
+            m in 0usize..40,
+            k in 0usize..64,
+            n in 0usize..48,
+            seed in 0u64..1_000,
+            zero_mod in 0u64..4,
+            kc in 1usize..70,
+            row_block in 1usize..40,
+            col_block in 1usize..48,
+        ) {
+            let a = matrix_with_zeros(m, k, seed ^ 21, zero_mod);
+            let b = matrix_with_zeros(k, n, seed ^ 22, zero_mod);
+            prop_assert_eq!(
+                bits(&matmul_macro_tiled(&a, &b, kc, row_block, col_block)),
+                bits(&reference_matmul(&a, &b)),
+                "macro matmul {}x{}x{} kc={} rb={} cb={}", m, k, n, kc, row_block, col_block
+            );
+            let at = matrix_with_zeros(k, m, seed ^ 23, zero_mod);
+            let w: Vec<f32> = (0..k).map(|i| ((i as u64).wrapping_mul(3) % 13) as f32 / 12.0).collect();
+            prop_assert_eq!(
+                bits(&t_matmul_scaled_macro_tiled(&at, &b, &w, kc, row_block, col_block)),
+                bits(&reference_t_matmul_scaled(&at, &b, &w)),
+                "macro scaled {}x{}x{} kc={} rb={} cb={}", m, k, n, kc, row_block, col_block
+            );
+        }
+
+        /// The scaled dispatched kernel is bitwise invariant across
+        /// executor widths, like the plain kernels.
+        #[test]
+        fn scaled_dispatch_is_thread_count_invariant(
+            k in 0usize..64,
+            m in 0usize..40,
+            n in 0usize..40,
+            seed in 0u64..1_000,
+            zero_mod in 0u64..4,
+        ) {
+            let at = matrix_with_zeros(k, m, seed ^ 31, zero_mod);
+            let b = matrix_with_zeros(k, n, seed ^ 32, zero_mod);
+            let w: Vec<f32> = (0..k).map(|i| ((i * 5) % 9) as f32 / 8.0).collect();
+            let run = || {
+                let mut out = Matrix::default();
+                at.t_matmul_scaled_into(&b, &w, &mut out);
+                bits(&out)
+            };
+            let initial = lazydp_exec::global_threads();
+            lazydp_exec::set_global_threads(1);
+            let base = run();
+            for threads in [2usize, 3, 8] {
+                lazydp_exec::set_global_threads(threads);
+                prop_assert_eq!(&base, &run(), "t_matmul_scaled, {} threads", threads);
+            }
+            lazydp_exec::set_global_threads(initial);
+        }
+
+        /// Explicit zero-skip neutrality: the reference kernel (which
+        /// skips zeros) and the blocked kernel (which multiplies through
+        /// them) agree bit-for-bit when a whole contraction column of A
+        /// is zero.
+        #[test]
+        fn zero_rows_and_columns_are_bitwise_neutral(
+            m in 0usize..24,
+            k in 2usize..40,
+            n in 0usize..24,
+            seed in 0u64..1_000,
+            zero_row in 0usize..40,
+        ) {
+            let mut a = matrix_with_zeros(m, k, seed, 0);
+            let zr = zero_row % k;
+            // Zero one whole contraction slice: column `zr` of A.
+            for i in 0..m {
+                a.row_mut(i)[zr] = 0.0;
+            }
+            let b = matrix_with_zeros(k, n, seed ^ 9, 3);
+            prop_assert_eq!(
+                bits(&matmul_with_tiles(&a, &b, 16, 8)),
+                bits(&reference_matmul(&a, &b)),
+                "zeroed contraction column {} of {}", zr, k
+            );
+        }
     }
 }

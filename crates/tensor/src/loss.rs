@@ -28,24 +28,12 @@ pub fn bce_with_logits(logits: &[f32], labels: &[f32]) -> f64 {
 }
 
 /// Per-example gradient of the *mean* BCE loss with respect to each
-/// logit: `(σ(z_i) − y_i) / B`.
+/// logit, `(σ(z_i) − y_i) / B`, into a caller-owned vector (cleared and
+/// refilled; no allocation at steady state).
 ///
 /// For DP-SGD the per-example gradient of the *sum* (not mean) is often
 /// wanted; pass `mean = false` for that convention. DP-SGD clips
 /// per-example gradients before averaging, so it uses the sum form.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[must_use]
-pub fn bce_with_logits_grad(logits: &[f32], labels: &[f32], mean: bool) -> Vec<f32> {
-    let mut out = Vec::new();
-    bce_with_logits_grad_into(logits, labels, mean, &mut out);
-    out
-}
-
-/// [`bce_with_logits_grad`] into a caller-owned vector (cleared and
-/// refilled; no allocation at steady state).
 ///
 /// # Panics
 ///
@@ -107,7 +95,8 @@ mod tests {
     fn bce_grad_matches_finite_difference() {
         let logits = [0.5f32, -1.0, 2.0];
         let labels = [1.0f32, 0.0, 1.0];
-        let grad = bce_with_logits_grad(&logits, &labels, true);
+        let mut grad = Vec::new();
+        bce_with_logits_grad_into(&logits, &labels, true, &mut grad);
         let eps = 1e-3f32;
         for j in 0..logits.len() {
             let mut lp = logits;
@@ -128,8 +117,9 @@ mod tests {
     fn sum_grad_is_batch_times_mean_grad() {
         let logits = [0.1f32, 0.2, -0.7, 1.5];
         let labels = [0.0f32, 1.0, 0.0, 1.0];
-        let mean = bce_with_logits_grad(&logits, &labels, true);
-        let sum = bce_with_logits_grad(&logits, &labels, false);
+        let (mut mean, mut sum) = (Vec::new(), Vec::new());
+        bce_with_logits_grad_into(&logits, &labels, true, &mut mean);
+        bce_with_logits_grad_into(&logits, &labels, false, &mut sum);
         for (m, s) in mean.iter().zip(sum.iter()) {
             assert!((m * 4.0 - s).abs() < 1e-7);
         }

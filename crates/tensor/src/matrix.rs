@@ -1,15 +1,15 @@
 //! Row-major `f32` matrix with the GEMM variants needed by backprop.
 //!
-//! The three GEMM variants dispatch to the register-blocked micro-kernels
-//! of [`crate::gemm`] and run on the [`lazydp_exec`] executor,
+//! The GEMM variants dispatch to the crate's register-blocked
+//! micro-kernels and run on the [`lazydp_exec`] executor,
 //! parallelized over *output rows*: every output element is accumulated
 //! in the same fixed order regardless of tiling or how rows are chunked,
 //! so results are bitwise identical for any tile size and thread count
 //! (the determinism the equivalence tests rely on). Small products run
 //! inline — the executor is only engaged once a chunk holds enough FLOPs
-//! to pay for a worker. Each GEMM also has an `_into` variant that
-//! reuses a caller-owned output matrix, so steady-state training steps
-//! allocate nothing (see [`crate::arena::ScratchArena`]).
+//! to pay for a worker. Every operation writes into a caller-owned
+//! output (`_into`), reshaping it in place, so steady-state training
+//! steps allocate nothing.
 
 use crate::gemm;
 use std::fmt;
@@ -35,8 +35,8 @@ fn rows_per_chunk(total_rows: usize, flops_per_row: usize) -> usize {
 /// This is deliberately a small, dependency-free implementation: the
 /// reproduction's correctness claims (LazyDP ≡ DP-SGD) rely on bit-level
 /// determinism, which an external BLAS would not guarantee across
-/// machines. The GEMMs run on the register-blocked micro-kernels of
-/// [`crate::gemm`], whose fixed per-element accumulation order keeps
+/// machines. The GEMMs run on register-blocked micro-kernels whose
+/// fixed per-element accumulation order keeps
 /// results bitwise identical across tile sizes, thread counts, and the
 /// naive reference kernels.
 #[derive(Clone, PartialEq)]
@@ -48,7 +48,7 @@ pub struct Matrix {
 
 impl Default for Matrix {
     /// An empty `0 × 0` matrix — the natural starting state for
-    /// scratch-arena slots that are reshaped in place on first use.
+    /// scratch buffers that are reshaped in place on first use.
     fn default() -> Self {
         Self::zeros(0, 0)
     }
@@ -75,26 +75,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix filled with `value`.
-    #[must_use]
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
-    /// The `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from a flat row-major vector.
     ///
     /// # Panics
@@ -109,27 +89,6 @@ impl Matrix {
             data.len()
         );
         Self { rows, cols, data }
-    }
-
-    /// Builds a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have inconsistent lengths or `rows` is empty.
-    #[must_use]
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "from_rows needs at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows");
-            data.extend_from_slice(r);
-        }
-        Self {
-            rows: rows.len(),
-            cols,
-            data,
-        }
     }
 
     /// Builds a matrix by evaluating `f(row, col)`.
@@ -185,15 +144,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat data.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes the matrix to `rows × cols` with every element zero,
     /// reusing the existing allocation (no heap traffic once the
-    /// capacity has grown to fit — the scratch-arena contract).
+    /// capacity has grown to fit — the scratch-buffer contract).
     pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -251,36 +204,12 @@ impl Matrix {
         &mut self.data[i * c..(i + 1) * c]
     }
 
-    /// Iterator over row slices.
+    /// Iterator over row slices (`rows` of them, empty when `cols` is 0).
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols)
+        (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
-    /// The transpose.
-    #[must_use]
-    pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self · other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn matmul(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(0, 0);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`matmul`](Self::matmul) into a caller-owned output matrix
+    /// Matrix product `self · other` into a caller-owned output matrix
     /// (reshaped and overwritten; no allocation once `out`'s capacity
     /// has grown to fit).
     ///
@@ -302,22 +231,9 @@ impl Matrix {
         gemm::matmul_blocked(self, other, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
-    ///
-    /// This is the weight-gradient GEMM of backprop
-    /// (`∂L/∂W = aᵀ · δ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch (`self.rows != other.rows`).
-    #[must_use]
-    pub fn t_matmul(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(0, 0);
-        self.t_matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`t_matmul`](Self::t_matmul) into a caller-owned output matrix.
+    /// `selfᵀ · other` into a caller-owned output matrix, without
+    /// materializing the transpose. This is the weight-gradient GEMM of
+    /// backprop (`∂L/∂W = aᵀ · δ`).
     ///
     /// # Panics
     ///
@@ -348,15 +264,7 @@ impl Matrix {
     /// `mul_add` operand — identical operation sequences, hence
     /// bitwise-identical to each other and to scaling `other`'s rows
     /// up front in exact arithmetic (not bitwise vs. pre-scaling,
-    /// which rounds at a different point).
-    #[must_use]
-    pub fn t_matmul_scaled(&self, other: &Self, w: &[f32]) -> Self {
-        let mut out = Self::zeros(0, 0);
-        self.t_matmul_scaled_into(other, w, &mut out);
-        out
-    }
-
-    /// [`t_matmul_scaled`](Self::t_matmul_scaled) into a caller-owned
+    /// which rounds at a different point). Writes into a caller-owned
     /// output matrix.
     ///
     /// # Panics
@@ -379,22 +287,9 @@ impl Matrix {
         gemm::t_matmul_scaled_blocked(self, other, w, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
-    ///
-    /// This is the input-gradient GEMM of backprop
-    /// (`∂L/∂a = δ · Wᵀ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch (`self.cols != other.cols`).
-    #[must_use]
-    pub fn matmul_t(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(0, 0);
-        self.matmul_t_into(other, &mut out);
-        out
-    }
-
-    /// [`matmul_t`](Self::matmul_t) into a caller-owned output matrix.
+    /// `self · otherᵀ` into a caller-owned output matrix, without
+    /// materializing the transpose. This is the input-gradient GEMM of
+    /// backprop (`∂L/∂a = δ · Wᵀ`).
     ///
     /// # Panics
     ///
@@ -411,27 +306,6 @@ impl Matrix {
         }
         let chunk_rows = rows_per_chunk(self.rows, self.cols * other.rows);
         gemm::matmul_t_blocked(self, other, out, chunk_rows);
-    }
-
-    /// Element-wise sum `self + other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn add(&self, other: &Self) -> Self {
-        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a + b)
-            .collect();
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
     }
 
     /// In-place `self += alpha * other` (AXPY).
@@ -453,47 +327,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn hadamard(&self, other: &Self) -> Self {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Returns a new matrix with `f` applied element-wise.
-    #[must_use]
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Frobenius norm (in `f64` accumulation for stability).
-    #[must_use]
-    pub fn frob_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&x| f64::from(x) * f64::from(x))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Squared Frobenius norm in `f64`.
     #[must_use]
     pub fn frob_norm_sq(&self) -> f64 {
@@ -503,16 +336,9 @@ impl Matrix {
             .sum::<f64>()
     }
 
-    /// Per-row squared L2 norms (length = `rows`).
-    #[must_use]
-    pub fn row_norms_sq(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.row_norms_sq_into(&mut out);
-        out
-    }
-
-    /// [`row_norms_sq`](Self::row_norms_sq) into a caller-owned vector
-    /// (cleared and refilled; no allocation at steady state).
+    /// Per-row squared L2 norms (`f64` accumulation, one per row) into a
+    /// caller-owned vector (cleared and refilled; no allocation at
+    /// steady state).
     pub fn row_norms_sq_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(
@@ -521,35 +347,8 @@ impl Matrix {
         );
     }
 
-    /// Horizontal concatenation `[self | other]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    #[must_use]
-    pub fn hcat(&self, other: &Self) -> Self {
-        assert_eq!(self.rows, other.rows, "hcat row mismatch");
-        let mut out = Self::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.data[i * out.cols..i * out.cols + self.cols].copy_from_slice(self.row(i));
-            out.data[i * out.cols + self.cols..(i + 1) * out.cols].copy_from_slice(other.row(i));
-        }
-        out
-    }
-
-    /// Extracts the sub-matrix of columns `[start, start+width)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds `cols`.
-    #[must_use]
-    pub fn col_slice(&self, start: usize, width: usize) -> Self {
-        let mut out = Self::zeros(0, 0);
-        self.col_slice_into(start, width, &mut out);
-        out
-    }
-
-    /// [`col_slice`](Self::col_slice) into a caller-owned matrix.
+    /// The sub-matrix of columns `[start, start+width)` into a
+    /// caller-owned matrix.
     ///
     /// # Panics
     ///
@@ -563,27 +362,9 @@ impl Matrix {
         }
     }
 
-    /// Extracts a single row as a new `1 × cols` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    #[must_use]
-    pub fn row_matrix(&self, i: usize) -> Self {
-        Self::from_vec(1, self.cols, self.row(i).to_vec())
-    }
-
-    /// Column-wise sum, returning a vector of length `cols` (the bias
-    /// gradient of a linear layer).
-    #[must_use]
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.col_sums_into(&mut out);
-        out
-    }
-
-    /// [`col_sums`](Self::col_sums) into a caller-owned vector (cleared
-    /// and refilled; no allocation at steady state).
+    /// Column-wise sum (the bias gradient of a linear layer) into a
+    /// caller-owned vector of length `cols` (cleared and refilled; no
+    /// allocation at steady state).
     pub fn col_sums_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.resize(self.cols, 0.0);
@@ -682,78 +463,97 @@ mod tests {
         })
     }
 
+    fn transposed(m: &Matrix) -> Matrix {
+        Matrix::from_fn(m.cols(), m.rows(), |i, j| m[(j, i)])
+    }
+
     #[test]
     fn matmul_matches_naive() {
         let a = pseudo_random(7, 5, 1);
         let b = pseudo_random(5, 9, 2);
-        let fast = a.matmul(&b);
-        let slow = naive_matmul(&a, &b);
-        assert!(fast.max_abs_diff(&slow) < 1e-4);
+        let mut fast = Matrix::default();
+        a.matmul_into(&b, &mut fast);
+        assert!(fast.max_abs_diff(&naive_matmul(&a, &b)) < 1e-4);
     }
 
     #[test]
     fn matmul_identity_is_noop() {
         let a = pseudo_random(4, 4, 3);
-        assert_eq!(a.matmul(&Matrix::identity(4)), a);
-        assert_eq!(Matrix::identity(4).matmul(&a), a);
+        let id = Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
+        let mut out = Matrix::default();
+        a.matmul_into(&id, &mut out);
+        assert_eq!(out, a);
+        id.matmul_into(&a, &mut out);
+        assert_eq!(out, a);
     }
 
     #[test]
     fn t_matmul_matches_explicit_transpose() {
         let a = pseudo_random(6, 4, 4);
         let b = pseudo_random(6, 3, 5);
-        let fused = a.t_matmul(&b);
-        let explicit = a.transpose().matmul(&b);
-        assert!(fused.max_abs_diff(&explicit) < 1e-4);
+        let mut fused = Matrix::default();
+        a.t_matmul_into(&b, &mut fused);
+        assert!(fused.max_abs_diff(&naive_matmul(&transposed(&a), &b)) < 1e-4);
     }
 
     #[test]
     fn matmul_t_matches_explicit_transpose() {
         let a = pseudo_random(6, 4, 6);
         let b = pseudo_random(3, 4, 7);
-        let fused = a.matmul_t(&b);
-        let explicit = a.matmul(&b.transpose());
-        assert!(fused.max_abs_diff(&explicit) < 1e-4);
-    }
-
-    #[test]
-    fn transpose_is_involution() {
-        let a = pseudo_random(5, 8, 8);
-        assert_eq!(a.transpose().transpose(), a);
+        let mut fused = Matrix::default();
+        a.matmul_t_into(&b, &mut fused);
+        assert!(fused.max_abs_diff(&naive_matmul(&a, &transposed(&b))) < 1e-4);
     }
 
     #[test]
     fn axpy_and_scale() {
-        let mut a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 3.0);
+        let mut a = Matrix::from_vec(2, 2, vec![1.0; 4]);
+        let b = Matrix::from_vec(2, 2, vec![3.0; 4]);
         a.axpy(2.0, &b);
-        assert_eq!(a, Matrix::filled(2, 2, 7.0));
+        assert_eq!(a.as_slice(), &[7.0; 4]);
         a.scale(0.5);
-        assert_eq!(a, Matrix::filled(2, 2, 3.5));
+        assert_eq!(a.as_slice(), &[3.5; 4]);
     }
 
     #[test]
     fn norms() {
-        let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((a.frob_norm() - 5.0).abs() < 1e-9);
-        assert_eq!(a.row_norms_sq(), vec![9.0, 16.0]);
+        let a = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
+        let mut rows = Vec::new();
+        a.row_norms_sq_into(&mut rows);
+        assert_eq!(rows, vec![9.0, 16.0]);
         assert!((a.frob_norm_sq() - 25.0).abs() < 1e-9);
     }
 
     #[test]
-    fn hcat_and_col_slice_roundtrip() {
-        let a = pseudo_random(3, 2, 9);
-        let b = pseudo_random(3, 5, 10);
-        let c = a.hcat(&b);
-        assert_eq!(c.shape(), (3, 7));
-        assert_eq!(c.col_slice(0, 2), a);
-        assert_eq!(c.col_slice(2, 5), b);
+    fn col_slice_extracts_columns() {
+        let c = pseudo_random(3, 7, 9);
+        let mut s = Matrix::default();
+        c.col_slice_into(2, 5, &mut s);
+        assert_eq!(s, Matrix::from_fn(3, 5, |i, j| c[(i, j + 2)]));
     }
 
     #[test]
-    fn col_sums_matches_manual() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[10.0, 20.0], &[100.0, 200.0]]);
-        assert_eq!(a.col_sums(), vec![111.0, 222.0]);
+    fn col_sums_match_manual() {
+        let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 10.0, 20.0, 100.0, 200.0]);
+        let mut sums = Vec::new();
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums, vec![111.0, 222.0]);
+        a.weighted_col_sums_into(&[1.0, 0.5, 0.0], &mut sums);
+        assert_eq!(sums, vec![6.0, 12.0]);
+    }
+
+    #[test]
+    fn zero_column_matrices_reduce_to_empty_rows() {
+        let a = Matrix::zeros(3, 0);
+        assert_eq!(a.rows_iter().count(), 3);
+        let mut norms = vec![7.0];
+        a.row_norms_sq_into(&mut norms);
+        assert_eq!(norms, vec![0.0; 3]);
+        let mut sums = vec![7.0];
+        a.col_sums_into(&mut sums);
+        assert!(sums.is_empty());
+        a.weighted_col_sums_into(&[1.0; 3], &mut sums);
+        assert!(sums.is_empty());
     }
 
     #[test]
@@ -767,9 +567,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "matmul")]
     fn matmul_rejects_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        let _ = a.matmul(&b);
+        Matrix::zeros(2, 3).matmul_into(&Matrix::zeros(4, 2), &mut Matrix::default());
     }
 
     #[test]
@@ -779,28 +577,30 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_map() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, -8.0]]));
-        assert_eq!(a.map(f32::abs), Matrix::from_rows(&[&[1.0, 2.0]]));
-    }
-
-    #[test]
     fn gemm_variants_are_bitwise_identical_across_thread_counts() {
         // Big enough that the executor actually engages (> MIN_CHUNK_FLOPS
         // per GEMM), with ReLU-like zeros to exercise the skip path.
-        let a = pseudo_random(96, 80, 20).map(|x| if x < -1.0 { 0.0 } else { x });
+        let mut a = pseudo_random(96, 80, 20);
+        for x in a.as_mut_slice() {
+            if *x < -1.0 {
+                *x = 0.0;
+            }
+        }
         let b = pseudo_random(80, 96, 21);
         let bt = pseudo_random(96, 96, 22);
+        let run = || {
+            let (mut m, mut t, mut mt) = Default::default();
+            a.matmul_into(&b, &mut m);
+            a.t_matmul_into(&bt, &mut t);
+            a.matmul_t_into(&a, &mut mt);
+            (m, t, mt)
+        };
         let initial = lazydp_exec::global_threads();
         lazydp_exec::set_global_threads(1);
-        let (m1, t1, mt1) = (a.matmul(&b), a.t_matmul(&bt), a.matmul_t(&a));
+        let base: (Matrix, Matrix, Matrix) = run();
         for threads in [2usize, 3, 8] {
             lazydp_exec::set_global_threads(threads);
-            assert_eq!(m1, a.matmul(&b), "matmul, {threads} threads");
-            assert_eq!(t1, a.t_matmul(&bt), "t_matmul, {threads} threads");
-            assert_eq!(mt1, a.matmul_t(&a), "matmul_t, {threads} threads");
+            assert_eq!(base, run(), "{threads} threads");
         }
         lazydp_exec::set_global_threads(initial);
     }
@@ -810,8 +610,11 @@ mod tests {
         let a = pseudo_random(4, 5, 12);
         let b = pseudo_random(5, 6, 13);
         let c = pseudo_random(6, 3, 14);
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let (mut ab, mut bc, mut left, mut right) = Default::default();
+        a.matmul_into(&b, &mut ab);
+        ab.matmul_into(&c, &mut left);
+        b.matmul_into(&c, &mut bc);
+        a.matmul_into(&bc, &mut right);
         assert!(left.max_abs_diff(&right) < 1e-2);
     }
 }

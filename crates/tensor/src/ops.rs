@@ -15,17 +15,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation element-wise, returning a new matrix.
-    #[must_use]
-    pub fn forward(&self, z: &Matrix) -> Matrix {
-        match self {
-            Self::Linear => z.clone(),
-            Self::Relu => z.map(|x| x.max(0.0)),
-            Self::Sigmoid => z.map(sigmoid),
-        }
-    }
-
-    /// Applies the activation in place.
+    /// Applies the activation element-wise, in place.
     pub fn forward_inplace(&self, z: &mut Matrix) {
         match self {
             Self::Linear => {}
@@ -42,28 +32,14 @@ impl Activation {
         }
     }
 
-    /// Given the *post-activation* output `a` and upstream gradient
-    /// `grad_a`, returns the gradient with respect to the
-    /// pre-activation `z`.
+    /// Transforms the upstream gradient `grad` (with respect to the
+    /// *post-activation* output `a`) in place into the gradient with
+    /// respect to the pre-activation `z`, allocating nothing.
     ///
     /// Both ReLU and sigmoid derivatives are expressible from the output
     /// alone (`1[a>0]` and `a(1-a)`), so the forward cache only needs
     /// activations, matching the memory-lean layout the paper's
     /// DP-SGD(R/F) variants assume.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn backward(&self, a: &Matrix, grad_a: &Matrix) -> Matrix {
-        let mut out = grad_a.clone();
-        self.backward_inplace(a, &mut out);
-        out
-    }
-
-    /// [`backward`](Self::backward) in place: transforms the upstream
-    /// gradient `grad` into the pre-activation gradient using the
-    /// cached post-activation output `a`, allocating nothing.
     ///
     /// # Panics
     ///
@@ -109,12 +85,10 @@ pub fn sigmoid(x: f32) -> f32 {
 /// Panics if `bias.len() != z.cols()`.
 pub fn add_bias(z: &mut Matrix, bias: &[f32]) {
     assert_eq!(bias.len(), z.cols(), "bias length mismatch");
-    let cols = z.cols();
     for i in 0..z.rows() {
         for (v, &b) in z.row_mut(i).iter_mut().zip(bias.iter()) {
             *v += b;
         }
-        let _ = cols;
     }
 }
 
@@ -138,29 +112,24 @@ mod tests {
 
     #[test]
     fn relu_forward_backward() {
-        let z = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
-        let a = Activation::Relu.forward(&z);
-        assert_eq!(a, Matrix::from_rows(&[&[0.0, 0.0, 2.0]]));
-        let g = Matrix::from_rows(&[&[5.0, 5.0, 5.0]]);
-        let gz = Activation::Relu.backward(&a, &g);
-        assert_eq!(gz, Matrix::from_rows(&[&[0.0, 0.0, 5.0]]));
+        let mut a = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]);
+        Activation::Relu.forward_inplace(&mut a);
+        assert_eq!(a.as_slice(), &[0.0, 0.0, 2.0]);
+        let mut g = Matrix::from_vec(1, 3, vec![5.0; 3]);
+        Activation::Relu.backward_inplace(&a, &mut g);
+        assert_eq!(g.as_slice(), &[0.0, 0.0, 5.0]);
     }
 
     #[test]
     fn sigmoid_backward_matches_finite_difference() {
-        let z = Matrix::from_rows(&[&[0.3, -1.2, 2.0]]);
-        let a = Activation::Sigmoid.forward(&z);
-        let g = Matrix::filled(1, 3, 1.0);
-        let gz = Activation::Sigmoid.backward(&a, &g);
+        let z = [0.3f32, -1.2, 2.0];
+        let mut a = Matrix::from_vec(1, 3, z.to_vec());
+        Activation::Sigmoid.forward_inplace(&mut a);
+        let mut gz = Matrix::from_vec(1, 3, vec![1.0; 3]);
+        Activation::Sigmoid.backward_inplace(&a, &mut gz);
         let eps = 1e-3f32;
-        for j in 0..3 {
-            let mut zp = z.clone();
-            zp[(0, j)] += eps;
-            let mut zm = z.clone();
-            zm[(0, j)] -= eps;
-            let fd = (Activation::Sigmoid.forward(&zp)[(0, j)]
-                - Activation::Sigmoid.forward(&zm)[(0, j)])
-                / (2.0 * eps);
+        for (j, &zj) in z.iter().enumerate() {
+            let fd = (sigmoid(zj + eps) - sigmoid(zj - eps)) / (2.0 * eps);
             assert!(
                 (gz[(0, j)] - fd).abs() < 1e-3,
                 "col {j}: {} vs {}",
@@ -172,21 +141,14 @@ mod tests {
 
     #[test]
     fn linear_passthrough() {
-        let z = Matrix::from_rows(&[&[1.0, -2.0]]);
-        assert_eq!(Activation::Linear.forward(&z), z);
-        let g = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(Activation::Linear.backward(&z, &g), g);
-    }
-
-    #[test]
-    fn forward_inplace_matches_forward() {
-        let z = Matrix::from_rows(&[&[-0.5, 0.0, 1.5, 3.0]]);
-        for act in [Activation::Linear, Activation::Relu, Activation::Sigmoid] {
-            let expect = act.forward(&z);
-            let mut got = z.clone();
-            act.forward_inplace(&mut got);
-            assert_eq!(got, expect, "{act:?}");
-        }
+        let z = Matrix::from_vec(1, 2, vec![1.0, -2.0]);
+        let mut a = z.clone();
+        Activation::Linear.forward_inplace(&mut a);
+        assert_eq!(a, z);
+        let g = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
+        let mut gz = g.clone();
+        Activation::Linear.backward_inplace(&z, &mut gz);
+        assert_eq!(gz, g);
     }
 
     #[test]

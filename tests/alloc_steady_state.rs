@@ -1,13 +1,13 @@
 //! Steady-state allocation accounting for the LazyDP training step.
 //!
-//! The scratch-arena refactor's contract: once the first steps have
+//! The zero-allocation contract: once the first steps have
 //! sized every reusable buffer (the per-table `LookaheadFlush` buffers
 //! included), `LazyDpOptimizer::step` on a single-width executor over
 //! in-memory tables — the inline flush path — performs **zero heap
 //! allocations**. The shared harness in
 //! `alloc_common` pins that with a counting global allocator; sibling
-//! files (`alloc_steady_state_eager.rs`, `_eana.rs`, `_adafest.rs`) pin
-//! the same contract for the other algorithms.
+//! files (`alloc_steady_state_eager.rs`, `_eana.rs`, `_adafest.rs`,
+//! `_sgd.rs`) pin the same contract for the other algorithms.
 //!
 //! Since the fused ghost-clipping backward landed,
 //! `LazyDpOptimizer::step` runs `Dlrm::backward_clipped_with` (ghost
