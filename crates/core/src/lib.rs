@@ -9,10 +9,10 @@
 //! 1. **Lazy noise update** (§5.2.1, Algorithm 1): noise for a row is
 //!    deferred until the iteration *just before* the row is next
 //!    gathered. A [`HistoryTable`] records, per row, the last iteration
-//!    whose noise has been applied; the two-entry `InputQueue` from
-//!    `lazydp-data` supplies one batch of lookahead to know which rows
-//!    need flushing. Because a deferred update lands before the row is
-//!    read, every value the training computation *observes* — and the
+//!    whose noise has been applied; `lazydp_data::LookaheadLoader` (the
+//!    two-entry `InputQueue`) supplies one batch of lookahead to know
+//!    which rows need flushing. Because a deferred update lands before
+//!    the row is read, every value the training computation *observes* — and the
 //!    final model after [`LazyDpOptimizer::finalize_model`] — is identical to
 //!    eager DP-SGD (Fig. 7; proven exactly by this crate's tests using
 //!    counter-based noise).
@@ -23,11 +23,9 @@
 //!    guarantee is untouched (same σ, q, T — see `lazydp-privacy`).
 //!
 //! Scaling machinery on top of the algorithm (see `ARCHITECTURE.md`):
-//! with more than one thread the per-step [`LookaheadFlush`] is *overlapped* with the step's dense
-//! compute, and the input pipeline can be made asynchronous (a
-//! `lazydp_data::PrefetchLoader` handed to
-//! [`PrivateTrainer::make_private_optimizer`]). Both are bitwise
-//! invisible in the trained model.
+//! with more than one thread the per-step [`LookaheadFlush`] is
+//! *overlapped* with the step's dense compute, bitwise invisibly in the
+//! trained model.
 //!
 //! The user-facing entry point mirrors the paper's Fig. 9 wrapper:
 //!

@@ -4,14 +4,13 @@
 //! optimizer, data_loader) triple into LazyDP-enabled instances.
 //! [`PrivateTrainer`] is the Rust equivalent: it owns the model, an
 //! [`AccountedOptimizer`] (a [`LazyDpOptimizer`] for the Fig. 9 call),
-//! a [`LookaheadSource`] (the Fig. 9(b) "LazyDP data loader" with its
-//! input queue — synchronous [`LookaheadLoader`] or the async
-//! `lazydp_data::PrefetchLoader`), and an [`RdpAccountant`] that tracks
-//! the (ε, δ) budget as training proceeds.
+//! a [`LookaheadLoader`] (the Fig. 9(b) "LazyDP data loader" with its
+//! input queue), and an [`RdpAccountant`] that tracks the (ε, δ) budget
+//! as training proceeds.
 
 use crate::accounted::AccountedOptimizer;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
-use lazydp_data::{BatchSource, LookaheadLoader, LookaheadSource};
+use lazydp_data::{BatchSource, LookaheadLoader};
 use lazydp_dpsgd::{KernelCounters, StepStats};
 use lazydp_embedding::{EmbeddingStorage, EmbeddingTable};
 use lazydp_model::Dlrm;
@@ -23,15 +22,15 @@ use lazydp_rng::RowNoise;
 /// (LazyDP over the synchronous lookahead loader);
 /// [`make_private_optimizer`](Self::make_private_optimizer) composes
 /// the pieces explicitly — any [`AccountedOptimizer`] (`O`: LazyDP,
-/// DP-AdaFEST, eager DP-SGD, EANA), any [`LookaheadSource`] (`L`: e.g.
-/// `PrefetchLoader::new(source)` for the async double-buffered
-/// pipeline), and any embedding backend (`T`: e.g. disk-backed tables
-/// via `model.try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))`).
+/// DP-AdaFEST, eager DP-SGD, EANA) over a [`LookaheadLoader`] of any
+/// [`BatchSource`] (`L = LookaheadLoader<S>`), and any embedding backend
+/// (`T`: e.g. disk-backed tables via
+/// `model.try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))`).
 /// Every combination gets the same loop and per-step accounting of the
 /// mechanism the optimizer reports, and all of them train the
 /// bitwise-same model given the same algorithm, batch stream and noise
-/// seed — the loader and the backend change where batches and embedding
-/// rows come from, never their values.
+/// seed — the backend changes where embedding rows live, never their
+/// values.
 #[derive(Debug)]
 pub struct PrivateTrainer<L, O, T: EmbeddingStorage = EmbeddingTable> {
     model: Dlrm<T>,
@@ -85,7 +84,12 @@ where
     }
 }
 
-impl<L: LookaheadSource, O: AccountedOptimizer<T>, T: EmbeddingStorage> PrivateTrainer<L, O, T> {
+impl<S, O, T> PrivateTrainer<LookaheadLoader<S>, O, T>
+where
+    S: BatchSource,
+    O: AccountedOptimizer<T>,
+    T: EmbeddingStorage,
+{
     /// Wraps an arbitrary [`AccountedOptimizer`] — eager DP-SGD, EANA,
     /// AdaFEST, LazyDP — into a training session with per-step privacy
     /// accounting of whatever mechanism the optimizer reports.
@@ -97,7 +101,7 @@ impl<L: LookaheadSource, O: AccountedOptimizer<T>, T: EmbeddingStorage> PrivateT
     pub fn make_private_optimizer(
         model: Dlrm<T>,
         optimizer: O,
-        loader: L,
+        loader: LookaheadLoader<S>,
         sampling_rate: f64,
     ) -> Self {
         assert!(
@@ -180,9 +184,7 @@ impl<L: LookaheadSource, O: AccountedOptimizer<T>, T: EmbeddingStorage> PrivateT
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lazydp_data::{
-        FixedBatchLoader, PoissonLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
-    };
+    use lazydp_data::{FixedBatchLoader, PoissonLoader, SyntheticConfig, SyntheticDataset};
     use lazydp_dpsgd::{AdaFestConfig, AdaFestOptimizer};
     use lazydp_model::DlrmConfig;
     use lazydp_rng::counter::CounterNoise;
@@ -247,36 +249,33 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_pipeline_trains_the_bitwise_same_model() {
-        // The async double-buffered loader must be training-invisible:
-        // same source, same seed ⇒ same batches ⇒ same model.
-        let train = |prefetch: bool| -> Dlrm {
-            let ds = dataset(256);
-            let loader = FixedBatchLoader::new(ds, 32);
+    fn split_train_steps_match_one_call() {
+        // The harness steps one iteration per call: the loader's
+        // (current, next) window and the accountant must carry across
+        // calls exactly as within one.
+        let run = |chunks: &[usize]| -> (Vec<u32>, f64) {
+            let loader = PoissonLoader::new(dataset(256), 32, 11);
+            let q = loader.sampling_rate();
             let cfg = LazyDpConfig::paper_default(32).with_threads(2);
-            let q = 32.0 / 256.0;
-            if prefetch {
-                let model = model();
-                let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(9));
-                let mut t = PrivateTrainer::make_private_optimizer(
-                    model,
-                    opt,
-                    PrefetchLoader::new(loader),
-                    q,
-                );
-                let _ = t.train_steps(8);
-                t.finish()
-            } else {
-                let mut t =
-                    PrivateTrainer::make_private(model(), cfg, loader, CounterNoise::new(9), q);
-                let _ = t.train_steps(8);
-                t.finish()
+            let mut t = PrivateTrainer::make_private(model(), cfg, loader, CounterNoise::new(9), q);
+            for &n in chunks {
+                let _ = t.train_steps(n);
             }
+            let eps = t.epsilon(1e-6).0;
+            let m = t.finish();
+            let layers = m.bottom.layers().iter().chain(m.top.layers());
+            let bits = m
+                .tables
+                .iter()
+                .flat_map(EmbeddingTable::as_slice)
+                .chain(layers.flat_map(|l| l.weight.as_slice().iter().chain(&l.bias)))
+                .map(|x| x.to_bits())
+                .collect();
+            (bits, eps)
         };
-        let (base, m) = (train(false), train(true));
-        for (a, b) in base.tables.iter().zip(m.tables.iter()) {
-            assert_eq!(a.max_abs_diff(b), 0.0, "prefetch changed the model");
-        }
+        let one_call = run(&[8]);
+        assert_eq!(run(&[1; 8]), one_call, "eight calls of one step");
+        assert_eq!(run(&[3, 5]), one_call, "three steps then five");
     }
 
     #[test]

@@ -66,14 +66,6 @@ impl MiniBatch {
         let b = self.batch_size();
         self.dense.len() == b * self.num_dense && self.sparse.iter().all(|s| s.batch_size() == b)
     }
-
-    /// Approximate in-memory size of the *sparse index* portion in bytes
-    /// — what the paper's §7.2 `InputQueue` overhead counts
-    /// (mini-batch size × tables × avg lookups × 4 bytes).
-    #[must_use]
-    pub fn sparse_index_bytes(&self) -> u64 {
-        (self.total_lookups() * std::mem::size_of::<u32>()) as u64
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +93,6 @@ mod tests {
         assert_eq!(b.table_indices(1), &[3, 4, 5]);
         assert!(b.is_consistent());
         assert!(!b.is_empty());
-        assert_eq!(b.sparse_index_bytes(), 20);
     }
 
     #[test]

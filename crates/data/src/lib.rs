@@ -1,5 +1,5 @@
 //! Workload substrate: synthetic datasets, access traces, batch loaders,
-//! and the LazyDP `InputQueue`.
+//! and the LazyDP lookahead loader.
 //!
 //! The paper trains MLPerf DLRM on embedding traces "drawn from a uniform
 //! distribution" (§6) and studies skewed traces built from the Kaggle DAC
@@ -15,37 +15,30 @@
 //! * [`batch`] — the [`MiniBatch`] container;
 //! * [`loader`] — fixed-size and Poisson-sampling batch sources
 //!   (Opacus-style `DPDataLoader`);
-//! * [`queue`] — the two-entry [`InputQueue`] of Algorithm 1
-//!   (lines 3–5) that gives LazyDP one-batch lookahead, the
-//!   [`LookaheadSource`] abstraction over lookahead pipelines, and the
-//!   [`BoundedQueue`] producer/consumer channel;
-//! * [`prefetch`] — the asynchronous [`PrefetchLoader`]: a background
-//!   worker generates batches through the bounded queue (double
-//!   buffering), delivering a stream *identical* to the synchronous
-//!   loader's while overlapping input generation with training compute.
+//! * [`queue`] — the [`LookaheadLoader`] that drives a batch source
+//!   through the two-entry `InputQueue` of Algorithm 1 (lines 3–5),
+//!   giving LazyDP one-batch lookahead.
 //!
-//! # Example: async prefetching with one-batch lookahead
+//! # Example: one-batch lookahead
 //!
 //! ```
 //! use lazydp_data::{
-//!     FixedBatchLoader, LookaheadLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+//!     BatchSource, FixedBatchLoader, LookaheadLoader, SyntheticConfig, SyntheticDataset,
 //! };
 //!
 //! let make = || {
 //!     let ds = SyntheticDataset::new(SyntheticConfig::small(2, 64, 256));
 //!     FixedBatchLoader::new(ds, 32)
 //! };
-//! // The async pipeline delivers exactly the synchronous stream …
-//! let mut sync = LookaheadLoader::new(make());
-//! let mut pre = PrefetchLoader::new(make());
-//! let (cur, next) = pre.advance();
-//! let (cur, next) = (cur.clone(), next.clone());
-//! let (scur, snext) = sync.advance();
-//! assert_eq!((&cur, &next), (scur, snext));
-//! // … and the next batch's rows are visible before the step runs,
-//! // which is what LazyDP's lazy noise flush keys off.
-//! assert_eq!(pre.peek_next_indices(0), next.table_indices(0));
-//! # let _ = pre.finish_iteration();
+//! let mut plain = make();
+//! let (first, second) = (plain.next_batch(), plain.next_batch());
+//! let mut look = LookaheadLoader::new(make());
+//! // Each iteration sees its own batch and the next one, so the next
+//! // batch's rows are known before the step runs — what LazyDP's lazy
+//! // noise flush keys off.
+//! let (cur, next) = look.advance();
+//! assert_eq!((cur, next), (&first, &second));
+//! assert_eq!(look.finish_iteration(), first);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +48,6 @@ pub mod alias;
 pub mod batch;
 pub mod dataset;
 pub mod loader;
-pub mod prefetch;
 pub mod queue;
 pub mod trace;
 
@@ -63,6 +55,5 @@ pub use alias::AliasTable;
 pub use batch::MiniBatch;
 pub use dataset::{SyntheticConfig, SyntheticDataset};
 pub use loader::{BatchSource, FixedBatchLoader, PoissonLoader};
-pub use prefetch::PrefetchLoader;
-pub use queue::{BoundedQueue, InputQueue, LookaheadLoader, LookaheadSource};
+pub use queue::LookaheadLoader;
 pub use trace::{AccessDistribution, SkewLevel};

@@ -11,9 +11,6 @@ use lazydp_rng::{poisson_sample, Xoshiro256PlusPlus};
 pub trait BatchSource {
     /// Produces the next mini-batch.
     fn next_batch(&mut self) -> MiniBatch;
-
-    /// Nominal (expected) batch size.
-    fn nominal_batch_size(&self) -> usize;
 }
 
 /// Sequential fixed-size loader used by the non-private SGD baseline:
@@ -30,11 +27,18 @@ impl FixedBatchLoader {
     ///
     /// # Panics
     ///
-    /// Panics if `batch_size == 0` or the dataset is empty.
+    /// Panics if `batch_size == 0`, the dataset is empty, or
+    /// `batch_size` exceeds the dataset size — a batch would then hold
+    /// some example twice, and a DP step would clip and sum each copy.
     #[must_use]
     pub fn new(dataset: SyntheticDataset, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(!dataset.is_empty(), "dataset must be non-empty");
+        assert!(
+            batch_size <= dataset.len(),
+            "batch size {batch_size} exceeds dataset size {}",
+            dataset.len()
+        );
         Self {
             dataset,
             batch_size,
@@ -52,10 +56,6 @@ impl BatchSource for FixedBatchLoader {
         self.cursor = (self.cursor + self.batch_size) % n;
         self.dataset.batch_of(&ids)
     }
-
-    fn nominal_batch_size(&self) -> usize {
-        self.batch_size
-    }
 }
 
 /// Poisson-sampling loader: each example enters the batch independently
@@ -65,7 +65,6 @@ impl BatchSource for FixedBatchLoader {
 #[derive(Debug, Clone)]
 pub struct PoissonLoader {
     dataset: SyntheticDataset,
-    batch_size: usize,
     rate: f64,
     rng: Xoshiro256PlusPlus,
 }
@@ -85,7 +84,6 @@ impl PoissonLoader {
         assert!(rate <= 1.0, "batch size exceeds dataset size");
         Self {
             dataset,
-            batch_size,
             rate,
             rng: Xoshiro256PlusPlus::seed_from(seed),
         }
@@ -102,49 +100,6 @@ impl BatchSource for PoissonLoader {
     fn next_batch(&mut self) -> MiniBatch {
         let ids = poisson_sample(&mut self.rng, self.dataset.len(), self.rate);
         self.dataset.batch_of(&ids)
-    }
-
-    fn nominal_batch_size(&self) -> usize {
-        self.batch_size
-    }
-}
-
-/// Adapter dealing batches from a pre-recorded trace of index lists —
-/// used by tests that need full control over which rows are accessed at
-/// which iteration (e.g. the Fig. 7 walkthrough).
-#[derive(Debug, Clone)]
-pub struct ScriptedLoader {
-    dataset: SyntheticDataset,
-    script: Vec<Vec<usize>>,
-    cursor: usize,
-}
-
-impl ScriptedLoader {
-    /// Creates a loader that deals `script[i]` at call `i`, wrapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the script is empty.
-    #[must_use]
-    pub fn new(dataset: SyntheticDataset, script: Vec<Vec<usize>>) -> Self {
-        assert!(!script.is_empty(), "script must be non-empty");
-        Self {
-            dataset,
-            script,
-            cursor: 0,
-        }
-    }
-}
-
-impl BatchSource for ScriptedLoader {
-    fn next_batch(&mut self) -> MiniBatch {
-        let ids = &self.script[self.cursor % self.script.len()];
-        self.cursor += 1;
-        self.dataset.batch_of(ids)
-    }
-
-    fn nominal_batch_size(&self) -> usize {
-        self.script.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -190,12 +145,11 @@ mod tests {
     }
 
     #[test]
-    fn scripted_loader_follows_script() {
-        let mut l = ScriptedLoader::new(dataset(10), vec![vec![0, 1], vec![5]]);
-        assert_eq!(l.next_batch().batch_size(), 2);
-        assert_eq!(l.next_batch().batch_size(), 1);
-        assert_eq!(l.next_batch().batch_size(), 2, "wraps around");
-        assert_eq!(l.nominal_batch_size(), 2);
+    #[should_panic(expected = "batch size 16 exceeds dataset size 10")]
+    fn fixed_rejects_batch_larger_than_dataset() {
+        // Dealing (cursor + k) % n would repeat examples 0..=5 in one
+        // batch, doubling their clipped contribution.
+        let _ = FixedBatchLoader::new(dataset(10), 16);
     }
 
     #[test]

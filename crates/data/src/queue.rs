@@ -1,26 +1,21 @@
-//! The two-entry `InputQueue` of LazyDP (Algorithm 1, lines 3–5, 26),
-//! and the queueing primitives the async input pipeline builds on.
+//! The two-entry `InputQueue` of LazyDP (Algorithm 1, lines 3–5, 26)
+//! and the loader that drives it.
 //!
 //! LazyDP must know which embedding rows the *next* iteration will gather
 //! so it can flush their pending noise first (paper §5.1: "prefetching a
-//! single mini-batch in advance is sufficient"). [`InputQueue`] is the
-//! faithful two-slot queue; [`LookaheadLoader`] drives it from any
-//! [`BatchSource`] *synchronously*, presenting `(current, next)` batch
-//! views per iteration exactly as the pseudo-code does.
-//! [`BoundedQueue`] is the blocking producer/consumer channel underneath
-//! the asynchronous [`PrefetchLoader`](crate::prefetch::PrefetchLoader);
-//! both loaders implement [`LookaheadSource`], so training code is
-//! agnostic to which pipeline feeds it.
+//! single mini-batch in advance is sufficient"). [`LookaheadLoader`]
+//! drives a two-slot queue from any [`BatchSource`], presenting
+//! `(current, next)` batch views per iteration exactly as the
+//! pseudo-code does.
 
 use crate::batch::MiniBatch;
 use crate::loader::BatchSource;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 
 /// A queue holding at most two consecutive mini-batches
 /// (`Queue(size = 2)` in Algorithm 1).
 #[derive(Debug, Clone, Default)]
-pub struct InputQueue<T> {
+pub(crate) struct InputQueue<T> {
     slots: VecDeque<T>,
 }
 
@@ -73,164 +68,10 @@ impl<T> InputQueue<T> {
     pub fn len(&self) -> usize {
         self.slots.len()
     }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
 }
 
-/// A blocking bounded FIFO for handing batches from a producer thread to
-/// the training thread — the back-pressure primitive of the async input
-/// pipeline.
-///
-/// `push` blocks while the queue is full (the producer may run at most
-/// `capacity` batches ahead — "double buffering" at the default capacity
-/// of 2), `pop` blocks while it is empty. [`close`](Self::close) wakes
-/// everyone: subsequent pushes fail, pops drain the remaining items and
-/// then return `None`. Share between threads via `Arc`.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    state: Mutex<BoundedState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct BoundedState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Self {
-            state: Mutex::new(BoundedState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// The maximum number of buffered items.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently buffered items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue mutex is poisoned.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Blocks until there is room, then enqueues `item`. Returns the
-    /// item back as `Err` if the queue was closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue mutex is poisoned.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if state.items.len() >= self.capacity && !state.closed {
-            // The producer is about to block on a full queue: the
-            // consumer is the bottleneck (or the pipeline is healthily
-            // saturated). Counted once per blocking push.
-            lazydp_obs::metrics().data.producer_stalls.incr();
-        }
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).expect("queue poisoned");
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until an item is available and dequeues it. Returns
-    /// `None` once the queue is closed **and** drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue mutex is poisoned.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        while state.items.is_empty() && !state.closed {
-            state = self.not_empty.wait(state).expect("queue poisoned");
-        }
-        let item = state.items.pop_front();
-        // Depth as the consumer sees it after taking its item — the
-        // producer's headroom.
-        lazydp_obs::metrics()
-            .data
-            .queue_depth
-            .set(state.items.len() as u64);
-        drop(state);
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Closes the queue, waking all blocked producers and consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue mutex is poisoned.
-    pub fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-}
-
-/// A source of `(current, next)` lookahead batch pairs — what
-/// `lazydp_core`'s `PrivateTrainer` consumes, independent of whether
-/// batches are produced synchronously ([`LookaheadLoader`]) or on a
-/// background thread
-/// ([`PrefetchLoader`](crate::prefetch::PrefetchLoader)).
-pub trait LookaheadSource {
-    /// Advances one iteration, returning `(current, next)` batch views
-    /// (Algorithm 1 lines 7, 9, 12).
-    fn advance(&mut self) -> (&MiniBatch, &MiniBatch);
-
-    /// Releases the consumed current batch (Algorithm 1 line 26).
-    fn finish_iteration(&mut self) -> MiniBatch;
-
-    /// Nominal (expected) batch size of the underlying source.
-    fn nominal_batch_size(&self) -> usize;
-
-    /// Extra memory the lookahead costs versus a plain loader (§7.2).
-    fn lookahead_overhead_bytes(&self) -> u64;
-}
-
-/// Drives a [`BatchSource`] through an [`InputQueue`], handing the
-/// optimizer `(current, next)` batch pairs.
+/// Drives a [`BatchSource`] through the two-slot `InputQueue`, handing
+/// the optimizer `(current, next)` batch pairs.
 ///
 /// Per iteration it fetches exactly **one** new batch — "identical to
 /// baseline SGD and DP-SGD" (paper §5.2.1) — and reuses the previous
@@ -271,41 +112,6 @@ impl<S: BatchSource> LookaheadLoader<S> {
         assert_eq!(self.queue.len(), 2, "finish_iteration before advance");
         self.queue.pop().expect("non-empty queue")
     }
-
-    /// The underlying source.
-    #[must_use]
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-
-    /// Extra memory the lookahead costs versus a plain loader: the
-    /// sparse-index bytes of the one prefetched batch (paper §7.2:
-    /// 213 KB for the default configuration).
-    #[must_use]
-    pub fn lookahead_overhead_bytes(&self) -> u64 {
-        self.queue
-            .tail()
-            .or_else(|| self.queue.head())
-            .map_or(0, MiniBatch::sparse_index_bytes)
-    }
-}
-
-impl<S: BatchSource> LookaheadSource for LookaheadLoader<S> {
-    fn advance(&mut self) -> (&MiniBatch, &MiniBatch) {
-        LookaheadLoader::advance(self)
-    }
-
-    fn finish_iteration(&mut self) -> MiniBatch {
-        LookaheadLoader::finish_iteration(self)
-    }
-
-    fn nominal_batch_size(&self) -> usize {
-        self.source.nominal_batch_size()
-    }
-
-    fn lookahead_overhead_bytes(&self) -> u64 {
-        LookaheadLoader::lookahead_overhead_bytes(self)
-    }
 }
 
 #[cfg(test)]
@@ -322,7 +128,7 @@ mod tests {
     #[test]
     fn queue_head_tail_pop_protocol() {
         let mut q = InputQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.push(1);
         assert_eq!(q.head(), Some(&1));
         assert_eq!(q.tail(), None, "tail needs two entries");
@@ -360,73 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_overhead_counts_one_batch() {
-        let mut look = LookaheadLoader::new(loader(8));
-        let (_cur, next) = look.advance();
-        let expect = next.sparse_index_bytes();
-        assert_eq!(look.lookahead_overhead_bytes(), expect);
-        // 8 samples × 2 tables × pooling 1 × 4 bytes = 64.
-        assert_eq!(expect, 64);
-    }
-
-    #[test]
     #[should_panic(expected = "finish_iteration before advance")]
     fn finish_before_advance_panics() {
         let mut look = LookaheadLoader::new(loader(2));
         let _ = look.finish_iteration();
-    }
-
-    #[test]
-    fn bounded_queue_is_fifo_and_drains_after_close() {
-        let q = BoundedQueue::new(4);
-        assert!(q.push(1).is_ok());
-        assert!(q.push(2).is_ok());
-        assert_eq!(q.len(), 2);
-        q.close();
-        assert_eq!(q.push(3), Err(3), "closed queue rejects pushes");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None, "drained + closed");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn bounded_queue_applies_backpressure_across_threads() {
-        use std::sync::Arc;
-        let q = Arc::new(BoundedQueue::new(2));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                // 100 items through a 2-slot queue: the producer must
-                // block repeatedly, but every item arrives in order.
-                for i in 0..100u32 {
-                    q.push(i).expect("consumer outlives producer");
-                }
-            })
-        };
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            got.push(q.pop().expect("producer sends 100"));
-        }
-        producer.join().expect("producer");
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert!(q.len() <= 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn bounded_queue_rejects_zero_capacity() {
-        let _ = BoundedQueue::<u8>::new(0);
-    }
-
-    #[test]
-    fn lookahead_source_trait_matches_inherent_methods() {
-        let mut a = LookaheadLoader::new(loader(4));
-        let mut b = LookaheadLoader::new(loader(4));
-        let (c1, n1) = LookaheadLoader::advance(&mut a);
-        let (c1, n1) = (c1.clone(), n1.clone());
-        let (c2, n2) = LookaheadSource::advance(&mut b);
-        assert_eq!((&c1, &n1), (c2, n2));
-        assert_eq!(LookaheadSource::nominal_batch_size(&b), 4);
     }
 }

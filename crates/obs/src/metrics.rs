@@ -51,36 +51,6 @@ impl Default for Counter {
     }
 }
 
-/// A last-value-wins integer gauge (e.g. a queue depth).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Stores `v` (relaxed; no-op unless counters are enabled).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if crate::counters_enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A last-value-wins float gauge (e.g. spent ε), stored as `f64` bits
 /// in an atomic word.
 #[derive(Debug)]
@@ -204,17 +174,6 @@ pub struct StoreMetrics {
     pub bytes_loaded: Counter,
 }
 
-/// Input pipeline (`crates/data`).
-#[derive(Debug)]
-pub struct DataMetrics {
-    /// Batches produced by prefetch/lookahead producers.
-    pub batches_produced: Counter,
-    /// Producer blocks on a full bounded queue.
-    pub producer_stalls: Counter,
-    /// Most recent bounded-queue depth observed by the consumer.
-    pub queue_depth: Gauge,
-}
-
 /// Deterministic executor (`crates/exec`).
 #[derive(Debug)]
 pub struct ExecMetrics {
@@ -262,8 +221,6 @@ pub struct Metrics {
     pub adafest: AdafestMetrics,
     /// Paged out-of-core store.
     pub store: StoreMetrics,
-    /// Input pipeline.
-    pub data: DataMetrics,
     /// Deterministic executor.
     pub exec: ExecMetrics,
     /// Privacy accounting.
@@ -293,11 +250,6 @@ impl Metrics {
                 write_backs: Counter::new(),
                 bytes_spilled: Counter::new(),
                 bytes_loaded: Counter::new(),
-            },
-            data: DataMetrics {
-                batches_produced: Counter::new(),
-                producer_stalls: Counter::new(),
-                queue_depth: Gauge::new(),
             },
             exec: ExecMetrics {
                 par_regions: Counter::new(),
@@ -343,10 +295,6 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
 
-        let g = Gauge::new();
-        g.set(17);
-        assert_eq!(g.get(), 17);
-
         let f = GaugeF64::new();
         f.set_f64(1.25);
         assert!((f.get() - 1.25).abs() < 1e-12);
@@ -368,14 +316,12 @@ mod tests {
         let _g = crate::test_mode_lock();
         crate::set_mode(ObsMode::Off);
         let c = Counter::new();
-        let g = Gauge::new();
         let f = GaugeF64::new();
         let h = Histogram::new();
         c.incr();
-        g.set(9);
         f.set_f64(9.0);
         h.record(9);
-        assert_eq!((c.get(), g.get(), h.sum()), (0, 0, 0));
+        assert_eq!((c.get(), h.sum()), (0, 0));
         assert_eq!(f.get(), 0.0);
         crate::set_mode(ObsMode::Counters);
     }

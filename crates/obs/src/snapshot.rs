@@ -58,7 +58,7 @@ pub struct MetricsSnapshot {
     pub schema_version: u32,
     /// `(name, value)` for every counter, in registry order.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge (integer gauges widened).
+    /// `(name, value)` for every gauge.
     pub gauges: Vec<(String, f64)>,
     /// Every histogram.
     pub histograms: Vec<HistogramSnapshot>,
@@ -88,8 +88,6 @@ pub fn capture_metrics() -> MetricsSnapshot {
         ("store.write_backs", m.store.write_backs.get()),
         ("store.bytes_spilled", m.store.bytes_spilled.get()),
         ("store.bytes_loaded", m.store.bytes_loaded.get()),
-        ("data.batches_produced", m.data.batches_produced.get()),
-        ("data.producer_stalls", m.data.producer_stalls.get()),
         ("exec.par_regions", m.exec.par_regions.get()),
         ("exec.par_chunks", m.exec.par_chunks.get()),
         ("privacy.compositions", m.privacy.compositions.get()),
@@ -102,16 +100,10 @@ pub fn capture_metrics() -> MetricsSnapshot {
     .into_iter()
     .map(|(n, v)| (n.to_string(), v))
     .collect();
-    let gauges = vec![
-        (
-            "data.queue_depth".to_string(),
-            m.data.queue_depth.get() as f64,
-        ),
-        (
-            "privacy.spent_epsilon".to_string(),
-            m.privacy.spent_epsilon.get(),
-        ),
-    ];
+    let gauges = vec![(
+        "privacy.spent_epsilon".to_string(),
+        m.privacy.spent_epsilon.get(),
+    )];
     let histograms = vec![
         capture_histogram("trainer.pending_depth", &m.trainer.pending_depth),
         capture_histogram("exec.chunks_per_region", &m.exec.chunks_per_region),

@@ -3,9 +3,9 @@
 //! The storage tentpole end to end: a DLRM whose embedding tables are
 //! spilled to disk pages (`lazydp_store::StoredTable`) with a page
 //! cache deliberately sized to ~12% of each table, trained through the
-//! full LazyDP pipeline (lookahead flush + async prefetch input
-//! queue, which also drives page prefetch for step *t+1*'s rows), then
-//! released and compared against the in-memory run:
+//! full LazyDP pipeline (the lookahead flush, whose view of step
+//! *t+1*'s rows also drives page prefetch), then released and compared
+//! against the in-memory run:
 //!
 //! * the released models must be **bitwise identical** — paging changes
 //!   where rows live, never their values;
@@ -14,11 +14,9 @@
 //!
 //! Run with: `cargo run --release --example out_of_core`
 
-use lazydp::data::{
-    AccessDistribution, FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
-};
+use lazydp::data::{AccessDistribution, FixedBatchLoader, SyntheticConfig, SyntheticDataset};
 use lazydp::embedding::EmbeddingStorage;
-use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
+use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
@@ -48,12 +46,12 @@ fn main() {
     let storage = StorageConfig::new().with_page_rows(16).with_cache_pages(32);
     let cfg = LazyDpConfig::paper_default(batch);
 
-    // In-memory reference, async double-buffered input pipeline.
-    let opt = LazyDpOptimizer::new(cfg.clone(), &model, CounterNoise::new(5));
-    let mut mem = PrivateTrainer::make_private_optimizer(
+    // In-memory reference.
+    let mut mem = PrivateTrainer::make_private(
         model.clone(),
-        opt,
-        PrefetchLoader::new(make_loader()),
+        cfg.clone(),
+        make_loader(),
+        CounterNoise::new(5),
         q,
     );
     let _ = mem.train_steps(steps);
@@ -64,9 +62,8 @@ fn main() {
     let model = model
         .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
         .expect("spill directory must be writable");
-    let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(5));
     let mut stored =
-        PrivateTrainer::make_private_optimizer(model, opt, PrefetchLoader::new(make_loader()), q);
+        PrivateTrainer::make_private(model, cfg, make_loader(), CounterNoise::new(5), q);
     let _ = stored.train_steps(steps);
     let stored_model = stored.finish();
 

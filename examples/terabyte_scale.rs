@@ -20,7 +20,7 @@
 //! Run with: `cargo run --release --example terabyte_scale`
 
 use lazydp::data::{
-    AccessDistribution, PoissonLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
+    AccessDistribution, LookaheadLoader, PoissonLoader, SyntheticConfig, SyntheticDataset,
 };
 use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
@@ -92,7 +92,7 @@ fn main() {
     let loader = PoissonLoader::new(dataset, BATCH, 3);
     let q = loader.sampling_rate();
     let mut trainer =
-        PrivateTrainer::make_private_optimizer(model, optimizer, PrefetchLoader::new(loader), q);
+        PrivateTrainer::make_private_optimizer(model, optimizer, LookaheadLoader::new(loader), q);
 
     let t0 = Stopwatch::start();
     let _ = trainer.train_steps(STEPS - 1);

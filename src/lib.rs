@@ -11,8 +11,8 @@
 //! # Example
 //!
 //! ```
-//! use lazydp::data::{FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset};
-//! use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
+//! use lazydp::data::{FixedBatchLoader, SyntheticConfig, SyntheticDataset};
+//! use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
 //! use lazydp::model::{Dlrm, DlrmConfig};
 //! use lazydp::rng::counter::CounterNoise;
 //! use lazydp::rng::Xoshiro256PlusPlus;
@@ -21,11 +21,9 @@
 //! let model = Dlrm::new(DlrmConfig::tiny(2, 64, 8), &mut rng);
 //! let ds = SyntheticDataset::new(SyntheticConfig::small(2, 64, 128));
 //! let loader = FixedBatchLoader::new(ds, 16);
-//! // Async double-buffered input pipeline.
 //! let cfg = LazyDpConfig::paper_default(16);
-//! let optimizer = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(7));
-//! let mut trainer = PrivateTrainer::make_private_optimizer(
-//!     model, optimizer, PrefetchLoader::new(loader), 16.0 / 128.0);
+//! let mut trainer = PrivateTrainer::make_private(
+//!     model, cfg, loader, CounterNoise::new(7), 16.0 / 128.0);
 //! trainer.train_steps(3);
 //! let _released = trainer.finish();
 //! ```

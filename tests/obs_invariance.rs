@@ -12,11 +12,9 @@
 //! One `#[test]` only: the obs mode is process-global, so a concurrent
 //! test sweeping it would race.
 
-use lazydp::data::{
-    FixedBatchLoader, LookaheadLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
-};
+use lazydp::data::{FixedBatchLoader, LookaheadLoader, SyntheticConfig, SyntheticDataset};
 use lazydp::dpsgd::{AdaFestConfig, AdaFestOptimizer, DpConfig};
-use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
+use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::obs::ObsMode;
 use lazydp::rng::counter::CounterNoise;
@@ -36,10 +34,11 @@ fn lazydp_run(model: &Dlrm, ds: &SyntheticDataset) -> Dlrm {
     let q = BATCH as f64 / ds.len() as f64;
     // threads=2 exercises the overlap worker under every obs mode.
     let cfg = LazyDpConfig::new(DpConfig::paper_default(BATCH), true).with_threads(2);
-    let mut trainer = PrivateTrainer::make_private_optimizer(
+    let mut trainer = PrivateTrainer::make_private(
         model.clone(),
-        LazyDpOptimizer::new(cfg, model, CounterNoise::new(11)),
-        PrefetchLoader::new(FixedBatchLoader::new(ds.clone(), BATCH)),
+        cfg,
+        FixedBatchLoader::new(ds.clone(), BATCH),
+        CounterNoise::new(11),
         q,
     );
     let _ = trainer.train_steps(STEPS);

@@ -205,51 +205,6 @@ proptest! {
         }
     }
 
-    /// The async-pipeline tentpole invariant: training through the
-    /// background-thread `PrefetchLoader` produces the bitwise-same
-    /// model as the synchronous `LookaheadLoader` over the same
-    /// Zipf-skewed source — prefetching changes *when* batches are
-    /// materialized, never *what* the optimizer sees.
-    #[test]
-    fn prefetch_loader_matches_synchronous_loader(
-        exponent in 0.4f64..1.4,
-        seed in 0u64..1000,
-    ) {
-        use lazydp::data::{
-            AccessDistribution, FixedBatchLoader, PrefetchLoader, SyntheticConfig, SyntheticDataset,
-        };
-        use lazydp::lazy::PrivateTrainer;
-        let rows = 64u64;
-        let tables = 2usize;
-        let mk_loader = || {
-            let cfg = SyntheticConfig::small(tables, rows, 128)
-                .with_seed(seed)
-                .with_distributions(
-                    (0..tables).map(|_| AccessDistribution::zipf(rows, exponent)).collect(),
-                );
-            FixedBatchLoader::new(SyntheticDataset::new(cfg), 16)
-        };
-        let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ 0x00f0_0d1e);
-        let model0 = Dlrm::new(DlrmConfig::tiny(tables, rows, 4), &mut rng);
-        let cfg = LazyDpConfig::new(DpConfig::new(0.8, 1.0, 0.05, 16), true);
-        let q = 16.0 / 128.0;
-        let mut sync_t = PrivateTrainer::make_private(
-            model0.clone(), cfg.clone(), mk_loader(), CounterNoise::new(seed), q);
-        let _ = sync_t.train_steps(5);
-        let sync_model = sync_t.finish();
-        let opt = LazyDpOptimizer::new(cfg, &model0, CounterNoise::new(seed));
-        let mut pre_t = PrivateTrainer::make_private_optimizer(
-            model0, opt, PrefetchLoader::new(mk_loader()), q);
-        let _ = pre_t.train_steps(5);
-        let pre_model = pre_t.finish();
-        for (t, (a, b)) in sync_model.tables.iter().zip(pre_model.tables.iter()).enumerate() {
-            prop_assert!(
-                a.max_abs_diff(b) == 0.0,
-                "table {t} diverged through the prefetch pipeline"
-            );
-        }
-    }
-
     /// The out-of-core tentpole invariant: a full LazyDP run — `step`s
     /// plus `finalize_model` — on the paged `StoredTable` backend is
     /// **bitwise** identical to the in-memory run on Zipf-skewed
