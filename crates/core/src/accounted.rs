@@ -9,7 +9,7 @@
 //! `RdpAccountant::compose_mechanism` accordingly.
 
 use crate::optimizer::LazyDpOptimizer;
-use lazydp_dpsgd::{AdaFestOptimizer, EagerDpSgd, EanaOptimizer, Optimizer};
+use lazydp_dpsgd::{AdaFestOptimizer, EagerDpSgd, Optimizer};
 use lazydp_embedding::{EmbeddingStorage, EmbeddingTable};
 use lazydp_privacy::Mechanism;
 use lazydp_rng::RowNoise;
@@ -17,6 +17,32 @@ use lazydp_rng::RowNoise;
 /// An [`Optimizer`] that knows the per-step privacy mechanism it
 /// releases, so [`PrivateTrainer`](crate::PrivateTrainer) can charge
 /// the accountant correctly for any algorithm.
+///
+/// EANA is deliberately not one: its guarantee is data-dependent —
+/// untouched rows never receive noise (§7.4) — which no (σ, q, T)
+/// triple captures, so any ε an accountant printed for it would not
+/// bound its release. The trait bound rejects it at compile time:
+///
+/// ```compile_fail
+/// use lazydp_core::AccountedOptimizer;
+/// use lazydp_dpsgd::{DpConfig, EanaOptimizer};
+/// use lazydp_rng::counter::CounterNoise;
+///
+/// fn charged<O: AccountedOptimizer>(_: &O) {}
+/// charged(&EanaOptimizer::new(DpConfig::new(1.3, 1.0, 0.05, 16), CounterNoise::new(1)));
+/// ```
+///
+/// while the same call on eager DP-SGD compiles:
+///
+/// ```
+/// use lazydp_core::AccountedOptimizer;
+/// use lazydp_dpsgd::{ClipStyle, DpConfig, EagerDpSgd};
+/// use lazydp_rng::counter::CounterNoise;
+///
+/// fn charged<O: AccountedOptimizer>(_: &O) {}
+/// let dp = DpConfig::new(1.3, 1.0, 0.05, 16);
+/// charged(&EagerDpSgd::new(dp, ClipStyle::Fast, CounterNoise::new(1)));
+/// ```
 pub trait AccountedOptimizer<T: EmbeddingStorage = EmbeddingTable>: Optimizer<T> {
     /// The mechanism one call to [`Optimizer::step`] releases.
     fn mechanism(&self) -> Mechanism;
@@ -36,18 +62,6 @@ impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage> AccountedOptimizer<
 
 impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EagerDpSgd<N> {
     fn mechanism(&self) -> Mechanism {
-        Mechanism::Gaussian {
-            sigma: self.config().noise_multiplier,
-        }
-    }
-}
-
-impl<N: RowNoise> AccountedOptimizer for EanaOptimizer<N> {
-    fn mechanism(&self) -> Mechanism {
-        // EANA's *nominal* accounting (Ning et al.): the σ it targets.
-        // Its actual guarantee is weaker and data-dependent — untouched
-        // rows never receive noise (§7.4) — which no (σ, q, T) triple
-        // captures; the accountant reports the nominal figure.
         Mechanism::Gaussian {
             sigma: self.config().noise_multiplier,
         }
@@ -96,9 +110,6 @@ mod tests {
 
         let eager = EagerDpSgd::new(dp, ClipStyle::Fast, CounterNoise::new(1));
         assert_eq!(eager.mechanism(), Mechanism::Gaussian { sigma: 1.3 });
-
-        let eana = EanaOptimizer::new(dp, CounterNoise::new(1));
-        assert_eq!(eana.mechanism(), Mechanism::Gaussian { sigma: 1.3 });
 
         let ada = AdaFestOptimizer::new(AdaFestConfig::new(dp, 2.0, 1.0, 16), CounterNoise::new(1));
         assert_eq!(

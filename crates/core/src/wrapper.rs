@@ -22,7 +22,7 @@ use lazydp_rng::RowNoise;
 /// (LazyDP over the synchronous lookahead loader);
 /// [`make_private_optimizer`](Self::make_private_optimizer) composes
 /// the pieces explicitly — any [`AccountedOptimizer`] (`O`: LazyDP,
-/// DP-AdaFEST, eager DP-SGD, EANA) over a [`LookaheadLoader`] of any
+/// DP-AdaFEST, eager DP-SGD) over a [`LookaheadLoader`] of any
 /// [`BatchSource`] (`L = LookaheadLoader<S>`), and any embedding backend
 /// (`T`: e.g. disk-backed tables via
 /// `model.try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))`).
@@ -90,7 +90,7 @@ where
     O: AccountedOptimizer<T>,
     T: EmbeddingStorage,
 {
-    /// Wraps an arbitrary [`AccountedOptimizer`] — eager DP-SGD, EANA,
+    /// Wraps an arbitrary [`AccountedOptimizer`] — eager DP-SGD,
     /// AdaFEST, LazyDP — into a training session with per-step privacy
     /// accounting of whatever mechanism the optimizer reports.
     ///

@@ -170,6 +170,10 @@ impl Executor {
     /// # Panics
     ///
     /// Panics if `chunk_len == 0`, or propagates a panic from `f`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D3: the executor is the one sanctioned home of raw threads"
+    )]
     pub fn par_for<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
     where
         T: Send,
@@ -248,8 +252,8 @@ impl Executor {
 /// This is the **only** sanctioned way to overlap two pieces of work that
 /// are not chunk-addressed (e.g. LazyDP's pending-noise flush for step
 /// `t+1` overlapped with step `t`'s clipped aggregation). Keeping the
-/// raw `std::thread::scope` here, inside the executor crate, means the
-/// lint pass (rule D3) can verify that no other crate spawns threads —
+/// raw `std::thread::scope` here, inside the executor crate, means
+/// clippy (rule D3) can verify that no other crate spawns threads —
 /// every parallel region in the training path is either chunk-addressed
 /// ([`Executor::par_for`] / [`Executor::par_map_chunks`]) or an explicit
 /// two-sided overlap whose sides touch disjoint state.
@@ -263,6 +267,10 @@ impl Executor {
 /// # Panics
 ///
 /// Propagates a panic from either closure.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D3: the executor is the one sanctioned home of raw threads"
+)]
 pub fn overlap<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,

@@ -1,132 +1,149 @@
-//! `lazydp-lint` — workspace static analysis that machine-checks the
-//! determinism & privacy contract of the LazyDP reproduction.
+//! `lazydp-lint` — workspace static analysis for the parts of the
+//! LazyDP determinism & privacy contract that types cannot see.
 //!
 //! The reproduction's value rests on two invariants that refactors can
 //! silently break: **bitwise determinism** across threads/backends
 //! (the LazyDP ≡ eager DP-SGD equivalence), and **DP hygiene** (model
-//! state only ever leaves through the clip→noise release path). This
-//! crate turns the prose contract in `ARCHITECTURE.md` into a CI gate:
-//! a dependency-free, hand-rolled lexer (strings, char literals, nested
-//! comments, and attributes are understood; no `syn`, so the check
-//! builds offline) feeds a seven-rule engine, and every exemption lives
-//! in `lint.toml` with a mandatory written justification.
+//! state only ever leaves through the clip→noise release path). The
+//! contract in `ARCHITECTURE.md` is machine-checked in two halves:
+//!
+//! - rules that ask which type or function code names (D1 `HashMap`/
+//!   `HashSet`, D2 wall clock, D3 raw threads, O1 obs reads) are
+//!   clippy's `disallowed-types`/`disallowed-methods`, configured in
+//!   `crates/clippy.toml` and exempted by `#[expect]` at the site;
+//! - the rest live here: a dependency-free, hand-rolled lexer (strings,
+//!   char literals, nested comments, and attributes are understood; no
+//!   `syn`, so the check builds offline) feeds four rules.
 //!
 //! # Rules
 //!
-//! See [`rules::RULES`] (or run `lazydp-lint rules`): D1 (no
-//! `HashMap`/`HashSet` in non-test code), D2 (no wall clock outside
-//! `crates/obs`), D3 (no raw `thread::{spawn,scope}` outside
-//! `lazydp_exec`), D4 (no float `.sum()`/`.fold(…)` outside
-//! `lazydp_tensor`), D5 (`#![forbid(unsafe_code)]` in every crate root),
-//! P1 (no debug-printing gradient-bearing values), P2 (no `rand::` or
-//! entropy-seeded sampling outside `lazydp_rng`).
+//! See [`rules::RULES`] (or run `lazydp-lint rules`): D4 (no float
+//! `.sum()`/`.fold(…)` outside `lazydp_tensor`), D5
+//! (`#![forbid(unsafe_code)]` in every crate root), P1 (no
+//! debug-printing gradient-bearing values), P2 (no `rand::` or
+//! entropy-seeded sampling outside `lazydp_rng`). Test code is exempt.
+//!
+//! # Exemptions
+//!
+//! A whole-line comment on the line above the flagged code, with a
+//! written reason of at least 10 characters:
+//!
+//! ```text
+//! // lazydp-lint: allow(P1): <why this value carries no gradient>
+//! ```
+//!
+//! A marker that suppresses nothing is itself a violation, as an
+//! unfulfilled `#[expect]` is under clippy.
 //!
 //! # CLI
 //!
 //! ```text
-//! cargo run -p lazydp-lint -- check [--json] [--root DIR] [--allowlist FILE]
+//! cargo run -p lazydp-lint -- check [--root DIR]
 //! cargo run -p lazydp-lint -- rules
 //! ```
 //!
-//! # Stability contract (for tooling)
-//!
-//! **Exit codes** are stable: `0` = clean (possibly with stale-allowlist
-//! warnings), `1` = at least one non-allowlisted violation, `2` = usage,
-//! I/O, or `lint.toml` configuration error.
-//!
-//! **`--json` schema** (`schema_version` is bumped on any breaking
-//! change; additions are non-breaking):
-//!
-//! ```json
-//! {
-//!   "schema_version": 1,
-//!   "root": "…",            // the scanned workspace root as given
-//!   "files_scanned": 123,
-//!   "rules": ["D1", "…"],   // the rule IDs this binary knows
-//!   "clean": true,
-//!   "violations":   [ {"rule", "path", "line", "column", "message", "snippet"} ],
-//!   "allowed":      [ {…same fields…, "reason"} ],
-//!   "stale_allows": [ {"rule", "path", "line"|null, "reason"} ]
-//! }
-//! ```
-//!
-//! Paths are workspace-relative with forward slashes; lines and columns
-//! are 1-based. `violations` is sorted by `(path, line, column, rule)`.
+//! Exit codes: `0` = clean, `1` = at least one violation, `2` = usage
+//! or I/O error.
 //!
 //! # Example
 //!
 //! ```
 //! use lazydp_lint::rules::check_source;
 //!
-//! let bad = "use std::collections::HashMap;\n";
+//! let bad = "fn f(xs: &[f32]) -> f32 { xs.iter().sum::<f32>() }\n";
 //! let v = check_source("crates/model/src/x.rs", bad);
-//! assert_eq!(v[0].rule, "D1");
-//! assert_eq!((v[0].line, v[0].col), (1, 23));
+//! assert_eq!(v[0].rule, "D4");
+//! assert_eq!((v[0].line, v[0].col), (1, 37));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allowlist;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 pub mod walk;
 
-use report::Report;
+use rules::Violation;
 use std::path::Path;
 
-/// Runs the full check: walk `root`, lint every file, apply the
-/// allowlist at `allowlist_path` (default `<root>/lint.toml`; a missing
-/// default allowlist means "no exemptions").
+/// The result of one `check` run.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Number of `.rs` files scanned.
+    pub files_scanned: usize,
+    /// Every violation found. Non-empty ⇒ the check fails (exit code 1).
+    pub violations: Vec<Violation>,
+}
+
+impl Report {
+    /// Whether the check passed.
+    #[must_use]
+    pub fn clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    /// Renders the human-readable report.
+    #[must_use]
+    pub fn to_text(&self) -> String {
+        let mut s = String::new();
+        for v in &self.violations {
+            s.push_str(&format!(
+                "{}:{}:{}: [{}] {}\n    {}\n",
+                v.path, v.line, v.col, v.rule, v.message, v.snippet
+            ));
+        }
+        s.push_str(&format!(
+            "{} file(s) scanned, {} violation(s)\n",
+            self.files_scanned,
+            self.violations.len()
+        ));
+        s.push_str(if self.clean() {
+            "lazydp-lint: clean\n"
+        } else {
+            "lazydp-lint: FAILED — fix the violation or exempt it with a justified marker\n"
+        });
+        s
+    }
+}
+
+/// Runs the full check: walk `root` and lint every file.
 ///
 /// # Errors
 ///
-/// Returns a message (exit code 2 territory) on I/O failure or a
-/// malformed allowlist.
-pub fn run_check(root: &Path, allowlist_path: Option<&Path>) -> Result<Report, String> {
-    let default_path = root.join("lint.toml");
-    let entries = match allowlist_path {
-        Some(p) => {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| format!("reading allowlist {}: {e}", p.display()))?;
-            allowlist::parse(&text)?
-        }
-        None if default_path.is_file() => {
-            let text = std::fs::read_to_string(&default_path)
-                .map_err(|e| format!("reading {}: {e}", default_path.display()))?;
-            allowlist::parse(&text)?
-        }
-        None => Vec::new(),
-    };
-
+/// Returns a message (exit code 2 territory) on I/O failure.
+pub fn run_check(root: &Path) -> Result<Report, String> {
     let files = walk::collect_files(root)?;
     let mut violations = Vec::new();
-    let mut allowed = Vec::new();
-    let mut used = vec![false; entries.len()];
     for rel in &files {
         let source =
             std::fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))?;
-        for v in rules::check_source(rel, &source) {
-            match entries.iter().position(|e| e.matches(&v)) {
-                Some(i) => {
-                    used[i] = true;
-                    allowed.push((v, entries[i].reason.clone()));
-                }
-                None => violations.push(v),
-            }
-        }
+        violations.extend(rules::check_source(rel, &source));
     }
-    let stale_allows = entries
-        .into_iter()
-        .zip(used)
-        .filter_map(|(e, u)| (!u).then_some(e))
-        .collect();
     Ok(Report {
-        root: root.display().to_string(),
         files_scanned: files.len(),
         violations,
-        allowed,
-        stale_allows,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn text_report_has_file_line_and_rule() {
+        let report = Report {
+            files_scanned: 2,
+            violations: vec![Violation {
+                rule: "D4",
+                path: "crates/x/src/a.rs".into(),
+                line: 3,
+                col: 7,
+                snippet: "let s = xs.iter().sum::<f32>();".into(),
+                message: "msg".into(),
+            }],
+        };
+        let t = report.to_text();
+        assert!(t.contains("crates/x/src/a.rs:3:7: [D4]"));
+        assert!(t.contains("FAILED"));
+    }
 }

@@ -1,5 +1,5 @@
-//! CLI for `lazydp-lint`. See the library docs for the stability
-//! contract (exit codes and the `--json` schema).
+//! CLI for `lazydp-lint`. See the library docs for the rules, the
+//! exemption marker and the exit codes.
 
 #![forbid(unsafe_code)]
 
@@ -10,15 +10,16 @@ const USAGE: &str = "\
 lazydp-lint — machine-checks the determinism & privacy contract
 
 USAGE:
-    lazydp-lint check [--json] [--root DIR] [--allowlist FILE]
+    lazydp-lint check [--root DIR]
     lazydp-lint rules
 
 `check` walks src/, examples/, and crates/*/{src,examples} under the
 workspace root (default: the nearest ancestor of the current directory
-containing lint.toml), reports violations as file:line:col spans with
-rule IDs, and applies the justified exemptions in lint.toml.
+containing crates/clippy.toml), reports violations as file:line:col
+spans with rule IDs, and applies the justified exemption markers
+(`// lazydp-lint: allow(<rule>): <reason>` on the line above).
 
-EXIT CODES (stable): 0 clean, 1 violations, 2 usage/IO/config error.
+EXIT CODES (stable): 0 clean, 1 violations, 2 usage/IO error.
 ";
 
 fn main() -> ExitCode {
@@ -43,20 +44,13 @@ fn main() -> ExitCode {
 }
 
 fn check(args: &[String]) -> ExitCode {
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut allowlist: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json = true,
             "--root" => match it.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_err("--root needs a value"),
-            },
-            "--allowlist" => match it.next() {
-                Some(v) => allowlist = Some(PathBuf::from(v)),
-                None => return usage_err("--allowlist needs a value"),
             },
             other => return usage_err(&format!("unknown argument `{other}`")),
         }
@@ -68,13 +62,9 @@ fn check(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match lazydp_lint::run_check(&root, allowlist.as_deref()) {
+    match lazydp_lint::run_check(&root) {
         Ok(report) => {
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.to_text());
-            }
+            print!("{}", report.to_text());
             if report.clean() {
                 ExitCode::SUCCESS
             } else {
@@ -94,19 +84,19 @@ fn usage_err(msg: &str) -> ExitCode {
 }
 
 /// Finds the workspace root: the nearest ancestor of the current
-/// directory containing `lint.toml`.
+/// directory containing `crates/clippy.toml`, the contract's other half.
 fn discover_root() -> Result<PathBuf, String> {
     let cwd = std::env::current_dir().map_err(|e| format!("getting cwd: {e}"))?;
     let mut dir = cwd.as_path();
     loop {
-        if dir.join("lint.toml").is_file() {
+        if dir.join("crates/clippy.toml").is_file() {
             return Ok(dir.to_path_buf());
         }
         match dir.parent() {
             Some(p) => dir = p,
             None => {
                 return Err(format!(
-                    "no lint.toml found in {} or any ancestor; pass --root",
+                    "no crates/clippy.toml found in {} or any ancestor; pass --root",
                     cwd.display()
                 ))
             }

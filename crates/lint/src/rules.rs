@@ -1,27 +1,27 @@
-//! The rule engine: eight lexical rules that machine-check the
-//! determinism & privacy contract documented in `ARCHITECTURE.md`.
+//! The rule engine: the four lexical rules of the determinism & privacy
+//! contract documented in `ARCHITECTURE.md` that types cannot see. D1–D3
+//! and O1 ask which type or function code names, so clippy checks them
+//! (`crates/clippy.toml`).
 //!
 //! Every rule reports [`Violation`]s with a `file:line` span and a rule
-//! ID; exemptions live in `lint.toml` (see [`crate::allowlist`]) and
-//! each must carry a written justification.
+//! ID. An exemption is a marker comment on the line above the flagged
+//! code, with a written reason of at least 10 characters:
+//! `// lazydp-lint: allow(P1): <reason>`. A marker that suppresses
+//! nothing is itself a violation, so exemptions cannot go stale.
 //!
 //! | ID | Invariant protected |
 //! |----|---------------------|
-//! | D1 | Bitwise replay: no `HashMap`/`HashSet` in non-test code (unordered iteration) |
-//! | D2 | Replayability: no `Instant`/`SystemTime` outside `crates/obs` |
-//! | D3 | Deterministic parallelism: no `std::thread::{spawn,scope}` outside `lazydp_exec` |
 //! | D4 | Fixed accumulation order: no float `.sum()`/`.fold(…)` outside `lazydp_tensor` |
 //! | D5 | Memory safety: every crate root carries `#![forbid(unsafe_code)]` |
 //! | P1 | DP hygiene: no printing or metric-recording of gradient-bearing values in non-test code |
 //! | P2 | Owned noise: no `rand::`/entropy-seeded sampling outside `lazydp_rng` |
-//! | O1 | Write-only observability: `lazydp_obs` read APIs only in `crates/obs`, `crates/bench`, tests |
 
 use crate::lexer::{lex, Token, TokenKind};
 
 /// A rule's identity and documentation, surfaced by `lazydp-lint rules`.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Stable rule ID (`D1`…`D5`, `P1`, `P2`).
+    /// Stable rule ID (`D4`, `D5`, `P1`, `P2`).
     pub id: &'static str,
     /// One-line description of what the rule flags.
     pub summary: &'static str,
@@ -29,27 +29,9 @@ pub struct Rule {
     pub invariant: &'static str,
 }
 
-/// The rule table. IDs are stable and part of the `--json` schema.
+/// The rule table. IDs are stable: doc comments across the workspace
+/// cite them, beside the clippy-enforced D1–D3 and O1.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "D1",
-        summary: "no HashMap/HashSet in non-test code",
-        invariant: "unordered iteration breaks bitwise replay; use BTreeMap, \
-                    sorted Vec iteration, or allowlist lookup-only maps",
-    },
-    Rule {
-        id: "D2",
-        summary: "no Instant::now/SystemTime outside crates/obs",
-        invariant: "wall-clock reads make runs unreplayable; the clock lives in \
-                    lazydp_obs::clock (Stopwatch, span timing) and only benchmark/ \
-                    reports what it reads",
-    },
-    Rule {
-        id: "D3",
-        summary: "no std::thread::{spawn,scope} outside lazydp_exec",
-        invariant: "all parallelism goes through the deterministic executor \
-                    (chunk-addressed par_for/par_map_chunks/overlap)",
-    },
     Rule {
         id: "D4",
         summary: "no float .sum()/.fold(...) reductions outside lazydp_tensor",
@@ -78,22 +60,7 @@ pub const RULES: &[Rule] = &[
         invariant: "noise must come from the owned, replayable GaussianSampler \
                     / CounterRng streams",
     },
-    Rule {
-        id: "O1",
-        summary: "no lazydp_obs read APIs (capture_metrics/take_trace_events/\
-                  obs_read) outside crates/obs, crates/bench, and tests",
-        invariant: "observability is write-only from hot paths: a recorded \
-                    value may reach a report or an exporter, never a training \
-                    decision — reads stay in bench, tests, and the obs \
-                    exporters",
-    },
 ];
-
-/// Whether `id` names a known rule.
-#[must_use]
-pub fn rule_known(id: &str) -> bool {
-    RULES.iter().any(|r| r.id == id)
-}
 
 /// One reported rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,65 +188,14 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
         });
     };
 
-    let in_bench = rel_path.starts_with("crates/bench/");
-    let in_exec = rel_path.starts_with("crates/exec/");
     let in_tensor = rel_path.starts_with("crates/tensor/");
     let in_rng = rel_path.starts_with("crates/rng/");
-    let in_obs = rel_path.starts_with("crates/obs/");
 
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokenKind::Ident || in_test(i) {
             continue;
         }
         let name = t.text.as_str();
-
-        // D1: unordered containers.
-        if name == "HashMap" || name == "HashSet" {
-            push(
-                "D1",
-                t,
-                format!(
-                    "`{name}` in non-test code: iteration order is \
-                     nondeterministic and breaks bitwise replay; use \
-                     BTreeMap/BTreeSet, a sorted Vec, or allowlist a \
-                     provably lookup-only use"
-                ),
-            );
-        }
-
-        // D2: wall clock.
-        if !in_obs && (name == "Instant" || name == "SystemTime") {
-            push(
-                "D2",
-                t,
-                format!(
-                    "wall-clock type `{name}` outside crates/obs: timing \
-                     belongs in lazydp_obs::clock (e.g. `Stopwatch`, \
-                     `span!`), or allowlist a measurement-only span"
-                ),
-            );
-        }
-
-        // D3: raw threads. Matches `thread::spawn`, `thread::scope`,
-        // and `thread::Builder` (whose `.spawn` method call would
-        // otherwise slip past the path pattern).
-        if !in_exec
-            && (name == "spawn" || name == "scope" || name == "Builder")
-            && i >= 3
-            && toks[i - 1].is_punct(':')
-            && toks[i - 2].is_punct(':')
-            && toks[i - 3].is_ident("thread")
-        {
-            push(
-                "D3",
-                t,
-                format!(
-                    "`thread::{name}` outside lazydp_exec: all parallelism \
-                     must go through the deterministic executor \
-                     (par_for/par_map_chunks/overlap)"
-                ),
-            );
-        }
 
         // D4: float reductions. Only calls count — `.sum(` or a
         // `.sum::<…>` turbofish — so a field named `sum` (e.g. a
@@ -303,8 +219,8 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
                         "float `.{name}(…)` reduction outside lazydp_tensor \
                          ({ev}): route through lazydp_tensor's pinned \
                          accumulation primitives (vecops/dot_tree) so the \
-                         accumulation order stays fixed, or allowlist with \
-                         justification"
+                         accumulation order stays fixed, or exempt it \
+                         with a justified marker"
                     ),
                 );
             }
@@ -330,7 +246,7 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
                              `{arg}` in non-test code: raw per-example \
                              gradients/norms must not leak into logs; only \
                              released (post clip->noise) values may be \
-                             printed — allowlist those with justification"
+                             printed — exempt those with a justified marker"
                         ),
                     );
                 }
@@ -410,25 +326,6 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
             }
         }
 
-        // O1: obs read APIs outside the sanctioned readers. The loop
-        // already skips test regions, so only library/binary/example hot
-        // paths reach this check.
-        if !(in_obs || in_bench)
-            && (name == "capture_metrics" || name == "take_trace_events" || name == "obs_read")
-        {
-            push(
-                "O1",
-                t,
-                format!(
-                    "obs read API `{name}` outside crates/obs and \
-                     crates/bench: observability is write-only from hot \
-                     paths — recorded values may reach reports via \
-                     lazydp_obs::export, never training code; move the read \
-                     into bench or a test"
-                ),
-            );
-        }
-
         // P2: foreign randomness.
         if !in_rng {
             if ENTROPY_IDENTS.contains(&name) {
@@ -472,8 +369,72 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
         });
     }
 
+    // Exemption markers: each drops its rule's violations on the next
+    // line, and a marker that drops nothing is reported like a malformed
+    // one, so a stale exemption fails the check.
+    let mut marker_faults = Vec::new();
+    for (idx, text) in lines.iter().enumerate() {
+        let Some(rest) = text.trim_start().strip_prefix(MARKER) else {
+            continue;
+        };
+        let line = idx as u32 + 1;
+        let fault = match parse_marker(rest) {
+            Err(message) => Some(message),
+            Ok(rule) => {
+                let before = out.len();
+                out.retain(|v| !(v.rule == rule && v.line == line + 1));
+                (out.len() == before).then(|| {
+                    format!(
+                        "`allow({rule})` marker suppresses nothing on the \
+                         next line: delete it"
+                    )
+                })
+            }
+        };
+        if let Some(message) = fault {
+            marker_faults.push(Violation {
+                rule: "marker",
+                path: rel_path.to_string(),
+                line,
+                col: (text.len() - text.trim_start().len()) as u32 + 1,
+                snippet: snippet(line),
+                message,
+            });
+        }
+    }
+    out.extend(marker_faults);
+
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
+}
+
+/// The prefix of an exemption marker: a whole-line comment
+/// `// lazydp-lint: allow(<rule>): <reason>` exempts the next line from
+/// `<rule>`.
+const MARKER: &str = "// lazydp-lint:";
+
+/// Parses the text after [`MARKER`] into the rule it exempts. Errors
+/// name what is wrong: the shape, an unknown rule, or a reason under
+/// 10 characters.
+fn parse_marker(rest: &str) -> Result<&'static str, String> {
+    let (id, reason) = rest
+        .trim_start()
+        .strip_prefix("allow(")
+        .and_then(|r| r.split_once("):"))
+        .ok_or_else(|| format!("malformed marker: write `{MARKER} allow(<rule>): <reason>`"))?;
+    let rule = RULES.iter().find(|r| r.id == id).ok_or_else(|| {
+        format!(
+            "marker names `{id}`, which lazydp-lint does not check \
+                 (D1–D3 and O1 are clippy's: exempt with `#[expect]`)"
+        )
+    })?;
+    if reason.trim().chars().count() < 10 {
+        return Err(format!(
+            "`allow({id})` marker needs a written reason of at least 10 \
+             characters"
+        ));
+    }
+    Ok(rule.id)
 }
 
 const FORMAT_MACROS: &[&str] = &[
@@ -655,17 +616,17 @@ mod tests {
 
     #[test]
     fn test_region_detection_skips_cfg_test_mods() {
-        let src = "fn real() { let m: HashMap<u8,u8> = x(); }\n\
-                   #[cfg(test)]\nmod tests {\n    fn t() { let s: HashSet<u8> = y(); }\n}\n";
+        let src = "fn real() { let x = rand::random::<u64>(); }\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { let y = rand::random::<u8>(); }\n}\n";
         let v = check_source("crates/model/src/fake.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "D1");
+        assert_eq!(v[0].rule, "P2");
         assert_eq!(v[0].line, 1);
     }
 
     #[test]
     fn cfg_not_test_is_not_test_code() {
-        let src = "#[cfg(not(test))]\nfn real() { let m: HashMap<u8,u8> = x(); }\n";
+        let src = "#[cfg(not(test))]\nfn real() { let x = rand::random::<u64>(); }\n";
         let v = check_source("crates/model/src/fake.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
     }
@@ -673,8 +634,8 @@ mod tests {
     #[test]
     fn rule_table_ids_are_unique() {
         let mut ids: Vec<_> = RULES.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), RULES.len());
-        assert!(rule_known("D1") && rule_known("P2") && !rule_known("Z9"));
     }
 }

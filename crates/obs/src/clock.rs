@@ -1,13 +1,21 @@
 //! Wall-clock measurement, quarantined.
 //!
-//! The workspace lint pass (rule **D2**) bans `std::time::Instant` and
-//! `SystemTime` everywhere outside `crates/obs`: wall-clock reads are
-//! inherently non-deterministic, so a timing call sitting next to
-//! training logic is a standing invitation to let "how long did it
-//! take" leak into "what did it compute". This module is the single
-//! sanctioned home of the clock: `benchmark/` and examples time with
-//! [`Stopwatch`], and the span machinery in [`crate::trace`] reads
-//! [`now_ns`] only when tracing is on.
+//! Rule **D2** (clippy's `disallowed_types`, configured in
+//! `crates/clippy.toml`) bans `std::time::Instant` and `SystemTime` in
+//! every workspace crate: wall-clock reads are inherently
+//! non-deterministic, so a timing call sitting next to training logic
+//! is a standing invitation to let "how long did it take" leak into
+//! "what did it compute". This module is the single sanctioned home of
+//! the clock, and its exemption is the module-level `expect` below (an
+//! item-level one cannot cover the `Instant` field that `Stopwatch`'s
+//! derives re-emit). `benchmark/` and examples time with [`Stopwatch`],
+//! and the span machinery in [`crate::trace`] reads [`now_ns`] only
+//! when tracing is on.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "D2: the one sanctioned home of the wall clock"
+)]
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};

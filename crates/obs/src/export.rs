@@ -6,7 +6,7 @@
 //! binaries) without violating the write-only contract of rule **O1**.
 //! The banned read APIs ([`crate::snapshot::capture_metrics`],
 //! [`crate::trace::take_trace_events`]) are wrapped *inside* this
-//! module, which lint rule O1 sanctions along with `crates/bench`.
+//! module; each exporter carries its own O1 `expect`.
 
 use crate::snapshot::capture_metrics;
 use crate::trace::take_trace_events;
@@ -19,6 +19,10 @@ use std::path::Path;
 /// # Errors
 ///
 /// Propagates the underlying file-system error.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "O1: an exporter moves recorded values out of the process, never back to the caller"
+)]
 pub fn write_snapshot_json(path: &Path) -> io::Result<()> {
     std::fs::write(path, capture_metrics().to_json())
 }
@@ -31,6 +35,10 @@ pub fn write_snapshot_json(path: &Path) -> io::Result<()> {
 /// # Errors
 ///
 /// Propagates the underlying file-system error.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "O1: an exporter moves recorded values out of the process, never back to the caller"
+)]
 pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
     let events = take_trace_events();
     let mut s = String::with_capacity(64 + events.len() * 96);
@@ -69,6 +77,10 @@ pub fn write_chrome_trace_if_tracing(path: &Path) -> io::Result<bool> {
 /// Prints the out-of-core store's counters to stdout, one per line.
 /// Values go to the terminal, not to the caller — exporter, not read
 /// API.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "O1: an exporter moves recorded values out of the process, never back to the caller"
+)]
 pub fn print_store_summary() {
     let snap = capture_metrics();
     let hits = snap.counter("store.hits");

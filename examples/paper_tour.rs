@@ -52,10 +52,12 @@ fn main() {
         "  noise sampling      {:>8.2} s  (compute-bound Box–Muller, N=101 AVX ops)",
         dpf.breakdown.noise_sampling
     );
+    // lazydp-lint: allow(P1): a cost-model timing (seconds), not a gradient-bearing tensor
     println!(
         "  noisy grad update   {:>8.2} s  (memory-bound full-table stream)",
         dpf.breakdown.noisy_grad_update
     );
+    // lazydp-lint: allow(P1): a cost-model timing (seconds), not a gradient-bearing tensor
     println!(
         "  noisy grad gen      {:>8.2} s",
         dpf.breakdown.noisy_grad_gen

@@ -2,6 +2,8 @@
 //! LazyDP "mathematically equivalent, differentially private" (paper
 //! abstract), exercised through the public facade API.
 
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use lazydp::data::{
     FixedBatchLoader, LookaheadLoader, MiniBatch, SyntheticConfig, SyntheticDataset,
 };

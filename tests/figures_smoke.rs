@@ -1,6 +1,8 @@
 //! Smoke tests for the figure-regeneration harness: every experiment
 //! runs, renders, and reproduces the paper's key quantitative shapes.
 
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use lazydp_bench::{all_experiments, experiment_ids, full_report, run_experiment};
 
 #[test]

@@ -12,6 +12,8 @@
 //! One `#[test]` only: the obs mode is process-global, so a concurrent
 //! test sweeping it would race.
 
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use lazydp::data::{FixedBatchLoader, LookaheadLoader, SyntheticConfig, SyntheticDataset};
 use lazydp::dpsgd::{AdaFestConfig, AdaFestOptimizer, DpConfig};
 use lazydp::lazy::{LazyDpConfig, PrivateTrainer};

@@ -1,6 +1,8 @@
 //! Property-based tests of the core invariants, across randomized
 //! traces, shapes, and hyper-parameters.
 
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use lazydp::data::{MiniBatch, SyntheticConfig, SyntheticDataset};
 use lazydp::dpsgd::{clip_weights, ClipStyle, DpConfig, EagerDpSgd, Optimizer};
 use lazydp::embedding::sparse::dedup_indices;
