@@ -202,8 +202,8 @@ pub fn fault_resilience() -> Table {
         &model0,
         &batches,
     );
-    let degraded_diff = max_diff(&reference, &degraded);
-    assert_eq!(degraded_diff, 0.0, "degradation must be bitwise");
+    let dead_diff = max_diff(&reference, &degraded);
+    assert_eq!(dead_diff, 0.0, "degradation must be bitwise");
 
     // Kill + resume (in-memory model; the checkpoint store is the
     // subject here, not the page file).
@@ -222,7 +222,7 @@ pub fn fault_resilience() -> Table {
          failure at ordinal 24 (graceful degradation to the in-memory \
          backend), and an injected mid-step kill resumed from the \
          last-good manifest entry. Counters are lazydp_obs fault.* \
-         deltas; all zero under LAZYDP_OBS=off. The same plans are \
+         deltas; all zero with lazydp_obs set to Off. The same plans are \
          expressible via LAZYDP_FAULTS, e.g. \
          7:page.read*0.05=transient,page.write*0.05=transient. \
          JSON export: cargo run --release -p lazydp_bench --bin figures \
@@ -251,7 +251,7 @@ pub fn fault_resilience() -> Table {
     ]);
     t.push_row(vec![
         "dead device: released max |Δ| vs clean".into(),
-        format!("{degraded_diff}"),
+        format!("{dead_diff}"),
     ]);
     t.push_row(vec![
         "kill+resume: steps replayed".into(),

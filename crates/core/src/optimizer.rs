@@ -192,7 +192,7 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
     /// segment touches its rows through the page cache, so release never
     /// needs the whole table resident.
     pub fn finalize_model<T: EmbeddingStorage>(&mut self, model: &mut Dlrm<T>) {
-        lazydp_obs::span!("finalize.flush_all");
+        lazydp_obs::span!(finalize_flush_all);
         let ans = self.cfg.ans;
         let exec = Executor::new(self.cfg.dp.threads);
         let TableStage {
@@ -294,7 +294,7 @@ where
         // changes row values.
         let overlap = has_next && dp.threads > 1;
         let clipped = if overlap {
-            lazydp_obs::span!("step.flush_overlap");
+            lazydp_obs::span!(step_flush_overlap);
             lazydp_obs::metrics().trainer.flush_overlaps.incr();
             // The worker samples through its own handle: the source is a
             // pure function of the address, so a clone draws the same
@@ -368,7 +368,7 @@ where
             if has_next {
                 let flush = &mut self.flushes[t];
                 if !overlap {
-                    lazydp_obs::span!("step.flush_seq");
+                    lazydp_obs::span!(step_flush_seq);
                     let tg: &[u64] = &self.targets[t];
                     table.prefetch_rows(tg);
                     if t == 0 {
@@ -390,7 +390,7 @@ where
                 flush.merge_into(update);
             }
             {
-                lazydp_obs::span!("step.sparse_update");
+                lazydp_obs::span!(step_sparse_update);
                 table.sparse_update(update, lr);
             }
             counters.table_rows_read += update.len() as u64;

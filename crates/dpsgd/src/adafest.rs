@@ -342,6 +342,7 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
         // σ_select is relative to the count query's sensitivity; the
         // realized per-count noise std carries the Δ = max_lookups·√T
         // factor so the accountant's unit-sensitivity view is honest.
+        lazydp_obs::span!(step_table_noise);
         let select_std = self.cfg.selection_noise_std(model.tables.len());
         let threshold = self.cfg.threshold;
         let (counts, selected) = (&mut self.counts, &mut self.selected);

@@ -162,6 +162,7 @@ impl<N: RowNoise + Clone + Send + Sync> Optimizer for EagerDpSgd<N> {
         self.core.scale_and_coalesce();
         self.core.dense_update(model);
         // Table stage: every row of every table receives fresh noise.
+        lazydp_obs::span!(step_table_noise);
         let threads = self.core.config().threads;
         let TableStage {
             grads,

@@ -61,6 +61,7 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
         // An empty batch accesses none, so EANA adds no embedding noise
         // at all — exactly the information leak §2.5 describes (the MLP
         // noise above still lands: dense layers are always "accessed").
+        lazydp_obs::span!(step_table_noise);
         let TableStage {
             grads,
             noise,

@@ -51,20 +51,30 @@ impl Optimizer for SgdOptimizer {
             return StepStats::default();
         }
         let s = &mut self.scratch;
-        model.forward_with(batch, &mut s.cache, &mut s.model_scratch);
+        {
+            lazydp_obs::span!(step_forward);
+            model.forward_with(batch, &mut s.cache, &mut s.model_scratch);
+        }
         self.counters.rows_gathered += batch.total_lookups() as u64;
         Dlrm::logit_grads_into(&s.cache, &batch.labels, true, &mut s.logit_g);
-        model.backward_with(
-            &s.cache,
-            batch,
-            &s.logit_g,
-            &mut s.grads,
-            &mut s.model_scratch,
-        );
+        {
+            lazydp_obs::span!(step_backward);
+            model.backward_with(
+                &s.cache,
+                batch,
+                &s.logit_g,
+                &mut s.grads,
+                &mut s.model_scratch,
+            );
+        }
         self.counters.duplicates_removed += s.grads.coalesce_with(&mut s.coalesce) as u64;
-        model.bottom.apply(&s.grads.bottom, self.lr);
-        model.top.apply(&s.grads.top, self.lr);
+        {
+            lazydp_obs::span!(step_dense_update);
+            model.bottom.apply(&s.grads.bottom, self.lr);
+            model.top.apply(&s.grads.top, self.lr);
+        }
         for (table, g) in model.tables.iter_mut().zip(s.grads.tables.iter()) {
+            lazydp_obs::span!(step_sparse_update);
             sparse_grad_update(table, g, self.lr, &mut self.counters);
         }
         self.counters.steps += 1;

@@ -141,7 +141,7 @@ impl<N: RowNoise> DpStep<N> {
             return 0.0;
         }
         {
-            lazydp_obs::span!("step.forward");
+            lazydp_obs::span!(step_forward);
             model.forward_with(batch, &mut s.cache, &mut s.model_scratch);
         }
         self.counters.rows_gathered += batch.total_lookups() as u64;
@@ -149,7 +149,7 @@ impl<N: RowNoise> DpStep<N> {
         let c = self.cfg.max_grad_norm;
         let norms = &mut s.norms;
         {
-            lazydp_obs::span!("step.backward_clip");
+            lazydp_obs::span!(step_backward_clip);
             // The norms are copied out of the closure so the clipped
             // fraction can be reported without re-deriving them.
             model.backward_clipped_with(
@@ -171,6 +171,7 @@ impl<N: RowNoise> DpStep<N> {
     /// Averages the aggregate over the nominal batch and coalesces the
     /// per-table gradients (sorted, duplicate-free rows).
     pub fn scale_and_coalesce(&mut self) {
+        lazydp_obs::span!(step_coalesce);
         let s = &mut self.scratch;
         s.grads.scale(1.0 / self.cfg.nominal_batch as f32);
         self.counters.duplicates_removed += s.grads.coalesce_with(&mut s.coalesce) as u64;
@@ -183,7 +184,7 @@ impl<N: RowNoise> DpStep<N> {
         let lr = self.cfg.lr;
         let s = &mut self.scratch;
         {
-            lazydp_obs::span!("step.dense_update");
+            lazydp_obs::span!(step_dense_update);
             model.bottom.apply(&s.grads.bottom, lr);
             model.top.apply(&s.grads.top, lr);
             for (mlp, base) in [

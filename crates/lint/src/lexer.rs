@@ -18,8 +18,7 @@ pub enum TokenKind {
     Int,
     /// Float literal (`0.5`, `1e-3`, `2f32`).
     Float,
-    /// String literal of any flavor (`"…"`, `r#"…"#`, `b"…"`); contents
-    /// are not retained.
+    /// String literal of any flavor (`"…"`, `r#"…"#`, `b"…"`).
     Str,
     /// Char literal (`'a'`, `'\n'`, `b'x'`).
     Char,
@@ -34,9 +33,10 @@ pub enum TokenKind {
 pub struct Token {
     /// The token's kind.
     pub kind: TokenKind,
-    /// Source text for `Ident`, `Int`, and `Float` tokens; empty for
-    /// strings/chars (contents never matter to a rule) and single-char
-    /// for punctuation.
+    /// Source text for `Ident`, `Int`, and `Float` tokens; the raw
+    /// contents between the quotes for strings (escapes unprocessed,
+    /// which is enough for P1's format-capture scan); empty for chars
+    /// and single-char for punctuation.
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -130,32 +130,40 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn eat_string(&mut self) {
+    fn eat_string(&mut self) -> String {
         // Called after consuming the opening `"`.
+        let mut text = String::new();
         while let Some(c) = self.bump() {
             match c {
                 '\\' => {
-                    self.bump();
+                    text.push(c);
+                    text.extend(self.bump());
                 }
                 '"' => break,
-                _ => {}
+                _ => text.push(c),
             }
         }
+        text
     }
 
-    fn eat_raw_string(&mut self, hashes: usize) {
+    fn eat_raw_string(&mut self, hashes: usize) -> String {
         // Called after consuming `r##…#"`; ends at `"##…#`.
+        let mut text = String::new();
         'outer: while let Some(c) = self.bump() {
             if c == '"' {
-                for _ in 0..hashes {
+                for i in 0..hashes {
                     if self.peek() != Some('#') {
+                        text.push('"');
+                        text.push_str(&"#".repeat(i));
                         continue 'outer;
                     }
                     self.bump();
                 }
                 break;
             }
+            text.push(c);
         }
+        text
     }
 
     fn eat_ident(&mut self, first: char) -> String {
@@ -276,10 +284,10 @@ pub fn lex(src: &str) -> Vec<Token> {
                 }),
             },
             '"' => {
-                lx.eat_string();
+                let text = lx.eat_string();
                 toks.push(Token {
                     kind: TokenKind::Str,
-                    text: String::new(),
+                    text,
                     line,
                     col,
                 });
@@ -306,14 +314,14 @@ pub fn lex(src: &str) -> Vec<Token> {
                     for _ in 0..=hashes {
                         lx.bump(); // hashes + opening quote
                     }
-                    if hashes == 0 && c == 'b' {
-                        lx.eat_string();
+                    let text = if hashes == 0 && c == 'b' {
+                        lx.eat_string()
                     } else {
-                        lx.eat_raw_string(hashes);
-                    }
+                        lx.eat_raw_string(hashes)
+                    };
                     toks.push(Token {
                         kind: TokenKind::Str,
-                        text: String::new(),
+                        text,
                         line,
                         col,
                     });
@@ -331,10 +339,10 @@ pub fn lex(src: &str) -> Vec<Token> {
                         h += 1;
                     }
                     lx.bump(); // "
-                    lx.eat_raw_string(h);
+                    let text = lx.eat_raw_string(h);
                     toks.push(Token {
                         kind: TokenKind::Str,
-                        text: String::new(),
+                        text,
                         line,
                         col,
                     });
@@ -465,6 +473,16 @@ mod tests {
         let ids = idents(src);
         assert!(!ids.iter().any(|i| i == "HashMap"), "{ids:?}");
         assert!(ids.contains(&"let".to_string()));
+    }
+
+    #[test]
+    fn strings_keep_their_raw_contents() {
+        let texts: Vec<String> = lex(r###"f("{grad}\"", r#"a"b"#, r##"c"#d"##)"###)
+            .into_iter()
+            .filter(|t| t.kind == TokenKind::Str)
+            .map(|t| t.text)
+            .collect();
+        assert_eq!(texts, [r#"{grad}\""#, "a\"b", "c\"#d"]);
     }
 
     #[test]

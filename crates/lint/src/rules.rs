@@ -237,7 +237,9 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
                          ship; remove it"
                             .to_string(),
                     );
-                } else if let Some(arg) = sensitive_macro_arg(&toks, i + 2) {
+                } else if let Some(arg) = sensitive_macro_arg(&toks, i + 2)
+                    .or_else(|| sensitive_format_capture(&toks, i + 2))
+                {
                     push(
                         "P1",
                         t,
@@ -306,22 +308,18 @@ pub fn check_source(rel_path: &str, source: &str) -> Vec<Violation> {
             }
         }
 
-        // P1 (obs extension): span names. The lexer drops string-literal
-        // contents, so the raw source line is scanned for gradient
-        // vocabulary alongside the ident scan of the macro arguments.
+        // P1 (obs extension): span phases. The phase is an identifier
+        // (a `PhaseMetrics` field), scanned like a format-macro argument.
         if name == "span" && i + 1 < toks.len() && toks[i + 1].is_punct('!') {
-            let line_text = lines
-                .get(t.line as usize - 1)
-                .map_or(String::new(), |l| l.to_lowercase());
-            let bad_name = line_text.contains("grad") || line_text.contains("norm");
-            if bad_name || sensitive_macro_arg(&toks, i + 2).is_some() {
+            if let Some(arg) = sensitive_macro_arg(&toks, i + 2) {
                 push(
                     "P1",
                     t,
-                    "`span!` name or argument mentions a gradient-bearing \
-                     value in non-test code: span names are exported to trace \
-                     files and must carry phase labels only"
-                        .to_string(),
+                    format!(
+                        "`span!` phase `{arg}` names a gradient-bearing value \
+                         in non-test code: phase names are exported in metric \
+                         snapshots and must carry phase labels only"
+                    ),
                 );
             }
         }
@@ -574,40 +572,71 @@ fn args_name_site(toks: &[Token], open_paren_idx: usize) -> bool {
     false
 }
 
+/// The tokens inside the delimited group opening at `open_idx`
+/// (empty when no group opens there).
+fn group_tokens(toks: &[Token], open_idx: usize) -> &[Token] {
+    let Some(TokenKind::Punct(open)) = toks.get(open_idx).map(|t| &t.kind) else {
+        return &[];
+    };
+    let close = match open {
+        '(' => ')',
+        '[' => ']',
+        '{' => '}',
+        _ => return &[],
+    };
+    let mut depth = 0i32;
+    for (j, t) in toks[open_idx..].iter().enumerate() {
+        if t.is_punct(*open) {
+            depth += 1;
+        } else if t.is_punct(close) {
+            depth -= 1;
+            if depth == 0 {
+                return &toks[open_idx + 1..open_idx + j];
+            }
+        }
+    }
+    &toks[open_idx + 1..]
+}
+
+/// Whether identifier `ident` names a gradient-bearing value.
+fn is_sensitive(ident: &str) -> bool {
+    let lower = ident.to_lowercase();
+    ident == "SparseGrad" || lower.contains("grad") || lower.contains("norm")
+}
+
 /// If the macro argument list opening at token `open_paren_idx` mentions
 /// a gradient-bearing identifier, returns that identifier.
 fn sensitive_macro_arg(toks: &[Token], open_paren_idx: usize) -> Option<String> {
-    let open = toks.get(open_paren_idx)?;
-    let close = match open.kind {
-        TokenKind::Punct('(') => ')',
-        TokenKind::Punct('[') => ']',
-        TokenKind::Punct('{') => '}',
-        _ => return None,
-    };
-    let open_c = match open.kind {
-        TokenKind::Punct(c) => c,
-        _ => unreachable!(),
-    };
-    let mut depth = 0i32;
-    for t in &toks[open_paren_idx..] {
-        match t.kind {
-            TokenKind::Punct(c) if c == open_c => depth += 1,
-            TokenKind::Punct(c) if c == close => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
+    group_tokens(toks, open_paren_idx)
+        .iter()
+        .find(|t| t.kind == TokenKind::Ident && is_sensitive(&t.text))
+        .map(|t| t.text.clone())
+}
+
+/// If a string literal in the format-macro argument list opening at
+/// `open_paren_idx` captures a gradient-bearing identifier inline
+/// (`"{grad}"`, `"{grad_norm:.3}"`), returns that identifier. Escaped
+/// braces (`"{{grad}}"`) capture nothing.
+fn sensitive_format_capture(toks: &[Token], open_paren_idx: usize) -> Option<String> {
+    group_tokens(toks, open_paren_idx)
+        .iter()
+        .filter(|t| t.kind == TokenKind::Str)
+        .find_map(|t| {
+            let mut rest = t.text.as_str();
+            while let Some(at) = rest.find('{') {
+                rest = &rest[at + 1..];
+                if let Some(after) = rest.strip_prefix('{') {
+                    rest = after;
+                    continue;
+                }
+                let end = rest.find(['}', ':']).unwrap_or(rest.len());
+                let capture = rest[..end].trim();
+                if is_sensitive(capture) {
+                    return Some(capture.to_string());
                 }
             }
-            TokenKind::Ident => {
-                let lower = t.text.to_lowercase();
-                if t.text == "SparseGrad" || lower.contains("grad") || lower.contains("norm") {
-                    return Some(t.text.clone());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+            None
+        })
 }
 
 #[cfg(test)]

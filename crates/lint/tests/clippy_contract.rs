@@ -111,12 +111,6 @@ fn o1_capture_metrics() {
 
 #[test]
 #[expect(clippy::disallowed_methods, reason = "fixture: O1 must fire")]
-fn o1_take_trace_events() {
-    let _ = lazydp_obs::trace::take_trace_events();
-}
-
-#[test]
-#[expect(clippy::disallowed_methods, reason = "fixture: O1 must fire")]
 fn o1_obs_read() {
     let c = lazydp_obs::CacheCounters::new();
     assert_eq!(c.obs_read().hits, 0);

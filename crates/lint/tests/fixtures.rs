@@ -73,6 +73,24 @@ fn p1_permits_benign_prints_and_test_prints() {
 }
 
 #[test]
+fn p1_flags_inline_format_captures_of_gradients() {
+    let src = "fn f(grad: u32) { println!(\"{grad}\"); }\n";
+    assert_eq!(flags("crates/model/src/x.rs", src, "P1").len(), 1);
+    let spec = "fn f(grad_norm: f64) { println!(\"n = {grad_norm:.3}\"); }\n";
+    let v = flags("crates/model/src/x.rs", spec, "P1");
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].message.contains("`grad_norm`"), "{}", v[0].message);
+}
+
+#[test]
+fn p1_permits_benign_and_escaped_format_captures() {
+    let steps = "fn f(steps: u32) { println!(\"{steps}\"); }\n";
+    assert!(flags("crates/model/src/x.rs", steps, "P1").is_empty());
+    let escaped = "fn f() { println!(\"{{grad}}\"); }\n";
+    assert!(flags("crates/model/src/x.rs", escaped, "P1").is_empty());
+}
+
+#[test]
 fn p1_flags_gradient_derived_fault_ordinals() {
     // A fault-injection ordinal computed from a gradient-bearing value
     // makes the failure schedule data-dependent — flagged like a
@@ -146,10 +164,10 @@ fn p1_permits_benign_metric_call_sites() {
 }
 
 #[test]
-fn p1_flags_gradient_bearing_span_names() {
-    let src = "fn f() { lazydp_obs::span!(\"step.grad_dump\"); }\n";
+fn p1_flags_gradient_bearing_span_phases() {
+    let src = "fn f() { lazydp_obs::span!(step_grad_dump); }\n";
     assert_eq!(flags("crates/core/src/x.rs", src, "P1").len(), 1);
-    let benign = "fn f() { lazydp_obs::span!(\"step.forward\"); }\n";
+    let benign = "fn f() { lazydp_obs::span!(step_forward); }\n";
     assert!(flags("crates/core/src/x.rs", benign, "P1").is_empty());
 }
 

@@ -8,16 +8,14 @@
 //! "what did it compute". This module is the single sanctioned home of
 //! the clock, and its exemption is the module-level `expect` below (an
 //! item-level one cannot cover the `Instant` field that `Stopwatch`'s
-//! derives re-emit). `benchmark/` and examples time with [`Stopwatch`],
-//! and the span machinery in [`crate::trace`] reads [`now_ns`] only
-//! when tracing is on.
+//! derives re-emit). Examples time with [`Stopwatch`], and
+//! [`crate::span!`] starts one per phase only when counters are on.
 
 #![expect(
     clippy::disallowed_types,
     reason = "D2: the one sanctioned home of the wall clock"
 )]
 
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A started wall clock. Measurement only — a `Stopwatch` reading must
@@ -49,19 +47,6 @@ impl Stopwatch {
     }
 }
 
-/// Process-wide epoch for span timestamps: fixed on first use so every
-/// thread's events share one timeline.
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Nanoseconds since the process-wide epoch (first call). Monotone,
-/// allocation-free, shared across threads — the timestamp base for
-/// every [`crate::trace::TraceEvent`].
-#[must_use]
-pub fn now_ns() -> u64 {
-    let nanos = EPOCH.get_or_init(Instant::now).elapsed().as_nanos();
-    u64::try_from(nanos).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,12 +58,5 @@ mod tests {
         let b = sw.elapsed();
         assert!(b >= a);
         assert!(sw.elapsed_secs() >= 0.0);
-    }
-
-    #[test]
-    fn now_ns_is_monotone_across_calls() {
-        let a = now_ns();
-        let b = now_ns();
-        assert!(b >= a);
     }
 }

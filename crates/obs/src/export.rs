@@ -4,17 +4,16 @@
 //! a file or to stdout — and returns nothing derived from it to the
 //! caller, so these functions are callable from anywhere (examples,
 //! binaries) without violating the write-only contract of rule **O1**.
-//! The banned read APIs ([`crate::snapshot::capture_metrics`],
-//! [`crate::trace::take_trace_events`]) are wrapped *inside* this
-//! module; each exporter carries its own O1 `expect`.
+//! The banned read API ([`crate::snapshot::capture_metrics`]) is
+//! wrapped *inside* this module; each exporter carries its own O1
+//! `expect`.
 
 use crate::snapshot::capture_metrics;
-use crate::trace::take_trace_events;
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// Writes the current registry snapshot as schema-versioned JSON.
+/// Writes the current registry snapshot as schema-versioned JSON,
+/// per-phase durations (`phase.*_ns`) included.
 ///
 /// # Errors
 ///
@@ -25,53 +24,6 @@ use std::path::Path;
 )]
 pub fn write_snapshot_json(path: &Path) -> io::Result<()> {
     std::fs::write(path, capture_metrics().to_json())
-}
-
-/// Drains all completed spans and writes them in chrome://tracing
-/// "trace event" format (open the file at `chrome://tracing` or
-/// <https://ui.perfetto.dev>). Timestamps are µs since the process
-/// epoch; every event is a complete (`"ph": "X"`) duration event.
-///
-/// # Errors
-///
-/// Propagates the underlying file-system error.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "O1: an exporter moves recorded values out of the process, never back to the caller"
-)]
-pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
-    let events = take_trace_events();
-    let mut s = String::with_capacity(64 + events.len() * 96);
-    s.push_str("{\"traceEvents\": [");
-    for (i, e) in events.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            s,
-            "{sep}\n  {{\"name\": \"{}\", \"cat\": \"lazydp\", \"ph\": \"X\", \
-             \"pid\": 1, \"tid\": {}, \"ts\": {}, \"dur\": {}}}",
-            e.name,
-            e.tid,
-            e.start_ns / 1_000,
-            (e.dur_ns / 1_000).max(1),
-        );
-    }
-    s.push_str("\n]}\n");
-    std::fs::write(path, s)
-}
-
-/// [`write_chrome_trace`] when tracing is on; a no-op otherwise, so
-/// examples can call it unconditionally and only produce a file under
-/// `LAZYDP_OBS=trace`.
-///
-/// # Errors
-///
-/// Propagates the underlying file-system error.
-pub fn write_chrome_trace_if_tracing(path: &Path) -> io::Result<bool> {
-    if crate::trace_enabled() {
-        write_chrome_trace(path)?;
-        return Ok(true);
-    }
-    Ok(false)
 }
 
 /// Prints the out-of-core store's counters to stdout, one per line.
@@ -109,41 +61,21 @@ pub fn print_store_summary() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{snapshot::MetricsSnapshot, ObsMode};
+    use crate::ObsMode;
 
     #[test]
-    fn snapshot_file_round_trips() {
+    fn snapshot_file_carries_the_schema_and_the_phases() {
         let _g = crate::test_mode_lock();
         crate::set_mode(ObsMode::Counters);
         let dir = std::env::temp_dir();
         let path = dir.join(format!("lazydp-obs-snap-{}.json", std::process::id()));
         write_snapshot_json(&path).expect("write");
         let text = std::fs::read_to_string(&path).expect("read");
-        let snap = MetricsSnapshot::from_json(&text).expect("parse");
-        assert_eq!(snap.schema_version, crate::snapshot::SCHEMA_VERSION);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn chrome_trace_is_wellformed_and_gated() {
-        let _g = crate::test_mode_lock();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("lazydp-obs-trace-{}.json", std::process::id()));
-
-        crate::set_mode(ObsMode::Counters);
-        assert!(!write_chrome_trace_if_tracing(&path).expect("gated write"));
-
-        crate::set_mode(ObsMode::Trace);
-        let _ = crate::trace::take_trace_events();
-        {
-            crate::span!("test.export");
-        }
-        assert!(write_chrome_trace_if_tracing(&path).expect("write"));
-        crate::set_mode(ObsMode::Counters);
-        let text = std::fs::read_to_string(&path).expect("read");
-        assert!(text.contains("\"traceEvents\""));
-        assert!(text.contains("\"name\": \"test.export\""));
-        assert!(text.contains("\"ph\": \"X\""));
-        std::fs::remove_file(&path).ok();
+        assert!(text.starts_with("{\n  \"schema_version\": 1,"), "{text}");
+        assert!(
+            text.contains("\"phase.step_forward_ns\": {\"sum\": "),
+            "{text}"
+        );
     }
 }

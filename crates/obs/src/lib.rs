@@ -9,13 +9,13 @@
 //! way to see inside the system without either failure mode:
 //!
 //! * **Write-only from hot paths.** Training code may *record*
-//!   ([`metrics()`], [`crate::span!`]) but never *read back*: the read APIs
-//!   ([`snapshot::capture_metrics`], [`trace::take_trace_events`]) are
-//!   callable only from `crates/bench`, tests, and the exporters in
-//!   [`export`] — machine-checked by lint rule **O1**.
+//!   ([`metrics()`], [`crate::span!`]) but never *read back*: the read
+//!   API ([`snapshot::capture_metrics`]) is callable only from
+//!   `crates/bench`, tests, and the exporters in [`export`] —
+//!   machine-checked by lint rule **O1**.
 //! * **No gradient or per-example values.** Metrics carry counts,
 //!   bytes, durations, and ε — nothing else. Lint rule **P1** scans
-//!   metric-recording call sites and span names for gradient-bearing
+//!   metric-recording call sites and span phases for gradient-bearing
 //!   identifiers, exactly as it does for `println!`.
 //! * **Deterministic when it matters.** The wall clock lives in
 //!   [`clock`], the single sanctioned home alongside `crates/bench`
@@ -24,16 +24,17 @@
 //!   [`ObsMode`] — pinned by `tests/obs_invariance.rs`.
 //! * **Near-zero cost when off, zero-alloc when counting.** Counters
 //!   and gauges are relaxed atomics in a `static` registry; histograms
-//!   have fixed log2 buckets; spans write into a preallocated
-//!   per-thread ring. In [`ObsMode::Off`] every record is one relaxed
-//!   load and a predictable branch; in [`ObsMode::Counters`] the
-//!   steady-state training step still allocates zero heap bytes
-//!   (enforced by `tests/alloc_*`).
+//!   have fixed log2 buckets; a phase span ([`span!`]) reads the clock
+//!   twice and records its nanoseconds into a `phase.*` histogram. In
+//!   [`ObsMode::Off`] every record is one relaxed load and a
+//!   predictable branch; in [`ObsMode::Counters`] the steady-state
+//!   training step still allocates zero heap bytes (enforced by
+//!   `tests/alloc_*`).
 //!
 //! # Runtime gate
 //!
-//! The mode comes from the `LAZYDP_OBS` environment variable:
-//! `off`, `counters` (the default), or `trace`. Tests override it
+//! Every process starts in [`ObsMode::Counters`], so an ordinary run
+//! carries its own per-phase breakdown. Tests switch recording off
 //! process-wide with [`set_mode`].
 //!
 //! # Example
@@ -56,80 +57,39 @@ pub mod clock;
 pub mod export;
 pub mod metrics;
 pub mod snapshot;
-pub mod trace;
+pub mod span;
 
 pub use cache::{CacheCounters, CacheView};
-pub use metrics::{metrics, Metrics};
+pub use metrics::{metrics, Metrics, PhaseMetrics};
 pub use snapshot::MetricsSnapshot;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How much the observability layer records.
-///
-/// Ordered: `Off < Counters < Trace`. Each level includes everything
-/// the previous one records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ObsMode {
     /// Record nothing. Every instrumentation site costs one relaxed
     /// atomic load plus a predictable branch.
     Off = 0,
-    /// Record counters, gauges, and histograms (relaxed atomics, no
-    /// locks, no allocation). Spans are skipped without reading the
-    /// clock. This is the default.
+    /// Record counters, gauges, histograms and phase spans (relaxed
+    /// atomics and clock reads; no locks, no allocation). This is the
+    /// mode every process starts in.
     Counters = 1,
-    /// Additionally record phase spans into per-thread ring buffers
-    /// for the chrome://tracing exporter. Draining a full ring may
-    /// allocate; the zero-alloc contract applies to `Counters` only.
-    Trace = 2,
 }
 
-/// Sentinel meaning "LAZYDP_OBS not consulted yet".
-const MODE_UNRESOLVED: u8 = u8::MAX;
+static MODE: AtomicU8 = AtomicU8::new(ObsMode::Counters as u8);
 
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNRESOLVED);
-
-/// The active [`ObsMode`], resolved from `LAZYDP_OBS` on first use and
-/// cached process-wide. `off` / `counters` / `trace` select the mode;
-/// anything else (including unset) means `counters`.
-#[inline]
-pub fn mode() -> ObsMode {
-    match MODE.load(Ordering::Relaxed) {
-        0 => ObsMode::Off,
-        1 => ObsMode::Counters,
-        2 => ObsMode::Trace,
-        _ => resolve_mode(),
-    }
-}
-
-#[cold]
-fn resolve_mode() -> ObsMode {
-    let m = match std::env::var("LAZYDP_OBS").as_deref() {
-        Ok("off") => ObsMode::Off,
-        Ok("trace") => ObsMode::Trace,
-        _ => ObsMode::Counters,
-    };
-    MODE.store(m as u8, Ordering::Relaxed);
-    m
-}
-
-/// Overrides the mode process-wide (tests and experiment drivers).
+/// Sets the mode process-wide (tests and experiment drivers).
 pub fn set_mode(m: ObsMode) {
     MODE.store(m as u8, Ordering::Relaxed);
 }
 
-/// True when counters/gauges/histograms should record.
+/// True when counters, gauges, histograms and spans should record.
 #[inline]
 #[must_use]
 pub fn counters_enabled() -> bool {
-    mode() >= ObsMode::Counters
-}
-
-/// True when phase spans should record.
-#[inline]
-#[must_use]
-pub fn trace_enabled() -> bool {
-    mode() == ObsMode::Trace
+    MODE.load(Ordering::Relaxed) == ObsMode::Counters as u8
 }
 
 /// The mode is process-global, so unit tests that flip it (or assert
@@ -146,19 +106,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_levels_are_ordered() {
-        assert!(ObsMode::Off < ObsMode::Counters);
-        assert!(ObsMode::Counters < ObsMode::Trace);
-    }
-
-    #[test]
-    fn set_mode_controls_the_gates() {
+    fn set_mode_controls_the_gate() {
         let _g = test_mode_lock();
         set_mode(ObsMode::Off);
-        assert!(!counters_enabled() && !trace_enabled());
-        set_mode(ObsMode::Trace);
-        assert!(counters_enabled() && trace_enabled());
+        assert!(!counters_enabled());
         set_mode(ObsMode::Counters);
-        assert!(counters_enabled() && !trace_enabled());
+        assert!(counters_enabled());
     }
 }

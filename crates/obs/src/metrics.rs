@@ -3,9 +3,9 @@
 //!
 //! Everything here is `const`-constructible and lives in one `static`
 //! [`Metrics`] value, so recording never locks and never allocates.
-//! Recording is gated on [`crate::counters_enabled`] — with
-//! `LAZYDP_OBS=off` each call is one relaxed load plus a predictable
-//! branch. The write APIs are public; the read side is deliberately
+//! Recording is gated on [`crate::counters_enabled`] — in
+//! [`crate::ObsMode::Off`] each call is one relaxed load plus a
+//! predictable branch. The write APIs are public; the read side is deliberately
 //! `pub(crate)` so recorded values can only leave through
 //! [`crate::snapshot::capture_metrics`] (lint rule **O1**).
 //!
@@ -133,7 +133,41 @@ impl Default for Histogram {
     }
 }
 
-/// Trainer-step phases and noise-plan shape (`crates/core`).
+/// Step-phase wall-clock durations in nanoseconds, one histogram per
+/// phase, recorded by [`crate::span!`] (snapshot name
+/// `phase.<field>_ns`).
+///
+/// Phases nest, so their totals are not additive everywhere: when
+/// LazyDP's flush overlaps the gradient (a multi-width executor and a
+/// next batch), `step_forward` and `step_backward_clip` run on the main
+/// thread *inside* `step_flush_overlap`, which measures the longer of
+/// the two sides.
+#[derive(Debug)]
+pub struct PhaseMetrics {
+    /// The DP optimizers' forward pass (the shared front half).
+    pub step_forward: Histogram,
+    /// The fused ghost-clipping backward that yields the clipped sum.
+    pub step_backward_clip: Histogram,
+    /// Plain SGD's unclipped backward.
+    pub step_backward: Histogram,
+    /// Averaging and coalescing the per-table gradients.
+    pub step_coalesce: Histogram,
+    /// Gradient plus dense noise on the MLP parameters.
+    pub step_dense_update: Histogram,
+    /// Eager DP-SGD's, EANA's and DP-AdaFEST's table stage: noise
+    /// sampling and the noisy table update.
+    pub step_table_noise: Histogram,
+    /// LazyDP's lookahead flush overlapped with the gradient.
+    pub step_flush_overlap: Histogram,
+    /// LazyDP's lookahead flush of one table on the main thread.
+    pub step_flush_seq: Histogram,
+    /// One table's sparse update (LazyDP and SGD).
+    pub step_sparse_update: Histogram,
+    /// LazyDP's release-time flush of all pending noise.
+    pub finalize_flush_all: Histogram,
+}
+
+/// Trainer-step counts and noise-plan shape (`crates/core`).
 #[derive(Debug)]
 pub struct TrainerMetrics {
     /// Optimizer steps completed.
@@ -215,7 +249,9 @@ pub struct FaultMetrics {
 /// [`metrics()`].
 #[derive(Debug)]
 pub struct Metrics {
-    /// Trainer-step phases and noise-plan shape.
+    /// Step-phase durations.
+    pub phase: PhaseMetrics,
+    /// Trainer-step counts and noise-plan shape.
     pub trainer: TrainerMetrics,
     /// DP-AdaFEST partition selection.
     pub adafest: AdafestMetrics,
@@ -232,6 +268,18 @@ pub struct Metrics {
 impl Metrics {
     const fn new() -> Self {
         Self {
+            phase: PhaseMetrics {
+                step_forward: Histogram::new(),
+                step_backward_clip: Histogram::new(),
+                step_backward: Histogram::new(),
+                step_coalesce: Histogram::new(),
+                step_dense_update: Histogram::new(),
+                step_table_noise: Histogram::new(),
+                step_flush_overlap: Histogram::new(),
+                step_flush_seq: Histogram::new(),
+                step_sparse_update: Histogram::new(),
+                finalize_flush_all: Histogram::new(),
+            },
             trainer: TrainerMetrics {
                 steps: Counter::new(),
                 flush_overlaps: Counter::new(),

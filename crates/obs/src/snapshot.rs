@@ -7,9 +7,8 @@
 //! code, which is what makes the registry write-only from hot paths:
 //! a recorded value can reach a report, never a training decision.
 //!
-//! The JSON form mirrors the lint report's convention: a top-level
-//! `schema_version` so downstream tooling can detect drift, and
-//! [`MetricsSnapshot::from_json`] so CI can assert the round-trip.
+//! The JSON form carries a top-level `schema_version` so downstream
+//! tooling can detect drift; adding a metric adds a name, not a shape.
 
 use crate::metrics::{metrics, HISTOGRAM_BUCKETS};
 use std::fmt::Write as _;
@@ -104,7 +103,18 @@ pub fn capture_metrics() -> MetricsSnapshot {
         "privacy.spent_epsilon".to_string(),
         m.privacy.spent_epsilon.get(),
     )];
+    let p = &m.phase;
     let histograms = vec![
+        capture_histogram("phase.step_forward_ns", &p.step_forward),
+        capture_histogram("phase.step_backward_clip_ns", &p.step_backward_clip),
+        capture_histogram("phase.step_backward_ns", &p.step_backward),
+        capture_histogram("phase.step_coalesce_ns", &p.step_coalesce),
+        capture_histogram("phase.step_dense_update_ns", &p.step_dense_update),
+        capture_histogram("phase.step_table_noise_ns", &p.step_table_noise),
+        capture_histogram("phase.step_flush_overlap_ns", &p.step_flush_overlap),
+        capture_histogram("phase.step_flush_seq_ns", &p.step_flush_seq),
+        capture_histogram("phase.step_sparse_update_ns", &p.step_sparse_update),
+        capture_histogram("phase.finalize_flush_all_ns", &p.finalize_flush_all),
         capture_histogram("trainer.pending_depth", &m.trainer.pending_depth),
         capture_histogram("exec.chunks_per_region", &m.exec.chunks_per_region),
     ];
@@ -154,14 +164,27 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Per-counter difference `self − earlier` (saturating at 0), for
-    /// measuring one run inside a long-lived process. Gauges and
-    /// histograms keep `self`'s values.
+    /// Difference `self − earlier` (saturating at 0) of every counter
+    /// and, bucket-wise, of every histogram's buckets and sum, for
+    /// measuring one run inside a long-lived process. Gauges keep
+    /// `self`'s values.
     #[must_use]
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = self.clone();
         for (name, v) in &mut out.counters {
             *v = v.saturating_sub(earlier.counter(name));
+        }
+        for h in &mut out.histograms {
+            let Some(e) = earlier.histogram(&h.name) else {
+                continue;
+            };
+            h.sum = h.sum.saturating_sub(e.sum);
+            for (b, eb) in h.buckets.iter_mut().zip(&e.buckets) {
+                *b = b.saturating_sub(*eb);
+            }
+            while h.buckets.last() == Some(&0) {
+                h.buckets.pop();
+            }
         }
         out
     }
@@ -198,209 +221,6 @@ impl MetricsSnapshot {
         s.push_str("\n  }\n}\n");
         s
     }
-
-    /// Parses the JSON form back. Rejects unknown schema versions so
-    /// CI catches producer/consumer drift.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax or schema problem.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let snap = p.parse_snapshot()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        if snap.schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {} (expected {})",
-                snap.schema_version, SCHEMA_VERSION
-            ));
-        }
-        Ok(snap)
-    }
-}
-
-/// Minimal recursive-descent parser for exactly the JSON subset
-/// [`MetricsSnapshot::to_json`] emits (objects, arrays, plain strings,
-/// and decimal numbers — metric names never need escapes).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\n' || b == b'\t' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err(format!("escapes unsupported at byte {}", self.pos));
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number_slice(&mut self) -> Result<&'a str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid utf-8 in number".to_string())
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        let s = self.number_slice()?;
-        s.parse::<u64>()
-            .map_err(|e| format!("bad integer {s:?}: {e}"))
-    }
-
-    fn parse_f64(&mut self) -> Result<f64, String> {
-        let s = self.number_slice()?;
-        s.parse::<f64>()
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    }
-
-    /// Parses `{ "k": v, ... }`, calling `each(self, key)` per entry.
-    fn parse_object(
-        &mut self,
-        mut each: impl FnMut(&mut Self, String) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            each(self, key)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_u64_array(&mut self) -> Result<Vec<u64>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.parse_u64()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_snapshot(&mut self) -> Result<MetricsSnapshot, String> {
-        let mut snap = MetricsSnapshot {
-            schema_version: 0,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-        };
-        self.parse_object(|p, key| match key.as_str() {
-            "schema_version" => {
-                snap.schema_version = u32::try_from(p.parse_u64()?)
-                    .map_err(|_| "schema_version out of range".to_string())?;
-                Ok(())
-            }
-            "counters" => p.parse_object(|p, name| {
-                let v = p.parse_u64()?;
-                snap.counters.push((name, v));
-                Ok(())
-            }),
-            "gauges" => p.parse_object(|p, name| {
-                let v = p.parse_f64()?;
-                snap.gauges.push((name, v));
-                Ok(())
-            }),
-            "histograms" => p.parse_object(|p, name| {
-                let mut sum = 0u64;
-                let mut buckets = Vec::new();
-                p.parse_object(|p, field| match field.as_str() {
-                    "sum" => {
-                        sum = p.parse_u64()?;
-                        Ok(())
-                    }
-                    "buckets" => {
-                        buckets = p.parse_u64_array()?;
-                        Ok(())
-                    }
-                    other => Err(format!("unknown histogram field {other:?}")),
-                })?;
-                snap.histograms
-                    .push(HistogramSnapshot { name, sum, buckets });
-                Ok(())
-            }),
-            other => Err(format!("unknown top-level key {other:?}")),
-        })?;
-        Ok(snap)
-    }
 }
 
 #[cfg(test)]
@@ -409,38 +229,32 @@ mod tests {
     use crate::ObsMode;
 
     #[test]
-    fn snapshot_round_trips_through_json() {
-        let _g = crate::test_mode_lock();
-        crate::set_mode(ObsMode::Counters);
-        // Touch a spread of metric kinds so the snapshot is non-trivial.
-        metrics().trainer.steps.incr();
-        metrics().store.bytes_loaded.add(4096);
-        metrics().privacy.spent_epsilon.set_f64(1.2345678901234567);
-        metrics().trainer.pending_depth.record(3);
-        metrics().trainer.pending_depth.record(1000);
-        let snap = capture_metrics();
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).expect("round trip");
-        assert_eq!(snap, back, "snapshot must survive to_json/from_json");
-        assert_eq!(back.schema_version, SCHEMA_VERSION);
-        assert!(back.counter("trainer.steps") >= 1);
-        let h = back.histogram("trainer.pending_depth").expect("histogram");
-        assert!(h.count() >= 2 && h.sum >= 1003);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let json =
-            "{\"schema_version\": 999, \"counters\": {}, \"gauges\": {}, \"histograms\": {}}";
-        let err = MetricsSnapshot::from_json(json).expect_err("must reject");
-        assert!(err.contains("schema_version"), "{err}");
-    }
-
-    #[test]
-    fn malformed_json_is_rejected_with_a_position() {
-        assert!(MetricsSnapshot::from_json("{\"counters\": [}").is_err());
-        assert!(MetricsSnapshot::from_json("").is_err());
-        assert!(MetricsSnapshot::from_json("{} trailing").is_err());
+    fn to_json_matches_the_golden_string() {
+        let snap = MetricsSnapshot {
+            schema_version: SCHEMA_VERSION,
+            counters: vec![("store.hits".to_string(), 7)],
+            gauges: vec![("privacy.spent_epsilon".to_string(), 1.25)],
+            histograms: vec![HistogramSnapshot {
+                name: "phase.step_forward_ns".to_string(),
+                sum: 5,
+                buckets: vec![0, 1, 2],
+            }],
+        };
+        let golden = concat!(
+            "{\n",
+            "  \"schema_version\": 1,\n",
+            "  \"counters\": {\n",
+            "    \"store.hits\": 7\n",
+            "  },\n",
+            "  \"gauges\": {\n",
+            "    \"privacy.spent_epsilon\": 1.25\n",
+            "  },\n",
+            "  \"histograms\": {\n",
+            "    \"phase.step_forward_ns\": {\"sum\": 5, \"buckets\": [0, 1, 2]}\n",
+            "  }\n",
+            "}\n",
+        );
+        assert_eq!(snap.to_json(), golden);
     }
 
     #[test]
@@ -452,5 +266,18 @@ mod tests {
         let after = capture_metrics();
         let delta = after.delta_since(&before);
         assert_eq!(delta.counter("store.hits"), 7);
+
+        // Histograms subtract bucket-wise too: an earlier run's samples
+        // do not leak into this one's delta.
+        let h = &metrics().phase.finalize_flush_all;
+        h.record(1000);
+        let before = capture_metrics();
+        h.record(3);
+        h.record(1);
+        let delta = capture_metrics().delta_since(&before);
+        let d = delta
+            .histogram("phase.finalize_flush_all_ns")
+            .expect("phase");
+        assert_eq!((d.sum, d.buckets.as_slice()), (4, [0, 1, 1].as_slice()));
     }
 }

@@ -52,13 +52,11 @@ fn main() {
         128 * released.params() / counters.gaussian_samples.max(1),
     );
 
-    // Under `LAZYDP_OBS=trace` the step-phase spans recorded above are
-    // dumped in chrome://tracing format; in the default counters mode
-    // (or off) this writes nothing and reports `false`.
-    let trace_path = std::path::Path::new("quickstart_trace.json");
-    match lazydp::obs::export::write_chrome_trace_if_tracing(trace_path) {
-        Ok(true) => println!("phase trace written to quickstart_trace.json"),
-        Ok(false) => {}
-        Err(e) => eprintln!("trace export failed: {e}"),
+    // Every run records its counters and per-phase durations
+    // (`phase.*_ns` histograms); write them out for inspection.
+    let metrics_path = std::path::Path::new("quickstart_metrics.json");
+    match lazydp::obs::export::write_snapshot_json(metrics_path) {
+        Ok(()) => println!("metrics snapshot written to quickstart_metrics.json"),
+        Err(e) => eprintln!("metrics export failed: {e}"),
     }
 }

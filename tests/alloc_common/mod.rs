@@ -61,10 +61,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// the single-width executor (scoped worker threads are born and die
 /// per parallel region, so any multi-thread run allocates thread state
 /// by construction).
-/// Also pins `lazydp::obs` to counters mode regardless of the CI
-/// matrix's `LAZYDP_OBS` leg: the zero-allocation contract explicitly
-/// *includes* live metric counters (they are plain atomics), while
-/// trace mode buffers span events and is exempt by design.
+/// Also pins `lazydp::obs` to counters mode (the default): the
+/// zero-allocation contract explicitly *includes* live metric counters
+/// and clocked phase spans (plain atomics and clock reads).
 pub fn assert_steady_state_zero_alloc(
     algo: &str,
     warmup: usize,

@@ -1,5 +1,5 @@
 //! Observability must be *observation only*: the released model is
-//! bitwise identical whether `LAZYDP_OBS` is off, counters, or trace.
+//! bitwise identical whether `lazydp_obs` records or not.
 //!
 //! This is the determinism half of the `lazydp_obs` contract (the
 //! privacy half is lint rule P1 at metric/span call sites): metrics are
@@ -7,7 +7,9 @@
 //! influence a single weight. The sweep covers both instrumented
 //! training algorithms end to end — LazyDP (overlap path + finalize)
 //! and DP-AdaFEST (private partition selection) — plus the trainer-level
-//! accounting calls.
+//! accounting calls. Each run's snapshot delta must also hold exactly
+//! one sample per step of each front-half phase when counting, and none
+//! when off.
 //!
 //! One `#[test]` only: the obs mode is process-global, so a concurrent
 //! test sweeping it would race.
@@ -18,7 +20,8 @@ use lazydp::data::{FixedBatchLoader, LookaheadLoader, SyntheticConfig, Synthetic
 use lazydp::dpsgd::{AdaFestConfig, AdaFestOptimizer, DpConfig};
 use lazydp::lazy::{LazyDpConfig, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
-use lazydp::obs::ObsMode;
+use lazydp::obs::snapshot::capture_metrics;
+use lazydp::obs::{MetricsSnapshot, ObsMode};
 use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
 
@@ -80,6 +83,23 @@ fn assert_identical(kind: &str, mode: ObsMode, a: &Dlrm, b: &Dlrm) {
     }
 }
 
+/// Runs `run` and returns its model with the registry delta it caused.
+fn measured(run: impl FnOnce() -> Dlrm) -> (Dlrm, MetricsSnapshot) {
+    let before = capture_metrics();
+    let model = run();
+    (model, capture_metrics().delta_since(&before))
+}
+
+/// Every step of a DP optimizer records each front-half phase once.
+fn assert_phase_counts(kind: &str, mode: ObsMode, delta: &MetricsSnapshot) {
+    let want = if mode == ObsMode::Counters { STEPS } else { 0 };
+    for phase in ["step_forward", "step_backward_clip", "step_dense_update"] {
+        let name = format!("phase.{phase}_ns");
+        let got = delta.histogram(&name).expect("phase histogram").count();
+        assert_eq!(got, want as u64, "{kind} `{name}` under {mode:?}");
+    }
+}
+
 #[test]
 fn released_models_are_bitwise_identical_across_obs_modes() {
     let (model, ds) = setup();
@@ -88,33 +108,14 @@ fn released_models_are_bitwise_identical_across_obs_modes() {
     let lazy_ref = lazydp_run(&model, &ds);
     let ada_ref = adafest_run(&model, &ds);
 
-    for mode in [ObsMode::Counters, ObsMode::Trace] {
+    for mode in [ObsMode::Off, ObsMode::Counters] {
         lazydp::obs::set_mode(mode);
-        assert_identical("LazyDP", mode, &lazy_ref, &lazydp_run(&model, &ds));
-        assert_identical("AdaFEST", mode, &ada_ref, &adafest_run(&model, &ds));
-    }
-
-    // While we hold trace mode: the spans recorded above must export as
-    // well-formed chrome://tracing JSON (consumed by the CI trace leg).
-    let events = lazydp::obs::trace::take_trace_events();
-    assert!(
-        !events.is_empty(),
-        "trace mode must have recorded step-phase spans"
-    );
-    assert!(
-        events.iter().any(|e| e.name == "step.forward"),
-        "forward span missing from trace"
-    );
-    // The step front half is one body shared by every DP optimizer, so
-    // an AdaFEST-only run records the same phase spans LazyDP does (the
-    // buffer was drained just above).
-    let _ = adafest_run(&model, &ds);
-    let events = lazydp::obs::trace::take_trace_events();
-    for span in ["step.forward", "step.backward_clip", "step.dense_update"] {
-        assert!(
-            events.iter().any(|e| e.name == span),
-            "AdaFEST step did not record `{span}`"
-        );
+        let (lazy, lazy_delta) = measured(|| lazydp_run(&model, &ds));
+        assert_identical("LazyDP", mode, &lazy_ref, &lazy);
+        assert_phase_counts("LazyDP", mode, &lazy_delta);
+        let (ada, ada_delta) = measured(|| adafest_run(&model, &ds));
+        assert_identical("AdaFEST", mode, &ada_ref, &ada);
+        assert_phase_counts("AdaFEST", mode, &ada_delta);
     }
     lazydp::obs::set_mode(ObsMode::Counters);
 }
