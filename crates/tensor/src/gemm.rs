@@ -16,16 +16,27 @@
 //! * the **micro-kernel** keeps an `MR × NR` accumulator block in
 //!   registers and issues one [`f32::mul_add`] per element per k step.
 //!
+//! `matmul_t` (`a · bᵀ`, the input-gradient GEMM) contracts along the
+//! rows of both operands, so it packs both lane-interleaved: [`MT_R`]
+//! rows of A form a strip, [`MT_C`] rows of B a panel, and its
+//! **register block** keeps eight lanes for each of the `MT_R × MT_C`
+//! (A row, B row) pairs. Its **cache block** is a slab of at most
+//! [`MT_B_BLOCK_FLOATS`] of B, which every A strip of an executor chunk
+//! sweeps (each strip packed as it goes) before the next slab is packed,
+//! so B is read from memory once per chunk rather than once per A row.
+//!
 //! # Determinism contract (extends DESIGN.md invariant #4)
 //!
 //! Every output element is accumulated by a **single accumulator in
 //! ascending k order** (`matmul`/`t_matmul`), or by the fixed
-//! eight-lane accumulation tree of [`dot_tree`] (`matmul_t`). Blocking
+//! eight-lane accumulation tree of [`dot_tree`] (`matmul_t`, whose
+//! register block runs that tree for every pair at once). Blocking
 //! only changes *which* elements are computed together, never the
 //! per-element operation sequence, so results are **bitwise identical
-//! for any tile size (`kc`), any executor chunking, and any thread
-//! count** — and bitwise identical to the naive reference kernels of
-//! this module's tests (`reference_matmul` & co.), which keep the pre-blocking loop structure (including the zero-skip
+//! for any tile size (`kc`, the B cache block), any executor chunking,
+//! and any thread count** — and bitwise identical to the naive
+//! reference kernels of this module's tests (`reference_matmul` & co.),
+//! which keep the pre-blocking loop structure (including the zero-skip
 //! fast path) over the same shared accumulation primitives. The
 //! zero-skip is bitwise-neutral for finite inputs because
 //! `a.mul_add(b, acc) == acc` exactly when `a == 0.0` and `b` is finite
@@ -38,12 +49,14 @@
 //! # Vectorization
 //!
 //! The three innermost loops (the `MR × NR` micro-kernel, the eight
-//! lanes of [`dot_tree`], and `matmul_t`'s eight-row lane sweep) are
-//! safe Rust over fixed-size arrays. [`f32::mul_add`] is correctly
+//! lanes of [`dot_tree`], and `matmul_t`'s `MT_R × MT_C` lane block)
+//! are safe Rust over fixed-size arrays. [`f32::mul_add`] is correctly
 //! rounded, so LLVM may run those lanes as vector FMAs without changing
 //! a bit: it does under `target-cpu=native` and `x86-64-v3`, and a plain
 //! `x86-64` build computes the same bits through libm `fmaf`, only
-//! slower.
+//! slower. The lane block is 6 × 2 because its twelve accumulators,
+//! two B vectors and one A vector fit the sixteen vector registers of
+//! `x86-64-v3`; wider blocks (3 × 4, 4 × 4) spill there.
 
 use crate::matrix::Matrix;
 use std::cell::RefCell;
@@ -63,20 +76,39 @@ pub(crate) const MR: usize = 6;
 /// at most four panels.
 pub(crate) const DEFAULT_KC: usize = 256;
 
-/// `matmul_t` computes this many output columns (rows of B) per sweep of
-/// the shared `a` row, reusing each loaded `a` vector eight times.
-pub(crate) const NRT: usize = 8;
+/// Rows of A per `matmul_t` register block.
+pub(crate) const MT_R: usize = 6;
+
+/// Rows of B per `matmul_t` register block.
+const MT_C: usize = 2;
+
+/// Lanes per row of a `matmul_t` register block: [`MT_C`] pairs of
+/// eight.
+const MT_W: usize = MT_C * LANES;
+
+/// Most floats in one `matmul_t` cache block of B: 120 KiB, which sits
+/// in a 1–2 MiB per-core L2 with room to spare. With the pack buffer's
+/// alignment slack it stays under glibc's 128 KiB mmap threshold on
+/// purpose: each short-lived executor worker frees its buffer when it
+/// exits, and freeing an mmapped 256 KiB block raised that threshold
+/// process-wide and `dense_lazydp`'s peak RSS by 4 %.
+const MT_B_BLOCK_FLOATS: usize = 30 * 1024;
+
+/// Fewest rows a blocked GEMM chunk carries, so per-chunk A-packing,
+/// scratch checkout and `matmul_t`'s sweep of each B block amortize. A
+/// multiple of both [`MR`] and [`MT_R`].
+const MIN_CHUNK_ROWS: usize = 4 * MR;
 
 /// Rounds an executor chunk-row count up for the blocked drivers: a
-/// multiple of [`MR`] (so only the final block runs a narrow
-/// micro-kernel) and at least `4 × MR` rows (so per-chunk A-packing and
-/// scratch checkout amortize). Purely a performance choice — chunking
-/// never affects the computed bits.
+/// multiple of the register block's row count `block` ([`MR`], or
+/// [`MT_R`] for `matmul_t`), so only the final chunk runs a narrow
+/// block, and at least [`MIN_CHUNK_ROWS`]. Purely a performance choice —
+/// chunking never affects the computed bits.
 #[must_use]
-pub(crate) fn blocked_chunk_rows(chunk_rows: usize, total_rows: usize) -> usize {
+pub(crate) fn blocked_chunk_rows(chunk_rows: usize, total_rows: usize, block: usize) -> usize {
     chunk_rows
-        .next_multiple_of(MR)
-        .max(4 * MR)
+        .next_multiple_of(block)
+        .max(MIN_CHUNK_ROWS)
         .clamp(1, total_rows.max(1))
 }
 
@@ -595,62 +627,145 @@ pub(crate) fn dot_tree(a: &[f32], b: &[f32]) -> f32 {
     reduce_lanes(&lanes) + rem
 }
 
-/// The [`NRT`]-row lane accumulation of `matmul_t`: for each of the
-/// eight B rows, lane `t` gathers elements `t, t+8, …` of the
-/// `k8`-aligned prefix ascending, one `mul_add` per element — the same
-/// per-lane sequence as [`dot_lanes`], eight rows at a time, so each
-/// loaded `a` vector feeds eight FMAs.
-fn mt_lanes(a_row: &[f32], brows: &[&[f32]; NRT], k8: usize, lanes: &mut [[f32; LANES]; NRT]) {
-    let mut pos = 0;
-    while pos < k8 {
-        let av: &[f32; LANES] = a_row[pos..pos + LANES].try_into().expect("lane chunk");
-        for (jj, lane) in lanes.iter_mut().enumerate() {
-            let bv: &[f32; LANES] = brows[jj][pos..pos + LANES].try_into().expect("lane chunk");
-            for t in 0..LANES {
-                lane[t] = av[t].mul_add(bv[t], lane[t]);
-            }
+/// Packs `g` rows of `m` from row `r0` on, lane-interleaved over their
+/// `k8`-float, `LANES`-aligned prefix: `out[(p*g + r)*LANES + t] =
+/// m[r0 + r][p*LANES + t]`, so the `matmul_t` register block streams
+/// each operand linearly with no bounds checks.
+fn pack_lanes(m: &Matrix, r0: usize, g: usize, k8: usize, out: &mut [f32]) {
+    for r in 0..g {
+        for (p, src) in m.row(r0 + r)[..k8].chunks_exact(LANES).enumerate() {
+            let d = (p * g + r) * LANES;
+            out[d..d + LANES].copy_from_slice(src);
         }
-        pos += LANES;
     }
 }
 
-/// One output row of `matmul_t`: `out_row[j] = dot_tree(a_row, b.row(j))`,
-/// computed [`NRT`] columns at a time so each loaded `a` vector is
-/// reused across [`NRT`] (= 8) rows of B.
-fn matmul_t_row(a_row: &[f32], b: &Matrix, out_row: &mut [f32]) {
-    let n = b.rows();
-    let k = a_row.len();
+/// The `R × MT_C` register block of `matmul_t` over one packed A strip
+/// (`R` rows) and one packed B panel ([`MT_C`] rows). Each of the R·C
+/// (A row, B row) pairs keeps its own eight lanes — `acc[r][c*LANES + t]`
+/// — and lane `t` gathers elements `t, t+8, …` of the aligned prefix
+/// ascending, one `mul_add` each: [`dot_lanes`]' sequence, R·C pairs at
+/// a time, so each loaded `a` vector feeds C FMAs and each `b` vector R.
+///
+/// `inline(never)` for the same reason as [`micro_kernel`]: standalone,
+/// LLVM keeps the lane block in vector registers.
+#[inline(never)]
+fn dot_block<const R: usize>(apan: &[f32], bpan: &[f32]) -> [[f32; MT_W]; R] {
+    let mut acc = [[0.0f32; MT_W]; R];
+    for (ak, bk) in apan.chunks_exact(R * LANES).zip(bpan.chunks_exact(MT_W)) {
+        let bk: &[f32; MT_W] = bk.try_into().expect("MT_W-wide b panel");
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av: &[f32; LANES] = ak[r * LANES..(r + 1) * LANES]
+                .try_into()
+                .expect("lane chunk");
+            for (j, l) in accr.iter_mut().enumerate() {
+                *l = av[j % LANES].mul_add(bk[j], *l);
+            }
+        }
+    }
+    acc
+}
+
+/// One `R`-row strip of a `matmul_t` chunk, A rows `i..i+R`, against B
+/// rows `j0..j1`: rows `j0..jp` through the register block over their
+/// [`MT_C`]-row panels in `bpack` (the strip is packed for them here),
+/// the rest through [`dot_tree`] itself. A block's output is
+/// `reduce_lanes(lanes) + rem`, with `rem` the sequential `k % 8` tail —
+/// [`dot_tree`] exactly. `out_rows` holds the strip's R output rows,
+/// `n` wide.
+fn mt_strip<const R: usize>(
+    a: &Matrix,
+    i: usize,
+    b: &Matrix,
+    (j0, jp, j1): (usize, usize, usize),
+    bpack: &[f32],
+    out_rows: &mut [f32],
+) {
+    let (n, k) = (b.rows(), b.cols());
     let k8 = k - k % LANES;
-    let mut j = 0;
-    while j + NRT <= n {
-        let brows: [&[f32]; NRT] = std::array::from_fn(|jj| b.row(j + jj));
-        let mut lanes = [[0.0f32; LANES]; NRT];
-        mt_lanes(a_row, &brows, k8, &mut lanes);
-        let mut rems = [0.0f32; NRT];
-        for p in k8..k {
-            let x = a_row[p];
-            for (jj, r) in rems.iter_mut().enumerate() {
-                *r = x.mul_add(brows[jj][p], *r);
-            }
-        }
-        for (jj, (lane, rem)) in lanes.iter().zip(rems.iter()).enumerate() {
-            out_row[j + jj] = reduce_lanes(lane) + rem;
-        }
-        j += NRT;
+    let arows: [&[f32]; R] = std::array::from_fn(|r| a.row(i + r));
+    if jp > j0 {
+        PACK_A.with(|cell| {
+            with_pack_buf(cell, R * k8, |apan| {
+                pack_lanes(a, i, R, k8, apan);
+                for q in 0..(jp - j0) / MT_C {
+                    let j = j0 + q * MT_C;
+                    let lanes = dot_block::<R>(apan, &bpack[q * MT_C * k8..(q + 1) * MT_C * k8]);
+                    for (r, (ar, lr)) in arows.iter().zip(&lanes).enumerate() {
+                        for (c, lane) in lr.chunks_exact(LANES).enumerate() {
+                            let br = b.row(j + c);
+                            let mut rem = 0.0f32;
+                            for p in k8..k {
+                                rem = ar[p].mul_add(br[p], rem);
+                            }
+                            let lane: &[f32; LANES] = lane.try_into().expect("lane chunk");
+                            out_rows[r * n + j + c] = reduce_lanes(lane) + rem;
+                        }
+                    }
+                }
+            });
+        });
     }
-    while j < n {
-        out_row[j] = dot_tree(a_row, b.row(j));
-        j += 1;
+    for j in jp..j1 {
+        for (r, ar) in arows.iter().enumerate() {
+            out_rows[r * n + j] = dot_tree(ar, b.row(j));
+        }
     }
 }
 
-/// Blocked `out = a · bᵀ` (the [`Matrix::matmul_t_into`] kernel).
-pub(crate) fn matmul_t_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, chunk_rows: usize) {
+/// B rows per `matmul_t` cache block at contraction length `k`: a whole
+/// number of [`MT_C`]-row panels, at most [`MT_B_BLOCK_FLOATS`] floats
+/// unless one panel is already larger.
+#[must_use]
+pub(crate) fn mt_b_block_rows(k: usize) -> usize {
+    (MT_B_BLOCK_FLOATS / k.max(1) / MT_C * MT_C).max(MT_C)
+}
+
+/// Blocked `out = a · bᵀ` (the [`Matrix::matmul_t_into`] kernel). Each
+/// executor chunk walks B in cache blocks of `b_block_rows` rows: it
+/// packs a block into [`MT_C`]-row panels and sweeps every [`MT_R`]-row
+/// strip of its A rows over it, so the block is read from memory once
+/// per chunk and then served from cache. Every output element is one
+/// register block's lane tree over the whole contraction, so neither
+/// blocking nor chunking moves a bit.
+pub(crate) fn matmul_t_blocked(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    chunk_rows: usize,
+    b_block_rows: usize,
+) {
     let n = b.rows();
+    let k8 = a.cols() - a.cols() % LANES;
+    let b_block_rows = b_block_rows.clamp(1, n.max(1));
     lazydp_exec::global().par_for(out.as_mut_slice(), chunk_rows * n, |c, chunk| {
-        for (r, out_row) in chunk.chunks_mut(n).enumerate() {
-            matmul_t_row(a.row(c * chunk_rows + r), b, out_row);
-        }
+        let i0 = c * chunk_rows;
+        let rows_here = chunk.len() / n;
+        let strips = rows_here - rows_here % MT_R;
+        PACK_B.with(|cell| {
+            with_pack_buf(cell, b_block_rows * k8, |bpack| {
+                let mut j0 = 0;
+                while j0 < n {
+                    let j1 = n.min(j0 + b_block_rows);
+                    // With no aligned prefix every output is a bare
+                    // tail: `dot_tree` takes all of them.
+                    let panels = if k8 == 0 { 0 } else { (j1 - j0) / MT_C * MT_C };
+                    for q in (0..panels).step_by(MT_C) {
+                        pack_lanes(b, j0 + q, MT_C, k8, &mut bpack[q * k8..(q + MT_C) * k8]);
+                    }
+                    let js = (j0, j0 + panels, j1);
+                    for s in (0..strips).step_by(MT_R) {
+                        let out_rows = &mut chunk[s * n..(s + MT_R) * n];
+                        mt_strip::<MT_R>(a, i0 + s, b, js, bpack, out_rows);
+                    }
+                    for r in strips..rows_here {
+                        let out_rows = &mut chunk[r * n..(r + 1) * n];
+                        mt_strip::<1>(a, i0 + r, b, js, bpack, out_rows);
+                    }
+                    j0 = j1;
+                }
+            });
+        });
     });
 }
 
@@ -704,14 +819,26 @@ mod tests {
     }
 
     /// `a · bᵀ` through the blocked kernel with explicit executor chunking
-    /// (see [`matmul_with_tiles`]; `matmul_t` has no k-panel).
-    fn matmul_t_with_tiles(a: &Matrix, b: &Matrix, chunk_rows: usize) -> Matrix {
+    /// and B cache-block rows (see [`matmul_with_tiles`]; `matmul_t` has
+    /// no k-panel).
+    fn matmul_t_with_tiles(
+        a: &Matrix,
+        b: &Matrix,
+        chunk_rows: usize,
+        b_block_rows: usize,
+    ) -> Matrix {
         assert_eq!(a.cols(), b.cols(), "matmul_t_with_tiles dimension mismatch");
         let mut out = Matrix::zeros(a.rows(), b.rows());
-        if out.is_empty() || a.cols() == 0 {
+        if out.is_empty() {
             return out;
         }
-        matmul_t_blocked(a, b, &mut out, chunk_rows.clamp(1, a.rows().max(1)));
+        matmul_t_blocked(
+            a,
+            b,
+            &mut out,
+            chunk_rows.clamp(1, a.rows().max(1)),
+            b_block_rows,
+        );
         out
     }
 
@@ -890,11 +1017,50 @@ mod tests {
                 "t_matmul {m}x{k}x{n}"
             );
             assert_eq!(
-                matmul_t_with_tiles(&a, &bt, 5),
+                matmul_t_with_tiles(&a, &bt, 5, 3),
                 reference_matmul_t(&a, &bt),
                 "matmul_t {m}x{k}x{n}"
             );
         }
+    }
+
+    #[test]
+    fn matmul_t_register_block_tails_match_reference_bitwise() {
+        // Every row tail and column tail of the register block, at
+        // contraction lengths with no lanes, a partial lane and a tail.
+        for m in 0..=2 * MT_R + 1 {
+            for n in 0..=2 * MT_C + 1 {
+                for k in [0usize, 1, 7, 8, 9, 17] {
+                    let a = pseudo_random(m, k, 51, true);
+                    let bt = pseudo_random(n, k, 52, true);
+                    let want = reference_matmul_t(&a, &bt);
+                    for b_block in 1..=n + 1 {
+                        assert_eq!(
+                            matmul_t_with_tiles(&a, &bt, MT_R, b_block),
+                            want,
+                            "matmul_t {m}x{k}x{n} b_block={b_block}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_t_at_mlperf_width_matches_reference_at_every_executor_width() {
+        // The top MLP's 1024×1024 layer at batch 128: more B rows than
+        // one cache block, through the dispatched kernel.
+        let a = pseudo_random(128, 1024, 61, true);
+        let bt = pseudo_random(1024, 1024, 62, false);
+        let want = bits(&reference_matmul_t(&a, &bt));
+        let initial = lazydp_exec::global_threads();
+        for threads in [1usize, 2, 8] {
+            lazydp_exec::set_global_threads(threads);
+            let mut out = Matrix::default();
+            a.matmul_t_into(&bt, &mut out);
+            assert_eq!(bits(&out), want, "{threads} threads");
+        }
+        lazydp_exec::set_global_threads(initial);
     }
 
     #[test]
@@ -1068,10 +1234,36 @@ mod tests {
                 "t_matmul {}x{}x{} kc={} chunk={}", m, k, n, kc, chunk
             );
             prop_assert_eq!(
-                bits(&matmul_t_with_tiles(&a, &bt, chunk)),
+                bits(&matmul_t_with_tiles(&a, &bt, chunk, mt_b_block_rows(k))),
                 bits(&reference_matmul_t(&a, &bt)),
                 "matmul_t {}x{}x{} chunk={}", m, k, n, chunk
             );
+        }
+
+        /// `matmul_t`'s register and cache blocks: blocked == reference,
+        /// bitwise, with the B cache block swept from past `n` down to
+        /// one row, so every block boundary is crossed along with every
+        /// register-block tail — `rows % MT_R`, `n % MT_C`, `k % 8 ≠ 0`,
+        /// `k < 8` and `k = 0`.
+        #[test]
+        fn matmul_t_blocks_match_reference_bitwise(
+            m in 0usize..20,
+            k in 0usize..40,
+            n in 0usize..24,
+            seed in 0u64..1_000,
+            zero_mod in 0u64..4,
+            chunk in 1usize..20,
+        ) {
+            let a = matrix_with_zeros(m, k, seed ^ 41, zero_mod);
+            let bt = matrix_with_zeros(n, k, seed ^ 42, zero_mod);
+            let want = bits(&reference_matmul_t(&a, &bt));
+            for b_block in (1..=n + 1).rev() {
+                prop_assert_eq!(
+                    &bits(&matmul_t_with_tiles(&a, &bt, chunk, b_block)),
+                    &want,
+                    "matmul_t {}x{}x{} chunk={} b_block={}", m, k, n, chunk, b_block
+                );
+            }
         }
 
         /// The dispatched `_into` kernels equal the reference kernels

@@ -227,7 +227,7 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.rows, self.cols * other.cols);
-        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.rows);
+        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.rows, gemm::MR);
         gemm::matmul_blocked(self, other, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
@@ -249,7 +249,7 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.cols, self.rows * other.cols);
-        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.cols);
+        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.cols, gemm::MR);
         gemm::t_matmul_blocked(self, other, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
@@ -283,7 +283,7 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.cols, self.rows * other.cols);
-        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.cols);
+        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.cols, gemm::MR);
         gemm::t_matmul_scaled_blocked(self, other, w, out, gemm::DEFAULT_KC, chunk_rows);
     }
 
@@ -305,7 +305,9 @@ impl Matrix {
             return;
         }
         let chunk_rows = rows_per_chunk(self.rows, self.cols * other.rows);
-        gemm::matmul_t_blocked(self, other, out, chunk_rows);
+        let chunk_rows = gemm::blocked_chunk_rows(chunk_rows, self.rows, gemm::MT_R);
+        let b_block_rows = gemm::mt_b_block_rows(self.cols);
+        gemm::matmul_t_blocked(self, other, out, chunk_rows, b_block_rows);
     }
 
     /// In-place `self += alpha * other` (AXPY).
