@@ -19,7 +19,9 @@
 //! but marks the lane-wise Box–Muller noise stream: a version-2
 //! checkpoint owes noise from the old libm stream, and resuming it on
 //! the new one would match neither uninterrupted run, so it is refused
-//! as an unsupported version. Crash-consistent
+//! as an unsupported version. The config block keeps a `u32` interaction
+//! tag so the byte layout stays version 3's; it is always 0 (the dot
+//! interaction), and any other value is refused. Crash-consistent
 //! *placement* of these bytes (temp file + `sync_all` + atomic rename +
 //! versioned manifest) lives in [`crate::recovery`].
 
@@ -27,7 +29,7 @@ use crate::history::HistoryTable;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
 use lazydp_embedding::EmbeddingStorage;
 use lazydp_fault::checksum::fnv1a64;
-use lazydp_model::{Dlrm, DlrmConfig, InteractionKind};
+use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_rng::RowNoise;
 use lazydp_store::{StorageConfig, StoredTable};
 use std::io::{self, Read, Write};
@@ -285,14 +287,8 @@ impl Checkpoint {
         w_u64(w, self.config.num_dense as u64).expect(ok);
         w_u64(w, self.config.embedding_dim as u64).expect(ok);
         w_u64(w, self.config.pooling as u64).expect(ok);
-        w_u32(
-            w,
-            match self.config.interaction {
-                InteractionKind::Dot => 0,
-                InteractionKind::Concat => 1,
-            },
-        )
-        .expect(ok);
+        // The interaction tag slot: 0 is the dot interaction, the only one.
+        w_u32(w, 0).expect(ok);
         w_u64s(w, &self.config.table_rows).expect(ok);
         w_u64s(
             w,
@@ -374,11 +370,9 @@ impl Checkpoint {
         let num_dense = r_u64(r)? as usize;
         let embedding_dim = r_u64(r)? as usize;
         let pooling = r_u64(r)? as usize;
-        let interaction = match r_u32(r)? {
-            0 => InteractionKind::Dot,
-            1 => InteractionKind::Concat,
-            _ => return Err(bad("unknown interaction kind")),
-        };
+        if r_u32(r)? != 0 {
+            return Err(bad("unknown interaction kind"));
+        }
         let table_rows = r_u64s(r)?;
         let bottom_layers: Vec<usize> = r_u64s(r)?.into_iter().map(|x| x as usize).collect();
         let top_layers: Vec<usize> = r_u64s(r)?.into_iter().map(|x| x as usize).collect();
@@ -389,7 +383,6 @@ impl Checkpoint {
             pooling,
             bottom_layers,
             top_layers,
-            interaction,
         };
         config.validate().map_err(|e| bad(&e))?;
         let iteration = r_u64(r)?;
@@ -418,23 +411,45 @@ impl Checkpoint {
     /// internally consistent with the config, so a (checksum-valid but
     /// hand-crafted) stream fails here with a typed error instead of
     /// panicking later inside `restore`'s shape asserts.
+    ///
+    /// The tensors are a weight and a bias per bottom layer, then per
+    /// top layer, then one per embedding table. Products saturate: a
+    /// crafted width cannot overflow, and a saturated length matches no
+    /// tensor that was actually read.
     fn validate_shapes(&self) -> io::Result<()> {
-        let tables = self.config.table_rows.len();
+        let cfg = &self.config;
+        let tables = cfg.table_rows.len();
         if self.history.len() != tables {
             return Err(bad("history table count mismatch"));
         }
-        for (h, &rows) in self.history.iter().zip(&self.config.table_rows) {
+        for (h, &rows) in self.history.iter().zip(&cfg.table_rows) {
             if h.len() != rows as usize {
                 return Err(bad("history row count mismatch"));
             }
         }
-        if self.weights.len() < tables {
-            return Err(bad("missing embedding table tensors"));
+        let layers = cfg.bottom_layers.len() + cfg.top_layers.len();
+        if self.weights.len() != 2 * layers + tables {
+            return Err(bad("checkpoint tensor count mismatch"));
         }
-        let table_tensors = &self.weights[self.weights.len() - tables..];
-        for (t, &rows) in table_tensors.iter().zip(&self.config.table_rows) {
-            if t.len() != rows as usize * self.config.embedding_dim {
+        let (mlp_tensors, table_tensors) = self.weights.split_at(2 * layers);
+        for (t, &rows) in table_tensors.iter().zip(&cfg.table_rows) {
+            if t.len() != (rows as usize).saturating_mul(cfg.embedding_dim) {
                 return Err(bad("embedding table tensor shape mismatch"));
+            }
+        }
+        // Each table holds at least one row, so `embedding_dim` (and with
+        // it the top MLP's input width) is bounded by a tensor's length.
+        let mut tensors = mlp_tensors.chunks_exact(2);
+        for (input, widths) in [
+            (cfg.num_dense, &cfg.bottom_layers),
+            (cfg.top_input_dim(), &cfg.top_layers),
+        ] {
+            let mut prev = input;
+            for (&out, pair) in widths.iter().zip(&mut tensors) {
+                if pair[0].len() != prev.saturating_mul(out) || pair[1].len() != out {
+                    return Err(bad("MLP tensor shape mismatch"));
+                }
+                prev = out;
             }
         }
         Ok(())
@@ -667,5 +682,50 @@ mod tests {
         let err = Checkpoint::from_bytes(&buf).expect_err("v2 must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "unsupported checkpoint version");
+    }
+
+    /// A freshly captured checkpoint of the `setup` model.
+    fn fresh_checkpoint() -> Checkpoint {
+        let (model, _, cfg) = setup();
+        let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(1));
+        Checkpoint::capture(&model, &opt)
+    }
+
+    /// Parses `bytes`, expecting a typed `InvalidData` refusal.
+    fn refused(bytes: &[u8]) -> io::Error {
+        let err = Checkpoint::from_bytes(bytes).expect_err("must be refused at load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    #[test]
+    fn short_mlp_bias_is_refused_at_load() {
+        let mut ck = fresh_checkpoint();
+        ck.weights[1].pop();
+        let err = refused(&ck.to_bytes());
+        assert_eq!(err.to_string(), "MLP tensor shape mismatch");
+    }
+
+    #[test]
+    fn missing_layer_tensor_is_refused_at_load() {
+        let mut ck = fresh_checkpoint();
+        let first_top_weight = 2 * ck.config.bottom_layers.len();
+        ck.weights.remove(first_top_weight);
+        let err = refused(&ck.to_bytes());
+        assert_eq!(err.to_string(), "checkpoint tensor count mismatch");
+    }
+
+    #[test]
+    fn nonzero_interaction_tag_is_refused_at_load() {
+        let mut buf = fresh_checkpoint().to_bytes();
+        // The tag follows three u64 config words; re-seal the checksum so
+        // only the tag is wrong.
+        let tag = HEADER_LEN + 3 * 8;
+        buf[tag..tag + 4].copy_from_slice(&1u32.to_le_bytes());
+        let end = buf.len() - TRAILER_LEN;
+        let sum = fnv1a64(&buf[HEADER_LEN..end]);
+        buf[end..].copy_from_slice(&sum.to_le_bytes());
+        let err = refused(&buf);
+        assert_eq!(err.to_string(), "unknown interaction kind");
     }
 }

@@ -60,13 +60,6 @@ impl LazyDpConfig {
         Self { dp, ans }
     }
 
-    /// Disables ANS (the `LazyDP(w/o ANS)` ablation).
-    #[must_use]
-    pub fn without_ans(mut self) -> Self {
-        self.ans = false;
-        self
-    }
-
     /// Sets the executor width for the parallel phases (delegates to
     /// [`DpConfig::with_threads`]).
     ///

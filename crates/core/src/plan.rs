@@ -190,7 +190,7 @@ impl LookaheadFlush {
     /// Plans and samples the flush of one table: takes the delays of
     /// every row in `targets` (the sorted, deduplicated rows the next
     /// iteration gathers —
-    /// [`dedup_indices`](lazydp_embedding::sparse::dedup_indices)
+    /// [`dedup_indices_into`](lazydp_embedding::sparse::dedup_indices_into)
     /// output) from `history`, then samples the pending rows' noise with
     /// [`sample_entries_into`]. Whatever a previous `fill` left behind
     /// is discarded.

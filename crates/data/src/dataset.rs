@@ -76,13 +76,6 @@ impl SyntheticConfig {
         self.pooling = pooling;
         self
     }
-
-    /// Sets the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// The generated dataset. See the module docs for the planted-model

@@ -196,23 +196,14 @@ impl AccessDistribution {
             }
         }
     }
-
-    /// Expected number of *distinct* rows hit by `draws` independent
-    /// draws: `Σ_r (1 − (1 − p_r)^draws)`.
-    ///
-    /// This quantity drives LazyDP's cost (paper §5.1: the number of lazy
-    /// noise updates is set by the unique rows of the *next* batch, not
-    /// the table size) and feeds `lazydp-sysmodel`.
-    #[must_use]
-    pub fn expected_unique(&self, draws: u64) -> f64 {
-        match self {
-            Self::Uniform { rows } => expected_unique_uniform(*rows, draws),
-            Self::Zipf { rows, exponent, .. } => expected_unique_zipf(*rows, *exponent, draws),
-        }
-    }
 }
 
 /// Expected distinct rows for `draws` uniform draws over `rows` rows.
+///
+/// The expected number of *distinct* rows hit by `draws` independent
+/// draws, `Σ_r (1 − (1 − p_r)^draws)`, drives LazyDP's cost (paper §5.1:
+/// the number of lazy noise updates is set by the unique rows of the
+/// *next* batch, not the table size) and feeds `lazydp-sysmodel`.
 #[must_use]
 pub fn expected_unique_uniform(rows: u64, draws: u64) -> f64 {
     let e = rows as f64;
@@ -438,8 +429,12 @@ mod tests {
         let draws = 4_096u64;
         let mut prev = f64::INFINITY;
         for skew in SkewLevel::all() {
-            let d = AccessDistribution::for_skew(rows, skew);
-            let u = d.expected_unique(draws);
+            let u = match skew.target() {
+                None => expected_unique_uniform(rows, draws),
+                Some((fraction, mass)) => {
+                    expected_unique_zipf(rows, zipf_exponent_for_skew(rows, fraction, mass), draws)
+                }
+            };
             assert!(u < prev, "{skew:?}: {u} !< {prev}");
             prev = u;
         }

@@ -1,23 +1,18 @@
-//! Embedding-bag forward/backward: gather + pooling.
+//! Embedding-bag forward/backward: gather + sum pooling.
 //!
-//! A DLRM embedding layer gathers `pooling` rows per sample and reduces
-//! them to a single vector (paper §2.1: "multiple embedding vectors can
+//! A DLRM embedding layer gathers `pooling` rows per sample and sums
+//! them into a single vector (paper §2.1: "multiple embedding vectors can
 //! be gathered from the embedding table, all of which are pooled into a
-//! single vector using a reduction operation").
+//! single vector using a reduction operation"; MLPerf DLRM's reduction
+//! is the sum, the only one implemented here).
+//!
+//! The kernels are free functions over a table and a [`BagIndices`]: a
+//! bag holds no state, and the table is passed explicitly so the
+//! optimizers own the weights.
 
 use crate::sparse::SparseGrad;
 use crate::storage::EmbeddingStorage;
 use lazydp_tensor::Matrix;
-
-/// Reduction applied to the gathered vectors of one sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Pooling {
-    /// Element-wise sum (the DLRM/MLPerf default).
-    #[default]
-    Sum,
-    /// Element-wise mean.
-    Mean,
-}
 
 /// Batched lookup structure for one table: CSR-style offsets into a flat
 /// index list. Sample `i` gathers `indices[offsets[i]..offsets[i+1]]`.
@@ -70,224 +65,137 @@ impl BagIndices {
         let hi = self.offsets[i + 1] as usize;
         &self.indices[lo..hi]
     }
-
-    /// Sorted unique indices of the whole batch and duplicate count.
-    #[must_use]
-    pub fn unique_indices(&self) -> (Vec<u64>, usize) {
-        crate::sparse::dedup_indices(&self.indices)
-    }
 }
 
-/// Forward/backward of one embedding-bag layer over one table.
+/// Forward: the pooled output, one row per sample (`B × dim`), into a
+/// caller-owned matrix (reshaped, zeroed, and refilled; no allocation at
+/// steady state). Samples with an empty index list produce a zero vector.
 ///
-/// Stateless: the table is passed explicitly so the optimizers own the
-/// weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct EmbeddingBag {
-    pooling: Pooling,
+/// Generic over the table backend (any [`EmbeddingStorage`]): the
+/// accumulation arithmetic is identical whether the rows come from memory
+/// or disk pages.
+///
+/// # Panics
+///
+/// Panics if any index is out of range for `table`.
+pub fn forward_into<T: EmbeddingStorage>(table: &T, batch: &BagIndices, out: &mut Matrix) {
+    out.reset_zeroed(batch.batch_size(), table.dim());
+    for i in 0..batch.batch_size() {
+        let row = out.row_mut(i);
+        for &idx in batch.sample(i) {
+            table.with_row(idx, |trow| {
+                for (o, &w) in row.iter_mut().zip(trow.iter()) {
+                    *o += w;
+                }
+            });
+        }
+    }
 }
 
-impl EmbeddingBag {
-    /// Creates a bag with the given pooling reduction.
-    #[must_use]
-    pub fn new(pooling: Pooling) -> Self {
-        Self { pooling }
+/// Backward: the per-row sparse gradient from the pooled-output gradient
+/// (`B × dim`), into a caller-owned sparse gradient (reset and refilled,
+/// keeping its allocations). The result is **un-coalesced** (one entry
+/// per lookup) so callers can decide when to pay for coalescing —
+/// mirroring the paper's separation of "gradient coalescing" as its own
+/// stage (Fig. 11).
+///
+/// # Panics
+///
+/// Panics if `grad_out` has the wrong shape.
+pub fn backward_into(grad_out: &Matrix, batch: &BagIndices, dim: usize, grad: &mut SparseGrad) {
+    assert_eq!(
+        grad_out.shape(),
+        (batch.batch_size(), dim),
+        "grad_out shape mismatch"
+    );
+    grad.reset(dim);
+    for i in 0..batch.batch_size() {
+        let g = grad_out.row(i);
+        for &idx in batch.sample(i) {
+            grad.push_zeros(idx).copy_from_slice(g);
+        }
     }
+}
 
-    /// The configured pooling.
-    #[must_use]
-    pub fn pooling(&self) -> Pooling {
-        self.pooling
-    }
-
-    /// Forward: the pooled output, one row per sample (`B × dim`), into
-    /// a caller-owned matrix (reshaped, zeroed, and refilled; no
-    /// allocation at steady state). Samples with an empty index list
-    /// produce a zero vector.
-    ///
-    /// Generic over the table backend (any [`EmbeddingStorage`]): the
-    /// accumulation arithmetic is identical whether the rows come from
-    /// memory or disk pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range for `table`.
-    pub fn forward_into<T: EmbeddingStorage>(
-        &self,
-        table: &T,
-        batch: &BagIndices,
-        out: &mut Matrix,
-    ) {
-        out.reset_zeroed(batch.batch_size(), table.dim());
-        for i in 0..batch.batch_size() {
-            let idxs = batch.sample(i);
-            if idxs.is_empty() {
-                continue;
-            }
-            let row = out.row_mut(i);
-            for &idx in idxs {
-                table.with_row(idx, |trow| {
-                    for (o, &w) in row.iter_mut().zip(trow.iter()) {
-                        *o += w;
-                    }
-                });
-            }
-            if self.pooling == Pooling::Mean {
-                let inv = 1.0 / idxs.len() as f32;
-                for o in row.iter_mut() {
-                    *o *= inv;
-                }
+/// Weighted backward: like [`backward_into`] but multiplies example
+/// `i`'s contribution by `w[i]` — the sparse half of the clipped-aggregate
+/// backward, fed the *unscaled* gradient chain so the clip factor applies
+/// exactly once, at the gradient-entry write (`entry = w_i · δ_i`).
+///
+/// # Panics
+///
+/// Panics if `grad_out` has the wrong shape or
+/// `w.len() != batch.batch_size()`.
+pub fn backward_weighted_into(
+    grad_out: &Matrix,
+    batch: &BagIndices,
+    w: &[f32],
+    dim: usize,
+    grad: &mut SparseGrad,
+) {
+    assert_eq!(
+        grad_out.shape(),
+        (batch.batch_size(), dim),
+        "grad_out shape mismatch"
+    );
+    assert_eq!(w.len(), batch.batch_size(), "one weight per example");
+    grad.reset(dim);
+    for (i, &wi) in w.iter().enumerate() {
+        let g = grad_out.row(i);
+        for &idx in batch.sample(i) {
+            let entry = grad.push_zeros(idx);
+            for (e, &gv) in entry.iter_mut().zip(g.iter()) {
+                *e = wi * gv;
             }
         }
     }
+}
 
-    /// Backward: the per-row sparse gradient from the pooled-output
-    /// gradient (`B × dim`), into a caller-owned sparse gradient (reset
-    /// and refilled, keeping its allocations). The result is
-    /// **un-coalesced** (one entry per lookup) so callers can decide when
-    /// to pay for coalescing — mirroring the paper's separation of
-    /// "gradient coalescing" as its own stage (Fig. 11).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_out` has the wrong shape.
-    pub fn backward_into(
-        &self,
-        grad_out: &Matrix,
-        batch: &BagIndices,
-        dim: usize,
-        grad: &mut SparseGrad,
-    ) {
-        assert_eq!(
-            grad_out.shape(),
-            (batch.batch_size(), dim),
-            "grad_out shape mismatch"
-        );
-        grad.reset(dim);
-        for i in 0..batch.batch_size() {
-            let idxs = batch.sample(i);
-            if idxs.is_empty() {
-                continue;
-            }
-            let g = grad_out.row(i);
-            let scale = match self.pooling {
-                Pooling::Sum => 1.0,
-                Pooling::Mean => 1.0 / idxs.len() as f32,
-            };
-            for &idx in idxs {
-                let entry = grad.push_zeros(idx);
-                for (e, &gv) in entry.iter_mut().zip(g.iter()) {
-                    *e = scale * gv;
-                }
+/// Per-example squared gradient norm of one bag's weights, without
+/// materializing per-example gradients — the embedding half of the
+/// DP-SGD(F) *ghost norm* trick (paper §2.5, Denison et al.).
+///
+/// Example `i`'s gradient w.r.t. row `r` is `c_{i,r} · δ_i` where
+/// `c_{i,r}` is the number of times `r` occurs in the sample's lookups,
+/// so `‖g_i‖² = (Σ_r c_{i,r}²) · ‖δ_i‖²`. Duplicate counts come from
+/// sorting the sample's lookups into `idx_scratch` and measuring runs —
+/// no hash map and no allocation at steady state (the `Σ c²` terms are
+/// exact small integers, so summation order cannot change the value).
+///
+/// # Panics
+///
+/// Panics if `grad_out` has the wrong number of rows.
+pub fn per_example_norm_sq_into(
+    grad_out: &Matrix,
+    batch: &BagIndices,
+    out: &mut Vec<f64>,
+    idx_scratch: &mut Vec<u64>,
+) {
+    assert_eq!(
+        grad_out.rows(),
+        batch.batch_size(),
+        "grad_out rows mismatch"
+    );
+    out.clear();
+    for i in 0..batch.batch_size() {
+        idx_scratch.clear();
+        idx_scratch.extend_from_slice(batch.sample(i));
+        idx_scratch.sort_unstable();
+        let mut c_sq = 0.0f64;
+        let mut run = 0u64;
+        let mut prev = 0u64;
+        for &idx in idx_scratch.iter() {
+            if run > 0 && idx == prev {
+                run += 1;
+            } else {
+                c_sq += (run * run) as f64;
+                prev = idx;
+                run = 1;
             }
         }
-    }
-
-    /// Weighted backward: like [`backward_into`](Self::backward_into)
-    /// but multiplies example `i`'s contribution by `w[i]` — the sparse
-    /// half of the clipped-aggregate backward, fed the *unscaled*
-    /// gradient chain so the clip factor applies exactly once, at the
-    /// gradient-entry write (`entry = scale · (w_i · δ_i)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_out` has the wrong shape or
-    /// `w.len() != batch.batch_size()`.
-    pub fn backward_weighted_into(
-        &self,
-        grad_out: &Matrix,
-        batch: &BagIndices,
-        w: &[f32],
-        dim: usize,
-        grad: &mut SparseGrad,
-    ) {
-        assert_eq!(
-            grad_out.shape(),
-            (batch.batch_size(), dim),
-            "grad_out shape mismatch"
-        );
-        assert_eq!(w.len(), batch.batch_size(), "one weight per example");
-        grad.reset(dim);
-        for (i, &wi) in w.iter().enumerate() {
-            let idxs = batch.sample(i);
-            if idxs.is_empty() {
-                continue;
-            }
-            let g = grad_out.row(i);
-            let scale = match self.pooling {
-                Pooling::Sum => 1.0,
-                Pooling::Mean => 1.0 / idxs.len() as f32,
-            };
-            for &idx in idxs {
-                let entry = grad.push_zeros(idx);
-                for (e, &gv) in entry.iter_mut().zip(g.iter()) {
-                    *e = scale * (wi * gv);
-                }
-            }
-        }
-    }
-
-    /// Per-example squared gradient norm of this bag's weights, without
-    /// materializing per-example gradients — the embedding half of the
-    /// DP-SGD(F) *ghost norm* trick (paper §2.5, Denison et al.).
-    ///
-    /// For sum pooling, example `i`'s gradient w.r.t. row `r` is
-    /// `c_{i,r} · δ_i` where `c_{i,r}` is the number of times `r` occurs
-    /// in the sample's lookups, so
-    /// `‖g_i‖² = (Σ_r c_{i,r}²) · ‖δ_i‖²`. Mean pooling scales by
-    /// `1/L_i²`. Duplicate counts come from sorting the sample's lookups
-    /// into `idx_scratch` and measuring runs — no hash map and no
-    /// allocation at steady state (the `Σ c²` terms are exact small
-    /// integers, so summation order cannot change the value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_out` has the wrong number of rows.
-    pub fn per_example_norm_sq_into(
-        &self,
-        grad_out: &Matrix,
-        batch: &BagIndices,
-        out: &mut Vec<f64>,
-        idx_scratch: &mut Vec<u64>,
-    ) {
-        assert_eq!(
-            grad_out.rows(),
-            batch.batch_size(),
-            "grad_out rows mismatch"
-        );
-        out.clear();
-        for i in 0..batch.batch_size() {
-            let idxs = batch.sample(i);
-            idx_scratch.clear();
-            idx_scratch.extend_from_slice(idxs);
-            idx_scratch.sort_unstable();
-            let mut c_sq = 0.0f64;
-            let mut run = 0u64;
-            let mut prev = 0u64;
-            for &idx in idx_scratch.iter() {
-                if run > 0 && idx == prev {
-                    run += 1;
-                } else {
-                    c_sq += (run * run) as f64;
-                    prev = idx;
-                    run = 1;
-                }
-            }
-            c_sq += (run * run) as f64;
-            let delta_sq = lazydp_tensor::vecops::norm_sq(grad_out.row(i));
-            let scale = match self.pooling {
-                Pooling::Sum => 1.0,
-                Pooling::Mean => {
-                    let l = idxs.len() as f64;
-                    if l == 0.0 {
-                        0.0
-                    } else {
-                        1.0 / (l * l)
-                    }
-                }
-            };
-            out.push(c_sq * delta_sq * scale);
-        }
+        c_sq += (run * run) as f64;
+        let delta_sq = lazydp_tensor::vecops::norm_sq(grad_out.row(i));
+        out.push(c_sq * delta_sq);
     }
 }
 
@@ -310,14 +218,10 @@ mod tests {
         let t = table_with_rows(&[&[1.0, 0.0], &[0.0, 2.0], &[4.0, 4.0]]);
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![2], vec![]]);
         let mut sum = Matrix::default();
-        EmbeddingBag::new(Pooling::Sum).forward_into(&t, &batch, &mut sum);
+        forward_into(&t, &batch, &mut sum);
         assert_eq!(sum.row(0), &[1.0, 2.0]);
         assert_eq!(sum.row(1), &[4.0, 4.0]);
         assert_eq!(sum.row(2), &[0.0, 0.0]);
-        let mut mean = Matrix::default();
-        EmbeddingBag::new(Pooling::Mean).forward_into(&t, &batch, &mut mean);
-        assert_eq!(mean.row(0), &[0.5, 1.0]);
-        assert_eq!(mean.row(1), &[4.0, 4.0]);
     }
 
     #[test]
@@ -325,7 +229,7 @@ mod tests {
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![1, 1]]);
         let grad_out = Matrix::from_vec(2, 2, vec![1.0, 2.0, 10.0, 20.0]);
         let mut g = SparseGrad::default();
-        EmbeddingBag::new(Pooling::Sum).backward_into(&grad_out, &batch, 2, &mut g);
+        backward_into(&grad_out, &batch, 2, &mut g);
         assert_eq!(g.len(), 4, "one entry per lookup before coalescing");
         g.coalesce();
         let dense = g.to_dense_map();
@@ -335,30 +239,18 @@ mod tests {
     }
 
     #[test]
-    fn backward_mean_scales_by_bag_length() {
-        let batch = BagIndices::from_samples(&[vec![0, 1, 2, 3]]);
-        let grad_out = Matrix::from_vec(1, 1, vec![4.0]);
-        let mut g = SparseGrad::default();
-        EmbeddingBag::new(Pooling::Mean).backward_into(&grad_out, &batch, 1, &mut g);
-        for (_, v) in g.iter() {
-            assert_eq!(v, &[1.0]);
-        }
-    }
-
-    #[test]
     #[allow(clippy::needless_range_loop)]
     fn forward_backward_finite_difference() {
         // dL/dW check with L = sum(output): each gathered row's grad is 1.
         let mut t = table_with_rows(&[&[0.5, -0.5], &[1.5, 2.5]]);
         let batch = BagIndices::from_samples(&[vec![0, 1, 1]]);
-        let bag = EmbeddingBag::new(Pooling::Sum);
         let grad_out = Matrix::from_vec(1, 2, vec![1.0; 2]);
         let mut g = SparseGrad::default();
-        bag.backward_into(&grad_out, &batch, 2, &mut g);
+        backward_into(&grad_out, &batch, 2, &mut g);
         g.coalesce();
         let mut out = Matrix::default();
         let mut loss = |t: &EmbeddingTable| -> f32 {
-            bag.forward_into(t, &batch, &mut out);
+            forward_into(t, &batch, &mut out);
             out.as_slice().iter().sum()
         };
         let eps = 1e-3f32;
@@ -385,15 +277,14 @@ mod tests {
     fn ghost_norm_matches_explicit_per_example_norm() {
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![2, 2, 3]]);
         let grad_out = Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 0.5]);
-        let bag = EmbeddingBag::new(Pooling::Sum);
         let mut ghost = Vec::new();
-        bag.per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());
+        per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());
         // Explicit: materialize each example's sparse grad and take its norm.
         for i in 0..2 {
             let single = BagIndices::from_samples(&[batch.sample(i).to_vec()]);
             let g_i = Matrix::from_vec(1, 2, grad_out.row(i).to_vec());
             let mut sg = SparseGrad::default();
-            bag.backward_into(&g_i, &single, 2, &mut sg);
+            backward_into(&g_i, &single, 2, &mut sg);
             sg.coalesce();
             let explicit = sg.norm_sq();
             assert!(
@@ -405,28 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn ghost_norm_mean_pooling() {
-        let batch = BagIndices::from_samples(&[vec![0, 1, 1]]);
-        let grad_out = Matrix::from_vec(1, 1, vec![3.0]);
-        let bag = EmbeddingBag::new(Pooling::Mean);
-        let mut ghost = Vec::new();
-        bag.per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());
-        let single = BagIndices::from_samples(&[batch.sample(0).to_vec()]);
-        let mut sg = SparseGrad::default();
-        bag.backward_into(&grad_out, &single, 1, &mut sg);
-        sg.coalesce();
-        assert!((ghost[0] - sg.norm_sq()).abs() < 1e-9);
-    }
-
-    #[test]
     fn bag_indices_accessors() {
         let batch = BagIndices::from_samples(&[vec![5, 5, 2], vec![9]]);
         assert_eq!(batch.batch_size(), 2);
         assert_eq!(batch.total_lookups(), 4);
         assert_eq!(batch.sample(0), &[5, 5, 2]);
         assert_eq!(batch.sample(1), &[9]);
-        let (uniq, dups) = batch.unique_indices();
-        assert_eq!(uniq, vec![2, 5, 9]);
-        assert_eq!(dups, 1);
+        assert_eq!(batch.flat_indices(), &[5, 5, 2, 9]);
     }
 }

@@ -1,4 +1,4 @@
-//! Embedding-layer substrate: tables, bags, pooling, sparse gradients.
+//! Embedding-layer substrate: tables, sum-pooled bags, sparse gradients.
 //!
 //! Embedding layers are the heart of the LazyDP paper. A table is an array
 //! of `dim`-wide vectors indexed by a categorical feature; a training
@@ -12,7 +12,8 @@
 //!
 //! * [`EmbeddingTable`] — the weight storage with sparse/dense update
 //!   primitives,
-//! * [`EmbeddingBag`] — gather + pooling forward/backward,
+//! * [`bag`] — the gather + sum-pooling forward/backward kernels and
+//!   their CSR lookup batch, [`BagIndices`](bag::BagIndices),
 //! * [`SparseGrad`] — per-row gradients with coalescing (the "gradient
 //!   coalescing" stage of Fig. 11),
 //! * [`AccessTracker`] — per-row access statistics used to validate the
@@ -36,7 +37,6 @@ pub mod storage;
 pub mod table;
 
 pub use access::AccessTracker;
-pub use bag::{EmbeddingBag, Pooling};
 pub use shard::ShardSpec;
 pub use sparse::{CoalesceScratch, SparseGrad};
 pub use storage::EmbeddingStorage;

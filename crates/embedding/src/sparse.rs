@@ -264,24 +264,16 @@ pub struct CoalesceScratch {
     values: Vec<f32>,
 }
 
-/// Deduplicates a list of row indices, returning the sorted unique set
-/// and the number of duplicates removed.
+/// Deduplicates a list of row indices into a caller-owned vector: `out`
+/// is cleared and refilled with the sorted unique set (the in-place
+/// unstable sort and `Vec::dedup` allocate nothing, so the per-step
+/// lookahead dedup reuses one buffer per table). Returns the number of
+/// duplicates removed.
 ///
 /// This is the standalone "remove duplicated embedding indices among the
 /// embeddings accessed next" operation of LazyDP (61% of its overhead,
 /// Fig. 11) — split out so `lazydp-core` can instrument it separately
 /// from gradient coalescing.
-#[must_use]
-pub fn dedup_indices(indices: &[u64]) -> (Vec<u64>, usize) {
-    let mut sorted = Vec::new();
-    let dups = dedup_indices_into(indices, &mut sorted);
-    (sorted, dups)
-}
-
-/// [`dedup_indices`] into a caller-owned vector (cleared and refilled;
-/// the in-place unstable sort and `Vec::dedup` allocate nothing), so
-/// the per-step lookahead dedup reuses one buffer per table. Returns
-/// the number of duplicates removed.
 pub fn dedup_indices_into(indices: &[u64], out: &mut Vec<u64>) -> usize {
     out.clear();
     out.extend_from_slice(indices);
@@ -362,11 +354,12 @@ mod tests {
 
     #[test]
     fn dedup_indices_counts_duplicates() {
-        let (uniq, dups) = dedup_indices(&[5, 1, 5, 3, 1, 1]);
+        let mut uniq = vec![9];
+        let dups = dedup_indices_into(&[5, 1, 5, 3, 1, 1], &mut uniq);
         assert_eq!(uniq, vec![1, 3, 5]);
         assert_eq!(dups, 3);
-        let (empty, zero) = dedup_indices(&[]);
-        assert!(empty.is_empty());
+        let zero = dedup_indices_into(&[], &mut uniq);
+        assert!(uniq.is_empty());
         assert_eq!(zero, 0);
     }
 

@@ -136,15 +136,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// Applies `f` to every row — the dense full-table traversal that
-    /// eager DP-SGD's noisy gradient update performs (Fig. 4(b)). The
-    /// closure receives `(row_index, row_slice)`.
-    pub fn for_each_row_mut(&mut self, mut f: impl FnMut(usize, &mut [f32])) {
-        for (r, chunk) in self.weights.chunks_exact_mut(self.dim).enumerate() {
-            f(r, chunk);
-        }
-    }
-
     /// L2 norm of the full table (test helper).
     #[must_use]
     pub fn frob_norm(&self) -> f64 {
@@ -217,18 +208,6 @@ mod tests {
         let grad = SparseGrad::from_entries(1, vec![(0, vec![1.0]), (0, vec![2.0])]);
         t.sparse_update(&grad, 1.0);
         assert_eq!(t.row(0), &[-3.0]);
-    }
-
-    #[test]
-    fn for_each_row_mut_visits_all_rows_once() {
-        let mut t = EmbeddingTable::zeros(7, 3);
-        let mut visited = Vec::new();
-        t.for_each_row_mut(|r, row| {
-            visited.push(r);
-            row[0] = r as f32;
-        });
-        assert_eq!(visited, (0..7).collect::<Vec<_>>());
-        assert_eq!(t.row(6)[0], 6.0);
     }
 
     #[test]

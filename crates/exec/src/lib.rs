@@ -113,8 +113,7 @@ pub fn global() -> Executor {
 /// A scoped worker pool of a fixed width.
 ///
 /// Creating one is free (no threads are kept alive between parallel
-/// regions); each [`par_for`](Self::par_for) /
-/// [`par_map_chunks`](Self::par_map_chunks) call spawns its workers
+/// regions); each [`par_for`](Self::par_for) call spawns its workers
 /// under [`std::thread::scope`] and joins them before returning, so
 /// borrowed data needs no `'static` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,35 +214,6 @@ impl Executor {
             }
         });
     }
-
-    /// Maps `f` over consecutive chunks of `items` (chunk length
-    /// `chunk_len`), returning one result per chunk in chunk order.
-    ///
-    /// Same determinism contract as [`par_for`](Self::par_for).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len == 0`, or propagates a panic from `f`.
-    pub fn par_map_chunks<T, R, F>(&self, items: &[T], chunk_len: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        let n_chunks = items.len().div_ceil(chunk_len);
-        let mut results: Vec<Option<R>> = Vec::new();
-        results.resize_with(n_chunks, || None);
-        self.par_for(&mut results, 1, |i, slot| {
-            let lo = i * chunk_len;
-            let hi = (lo + chunk_len).min(items.len());
-            slot[0] = Some(f(i, &items[lo..hi]));
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every chunk produced a result"))
-            .collect()
-    }
 }
 
 /// Runs `a` on a freshly spawned scoped thread while `b` runs on the
@@ -255,8 +225,8 @@ impl Executor {
 /// raw `std::thread::scope` here, inside the executor crate, means
 /// clippy (rule D3) can verify that no other crate spawns threads —
 /// every parallel region in the training path is either chunk-addressed
-/// ([`Executor::par_for`] / [`Executor::par_map_chunks`]) or an explicit
-/// two-sided overlap whose sides touch disjoint state.
+/// ([`Executor::par_for`]) or an explicit two-sided overlap whose sides
+/// touch disjoint state.
 ///
 /// Determinism: `overlap(a, b)` computes exactly `(a(), b())` — each
 /// side runs once, to completion, and the results are returned in a
@@ -351,22 +321,6 @@ mod tests {
         assert_eq!(data, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
         let mut empty: Vec<usize> = Vec::new();
         Executor::new(8).par_for(&mut empty, 3, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn par_map_chunks_returns_results_in_chunk_order() {
-        let items: Vec<u32> = (0..100).collect();
-        let sums =
-            Executor::new(3).par_map_chunks(&items, 7, |i, chunk| (i, chunk.iter().sum::<u32>()));
-        assert_eq!(sums.len(), 15);
-        for (k, &(i, s)) in sums.iter().enumerate() {
-            assert_eq!(i, k);
-            let expect: u32 = items[k * 7..(k * 7 + 7).min(100)].iter().sum();
-            assert_eq!(s, expect);
-        }
-        let none: Vec<u32> = Vec::new();
-        let empty: Vec<u32> = Executor::new(3).par_map_chunks(&none, 7, |_, c| c.len() as u32);
-        assert!(empty.is_empty());
     }
 
     #[test]

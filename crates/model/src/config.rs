@@ -1,19 +1,10 @@
 //! DLRM model configurations: the paper's default and its variants.
 
-/// How the bottom-MLP output and embedding vectors are combined before
-/// the top MLP (paper Fig. 1 "feature interaction").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum InteractionKind {
-    /// Pairwise dot products of all (T+1) vectors, concatenated with the
-    /// bottom-MLP output — the DLRM/MLPerf default.
-    #[default]
-    Dot,
-    /// Plain concatenation of all vectors (used by simpler RecSys
-    /// variants; cheaper, larger top-MLP input).
-    Concat,
-}
-
 /// Full structural description of a DLRM instance.
+///
+/// Every instance has the paper's one shape (§2.1, Fig. 1): embedding
+/// bags pooled by sum and a pairwise dot-product feature interaction,
+/// so only the widths and the table sizes vary.
 ///
 /// `bottom_layers` / `top_layers` list the *output* widths of each MLP
 /// layer; input widths are inferred (`num_dense` for the bottom,
@@ -35,8 +26,6 @@ pub struct DlrmConfig {
     /// Top MLP output widths (last must be 1). MLPerf:
     /// `[1024, 1024, 512, 256, 1]`.
     pub top_layers: Vec<usize>,
-    /// Feature-interaction style.
-    pub interaction: InteractionKind,
 }
 
 /// The 26 Criteo-Terabyte table cardinalities with the MLPerf cap of
@@ -75,7 +64,6 @@ impl DlrmConfig {
             pooling: 1,
             bottom_layers: vec![512, 256, 128],
             top_layers: vec![1024, 1024, 512, 256, 1],
-            interaction: InteractionKind::Dot,
         }
     }
 
@@ -92,7 +80,6 @@ impl DlrmConfig {
             pooling: 10,
             bottom_layers: vec![256, 128, 64],
             top_layers: vec![512, 128, 1],
-            interaction: InteractionKind::Dot,
         }
     }
 
@@ -110,7 +97,6 @@ impl DlrmConfig {
             pooling: 30,
             bottom_layers: vec![256, 128, 64],
             top_layers: vec![512, 128, 1],
-            interaction: InteractionKind::Dot,
         }
     }
 
@@ -129,7 +115,6 @@ impl DlrmConfig {
             pooling: 1,
             bottom_layers: vec![512, 256, 128],
             top_layers: vec![1024, 512, 1],
-            interaction: InteractionKind::Dot,
         }
     }
 
@@ -144,7 +129,6 @@ impl DlrmConfig {
             pooling: 1,
             bottom_layers: vec![16, dim],
             top_layers: vec![16, 1],
-            interaction: InteractionKind::Dot,
         }
     }
 
@@ -191,16 +175,13 @@ impl DlrmConfig {
 
     /// Input width of the top MLP, determined by the interaction.
     ///
-    /// For `Dot` with `T` tables: `embedding_dim + (T+1)·T/2` (pairwise
-    /// dots among the T embedding outputs and the bottom output,
-    /// concatenated with the bottom output). MLPerf: 128 + 27·26/2 = 479.
+    /// With `T` tables: `embedding_dim + (T+1)·T/2` (pairwise dots among
+    /// the T embedding outputs and the bottom output, concatenated with
+    /// the bottom output). MLPerf: 128 + 27·26/2 = 479.
     #[must_use]
     pub fn top_input_dim(&self) -> usize {
         let n = self.num_tables() + 1;
-        match self.interaction {
-            InteractionKind::Dot => self.embedding_dim + n * (n - 1) / 2,
-            InteractionKind::Concat => self.embedding_dim * n,
-        }
+        self.embedding_dim + n * (n - 1) / 2
     }
 
     /// MLP parameter count (weights + biases of both MLPs).
@@ -347,13 +328,6 @@ mod tests {
         cfg.validate().expect("valid");
         assert!(cfg.model_bytes() < 1_000_000);
         assert_eq!(cfg.top_input_dim(), 8 + 5 * 4 / 2);
-    }
-
-    #[test]
-    fn concat_interaction_dim() {
-        let mut cfg = DlrmConfig::tiny(3, 10, 8);
-        cfg.interaction = InteractionKind::Concat;
-        assert_eq!(cfg.top_input_dim(), 8 * 4);
     }
 
     #[test]

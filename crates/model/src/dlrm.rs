@@ -5,10 +5,8 @@ use crate::config::DlrmConfig;
 use crate::interaction::{interaction_backward_into, interaction_forward_into};
 use crate::mlp::{Mlp, MlpCache, MlpGrads};
 use lazydp_data::MiniBatch;
-use lazydp_embedding::bag::BagIndices;
-use lazydp_embedding::{
-    CoalesceScratch, EmbeddingBag, EmbeddingStorage, EmbeddingTable, Pooling, SparseGrad,
-};
+use lazydp_embedding::bag::{self, BagIndices};
+use lazydp_embedding::{CoalesceScratch, EmbeddingStorage, EmbeddingTable, SparseGrad};
 use lazydp_rng::Prng;
 use lazydp_tensor::{bce_with_logits, bce_with_logits_grad_into, Matrix};
 
@@ -175,10 +173,9 @@ pub struct Dlrm<T: EmbeddingStorage = EmbeddingTable> {
     config: DlrmConfig,
     /// Bottom (dense-feature) MLP.
     pub bottom: Mlp,
-    /// One embedding table per categorical feature.
+    /// One embedding table per categorical feature, sum-pooled by the
+    /// [`bag`] kernels.
     pub tables: Vec<T>,
-    /// One bag (gather+pool) per table.
-    pub bags: Vec<EmbeddingBag>,
     /// Top (interaction) MLP ending in the click logit.
     pub top: Mlp,
 }
@@ -192,9 +189,10 @@ impl Dlrm {
     /// [`DlrmConfig::validate`]).
     #[must_use]
     pub fn new<R: Prng>(config: DlrmConfig, rng: &mut R) -> Self {
-        Dlrm::new_with(config, rng, |rows, dim, rng| {
-            EmbeddingTable::init_uniform(rows, dim, rng)
+        Self::try_new_with(config, rng, |rows, dim, rng| {
+            Ok::<_, std::convert::Infallible>(EmbeddingTable::init_uniform(rows, dim, rng))
         })
+        .expect("infallible table constructor")
     }
 
     /// Per-example logit gradients of the BCE loss into a caller-owned
@@ -215,29 +213,12 @@ impl Dlrm {
 
 impl<T: EmbeddingStorage> Dlrm<T> {
     /// Builds a model whose embedding tables come from `make_table(rows,
-    /// dim, rng)`. The RNG is threaded through in the exact order
+    /// dim, rng)`, which may fail (disk-backed tables can hit I/O
+    /// errors). The RNG is threaded through in the exact order
     /// [`Dlrm::new`] uses (bottom MLP, top MLP, then tables), so a
     /// backend whose constructor draws the same values — e.g.
     /// `StoredTable::init_uniform` — yields a model bitwise identical to
     /// the in-memory one from the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    #[must_use]
-    pub fn new_with<R: Prng>(
-        config: DlrmConfig,
-        rng: &mut R,
-        mut make_table: impl FnMut(usize, usize, &mut R) -> T,
-    ) -> Self {
-        Self::try_new_with(config, rng, |rows, dim, rng| {
-            Ok::<T, std::convert::Infallible>(make_table(rows, dim, rng))
-        })
-        .expect("infallible table constructor")
-    }
-
-    /// [`new_with`](Self::new_with) for fallible table constructors
-    /// (disk-backed tables can hit I/O errors).
     ///
     /// # Errors
     ///
@@ -259,18 +240,16 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             .iter()
             .map(|&rows| make_table(rows as usize, config.embedding_dim, rng))
             .collect::<Result<Vec<_>, E>>()?;
-        let bags = vec![EmbeddingBag::new(Pooling::Sum); config.table_rows.len()];
         Ok(Self {
             config,
             bottom,
             tables,
-            bags,
             top,
         })
     }
 
     /// Rebuilds the model on a different embedding backend, converting
-    /// each table with `f(table_index, table)`. MLPs, bags, and config
+    /// each table with `f(table_index, table)`. MLPs and config
     /// move over untouched, so the converted model is observationally
     /// identical whenever `f` preserves row contents.
     #[must_use]
@@ -298,7 +277,6 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             config: self.config,
             bottom: self.bottom,
             tables,
-            bags: self.bags,
             top: self.top,
         })
     }
@@ -363,13 +341,9 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             .resize_with(1 + self.tables.len(), || Matrix::zeros(0, 0));
         cache.inter_inputs[0].copy_from(cache.bottom.output());
         for (t, table) in self.tables.iter().enumerate() {
-            self.bags[t].forward_into(table, &batch.sparse[t], &mut cache.inter_inputs[t + 1]);
+            bag::forward_into(table, &batch.sparse[t], &mut cache.inter_inputs[t + 1]);
         }
-        interaction_forward_into(
-            self.config.interaction,
-            &cache.inter_inputs,
-            input_slot(&mut cache.top),
-        );
+        interaction_forward_into(&cache.inter_inputs, input_slot(&mut cache.top));
         self.top.forward_in_place(&mut cache.top);
     }
 
@@ -427,7 +401,6 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             &mut scratch.spare,
         );
         interaction_backward_into(
-            self.config.interaction,
             &cache.inter_inputs,
             &scratch.grad_top_in,
             &mut scratch.inter_grads,
@@ -440,7 +413,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             &mut scratch.spare,
         );
         for t in 0..self.tables.len() {
-            self.bags[t].backward_into(
+            bag::backward_into(
                 &scratch.inter_grads[t + 1],
                 &batch.sparse[t],
                 self.config.embedding_dim,
@@ -492,12 +465,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             &mut s.a_norms,
             &mut s.d_norms,
         );
-        interaction_backward_into(
-            self.config.interaction,
-            &cache.inter_inputs,
-            &s.grad_top_in,
-            &mut s.inter_grads,
-        );
+        interaction_backward_into(&cache.inter_inputs, &s.grad_top_in, &mut s.inter_grads);
         self.bottom.backward_ghost_norms_cached_into(
             &cache.bottom,
             &s.inter_grads[0],
@@ -512,7 +480,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             *n += bn;
         }
         for t in 0..self.tables.len() {
-            self.bags[t].per_example_norm_sq_into(
+            bag::per_example_norm_sq_into(
                 &s.inter_grads[t + 1],
                 &batch.sparse[t],
                 &mut s.part_norms,
@@ -533,7 +501,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         self.bottom
             .weighted_grads_from_cached(&cache.bottom, &s.bottom_dz, w, &mut grads.bottom);
         for t in 0..self.tables.len() {
-            self.bags[t].backward_weighted_into(
+            bag::backward_weighted_into(
                 &s.inter_grads[t + 1],
                 &batch.sparse[t],
                 w,
@@ -570,12 +538,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             &mut Matrix::default(),
         );
         let mut inter_grads = Vec::new();
-        interaction_backward_into(
-            self.config.interaction,
-            &cache.inter_inputs,
-            &grad_top_in,
-            &mut inter_grads,
-        );
+        interaction_backward_into(&cache.inter_inputs, &grad_top_in, &mut inter_grads);
         let top_per_ex = self.top.per_example_grads(&cache.top, &g);
         let bottom_per_ex = self
             .bottom
@@ -592,7 +555,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
                             BagIndices::from_samples(&[batch.sparse[t].sample(i).to_vec()]);
                         let grad_i = inter_grads[t + 1].row(i).to_vec();
                         let mut grad = SparseGrad::default();
-                        self.bags[t].backward_into(
+                        bag::backward_into(
                             &Matrix::from_vec(1, dim, grad_i),
                             &single,
                             dim,

@@ -1,7 +1,6 @@
 //! Feature interaction: combining the bottom-MLP output with the pooled
 //! embedding vectors (paper Fig. 1).
 
-use crate::config::InteractionKind;
 use lazydp_tensor::Matrix;
 
 /// Forward pass of the interaction into a caller-owned output matrix
@@ -9,61 +8,45 @@ use lazydp_tensor::Matrix;
 ///
 /// `inputs` holds `n = T+1` matrices of identical shape `B × d`:
 /// `inputs[0]` is the bottom-MLP output, `inputs[1..]` the pooled
-/// embeddings. For [`InteractionKind::Dot`] the output is
-/// `[bottom | pairwise dot products]` of width `d + n(n−1)/2`, each dot
-/// one plain ascending accumulation; for [`InteractionKind::Concat`] it
-/// is all inputs side by side.
+/// embeddings. The output is `[bottom | pairwise dot products]` of width
+/// `d + n(n−1)/2`, each dot one plain ascending accumulation.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty or shapes disagree.
-pub fn interaction_forward_into(kind: InteractionKind, inputs: &[Matrix], out: &mut Matrix) {
+pub fn interaction_forward_into(inputs: &[Matrix], out: &mut Matrix) {
     let (batch, dim) = shared_shape(inputs);
-    match kind {
-        InteractionKind::Concat => {
-            out.reset_zeroed(batch, dim * inputs.len());
-            for b in 0..batch {
-                let row = out.row_mut(b);
-                for (i, m) in inputs.iter().enumerate() {
-                    row[i * dim..(i + 1) * dim].copy_from_slice(m.row(b));
+    let n = inputs.len();
+    let pairs = n * (n - 1) / 2;
+    out.reset_zeroed(batch, dim + pairs);
+    for b in 0..batch {
+        let row = out.row_mut(b);
+        row[..dim].copy_from_slice(inputs[0].row(b));
+        let mut k = dim;
+        for i in 0..n {
+            let xi = inputs[i].row(b);
+            // `DOT_LANES` pairs (i, j) at a time as independent
+            // chains: each is still one `acc += x * y` per d,
+            // ascending, so every dot keeps its serial bits.
+            let mut blocks = inputs[i + 1..].chunks_exact(DOT_LANES);
+            for block in &mut blocks {
+                let ys: [&[f32]; DOT_LANES] = std::array::from_fn(|l| &block[l].row(b)[..xi.len()]);
+                let mut acc = [0.0f32; DOT_LANES];
+                for (d, &x) in xi.iter().enumerate() {
+                    for (a, y) in acc.iter_mut().zip(&ys) {
+                        *a += x * y[d];
+                    }
                 }
+                row[k..k + DOT_LANES].copy_from_slice(&acc);
+                k += DOT_LANES;
             }
-        }
-        InteractionKind::Dot => {
-            let n = inputs.len();
-            let pairs = n * (n - 1) / 2;
-            out.reset_zeroed(batch, dim + pairs);
-            for b in 0..batch {
-                let row = out.row_mut(b);
-                row[..dim].copy_from_slice(inputs[0].row(b));
-                let mut k = dim;
-                for i in 0..n {
-                    let xi = inputs[i].row(b);
-                    // `DOT_LANES` pairs (i, j) at a time as independent
-                    // chains: each is still one `acc += x * y` per d,
-                    // ascending, so every dot keeps its serial bits.
-                    let mut blocks = inputs[i + 1..].chunks_exact(DOT_LANES);
-                    for block in &mut blocks {
-                        let ys: [&[f32]; DOT_LANES] =
-                            std::array::from_fn(|l| &block[l].row(b)[..xi.len()]);
-                        let mut acc = [0.0f32; DOT_LANES];
-                        for (d, &x) in xi.iter().enumerate() {
-                            for (a, y) in acc.iter_mut().zip(&ys) {
-                                *a += x * y[d];
-                            }
-                        }
-                        row[k..k + DOT_LANES].copy_from_slice(&acc);
-                        k += DOT_LANES;
-                    }
-                    for input in blocks.remainder() {
-                        let mut acc = 0.0f32;
-                        for (x, y) in xi.iter().zip(input.row(b)) {
-                            acc += x * y;
-                        }
-                        row[k] = acc;
-                        k += 1;
-                    }
+            for input in blocks.remainder() {
+                let mut acc = 0.0f32;
+                for (x, y) in xi.iter().zip(input.row(b)) {
+                    acc += x * y;
                 }
+                row[k] = acc;
+                k += 1;
             }
         }
     }
@@ -90,53 +73,38 @@ const DOT_LANES: usize = 8;
 ///
 /// Panics if `inputs` is empty, their shapes disagree, or `grad_out`'s
 /// shape disagrees with what [`interaction_forward_into`] produced.
-pub fn interaction_backward_into(
-    kind: InteractionKind,
-    inputs: &[Matrix],
-    grad_out: &Matrix,
-    grads: &mut Vec<Matrix>,
-) {
+pub fn interaction_backward_into(inputs: &[Matrix], grad_out: &Matrix, grads: &mut Vec<Matrix>) {
     let (batch, dim) = shared_shape(inputs);
     grads.resize_with(inputs.len(), || Matrix::zeros(0, 0));
-    match kind {
-        InteractionKind::Concat => {
-            assert_eq!(grad_out.shape(), (batch, dim * inputs.len()), "grad shape");
-            for (i, g) in grads.iter_mut().enumerate() {
-                grad_out.col_slice_into(i * dim, dim, g);
+    let n = inputs.len();
+    let pairs = n * (n - 1) / 2;
+    assert_eq!(grad_out.shape(), (batch, dim + pairs), "grad shape");
+    for g in grads.iter_mut() {
+        g.reset_zeroed(batch, dim);
+    }
+    // Column of pair (i, j), i < j, in the forward's output.
+    let pair = |i: usize, j: usize| dim + i * n - i * (i + 1) / 2 + (j - i - 1);
+    for b in 0..batch {
+        let g = grad_out.row(b);
+        for (m, grad) in grads.iter_mut().enumerate() {
+            // d(z_i·z_j)/dz_i = z_j: output m gathers every pair it
+            // belongs to, partners p ascending. That is the order the
+            // pair-major loop (`k` ascending) added them in, with the
+            // same `*` then `+=` per element, so the sweep over d
+            // vectorizes without moving a bit.
+            let out = grad.row_mut(b);
+            if m == 0 {
+                // Pass-through part for the bottom vector.
+                out.copy_from_slice(&g[..dim]);
             }
-        }
-        InteractionKind::Dot => {
-            let n = inputs.len();
-            let pairs = n * (n - 1) / 2;
-            assert_eq!(grad_out.shape(), (batch, dim + pairs), "grad shape");
-            for g in grads.iter_mut() {
-                g.reset_zeroed(batch, dim);
-            }
-            // Column of pair (i, j), i < j, in the forward's output.
-            let pair = |i: usize, j: usize| dim + i * n - i * (i + 1) / 2 + (j - i - 1);
-            for b in 0..batch {
-                let g = grad_out.row(b);
-                for (m, grad) in grads.iter_mut().enumerate() {
-                    // d(z_i·z_j)/dz_i = z_j: output m gathers every pair
-                    // it belongs to, partners p ascending. That is the
-                    // order the pair-major loop (`k` ascending) added
-                    // them in, with the same `*` then `+=` per element,
-                    // so the sweep over d vectorizes without moving a bit.
-                    let out = grad.row_mut(b);
-                    if m == 0 {
-                        // Pass-through part for the bottom vector.
-                        out.copy_from_slice(&g[..dim]);
-                    }
-                    for (p, input) in inputs.iter().enumerate() {
-                        if p == m {
-                            continue;
-                        }
-                        let gk = g[pair(m.min(p), m.max(p))];
-                        if gk != 0.0 {
-                            for (o, x) in out.iter_mut().zip(input.row(b)) {
-                                *o += gk * x;
-                            }
-                        }
+            for (p, input) in inputs.iter().enumerate() {
+                if p == m {
+                    continue;
+                }
+                let gk = g[pair(m.min(p), m.max(p))];
+                if gk != 0.0 {
+                    for (o, x) in out.iter_mut().zip(input.row(b)) {
+                        *o += gk * x;
                     }
                 }
             }
@@ -158,7 +126,7 @@ mod tests {
             .collect()
     }
 
-    /// The pair-major Dot forward the kernel replaced: one serial
+    /// The pair-major forward the kernel replaced: one serial
     /// `acc += x * y` chain per pair.
     fn reference_dot_forward(inputs: &[Matrix]) -> Matrix {
         let (batch, dim) = inputs[0].shape();
@@ -182,7 +150,7 @@ mod tests {
         out
     }
 
-    /// The pair-major Dot backward the kernel replaced: per pair `k`,
+    /// The pair-major backward the kernel replaced: per pair `k`,
     /// both partners' gradients updated element by element.
     fn reference_dot_backward(inputs: &[Matrix], grad_out: &Matrix) -> Vec<Matrix> {
         let (batch, dim) = inputs[0].shape();
@@ -245,14 +213,14 @@ mod tests {
                     let (ins, grad_out) = awkward_case(n, dim, batch);
                     let what = format!("n={n} dim={dim} batch={batch}");
                     let mut out = Matrix::default();
-                    interaction_forward_into(InteractionKind::Dot, &ins, &mut out);
+                    interaction_forward_into(&ins, &mut out);
                     assert_bitwise(
                         &out,
                         &reference_dot_forward(&ins),
                         &format!("forward {what}"),
                     );
                     let mut got = Vec::new();
-                    interaction_backward_into(InteractionKind::Dot, &ins, &grad_out, &mut got);
+                    interaction_backward_into(&ins, &grad_out, &mut got);
                     let want = reference_dot_backward(&ins, &grad_out);
                     for (t, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert_bitwise(g, w, &format!("backward input {t} {what}"));
@@ -266,7 +234,7 @@ mod tests {
     fn dot_forward_shape_and_values() {
         let ins = inputs(3, 2, 4);
         let mut out = Matrix::default();
-        interaction_forward_into(InteractionKind::Dot, &ins, &mut out);
+        interaction_forward_into(&ins, &mut out);
         assert_eq!(out.shape(), (2, 4 + 3));
         // First dim columns replicate the bottom vector.
         assert_eq!(&out.row(0)[..4], ins[0].row(0));
@@ -281,28 +249,15 @@ mod tests {
     }
 
     #[test]
-    fn concat_forward_roundtrip() {
-        let ins = inputs(3, 2, 4);
-        let mut out = Matrix::default();
-        interaction_forward_into(InteractionKind::Concat, &ins, &mut out);
-        assert_eq!(out.shape(), (2, 12));
-        let mut back = Vec::new();
-        interaction_backward_into(InteractionKind::Concat, &ins, &out, &mut back);
-        for (b, i) in back.iter().zip(ins.iter()) {
-            assert_eq!(b, i, "concat backward is a split");
-        }
-    }
-
-    #[test]
     fn dot_backward_matches_finite_difference() {
         let ins = inputs(3, 2, 3);
         let grad_out = Matrix::from_fn(2, 3 + 3, |i, j| ((i + j) as f32 * 0.37).cos());
         let mut grads = Vec::new();
-        interaction_backward_into(InteractionKind::Dot, &ins, &grad_out, &mut grads);
+        interaction_backward_into(&ins, &grad_out, &mut grads);
         // Scalar loss: sum(grad_out ⊙ forward(inputs)).
         let loss = |ins: &[Matrix]| -> f32 {
             let mut out = Matrix::default();
-            interaction_forward_into(InteractionKind::Dot, ins, &mut out);
+            interaction_forward_into(ins, &mut out);
             out.as_slice()
                 .iter()
                 .zip(grad_out.as_slice())
@@ -333,7 +288,7 @@ mod tests {
     fn single_input_dot_has_no_pairs() {
         let ins = inputs(1, 3, 4);
         let mut out = Matrix::default();
-        interaction_forward_into(InteractionKind::Dot, &ins, &mut out);
+        interaction_forward_into(&ins, &mut out);
         assert_eq!(out.shape(), (3, 4));
         assert_eq!(out, ins[0]);
     }
@@ -343,7 +298,7 @@ mod tests {
     fn rejects_mismatched_inputs() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
-        interaction_forward_into(InteractionKind::Dot, &[a, b], &mut Matrix::default());
+        interaction_forward_into(&[a, b], &mut Matrix::default());
     }
 
     #[test]
@@ -352,6 +307,6 @@ mod tests {
         let a = Matrix::zeros(2, 4);
         let b = Matrix::zeros(2, 3);
         let grad_out = Matrix::zeros(2, 4 + 1);
-        interaction_backward_into(InteractionKind::Dot, &[a, b], &grad_out, &mut Vec::new());
+        interaction_backward_into(&[a, b], &grad_out, &mut Vec::new());
     }
 }

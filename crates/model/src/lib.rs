@@ -1,9 +1,11 @@
 //! DLRM: the deep learning recommendation model the paper trains.
 //!
 //! Architecture (paper Fig. 1): a bottom MLP embeds the dense features, a
-//! set of embedding tables embeds the categorical features, a pairwise
+//! set of embedding tables embeds the categorical features (each sample's
+//! lookups sum-pooled by [`lazydp_embedding::bag`]), a pairwise
 //! dot-product **feature interaction** combines them, and a top MLP
-//! produces the click logit. The MLPerf (v2.1) DLRM configuration used as
+//! produces the click logit. That is the one shape the crate builds; the
+//! configurations differ only in widths and table sizes. The MLPerf (v2.1) DLRM configuration used as
 //! the paper's default — 26 Criteo embedding tables, 128-dim embeddings,
 //! bottom MLP 13-512-256-128, top MLP 479-1024-1024-512-256-1 ("8 MLP
 //! layers … total model size of 96 GB", §6) — is available as
@@ -56,7 +58,7 @@ pub mod interaction;
 pub mod metrics;
 pub mod mlp;
 
-pub use config::{DlrmConfig, InteractionKind};
+pub use config::DlrmConfig;
 pub use dlrm::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
 pub use metrics::{accuracy, auc, calibration, log_loss};
 pub use mlp::{LayerGrad, Mlp, MlpCache, MlpGrads};

@@ -39,12 +39,6 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
-
-    /// Elapsed seconds as a float, convenient for rate arithmetic.
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -57,6 +51,5 @@ mod tests {
         let a = sw.elapsed();
         let b = sw.elapsed();
         assert!(b >= a);
-        assert!(sw.elapsed_secs() >= 0.0);
     }
 }

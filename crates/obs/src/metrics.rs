@@ -211,7 +211,7 @@ pub struct StoreMetrics {
 /// Deterministic executor (`crates/exec`).
 #[derive(Debug)]
 pub struct ExecMetrics {
-    /// Parallel regions entered (`par_for` / `par_map_chunks`).
+    /// Parallel regions entered (`par_for`).
     pub par_regions: Counter,
     /// Chunks dispatched across all regions.
     pub par_chunks: Counter,

@@ -143,15 +143,6 @@ pub fn fill_standard_normal<R: Prng>(rng: &mut R, out: &mut [f32]) {
     fill_mapped(rng, out, |z| z);
 }
 
-/// Number of Gaussian samples needed to noise a tensor of `elements`
-/// elements — identical for all eager DP-SGD variants (every element of
-/// every table gets one sample per iteration, paper §4.1).
-#[inline]
-#[must_use]
-pub fn samples_for_elements(elements: u64) -> u64 {
-    elements
-}
-
 /// A configured Gaussian sampler `N(mean, std²)`.
 ///
 /// # Example

@@ -47,4 +47,4 @@ pub mod subsample;
 pub use counter::{CounterRng, CounterStream, RowNoise};
 pub use gaussian::{fill_standard_normal, GaussianSampler};
 pub use prng::{Prng, SplitMix64, Xoshiro256PlusPlus};
-pub use subsample::{poisson_sample, sample_without_replacement};
+pub use subsample::poisson_sample;

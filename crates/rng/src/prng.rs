@@ -6,8 +6,9 @@
 //!   as the finalizer/mixer of the counter-based streams in
 //!   [`crate::counter`].
 //! * [`Xoshiro256PlusPlus`] — the main sequential stream generator
-//!   (Blackman & Vigna). Fast, equidistributed, and with a `jump()`
-//!   function for cheap independent parallel streams.
+//!   (Blackman & Vigna). Fast and equidistributed. Parallel noise does
+//!   not split this stream: it is addressed through the counter-based
+//!   generators of [`crate::counter`].
 //!
 //! Both implement the crate-local [`Prng`] trait as well as
 //! [`rand::RngCore`], so they compose with the `rand` ecosystem where
@@ -116,9 +117,7 @@ impl Prng for SplitMix64 {
 
 /// xoshiro256++ (Blackman & Vigna, 2019): the workspace's main stream PRNG.
 ///
-/// 256 bits of state, period 2²⁵⁶ − 1, passes BigCrush. The
-/// [`jump`](Self::jump) method advances the stream by 2¹²⁸ steps, giving
-/// cheap non-overlapping streams for parallel noise-sampling kernels.
+/// 256 bits of state, period 2²⁵⁶ − 1, passes BigCrush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
@@ -151,41 +150,6 @@ impl Xoshiro256PlusPlus {
     pub fn from_state(s: [u64; 4]) -> Self {
         assert!(s != [0, 0, 0, 0], "xoshiro256++ state must be nonzero");
         Self { s }
-    }
-
-    /// Advances the stream by 2¹²⁸ steps.
-    ///
-    /// Calling `jump` k times on clones of one generator yields k
-    /// non-overlapping subsequences, used to parallelize noise sampling
-    /// across worker threads without correlation.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut acc = [0u64; 4];
-        for word in JUMP {
-            for bit in 0..64 {
-                if (word >> bit) & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(self.s.iter()) {
-                        *a ^= s;
-                    }
-                }
-                let _ = self.next_u64();
-            }
-        }
-        self.s = acc;
-    }
-
-    /// Returns a copy of the current stream and jumps `self` 2¹²⁸ steps
-    /// ahead, so successive calls hand out non-overlapping streams.
-    #[must_use]
-    pub fn split_off(&mut self) -> Self {
-        let child = *self;
-        self.jump();
-        child
     }
 }
 
@@ -287,20 +251,6 @@ mod tests {
                 "bucket count {c} out of range"
             );
         }
-    }
-
-    #[test]
-    fn jump_streams_do_not_overlap_early() {
-        let mut base = Xoshiro256PlusPlus::seed_from(3);
-        let mut jumped = base;
-        jumped.jump();
-        let a: Vec<u64> = (0..256).map(|_| base.next_u64()).collect();
-        let b: Vec<u64> = (0..256).map(|_| jumped.next_u64()).collect();
-        // Statistically impossible to collide on any aligned window.
-        assert_ne!(a, b);
-        let set: std::collections::HashSet<u64> = a.iter().copied().collect();
-        let overlap = b.iter().filter(|x| set.contains(x)).count();
-        assert_eq!(overlap, 0);
     }
 
     #[test]

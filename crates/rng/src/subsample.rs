@@ -1,11 +1,10 @@
-//! Mini-batch subsampling primitives for DP training.
+//! Mini-batch subsampling for DP training.
 //!
 //! DP-SGD's privacy analysis assumes **Poisson sampling**: each training
 //! example is included in the batch independently with probability
 //! `q = B / N` (Opacus' `DPDataLoader`, which the paper's LazyDP data
 //! loader wraps — Fig. 9(b) "Poisson sampler"). This module provides that
-//! sampler plus fixed-size sampling without replacement for non-private
-//! baselines.
+//! sampler.
 
 use crate::prng::Prng;
 
@@ -48,30 +47,6 @@ pub fn poisson_sample<R: Prng>(rng: &mut R, n: usize, q: f64) -> Vec<usize> {
         if i >= n {
             break;
         }
-    }
-    out
-}
-
-/// Samples `k` distinct indices from `0..n` (partial Fisher–Yates),
-/// returned in random order.
-///
-/// # Panics
-///
-/// Panics if `k > n`.
-pub fn sample_without_replacement<R: Prng>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} distinct items from {n}");
-    // Sparse Fisher-Yates via a swap map: O(k) memory. A BTreeMap keeps
-    // the routine free of unordered containers (it is point-lookup only,
-    // but the determinism contract bans HashMap outright).
-    use std::collections::BTreeMap;
-    let mut swaps: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let j = i + rng.next_below((n - i) as u64) as usize;
-        let vi = *swaps.get(&i).unwrap_or(&i);
-        let vj = *swaps.get(&j).unwrap_or(&j);
-        out.push(vj);
-        swaps.insert(j, vi);
     }
     out
 }
@@ -125,54 +100,6 @@ mod tests {
             // sd of p-hat = sqrt(0.3*0.7/20000) ≈ 0.0032; allow 5σ.
             assert!((p - q).abs() < 0.017, "index {i}: p {p}");
         }
-    }
-
-    #[test]
-    fn without_replacement_distinct_and_in_range() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(4);
-        for _ in 0..200 {
-            let s = sample_without_replacement(&mut rng, 50, 20);
-            assert_eq!(s.len(), 20);
-            let set: std::collections::HashSet<_> = s.iter().collect();
-            assert_eq!(set.len(), 20, "all distinct");
-            assert!(s.iter().all(|&i| i < 50));
-        }
-    }
-
-    #[test]
-    fn without_replacement_full_draw_is_permutation() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(5);
-        let mut s = sample_without_replacement(&mut rng, 10, 10);
-        s.sort_unstable();
-        assert_eq!(s, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn without_replacement_is_uniform_over_items() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(6);
-        let n = 20;
-        let k = 5;
-        let mut counts = vec![0usize; n];
-        let trials = 40_000;
-        for _ in 0..trials {
-            for i in sample_without_replacement(&mut rng, n, k) {
-                counts[i] += 1;
-            }
-        }
-        let expect = trials * k / n; // 10_000
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expect as f64).abs() < 500.0,
-                "item {i}: count {c} vs {expect}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn without_replacement_rejects_oversample() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(7);
-        let _ = sample_without_replacement(&mut rng, 3, 4);
     }
 
     #[test]

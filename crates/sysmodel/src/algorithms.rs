@@ -49,17 +49,6 @@ impl Algorithm {
             Self::LazyDp { ans: false } => "LazyDP(w/o ANS)",
         }
     }
-
-    /// The four algorithms of Fig. 10.
-    #[must_use]
-    pub fn fig10_set() -> [Self; 4] {
-        [
-            Self::Sgd,
-            Self::LazyDp { ans: true },
-            Self::LazyDp { ans: false },
-            Self::DpSgdF,
-        ]
-    }
 }
 
 /// Out-of-memory verdict from the capacity model (Fig. 13(a): DP-SGD(F)

@@ -5,7 +5,7 @@
 
 use lazydp::data::{MiniBatch, SyntheticConfig, SyntheticDataset};
 use lazydp::dpsgd::{clip_weights, ClipStyle, DpConfig, EagerDpSgd, Optimizer};
-use lazydp::embedding::sparse::dedup_indices;
+use lazydp::embedding::sparse::dedup_indices_into;
 use lazydp::embedding::SparseGrad;
 use lazydp::lazy::{aggregated_std, HistoryTable, LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
@@ -396,7 +396,8 @@ proptest! {
     /// Dedup: sorted unique output, duplicate count consistent.
     #[test]
     fn dedup_invariants(indices in proptest::collection::vec(0u64..30, 0..60)) {
-        let (uniq, dups) = dedup_indices(&indices);
+        let mut uniq = Vec::new();
+        let dups = dedup_indices_into(&indices, &mut uniq);
         prop_assert_eq!(uniq.len() + dups, indices.len());
         prop_assert!(uniq.windows(2).all(|w| w[0] < w[1]));
         let set: std::collections::HashSet<_> = indices.iter().collect();
