@@ -48,9 +48,7 @@ pub trait AccountedOptimizer<T: EmbeddingStorage = EmbeddingTable>: Optimizer<T>
     fn mechanism(&self) -> Mechanism;
 }
 
-impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage> AccountedOptimizer<T>
-    for LazyDpOptimizer<N>
-{
+impl<N: RowNoise, T: EmbeddingStorage> AccountedOptimizer<T> for LazyDpOptimizer<N> {
     fn mechanism(&self) -> Mechanism {
         // Lazy timing defers *when* noise lands, never *what* is
         // released: plain subsampled Gaussian accounting (paper §5).
@@ -60,7 +58,7 @@ impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage> AccountedOptimizer<
     }
 }
 
-impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EagerDpSgd<N> {
+impl<N: RowNoise> AccountedOptimizer for EagerDpSgd<N> {
     fn mechanism(&self) -> Mechanism {
         Mechanism::Gaussian {
             sigma: self.config().noise_multiplier,

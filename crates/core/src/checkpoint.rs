@@ -136,7 +136,7 @@ impl Checkpoint {
     /// backend the run used, so storage-backed and in-memory checkpoints
     /// are interchangeable.
     #[must_use]
-    pub fn capture<T: EmbeddingStorage, N: RowNoise + Clone + Send + Sync>(
+    pub fn capture<T: EmbeddingStorage, N: RowNoise>(
         model: &Dlrm<T>,
         opt: &LazyDpOptimizer<N>,
     ) -> Self {
@@ -171,11 +171,7 @@ impl Checkpoint {
     ///
     /// Panics if the checkpoint's shapes are internally inconsistent.
     #[must_use]
-    pub fn restore<N: RowNoise + Clone + Send + Sync>(
-        &self,
-        cfg: LazyDpConfig,
-        noise: N,
-    ) -> (Dlrm, LazyDpOptimizer<N>) {
+    pub fn restore<N: RowNoise>(&self, cfg: LazyDpConfig, noise: N) -> (Dlrm, LazyDpOptimizer<N>) {
         // Rebuild the model skeleton, then overwrite every weight.
         let mut seed_rng = lazydp_rng::Xoshiro256PlusPlus::seed_from(0);
         let mut model = Dlrm::new(self.config.clone(), &mut seed_rng);
@@ -200,7 +196,7 @@ impl Checkpoint {
     /// # Panics
     ///
     /// Panics if the checkpoint's shapes are internally inconsistent.
-    pub fn restore_stored<N: RowNoise + Clone + Send + Sync>(
+    pub fn restore_stored<N: RowNoise>(
         &self,
         cfg: LazyDpConfig,
         noise: N,
@@ -250,11 +246,7 @@ impl Checkpoint {
     }
 
     /// Rebuilds the optimizer from the checkpointed history.
-    fn rebuild_optimizer<N: RowNoise + Clone + Send + Sync>(
-        &self,
-        cfg: LazyDpConfig,
-        noise: N,
-    ) -> LazyDpOptimizer<N> {
+    fn rebuild_optimizer<N: RowNoise>(&self, cfg: LazyDpConfig, noise: N) -> LazyDpOptimizer<N> {
         let history = self
             .history
             .iter()

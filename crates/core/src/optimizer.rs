@@ -96,7 +96,7 @@ pub struct LazyDpOptimizer<N> {
     faults: Faults,
 }
 
-impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
+impl<N: RowNoise> LazyDpOptimizer<N> {
     /// Creates a LazyDP optimizer for `model` (one [`HistoryTable`] per
     /// embedding table). Generic over the model's embedding backend:
     /// only row counts are read here, so in-memory and disk-backed
@@ -239,7 +239,7 @@ impl<N: RowNoise + Clone + Send + Sync> LazyDpOptimizer<N> {
 impl<T, N> Optimizer<T> for LazyDpOptimizer<N>
 where
     T: EmbeddingStorage,
-    N: RowNoise + Clone + Send + Sync,
+    N: RowNoise,
 {
     fn name(&self) -> &'static str {
         LazyDpOptimizer::name(self)
@@ -336,9 +336,10 @@ where
         self.core.scale_and_coalesce();
 
         // MLP layers: identical treatment to eager DP-SGD (gradient +
-        // dense noise every iteration) — Algorithm 1 omits them because
-        // "both DP-SGD(F) and LazyDP apply the identical DP protection
-        // for MLP layers".
+        // dense noise every iteration, one fused sweep per layer at
+        // `DpConfig::threads`) — Algorithm 1 omits them because "both
+        // DP-SGD(F) and LazyDP apply the identical DP protection for MLP
+        // layers".
         self.core.dense_update(model);
 
         // Kill point `step`: the dense half of the step has landed, the

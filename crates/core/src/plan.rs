@@ -97,7 +97,7 @@ pub fn sample_entries_into<N>(
     acc: &mut Vec<f32>,
     buf: &mut Vec<f32>,
 ) where
-    N: RowNoise + Clone + Send + Sync,
+    N: RowNoise,
 {
     acc.clear();
     acc.resize(entries.len() * dim, 0.0);
@@ -208,7 +208,7 @@ impl LookaheadFlush {
         exec: &Executor,
         counters: &mut KernelCounters,
     ) where
-        N: RowNoise + Clone + Send + Sync,
+        N: RowNoise,
     {
         self.dim = dim;
         self.entries.clear();
@@ -295,7 +295,7 @@ mod tests {
 
     /// `sample_entries_into` with throwaway buffers.
     #[allow(clippy::too_many_arguments)]
-    fn sample<N: RowNoise + Clone + Send + Sync>(
+    fn sample<N: RowNoise>(
         table_id: u32,
         iter: u64,
         entries: &[NoisePlanEntry],

@@ -44,7 +44,7 @@ pub struct PrivateTrainer<L, O, T: EmbeddingStorage = EmbeddingTable> {
 impl<S, N, T> PrivateTrainer<LookaheadLoader<S>, LazyDpOptimizer<N>, T>
 where
     S: BatchSource,
-    N: RowNoise + Clone + Send + Sync,
+    N: RowNoise,
     T: EmbeddingStorage,
 {
     /// Wraps a model, batch source, and noise source into a LazyDP

@@ -14,8 +14,9 @@ pub struct DpConfig {
     /// noise (Algorithm 1). Under Poisson sampling the realized batch
     /// varies; Opacus scales by the nominal size, and so do we.
     pub nominal_batch: usize,
-    /// Worker threads for the DP noise kernels (dense noisy update,
-    /// LazyDP's pending-noise flush). The GEMMs inside forward/backward
+    /// Worker threads for the DP noise kernels (the MLP layers' fused
+    /// noise-and-apply sweep, the eager dense noisy update, LazyDP's
+    /// pending-noise flush). The GEMMs inside forward/backward
     /// are governed separately by the process-global width
     /// (`lazydp_exec::global_threads` / `LAZYDP_THREADS`), not by this
     /// field. Every kernel is chunk-addressed on the `lazydp_exec`

@@ -64,7 +64,7 @@ pub struct EagerDpSgd<N> {
     style: ClipStyle,
 }
 
-impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
+impl<N: RowNoise> EagerDpSgd<N> {
     /// Creates an eager DP-SGD optimizer.
     #[must_use]
     pub fn new(cfg: DpConfig, style: ClipStyle, noise: N) -> Self {
@@ -138,7 +138,7 @@ fn materialized_aggregate(
     (sum, clipped)
 }
 
-impl<N: RowNoise + Clone + Send + Sync> Optimizer for EagerDpSgd<N> {
+impl<N: RowNoise> Optimizer for EagerDpSgd<N> {
     fn name(&self) -> &'static str {
         self.style.paper_name()
     }

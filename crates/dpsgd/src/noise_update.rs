@@ -135,7 +135,7 @@ pub fn par_dense_noisy_update<N>(
     threads: usize,
     counters: &mut KernelCounters,
 ) where
-    N: RowNoise + Clone + Send + Sync,
+    N: RowNoise,
 {
     begin_dense_sweep(table, grad, counters);
     let dim = table.dim();

@@ -25,6 +25,7 @@ use crate::counters::KernelCounters;
 use crate::optimizer::StepStats;
 use lazydp_data::MiniBatch;
 use lazydp_embedding::{CoalesceScratch, EmbeddingStorage, SparseGrad};
+use lazydp_exec::Executor;
 use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
 use lazydp_rng::RowNoise;
 
@@ -45,8 +46,6 @@ pub(crate) struct StepScratch {
     pub(crate) logit_g: Vec<f32>,
     pub(crate) coalesce: CoalesceScratch,
     norms: Vec<f64>,
-    /// Dense MLP noise buffer.
-    dense_buf: Vec<f32>,
     /// `dim`-wide draw scratch of the table stage.
     noise_buf: Vec<f32>,
 }
@@ -178,27 +177,23 @@ impl<N: RowNoise> DpStep<N> {
     }
 
     /// The MLP half of the update: gradient plus dense noise on every
-    /// bottom/top parameter, every iteration, for every algorithm.
+    /// bottom/top parameter, every iteration, for every algorithm. Each
+    /// layer is one fused noise-and-apply sweep ([`Mlp::apply_noisy`]) on
+    /// a `DpConfig::threads`-wide executor.
+    ///
+    /// [`Mlp::apply_noisy`]: lazydp_model::Mlp::apply_noisy
     pub fn dense_update<T: EmbeddingStorage>(&mut self, model: &mut Dlrm<T>) {
         let std = self.cfg.noise_std_per_coord();
         let lr = self.cfg.lr;
-        let s = &mut self.scratch;
+        let exec = Executor::new(self.cfg.threads);
+        let grads = &self.scratch.grads;
         {
             lazydp_obs::span!(step_dense_update);
-            model.bottom.apply(&s.grads.bottom, lr);
-            model.top.apply(&s.grads.top, lr);
-            for (mlp, base) in [
-                (&mut model.bottom, BOTTOM_PARAM_BASE),
-                (&mut model.top, TOP_PARAM_BASE),
+            for (mlp, g, base) in [
+                (&mut model.bottom, &grads.bottom, BOTTOM_PARAM_BASE),
+                (&mut model.top, &grads.top, TOP_PARAM_BASE),
             ] {
-                mlp.apply_dense_noise_with(
-                    &mut self.noise,
-                    self.iter,
-                    base,
-                    std,
-                    lr,
-                    &mut s.dense_buf,
-                );
+                mlp.apply_noisy(g, &self.noise, self.iter, base, std, lr, &exec);
             }
         }
         self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
@@ -223,6 +218,47 @@ impl<N: RowNoise> DpStep<N> {
         StepStats {
             realized_batch: batch.batch_size(),
             clipped_fraction,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lazydp_data::{SyntheticConfig, SyntheticDataset};
+    use lazydp_model::DlrmConfig;
+    use lazydp_rng::counter::CounterNoise;
+    use lazydp_rng::Xoshiro256PlusPlus;
+
+    #[test]
+    fn dense_update_is_bitwise_the_same_at_any_width() {
+        // The bottom MLP's first layer has 13 × 1 301 = 16 913 weights:
+        // two chunks of the fused noise-and-apply sweep, and an odd
+        // count, so its bias seek starts mid-pair.
+        let cfg = DlrmConfig {
+            bottom_layers: vec![1301, 8],
+            ..DlrmConfig::tiny(2, 40, 8)
+        };
+        let model0 = Dlrm::new(cfg, &mut Xoshiro256PlusPlus::seed_from(3));
+        let ds = SyntheticDataset::new(SyntheticConfig::small(2, 40, 32));
+        let batch = ds.batch_of(&(0..16).collect::<Vec<_>>());
+        let run = |threads: usize| {
+            let mut model = model0.clone();
+            let cfg = DpConfig::new(0.9, 0.8, 0.05, 16).with_threads(threads);
+            let mut step = DpStep::new(cfg, CounterNoise::new(4), 0);
+            step.begin_step();
+            step.clipped_aggregate(&model, &batch);
+            step.scale_and_coalesce();
+            step.dense_update(&mut model);
+            let layers = model.bottom.layers().iter().chain(model.top.layers());
+            layers
+                .flat_map(|l| l.weight.as_slice().iter().chain(&l.bias))
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let base = run(1);
+        for threads in [2, 4] {
+            assert_eq!(run(threads), base, "threads {threads}");
         }
     }
 }

@@ -16,6 +16,7 @@
 //!   clip-scaled weight-grad GEMM per layer over the cached `δ`s, never
 //!   materializing per-example grads.
 
+use lazydp_exec::Executor;
 use lazydp_rng::{Prng, RowNoise};
 use lazydp_tensor::ops::add_bias;
 use lazydp_tensor::{Activation, InitKind, Matrix};
@@ -433,37 +434,94 @@ impl Mlp {
         }
     }
 
-    /// Adds `−lr · scale · n` Gaussian noise (`n ~ N(0,1)` element-wise)
-    /// to every parameter — the dense DP noise step both DP-SGD and
-    /// LazyDP apply identically to MLP layers (Algorithm 1 note: "both
-    /// DP-SGD(F) and LazyDP apply the identical DP protection for MLP
-    /// layers").
+    /// The DP update of every parameter, one fused sweep per layer:
+    /// `θ -= lr · g`, then `θ -= (lr · scale) · n` with `n ~ N(0,1)`
+    /// element-wise — the dense noise step both DP-SGD and LazyDP apply
+    /// identically to MLP layers (Algorithm 1 note: "both DP-SGD(F) and
+    /// LazyDP apply the identical DP protection for MLP layers").
     ///
-    /// `param_base` namespaces this MLP's layers inside the noise
-    /// source's dense-parameter address space. The draws go through the
-    /// caller-owned `buf` (resized per layer, allocation-free at steady
-    /// state).
-    pub fn apply_dense_noise_with<N: RowNoise>(
+    /// Layer `l` draws its noise from the dense sequence
+    /// `(param_base + l, iter)`: the weights take elements `0..W.len()`
+    /// and the bias the ones after them. The weights run as one
+    /// chunk-addressed [`Executor::par_for`] region over fixed-length
+    /// chunks; each chunk seeks the sequence to its first element
+    /// ([`RowNoise::fill_unit_dense_at`]) and draws through a stack
+    /// block. So the result is bitwise the sequential gradient sweep
+    /// followed by the noise sweep, at any executor width, and the sweep
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_noisy<N: RowNoise>(
         &mut self,
-        noise: &mut N,
+        grads: &MlpGrads,
+        noise: &N,
         iter: u64,
         param_base: u32,
         scale: f32,
         lr: f32,
-        buf: &mut Vec<f32>,
+        exec: &Executor,
     ) {
-        for (l, layer) in self.layers.iter_mut().enumerate() {
+        assert_eq!(
+            grads.layers.len(),
+            self.layers.len(),
+            "layer count mismatch"
+        );
+        for (l, (layer, g)) in self.layers.iter_mut().zip(&grads.layers).enumerate() {
             let param = param_base + l as u32;
-            let w = layer.weight.as_mut_slice();
-            buf.clear();
-            buf.resize(w.len() + layer.bias.len(), 0.0);
-            noise.fill_unit_dense(param, iter, 0, buf);
-            for (x, &n) in w.iter_mut().zip(buf.iter()) {
-                *x -= lr * scale * n;
-            }
-            for (b, &n) in layer.bias.iter_mut().zip(buf[w.len()..].iter()) {
-                *b -= lr * scale * n;
-            }
+            let (w, dw) = (layer.weight.as_mut_slice(), g.dw.as_slice());
+            assert_eq!(w.len(), dw.len(), "weight shape mismatch");
+            assert_eq!(layer.bias.len(), g.db.len(), "bias shape mismatch");
+            exec.par_for(w, NOISY_APPLY_CHUNK, |c, chunk| {
+                let start = c * NOISY_APPLY_CHUNK;
+                let dw = &dw[start..start + chunk.len()];
+                noisy_apply(chunk, dw, noise, param, iter, start, scale, lr);
+            });
+            let start = w.len();
+            noisy_apply(&mut layer.bias, &g.db, noise, param, iter, start, scale, lr);
+        }
+    }
+}
+
+/// Weight elements per executor chunk of [`Mlp::apply_noisy`]. Fixed (not
+/// derived from the thread count) so chunk addressing is thread-count
+/// independent, and even so every chunk seeks to a pair boundary.
+const NOISY_APPLY_CHUNK: usize = 16 * 1024;
+
+/// Noise values drawn per stack block of [`noisy_apply`] (a multiple of
+/// the Gaussian fill's 32-draw block).
+const NOISE_BLOCK: usize = 256;
+
+/// `x -= lr · g`, then `x -= (lr · scale) · n`, for `x` holding elements
+/// `start..` of dense sequence `(param, iter)`: per element, the
+/// gradient step's rounding and then the noise step's. Draws through
+/// its own clone of `noise`, the same values as any other clone.
+#[allow(clippy::too_many_arguments)]
+fn noisy_apply<N: RowNoise>(
+    x: &mut [f32],
+    g: &[f32],
+    noise: &N,
+    param: u32,
+    iter: u64,
+    start: usize,
+    scale: f32,
+    lr: f32,
+) {
+    let mut noise = noise.clone();
+    let mut block = [0.0f32; NOISE_BLOCK];
+    let noise_lr = lr * scale;
+    for (k, (x, g)) in x
+        .chunks_mut(NOISE_BLOCK)
+        .zip(g.chunks(NOISE_BLOCK))
+        .enumerate()
+    {
+        let n = &mut block[..x.len()];
+        noise.fill_unit_dense_at(param, iter, (start + k * NOISE_BLOCK) as u64, n);
+        for ((x, &g), &n) in x.iter_mut().zip(g).zip(n.iter()) {
+            *x += -lr * g;
+            *x -= noise_lr * n;
         }
     }
 }
@@ -471,6 +529,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazydp_rng::counter::CounterNoise;
     use lazydp_rng::Xoshiro256PlusPlus;
 
     /// A seeded MLP over 5 inputs and its forward cache on a fixed
@@ -692,19 +751,83 @@ mod tests {
         );
     }
 
+    /// The sequential DP update [`Mlp::apply_noisy`] replaces: the
+    /// gradient sweep, then per layer one `fill_unit_dense(param, iter,
+    /// 0, ·)` over weights and bias into a buffer and a second sweep.
+    fn two_sweep_oracle<N: RowNoise>(
+        mlp: &mut Mlp,
+        grads: &MlpGrads,
+        noise: &mut N,
+        (iter, param_base, scale, lr): (u64, u32, f32, f32),
+    ) {
+        for (layer, g) in mlp.layers.iter_mut().zip(grads.layers.iter()) {
+            layer.weight.axpy(-lr, &g.dw);
+            for (b, &db) in layer.bias.iter_mut().zip(g.db.iter()) {
+                *b -= lr * db;
+            }
+        }
+        for (l, layer) in mlp.layers.iter_mut().enumerate() {
+            let w = layer.weight.as_mut_slice();
+            let mut buf = vec![0.0f32; w.len() + layer.bias.len()];
+            noise.fill_unit_dense(param_base + l as u32, iter, 0, &mut buf);
+            for (x, &n) in w.iter_mut().zip(buf.iter()) {
+                *x -= lr * scale * n;
+            }
+            for (b, &n) in layer.bias.iter_mut().zip(buf[w.len()..].iter()) {
+                *b -= lr * scale * n;
+            }
+        }
+    }
+
+    fn param_bits(mlp: &Mlp) -> Vec<u32> {
+        mlp.layers
+            .iter()
+            .flat_map(|l| l.weight.as_slice().iter().chain(&l.bias))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
     #[test]
-    fn dense_noise_perturbs_all_layers_deterministically() {
-        let (mut a, _) = mlp_and_cache(&[4, 2]);
-        let mut b = a.clone();
-        let noisy = |m: &mut Mlp, seed: u64| {
-            let mut noise = lazydp_rng::counter::CounterNoise::new(seed);
-            m.apply_dense_noise_with(&mut noise, 3, 0, 0.5, 0.1, &mut Vec::new());
+    fn fused_noisy_apply_is_bitwise_the_two_sweep_update_at_any_width() {
+        // Layer 0 has 257 × 129 = 33 153 weights: three chunks, the last
+        // partial, and an odd count, so its bias seek starts mid-pair.
+        // Layer 1 (129 × 3) fits in one chunk.
+        let mut rng = Xoshiro256PlusPlus::seed_from(7);
+        let mlp = Mlp::new(257, &[129, 3], &mut rng);
+        let w0 = mlp.layers[0].weight.len();
+        assert!(w0 > 2 * NOISY_APPLY_CHUNK && w0 % 2 == 1);
+        assert!(mlp.layers[1].weight.len() < NOISY_APPLY_CHUNK);
+        let mut grads = MlpGrads::zeros_like(&mlp);
+        for g in &mut grads.layers {
+            g.dw = InitKind::XavierUniform.matrix(&mut rng, g.dw.rows(), g.dw.cols());
+            for (i, b) in g.db.iter_mut().enumerate() {
+                *b = (i as f32 * 0.7).sin();
+            }
+        }
+        let step = (9, 64, 0.37, 0.05);
+        let mut want = mlp.clone();
+        two_sweep_oracle(&mut want, &grads, &mut CounterNoise::new(5), step);
+        for threads in [1, 2, 4] {
+            let mut got = mlp.clone();
+            let (iter, base, scale, lr) = step;
+            let exec = Executor::new(threads);
+            got.apply_noisy(&grads, &CounterNoise::new(5), iter, base, scale, lr, &exec);
+            assert_eq!(param_bits(&got), param_bits(&want), "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn noisy_apply_noise_depends_on_the_seed() {
+        let (a, _) = mlp_and_cache(&[4, 2]);
+        let grads = MlpGrads::zeros_like(&a);
+        let noisy = |seed: u64| {
+            let mut m = a.clone();
+            let noise = CounterNoise::new(seed);
+            m.apply_noisy(&grads, &noise, 3, 0, 0.5, 0.1, &Executor::sequential());
+            param_bits(&m)
         };
-        noisy(&mut a, 9);
-        noisy(&mut b, 9);
-        assert_eq!(a, b, "same seed, same noise");
-        let mut c = a.clone();
-        noisy(&mut c, 10);
-        assert_ne!(a, c, "different seed, different noise");
+        assert_eq!(noisy(9), noisy(9), "same seed, same noise");
+        assert_ne!(noisy(9), noisy(10), "different seed, different noise");
+        assert_ne!(noisy(9), param_bits(&a), "noise moves the parameters");
     }
 }

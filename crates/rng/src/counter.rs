@@ -92,20 +92,41 @@ impl Prng for CounterStream {
 /// That is what lets LazyDP and eager DP-SGD draw identical values in
 /// different orders (Fig. 7's exact-equivalence claim, tested with
 /// [`CounterNoise`]) and what lets the parallel kernels clone the source
-/// per chunk and still produce the bits of the sequential sweep.
-pub trait RowNoise {
+/// per chunk and still produce the bits of the sequential sweep (hence
+/// the `Clone + Send + Sync` supertraits).
+pub trait RowNoise: Clone + Send + Sync {
     /// Fills `out` with standard-normal noise for embedding row `row` of
     /// table `table` attributed to training iteration `iter`.
     fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]);
 
     /// Fills `out` with noise for a *dense* (non-embedding) parameter
-    /// region `param` at iteration `iter`, element offset `offset`.
+    /// region `param` at iteration `iter`, from the sequence at address
+    /// `index`.
+    ///
+    /// `index` is an address, not an element offset: each index is its
+    /// own sequence starting at its first value (AdaFEST draws one value
+    /// per partition this way). Elements `start..` of one sequence come
+    /// from [`fill_unit_dense_at`](Self::fill_unit_dense_at).
     ///
     /// Default implementation reuses the row addressing with a reserved
-    /// table id; implementations may override for different layouts.
-    fn fill_unit_dense(&mut self, param: u32, iter: u64, offset: u64, out: &mut [f32]) {
-        self.fill_unit(u32::MAX - param, offset, iter, out);
+    /// table id.
+    fn fill_unit_dense(&mut self, param: u32, iter: u64, index: u64, out: &mut [f32]) {
+        self.fill_unit(dense_table(param), index, iter, out);
     }
+
+    /// Fills `out` with elements `start..start + out.len()` of the
+    /// `index = 0` sequence of [`fill_unit_dense`](Self::fill_unit_dense):
+    /// bitwise what a `fill_unit_dense(param, iter, 0, full)` leaves in
+    /// `full[start..start + out.len()]`. This is the seek that lets
+    /// disjoint chunks of one dense parameter draw their noise
+    /// independently.
+    fn fill_unit_dense_at(&mut self, param: u32, iter: u64, start: u64, out: &mut [f32]);
+}
+
+/// The reserved table id under which dense parameter region `param`
+/// draws its noise.
+fn dense_table(param: u32) -> u32 {
+    u32::MAX - param
 }
 
 /// Counter-based [`RowNoise`]: noise is a pure function of
@@ -127,11 +148,11 @@ impl CounterNoise {
     /// The deterministic sub-stream for one `(table, row, iter)` address.
     #[must_use]
     pub fn stream_for(&self, table: u32, row: u64, iter: u64) -> CounterStream {
-        self.root
-            .derive(u64::from(table))
-            .derive(row)
-            .derive(iter)
-            .stream(0)
+        self.key_for(table, row, iter).stream(0)
+    }
+
+    fn key_for(&self, table: u32, row: u64, iter: u64) -> CounterRng {
+        self.root.derive(u64::from(table)).derive(row).derive(iter)
     }
 }
 
@@ -139,6 +160,25 @@ impl RowNoise for CounterNoise {
     fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]) {
         let mut stream = self.stream_for(table, row, iter);
         gaussian::fill_standard_normal(&mut stream, out);
+    }
+
+    /// Element `i` of a fill is draw `i` of its stream (draws `2j` and
+    /// `2j + 1` feed output pair `j`), so the seek starts the stream at
+    /// `start`; an odd `start` first takes the second half of the pair
+    /// below it.
+    fn fill_unit_dense_at(&mut self, param: u32, iter: u64, start: u64, out: &mut [f32]) {
+        let key = self.key_for(dense_table(param), 0, iter);
+        let out = if start % 2 == 1 {
+            let Some((first, rest)) = out.split_first_mut() else {
+                return;
+            };
+            let mut below = key.stream(start - 1);
+            *first = gaussian::pair(below.next_u64(), below.next_u64()).1;
+            rest
+        } else {
+            out
+        };
+        gaussian::fill_standard_normal(&mut key.stream(start.next_multiple_of(2)), out);
     }
 }
 
@@ -206,6 +246,26 @@ mod tests {
         assert!((var - 1.0).abs() < 0.03, "var {var}");
         let ks = stats::ks_statistic_normal(&mut all, 0.0, 1.0);
         assert!(ks < stats::ks_critical(all.len(), 0.001), "ks {ks}");
+    }
+
+    #[test]
+    fn dense_seek_matches_the_full_fill_at_block_boundaries() {
+        // 32 draws make one block of the Gaussian fill: seeks that start
+        // or end on either side of a block edge, at odd and even starts.
+        let mut n = CounterNoise::new(11);
+        let mut full = vec![0.0f32; 130];
+        n.fill_unit_dense(2, 7, 0, &mut full);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for start in [0usize, 1, 31, 32, 33, 63, 64] {
+            for end in [31usize, 32, 33, 63, 64, 65, 97, 130] {
+                if end < start {
+                    continue;
+                }
+                let mut got = vec![0.0f32; end - start];
+                n.fill_unit_dense_at(2, 7, start as u64, &mut got);
+                assert_eq!(bits(&got), bits(&full[start..end]), "{start}..{end}");
+            }
+        }
     }
 
     #[test]

@@ -393,6 +393,38 @@ proptest! {
         prop_assert_eq!(&fresh, &select(&mut used));
     }
 
+    /// The dense seek is a window of the full fill: elements
+    /// `start..start + len` of `fill_unit_dense(param, iter, 0, ·)`,
+    /// bitwise, at odd and even starts, for empty and one-element
+    /// windows and for lengths off the 32-draw block.
+    #[test]
+    fn dense_seek_is_a_window_of_the_full_fill(
+        seed in 0u64..1000,
+        param in 0u32..200,
+        iter in 1u64..100,
+        start in 0usize..300,
+        len in 0usize..150,
+    ) {
+        use lazydp::rng::RowNoise;
+        let mut noise = CounterNoise::new(seed);
+        let mut full = vec![0.0f32; 512];
+        noise.fill_unit_dense(param, iter, 0, &mut full);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for start in [start, start | 1] {
+            for len in [0, 1, len, 33] {
+                let mut got = vec![0.0f32; len];
+                noise.fill_unit_dense_at(param, iter, start as u64, &mut got);
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&full[start..start + len]),
+                    "start {} len {}",
+                    start,
+                    len
+                );
+            }
+        }
+    }
+
     /// Dedup: sorted unique output, duplicate count consistent.
     #[test]
     fn dedup_invariants(indices in proptest::collection::vec(0u64..30, 0..60)) {
