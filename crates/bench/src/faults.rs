@@ -28,6 +28,7 @@ use crate::table::Table;
 use lazydp_core::{Checkpoint, CheckpointStore, LazyDpConfig, LazyDpOptimizer};
 use lazydp_data::{MiniBatch, SyntheticConfig, SyntheticDataset};
 use lazydp_dpsgd::{DpConfig, Optimizer};
+use lazydp_embedding::EmbeddingStorage;
 use lazydp_fault::{FaultKind, FaultPlan, InjectedKill, Site};
 use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_obs::MetricsSnapshot;
@@ -85,7 +86,7 @@ fn stored_run(plan: FaultPlan, model0: &Dlrm, batches: &[MiniBatch]) -> (Dlrm, M
         o.step(&mut m, &batches[i], Some(&batches[i + 1]));
     }
     o.finalize_model(&mut m);
-    let released = m.map_tables(|_, t| t.to_dense());
+    let released = m.map_tables(|_, t| t.to_dense_table());
     let delta = lazydp_obs::snapshot::capture_metrics().delta_since(&before);
     (released, delta)
 }

@@ -23,14 +23,6 @@ pub fn aggregated_std(per_step_std: f32, delays: u64) -> f32 {
     ((delays as f64).sqrt() * f64::from(per_step_std)) as f32
 }
 
-/// Gaussian samples saved by ANS for one row: `delays` draws become 1
-/// (per coordinate). Zero delays need zero draws either way.
-#[inline]
-#[must_use]
-pub fn samples_saved(delays: u64) -> u64 {
-    delays.saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,13 +34,6 @@ mod tests {
         assert_eq!(aggregated_std(0.5, 1), 0.5);
         assert!((aggregated_std(0.5, 4) - 1.0).abs() < 1e-7);
         assert!((aggregated_std(1.0, 9) - 3.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn samples_saved_rule() {
-        assert_eq!(samples_saved(0), 0);
-        assert_eq!(samples_saved(1), 0);
-        assert_eq!(samples_saved(100), 99);
     }
 
     #[test]

@@ -638,7 +638,7 @@ mod tests {
         o3.finalize_model(&mut m3);
         for (a, b) in m_full.tables.iter().zip(m3.tables.iter()) {
             assert_eq!(
-                b.max_abs_diff_dense(a),
+                b.to_dense_table().max_abs_diff(a),
                 0.0,
                 "memory-save/stored-resume must be bitwise exact"
             );

@@ -69,29 +69,6 @@ impl HistoryTable {
         *h = cur;
         delays
     }
-
-    /// Read-only view of a row's last flushed iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    #[must_use]
-    pub fn last_flushed(&self, row: u64) -> u32 {
-        self.last_iter[usize::try_from(row).expect("row fits usize")]
-    }
-
-    /// Rows whose noise is still pending at `current_iter` (test/debug
-    /// helper; the optimizer never scans the table during training).
-    #[must_use]
-    pub fn pending_rows(&self, current_iter: u64) -> Vec<u64> {
-        let cur = u32::try_from(current_iter).expect("iteration fits u32");
-        self.last_iter
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| h < cur)
-            .map(|(r, _)| r as u64)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +84,7 @@ mod tests {
         assert_eq!(h.take_delays(2, 5), 0);
         // Three more iterations pass.
         assert_eq!(h.take_delays(2, 8), 3);
-        assert_eq!(h.last_flushed(2), 8);
+        assert_eq!(h.take_delays(2, 8), 0);
     }
 
     #[test]
@@ -124,8 +101,8 @@ mod tests {
         let mut h = HistoryTable::new(4);
         let _ = h.take_delays(1, 3);
         let _ = h.take_delays(3, 3);
-        assert_eq!(h.pending_rows(3), vec![0, 2]);
-        assert!(h.pending_rows(0).is_empty());
+        let pending: Vec<u64> = (0..4).map(|r| h.take_delays(r, 3)).collect();
+        assert_eq!(pending, vec![3, 0, 3, 0]);
     }
 
     #[test]

@@ -191,7 +191,6 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
         let TableStage {
             noise,
             counters,
-            noise_buf,
             iter,
             noise_std,
             lr,
@@ -220,7 +219,6 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
                     &exec,
                     counters,
                     &mut noise_acc,
-                    noise_buf,
                 );
                 for (e, nv) in seg.iter().zip(noise_acc.chunks_exact(dim)) {
                     table.with_row_mut(e.row, |row| {
@@ -292,7 +290,7 @@ where
             // The worker samples through its own handle: the source is a
             // pure function of the address, so a clone draws the same
             // values while the core stays borrowed by the aggregate.
-            let mut noise = self.core.noise().clone();
+            let noise = self.core.noise().clone();
             let faults = &self.faults;
             let history = &mut self.history;
             let flushes = &mut self.flushes;
@@ -319,7 +317,7 @@ where
                             table.dim(),
                             std,
                             ans,
-                            &mut noise,
+                            &noise,
                             &exec,
                             &mut c,
                         );
@@ -390,7 +388,6 @@ where
             counters.table_rows_read += update.len() as u64;
             counters.table_rows_written += update.len() as u64;
         }
-        lazydp_obs::metrics().trainer.steps.incr();
         self.core.finish_step(batch, clipped)
     }
 

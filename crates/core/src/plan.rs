@@ -24,10 +24,11 @@
 
 use crate::ans::aggregated_std;
 use crate::history::HistoryTable;
+use lazydp_dpsgd::noise_update::noisy_row;
 use lazydp_dpsgd::KernelCounters;
 use lazydp_embedding::SparseGrad;
 use lazydp_exec::Executor;
-use lazydp_rng::RowNoise;
+use lazydp_rng::{RowNoise, NOISE_BLOCK};
 
 /// Plan entries per executor chunk in the sampling phase. Fixed (never
 /// derived from the thread count) so chunk addressing is thread-count
@@ -65,10 +66,9 @@ pub fn plan_all_rows(
 }
 
 /// Phase 2: samples the pending noise of every row in `entries`
-/// data-parallel on `exec` into caller-owned buffers: `acc` receives the
-/// `entries.len() × dim` row-major noise block in plan order (gradient
-/// units — callers scale by −η when applying) and `buf` is the
-/// `dim`-wide draw scratch. Takes an explicit entry slice so
+/// data-parallel on `exec` into `acc`, the caller-owned `entries.len() ×
+/// dim` row-major noise block in plan order (gradient units — callers
+/// scale by −η when applying). Takes an explicit entry slice so
 /// `finalize_model` can flush a huge table in bounded segments without
 /// materializing table-sized noise buffers.
 ///
@@ -77,12 +77,11 @@ pub fn plan_all_rows(
 /// draws addressed by the iteration whose noise they are — the exact
 /// values eager DP-SGD would have drawn (lines 32–35).
 ///
-/// The parallel path clones the source per chunk, which draws the same
-/// values because a [`RowNoise`] source is a pure function of the
-/// address. On a single-width executor the whole phase runs through
-/// `acc` and `buf` with zero allocation; the multi-worker path still
-/// hands each chunk its own scratch (worker threads are scoped to the
-/// region, so per-chunk buffers cannot be pooled across steps).
+/// Each chunk draws through its own clone of the source, which draws
+/// the same values because a [`RowNoise`] source is a pure function of
+/// the address, and through one stack block ([`noisy_row`]), so no
+/// chunk body allocates or zeroes per-row scratch; at executor width 1
+/// the phase allocates nothing beyond `acc`.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_entries_into<N>(
     table_id: u32,
@@ -91,81 +90,49 @@ pub fn sample_entries_into<N>(
     dim: usize,
     per_step_std: f32,
     ans: bool,
-    noise: &mut N,
+    noise: &N,
     exec: &Executor,
     counters: &mut KernelCounters,
     acc: &mut Vec<f32>,
-    buf: &mut Vec<f32>,
 ) where
     N: RowNoise,
 {
     acc.clear();
     acc.resize(entries.len() * dim, 0.0);
-    if dim > 0 && exec.is_parallel() {
-        let noise = &*noise;
-        exec.par_for(acc.as_mut_slice(), ENTRIES_PER_CHUNK * dim, |c, chunk| {
-            // One scratch buffer and one noise handle per chunk —
-            // reused across its rows. Cloning is free and sound: the
-            // source is a pure function of the (table, row, iter)
-            // address.
-            let mut worker_noise = noise.clone();
-            let mut buf = vec![0.0f32; dim];
-            let first = c * ENTRIES_PER_CHUNK;
-            for (k, out) in chunk.chunks_mut(dim).enumerate() {
-                accumulate_entry(
-                    table_id,
-                    iter,
-                    &entries[first + k],
-                    per_step_std,
-                    ans,
-                    &mut worker_noise,
-                    &mut buf,
-                    out,
-                );
-            }
-        });
-    } else if dim > 0 {
-        // Inline path (single worker): same values — the source is a
-        // pure function of the address, and chunking never changes the
-        // per-row arithmetic.
-        buf.clear();
-        buf.resize(dim, 0.0);
-        for (e, out) in entries.iter().zip(acc.chunks_mut(dim)) {
-            accumulate_entry(table_id, iter, e, per_step_std, ans, noise, buf, out);
-        }
-    }
     let draws: u64 = entries.iter().map(|e| if ans { 1 } else { e.delays }).sum();
     counters.gaussian_samples += draws * dim as u64;
-}
-
-/// Accumulates one entry's pending noise into `out` (scratch `buf` must
-/// be `dim` long).
-#[allow(clippy::too_many_arguments)]
-fn accumulate_entry<N: RowNoise>(
-    table_id: u32,
-    iter: u64,
-    e: &NoisePlanEntry,
-    per_step_std: f32,
-    ans: bool,
-    noise: &mut N,
-    buf: &mut [f32],
-    out: &mut [f32],
-) {
-    if ans {
-        // One draw ~ N(0, delays·σ²C²/B²) — line 38.
-        noise.fill_unit(table_id, e.row, iter, buf);
-        let std = aggregated_std(per_step_std, e.delays);
-        for (o, &n) in out.iter_mut().zip(buf.iter()) {
-            *o += std * n;
-        }
-    } else {
-        for k_iter in (iter - e.delays + 1)..=iter {
-            noise.fill_unit(table_id, e.row, k_iter, buf);
-            for (o, &n) in out.iter_mut().zip(buf.iter()) {
-                *o += per_step_std * n;
+    if dim == 0 {
+        return;
+    }
+    exec.par_for(acc.as_mut_slice(), ENTRIES_PER_CHUNK * dim, |c, chunk| {
+        let mut noise = noise.clone();
+        let mut block = [0.0f32; NOISE_BLOCK];
+        let first = c * ENTRIES_PER_CHUNK;
+        for (e, out) in entries[first..].iter().zip(chunk.chunks_mut(dim)) {
+            // With ANS one draw ~ N(0, delays·σ²C²/B²) — line 38;
+            // without, one draw per pending iteration at the per-step std.
+            let (std, iters) = if ans {
+                (aggregated_std(per_step_std, e.delays), iter..=iter)
+            } else {
+                (per_step_std, iter - e.delays + 1..=iter)
+            };
+            for k_iter in iters {
+                noisy_row(
+                    &mut noise,
+                    table_id,
+                    e.row,
+                    k_iter,
+                    out,
+                    &mut block,
+                    |_, out, n| {
+                        for (o, &n) in out.iter_mut().zip(n) {
+                            *o += std * n;
+                        }
+                    },
+                );
             }
         }
-    }
+    });
 }
 
 /// One table's lookahead flush (Algorithm 1 lines 12–21): every pending
@@ -182,7 +149,6 @@ fn accumulate_entry<N: RowNoise>(
 pub struct LookaheadFlush {
     entries: Vec<NoisePlanEntry>,
     noise: Vec<f32>,
-    buf: Vec<f32>,
     dim: usize,
 }
 
@@ -204,7 +170,7 @@ impl LookaheadFlush {
         dim: usize,
         per_step_std: f32,
         ans: bool,
-        noise: &mut N,
+        noise: &N,
         exec: &Executor,
         counters: &mut KernelCounters,
     ) where
@@ -235,7 +201,6 @@ impl LookaheadFlush {
             exec,
             counters,
             &mut self.noise,
-            &mut self.buf,
         );
     }
 
@@ -293,7 +258,7 @@ mod tests {
             .collect()
     }
 
-    /// `sample_entries_into` with throwaway buffers.
+    /// `sample_entries_into` into a fresh buffer.
     #[allow(clippy::too_many_arguments)]
     fn sample<N: RowNoise>(
         table_id: u32,
@@ -302,13 +267,13 @@ mod tests {
         dim: usize,
         std: f32,
         ans: bool,
-        noise: &mut N,
+        noise: &N,
         exec: &Executor,
         counters: &mut KernelCounters,
     ) -> Vec<f32> {
-        let (mut acc, mut buf) = (Vec::new(), Vec::new());
+        let mut acc = Vec::new();
         sample_entries_into(
-            table_id, iter, entries, dim, std, ans, noise, exec, counters, &mut acc, &mut buf,
+            table_id, iter, entries, dim, std, ans, noise, exec, counters, &mut acc,
         );
         acc
     }
@@ -381,7 +346,7 @@ mod tests {
                     dim,
                     std,
                     ans,
-                    &mut noise,
+                    &noise,
                     &Executor::new(width),
                     &mut c,
                 );
@@ -397,8 +362,8 @@ mod tests {
     fn a_refilled_flush_drops_the_previous_steps_entries() {
         let dim = 2usize;
         let mut h = history_at(8, &[(2, 5)]); // row 2 already flushed at 5
-        let mut noise = CounterNoise::new(3);
-        let exec = Executor::sequential();
+        let noise = CounterNoise::new(3);
+        let exec = Executor::new(1);
         let mut c = KernelCounters::new();
         let mut flush = LookaheadFlush::default();
         flush.fill(
@@ -409,7 +374,7 @@ mod tests {
             dim,
             1.0,
             true,
-            &mut noise,
+            &noise,
             &exec,
             &mut c,
         );
@@ -420,18 +385,7 @@ mod tests {
         // Next step, other rows: nothing of the first fill survives, and
         // a row absent from the gradient is appended as a noise-only
         // entry.
-        flush.fill(
-            1,
-            6,
-            &[2, 6],
-            &mut h,
-            dim,
-            1.0,
-            true,
-            &mut noise,
-            &exec,
-            &mut c,
-        );
+        flush.fill(1, 6, &[2, 6], &mut h, dim, 1.0, true, &noise, &exec, &mut c);
         assert_eq!(flush.entries, entries_of(&[(2, 1), (6, 6)]));
         let mut update = SparseGrad::from_entries(dim, vec![(2, vec![1.0, 1.0])]);
         let _ = update.coalesce();
@@ -439,7 +393,7 @@ mod tests {
         assert_eq!(update.indices(), &[2, 6]);
 
         // No targets at all: an empty flush merges nothing.
-        flush.fill(1, 7, &[], &mut h, dim, 1.0, true, &mut noise, &exec, &mut c);
+        flush.fill(1, 7, &[], &mut h, dim, 1.0, true, &noise, &exec, &mut c);
         assert!(flush.entries.is_empty());
         let before = update.to_dense_map();
         flush.merge_into(&mut update);
@@ -469,15 +423,15 @@ mod tests {
                 delays: 1 + (k % 7),
             })
             .collect();
-        let mut noise = CounterNoise::new(11);
+        let noise = CounterNoise::new(11);
         for ans in [true, false] {
             let mut c = KernelCounters::new();
             let exec = Executor::new(1);
-            let base = sample(2, 9, &entries, 8, 0.25, ans, &mut noise, &exec, &mut c);
+            let base = sample(2, 9, &entries, 8, 0.25, ans, &noise, &exec, &mut c);
             for threads in [2usize, 3, 8] {
                 let mut c2 = KernelCounters::new();
                 let exec = Executor::new(threads);
-                let got = sample(2, 9, &entries, 8, 0.25, ans, &mut noise, &exec, &mut c2);
+                let got = sample(2, 9, &entries, 8, 0.25, ans, &noise, &exec, &mut c2);
                 assert_eq!(base, got, "ans={ans}, threads={threads}");
                 assert_eq!(c.gaussian_samples, c2.gaussian_samples);
             }
@@ -487,13 +441,13 @@ mod tests {
     #[test]
     fn sample_counts_draws_per_algorithm_variant() {
         let entries = entries_of(&[(0, 4), (7, 2)]);
-        let mut noise = CounterNoise::new(1);
-        let exec = Executor::sequential();
+        let noise = CounterNoise::new(1);
+        let exec = Executor::new(1);
         let mut c = KernelCounters::new();
-        let _ = sample(0, 5, &entries, 3, 0.1, true, &mut noise, &exec, &mut c);
+        let _ = sample(0, 5, &entries, 3, 0.1, true, &noise, &exec, &mut c);
         assert_eq!(c.gaussian_samples, 2 * 3, "ANS: one draw per row");
         let mut c = KernelCounters::new();
-        let _ = sample(0, 5, &entries, 3, 0.1, false, &mut noise, &exec, &mut c);
+        let _ = sample(0, 5, &entries, 3, 0.1, false, &noise, &exec, &mut c);
         assert_eq!(c.gaussian_samples, (4 + 2) * 3, "w/o ANS: delays draws");
     }
 
@@ -504,9 +458,9 @@ mod tests {
         // drawn.
         let entries = entries_of(&[(3, 2)]);
         let mut noise = CounterNoise::new(5);
-        let exec = Executor::sequential();
+        let exec = Executor::new(1);
         let mut c = KernelCounters::new();
-        let got = sample(1, 5, &entries, 4, 1.0, false, &mut noise, &exec, &mut c);
+        let got = sample(1, 5, &entries, 4, 1.0, false, &noise, &exec, &mut c);
         let mut expect = vec![0.0f32; 4];
         let mut buf = vec![0.0f32; 4];
         for it in [4u64, 5] {

@@ -51,12 +51,13 @@
 
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
+use crate::noise_update::noisy_update_row;
 use crate::optimizer::{Optimizer, StepStats};
 use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
 use lazydp_embedding::{EmbeddingStorage, ShardSpec, SparseGrad};
 use lazydp_model::Dlrm;
-use lazydp_rng::RowNoise;
+use lazydp_rng::{RowNoise, NOISE_BLOCK};
 
 /// Dense-parameter namespace for the selection draws, disjoint from the
 /// MLP bases (bottom = 0, top = 64): table `t`'s partition counts are
@@ -210,7 +211,8 @@ pub fn select_partitions_into<N: RowNoise>(
 /// `O(table rows)`. Each row's update is independent and its noise is
 /// addressed by `(table, row, iter)`, so the visit order is immaterial
 /// and every selected row's update is bitwise that of
-/// [`dense_noisy_update_with`](crate::noise_update::dense_noisy_update_with).
+/// [`dense_noisy_update_with`](crate::noise_update::dense_noisy_update_with):
+/// the same row body, drawn through one stack block.
 ///
 /// # Panics
 ///
@@ -228,7 +230,6 @@ pub fn partition_noisy_update_with<T: EmbeddingStorage, N: RowNoise>(
     noise_std: f32,
     lr: f32,
     counters: &mut KernelCounters,
-    buf: &mut Vec<f32>,
 ) {
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
     assert!(
@@ -240,9 +241,7 @@ pub fn partition_noisy_update_with<T: EmbeddingStorage, N: RowNoise>(
         spec.shards(),
         "selection mask / partition count mismatch"
     );
-    let dim = table.dim();
-    buf.clear();
-    buf.resize(dim, 0.0);
+    let mut block = [0.0f32; NOISE_BLOCK];
     let rows = table.rows() as u64;
     let stride = spec.shards() as u64;
     let mut touched = 0u64;
@@ -252,23 +251,15 @@ pub fn partition_noisy_update_with<T: EmbeddingStorage, N: RowNoise>(
         }
         let mut r = p as u64;
         while r < rows {
-            noise.fill_unit(table_id, r, iter, buf);
+            let g = grad.find(r);
             table.with_row_mut(r, |row| {
-                if let Some(g) = grad.find(r) {
-                    for ((w, &n), &gv) in row.iter_mut().zip(buf.iter()).zip(g.iter()) {
-                        *w -= lr * (noise_std * n + gv);
-                    }
-                } else {
-                    for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                        *w -= lr * noise_std * n;
-                    }
-                }
+                noisy_update_row(noise, table_id, r, iter, row, g, noise_std, lr, &mut block);
             });
             touched += 1;
             r += stride;
         }
     }
-    counters.gaussian_samples += touched * dim as u64;
+    counters.gaussian_samples += touched * table.dim() as u64;
     counters.table_rows_read += touched;
     counters.table_rows_written += touched;
 }
@@ -350,7 +341,6 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
             grads,
             noise,
             counters,
-            noise_buf,
             iter,
             noise_std,
             lr,
@@ -375,7 +365,7 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
                 .partitions_dropped
                 .add(selected.len() as u64 - n_selected);
             partition_noisy_update_with(
-                t, table, &spec, selected, g, noise, iter, noise_std, lr, counters, noise_buf,
+                t, table, &spec, selected, g, noise, iter, noise_std, lr, counters,
             );
         }
         self.core.finish_step(batch, clipped)
@@ -463,9 +453,8 @@ mod tests {
         g.coalesce();
         let mut noise = CounterNoise::new(3);
         let mut c = KernelCounters::new();
-        let mut buf = Vec::new();
         partition_noisy_update_with(
-            0, &mut table, &spec, &selected, &g, &mut noise, 1, 0.5, 0.1, &mut c, &mut buf,
+            0, &mut table, &spec, &selected, &g, &mut noise, 1, 0.5, 0.1, &mut c,
         );
         for r in 0..8usize {
             let part = spec.shard_of(r as u64);

@@ -1,20 +1,8 @@
 //! Per-example L2-norm clipping (paper §2.4, step 2 of DP-SGD).
 
 /// Clipping coefficients `min(1, C / ‖g_i‖)` from per-example *squared*
-/// norms.
-///
-/// # Panics
-///
-/// Panics if `c <= 0` or a squared norm is negative/NaN.
-#[must_use]
-pub fn clip_weights(norms_sq: &[f64], c: f64) -> Vec<f32> {
-    let mut out = Vec::new();
-    clip_weights_into(norms_sq, c, &mut out);
-    out
-}
-
-/// [`clip_weights`] into a caller-owned vector (cleared and refilled;
-/// no allocation at steady state).
+/// norms, into a caller-owned vector (cleared and refilled; no
+/// allocation at steady state).
 ///
 /// # Panics
 ///
@@ -47,6 +35,12 @@ pub fn clipped_fraction(norms_sq: &[f64], c: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn clip_weights(norms_sq: &[f64], c: f64) -> Vec<f32> {
+        let mut w = Vec::new();
+        clip_weights_into(norms_sq, c, &mut w);
+        w
+    }
 
     #[test]
     fn small_gradients_pass_through() {

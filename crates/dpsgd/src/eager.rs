@@ -1,76 +1,50 @@
-//! Eager DP-SGD: the three baseline variants DP-SGD(B), DP-SGD(R),
-//! DP-SGD(F) (paper §2.4–2.5).
+//! Eager DP-SGD(F), the paper's strongest eager baseline (§2.5).
 //!
-//! All three produce the *same* noisy gradient — they differ only in how
-//! the per-example gradient norms (and the clipped aggregate) are
-//! derived, which is exactly how the paper frames them:
-//!
-//! * **(B)** — materialize per-example gradients, clip, sum (Abadi et
-//!   al.; memory-hungry).
-//! * **(R)** — derive per-example norms first (recomputation), then one
-//!   *reweighted* per-batch pass (Lee & Kifer). Here the reweighted pass
-//!   is the model's one clipped backward, `Dlrm::backward_clipped_with`,
-//!   whose clip closure ignores the ghost norms and writes the weights
-//!   from the materialized norms.
-//! * **(F)** — derive the norms with the ghost-norm trick (no
-//!   per-example weight grads at all) inside that same clipped backward
-//!   (Denison et al.). The paper uses (F) as the strongest baseline.
-//!
-//! All three then perform the identical **dense noisy update** on every
-//! embedding table — the §4 bottleneck.
+//! Per-example norms come from the ghost-norm trick (no per-example
+//! weight gradients at all) inside the model's one clipped backward,
+//! `Dlrm::backward_clipped_with` (Denison et al.); the table stage is
+//! the **dense noisy update** of every row of every embedding table —
+//! the §4 bottleneck. The paper's DP-SGD(B) (materialized per-example
+//! gradients) and (R) (a norm pass, then a reweighted pass) release the
+//! same model; `lazydp_sysmodel` prices them for Fig. 3, and
+//! `Dlrm::per_example_grads` stays as the (B) definition the tests
+//! check the fused clipping against.
 
-use crate::clip::{clip_weights, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
-use crate::noise_update::{dense_noisy_update_with, par_dense_noisy_update};
+use crate::noise_update::dense_noisy_update;
 use crate::optimizer::{Optimizer, StepStats};
 use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
-use lazydp_embedding::SparseGrad;
-use lazydp_model::{Dlrm, DlrmGrads, DlrmScratch, MlpGrads};
+use lazydp_exec::Executor;
+use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
 
-/// How per-example clipping is computed (see module docs).
+/// How per-example clipping is computed: ghost norms plus the
+/// reweighted pass, the only style [`EagerDpSgd`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClipStyle {
-    /// DP-SGD(B): materialized per-example gradients.
-    PerExample,
-    /// DP-SGD(R): norms via materialization, aggregate via reweighting.
-    Reweighted,
     /// DP-SGD(F): ghost norms + reweighting.
     Fast,
 }
 
-impl ClipStyle {
-    /// The paper's name for the variant.
-    #[must_use]
-    pub fn paper_name(&self) -> &'static str {
-        match self {
-            Self::PerExample => "DP-SGD(B)",
-            Self::Reweighted => "DP-SGD(R)",
-            Self::Fast => "DP-SGD(F)",
-        }
-    }
-}
-
-/// Eager (non-lazy) DP-SGD optimizer: the shared [`DpStep`] front half
-/// plus a dense noisy update of every table. With [`ClipStyle::Fast`]
-/// and a single noise thread the whole step runs allocation-free at
-/// steady state (pinned by `tests/alloc_steady_state_eager.rs`); the
-/// (B) and (R) styles still materialize per-example state.
+/// Eager (non-lazy) DP-SGD(F): the shared [`DpStep`] front half plus a
+/// dense noisy update of every table at `DpConfig::threads`. The whole
+/// step runs allocation-free at steady state (pinned by
+/// `tests/alloc_steady_state_eager.rs`).
 #[derive(Debug, Clone)]
 pub struct EagerDpSgd<N> {
     core: DpStep<N>,
-    style: ClipStyle,
 }
 
 impl<N: RowNoise> EagerDpSgd<N> {
-    /// Creates an eager DP-SGD optimizer.
+    /// Creates an eager DP-SGD(F) optimizer. `_style` is always
+    /// [`ClipStyle::Fast`]; it keeps the argument list that existing
+    /// callers pass.
     #[must_use]
-    pub fn new(cfg: DpConfig, style: ClipStyle, noise: N) -> Self {
+    pub fn new(cfg: DpConfig, _style: ClipStyle, noise: N) -> Self {
         Self {
             core: DpStep::new(cfg, noise, 0),
-            style,
         }
     }
 
@@ -81,66 +55,9 @@ impl<N: RowNoise> EagerDpSgd<N> {
     }
 }
 
-/// The DP-SGD(B)/(R) clipped aggregate and clipped fraction: both
-/// materialize per-example gradients for the norms; (B) then sums the
-/// clipped per-example gradients, (R) hands the clip weights to the
-/// clipped backward instead. The reference side of
-/// `b_r_f_produce_mathematically_identical_models`.
-fn materialized_aggregate(
-    style: ClipStyle,
-    model: &Dlrm,
-    batch: &MiniBatch,
-    c: f64,
-) -> (DlrmGrads, f64) {
-    let cache = model.forward(batch);
-    let mut gl = Vec::new();
-    Dlrm::logit_grads_into(&cache, &batch.labels, false, &mut gl);
-    let mut per_ex = model.per_example_grads(&cache, batch, &gl);
-    for g in &mut per_ex {
-        g.coalesce();
-    }
-    let norms: Vec<f64> = per_ex.iter().map(DlrmGrads::norm_sq).collect();
-    let w = clip_weights(&norms, c);
-    let clipped = clipped_fraction(&norms, c);
-    if style == ClipStyle::Reweighted {
-        let mut grads = DlrmGrads::default();
-        model.backward_clipped_with(
-            &cache,
-            batch,
-            &gl,
-            |_, out| *out = w,
-            &mut grads,
-            &mut DlrmScratch::default(),
-        );
-        return (grads, clipped);
-    }
-    let mut sum = DlrmGrads {
-        bottom: MlpGrads::zeros_like(&model.bottom),
-        top: MlpGrads::zeros_like(&model.top),
-        tables: model
-            .tables
-            .iter()
-            .map(|t| SparseGrad::new(t.dim()))
-            .collect(),
-    };
-    for (g, &wi) in per_ex.iter().zip(w.iter()) {
-        sum.bottom.axpy(wi, &g.bottom);
-        sum.top.axpy(wi, &g.top);
-        for (acc, gt) in sum.tables.iter_mut().zip(g.tables.iter()) {
-            for (idx, vals) in gt.iter() {
-                let entry = acc.push_zeros(idx);
-                for (e, &v) in entry.iter_mut().zip(vals.iter()) {
-                    *e = wi * v;
-                }
-            }
-        }
-    }
-    (sum, clipped)
-}
-
 impl<N: RowNoise> Optimizer for EagerDpSgd<N> {
     fn name(&self) -> &'static str {
-        self.style.paper_name()
+        "DP-SGD(F)"
     }
 
     fn step(
@@ -150,41 +67,26 @@ impl<N: RowNoise> Optimizer for EagerDpSgd<N> {
         _next: Option<&MiniBatch>,
     ) -> StepStats {
         self.core.begin_step();
-        let clipped = if self.style == ClipStyle::Fast || batch.is_empty() {
-            self.core.clipped_aggregate(model, batch)
-        } else {
-            let c = self.core.config().max_grad_norm;
-            let (grads, clipped) = materialized_aggregate(self.style, model, batch, c);
-            self.core.counters.rows_gathered += batch.total_lookups() as u64;
-            self.core.scratch.grads = grads;
-            clipped
-        };
+        let clipped = self.core.clipped_aggregate(model, batch);
         self.core.scale_and_coalesce();
         self.core.dense_update(model);
-        // Table stage: every row of every table receives fresh noise.
+        // Table stage: every row of every table receives fresh noise, in
+        // one chunk-addressed sweep per table — the paper's tuned
+        // multi-threaded baseline (§6).
         lazydp_obs::span!(step_table_noise);
-        let threads = self.core.config().threads;
+        let exec = Executor::new(self.core.config().threads);
         let TableStage {
             grads,
             noise,
             counters,
-            noise_buf,
             iter,
             noise_std,
             lr,
         } = self.core.table_stage();
         for (t, (table, g)) in model.tables.iter_mut().zip(grads.iter()).enumerate() {
-            let t = t as u32;
-            if threads > 1 {
-                // The paper's tuned multi-threaded baseline (§6): the
-                // chunk-addressed parallel sweep, identical to the
-                // sequential kernel.
-                par_dense_noisy_update(t, table, g, noise, iter, noise_std, lr, threads, counters);
-            } else {
-                dense_noisy_update_with(
-                    t, table, g, noise, iter, noise_std, lr, counters, noise_buf,
-                );
-            }
+            dense_noisy_update(
+                t as u32, table, g, noise, iter, noise_std, lr, &exec, counters,
+            );
         }
         self.core.finish_step(batch, clipped)
     }
@@ -215,41 +117,6 @@ mod tests {
             .zip(b.tables.iter())
             .map(|(x, y)| x.max_abs_diff(y))
             .fold(0.0, f32::max)
-    }
-
-    #[test]
-    fn b_r_f_produce_mathematically_identical_models() {
-        // Paper §2.5: "the output model trained with DP-SGD(R) is
-        // mathematically identical to the original … DP-SGD" and
-        // DP-SGD(F) likewise. With a counter-based noise source the
-        // three variants must match to float tolerance.
-        let (model0, ds) = setup();
-        let cfg = DpConfig::new(0.9, 0.7, 0.05, 16);
-        let mut finals = Vec::new();
-        for style in [
-            ClipStyle::PerExample,
-            ClipStyle::Reweighted,
-            ClipStyle::Fast,
-        ] {
-            let mut model = model0.clone();
-            let mut opt = EagerDpSgd::new(cfg, style, CounterNoise::new(77));
-            for it in 0..4 {
-                let batch = ds.batch_of(&(it * 16..(it + 1) * 16).collect::<Vec<_>>());
-                opt.step(&mut model, &batch, None);
-            }
-            finals.push(model);
-        }
-        let d_br = max_table_diff(&finals[0], &finals[1]);
-        let d_bf = max_table_diff(&finals[0], &finals[2]);
-        assert!(d_br < 1e-4, "B vs R diverged: {d_br}");
-        assert!(d_bf < 1e-4, "B vs F diverged: {d_bf}");
-        // MLP weights too.
-        for l in 0..finals[0].top.layers().len() {
-            let d = finals[0].top.layers()[l]
-                .weight
-                .max_abs_diff(&finals[2].top.layers()[l].weight);
-            assert!(d < 1e-4, "top layer {l} diverged: {d}");
-        }
     }
 
     #[test]

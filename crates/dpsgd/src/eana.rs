@@ -66,14 +66,16 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
             grads,
             noise,
             counters,
-            noise_buf,
             iter,
             noise_std,
             lr,
         } = self.core.table_stage();
+        // The kernel's scratch argument is unused (an empty `Vec` never
+        // allocates).
+        let unused = &mut Vec::new();
         for (t, (table, g)) in model.tables.iter_mut().zip(grads.iter()).enumerate() {
             sparse_noisy_update_with(
-                t as u32, table, g, noise, iter, noise_std, lr, counters, noise_buf,
+                t as u32, table, g, noise, iter, noise_std, lr, counters, unused,
             );
         }
         self.core.finish_step(batch, clipped)

@@ -1,25 +1,26 @@
 //! DP-SGD baseline optimizers: the algorithms LazyDP is compared against.
 //!
-//! The paper's §2.4–§2.5 and §7.4 define five training algorithms on top
-//! of the same DLRM model (DP-AdaFEST, from the related work, is a sixth);
-//! all are implemented here **functionally** (real
-//! clipping, real Box–Muller noise, real updates) with instrumentation
-//! counters that the calibrated performance model cross-validates against.
+//! The paper's §2.4–§2.5 and §7.4 compare LazyDP against SGD, eager
+//! DP-SGD and EANA on the same DLRM model (DP-AdaFEST, from the related
+//! work, is a fourth baseline); all are implemented here
+//! **functionally** (real clipping, real Box–Muller noise, real updates)
+//! with instrumentation counters that the calibrated performance model
+//! cross-validates against.
 //! The private ones embed one shared step front half, [`DpStep`] (ghost
 //! clip, MLP update + MLP noise), and add only their table-noise stage:
 //!
 //! | Paper name | Type | Gradient derivation | Noise target |
 //! |---|---|---|---|
 //! | SGD | [`SgdOptimizer`] | per-batch | none |
-//! | DP-SGD(B) | [`EagerDpSgd`] + [`ClipStyle::PerExample`] | materialized per-example grads (Abadi et al.) | every row of every table |
-//! | DP-SGD(R) | [`EagerDpSgd`] + [`ClipStyle::Reweighted`] | norm pass + reweighted pass (Lee & Kifer) | every row of every table |
-//! | DP-SGD(F) | [`EagerDpSgd`] + [`ClipStyle::Fast`] | ghost norms + reweighted pass (Denison et al.) | every row of every table |
+//! | DP-SGD(F) | [`EagerDpSgd`] | ghost norms + reweighted pass (Denison et al.) | every row of every table |
 //! | EANA | [`EanaOptimizer`] | ghost norms + reweighted pass | **accessed rows only** (weaker, data-dependent privacy, §7.4; no ε: `lazydp_core` gives it no `AccountedOptimizer` impl) |
 //! | DP-AdaFEST | [`AdaFestOptimizer`] | ghost norms + reweighted pass | rows of **privately selected partitions** only (Ghazi et al.; composed select-then-noise mechanism) |
 //!
-//! DP-SGD(B), (R) and (F) produce *mathematically identical* models given
-//! the same noise draws — asserted by this crate's tests using the
-//! counter-based noise sources from `lazydp-rng`. LazyDP itself lives in
+//! The paper's DP-SGD(B) (materialized per-example gradients) and (R)
+//! (a norm pass, then a reweighted pass) release the same model as (F)
+//! and are priced by `lazydp_sysmodel` for Fig. 3; the tests check (F)'s
+//! fused clipping against the (B) definition,
+//! `lazydp_model::Dlrm::per_example_grads`. LazyDP itself lives in
 //! `lazydp-core`: the same [`DpStep`] front half, the same [`Optimizer`]
 //! trait, and a deferred (lookahead-flushed) table stage.
 //!
@@ -61,12 +62,11 @@ pub mod sgd;
 pub mod step;
 
 pub use adafest::{AdaFestConfig, AdaFestOptimizer};
-pub use clip::{clip_weights, clip_weights_into};
+pub use clip::clip_weights_into;
 pub use config::DpConfig;
 pub use counters::KernelCounters;
 pub use eager::{ClipStyle, EagerDpSgd};
 pub use eana::EanaOptimizer;
-pub use noise_update::par_dense_noisy_update;
 pub use optimizer::{Optimizer, StepStats};
 pub use sgd::SgdOptimizer;
 pub use step::{DpStep, TableStage};

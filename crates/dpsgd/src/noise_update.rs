@@ -4,28 +4,32 @@
 //!
 //! * [`sparse_grad_update`] — SGD's sparse update (Fig. 4(a)): touches
 //!   only gathered rows.
-//! * [`dense_noisy_update_with`] / [`par_dense_noisy_update`] — DP-SGD's
-//!   dense noisy update (Fig. 4(b)): *every* row receives fresh Gaussian
-//!   noise; gathered rows also receive their gradient. This is the
-//!   memory-bound bottleneck the paper root-causes in §4.3. The sweep is
+//! * [`dense_noisy_update_with`] — DP-SGD's dense noisy update
+//!   (Fig. 4(b)): *every* row receives fresh Gaussian noise; gathered
+//!   rows also receive their gradient. This is the memory-bound
+//!   bottleneck the paper root-causes in §4.3. The sweep is
 //!   embarrassingly parallel over rows and the paper's tuned baseline
-//!   multi-threads it with TBB/OpenMP (§6); the parallel entry is the
-//!   Rust analogue on the [`lazydp_exec::Executor`], over fixed-size row
-//!   chunks (never sized by the thread count). Both entries run the one
-//!   row-range body, so with counter-based noise they are *identical*
-//!   at any thread count — verified by the tests.
+//!   multi-threads it with TBB/OpenMP (§6); here it is one
+//!   chunk-addressed region on the [`lazydp_exec::Executor`], over
+//!   fixed-size row chunks (never sized by the thread count), so with
+//!   counter-based noise it is *identical* at any executor width —
+//!   verified by the tests.
 //! * [`sparse_noisy_update_with`] — EANA's variant (§7.4): noise lands
 //!   only on the rows that were accessed, which is cheap but leaks
 //!   which rows were never touched.
+//!
+//! Every table-noise kernel of the workspace — these two, AdaFEST's
+//! partition update and LazyDP's flush sampler — draws its rows through
+//! one body, [`noisy_row`].
 
 use crate::counters::KernelCounters;
 use lazydp_embedding::{EmbeddingTable, SparseGrad};
 use lazydp_exec::Executor;
-use lazydp_rng::RowNoise;
+use lazydp_rng::{RowNoise, NOISE_BLOCK};
 
-/// Embedding rows per executor chunk of [`par_dense_noisy_update`].
-/// Fixed (not derived from the thread count) so chunk addressing — and
-/// therefore any per-chunk noise state — is thread-count independent.
+/// Embedding rows per executor chunk of the dense sweep. Fixed (not
+/// derived from the thread count) so chunk addressing — and therefore
+/// any per-chunk noise state — is thread-count independent.
 const ROWS_PER_CHUNK: usize = 512;
 
 /// SGD sparse update: `θ[r] -= lr · g[r]` for gathered rows only.
@@ -40,40 +44,89 @@ pub fn sparse_grad_update(
     counters.table_rows_written += grad.len() as u64;
 }
 
-/// The dense noisy update of the contiguous rows `first_row..` held in
-/// `rows`: `θ[r] -= lr · (noise_std·n_r + g[r])`, `g[r]` found by binary
-/// search over the coalesced (sorted) gradient — no per-call map, no
-/// unordered container. `buf` is the `dim`-wide draw scratch.
-#[allow(clippy::too_many_arguments)]
-fn dense_noisy_rows<N: RowNoise>(
-    table_id: u32,
-    first_row: usize,
-    rows: &mut [f32],
-    grad: &SparseGrad,
+/// The noisy-row body of every table-noise kernel: draws the noise of
+/// row `row` of table `table_id` for iteration `iter` through `block`,
+/// [`NOISE_BLOCK`] values at a time (each block seeked to its offset with
+/// [`RowNoise::fill_unit_at`]), and hands `f` each segment of `dst` with
+/// its noise values and the segment's offset in the row.
+///
+/// The caller declares `block` once per executor chunk, as
+/// `Mlp::apply_noisy` does for the dense parameters, so no kernel
+/// allocates or zeroes scratch per row.
+#[inline]
+pub fn noisy_row<N: RowNoise>(
     noise: &mut N,
+    table_id: u32,
+    row: u64,
     iter: u64,
-    noise_std: f32,
-    lr: f32,
-    buf: &mut [f32],
+    dst: &mut [f32],
+    block: &mut [f32; NOISE_BLOCK],
+    mut f: impl FnMut(usize, &mut [f32], &[f32]),
 ) {
-    for (k, row) in rows.chunks_mut(buf.len()).enumerate() {
-        let r = (first_row + k) as u64;
-        noise.fill_unit(table_id, r, iter, buf);
-        if let Some(g) = grad.find(r) {
-            for ((w, &n), &gv) in row.iter_mut().zip(buf.iter()).zip(g.iter()) {
-                *w -= lr * (noise_std * n + gv);
-            }
-        } else {
-            for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                *w -= lr * noise_std * n;
-            }
-        }
+    for (k, dst) in dst.chunks_mut(NOISE_BLOCK).enumerate() {
+        let start = k * NOISE_BLOCK;
+        let n = &mut block[..dst.len()];
+        noise.fill_unit_at(table_id, row, iter, start as u64, n);
+        f(start, dst, n);
     }
 }
 
-/// Checks the dense kernels' preconditions and counts a full-table
-/// sweep.
-fn begin_dense_sweep(table: &EmbeddingTable, grad: &SparseGrad, counters: &mut KernelCounters) {
+/// One row's noisy update through [`noisy_row`]: `θ[r] -= lr ·
+/// (noise_std·n_r + g[r])` where the row has a gradient `g`, and
+/// `θ[r] -= lr·noise_std·n_r` where it has none. The row arithmetic of
+/// the dense sweep, EANA and AdaFEST.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn noisy_update_row<N: RowNoise>(
+    noise: &mut N,
+    table_id: u32,
+    r: u64,
+    iter: u64,
+    row: &mut [f32],
+    grad: Option<&[f32]>,
+    noise_std: f32,
+    lr: f32,
+    block: &mut [f32; NOISE_BLOCK],
+) {
+    noisy_row(noise, table_id, r, iter, row, block, |start, w, n| {
+        if let Some(g) = grad {
+            for ((w, &n), &gv) in w.iter_mut().zip(n).zip(&g[start..]) {
+                *w -= lr * (noise_std * n + gv);
+            }
+        } else {
+            for (w, &n) in w.iter_mut().zip(n) {
+                *w -= lr * noise_std * n;
+            }
+        }
+    });
+}
+
+/// The dense noisy update on `exec`: for **every** row `r` of the table,
+/// `θ[r] -= lr · (noise_std·n_r + g[r])`, where `n_r` is a fresh
+/// standard-normal vector drawn from `noise` for `(table_id, r, iter)`
+/// and `g[r]`, found by binary search over the coalesced (sorted)
+/// gradient, is zero for non-gathered rows. One `par_for` region over
+/// fixed row chunks; each chunk draws through its own clone of `noise`
+/// (the same values: a [`RowNoise`] source is a pure function of the
+/// address) and one stack block, so no chunk body allocates or zeroes
+/// per-row scratch, the sweep allocates nothing at executor width 1, and
+/// it is bitwise the same at any width.
+///
+/// # Panics
+///
+/// Panics if `grad` is not coalesced or its dimension mismatches.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dense_noisy_update<N: RowNoise>(
+    table_id: u32,
+    table: &mut EmbeddingTable,
+    grad: &SparseGrad,
+    noise: &N,
+    iter: u64,
+    noise_std: f32,
+    lr: f32,
+    exec: &Executor,
+    counters: &mut KernelCounters,
+) {
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
     assert!(
         grad.is_coalesced(),
@@ -82,14 +135,25 @@ fn begin_dense_sweep(table: &EmbeddingTable, grad: &SparseGrad, counters: &mut K
     counters.gaussian_samples += (table.rows() * table.dim()) as u64;
     counters.table_rows_read += table.rows() as u64;
     counters.table_rows_written += table.rows() as u64;
+    let dim = table.dim();
+    exec.par_for(table.as_mut_slice(), ROWS_PER_CHUNK * dim, |c, chunk| {
+        let mut noise = noise.clone();
+        let mut block = [0.0f32; NOISE_BLOCK];
+        let first_row = c * ROWS_PER_CHUNK;
+        for (k, row) in chunk.chunks_mut(dim).enumerate() {
+            let r = (first_row + k) as u64;
+            let g = grad.find(r);
+            noisy_update_row(
+                &mut noise, table_id, r, iter, row, g, noise_std, lr, &mut block,
+            );
+        }
+    });
 }
 
-/// DP-SGD dense noisy update: for **every** row `r` of the table,
-/// `θ[r] -= lr · (noise_std·n_r + g[r])`, where `n_r` is a fresh
-/// standard-normal vector drawn from `noise` for `(table_id, r, iter)`
-/// and `g[r]` is zero for non-gathered rows. Draws through the
-/// caller-provided scratch buffer, so a steady-state training loop
-/// allocates nothing.
+/// DP-SGD dense noisy update of one table on a single-width executor:
+/// the sweep the eager optimizer runs at `DpConfig::threads` (see the
+/// module docs). `_buf` is unused; it keeps the argument list that
+/// existing callers pass.
 ///
 /// # Panics
 ///
@@ -104,54 +168,18 @@ pub fn dense_noisy_update_with<N: RowNoise>(
     noise_std: f32,
     lr: f32,
     counters: &mut KernelCounters,
-    buf: &mut Vec<f32>,
+    _buf: &mut Vec<f32>,
 ) {
-    begin_dense_sweep(table, grad, counters);
-    buf.clear();
-    buf.resize(table.dim(), 0.0);
-    let rows = table.as_mut_slice();
-    dense_noisy_rows(table_id, 0, rows, grad, noise, iter, noise_std, lr, buf);
-}
-
-/// [`dense_noisy_update_with`] over `threads` workers. Identical to the
-/// sequential entry at any thread count: each chunk samples through its
-/// own clone of `noise`, which draws the same values because a
-/// [`RowNoise`] source is a pure function of the address.
-///
-/// # Panics
-///
-/// Panics if `grad` is not coalesced
-/// (sorted, duplicate-free rows), dimensions mismatch, or
-/// `threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_dense_noisy_update<N>(
-    table_id: u32,
-    table: &mut EmbeddingTable,
-    grad: &SparseGrad,
-    noise: &N,
-    iter: u64,
-    noise_std: f32,
-    lr: f32,
-    threads: usize,
-    counters: &mut KernelCounters,
-) where
-    N: RowNoise,
-{
-    begin_dense_sweep(table, grad, counters);
-    let dim = table.dim();
-    Executor::new(threads).par_for(table.as_mut_slice(), ROWS_PER_CHUNK * dim, |c, chunk| {
-        let mut noise = noise.clone();
-        let mut buf = vec![0.0f32; dim];
-        let first_row = c * ROWS_PER_CHUNK;
-        dense_noisy_rows(
-            table_id, first_row, chunk, grad, &mut noise, iter, noise_std, lr, &mut buf,
-        );
-    });
+    let exec = Executor::new(1);
+    dense_noisy_update(
+        table_id, table, grad, noise, iter, noise_std, lr, &exec, counters,
+    );
 }
 
 /// EANA sparse noisy update: noise (plus gradient) lands **only** on the
-/// gathered rows. Draws through the caller-provided scratch buffer, so
-/// a steady-state training loop allocates nothing.
+/// gathered rows, each drawn through one stack block, so the update
+/// allocates nothing. `_buf` is unused; it keeps the argument list that
+/// existing callers pass.
 ///
 /// # Panics
 ///
@@ -166,12 +194,10 @@ pub fn sparse_noisy_update_with<N: RowNoise>(
     noise_std: f32,
     lr: f32,
     counters: &mut KernelCounters,
-    buf: &mut Vec<f32>,
+    _buf: &mut Vec<f32>,
 ) {
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
-    let dim = table.dim();
-    buf.clear();
-    buf.resize(dim, 0.0);
+    let mut block = [0.0f32; NOISE_BLOCK];
     // Coalesced gradients are sorted strictly increasing, so duplicates
     // are caught by a monotonicity check instead of a hash set.
     let mut last_idx: Option<u64> = None;
@@ -181,13 +207,20 @@ pub fn sparse_noisy_update_with<N: RowNoise>(
             "gradient must be coalesced (row {idx} out of order or duplicated)"
         );
         last_idx = Some(idx);
-        noise.fill_unit(table_id, idx, iter, buf);
         let row = table.row_mut(idx as usize);
-        for ((w, &n), &gv) in row.iter_mut().zip(buf.iter()).zip(g.iter()) {
-            *w -= lr * (noise_std * n + gv);
-        }
+        noisy_update_row(
+            noise,
+            table_id,
+            idx,
+            iter,
+            row,
+            Some(g),
+            noise_std,
+            lr,
+            &mut block,
+        );
     }
-    counters.gaussian_samples += (grad.len() * dim) as u64;
+    counters.gaussian_samples += (grad.len() * table.dim()) as u64;
     counters.table_rows_read += grad.len() as u64;
     counters.table_rows_written += grad.len() as u64;
 }
@@ -299,27 +332,104 @@ mod tests {
         )
     }
 
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let g = scattered_grad();
-        let mut seq = EmbeddingTable::zeros(64, 4);
-        let mut c1 = KernelCounters::new();
-        let mut n1 = CounterNoise::new(12);
-        dense(3, &mut seq, &g, &mut n1, 9, 0.25, 0.1, &mut c1);
-        for threads in [1usize, 2, 3, 7] {
-            let mut par = EmbeddingTable::zeros(64, 4);
-            let mut c2 = KernelCounters::new();
-            let n2 = CounterNoise::new(12);
-            par_dense_noisy_update(3, &mut par, &g, &n2, 9, 0.25, 0.1, threads, &mut c2);
-            assert_eq!(seq, par, "thread count {threads} changed the result");
-            assert_eq!(c1.gaussian_samples, c2.gaussian_samples);
+    /// The dense update row by row, each row drawn whole by `fill_unit`.
+    fn reference_dense(
+        table_id: u32,
+        table: &mut EmbeddingTable,
+        grad: &SparseGrad,
+        seed: u64,
+        iter: u64,
+        noise_std: f32,
+        lr: f32,
+    ) {
+        let mut noise = CounterNoise::new(seed);
+        let mut n = vec![0.0f32; table.dim()];
+        for r in 0..table.rows() {
+            noise.fill_unit(table_id, r as u64, iter, &mut n);
+            let row = table.row_mut(r);
+            match grad.find(r as u64) {
+                Some(g) => {
+                    for ((w, &n), &gv) in row.iter_mut().zip(&n).zip(g) {
+                        *w -= lr * (noise_std * n + gv);
+                    }
+                }
+                None => {
+                    for (w, &n) in row.iter_mut().zip(&n) {
+                        *w -= lr * noise_std * n;
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn tables_larger_than_one_chunk_still_match_sequential() {
+    fn every_width_matches_the_row_by_row_reference() {
+        let g = scattered_grad();
+        let mut want = EmbeddingTable::zeros(64, 4);
+        reference_dense(3, &mut want, &g, 12, 9, 0.25, 0.1);
+        let mut seq = EmbeddingTable::zeros(64, 4);
+        let mut c1 = KernelCounters::new();
+        dense(
+            3,
+            &mut seq,
+            &g,
+            &mut CounterNoise::new(12),
+            9,
+            0.25,
+            0.1,
+            &mut c1,
+        );
+        assert_eq!(seq, want);
+        for threads in [1usize, 2, 3, 7] {
+            let mut par = EmbeddingTable::zeros(64, 4);
+            let mut c2 = KernelCounters::new();
+            let (n2, exec) = (CounterNoise::new(12), Executor::new(threads));
+            dense_noisy_update(3, &mut par, &g, &n2, 9, 0.25, 0.1, &exec, &mut c2);
+            assert_eq!(par, want, "thread count {threads} changed the result");
+            assert_eq!(c1, c2);
+        }
+    }
+
+    #[test]
+    fn rows_wider_than_one_noise_block_draw_their_whole_sequence() {
+        // dim > NOISE_BLOCK: each row takes two stack blocks, the second
+        // seeked to offset NOISE_BLOCK, and must still draw the row's
+        // one sequence — in the dense sweep and in EANA's.
+        let dim = NOISE_BLOCK + 44;
+        let g = grad_for(dim, vec![(1, vec![0.5; dim]), (4, vec![-1.0; dim])]);
+        let mut want = EmbeddingTable::zeros(6, dim);
+        reference_dense(2, &mut want, &g, 5, 3, 0.3, 0.1);
+        let mut c = KernelCounters::new();
+        for threads in [1usize, 2] {
+            let mut got = EmbeddingTable::zeros(6, dim);
+            let exec = Executor::new(threads);
+            dense_noisy_update(
+                2,
+                &mut got,
+                &g,
+                &CounterNoise::new(5),
+                3,
+                0.3,
+                0.1,
+                &exec,
+                &mut c,
+            );
+            assert_eq!(got, want, "threads {threads}");
+        }
+        let mut sparse = EmbeddingTable::zeros(6, dim);
+        let buf = &mut Vec::new();
+        let mut n = CounterNoise::new(5);
+        sparse_noisy_update_with(2, &mut sparse, &g, &mut n, 3, 0.3, 0.1, &mut c, buf);
+        for r in [1usize, 4] {
+            assert_eq!(sparse.row(r), want.row(r), "EANA row {r}");
+        }
+    }
+
+    #[test]
+    fn tables_larger_than_one_chunk_match_the_row_by_row_reference() {
         // > ROWS_PER_CHUNK rows so several chunks are actually in
-        // flight, with gradient rows scattered across chunks.
+        // flight, with gradient rows scattered across chunks; every
+        // chunk must address its rows from the table's row 0.
         let rows = 2 * ROWS_PER_CHUNK + 37;
         let g = grad_for(
             2,
@@ -329,29 +439,27 @@ mod tests {
                 (rows as u64 - 1, vec![-2.0, 2.0]),
             ],
         );
+        let mut want = EmbeddingTable::zeros(rows, 2);
+        reference_dense(1, &mut want, &g, 8, 4, 0.3, 0.05);
         let mut seq = EmbeddingTable::zeros(rows, 2);
         let mut c = KernelCounters::new();
-        let mut n1 = CounterNoise::new(8);
-        dense(1, &mut seq, &g, &mut n1, 4, 0.3, 0.05, &mut c);
-        for threads in [1usize, 2, 5] {
+        dense(
+            1,
+            &mut seq,
+            &g,
+            &mut CounterNoise::new(8),
+            4,
+            0.3,
+            0.05,
+            &mut c,
+        );
+        assert_eq!(seq, want);
+        for threads in [2usize, 5] {
             let mut par = EmbeddingTable::zeros(rows, 2);
-            let n2 = CounterNoise::new(8);
-            par_dense_noisy_update(1, &mut par, &g, &n2, 4, 0.3, 0.05, threads, &mut c);
-            assert_eq!(seq, par, "thread count {threads} changed the result");
+            let (n2, exec) = (CounterNoise::new(8), Executor::new(threads));
+            dense_noisy_update(1, &mut par, &g, &n2, 4, 0.3, 0.05, &exec, &mut c);
+            assert_eq!(par, want, "thread count {threads} changed the result");
         }
-    }
-
-    #[test]
-    fn handles_row_counts_not_divisible_by_threads() {
-        let g = grad_for(2, vec![(6, vec![1.0, 1.0])]);
-        let mut seq = EmbeddingTable::zeros(7, 2);
-        let mut par = EmbeddingTable::zeros(7, 2);
-        let mut c = KernelCounters::new();
-        let mut n1 = CounterNoise::new(1);
-        dense(0, &mut seq, &g, &mut n1, 1, 0.5, 0.1, &mut c);
-        let n2 = CounterNoise::new(1);
-        par_dense_noisy_update(0, &mut par, &g, &n2, 1, 0.5, 0.1, 3, &mut c);
-        assert_eq!(seq, par);
     }
 
     #[test]
@@ -359,18 +467,8 @@ mod tests {
     fn uncoalesced_grad_rejected() {
         let mut t = EmbeddingTable::zeros(4, 1);
         let g = SparseGrad::from_entries(1, vec![(2, vec![1.0]), (0, vec![1.0])]);
-        let n = CounterNoise::new(1);
+        let (n, exec) = (CounterNoise::new(1), Executor::new(2));
         let mut c = KernelCounters::new();
-        par_dense_noisy_update(0, &mut t, &g, &n, 1, 0.1, 0.1, 2, &mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        let mut t = EmbeddingTable::zeros(4, 2);
-        let g = SparseGrad::new(2);
-        let n = CounterNoise::new(1);
-        let mut c = KernelCounters::new();
-        par_dense_noisy_update(0, &mut t, &g, &n, 1, 0.1, 0.1, 0, &mut c);
+        dense_noisy_update(0, &mut t, &g, &n, 1, 0.1, 0.1, &exec, &mut c);
     }
 }

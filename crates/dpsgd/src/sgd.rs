@@ -78,6 +78,7 @@ impl Optimizer for SgdOptimizer {
             sparse_grad_update(table, g, self.lr, &mut self.counters);
         }
         self.counters.steps += 1;
+        lazydp_obs::metrics().trainer.steps.incr();
         StepStats {
             realized_batch: batch.batch_size(),
             clipped_fraction: 0.0,

@@ -46,8 +46,6 @@ pub(crate) struct StepScratch {
     pub(crate) logit_g: Vec<f32>,
     pub(crate) coalesce: CoalesceScratch,
     norms: Vec<f64>,
-    /// `dim`-wide draw scratch of the table stage.
-    noise_buf: Vec<f32>,
 }
 
 /// The shared front half of a DP training step (see the module docs).
@@ -73,8 +71,6 @@ pub struct TableStage<'a, N> {
     pub noise: &'a mut N,
     /// The work counters.
     pub counters: &'a mut KernelCounters,
-    /// Reusable draw scratch for the row-noise kernels.
-    pub noise_buf: &'a mut Vec<f32>,
     /// The current iteration (1-based).
     pub iter: u64,
     /// Per-coordinate noise std `σ·C/B`.
@@ -205,16 +201,17 @@ impl<N: RowNoise> DpStep<N> {
             grads: &mut self.scratch.grads.tables,
             noise: &mut self.noise,
             counters: &mut self.counters,
-            noise_buf: &mut self.scratch.noise_buf,
             iter: self.iter,
             noise_std: self.cfg.noise_std_per_coord(),
             lr: self.cfg.lr,
         }
     }
 
-    /// Closes a step: counts it and reports its diagnostics.
+    /// Closes a step: counts it (in the work counters and in the
+    /// `trainer.steps` registry counter) and reports its diagnostics.
     pub fn finish_step(&mut self, batch: &MiniBatch, clipped_fraction: f64) -> StepStats {
         self.counters.steps += 1;
+        lazydp_obs::metrics().trainer.steps.incr();
         StepStats {
             realized_batch: batch.batch_size(),
             clipped_fraction,

@@ -133,25 +133,10 @@ impl Executor {
         Self { threads }
     }
 
-    /// A single-threaded executor (runs everything inline).
-    #[must_use]
-    pub fn sequential() -> Self {
-        Self { threads: 1 }
-    }
-
     /// The configured worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether this executor would ever spawn workers (`threads > 1`).
-    /// Kernels with an allocation-free inline path (e.g. the noise-plan
-    /// sampler) use this to stay on caller-owned scratch when no
-    /// parallelism is available anyway.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
     }
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements

@@ -201,12 +201,6 @@ impl DlrmConfig {
         total
     }
 
-    /// Total number of MLP layers (the paper counts 8 for MLPerf DLRM).
-    #[must_use]
-    pub fn num_mlp_layers(&self) -> usize {
-        self.bottom_layers.len() + self.top_layers.len()
-    }
-
     /// Total model bytes (embeddings + MLPs, f32).
     #[must_use]
     pub fn model_bytes(&self) -> u64 {
@@ -266,7 +260,8 @@ mod tests {
     fn mlperf_full_scale_matches_paper_quotes() {
         let cfg = DlrmConfig::mlperf(1);
         assert_eq!(cfg.num_tables(), 26);
-        assert_eq!(cfg.num_mlp_layers(), 8, "paper: 8 MLP layers");
+        let mlp_layers = cfg.bottom_layers.len() + cfg.top_layers.len();
+        assert_eq!(mlp_layers, 8, "paper: 8 MLP layers");
         assert_eq!(cfg.top_input_dim(), 479, "MLPerf top MLP input width");
         // §6: "total model size of 96 GB".
         let gb = cfg.model_bytes() as f64 / 1e9;

@@ -423,8 +423,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     }
 
     /// The clipped backward — the one composition every DP algorithm
-    /// reaches its clipped aggregate through (paper §2.5: DP-SGD(R) and
-    /// (F) differ only in where the weights come from). One gradient
+    /// reaches its clipped aggregate through. One gradient
     /// chain computes the per-example ghost norms (top MLP layers, then
     /// bottom MLP layers, then each bag, summed in that order), `clip`
     /// turns them into per-example weights, and the clipped aggregate
@@ -432,8 +431,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     /// gradients with the weights applied inside the weight-grad GEMM's
     /// B packing — two GEMMs per dense layer; the chain is never re-run
     /// and per-example weight gradients are never materialized. `clip`
-    /// may ignore the norms and write weights of its own (DP-SGD(R)
-    /// passes its materialized clip weights this way).
+    /// may ignore the norms and write weights of its own.
     ///
     /// Pinned by `tests/fused_clipped.rs` (bitwise across executor
     /// threads; within tolerance of the materialized

@@ -16,15 +16,16 @@
 //! compares (§2.5):
 //!
 //! * per-batch gradients (plain SGD, [`Dlrm::backward_with`]),
-//! * materialized **per-example** gradients (DP-SGD(B),
-//!   [`Dlrm::per_example_grads`]),
+//! * materialized **per-example** gradients ([`Dlrm::per_example_grads`],
+//!   the DP-SGD(B) definition, which the tests hold the clipped backward
+//!   to; no optimizer runs it),
 //! * the **clipped backward** ([`Dlrm::backward_clipped_with`]): one
 //!   gradient chain yields the per-example gradient L2 norms without
 //!   materializing per-example weight gradients (*ghost norms*), a clip
 //!   closure turns them into weights, and the clipped aggregate comes
 //!   from the same chain's cached activation gradients. It is the one
-//!   clipped composition: DP-SGD(F) clips the ghost norms, DP-SGD(R)
-//!   passes weights from its materialized norms. It is pinned against
+//!   clipped composition, and DP-SGD(F) clips the ghost norms. It is
+//!   pinned against
 //!   `per_example_grads` and by end-to-end release digests, not against
 //!   a second composition.
 //!

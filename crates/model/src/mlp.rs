@@ -17,7 +17,7 @@
 //!   materializing per-example grads.
 
 use lazydp_exec::Executor;
-use lazydp_rng::{Prng, RowNoise};
+use lazydp_rng::{Prng, RowNoise, NOISE_BLOCK};
 use lazydp_tensor::ops::add_bias;
 use lazydp_tensor::{Activation, InitKind, Matrix};
 
@@ -490,10 +490,6 @@ impl Mlp {
 /// independent, and even so every chunk seeks to a pair boundary.
 const NOISY_APPLY_CHUNK: usize = 16 * 1024;
 
-/// Noise values drawn per stack block of [`noisy_apply`] (a multiple of
-/// the Gaussian fill's 32-draw block).
-const NOISE_BLOCK: usize = 256;
-
 /// `x -= lr · g`, then `x -= (lr · scale) · n`, for `x` holding elements
 /// `start..` of dense sequence `(param, iter)`: per element, the
 /// gradient step's rounding and then the noise step's. Draws through
@@ -823,7 +819,7 @@ mod tests {
         let noisy = |seed: u64| {
             let mut m = a.clone();
             let noise = CounterNoise::new(seed);
-            m.apply_noisy(&grads, &noise, 3, 0, 0.5, 0.1, &Executor::sequential());
+            m.apply_noisy(&grads, &noise, 3, 0, 0.5, 0.1, &Executor::new(1));
             param_bits(&m)
         };
         assert_eq!(noisy(9), noisy(9), "same seed, same noise");

@@ -82,6 +82,14 @@ impl Prng for CounterStream {
     }
 }
 
+/// Values per stack block of the noise kernels: every kernel that applies
+/// noise (the MLP's fused sweep, the table sweeps, LazyDP's flush) draws
+/// through one `[f32; NOISE_BLOCK]` declared once per executor chunk,
+/// seeking each block with [`RowNoise::fill_unit_at`]. A multiple of the
+/// Gaussian fill's 32-draw block, so every block after the first starts
+/// on a pair boundary.
+pub const NOISE_BLOCK: usize = 256;
+
 /// Source of *standard-normal* noise addressed by `(table, row, iter)`.
 ///
 /// DP optimizers scale the returned unit noise by `σ·C/B` themselves
@@ -94,10 +102,25 @@ impl Prng for CounterStream {
 /// [`CounterNoise`]) and what lets the parallel kernels clone the source
 /// per chunk and still produce the bits of the sequential sweep (hence
 /// the `Clone + Send + Sync` supertraits).
+///
+/// The one required method is the seek, [`fill_unit_at`](Self::fill_unit_at);
+/// every other fill is a window of it.
 pub trait RowNoise: Clone + Send + Sync {
+    /// Fills `out` with elements `start..start + out.len()` of the
+    /// standard-normal sequence of embedding row `row` of table `table`
+    /// attributed to training iteration `iter`: bitwise what a
+    /// [`fill_unit`](Self::fill_unit) of that address leaves in
+    /// `full[start..start + out.len()]`. This is the seek that lets a
+    /// kernel draw any row through a fixed stack block, and disjoint
+    /// chunks of one sequence draw independently.
+    fn fill_unit_at(&mut self, table: u32, row: u64, iter: u64, start: u64, out: &mut [f32]);
+
     /// Fills `out` with standard-normal noise for embedding row `row` of
-    /// table `table` attributed to training iteration `iter`.
-    fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]);
+    /// table `table` attributed to training iteration `iter`, from the
+    /// first element of its sequence.
+    fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]) {
+        self.fill_unit_at(table, row, iter, 0, out);
+    }
 
     /// Fills `out` with noise for a *dense* (non-embedding) parameter
     /// region `param` at iteration `iter`, from the sequence at address
@@ -108,19 +131,18 @@ pub trait RowNoise: Clone + Send + Sync {
     /// per partition this way). Elements `start..` of one sequence come
     /// from [`fill_unit_dense_at`](Self::fill_unit_dense_at).
     ///
-    /// Default implementation reuses the row addressing with a reserved
-    /// table id.
+    /// Dense regions reuse the row addressing under a reserved table id.
     fn fill_unit_dense(&mut self, param: u32, iter: u64, index: u64, out: &mut [f32]) {
-        self.fill_unit(dense_table(param), index, iter, out);
+        self.fill_unit_at(dense_table(param), index, iter, 0, out);
     }
 
     /// Fills `out` with elements `start..start + out.len()` of the
     /// `index = 0` sequence of [`fill_unit_dense`](Self::fill_unit_dense):
     /// bitwise what a `fill_unit_dense(param, iter, 0, full)` leaves in
-    /// `full[start..start + out.len()]`. This is the seek that lets
-    /// disjoint chunks of one dense parameter draw their noise
-    /// independently.
-    fn fill_unit_dense_at(&mut self, param: u32, iter: u64, start: u64, out: &mut [f32]);
+    /// `full[start..start + out.len()]`.
+    fn fill_unit_dense_at(&mut self, param: u32, iter: u64, start: u64, out: &mut [f32]) {
+        self.fill_unit_at(dense_table(param), 0, iter, start, out);
+    }
 }
 
 /// The reserved table id under which dense parameter region `param`
@@ -157,17 +179,12 @@ impl CounterNoise {
 }
 
 impl RowNoise for CounterNoise {
-    fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]) {
-        let mut stream = self.stream_for(table, row, iter);
-        gaussian::fill_standard_normal(&mut stream, out);
-    }
-
     /// Element `i` of a fill is draw `i` of its stream (draws `2j` and
     /// `2j + 1` feed output pair `j`), so the seek starts the stream at
     /// `start`; an odd `start` first takes the second half of the pair
     /// below it.
-    fn fill_unit_dense_at(&mut self, param: u32, iter: u64, start: u64, out: &mut [f32]) {
-        let key = self.key_for(dense_table(param), 0, iter);
+    fn fill_unit_at(&mut self, table: u32, row: u64, iter: u64, start: u64, out: &mut [f32]) {
+        let key = self.key_for(table, row, iter);
         let out = if start % 2 == 1 {
             let Some((first, rest)) = out.split_first_mut() else {
                 return;
@@ -250,20 +267,38 @@ mod tests {
 
     #[test]
     fn dense_seek_matches_the_full_fill_at_block_boundaries() {
-        // 32 draws make one block of the Gaussian fill: seeks that start
-        // or end on either side of a block edge, at odd and even starts.
+        // 32 draws make one block of the Gaussian fill and NOISE_BLOCK
+        // values one stack block of the noise kernels: seeks that start
+        // or end on either side of either edge, at odd and even starts,
+        // at a dense address and at a row address.
+        type Full = fn(&mut CounterNoise, &mut [f32]);
+        type Seek = fn(&mut CounterNoise, u64, &mut [f32]);
+        let addresses: [(&str, Full, Seek); 2] = [
+            (
+                "dense",
+                |n, out| n.fill_unit_dense(2, 7, 0, out),
+                |n, start, out| n.fill_unit_dense_at(2, 7, start, out),
+            ),
+            (
+                "row",
+                |n, out| n.fill_unit(3, 41, 7, out),
+                |n, start, out| n.fill_unit_at(3, 41, 7, start, out),
+            ),
+        ];
         let mut n = CounterNoise::new(11);
-        let mut full = vec![0.0f32; 130];
-        n.fill_unit_dense(2, 7, 0, &mut full);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for start in [0usize, 1, 31, 32, 33, 63, 64] {
-            for end in [31usize, 32, 33, 63, 64, 65, 97, 130] {
-                if end < start {
-                    continue;
+        for (name, fill, seek) in addresses {
+            let mut full = vec![0.0f32; 2 * NOISE_BLOCK + 18];
+            fill(&mut n, &mut full);
+            for start in [0usize, 1, 31, 32, 33, 63, 64, 255, 256, 257, 511, 512] {
+                for end in [31usize, 32, 33, 63, 64, 65, 97, 130, 256, 257, 513, 530] {
+                    if end < start {
+                        continue;
+                    }
+                    let mut got = vec![0.0f32; end - start];
+                    seek(&mut n, start as u64, &mut got);
+                    assert_eq!(bits(&got), bits(&full[start..end]), "{name} {start}..{end}");
                 }
-                let mut got = vec![0.0f32; end - start];
-                n.fill_unit_dense_at(2, 7, start as u64, &mut got);
-                assert_eq!(bits(&got), bits(&full[start..end]), "{start}..{end}");
             }
         }
     }

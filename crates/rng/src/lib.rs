@@ -44,7 +44,7 @@ pub mod prng;
 pub mod stats;
 pub mod subsample;
 
-pub use counter::{CounterRng, CounterStream, RowNoise};
+pub use counter::{CounterRng, CounterStream, RowNoise, NOISE_BLOCK};
 pub use gaussian::{fill_standard_normal, GaussianSampler};
 pub use prng::{Prng, SplitMix64, Xoshiro256PlusPlus};
 pub use subsample::poisson_sample;

@@ -67,7 +67,7 @@
 //! let mut expect = dense.clone();
 //! expect.sparse_update(&grad, 0.05);
 //! stored.sparse_update(&grad, 0.05);
-//! assert_eq!(stored.to_dense(), expect);
+//! assert_eq!(stored.to_dense_table(), expect);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -132,7 +132,7 @@ impl StoredTable {
     /// pages training has dirtied, and row values do not depend on the
     /// page size or the cache capacity. (The draws are addressed per
     /// row, so they differ from [`init_uniform`](Self::init_uniform)'s
-    /// sequential ones; [`to_dense`](Self::to_dense) gives the in-memory
+    /// sequential ones; [`to_dense_table`](EmbeddingStorage::to_dense_table) gives the in-memory
     /// twin.)
     ///
     /// # Errors
@@ -412,37 +412,6 @@ impl StoredTable {
         }
         Ok(())
     }
-
-    /// Materializes the table in memory (page-sequential scan through
-    /// the cache — bitwise copy of every row).
-    #[must_use]
-    pub fn to_dense(&self) -> EmbeddingTable {
-        self.to_dense_table()
-    }
-
-    /// Maximum absolute element-wise difference to a dense table
-    /// (test/validation helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn max_abs_diff_dense(&self, other: &EmbeddingTable) -> f32 {
-        assert_eq!(
-            (self.rows, self.dim),
-            (other.rows(), other.dim()),
-            "table shape mismatch"
-        );
-        let mut worst = 0.0f32;
-        for r in 0..self.rows as u64 {
-            self.with_row(r, |row| {
-                for (a, b) in row.iter().zip(other.row(r as usize)) {
-                    worst = worst.max((a - b).abs());
-                }
-            });
-        }
-        worst
-    }
 }
 
 /// The paged engine of a freshly constructed table (constructors only —
@@ -568,8 +537,12 @@ mod tests {
             assert_eq!(s.rows(), 37);
             assert_eq!(s.dim(), 5);
             assert_eq!(EmbeddingStorage::bytes(&s), d.bytes());
-            assert_eq!(s.to_dense(), d, "pages {page_rows} cache {cache_pages}");
-            assert_eq!(s.max_abs_diff_dense(&d), 0.0);
+            assert_eq!(
+                s.to_dense_table(),
+                d,
+                "pages {page_rows} cache {cache_pages}"
+            );
+            assert_eq!(s.to_dense_table().max_abs_diff(&d), 0.0);
         }
     }
 
@@ -579,7 +552,7 @@ mod tests {
         let mut r2 = Xoshiro256PlusPlus::seed_from(42);
         let mem = EmbeddingTable::init_uniform(100, 8, &mut r1);
         let stored = StoredTable::init_uniform(100, 8, &mut r2, &cfg(16, 3)).expect("spill");
-        assert_eq!(stored.to_dense(), mem);
+        assert_eq!(stored.to_dense_table(), mem);
         // Both RNGs drew the same number of values.
         assert_eq!(r1.next_u64(), r2.next_u64());
     }
@@ -605,7 +578,7 @@ mod tests {
             let gw = EmbeddingStorage::gather(&want, &probe);
             assert_eq!(gs, gw, "step {step}: storm must not change a value");
         }
-        assert_eq!(s.max_abs_diff_dense(&want), 0.0);
+        assert_eq!(s.to_dense_table().max_abs_diff(&want), 0.0);
     }
 
     #[test]
@@ -661,7 +634,7 @@ mod tests {
         if s.cache_pages() >= 4 {
             assert_eq!(s.stats().misses, misses_after_prefetch);
         }
-        assert_eq!(s.to_dense(), d);
+        assert_eq!(s.to_dense_table(), d);
     }
 
     #[test]
@@ -719,7 +692,7 @@ mod tests {
         let want = {
             // Reference run with no plan of its own.
             let s = StoredTable::from_dense(&d, &cfg(2, 1)).expect("spill");
-            s.to_dense()
+            s.to_dense_table()
         };
         let s = lazydp_fault::scoped(
             FaultPlan::new(11)
@@ -727,7 +700,7 @@ mod tests {
                 .rate_rule(Site::PageWrite, 0.2, FaultKind::Transient),
             || StoredTable::from_dense(&d, &cfg(2, 1)).expect("spill"),
         );
-        let got = s.to_dense();
+        let got = s.to_dense_table();
         assert_eq!(got, want, "retried I/O must be value-invisible");
         assert_eq!(got, d);
     }
@@ -750,14 +723,14 @@ mod tests {
         let _ = grad.coalesce();
         want.sparse_update(&grad, 0.1);
         s.sparse_update(&grad, 0.1);
-        let got = s.to_dense();
+        let got = s.to_dense_table();
         assert!(s.degraded(), "persistent write failure must degrade");
         assert_eq!(s.cache_pages(), s.total_pages());
         assert_eq!(got, want, "degradation must be bitwise-invisible");
         // The degraded table keeps working.
         s.sparse_update(&grad, 0.1);
         want.sparse_update(&grad, 0.1);
-        assert_eq!(s.to_dense(), want);
+        assert_eq!(s.to_dense_table(), want);
         s.sync().expect("sync is a no-op when degraded");
     }
 
@@ -774,7 +747,7 @@ mod tests {
     /// The same initialisation read through one page that holds the
     /// whole table.
     fn lazy_reference() -> EmbeddingTable {
-        lazy(64, 8).to_dense()
+        lazy(64, 8).to_dense_table()
     }
 
     #[test]
@@ -790,12 +763,16 @@ mod tests {
                 for r in [36u64, 0, 17, 4] {
                     s.with_row(r, |row| assert_eq!(row, want.row(r as usize), "row {r}"));
                 }
-                assert_eq!(s.to_dense(), want, "pages {page_rows} cache {cache_pages}");
+                assert_eq!(
+                    s.to_dense_table(),
+                    want,
+                    "pages {page_rows} cache {cache_pages}"
+                );
             }
         }
         let reseeded = StoredTable::lazy_uniform(LAZY_ROWS, LAZY_DIM, 0xC0FFEF, &cfg(4, 2))
             .expect("spill")
-            .to_dense();
+            .to_dense_table();
         assert_ne!(reseeded, want, "the fill is keyed by the seed");
     }
 
@@ -834,10 +811,10 @@ mod tests {
             s.with_row_mut(r, |row| row.fill(0.0));
             want.row_mut(r as usize).fill(0.0);
         }
-        assert_eq!(s.to_dense(), want, "the scan evicts every dirty page");
+        assert_eq!(s.to_dense_table(), want, "the scan evicts every dirty page");
         s.verify_pages()
             .expect("written and unwritten pages verify");
-        assert_eq!(s.to_dense(), want, "verifying moved no value");
+        assert_eq!(s.to_dense_table(), want, "verifying moved no value");
         if s.cache_pages() < s.total_pages() {
             assert!(s.stats().write_backs >= 3, "dirty pages must spill");
         }
@@ -866,7 +843,7 @@ mod tests {
         let _ = grad.coalesce();
         want.sparse_update(&grad, 0.1);
         s.sparse_update(&grad, 0.1);
-        let got = s.to_dense();
+        let got = s.to_dense_table();
         assert!(s.degraded(), "persistent write failure must degrade");
         assert_eq!(got, want, "never-written pages drain as their fill");
     }

@@ -349,21 +349,6 @@ impl Matrix {
         );
     }
 
-    /// The sub-matrix of columns `[start, start+width)` into a
-    /// caller-owned matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds `cols`.
-    pub fn col_slice_into(&self, start: usize, width: usize, out: &mut Self) {
-        assert!(start + width <= self.cols, "col_slice out of range");
-        out.reset_zeroed(self.rows, width);
-        for i in 0..self.rows {
-            out.row_mut(i)
-                .copy_from_slice(&self.row(i)[start..start + width]);
-        }
-    }
-
     /// Column-wise sum (the bias gradient of a linear layer) into a
     /// caller-owned vector of length `cols` (cleared and refilled; no
     /// allocation at steady state).
@@ -524,14 +509,6 @@ mod tests {
         a.row_norms_sq_into(&mut rows);
         assert_eq!(rows, vec![9.0, 16.0]);
         assert!((a.frob_norm_sq() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn col_slice_extracts_columns() {
-        let c = pseudo_random(3, 7, 9);
-        let mut s = Matrix::default();
-        c.col_slice_into(2, 5, &mut s);
-        assert_eq!(s, Matrix::from_fn(3, 5, |i, j| c[(i, j + 2)]));
     }
 
     #[test]

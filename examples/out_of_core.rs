@@ -91,7 +91,7 @@ fn main() {
             st.cache_pages(),
             st.total_pages(),
         );
-        worst = worst.max(st.max_abs_diff_dense(mt));
+        worst = worst.max(st.to_dense_table().max_abs_diff(mt));
     }
     // Cache traffic (hits, misses, evictions, spilled/loaded bytes) for
     // the whole run, straight from the lazydp_obs registry: every

@@ -1,13 +1,11 @@
 //! Steady-state allocation accounting for eager DP-SGD(F).
 //!
-//! The `EagerScratch` refactor's contract: with the ghost-clipping
-//! (`Fast`) style, a single noise thread, and in-memory tables, an
+//! The contract: with a single noise thread and in-memory tables, an
 //! `EagerDpSgd::step` allocates **zero** heap bytes once warm-up has
-//! sized the scratch — the dense noisy update draws into a reusable
-//! buffer via `dense_noisy_update_with`. (The (B) and (R) styles
-//! materialize per-example state and are exempt by design.) See
-//! `alloc_common` for the harness; this file holds exactly one test so
-//! no concurrent thread pollutes the counters.
+//! sized the scratch — the dense noisy update draws every row through
+//! one stack block per chunk. See `alloc_common` for the harness; this
+//! file holds exactly one test so no concurrent thread pollutes the
+//! counters.
 
 mod alloc_common;
 

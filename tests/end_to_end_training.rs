@@ -50,13 +50,9 @@ fn every_optimizer_learns() {
         let (b, a) = train(&mut o, &mut m, &ds);
         results.push((o.name().to_owned(), b, a));
     }
-    for style in [
-        ClipStyle::PerExample,
-        ClipStyle::Reweighted,
-        ClipStyle::Fast,
-    ] {
+    {
         let mut m = model0.clone();
-        let mut o = EagerDpSgd::new(dp, style, CounterNoise::new(11));
+        let mut o = EagerDpSgd::new(dp, ClipStyle::Fast, CounterNoise::new(11));
         let (b, a) = train(&mut o, &mut m, &ds);
         results.push((o.name().to_owned(), b, a));
     }

@@ -10,7 +10,7 @@
 //!   `per_example_grads`, clipped and summed.
 
 use lazydp::data::{MiniBatch, SyntheticConfig, SyntheticDataset};
-use lazydp::dpsgd::clip_weights;
+use lazydp::dpsgd::clip_weights_into;
 use lazydp::embedding::SparseGrad;
 use lazydp::model::{Dlrm, DlrmConfig, DlrmGrads, DlrmScratch, MlpGrads};
 use lazydp::rng::Xoshiro256PlusPlus;
@@ -56,7 +56,7 @@ fn flat(g: &DlrmGrads) -> (Vec<f32>, Vec<(usize, u64)>) {
 }
 
 /// The DP-SGD(B) definition: per-example gradients, their norms, and
-/// `Σ_i w_i · g_i` with `w = clip_weights(norms, c)`, coalesced.
+/// `Σ_i w_i · g_i` with `w = clip_weights_into(norms, c)`, coalesced.
 fn materialized(model: &Dlrm, per_ex: &[DlrmGrads], c: f64) -> (Vec<f64>, DlrmGrads) {
     let norms: Vec<f64> = per_ex.iter().map(DlrmGrads::norm_sq).collect();
     let mut sum = DlrmGrads {
@@ -64,7 +64,9 @@ fn materialized(model: &Dlrm, per_ex: &[DlrmGrads], c: f64) -> (Vec<f64>, DlrmGr
         top: MlpGrads::zeros_like(&model.top),
         tables: vec![SparseGrad::new(DIM); TABLES],
     };
-    for (g, &wi) in per_ex.iter().zip(&clip_weights(&norms, c)) {
+    let mut w = Vec::new();
+    clip_weights_into(&norms, c, &mut w);
+    for (g, &wi) in per_ex.iter().zip(&w) {
         sum.bottom.axpy(wi, &g.bottom);
         sum.top.axpy(wi, &g.top);
         for (acc, gt) in sum.tables.iter_mut().zip(&g.tables) {
@@ -104,7 +106,7 @@ fn fused_clipped_backward_is_thread_invariant_and_matches_per_example_grads() {
                         &gl,
                         |n, w| {
                             norms.extend_from_slice(n);
-                            *w = clip_weights(n, c);
+                            clip_weights_into(n, c, w);
                         },
                         &mut grads,
                         &mut DlrmScratch::default(),
@@ -128,7 +130,8 @@ fn fused_clipped_backward_is_thread_invariant_and_matches_per_example_grads() {
             let (want_norms, want) = materialized(&model, &per_ex, c);
             assert_eq!(norms.len(), want_norms.len(), "one norm per example");
             if c == 1e9 {
-                let w = clip_weights(norms, c);
+                let mut w = Vec::new();
+                clip_weights_into(norms, c, &mut w);
                 assert!(w.iter().all(|&x| x == 1.0), "huge C must clip nothing");
             }
             for (i, (got, want)) in norms.iter().zip(&want_norms).enumerate() {

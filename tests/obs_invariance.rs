@@ -8,8 +8,8 @@
 //! training algorithms end to end — LazyDP (overlap path + finalize)
 //! and DP-AdaFEST (private partition selection) — plus the trainer-level
 //! accounting calls. Each run's snapshot delta must also hold exactly
-//! one sample per step of each front-half phase when counting, and none
-//! when off.
+//! one sample per step of each front-half phase, and one `trainer.steps`
+//! count per step, when counting, and none when off.
 //!
 //! One `#[test]` only: the obs mode is process-global, so a concurrent
 //! test sweeping it would race.
@@ -90,7 +90,8 @@ fn measured(run: impl FnOnce() -> Dlrm) -> (Dlrm, MetricsSnapshot) {
     (model, capture_metrics().delta_since(&before))
 }
 
-/// Every step of a DP optimizer records each front-half phase once.
+/// Every step of a DP optimizer records each front-half phase once and
+/// counts itself once in `trainer.steps`.
 fn assert_phase_counts(kind: &str, mode: ObsMode, delta: &MetricsSnapshot) {
     let want = if mode == ObsMode::Counters { STEPS } else { 0 };
     for phase in ["step_forward", "step_backward_clip", "step_dense_update"] {
@@ -98,6 +99,8 @@ fn assert_phase_counts(kind: &str, mode: ObsMode, delta: &MetricsSnapshot) {
         let got = delta.histogram(&name).expect("phase histogram").count();
         assert_eq!(got, want as u64, "{kind} `{name}` under {mode:?}");
     }
+    let steps = delta.counter("trainer.steps");
+    assert_eq!(steps, want as u64, "{kind} `trainer.steps` under {mode:?}");
 }
 
 #[test]

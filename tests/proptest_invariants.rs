@@ -4,9 +4,9 @@
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use lazydp::data::{MiniBatch, SyntheticConfig, SyntheticDataset};
-use lazydp::dpsgd::{clip_weights, ClipStyle, DpConfig, EagerDpSgd, Optimizer};
+use lazydp::dpsgd::{clip_weights_into, ClipStyle, DpConfig, EagerDpSgd, Optimizer};
 use lazydp::embedding::sparse::dedup_indices_into;
-use lazydp::embedding::SparseGrad;
+use lazydp::embedding::{EmbeddingStorage, SparseGrad};
 use lazydp::lazy::{aggregated_std, HistoryTable, LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
@@ -84,7 +84,8 @@ proptest! {
         c in 0.01f64..5.0,
         norms_sq in proptest::collection::vec(0.0f64..100.0, 1..40),
     ) {
-        let w = clip_weights(&norms_sq, c);
+        let mut w = Vec::new();
+        clip_weights_into(&norms_sq, c, &mut w);
         for (&n_sq, &wi) in norms_sq.iter().zip(w.iter()) {
             let clipped = n_sq.sqrt() * f64::from(wi);
             prop_assert!(clipped <= c * (1.0 + 1e-5), "{clipped} > {c}");
@@ -242,12 +243,12 @@ proptest! {
         let mut rng = Xoshiro256PlusPlus::seed_from(seed);
         let (mut mem, mut stored) = if lazy_init {
             // Same RNG draws on both sides (MLPs, then one fill seed per
-            // table); the memory side is the step-0 `to_dense` snapshot.
+            // table); the memory side is the step-0 `to_dense_table` snapshot.
             let lazy_table = |rows, dim, rng: &mut Xoshiro256PlusPlus| {
                 StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &scfg)
             };
             let mem = Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), |rows, dim, rng| {
-                lazy_table(rows, dim, rng).map(|t| t.to_dense())
+                lazy_table(rows, dim, rng).map(|t| t.to_dense_table())
             });
             let stored = Dlrm::try_new_with(tiny, &mut rng, lazy_table);
             (
@@ -279,7 +280,7 @@ proptest! {
 
         for (t, (a, b)) in mem.tables.iter().zip(stored.tables.iter()).enumerate() {
             prop_assert!(
-                b.max_abs_diff_dense(a) == 0.0,
+                b.to_dense_table().max_abs_diff(a) == 0.0,
                 "table {t} diverged on the paged backend (page_rows {page_rows}, \
                  cache {cache_pages}, lazy {lazy_init})"
             );
@@ -353,7 +354,7 @@ proptest! {
         opt.finalize(&mut stored);
         for (t, (a, b)) in base.tables.iter().zip(stored.tables.iter()).enumerate() {
             prop_assert!(
-                b.max_abs_diff_dense(a) == 0.0,
+                b.to_dense_table().max_abs_diff(a) == 0.0,
                 "table {t} diverged on the paged backend"
             );
         }
@@ -393,22 +394,26 @@ proptest! {
         prop_assert_eq!(&fresh, &select(&mut used));
     }
 
-    /// The dense seek is a window of the full fill: elements
-    /// `start..start + len` of `fill_unit_dense(param, iter, 0, ·)`,
-    /// bitwise, at odd and even starts, for empty and one-element
-    /// windows and for lengths off the 32-draw block.
+    /// The seek is a window of the full fill: elements
+    /// `start..start + len` of `fill_unit_dense(param, iter, 0, ·)` and
+    /// of `fill_unit(table, row, iter, ·)`, bitwise, at odd and even
+    /// starts, for empty and one-element windows and for lengths off the
+    /// 32-draw block and across the kernels' 256-value stack block.
     #[test]
     fn dense_seek_is_a_window_of_the_full_fill(
         seed in 0u64..1000,
         param in 0u32..200,
+        table in 0u32..64,
+        row in 0u64..1_000_000,
         iter in 1u64..100,
         start in 0usize..300,
-        len in 0usize..150,
+        len in 0usize..300,
     ) {
         use lazydp::rng::RowNoise;
         let mut noise = CounterNoise::new(seed);
-        let mut full = vec![0.0f32; 512];
-        noise.fill_unit_dense(param, iter, 0, &mut full);
+        let (mut dense, mut rows) = (vec![0.0f32; 640], vec![0.0f32; 640]);
+        noise.fill_unit_dense(param, iter, 0, &mut dense);
+        noise.fill_unit(table, row, iter, &mut rows);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for start in [start, start | 1] {
             for len in [0, 1, len, 33] {
@@ -416,8 +421,16 @@ proptest! {
                 noise.fill_unit_dense_at(param, iter, start as u64, &mut got);
                 prop_assert_eq!(
                     bits(&got),
-                    bits(&full[start..start + len]),
-                    "start {} len {}",
+                    bits(&dense[start..start + len]),
+                    "dense start {} len {}",
+                    start,
+                    len
+                );
+                noise.fill_unit_at(table, row, iter, start as u64, &mut got);
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&rows[start..start + len]),
+                    "row start {} len {}",
                     start,
                     len
                 );
