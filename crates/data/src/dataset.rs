@@ -148,12 +148,7 @@ impl SyntheticDataset {
     /// The planted effect of `(table, row)` on the logit.
     #[must_use]
     pub fn row_effect(&self, table: usize, row: u64) -> f32 {
-        let bits = self.effect_rng.derive(table as u64).at(row);
-        // Map to roughly N(0, 0.5²) via two uniforms (cheap CLT-free
-        // approach: one Box-Muller draw).
-        let mut stream = CounterRng::new(bits).stream(0);
-        let (z, _) = gaussian::pair(stream.next_u64(), stream.next_u64());
-        0.5 * z
+        effect_at(self.effect_rng.derive(table as u64), row)
     }
 
     /// Generates sample `i`: `(dense, per-table indices, label)`.
@@ -163,51 +158,89 @@ impl SyntheticDataset {
     /// Panics if `i >= len()`.
     #[must_use]
     pub fn sample(&self, i: usize) -> (Vec<f32>, Vec<Vec<u64>>, f32) {
-        assert!(i < self.len(), "sample {i} out of {}", self.len());
-        let mut rng = self.sample_rng.derive(i as u64).stream(0);
-        let mut dense = vec![0.0f32; self.config.num_dense];
-        gaussian::fill_standard_normal(&mut rng, &mut dense);
-        let mut logit: f64 = lazydp_tensor::vecops::dot(&dense, &self.dense_weights);
-        let mut indices = Vec::with_capacity(self.config.table_rows.len());
-        for (t, dist) in self.config.distributions.iter().enumerate() {
-            let rows: Vec<u64> = (0..self.config.pooling)
-                .map(|_| dist.sample(&mut rng))
-                .collect();
-            for &r in &rows {
-                logit += f64::from(self.row_effect(t, r)) / self.config.pooling as f64;
-            }
-            indices.push(rows);
-        }
-        let p = 1.0 / (1.0 + (-logit).exp());
-        let label = if rng.next_f64() < p { 1.0 } else { 0.0 };
+        let mut dense = Vec::with_capacity(self.config.num_dense);
+        let mut indices = self.index_buffers(self.config.pooling);
+        let label = self.generate(i, &mut dense, &mut indices);
         (dense, indices, label)
     }
 
-    /// Materializes the samples `ids` into a [`MiniBatch`].
+    /// Materializes the samples `ids` into a [`MiniBatch`]: each sample
+    /// is generated straight into the batch's flat buffers.
     #[must_use]
     pub fn batch_of(&self, ids: &[usize]) -> MiniBatch {
-        let num_tables = self.config.table_rows.len();
+        let pooling = self.config.pooling;
         let mut dense = Vec::with_capacity(ids.len() * self.config.num_dense);
         let mut labels = Vec::with_capacity(ids.len());
-        let mut per_table: Vec<Vec<Vec<u64>>> = vec![Vec::with_capacity(ids.len()); num_tables];
+        let mut indices = self.index_buffers(ids.len() * pooling);
         for &i in ids {
-            let (d, idxs, y) = self.sample(i);
-            dense.extend_from_slice(&d);
-            labels.push(y);
-            for (t, rows) in idxs.into_iter().enumerate() {
-                per_table[t].push(rows);
-            }
+            labels.push(self.generate(i, &mut dense, &mut indices));
         }
         MiniBatch {
             dense,
             num_dense: self.config.num_dense,
-            sparse: per_table
-                .iter()
-                .map(|s| BagIndices::from_samples(s))
+            sparse: indices
+                .into_iter()
+                .map(|flat| BagIndices::from_fixed_pooling(flat, pooling))
                 .collect(),
             labels,
         }
     }
+
+    /// One empty index buffer per table, each with room for `lookups`.
+    fn index_buffers(&self, lookups: usize) -> Vec<Vec<u64>> {
+        (0..self.config.table_rows.len())
+            .map(|_| Vec::with_capacity(lookups))
+            .collect()
+    }
+
+    /// Generates sample `i`, appending its dense features to `dense` and
+    /// its `pooling` lookups of table `t` to `indices[t]`; returns its
+    /// label. The one body behind [`sample`](Self::sample) and
+    /// [`batch_of`](Self::batch_of).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    fn generate(&self, i: usize, dense: &mut Vec<f32>, indices: &mut [Vec<u64>]) -> f32 {
+        assert!(i < self.len(), "sample {i} out of {}", self.len());
+        let mut rng = self.sample_rng.derive(i as u64).stream(0);
+        let start = dense.len();
+        dense.resize(start + self.config.num_dense, 0.0);
+        let features = &mut dense[start..];
+        gaussian::fill_standard_normal(&mut rng, features);
+        let mut logit: f64 = lazydp_tensor::vecops::dot(features, &self.dense_weights);
+        let pooling = self.config.pooling;
+        // Every lookup is drawn before any effect is computed: the draws
+        // are independent, so their CDF reads overlap in the memory
+        // system instead of waiting behind each row's effect.
+        for (dist, rows) in self.config.distributions.iter().zip(indices.iter_mut()) {
+            for _ in 0..pooling {
+                rows.push(dist.sample(&mut rng));
+            }
+        }
+        for (t, rows) in indices.iter().enumerate() {
+            let effects = self.effect_rng.derive(t as u64);
+            for &r in &rows[rows.len() - pooling..] {
+                logit += f64::from(effect_at(effects, r)) / pooling as f64;
+            }
+        }
+        let p = 1.0 / (1.0 + (-logit).exp());
+        if rng.next_f64() < p {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The planted effect of row `row` under its table's effect generator.
+fn effect_at(effects: CounterRng, row: u64) -> f32 {
+    let bits = effects.at(row);
+    // Map to roughly N(0, 0.5²) via two uniforms (cheap CLT-free
+    // approach: one Box-Muller draw).
+    let mut stream = CounterRng::new(bits).stream(0);
+    let (z, _) = gaussian::pair(stream.next_u64(), stream.next_u64());
+    0.5 * z
 }
 
 #[cfg(test)]
@@ -244,6 +277,54 @@ mod tests {
         assert!(b.is_consistent());
         assert_eq!(b.num_tables(), 2);
         assert_eq!(b.total_lookups(), 6);
+    }
+
+    /// The oracle for `batch_of`: every sample through
+    /// [`SyntheticDataset::sample`], each table's lists through
+    /// [`BagIndices::from_samples`].
+    fn batch_from_samples(ds: &SyntheticDataset, ids: &[usize]) -> MiniBatch {
+        let mut batch = MiniBatch {
+            num_dense: ds.config.num_dense,
+            ..MiniBatch::default()
+        };
+        let mut per_table = vec![Vec::new(); ds.config.table_rows.len()];
+        for &i in ids {
+            let (dense, indices, label) = ds.sample(i);
+            batch.dense.extend_from_slice(&dense);
+            batch.labels.push(label);
+            for (lists, rows) in per_table.iter_mut().zip(indices) {
+                lists.push(rows);
+            }
+        }
+        batch.sparse = per_table
+            .iter()
+            .map(|lists| BagIndices::from_samples(lists))
+            .collect();
+        batch
+    }
+
+    #[test]
+    fn flat_assembly_equals_the_per_sample_path() {
+        let mut rng = lazydp_rng::Xoshiro256PlusPlus::seed_from(11);
+        for pooling in [1usize, 4] {
+            let cfg = SyntheticConfig {
+                table_rows: vec![64, 1_000, 4_097],
+                distributions: vec![
+                    AccessDistribution::uniform(64),
+                    AccessDistribution::zipf(1_000, 1.1),
+                    AccessDistribution::for_skew(4_097, SkewLevel::High),
+                ],
+                ..SyntheticConfig::small(3, 1, 500)
+            };
+            let ds = SyntheticDataset::new(cfg.with_pooling(pooling));
+            for _ in 0..4 {
+                let ids = lazydp_rng::poisson_sample(&mut rng, ds.len(), 0.05);
+                let batch = ds.batch_of(&ids);
+                assert_eq!(batch, batch_from_samples(&ds, &ids), "pooling {pooling}");
+                assert!(batch.is_consistent());
+            }
+            assert_eq!(ds.batch_of(&[]), batch_from_samples(&ds, &[]));
+        }
     }
 
     #[test]

@@ -65,14 +65,52 @@ pub enum AccessDistribution {
     /// identity-mapped to row ids (row 0 is the hottest), which is
     /// equivalent to any fixed permutation for every statistic the paper
     /// measures.
+    ///
+    /// A draw is the inverse CDF of a uniform `u`: the first row with
+    /// `cdf[row] >= u`, found through `guide`. The guide splits `[0, 1]`
+    /// into `G = guide.len() − 1` buckets, one per 4 rows; with
+    /// `key(x) = ⌊x·G⌋` computed in `f64`, `guide[b]` is the first row
+    /// with `key(cdf[row]) >= b`. Rounding is monotone, so every row
+    /// below `guide[key(u)]` has `cdf < u`, and for `key(u) < G` row
+    /// `guide[key(u) + 1]` has `cdf >= u`. A draw therefore searches
+    /// only that bracket, and returns exactly what a search of the
+    /// whole CDF would.
     Zipf {
         /// Number of rows.
         rows: u64,
         /// Zipf exponent `s > 0`.
         exponent: f64,
-        /// Cumulative weights for inverse-CDF sampling.
+        /// Cumulative weights for inverse-CDF sampling; the last is 1.
         cdf: Vec<f64>,
+        /// First row of each CDF bucket (see above), `G + 1` entries.
+        guide: Vec<u32>,
     },
+}
+
+/// Rows per bucket of a Zipf distribution's guide table.
+const ROWS_PER_GUIDE: u64 = 4;
+
+/// The guide bucket of a CDF value `x` among `buckets`: `⌊x·buckets⌋`.
+fn guide_key(x: f64, buckets: usize) -> usize {
+    // `as` floors a non-negative value (and saturates).
+    (x * buckets as f64) as usize
+}
+
+/// The first index `i` with `cdf[i] >= u` (`cdf.len()` if none), found
+/// in the bracket `guide` gives for `u`: equal to
+/// `cdf.partition_point(|&c| c < u)` for every `u`. The answer lies in
+/// `guide[b]..=guide[b + 1]`, so only `cdf[guide[b]..guide[b + 1]]` is
+/// searched; a one-row bracket reads no CDF at all.
+fn guided_partition_point(cdf: &[f64], guide: &[u32], u: f64) -> usize {
+    let buckets = guide.len() - 1;
+    let b = guide_key(u, buckets);
+    let (lo, hi) = if b < buckets {
+        (guide[b] as usize, guide[b + 1] as usize)
+    } else {
+        // `u` is 1 or within rounding of it: search to the end.
+        (guide[buckets] as usize, cdf.len())
+    };
+    lo + cdf[lo..hi].partition_point(|&c| c < u)
 }
 
 impl AccessDistribution {
@@ -109,13 +147,23 @@ impl AccessDistribution {
             cdf.push(acc);
         }
         let total = acc;
-        for c in &mut cdf {
+        let buckets = rows.div_ceil(ROWS_PER_GUIDE) as usize;
+        let mut guide = Vec::with_capacity(buckets + 1);
+        for (row, c) in cdf.iter_mut().enumerate() {
             *c /= total;
+            let key = guide_key(*c, buckets).min(buckets);
+            while guide.len() <= key {
+                guide.push(row as u32);
+            }
         }
+        // `cdf[rows − 1] = total / total = 1` has key `buckets`, so every
+        // entry is set; the fill only guards the invariant's shape.
+        guide.resize(buckets + 1, rows as u32);
         Self::Zipf {
             rows,
             exponent,
             cdf,
+            guide,
         }
     }
 
@@ -163,10 +211,8 @@ impl AccessDistribution {
     pub fn sample<R: Prng>(&self, rng: &mut R) -> u64 {
         match self {
             Self::Uniform { rows } => rng.next_below(*rows),
-            Self::Zipf { cdf, .. } => {
-                let u = rng.next_f64();
-                // partition_point: first index with cdf[i] >= u.
-                cdf.partition_point(|&c| c < u) as u64
+            Self::Zipf { cdf, guide, .. } => {
+                guided_partition_point(cdf, guide, rng.next_f64()) as u64
             }
         }
     }
@@ -343,6 +389,66 @@ mod tests {
                 (got - expect).abs() < 5.0 * expect.sqrt() + 5.0,
                 "row {r}: got {got}, expect {expect}"
             );
+        }
+    }
+
+    /// The CDF and guide of a Zipf distribution.
+    fn cdf_and_guide(d: &AccessDistribution) -> (&[f64], &[u32]) {
+        match d {
+            AccessDistribution::Zipf { cdf, guide, .. } => (cdf, guide),
+            AccessDistribution::Uniform { .. } => unreachable!("a Zipf distribution"),
+        }
+    }
+
+    /// Every Zipf shape the guided-draw tests cover.
+    fn guided_cases() -> &'static [AccessDistribution] {
+        static CASES: std::sync::OnceLock<Vec<AccessDistribution>> = std::sync::OnceLock::new();
+        CASES.get_or_init(|| {
+            let mut cases = Vec::new();
+            for rows in [1u64, 2, 3, 5, 4_097, 131_072] {
+                for exponent in [0.5, 0.9, 1.2] {
+                    cases.push(AccessDistribution::zipf(rows, exponent));
+                }
+            }
+            cases
+        })
+    }
+
+    fn assert_guided_draw_is_full_search(d: &AccessDistribution, u: f64) {
+        let (cdf, guide) = cdf_and_guide(d);
+        assert_eq!(
+            guided_partition_point(cdf, guide, u),
+            cdf.partition_point(|&c| c < u),
+            "rows {}, u {u:e}",
+            d.rows()
+        );
+    }
+
+    #[test]
+    fn guided_draw_equals_the_full_search_at_every_edge() {
+        for d in guided_cases() {
+            let (cdf, guide) = cdf_and_guide(d);
+            let buckets = guide.len() - 1;
+            assert_eq!(buckets as u64, d.rows().div_ceil(ROWS_PER_GUIDE));
+            assert_eq!(cdf.last(), Some(&1.0));
+            let mut us = vec![0.0];
+            us.extend((0..=buckets).map(|b| b as f64 / buckets as f64));
+            for &c in cdf {
+                us.extend([c.next_down(), c, c.next_up()]);
+            }
+            for u in us {
+                assert_guided_draw_is_full_search(d, u);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn guided_draw_equals_the_full_search_for_any_u(
+            case in 0usize..18,
+            u in 0.0f64..1.0,
+        ) {
+            assert_guided_draw_is_full_search(&guided_cases()[case], u);
         }
     }
 

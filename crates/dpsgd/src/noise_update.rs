@@ -104,8 +104,9 @@ pub(crate) fn noisy_update_row<N: RowNoise>(
 /// The dense noisy update on `exec`: for **every** row `r` of the table,
 /// `θ[r] -= lr · (noise_std·n_r + g[r])`, where `n_r` is a fresh
 /// standard-normal vector drawn from `noise` for `(table_id, r, iter)`
-/// and `g[r]`, found by binary search over the coalesced (sorted)
-/// gradient, is zero for non-gathered rows. One `par_for` region over
+/// and `g[r]` is zero for non-gathered rows. Each chunk finds its first
+/// entry of the coalesced (sorted) gradient by one binary search, then
+/// walks the entries in step with its rows. One `par_for` region over
 /// fixed row chunks; each chunk draws through its own clone of `noise`
 /// (the same values: a [`RowNoise`] source is a pure function of the
 /// address) and one stack block, so no chunk body allocates or zeroes
@@ -140,9 +141,15 @@ pub(crate) fn dense_noisy_update<N: RowNoise>(
         let mut noise = noise.clone();
         let mut block = [0.0f32; NOISE_BLOCK];
         let first_row = c * ROWS_PER_CHUNK;
+        let mut next = grad.indices().partition_point(|&i| i < first_row as u64);
         for (k, row) in chunk.chunks_mut(dim).enumerate() {
             let r = (first_row + k) as u64;
-            let g = grad.find(r);
+            let g = if grad.indices().get(next) == Some(&r) {
+                next += 1;
+                Some(grad.entry(next - 1).1)
+            } else {
+                None
+            };
             noisy_update_row(
                 &mut noise, table_id, r, iter, row, g, noise_std, lr, &mut block,
             );

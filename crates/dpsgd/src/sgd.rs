@@ -47,6 +47,9 @@ impl Optimizer for SgdOptimizer {
         batch: &MiniBatch,
         _next: Option<&MiniBatch>,
     ) -> StepStats {
+        // Counted like a DP step: an empty Poisson batch is still a step.
+        self.counters.steps += 1;
+        lazydp_obs::metrics().trainer.steps.incr();
         if batch.is_empty() {
             return StepStats::default();
         }
@@ -77,8 +80,6 @@ impl Optimizer for SgdOptimizer {
             lazydp_obs::span!(step_sparse_update);
             sparse_grad_update(table, g, self.lr, &mut self.counters);
         }
-        self.counters.steps += 1;
-        lazydp_obs::metrics().trainer.steps.incr();
         StepStats {
             realized_batch: batch.batch_size(),
             clipped_fraction: 0.0,
@@ -128,5 +129,6 @@ mod tests {
         let stats = opt.step(&mut model, &MiniBatch::default(), None);
         assert_eq!(stats.realized_batch, 0);
         assert_eq!(model.tables[0], snapshot);
+        assert_eq!(opt.counters().steps, 1, "an empty batch is still a step");
     }
 }

@@ -36,6 +36,25 @@ impl BagIndices {
         Self { offsets, indices }
     }
 
+    /// Builds from a flat index list in which every sample has exactly
+    /// `pooling` lookups: sample `i` gathers
+    /// `indices[i·pooling..(i + 1)·pooling]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pooling == 0` or `indices.len()` is not a multiple of
+    /// it.
+    #[must_use]
+    pub fn from_fixed_pooling(indices: Vec<u64>, pooling: usize) -> Self {
+        assert!(pooling > 0, "pooling must be positive");
+        assert_eq!(indices.len() % pooling, 0, "a partial sample");
+        let offsets = (0..=indices.len())
+            .step_by(pooling)
+            .map(|o| o as u32)
+            .collect();
+        Self { offsets, indices }
+    }
+
     /// Number of samples.
     #[must_use]
     pub fn batch_size(&self) -> usize {
@@ -303,5 +322,16 @@ mod tests {
         assert_eq!(batch.sample(0), &[5, 5, 2]);
         assert_eq!(batch.sample(1), &[9]);
         assert_eq!(batch.flat_indices(), &[5, 5, 2, 9]);
+    }
+
+    #[test]
+    fn fixed_pooling_matches_per_sample_lists() {
+        let fixed = BagIndices::from_fixed_pooling(vec![5, 5, 2, 9, 1, 0], 2);
+        let lists = BagIndices::from_samples(&[vec![5, 5], vec![2, 9], vec![1, 0]]);
+        assert_eq!(fixed, lists);
+        assert_eq!(
+            BagIndices::from_fixed_pooling(Vec::new(), 3),
+            BagIndices::from_samples(&[])
+        );
     }
 }

@@ -19,6 +19,19 @@
 //! any thread count (DESIGN.md invariant #4). Chunks write to disjoint
 //! sub-slices, which safe Rust enforces at compile time.
 //!
+//! # Who runs the chunks
+//!
+//! A parallel region draws its chunks from one shared queue. The calling
+//! thread takes chunks from it too, so a region of width `w` over `n`
+//! chunks spawns only `min(w, n) − 1` scoped workers, and a sequential
+//! executor or a one-chunk region spawns none. The caller's thread-local
+//! scratch (the GEMM pack buffers of `lazydp_tensor`) therefore persists
+//! from one region to the next; a spawned worker's scratch lives only as
+//! long as its region. The workers are born and joined per region under
+//! [`std::thread::scope`]: a parked pool would have to lend borrowed
+//! chunks to `'static` threads, which safe Rust cannot express, and
+//! every crate root forbids `unsafe`.
+//!
 //! # Thread-count configuration
 //!
 //! The process-wide default (used by `lazydp_tensor`'s GEMMs and as the
@@ -113,9 +126,10 @@ pub fn global() -> Executor {
 /// A scoped worker pool of a fixed width.
 ///
 /// Creating one is free (no threads are kept alive between parallel
-/// regions); each [`par_for`](Self::par_for) call spawns its workers
-/// under [`std::thread::scope`] and joins them before returning, so
-/// borrowed data needs no `'static` bound.
+/// regions). Each [`par_for`](Self::par_for) call runs chunks on the
+/// calling thread plus up to `threads − 1` workers it spawns under
+/// [`std::thread::scope`] and joins before returning, so borrowed data
+/// needs no `'static` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
@@ -141,7 +155,8 @@ impl Executor {
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements
     /// (the last may be shorter) and calls `f(chunk_index, chunk)` for
-    /// each, distributing chunks over the workers dynamically.
+    /// each, distributing chunks dynamically over the calling thread and
+    /// `min(threads, n_chunks) − 1` spawned workers.
     ///
     /// Chunk boundaries depend only on `(data.len(), chunk_len)` — not
     /// on the thread count — so as long as `f` is a pure function of
@@ -153,7 +168,8 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_len == 0`, or propagates a panic from `f`.
+    /// Panics if `chunk_len == 0`, or propagates a panic from `f` with
+    /// its own payload.
     #[expect(
         clippy::disallowed_methods,
         reason = "D3: the executor is the one sanctioned home of raw threads"
@@ -184,18 +200,26 @@ impl Executor {
             return;
         }
         let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-        let queue = &queue;
-        let f = &f;
+        let run = || loop {
+            // Hold the lock only for the pop, not the work.
+            let next = queue.lock().expect("executor queue poisoned").next();
+            match next {
+                Some((i, chunk)) => f(i, chunk),
+                None => break,
+            }
+        };
+        let run = &run;
         std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n_chunks) {
-                scope.spawn(move || loop {
-                    // Hold the lock only for the pop, not the work.
-                    let next = queue.lock().expect("executor queue poisoned").next();
-                    match next {
-                        Some((i, chunk)) => f(i, chunk),
-                        None => break,
-                    }
-                });
+            let workers: Vec<_> = (1..self.threads.min(n_chunks))
+                .map(|_| scope.spawn(run))
+                .collect();
+            run();
+            // Re-raise a worker's own payload: left to the scope, it
+            // would become a generic "a scoped thread panicked".
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
     }
@@ -317,6 +341,68 @@ mod tests {
             }
         });
         assert_eq!(data, vec![9; 5]);
+    }
+
+    /// The payload of a region whose chunk `bad` panics.
+    fn region_panic(threads: usize, bad: usize) -> String {
+        let mut data = vec![0u8; 40];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Executor::new(threads).par_for(&mut data, 4, |i, _| {
+                assert!(i != bad, "chunk {i} failed");
+            });
+        }));
+        let payload = caught.expect_err("the region must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted panic message")
+    }
+
+    #[test]
+    fn a_panicking_chunk_surfaces_its_own_payload() {
+        // Chunk 0 is usually the caller's; the last (9) often a worker's.
+        for threads in [2usize, 3] {
+            for bad in [0usize, 9] {
+                assert_eq!(
+                    region_panic(threads, bad),
+                    format!("chunk {bad} failed"),
+                    "width {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_region_runs_on_at_most_its_width_of_threads() {
+        for threads in [1usize, 2, 3] {
+            let mut ids = vec![None; 64];
+            Executor::new(threads).par_for(&mut ids, 1, |_, slot| {
+                slot[0] = Some(std::thread::current().id());
+                // Long enough that every thread of the region gets chunks.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            });
+            let mut distinct = Vec::new();
+            for id in ids {
+                let id = id.expect("every chunk ran");
+                if !distinct.contains(&id) {
+                    distinct.push(id);
+                }
+            }
+            assert!(
+                distinct.len() <= threads,
+                "width {threads}: {} threads",
+                distinct.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_region_nested_in_a_chunk_completes() {
+        let mut data = vec![0u64; 12];
+        Executor::new(2).par_for(&mut data, 4, |i, chunk| {
+            Executor::new(2).par_for(chunk, 1, |k, v| v[0] = (i * 4 + k) as u64);
+        });
+        assert_eq!(data, (0..12).collect::<Vec<u64>>());
     }
 
     #[test]

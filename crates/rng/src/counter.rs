@@ -43,8 +43,13 @@ impl CounterRng {
     /// The value at counter position `i`. Pure: same `(key, i)` → same bits.
     #[must_use]
     pub fn at(&self, i: u64) -> u64 {
-        let x = self.key ^ i.wrapping_mul(SPLITMIX64_GAMMA);
-        splitmix64_mix(splitmix64_mix(x).wrapping_add(SPLITMIX64_GAMMA))
+        self.at_weyl(i.wrapping_mul(SPLITMIX64_GAMMA))
+    }
+
+    /// The value at the counter position whose Weyl spread `i·γ` is
+    /// `weyl`.
+    fn at_weyl(&self, weyl: u64) -> u64 {
+        splitmix64_mix(splitmix64_mix(self.key ^ weyl).wrapping_add(SPLITMIX64_GAMMA))
     }
 
     /// A sequential [`Prng`] view starting at counter position `start`.
@@ -73,10 +78,13 @@ impl Prng for CounterStream {
 
     /// Each slot is an independent `at(pos + i)`, so the hash runs
     /// lane-wise over the whole block (the Gaussian fills' 32-draw
-    /// blocks).
+    /// blocks). The Weyl spread steps by γ instead of multiplying per
+    /// slot: `(pos + i)·γ` and `pos·γ + i·γ` wrap to the same bits.
     fn fill_u64(&mut self, out: &mut [u64]) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.rng.at(self.pos.wrapping_add(i as u64));
+        let mut weyl = self.pos.wrapping_mul(SPLITMIX64_GAMMA);
+        for slot in out.iter_mut() {
+            *slot = self.rng.at_weyl(weyl);
+            weyl = weyl.wrapping_add(SPLITMIX64_GAMMA);
         }
         self.pos = self.pos.wrapping_add(out.len() as u64);
     }
@@ -219,6 +227,20 @@ mod tests {
         let mut s = rng.stream(100);
         for i in 100..110 {
             assert_eq!(s.next_u64(), rng.at(i));
+        }
+    }
+
+    #[test]
+    fn counter_stream_fill_matches_at_across_the_wrap() {
+        let rng = CounterRng::new(9);
+        for start in [0u64, 100, u64::MAX - 20] {
+            let mut s = rng.stream(start);
+            let mut block = [0u64; 40];
+            s.fill_u64(&mut block);
+            for (i, &v) in block.iter().enumerate() {
+                assert_eq!(v, rng.at(start.wrapping_add(i as u64)), "{start} + {i}");
+            }
+            assert_eq!(s.next_u64(), rng.at(start.wrapping_add(40)));
         }
     }
 

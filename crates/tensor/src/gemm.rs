@@ -115,6 +115,9 @@ pub(crate) fn blocked_chunk_rows(chunk_rows: usize, total_rows: usize, block: us
 thread_local! {
     /// Per-thread packed-B panel (reused across calls; on the inline
     /// single-thread path this makes steady-state GEMMs allocation-free).
+    /// The calling thread runs chunks of every parallel region too, so
+    /// its three buffers persist across regions; a spawned worker's are
+    /// freed when its region ends.
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread packed-A block.
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };

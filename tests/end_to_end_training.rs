@@ -2,8 +2,11 @@
 //! actually *learn* on the synthetic Criteo-style task, and the private
 //! ones must pay for privacy in the expected places (noise work, loss).
 
-use lazydp::data::{PoissonLoader, SyntheticConfig, SyntheticDataset};
-use lazydp::dpsgd::{ClipStyle, DpConfig, EagerDpSgd, EanaOptimizer, Optimizer, SgdOptimizer};
+use lazydp::data::{MiniBatch, PoissonLoader, SyntheticConfig, SyntheticDataset};
+use lazydp::dpsgd::{
+    AdaFestConfig, AdaFestOptimizer, ClipStyle, DpConfig, EagerDpSgd, EanaOptimizer, Optimizer,
+    SgdOptimizer,
+};
 use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
@@ -73,6 +76,32 @@ fn every_optimizer_learns() {
             after < before,
             "{name} failed to learn: {before:.4} -> {after:.4}"
         );
+    }
+}
+
+#[test]
+fn an_empty_batch_is_one_step_for_every_optimizer() {
+    let (model0, _) = setup();
+    let dp = DpConfig::new(0.25, 4.0, 0.1, BATCH);
+    let optimizers: Vec<Box<dyn Optimizer>> = vec![
+        Box::new(SgdOptimizer::new(0.1)),
+        Box::new(EagerDpSgd::new(dp, ClipStyle::Fast, CounterNoise::new(11))),
+        Box::new(EanaOptimizer::new(dp, CounterNoise::new(11))),
+        Box::new(AdaFestOptimizer::new(
+            AdaFestConfig::new(dp, 1.0, 0.0, 8),
+            CounterNoise::new(11),
+        )),
+        Box::new(LazyDpOptimizer::new(
+            LazyDpConfig::new(dp, true),
+            &model0,
+            CounterNoise::new(11),
+        )),
+    ];
+    for mut opt in optimizers {
+        let mut m = model0.clone();
+        let stats = opt.step(&mut m, &MiniBatch::default(), None);
+        assert_eq!(stats.realized_batch, 0, "{}", opt.name());
+        assert_eq!(opt.counters().steps, 1, "{}", opt.name());
     }
 }
 
