@@ -161,9 +161,11 @@ pub fn fig6() -> Table {
         "Paper: the Box–Muller noise-sampling kernel sits at N = 101 and achieves \
          ≈ 215 GFLOPS (81% of peak, compute-bound); the noisy-gradient update sits at \
          N = 2, deep in the memory-bound ramp. The harness measures the same two \
-         kernels on the host: `rng.fill_dense_msamples_s` (Box–Muller), \
-         `dpsgd.dense_noisy_update_mrows_s` (the update sweep) and \
-         `tensor.fma_peak_gflops` (the ceiling) in `benchmark/results/*.json`.",
+         kernels on the host: `rng.fill_row_msamples_s` (the counter-addressed \
+         Box–Muller fill every DP noise sweep runs), \
+         `dpsgd.dense_noisy_update_mrows_s` (eager's noisy update sweep, which \
+         draws through that fill) and `tensor.fma_peak_gflops` (the ceiling) \
+         in `benchmark/results/*.json`.",
     );
     let s = spec();
     let ridge = 215.0 * 64.0 / 8.0 / (s.stream_bw() / 1e9); // informational only

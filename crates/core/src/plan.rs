@@ -242,6 +242,7 @@ impl LookaheadFlush {
 mod tests {
     use super::*;
     use lazydp_rng::counter::CounterNoise;
+    use lazydp_rng::fill_standard_normal;
 
     fn history_at(rows: usize, flushed: &[(u64, u64)]) -> HistoryTable {
         let mut h = HistoryTable::new(rows);
@@ -281,9 +282,10 @@ mod tests {
     #[test]
     fn fill_and_merge_match_a_hand_rolled_per_row_flush() {
         // Algorithm 1 lines 13–21 written out row by row (take_delays +
-        // fill_unit + add) must agree bitwise with fill + merge_into —
-        // same update, same counters, same history afterwards — with
-        // and without ANS, inline and on a multi-width executor.
+        // a staged fill of the row's counter stream + add) must agree
+        // bitwise with fill + merge_into — same update, same counters,
+        // same history afterwards — with and without ANS, inline and on
+        // a multi-width executor.
         let rows = 40usize;
         let dim = 6usize;
         let iter = 9u64;
@@ -300,7 +302,7 @@ mod tests {
             let _ = g.coalesce();
             g
         };
-        let mut noise = CounterNoise::new(17);
+        let noise = CounterNoise::new(17);
 
         for ans in [true, false] {
             let mut ref_hist = history_at(rows, flushed);
@@ -321,7 +323,7 @@ mod tests {
                     (iter - delays + 1..=iter).map(|k| (k, std)).collect()
                 };
                 for &(k, scale) in &draws {
-                    noise.fill_unit(2, row, k, &mut buf);
+                    fill_standard_normal(&mut noise.stream_for(2, row, k), &mut buf);
                     for (p, &n) in pending.iter_mut().zip(&buf) {
                         *p += scale * n;
                     }

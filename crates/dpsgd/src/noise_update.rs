@@ -236,6 +236,7 @@ pub fn sparse_noisy_update_with<N: RowNoise>(
 mod tests {
     use super::*;
     use lazydp_rng::counter::CounterNoise;
+    use lazydp_rng::fill_standard_normal;
 
     fn grad_for(dim: usize, entries: Vec<(u64, Vec<f32>)>) -> SparseGrad {
         let mut g = SparseGrad::from_entries(dim, entries);
@@ -339,7 +340,9 @@ mod tests {
         )
     }
 
-    /// The dense update row by row, each row drawn whole by `fill_unit`.
+    /// The dense update row by row, each row drawn whole from its counter
+    /// stream by the staged `fill_standard_normal` (not the fused kernel
+    /// under test).
     fn reference_dense(
         table_id: u32,
         table: &mut EmbeddingTable,
@@ -349,10 +352,10 @@ mod tests {
         noise_std: f32,
         lr: f32,
     ) {
-        let mut noise = CounterNoise::new(seed);
+        let noise = CounterNoise::new(seed);
         let mut n = vec![0.0f32; table.dim()];
         for r in 0..table.rows() {
-            noise.fill_unit(table_id, r as u64, iter, &mut n);
+            fill_standard_normal(&mut noise.stream_for(table_id, r as u64, iter), &mut n);
             let row = table.row_mut(r);
             match grad.find(r as u64) {
                 Some(g) => {

@@ -75,27 +75,14 @@ impl Prng for CounterStream {
         self.pos = self.pos.wrapping_add(1);
         v
     }
-
-    /// Each slot is an independent `at(pos + i)`, so the hash runs
-    /// lane-wise over the whole block (the Gaussian fills' 32-draw
-    /// blocks). The Weyl spread steps by γ instead of multiplying per
-    /// slot: `(pos + i)·γ` and `pos·γ + i·γ` wrap to the same bits.
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        let mut weyl = self.pos.wrapping_mul(SPLITMIX64_GAMMA);
-        for slot in out.iter_mut() {
-            *slot = self.rng.at_weyl(weyl);
-            weyl = weyl.wrapping_add(SPLITMIX64_GAMMA);
-        }
-        self.pos = self.pos.wrapping_add(out.len() as u64);
-    }
 }
 
 /// Values per stack block of the noise kernels: every kernel that applies
 /// noise (the MLP's fused sweep, the table sweeps, LazyDP's flush) draws
 /// through one `[f32; NOISE_BLOCK]` declared once per executor chunk,
-/// seeking each block with [`RowNoise::fill_unit_at`]. A multiple of the
-/// Gaussian fill's 32-draw block, so every block after the first starts
-/// on a pair boundary.
+/// seeking each block with [`RowNoise::fill_unit_at`]. Even, so every
+/// block after the first starts on a Box–Muller pair boundary and seeks
+/// with no half-pair step.
 pub const NOISE_BLOCK: usize = 256;
 
 /// Source of *standard-normal* noise addressed by `(table, row, iter)`.
@@ -203,7 +190,35 @@ impl RowNoise for CounterNoise {
         } else {
             out
         };
-        gaussian::fill_standard_normal(&mut key.stream(start.next_multiple_of(2)), out);
+        fill_pairs(key, start.next_multiple_of(2), out);
+    }
+}
+
+/// The fused noise kernel: element `i` of `out` is element `first + i` of
+/// `key`'s standard-normal sequence, for an even `first`. Output pair `i`
+/// hashes its two counters `first + 2i` and `first + 2i + 1` and runs
+/// [`gaussian::pair`] on them in one loop body, with no draw buffer in
+/// between, so LLVM vectorizes hash and transform together across pairs.
+/// Pair `i`'s Weyl spread `(first + 2i)·γ` is `first·γ + i·2γ` modulo
+/// 2⁶⁴, computed from the index, so no state crosses iterations.
+#[inline]
+fn fill_pairs(key: CounterRng, first: u64, out: &mut [f32]) {
+    const PAIR_STEP: u64 = SPLITMIX64_GAMMA.wrapping_mul(2);
+    let base = first.wrapping_mul(SPLITMIX64_GAMMA);
+    let pair_at = |i: usize| {
+        let w = base.wrapping_add((i as u64).wrapping_mul(PAIR_STEP));
+        gaussian::pair(
+            key.at_weyl(w),
+            key.at_weyl(w.wrapping_add(SPLITMIX64_GAMMA)),
+        )
+    };
+    let tail_pair = out.len() / 2;
+    let mut pairs = out.chunks_exact_mut(2);
+    for (i, o) in (&mut pairs).enumerate() {
+        (o[0], o[1]) = pair_at(i);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = pair_at(tail_pair).0;
     }
 }
 
@@ -227,20 +242,6 @@ mod tests {
         let mut s = rng.stream(100);
         for i in 100..110 {
             assert_eq!(s.next_u64(), rng.at(i));
-        }
-    }
-
-    #[test]
-    fn counter_stream_fill_matches_at_across_the_wrap() {
-        let rng = CounterRng::new(9);
-        for start in [0u64, 100, u64::MAX - 20] {
-            let mut s = rng.stream(start);
-            let mut block = [0u64; 40];
-            s.fill_u64(&mut block);
-            for (i, &v) in block.iter().enumerate() {
-                assert_eq!(v, rng.at(start.wrapping_add(i as u64)), "{start} + {i}");
-            }
-            assert_eq!(s.next_u64(), rng.at(start.wrapping_add(40)));
         }
     }
 
@@ -287,39 +288,92 @@ mod tests {
         assert!(ks < stats::ks_critical(all.len(), 0.001), "ks {ks}");
     }
 
+    /// The staged oracle: elements `start..start + len` of the address's
+    /// sequence drawn one pair at a time through its [`CounterStream`]
+    /// and [`gaussian::fill_standard_normal`], which share only
+    /// [`gaussian::pair`] and the hash with the fused kernel.
+    fn staged(
+        noise: &CounterNoise,
+        table: u32,
+        row: u64,
+        iter: u64,
+        start: usize,
+        len: usize,
+    ) -> Vec<u32> {
+        let mut full = vec![0.0f32; start + len];
+        gaussian::fill_standard_normal(&mut noise.stream_for(table, row, iter), &mut full);
+        full[start..].iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn fused(
+        noise: &mut CounterNoise,
+        table: u32,
+        row: u64,
+        iter: u64,
+        start: usize,
+        len: usize,
+    ) -> Vec<u32> {
+        let mut got = vec![0.0f32; len];
+        noise.fill_unit_at(table, row, iter, start as u64, &mut got);
+        got.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn dense_seek_matches_the_full_fill_at_block_boundaries() {
-        // 32 draws make one block of the Gaussian fill and NOISE_BLOCK
-        // values one stack block of the noise kernels: seeks that start
-        // or end on either side of either edge, at odd and even starts,
-        // at a dense address and at a row address.
-        type Full = fn(&mut CounterNoise, &mut [f32]);
-        type Seek = fn(&mut CounterNoise, u64, &mut [f32]);
-        let addresses: [(&str, Full, Seek); 2] = [
-            (
-                "dense",
-                |n, out| n.fill_unit_dense(2, 7, 0, out),
-                |n, start, out| n.fill_unit_dense_at(2, 7, start, out),
-            ),
-            (
-                "row",
-                |n, out| n.fill_unit(3, 41, 7, out),
-                |n, start, out| n.fill_unit_at(3, 41, 7, start, out),
-            ),
-        ];
+    fn fused_fill_matches_the_staged_oracle() {
+        // Starts on either side of a pair, a vector iteration (8 pairs)
+        // and the kernels' NOISE_BLOCK; lengths that end in the scalar
+        // remainder, the one-element tail or on a vector edge; at a dense
+        // address and at a row address.
         let mut n = CounterNoise::new(11);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (name, fill, seek) in addresses {
-            let mut full = vec![0.0f32; 2 * NOISE_BLOCK + 18];
-            fill(&mut n, &mut full);
-            for start in [0usize, 1, 31, 32, 33, 63, 64, 255, 256, 257, 511, 512] {
-                for end in [31usize, 32, 33, 63, 64, 65, 97, 130, 256, 257, 513, 530] {
-                    if end < start {
-                        continue;
-                    }
-                    let mut got = vec![0.0f32; end - start];
-                    seek(&mut n, start as u64, &mut got);
-                    assert_eq!(bits(&got), bits(&full[start..end]), "{name} {start}..{end}");
+        let addresses = [("dense", dense_table(2), 0u64), ("row", 3, 41)];
+        for (name, table, row) in addresses {
+            for start in [0usize, 1, 2, 31, 32, 33, 255, 256, 257] {
+                for len in [0usize, 1, 2, 3, 31, 32, 33, 63, 64, 65, 255, 256, 257] {
+                    assert_eq!(
+                        fused(&mut n, table, row, 7, start, len),
+                        staged(&n, table, row, 7, start, len),
+                        "{name} start {start} len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fused_fill_matches_the_staged_oracle_anywhere(
+            seed in 0u64..u64::MAX,
+            table in 0u32..u32::MAX,
+            row in 0u64..u64::MAX,
+            iter in 0u64..u64::MAX,
+            start in 0usize..600,
+            len in 0usize..600,
+        ) {
+            let mut n = CounterNoise::new(seed);
+            proptest::prop_assert_eq!(
+                fused(&mut n, table, row, iter, start, len),
+                staged(&n, table, row, iter, start, len)
+            );
+        }
+    }
+
+    #[test]
+    fn fused_fill_matches_at_across_the_wrap() {
+        // Even starts, two of them close enough to `u64::MAX` that the
+        // counters wrap inside the fill, at an even and an odd length:
+        // pair `i` must read counters `start + 2i` and `start + 2i + 1`,
+        // modulo 2⁶⁴.
+        let key = CounterRng::new(9);
+        for start in [0u64, 100, u64::MAX - 20, u64::MAX - 1] {
+            for len in [40usize, 41] {
+                let mut got = vec![0.0f32; len];
+                fill_pairs(key, start, &mut got);
+                for (i, g) in got.chunks(2).enumerate() {
+                    let at = |k: u64| key.at(start.wrapping_add(2 * i as u64 + k));
+                    let (z0, z1) = gaussian::pair(at(0), at(1));
+                    let want = [z0.to_bits(), z1.to_bits()];
+                    let g: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(g, want[..g.len()], "{start} pair {i}");
                 }
             }
         }

@@ -11,10 +11,13 @@
 //!
 //! [`pair`] is built only from IEEE correctly-rounded operations
 //! (`+ − × ÷ √`, exact integer→float conversions, bit casts) with fixed
-//! polynomials for `ln` and `sin`/`cos` — no libm call. Every fill applies
-//! it over fixed 16-pair blocks that LLVM autovectorizes; because each
-//! operation has exactly one correct result, the vectorized blocks, the
-//! scalar tail and a build for any other x86-64 level all produce the same
+//! polynomials for `ln` and `sin`/`cos` — no libm call. Two loops apply it,
+//! and LLVM autovectorizes both: the counter-based noise of every DP
+//! kernel hashes each pair's two counters and transforms them in one fused
+//! loop body (`crate::counter`), and the sequential generators' fills run
+//! it over fixed 16-pair blocks ([`fill_standard_normal`]). Because each
+//! operation has exactly one correct result, the vector lanes, the scalar
+//! tails and a build for any other x86-64 level all produce the same
 //! noise bits (pinned by `known_answer_bits`).
 
 use crate::prng::Prng;
@@ -101,18 +104,24 @@ fn cos_sin(b: u64) -> (f32, f32) {
 /// LLVM vectorizes [`pair`] over.
 const BLOCK_PAIRS: usize = 16;
 
-/// The fill kernel shared by every Gaussian fill: draws raw `u64`s in
-/// blocks of `2 × BLOCK_PAIRS` ([`Prng::fill_u64`]), runs [`pair`] over
-/// each block's fixed arrays, and applies `f` to each sample as it is
-/// stored — so an affine output transform costs no second sweep. The
-/// tail runs `pair` one pair at a time, so a short fill does exact-size
-/// work; draw `2i` and `2i + 1` always feed output pair `i`.
+/// The fill kernel of the sequential generators (`Xoshiro256PlusPlus`,
+/// [`GaussianSampler`]): draws raw `u64`s in stream order into blocks of
+/// `2 × BLOCK_PAIRS`, runs [`pair`] over each block's fixed arrays, and
+/// applies `f` to each sample as it is stored — so an affine output
+/// transform costs no second sweep. The tail runs `pair` one pair at a
+/// time, so a short fill does exact-size work; draw `2i` and `2i + 1`
+/// always feed output pair `i`. Counter-addressed noise does not come
+/// through here: its draws are pure functions of their position, so
+/// `CounterNoise` hashes them inside its own pair loop with no draw
+/// buffer.
 #[inline]
 fn fill_mapped<R: Prng>(rng: &mut R, out: &mut [f32], f: impl Fn(f32) -> f32) {
     let mut bits = [0u64; 2 * BLOCK_PAIRS];
     let mut blocks = out.chunks_exact_mut(2 * BLOCK_PAIRS);
     for block in &mut blocks {
-        rng.fill_u64(&mut bits);
+        for b in &mut bits {
+            *b = rng.next_u64();
+        }
         let mut z0 = [0.0f32; BLOCK_PAIRS];
         let mut z1 = [0.0f32; BLOCK_PAIRS];
         for ((z0, z1), ab) in z0.iter_mut().zip(&mut z1).zip(bits.chunks_exact(2)) {
@@ -280,8 +289,8 @@ mod tests {
         assert_eq!(bits, SAMPLER_KAT);
     }
 
-    /// `CounterNoise::new(1).fill_unit(0, 0, 1, _)`, 64 samples: two
-    /// vectorized blocks.
+    /// `CounterNoise::new(1).fill_unit(0, 0, 1, _)`, 64 samples: 32 pairs
+    /// of the fused loop's vector body.
     #[rustfmt::skip]
     const COUNTER_KAT: [u32; 64] = [
         0xbfd5_ec8b, 0x3ec4_5db1, 0xbfc0_aa44, 0xbf80_5b1b, 0xbf99_2f3e, 0xbdca_7e27, 0xbf14_1844, 0xc023_ebff,
@@ -374,8 +383,9 @@ mod tests {
 
     #[test]
     fn counter_stream_fill_unit_is_bitwise_stable_under_batching() {
-        // 129 = four 16-pair blocks + a 1-element tail: every element must
-        // be `pair` over the same counters taken one pair at a time.
+        // 129 = 64 pairs (eight 8-pair vector steps of the fused loop on
+        // an AVX-512 build) + a 1-element tail: every element must be
+        // `pair` over the same counters taken one pair at a time.
         let mut got = vec![0.0f32; 129];
         let mut noise = CounterNoise::new(99);
         noise.fill_unit(3, 17, 5, &mut got);

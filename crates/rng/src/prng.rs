@@ -22,15 +22,6 @@ pub trait Prng {
     /// Returns the next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
 
-    /// Fills `out` with the next `out.len()` raw draws, in stream order.
-    /// The batched form of [`next_u64`](Self::next_u64): after the call
-    /// the stream position has advanced by exactly `out.len()`.
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        for slot in out {
-            *slot = self.next_u64();
-        }
-    }
-
     /// Returns a uniform `f64` in the half-open interval `[0, 1)`.
     ///
     /// Uses the top 53 bits so every representable value is equally likely.

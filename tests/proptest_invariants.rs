@@ -398,7 +398,8 @@ proptest! {
     /// `start..start + len` of `fill_unit_dense(param, iter, 0, ·)` and
     /// of `fill_unit(table, row, iter, ·)`, bitwise, at odd and even
     /// starts, for empty and one-element windows and for lengths off the
-    /// 32-draw block and across the kernels' 256-value stack block.
+    /// fused kernel's 8-pair vector step and across the kernels'
+    /// 256-value stack block.
     #[test]
     fn dense_seek_is_a_window_of_the_full_fill(
         seed in 0u64..1000,
