@@ -27,7 +27,7 @@
 
 use crate::history::HistoryTable;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
-use lazydp_embedding::EmbeddingStorage;
+use lazydp_embedding::{EmbeddingStorage, RowReader};
 use lazydp_fault::checksum::fnv1a64;
 use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_rng::RowNoise;
@@ -130,9 +130,9 @@ impl Checkpoint {
     /// Captures a checkpoint from a model and its LazyDP optimizer.
     ///
     /// Generic over the embedding backend: each table is streamed **in
-    /// global row order** through the [`EmbeddingStorage`] row accessor,
+    /// global row order** through one [`EmbeddingStorage`] reader,
     /// which on a disk-backed table walks its pages sequentially (each
-    /// page faulted once). The resulting bytes are identical whichever
+    /// page faulted once) under one lock. The resulting bytes are identical whichever
     /// backend the run used, so storage-backed and in-memory checkpoints
     /// are interchangeable.
     #[must_use]
@@ -147,8 +147,9 @@ impl Checkpoint {
         }
         for t in &model.tables {
             let mut flat = Vec::with_capacity(t.elements());
+            let mut rows = t.reader();
             for r in 0..t.rows() as u64 {
-                t.with_row(r, |row| flat.extend_from_slice(row));
+                flat.extend_from_slice(rows.row(r));
             }
             weights.push(flat);
         }

@@ -3,19 +3,23 @@
 //! The per-row pending-noise flush is two-phase:
 //! [`HistoryTable`] bookkeeping, then noise sampling on the
 //! `lazydp_exec` executor (see [`crate::plan`]). The per-step lookahead
-//! flush is one [`LookaheadFlush`] per table, and the only choice about
-//! it is *where* it is filled, made from what the code observes, never
-//! from an option:
+//! flush is one [`LookaheadFlush`] per table. One per-table body fills
+//! it (prefetch the rows, the `flush` kill point at table 0, then
+//! [`fill`](LookaheadFlush::fill)), and threads claim the tables from
+//! one queue per step. Who claims what follows from what the code
+//! observes, never from an option:
 //!
-//! * **Overlap** — the flush only needs the *next* batch's indices and
-//!   the history, never the gradients, so with `threads > 1`
-//!   [`step`](Optimizer::step) fills it on a scoped worker concurrently
-//!   with the current step's dense forward/backward compute.
-//! * **Inline** — a single-width executor fills it in the table stage.
+//! * with `threads > 1` and a next batch, [`step`](Optimizer::step)
+//!   runs a scoped overlap worker that claims tables from the back of
+//!   the queue while the main thread computes the clipped gradient; the
+//!   main thread then claims from the front until the queue is empty;
+//! * a single-width executor drains the queue on the main thread alone,
+//!   in the table stage.
 //!
-//! Either way it lands through the same
-//! [`merge_into`](LookaheadFlush::merge_into), and the trained model is
-//! bitwise the same.
+//! Each table's flush is a pure function of the table, the iteration,
+//! its targets and its own [`HistoryTable`], and the work counters only
+//! add, so who claims which table moves no bit. Every flush lands
+//! through the same [`merge_into`](LookaheadFlush::merge_into).
 
 use crate::history::HistoryTable;
 use crate::plan::{plan_all_rows, sample_entries_into, LookaheadFlush};
@@ -27,6 +31,7 @@ use lazydp_exec::Executor;
 use lazydp_fault::{Faults, Site};
 use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
+use std::sync::Mutex;
 
 /// Planned rows flushed per staging segment in
 /// [`LazyDpOptimizer::finalize_model`] — bounds the noise buffer even
@@ -234,6 +239,110 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
     }
 }
 
+/// One table's share of a step's lookahead flush, as the flush queue
+/// hands it out: `(table, ((flush, history), targets))`.
+type FlushJob<'a> = (
+    usize,
+    ((&'a mut LookaheadFlush, &'a mut HistoryTable), &'a Vec<u64>),
+);
+
+/// The flush queue of one step: every table's job, in table order.
+/// Claiming takes the lock only for the pop, never for the fill.
+fn flush_queue<'a>(
+    flushes: &'a mut [LookaheadFlush],
+    history: &'a mut [HistoryTable],
+    targets: &'a [Vec<u64>],
+) -> Mutex<impl DoubleEndedIterator<Item = FlushJob<'a>> + Send> {
+    Mutex::new(flushes.iter_mut().zip(history).zip(targets).enumerate())
+}
+
+/// Which end of the flush queue a thread claims from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// The main thread: table 0 upwards, the order the forward reads.
+    Front,
+    /// The overlap worker: the last table downwards, away from the
+    /// forward's reads.
+    Back,
+}
+
+/// Claims the next job from `end` of `queue`, or `None` once it is empty.
+fn claim<'a>(
+    queue: &Mutex<impl DoubleEndedIterator<Item = FlushJob<'a>>>,
+    end: End,
+) -> Option<FlushJob<'a>> {
+    let mut jobs = queue.lock().expect("flush queue poisoned");
+    match end {
+        End::Front => jobs.next(),
+        End::Back => jobs.next_back(),
+    }
+}
+
+/// What every table's lookahead flush shares within one step.
+struct FlushStep<'a, T> {
+    tables: &'a [T],
+    iter: u64,
+    std: f32,
+    ans: bool,
+    exec: Executor,
+    faults: &'a Faults,
+}
+
+impl<'a, T: EmbeddingStorage> FlushStep<'a, T> {
+    fn new(tables: &'a [T], iter: u64, cfg: &LazyDpConfig, faults: &'a Faults) -> Self {
+        Self {
+            tables,
+            iter,
+            std: cfg.dp.noise_std_per_coord(),
+            ans: cfg.ans,
+            exec: Executor::new(cfg.dp.threads),
+            faults,
+        }
+    }
+
+    /// Fills one table's flush. Asks the storage backend to fault in the
+    /// pages of exactly the rows step t+1 gathers (the set LazyDP's
+    /// delayed noising touches), so on a disk-backed table the next
+    /// gather is served from the page cache; prefetch is a no-op in
+    /// memory and never changes a row value.
+    fn fill<N: RowNoise>(&self, job: FlushJob<'_>, noise: &N, counters: &mut KernelCounters) {
+        let (t, ((flush, history), targets)) = job;
+        let table = &self.tables[t];
+        table.prefetch_rows(targets);
+        // Kill point `flush`: a crash mid-flush leaves the history
+        // partially advanced. Only table 0 hosts it, so one kill fires
+        // per step, on whichever thread fills table 0.
+        if t == 0 {
+            self.faults.point(Site::MidFlush, self.iter);
+        }
+        flush.fill(
+            t as u32,
+            self.iter,
+            targets,
+            history,
+            table.dim(),
+            self.std,
+            self.ans,
+            noise,
+            &self.exec,
+            counters,
+        );
+    }
+
+    /// Claims jobs from `end` of `queue` and fills them until it is empty.
+    fn drain<'j, N: RowNoise>(
+        &self,
+        queue: &Mutex<impl DoubleEndedIterator<Item = FlushJob<'j>>>,
+        end: End,
+        noise: &N,
+        counters: &mut KernelCounters,
+    ) {
+        while let Some(job) = claim(queue, end) {
+            self.fill(job, noise, counters);
+        }
+    }
+}
+
 impl<T, N> Optimizer<T> for LazyDpOptimizer<N>
 where
     T: EmbeddingStorage,
@@ -250,10 +359,6 @@ where
         next: Option<&MiniBatch>,
     ) -> StepStats {
         let iter = self.core.begin_step();
-        let dp = self.cfg.dp;
-        let ans = self.cfg.ans;
-        let std = dp.noise_std_per_coord();
-        let exec = Executor::new(dp.threads);
 
         // Lookahead pre-pass (Algorithm 1 line 12): dedup the rows each
         // table gathers *next* iteration into the per-table scratch
@@ -271,19 +376,15 @@ where
 
         // Gradient derivation and lookahead flush. The flush needs only
         // the next-batch targets, the history, and the noise source —
-        // never the gradients — so on a multi-width executor it is
-        // filled on a scoped worker *while* the main thread does the
-        // dense forward/backward. A single-width executor fills it in the
-        // table stage below instead (the overlap worker would only
-        // interleave with itself), which also keeps the steady-state step
-        // allocation-free. Values are identical either way: the noise is
-        // a pure function of its address. The filling side also asks the
-        // storage backend to fault in the pages of exactly the rows step
-        // t+1 gathers (the set LazyDP's delayed noising touches), so on a
-        // disk-backed table the next gather is served from the page
-        // cache — prefetch is a no-op for in-memory backends and never
-        // changes row values.
-        let overlap = has_next && dp.threads > 1;
+        // never the gradients — so on a multi-width executor a scoped
+        // worker claims tables from the back of the flush queue *while*
+        // the main thread does the forward/backward, and the main thread
+        // claims the rest from the front once its gradient is done. A
+        // single-width executor drains the queue in the table stage
+        // below instead (the overlap worker would only interleave with
+        // itself), which also keeps the steady-state step
+        // allocation-free.
+        let overlap = has_next && self.cfg.dp.threads > 1;
         let clipped = if overlap {
             lazydp_obs::span!(step_flush_overlap);
             lazydp_obs::metrics().trainer.flush_overlaps.incr();
@@ -291,40 +392,22 @@ where
             // pure function of the address, so a clone draws the same
             // values while the core stays borrowed by the aggregate.
             let noise = self.core.noise().clone();
-            let faults = &self.faults;
-            let history = &mut self.history;
-            let flushes = &mut self.flushes;
-            let targets = &self.targets;
+            let flush = FlushStep::new(&model.tables, iter, &self.cfg, &self.faults);
+            let queue = flush_queue(&mut self.flushes, &mut self.history, &self.targets);
             let core = &mut self.core;
             let model_ref: &Dlrm<T> = model;
             let (fc, cl) = lazydp_exec::overlap(
-                move || {
+                || {
                     let mut c = KernelCounters::new();
-                    for (t, (flush, tg)) in flushes.iter_mut().zip(targets).enumerate() {
-                        let table = &model_ref.tables[t];
-                        table.prefetch_rows(tg);
-                        // Kill point `flush`: a crash mid-flush leaves
-                        // the history partially advanced. Only table 0
-                        // hosts it, so one kill fires per step.
-                        if t == 0 {
-                            faults.point(Site::MidFlush, iter);
-                        }
-                        flush.fill(
-                            t as u32,
-                            iter,
-                            tg,
-                            &mut history[t],
-                            table.dim(),
-                            std,
-                            ans,
-                            &noise,
-                            &exec,
-                            &mut c,
-                        );
-                    }
+                    flush.drain(&queue, End::Back, &noise, &mut c);
                     c
                 },
-                || core.clipped_aggregate(model_ref, batch),
+                || {
+                    let cl = core.clipped_aggregate(model_ref, batch);
+                    let stage = core.table_stage();
+                    flush.drain(&queue, End::Front, &*stage.noise, stage.counters);
+                    cl
+                },
             );
             self.core.counters.merge(&fc);
             cl
@@ -346,39 +429,28 @@ where
         // bitwise from the last checkpoint.
         self.faults.point(Site::MidStep, iter);
 
+        if has_next && !overlap {
+            lazydp_obs::span!(step_flush_seq);
+            let stage = self.core.table_stage();
+            FlushStep::new(&model.tables, iter, &self.cfg, &self.faults).drain(
+                &flush_queue(&mut self.flushes, &mut self.history, &self.targets),
+                End::Front,
+                &*stage.noise,
+                stage.counters,
+            );
+        }
+
         // Table stage: merge the (sparse) gradient with the lazy noise
         // of the rows the *next* iteration will gather, then apply one
         // sparse update (Algorithm 1 lines 11–25).
         let TableStage {
             grads,
-            noise,
             counters,
             lr,
             ..
         } = self.core.table_stage();
-        for (t, (table, update)) in model.tables.iter_mut().zip(grads).enumerate() {
+        for ((table, update), flush) in model.tables.iter_mut().zip(grads).zip(&self.flushes) {
             if has_next {
-                let flush = &mut self.flushes[t];
-                if !overlap {
-                    lazydp_obs::span!(step_flush_seq);
-                    let tg: &[u64] = &self.targets[t];
-                    table.prefetch_rows(tg);
-                    if t == 0 {
-                        self.faults.point(Site::MidFlush, iter);
-                    }
-                    flush.fill(
-                        t as u32,
-                        iter,
-                        tg,
-                        &mut self.history[t],
-                        table.dim(),
-                        std,
-                        ans,
-                        noise,
-                        &exec,
-                        counters,
-                    );
-                }
                 flush.merge_into(update);
             }
             {
@@ -407,7 +479,7 @@ mod tests {
     use lazydp_dpsgd::{ClipStyle, EagerDpSgd};
     use lazydp_model::DlrmConfig;
     use lazydp_rng::counter::CounterNoise;
-    use lazydp_rng::Xoshiro256PlusPlus;
+    use lazydp_rng::{Prng, Xoshiro256PlusPlus};
 
     fn setup(tables: usize, rows: u64, samples: usize) -> (Dlrm, SyntheticDataset) {
         let mut rng = Xoshiro256PlusPlus::seed_from(31);
@@ -625,8 +697,192 @@ mod tests {
         );
     }
 
+    /// The iteration of the flush-queue tests' step.
+    const QUEUE_ITER: u64 = 5;
+
+    /// One step's flush inputs over `model`: per-table targets (sorted
+    /// and deduplicated) and histories advanced unevenly, so delays
+    /// differ row to row and table to table.
+    fn flush_inputs(model: &Dlrm) -> (Vec<Vec<u64>>, Vec<HistoryTable>) {
+        let mut rng = Xoshiro256PlusPlus::seed_from(12);
+        let mut history: Vec<HistoryTable> = model
+            .tables
+            .iter()
+            .map(|t| HistoryTable::new(t.rows()))
+            .collect();
+        for (t, h) in history.iter_mut().enumerate() {
+            for r in (0..h.rows() as u64).step_by(t + 2) {
+                let _ = h.take_delays(r, 2);
+            }
+        }
+        let targets = model
+            .tables
+            .iter()
+            .map(|t| {
+                let idx: Vec<u64> = (0..24).map(|_| rng.next_below(t.rows() as u64)).collect();
+                let mut out = Vec::new();
+                dedup_indices_into(&idx, &mut out);
+                out
+            })
+            .collect();
+        (targets, history)
+    }
+
+    /// What one step's flush left: the flushes, the histories, the
+    /// counters, and who claimed which table in what order.
+    type Drained = (
+        Vec<LookaheadFlush>,
+        Vec<HistoryTable>,
+        KernelCounters,
+        Vec<(End, usize)>,
+    );
+
+    /// Fills one step's flushes on one thread, claiming from the ends
+    /// `schedule` names in turn (its last end repeats until the queue is
+    /// empty). Each fill runs under `catch_unwind`, so a kill point that
+    /// fires stops that table's fill, not the schedule; the kills are
+    /// returned beside the claims.
+    fn drain_by_schedule(
+        model: &Dlrm,
+        schedule: &[End],
+        faults: &Faults,
+    ) -> (Drained, Vec<(End, usize)>) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (targets, mut history) = flush_inputs(model);
+        let mut flushes = vec![LookaheadFlush::default(); model.tables.len()];
+        let mut counters = KernelCounters::new();
+        let (mut claims, mut kills) = (Vec::new(), Vec::new());
+        let cfg = LazyDpConfig::paper_default(8);
+        let flush = FlushStep::new(&model.tables, QUEUE_ITER, &cfg, faults);
+        let queue = flush_queue(&mut flushes, &mut history, &targets);
+        let noise = CounterNoise::new(4);
+        let last = *schedule.last().expect("a non-empty schedule");
+        for end in schedule.iter().copied().chain(std::iter::repeat(last)) {
+            let Some(job) = claim(&queue, end) else { break };
+            let t = job.0;
+            claims.push((end, t));
+            let fill = catch_unwind(AssertUnwindSafe(|| flush.fill(job, &noise, &mut counters)));
+            if fill.is_err() {
+                kills.push((end, t));
+            }
+        }
+        drop(queue);
+        ((flushes, history, counters, claims), kills)
+    }
+
     #[test]
-    fn a_scoped_kill_plan_follows_the_optimizer_onto_the_overlap_worker() {
+    fn flush_queue_forced_schedules_fill_every_table_once_like_one_thread() {
+        let (model, _) = setup(5, 40, 8);
+        let faults = Faults::default();
+        let ((want_flushes, want_history, want_counters, front), _) =
+            drain_by_schedule(&model, &[End::Front], &faults);
+        assert_eq!(
+            front.iter().map(|&(_, t)| t).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert!(
+            want_counters.gaussian_samples > 0,
+            "the step has pending noise"
+        );
+        for schedule in [
+            &[End::Back][..],
+            &[End::Front, End::Back],
+            &[End::Back, End::Back, End::Front, End::Back, End::Front],
+            &[End::Back, End::Front, End::Front, End::Back],
+        ] {
+            let ((flushes, history, counters, claims), _) =
+                drain_by_schedule(&model, schedule, &faults);
+            let mut tables: Vec<usize> = claims.iter().map(|&(_, t)| t).collect();
+            tables.sort_unstable();
+            assert_eq!(tables, vec![0, 1, 2, 3, 4], "{schedule:?}: each table once");
+            // The front hands out 0, 1, …; the back 4, 3, ….
+            let (mut lo, mut hi) = (0, 5);
+            for &(end, t) in &claims {
+                let want = match end {
+                    End::Front => {
+                        lo += 1;
+                        lo - 1
+                    }
+                    End::Back => {
+                        hi -= 1;
+                        hi
+                    }
+                };
+                assert_eq!(t, want, "{schedule:?}: {end:?} claimed {t}");
+            }
+            assert_eq!(flushes, want_flushes, "{schedule:?}: flushes");
+            assert_eq!(history, want_history, "{schedule:?}: histories");
+            assert_eq!(counters, want_counters, "{schedule:?}: counters");
+        }
+    }
+
+    #[test]
+    fn flush_queue_kill_fires_once_on_the_caller_and_overlap_keeps_its_payload() {
+        use lazydp_fault::{FaultKind, FaultPlan, InjectedKill};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::Barrier;
+        let (model, _) = setup(4, 32, 8);
+        let faults = lazydp_fault::scoped(
+            FaultPlan::new(0).rule(Site::MidFlush, QUEUE_ITER, FaultKind::Kill),
+            Faults::current,
+        );
+        // One thread: the worker's end first, then the caller's, which
+        // claims table 0. The kill fires once, there.
+        let ((_, _, _, claims), kills) =
+            drain_by_schedule(&model, &[End::Back, End::Front, End::Back], &faults);
+        assert_eq!(claims[1], (End::Front, 0));
+        assert_eq!(
+            kills,
+            vec![(End::Front, 0)],
+            "one kill per step, at table 0"
+        );
+
+        // Two threads: the caller claims table 0 before the worker starts,
+        // dies filling it, and the overlap re-raises the caller's payload
+        // after the worker has drained the rest.
+        let (targets, mut history) = flush_inputs(&model);
+        let mut flushes = vec![LookaheadFlush::default(); model.tables.len()];
+        let cfg = LazyDpConfig::paper_default(8);
+        let flush = FlushStep::new(&model.tables, QUEUE_ITER, &cfg, &faults);
+        let queue = flush_queue(&mut flushes, &mut history, &targets);
+        let noise = CounterNoise::new(4);
+        let claimed = Barrier::new(2);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            lazydp_exec::overlap(
+                || {
+                    claimed.wait();
+                    flush.drain(&queue, End::Back, &noise, &mut KernelCounters::new());
+                },
+                || {
+                    let job = claim(&queue, End::Front).expect("a full queue");
+                    claimed.wait();
+                    flush.fill(job, &noise, &mut KernelCounters::new());
+                },
+            )
+        }))
+        .expect_err("the caller dies at table 0");
+        assert_eq!(
+            payload.downcast_ref::<InjectedKill>(),
+            Some(&InjectedKill {
+                site: Site::MidFlush,
+                ordinal: QUEUE_ITER
+            })
+        );
+        assert!(
+            claim(&queue, End::Front).is_none(),
+            "the worker drained the rest"
+        );
+        drop(queue);
+        assert_eq!(
+            flushes[0],
+            LookaheadFlush::default(),
+            "table 0 died unfilled"
+        );
+        assert!(flushes[1..].iter().all(|f| *f != LookaheadFlush::default()));
+    }
+
+    #[test]
+    fn a_scoped_kill_plan_follows_the_optimizer_onto_whichever_thread_fills_table_0() {
         use lazydp_fault::{FaultKind, FaultPlan, InjectedKill};
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let (mut model, ds) = setup(2, 32, 32);
@@ -634,7 +890,9 @@ mod tests {
             .map(|i| ds.batch_of(&(i * 8..(i + 1) * 8).collect::<Vec<_>>()))
             .collect();
         // Built inside the scope, stepped after it ends: at 4 threads the
-        // flush (and its kill point) runs on the overlap worker.
+        // kill point runs on whichever thread claims table 0 — the
+        // overlap worker or the main thread — and neither ever saw the
+        // scope.
         let cfg = LazyDpConfig::paper_default(8).with_threads(4);
         let mut opt = lazydp_fault::scoped(
             FaultPlan::new(0).rule(Site::MidFlush, 2, FaultKind::Kill),

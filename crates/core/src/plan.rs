@@ -145,7 +145,7 @@ pub fn sample_entries_into<N>(
 /// `LazyDpOptimizer::step` run it concurrently with the dense
 /// forward/backward; [`merge_into`](Self::merge_into) lands the result
 /// once the gradients exist.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LookaheadFlush {
     entries: Vec<NoisePlanEntry>,
     noise: Vec<f32>,

@@ -11,7 +11,7 @@
 //! optimizers own the weights.
 
 use crate::sparse::SparseGrad;
-use crate::storage::EmbeddingStorage;
+use crate::storage::{EmbeddingStorage, RowReader};
 use lazydp_tensor::Matrix;
 
 /// Batched lookup structure for one table: CSR-style offsets into a flat
@@ -92,21 +92,22 @@ impl BagIndices {
 ///
 /// Generic over the table backend (any [`EmbeddingStorage`]): the
 /// accumulation arithmetic is identical whether the rows come from memory
-/// or disk pages.
+/// or disk pages. The whole batch reads through one
+/// [`reader`](EmbeddingStorage::reader), so a paged table takes its
+/// engine lock once per forward, not once per lookup.
 ///
 /// # Panics
 ///
 /// Panics if any index is out of range for `table`.
 pub fn forward_into<T: EmbeddingStorage>(table: &T, batch: &BagIndices, out: &mut Matrix) {
     out.reset_zeroed(batch.batch_size(), table.dim());
+    let mut rows = table.reader();
     for i in 0..batch.batch_size() {
         let row = out.row_mut(i);
         for &idx in batch.sample(i) {
-            table.with_row(idx, |trow| {
-                for (o, &w) in row.iter_mut().zip(trow.iter()) {
-                    *o += w;
-                }
-            });
+            for (o, &w) in row.iter_mut().zip(rows.row(idx)) {
+                *o += w;
+            }
         }
     }
 }

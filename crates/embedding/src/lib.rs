@@ -39,5 +39,5 @@ pub mod table;
 pub use access::AccessTracker;
 pub use shard::ShardSpec;
 pub use sparse::{CoalesceScratch, SparseGrad};
-pub use storage::EmbeddingStorage;
+pub use storage::{EmbeddingStorage, RowReader};
 pub use table::EmbeddingTable;

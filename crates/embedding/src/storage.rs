@@ -14,13 +14,15 @@
 //!   table lives on disk (or, never written, nowhere at all).
 //!
 //! The contract is *bitwise*: for the same logical row contents, every
-//! backend must return identical bytes from [`with_row`] and apply
+//! backend must return identical bytes from its [`RowReader`] and apply
 //! identical arithmetic in [`sparse_update`] — backends change where a
-//! row lives, never what happens to it. Row borrows are scoped through
-//! closures ([`with_row`]/[`with_row_mut`]) rather than returned,
-//! because a paged backend can only pin a row while its page is held in
-//! the cache.
+//! row lives, never what happens to it. Row borrows are scoped — to a
+//! [`reader`] that batch reads share, or to a closure
+//! ([`with_row`]/[`with_row_mut`]) — rather than returned from the
+//! table, because a paged backend can only pin a row while it holds its
+//! page in the cache.
 //!
+//! [`reader`]: EmbeddingStorage::reader
 //! [`with_row`]: EmbeddingStorage::with_row
 //! [`with_row_mut`]: EmbeddingStorage::with_row_mut
 //! [`sparse_update`]: EmbeddingStorage::sparse_update
@@ -29,10 +31,37 @@ use crate::sparse::SparseGrad;
 use crate::table::EmbeddingTable;
 use lazydp_tensor::Matrix;
 
+/// Reads rows of one table for as long as it lives: the batch read path
+/// of [`EmbeddingStorage`] (the bag forward, [`gather`], checkpoint
+/// capture). Opening one reader per batch, rather than one access per
+/// row, lets a paged backend take its engine lock once for the batch.
+///
+/// [`gather`]: EmbeddingStorage::gather
+pub trait RowReader {
+    /// Row `r` (a `dim`-wide slice).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range for the table.
+    fn row(&mut self, r: u64) -> &[f32];
+}
+
+/// The in-memory reader is the table itself: a plain slice index.
+impl RowReader for &EmbeddingTable {
+    fn row(&mut self, r: u64) -> &[f32] {
+        EmbeddingTable::row(self, usize::try_from(r).expect("row fits usize"))
+    }
+}
+
 /// Row-granular access to one embedding table, independent of where the
 /// rows live (RAM or disk pages). See the module docs for the
 /// bitwise contract between backends.
 pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
+    /// The batch reader [`reader`](Self::reader) opens.
+    type Reader<'a>: RowReader
+    where
+        Self: 'a;
+
     /// Number of rows (embedding vectors).
     fn rows(&self) -> usize;
 
@@ -43,12 +72,20 @@ pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
     /// 4`, regardless of how much of it is resident).
     fn bytes(&self) -> u64;
 
-    /// Runs `f` on row `r` (a `dim`-wide slice).
+    /// Opens a reader over the rows. A paged backend holds its page
+    /// cache for the reader's lifetime, so any other access to the same
+    /// table — from this thread too — waits until the reader is dropped.
+    fn reader(&self) -> Self::Reader<'_>;
+
+    /// Runs `f` on row `r` (a `dim`-wide slice) through a one-row
+    /// [`reader`](Self::reader).
     ///
     /// # Panics
     ///
     /// Panics if `r >= rows()`.
-    fn with_row<R>(&self, r: u64, f: impl FnOnce(&[f32]) -> R) -> R;
+    fn with_row<R>(&self, r: u64, f: impl FnOnce(&[f32]) -> R) -> R {
+        f(self.reader().row(r))
+    }
 
     /// Runs `f` on row `r` mutably; the backend persists whatever `f`
     /// writes.
@@ -71,8 +108,9 @@ pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
     /// Panics if any index is out of range.
     fn gather(&self, indices: &[u64]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.dim());
+        let mut rows = self.reader();
         for (i, &idx) in indices.iter().enumerate() {
-            self.with_row(idx, |row| out.row_mut(i).copy_from_slice(row));
+            out.row_mut(i).copy_from_slice(rows.row(idx));
         }
         out
     }
@@ -107,14 +145,17 @@ pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
     /// (bitwise copy of every row).
     fn to_dense_table(&self) -> EmbeddingTable {
         let mut out = EmbeddingTable::zeros(self.rows(), self.dim());
+        let mut rows = self.reader();
         for r in 0..self.rows() {
-            self.with_row(r as u64, |row| out.row_mut(r).copy_from_slice(row));
+            out.row_mut(r).copy_from_slice(rows.row(r as u64));
         }
         out
     }
 }
 
 impl EmbeddingStorage for EmbeddingTable {
+    type Reader<'a> = &'a EmbeddingTable;
+
     fn rows(&self) -> usize {
         EmbeddingTable::rows(self)
     }
@@ -127,16 +168,12 @@ impl EmbeddingStorage for EmbeddingTable {
         EmbeddingTable::bytes(self)
     }
 
-    fn with_row<R>(&self, r: u64, f: impl FnOnce(&[f32]) -> R) -> R {
-        f(self.row(usize::try_from(r).expect("row fits usize")))
+    fn reader(&self) -> &EmbeddingTable {
+        self
     }
 
     fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
         f(self.row_mut(usize::try_from(r).expect("row fits usize")))
-    }
-
-    fn gather(&self, indices: &[u64]) -> Matrix {
-        EmbeddingTable::gather(self, indices)
     }
 
     fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
@@ -197,12 +234,13 @@ mod tests {
 
     #[test]
     fn default_gather_and_update_match_inherent_ones() {
-        // A minimal backend that only supplies the two required row
-        // accessors must still gather/update exactly like the dense
+        // A minimal backend that only supplies a reader and the mutable
+        // row accessor must still gather/update exactly like the dense
         // table (this is what keeps `lazydp_store` honest).
         #[derive(Debug)]
         struct Wrapper(EmbeddingTable);
         impl EmbeddingStorage for Wrapper {
+            type Reader<'a> = &'a EmbeddingTable;
             fn rows(&self) -> usize {
                 self.0.rows()
             }
@@ -212,8 +250,8 @@ mod tests {
             fn bytes(&self) -> u64 {
                 self.0.bytes()
             }
-            fn with_row<R>(&self, r: u64, f: impl FnOnce(&[f32]) -> R) -> R {
-                f(self.0.row(r as usize))
+            fn reader(&self) -> &EmbeddingTable {
+                &self.0
             }
             fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
                 f(self.0.row_mut(r as usize))

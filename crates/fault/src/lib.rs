@@ -90,8 +90,9 @@ pub enum Site {
     /// lookahead flush has already run by then, an inline one has not).
     MidStep,
     /// `flush` — a kill point at the head of LazyDP's per-step lookahead
-    /// flush (table 0), wherever it runs: on the overlap worker, or
-    /// inline in the table stage on a single-width executor.
+    /// flush (table 0), wherever it runs: on whichever thread claims
+    /// table 0 from the flush queue (the overlap worker or the main
+    /// thread), or inline in the table stage on a single-width executor.
     MidFlush,
     /// `checkpoint` — a kill point between writing a checkpoint's temp
     /// file and publishing it (rename + manifest update).

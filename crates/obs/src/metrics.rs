@@ -140,8 +140,8 @@ impl Default for Histogram {
 /// Phases nest, so their totals are not additive everywhere: when
 /// LazyDP's flush overlaps the gradient (a multi-width executor and a
 /// next batch), `step_forward` and `step_backward_clip` run on the main
-/// thread *inside* `step_flush_overlap`, which measures the longer of
-/// the two sides.
+/// thread *inside* `step_flush_overlap`, which ends when both sides have
+/// drained the flush queue.
 #[derive(Debug)]
 pub struct PhaseMetrics {
     /// The DP optimizers' forward pass (the shared front half).
@@ -157,9 +157,12 @@ pub struct PhaseMetrics {
     /// Eager DP-SGD's, EANA's and DP-AdaFEST's table stage: noise
     /// sampling and the noisy table update.
     pub step_table_noise: Histogram,
-    /// LazyDP's lookahead flush overlapped with the gradient.
+    /// LazyDP's lookahead flush overlapped with the gradient: the
+    /// worker's share beside the forward/backward, then the main
+    /// thread's share of what is left.
     pub step_flush_overlap: Histogram,
-    /// LazyDP's lookahead flush of one table on the main thread.
+    /// LazyDP's lookahead flush of every table, drained on the main
+    /// thread of a single-width executor.
     pub step_flush_seq: Histogram,
     /// One table's sparse update (LazyDP and SGD).
     pub step_sparse_update: Histogram,

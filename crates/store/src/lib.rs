@@ -18,7 +18,8 @@
 //! * [`StoredTable`] — the disk-backed table implementing
 //!   `lazydp_embedding::EmbeddingStorage`, so `LazyDpOptimizer`, the
 //!   lookahead pending-noise flush, `finalize_model`, and checkpointing
-//!   run against it unchanged.
+//!   run against it unchanged; its [`StoredReader`] serves a whole batch
+//!   read (a bag forward, a gather, a checkpoint capture) under one lock.
 //!
 //! [`StorageConfig`] carries the knobs (page size, cache capacity in
 //! pages, spill directory): it is passed to the [`StoredTable`]
@@ -84,4 +85,4 @@ pub use cache::PageCache;
 pub use config::{StorageConfig, CACHE_PAGES_ENV};
 pub use error::StorageError;
 pub use pagefile::{sweep_stale_spill_files, PageFile};
-pub use stored::StoredTable;
+pub use stored::{StoredReader, StoredTable};

@@ -4,9 +4,8 @@ use crate::cache::PageCache;
 use crate::config::StorageConfig;
 use crate::error::StorageError;
 use crate::pagefile::PageFile;
-use lazydp_embedding::{EmbeddingStorage, EmbeddingTable, SparseGrad};
+use lazydp_embedding::{EmbeddingStorage, EmbeddingTable, RowReader, SparseGrad};
 use lazydp_rng::Prng;
-use lazydp_tensor::Matrix;
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -62,10 +61,13 @@ enum Backend {
 /// bytes, never transforms them. Eviction *order* (and therefore the
 /// hit/miss/spill counters) is deterministic for a fixed access
 /// schedule — sequential training produces identical counters run to
-/// run. When [`prefetch_rows`](EmbeddingStorage::prefetch_rows) runs
-/// concurrently with the dense compute (the lookahead overlap in
-/// `lazydp-core`), the two schedules interleave nondeterministically and
-/// counters may shift between runs; values never do.
+/// run. On a multi-width executor the lookahead flush in `lazydp-core`
+/// calls [`prefetch_rows`](EmbeddingStorage::prefetch_rows) from
+/// whichever thread claims the table (the overlap worker, or the main
+/// thread once its gradient is done), concurrently with the forward's
+/// reads of other tables. Which thread prefetches a table, and whether
+/// it does so before or after that table's forward, follows timing, so
+/// the counters may shift between runs; values never do.
 ///
 /// # Fault model
 ///
@@ -82,9 +84,19 @@ enum Backend {
 /// # Concurrency
 ///
 /// The engine sits behind a [`Mutex`], making shared-reference access
-/// (`gather` during the forward pass, `prefetch_rows` from the overlap
-/// worker) safe from any thread. Lock scope is one operation — batch
-/// operations take the lock once, not per row.
+/// safe from any thread. Lock scope is one operation:
+///
+/// * a [`StoredReader`] holds the lock for a whole batch read — one
+///   table's bag forward, [`gather`](EmbeddingStorage::gather),
+///   [`to_dense_table`](EmbeddingStorage::to_dense_table), checkpoint
+///   capture;
+/// * [`sparse_update`](EmbeddingStorage::sparse_update) takes it once;
+/// * `prefetch_rows` takes it once per page, so a forward of the same
+///   table waits for at most one page load;
+/// * `with_row` and `with_row_mut` take it once per row.
+///
+/// The lock is not reentrant: a thread that holds a reader and touches
+/// the same table through any other access deadlocks.
 #[derive(Debug)]
 pub struct StoredTable {
     rows: usize,
@@ -423,7 +435,27 @@ fn paged(guard: &mut Backend) -> &mut Engine {
     }
 }
 
+/// A batch [`RowReader`] over a [`StoredTable`]: it holds the table's
+/// engine lock from [`reader`](EmbeddingStorage::reader) until it is
+/// dropped. Each read faults its page in and counts a hit or a miss
+/// exactly as a lone [`with_row`](EmbeddingStorage::with_row) does; only
+/// the lock is shared.
+#[derive(Debug)]
+pub struct StoredReader<'a> {
+    table: &'a StoredTable,
+    engine: MutexGuard<'a, Backend>,
+}
+
+impl RowReader for StoredReader<'_> {
+    fn row(&mut self, r: u64) -> &[f32] {
+        let (page, start) = self.table.locate(r);
+        &self.table.page(&mut self.engine, page)[start..start + self.table.dim]
+    }
+}
+
 impl EmbeddingStorage for StoredTable {
+    type Reader<'a> = StoredReader<'a>;
+
     fn rows(&self) -> usize {
         self.rows
     }
@@ -436,29 +468,18 @@ impl EmbeddingStorage for StoredTable {
         (self.rows * self.dim * 4) as u64
     }
 
-    fn with_row<R>(&self, r: u64, f: impl FnOnce(&[f32]) -> R) -> R {
-        let (page, start) = self.locate(r);
-        let mut guard = self.lock();
-        f(&self.page(&mut guard, page)[start..start + self.dim])
+    /// Takes the engine lock for the reader's lifetime.
+    fn reader(&self) -> StoredReader<'_> {
+        StoredReader {
+            table: self,
+            engine: self.lock(),
+        }
     }
 
     fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
         let (page, start) = self.locate(r);
         let mut guard = self.lock();
         f(&mut self.page_mut(&mut guard, page)[start..start + self.dim])
-    }
-
-    fn gather(&self, indices: &[u64]) -> Matrix {
-        // One lock for the whole batch rather than per row.
-        let mut out = Matrix::zeros(indices.len(), self.dim);
-        let mut guard = self.lock();
-        for (i, &idx) in indices.iter().enumerate() {
-            let (page, start) = self.locate(idx);
-            let data = self.page(&mut guard, page);
-            out.row_mut(i)
-                .copy_from_slice(&data[start..start + self.dim]);
-        }
-        out
     }
 
     fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
@@ -477,12 +498,14 @@ impl EmbeddingStorage for StoredTable {
     /// ascending page order — sorted input means duplicates coalesce
     /// into consecutive hits the skip below removes for free).
     ///
-    /// The lock is taken **per page**, not across the whole loop: this
-    /// runs on the lookahead overlap worker concurrently with the main
-    /// thread's forward-pass reads of the same table, and holding the
-    /// engine lock for the full multi-page I/O burst would stall those
-    /// reads — serializing exactly the overlap prefetch exists to
-    /// create.
+    /// The lock is taken **per page**, not across the whole loop: on a
+    /// multi-width executor this runs on the lookahead overlap worker
+    /// (or on the main thread, for the tables it claims once its
+    /// gradient is done) while the main thread's forward reads tables
+    /// through a [`StoredReader`]. The worker claims tables from the
+    /// last one down and the forward reads from the first one up, so
+    /// they rarely meet on one table; when they do, the forward waits
+    /// for at most one page load, not for the worker's whole burst.
     ///
     /// Prefetch is best-effort: a failing prefetch is swallowed (after
     /// its own retries) rather than degrading or panicking — the demand
@@ -514,6 +537,7 @@ mod tests {
     use super::*;
     use lazydp_fault::{FaultKind, FaultPlan, Site};
     use lazydp_rng::Xoshiro256PlusPlus;
+    use lazydp_tensor::Matrix;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn cfg(page_rows: usize, cache_pages: usize) -> StorageConfig {
@@ -620,6 +644,67 @@ mod tests {
             assert!(stats.hits >= 2, "repeated rows hit the cache");
         }
         assert_eq!(stats.hit_rate(), stats.hits as f64 / 6.0);
+    }
+
+    #[test]
+    fn a_bag_forward_through_one_reader_matches_memory_and_per_row_reads() {
+        use lazydp_embedding::bag::{self, BagIndices};
+        // 25 samples of 4 lookups over 37 rows, repeats included.
+        let mut rng = Xoshiro256PlusPlus::seed_from(17);
+        let lookups: Vec<u64> = (0..100).map(|_| rng.next_below(LAZY_ROWS as u64)).collect();
+        let batch = BagIndices::from_fixed_pooling(lookups, 4);
+        // The old forward: one engine lock per lookup.
+        let per_row = |table: &StoredTable| {
+            let mut out = Matrix::zeros(batch.batch_size(), table.dim());
+            for i in 0..batch.batch_size() {
+                for &idx in batch.sample(i) {
+                    table.with_row(idx, |trow| {
+                        for (o, &w) in out.row_mut(i).iter_mut().zip(trow) {
+                            *o += w;
+                        }
+                    });
+                }
+            }
+            out
+        };
+        let build = |spilled: bool| {
+            if spilled {
+                StoredTable::from_dense(&dense(LAZY_ROWS, LAZY_DIM), &cfg(4, 1)).expect("spill")
+            } else {
+                lazy(4, 1)
+            }
+        };
+        for spilled in [false, true] {
+            let mut want = Matrix::default();
+            bag::forward_into(&build(spilled).to_dense_table(), &batch, &mut want);
+            let (through_reader, through_rows) = (build(spilled), build(spilled));
+            let mut got = Matrix::default();
+            bag::forward_into(&through_reader, &batch, &mut got);
+            assert_eq!(got, want, "spilled {spilled}: values");
+            assert_eq!(
+                per_row(&through_rows),
+                want,
+                "spilled {spilled}: per-row values"
+            );
+            assert_eq!(
+                through_reader.stats(),
+                through_rows.stats(),
+                "spilled {spilled}: one lock per batch faults and counts like one per row"
+            );
+            // With one frame (unless LAZYDP_STORE_PAGES widens it), a
+            // lookup misses exactly when its page differs from the one
+            // before: one fault per lookup, no more.
+            if through_reader.cache_pages() == 1 {
+                let pages: Vec<u64> = batch.flat_indices().iter().map(|r| r / 4).collect();
+                let misses = 1 + pages.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+                let stats = through_reader.stats();
+                assert_eq!(
+                    (stats.hits, stats.misses),
+                    (pages.len() as u64 - misses, misses),
+                    "spilled {spilled}: (hits, misses)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -216,7 +216,8 @@ proptest! {
     /// stored model comes to be: a dense one spilled page by page, or
     /// `lazy_uniform` tables that are written nowhere until training
     /// dirties a page. Paging changes where rows live, never their
-    /// values.
+    /// values. The paged runs are pinned at widths 1 and 2, so even a
+    /// 1-vCPU host checks the overlapped flush against paged tables.
     #[test]
     fn stored_backend_matches_memory_backend(
         exponent in 0.4f64..1.4,
@@ -240,28 +241,29 @@ proptest! {
             .with_page_rows(page_rows)
             .with_cache_pages(cache_pages);
         let tiny = DlrmConfig::tiny(2, rows, 4);
-        let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-        let (mut mem, mut stored) = if lazy_init {
-            // Same RNG draws on both sides (MLPs, then one fill seed per
-            // table); the memory side is the step-0 `to_dense_table` snapshot.
-            let lazy_table = |rows, dim, rng: &mut Xoshiro256PlusPlus| {
-                StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &scfg)
-            };
-            let mem = Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), |rows, dim, rng| {
+        let rng = Xoshiro256PlusPlus::seed_from(seed);
+        // Same RNG draws on both sides (MLPs, then, for lazy tables, one
+        // fill seed per table); a lazy memory side is the step-0
+        // `to_dense_table` snapshot.
+        let lazy_table = |rows, dim, rng: &mut Xoshiro256PlusPlus| {
+            StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &scfg)
+        };
+        let mut mem = if lazy_init {
+            Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), |rows, dim, rng| {
                 lazy_table(rows, dim, rng).map(|t| t.to_dense_table())
-            });
-            let stored = Dlrm::try_new_with(tiny, &mut rng, lazy_table);
-            (
-                mem.expect("spill dir must be writable"),
-                stored.expect("spill dir must be writable"),
-            )
+            })
+            .expect("spill dir must be writable")
         } else {
-            let mem = Dlrm::new(tiny, &mut rng);
-            let stored = mem
-                .clone()
-                .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
-                .expect("spill dir must be writable");
-            (mem, stored)
+            Dlrm::new(tiny.clone(), &mut rng.clone())
+        };
+        let mem0 = mem.clone();
+        let stored_model = || {
+            if lazy_init {
+                Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), lazy_table)
+            } else {
+                mem0.clone().try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
+            }
+            .expect("spill dir must be writable")
         };
 
         // In-memory reference.
@@ -271,19 +273,25 @@ proptest! {
         }
         o_mem.finalize_model(&mut mem);
 
-        // Paged backend over the same trace, seed, and config.
-        let mut o_st = LazyDpOptimizer::new(cfg, &stored, CounterNoise::new(seed));
-        for i in 0..steps {
-            o_st.step(&mut stored, &batches[i], Some(&batches[i + 1]));
-        }
-        o_st.finalize_model(&mut stored);
+        // Paged backend over the same trace, seed, and config, at an
+        // explicit width each: 1 drains the flush queue on the main
+        // thread, 2 overlaps it with the forward on any host.
+        for threads in [1usize, 2] {
+            let mut stored = stored_model();
+            let cfg = cfg.clone().with_threads(threads);
+            let mut o_st = LazyDpOptimizer::new(cfg, &stored, CounterNoise::new(seed));
+            for i in 0..steps {
+                o_st.step(&mut stored, &batches[i], Some(&batches[i + 1]));
+            }
+            o_st.finalize_model(&mut stored);
 
-        for (t, (a, b)) in mem.tables.iter().zip(stored.tables.iter()).enumerate() {
-            prop_assert!(
-                b.to_dense_table().max_abs_diff(a) == 0.0,
-                "table {t} diverged on the paged backend (page_rows {page_rows}, \
-                 cache {cache_pages}, lazy {lazy_init})"
-            );
+            for (t, (a, b)) in mem.tables.iter().zip(stored.tables.iter()).enumerate() {
+                prop_assert!(
+                    b.to_dense_table().max_abs_diff(a) == 0.0,
+                    "table {t} diverged on the paged backend (page_rows {page_rows}, \
+                     cache {cache_pages}, lazy {lazy_init}, threads {threads})"
+                );
+            }
         }
     }
 
