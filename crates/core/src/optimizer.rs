@@ -17,15 +17,16 @@
 //!   in the table stage.
 //!
 //! Each table's flush is a pure function of the table, the iteration,
-//! its targets and its own [`HistoryTable`], and the work counters only
-//! add, so who claims which table moves no bit. Every flush lands
-//! through the same [`merge_into`](LookaheadFlush::merge_into).
+//! its targets (the next batch's distinct rows of that table) and its
+//! own [`HistoryTable`], and the work counters only add, so who claims
+//! which table moves no bit. Every flush lands through the same
+//! [`merge_into`](LookaheadFlush::merge_into).
 
 use crate::history::HistoryTable;
 use crate::plan::{plan_all_rows, sample_entries_into, LookaheadFlush};
 use lazydp_data::MiniBatch;
 use lazydp_dpsgd::{DpConfig, DpStep, KernelCounters, Optimizer, StepStats, TableStage};
-use lazydp_embedding::sparse::dedup_indices_into;
+use lazydp_embedding::bag::BagIndices;
 use lazydp_embedding::EmbeddingStorage;
 use lazydp_exec::Executor;
 use lazydp_fault::{Faults, Site};
@@ -92,8 +93,6 @@ pub struct LazyDpOptimizer<N> {
     /// mutably borrows the history.
     core: DpStep<N>,
     history: Vec<HistoryTable>,
-    /// Deduped next-batch rows, one list per table.
-    targets: Vec<Vec<u64>>,
     /// The lookahead flush of each table, refilled every step.
     flushes: Vec<LookaheadFlush>,
     /// The fault plan of the `step` and `flush` kill points, captured at
@@ -128,7 +127,6 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
             cfg,
             flushes: vec![LookaheadFlush::default(); history.len()],
             history,
-            targets: Vec::new(),
             faults: Faults::current(),
         }
     }
@@ -243,16 +241,20 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
 /// hands it out: `(table, ((flush, history), targets))`.
 type FlushJob<'a> = (
     usize,
-    ((&'a mut LookaheadFlush, &'a mut HistoryTable), &'a Vec<u64>),
+    ((&'a mut LookaheadFlush, &'a mut HistoryTable), &'a [u64]),
 );
 
-/// The flush queue of one step: every table's job, in table order.
-/// Claiming takes the lock only for the pop, never for the fill.
+/// The flush queue of one step: every table's job, in table order, each
+/// targeting the distinct rows `next` gathers from it (none if an empty
+/// Poisson batch carries no index lists). Claiming takes the lock only
+/// for the pop, never for the fill.
 fn flush_queue<'a>(
     flushes: &'a mut [LookaheadFlush],
     history: &'a mut [HistoryTable],
-    targets: &'a [Vec<u64>],
+    next: &'a MiniBatch,
 ) -> Mutex<impl DoubleEndedIterator<Item = FlushJob<'a>> + Send> {
+    let targets =
+        (0..flushes.len()).map(|t| next.sparse.get(t).map_or(&[][..], BagIndices::unique_rows));
     Mutex::new(flushes.iter_mut().zip(history).zip(targets).enumerate())
 }
 
@@ -360,23 +362,10 @@ where
     ) -> StepStats {
         let iter = self.core.begin_step();
 
-        // Lookahead pre-pass (Algorithm 1 line 12): dedup the rows each
-        // table gathers *next* iteration into the per-table scratch
-        // lists. An empty next batch (Poisson sampling) may carry no
-        // per-table index lists at all; treat that as "no rows gathered
-        // next iteration".
-        let has_next = next.is_some();
-        if let Some(next_batch) = next {
-            self.targets.resize_with(model.tables.len(), Vec::new);
-            for (t, targets) in self.targets.iter_mut().enumerate() {
-                let idx: &[u64] = next_batch.sparse.get(t).map_or(&[], |s| s.flat_indices());
-                self.core.counters.duplicates_removed += dedup_indices_into(idx, targets) as u64;
-            }
-        }
-
-        // Gradient derivation and lookahead flush. The flush needs only
-        // the next-batch targets, the history, and the noise source —
-        // never the gradients — so on a multi-width executor a scoped
+        // Gradient derivation and lookahead flush (Algorithm 1 line 12 on:
+        // the rows each table gathers *next* iteration). The flush needs
+        // only the next-batch targets, the history, and the noise source
+        // — never the gradients — so on a multi-width executor a scoped
         // worker claims tables from the back of the flush queue *while*
         // the main thread does the forward/backward, and the main thread
         // claims the rest from the front once its gradient is done. A
@@ -384,8 +373,8 @@ where
         // below instead (the overlap worker would only interleave with
         // itself), which also keeps the steady-state step
         // allocation-free.
-        let overlap = has_next && self.cfg.dp.threads > 1;
-        let clipped = if overlap {
+        let overlap = self.cfg.dp.threads > 1;
+        let clipped = if let Some(next) = next.filter(|_| overlap) {
             lazydp_obs::span!(step_flush_overlap);
             lazydp_obs::metrics().trainer.flush_overlaps.incr();
             // The worker samples through its own handle: the source is a
@@ -393,7 +382,7 @@ where
             // values while the core stays borrowed by the aggregate.
             let noise = self.core.noise().clone();
             let flush = FlushStep::new(&model.tables, iter, &self.cfg, &self.faults);
-            let queue = flush_queue(&mut self.flushes, &mut self.history, &self.targets);
+            let queue = flush_queue(&mut self.flushes, &mut self.history, next);
             let core = &mut self.core;
             let model_ref: &Dlrm<T> = model;
             let (fc, cl) = lazydp_exec::overlap(
@@ -414,7 +403,6 @@ where
         } else {
             self.core.clipped_aggregate(model, batch)
         };
-        self.core.scale_and_coalesce();
 
         // MLP layers: identical treatment to eager DP-SGD (gradient +
         // dense noise every iteration, one fused sweep per layer at
@@ -429,11 +417,11 @@ where
         // bitwise from the last checkpoint.
         self.faults.point(Site::MidStep, iter);
 
-        if has_next && !overlap {
+        if let Some(next) = next.filter(|_| !overlap) {
             lazydp_obs::span!(step_flush_seq);
             let stage = self.core.table_stage();
             FlushStep::new(&model.tables, iter, &self.cfg, &self.faults).drain(
-                &flush_queue(&mut self.flushes, &mut self.history, &self.targets),
+                &flush_queue(&mut self.flushes, &mut self.history, next),
                 End::Front,
                 &*stage.noise,
                 stage.counters,
@@ -450,7 +438,7 @@ where
             ..
         } = self.core.table_stage();
         for ((table, update), flush) in model.tables.iter_mut().zip(grads).zip(&self.flushes) {
-            if has_next {
+            if next.is_some() {
                 flush.merge_into(update);
             }
             {
@@ -697,13 +685,53 @@ mod tests {
         );
     }
 
+    /// `duplicates_removed` counts each step's own batch once, by
+    /// formula: per table, lookups minus distinct rows. LazyDP's
+    /// lookahead reads the next batch's distinct rows without counting
+    /// them again.
+    #[test]
+    fn duplicates_removed_counts_each_steps_batch_once() {
+        use lazydp_dpsgd::SgdOptimizer;
+        let (model0, ds) = setup(3, 12, 48);
+        let batches: Vec<MiniBatch> = (0..3)
+            .map(|i| ds.batch_of(&(i * 16..(i + 1) * 16).collect::<Vec<_>>()))
+            .collect();
+        let dups = |b: &MiniBatch| -> u64 {
+            (0..b.num_tables())
+                .map(|t| {
+                    let mut rows = b.table_indices(t).to_vec();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    (b.table_indices(t).len() - rows.len()) as u64
+                })
+                .sum()
+        };
+        let want = dups(&batches[0]) + dups(&batches[1]);
+        assert!(want > 0, "12-row tables repeat rows");
+        let cfg = DpConfig::new(0.8, 0.9, 0.05, 16).with_threads(1);
+        let run = |opt: &mut dyn Optimizer| {
+            let mut model = model0.clone();
+            for i in 0..2 {
+                opt.step(&mut model, &batches[i], Some(&batches[i + 1]));
+            }
+            opt.counters().duplicates_removed
+        };
+        assert_eq!(run(&mut SgdOptimizer::new(0.05)), want, "SGD");
+        let eager = &mut EagerDpSgd::new(cfg, ClipStyle::Fast, CounterNoise::new(1));
+        assert_eq!(run(eager), want, "eager");
+        let lazy =
+            &mut LazyDpOptimizer::new(LazyDpConfig::new(cfg, true), &model0, CounterNoise::new(1));
+        assert_eq!(run(lazy), want, "LazyDP");
+    }
+
     /// The iteration of the flush-queue tests' step.
     const QUEUE_ITER: u64 = 5;
 
-    /// One step's flush inputs over `model`: per-table targets (sorted
-    /// and deduplicated) and histories advanced unevenly, so delays
-    /// differ row to row and table to table.
-    fn flush_inputs(model: &Dlrm) -> (Vec<Vec<u64>>, Vec<HistoryTable>) {
+    /// One step's flush inputs over `model`: a next batch of 24 random
+    /// lookups per table (one sample, so duplicates are likely) and
+    /// histories advanced unevenly, so delays differ row to row and
+    /// table to table.
+    fn flush_inputs(model: &Dlrm) -> (MiniBatch, Vec<HistoryTable>) {
         let mut rng = Xoshiro256PlusPlus::seed_from(12);
         let mut history: Vec<HistoryTable> = model
             .tables
@@ -715,17 +743,19 @@ mod tests {
                 let _ = h.take_delays(r, 2);
             }
         }
-        let targets = model
+        let sparse = model
             .tables
             .iter()
             .map(|t| {
                 let idx: Vec<u64> = (0..24).map(|_| rng.next_below(t.rows() as u64)).collect();
-                let mut out = Vec::new();
-                dedup_indices_into(&idx, &mut out);
-                out
+                BagIndices::from_samples(&[idx])
             })
             .collect();
-        (targets, history)
+        let next = MiniBatch {
+            sparse,
+            ..MiniBatch::default()
+        };
+        (next, history)
     }
 
     /// What one step's flush left: the flushes, the histories, the
@@ -748,13 +778,13 @@ mod tests {
         faults: &Faults,
     ) -> (Drained, Vec<(End, usize)>) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let (targets, mut history) = flush_inputs(model);
+        let (next, mut history) = flush_inputs(model);
         let mut flushes = vec![LookaheadFlush::default(); model.tables.len()];
         let mut counters = KernelCounters::new();
         let (mut claims, mut kills) = (Vec::new(), Vec::new());
         let cfg = LazyDpConfig::paper_default(8);
         let flush = FlushStep::new(&model.tables, QUEUE_ITER, &cfg, faults);
-        let queue = flush_queue(&mut flushes, &mut history, &targets);
+        let queue = flush_queue(&mut flushes, &mut history, &next);
         let noise = CounterNoise::new(4);
         let last = *schedule.last().expect("a non-empty schedule");
         for end in schedule.iter().copied().chain(std::iter::repeat(last)) {
@@ -840,11 +870,11 @@ mod tests {
         // Two threads: the caller claims table 0 before the worker starts,
         // dies filling it, and the overlap re-raises the caller's payload
         // after the worker has drained the rest.
-        let (targets, mut history) = flush_inputs(&model);
+        let (next, mut history) = flush_inputs(&model);
         let mut flushes = vec![LookaheadFlush::default(); model.tables.len()];
         let cfg = LazyDpConfig::paper_default(8);
         let flush = FlushStep::new(&model.tables, QUEUE_ITER, &cfg, &faults);
-        let queue = flush_queue(&mut flushes, &mut history, &targets);
+        let queue = flush_queue(&mut flushes, &mut history, &next);
         let noise = CounterNoise::new(4);
         let claimed = Barrier::new(2);
         let payload = catch_unwind(AssertUnwindSafe(|| {

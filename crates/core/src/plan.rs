@@ -154,10 +154,10 @@ pub struct LookaheadFlush {
 
 impl LookaheadFlush {
     /// Plans and samples the flush of one table: takes the delays of
-    /// every row in `targets` (the sorted, deduplicated rows the next
-    /// iteration gathers —
-    /// [`dedup_indices_into`](lazydp_embedding::sparse::dedup_indices_into)
-    /// output) from `history`, then samples the pending rows' noise with
+    /// every row in `targets` (the ascending, distinct rows the next
+    /// iteration gathers — its
+    /// [`BagIndices::unique_rows`](lazydp_embedding::bag::BagIndices::unique_rows))
+    /// from `history`, then samples the pending rows' noise with
     /// [`sample_entries_into`]. Whatever a previous `fill` left behind
     /// is discarded.
     #[allow(clippy::too_many_arguments)]
@@ -207,7 +207,10 @@ impl LookaheadFlush {
     /// Accumulates the flushed noise into a **coalesced** sparse update
     /// (Algorithm 1 lines 17–21): rows the gradient already touches get
     /// their noise added in place; rows it does not are appended as
-    /// noise-only entries.
+    /// noise-only entries, ascending, after the gradient's rows.
+    ///
+    /// Both row lists ascend, so one cursor walks the gradient's rows
+    /// while the flush's rows go by.
     ///
     /// # Panics
     ///
@@ -218,18 +221,16 @@ impl LookaheadFlush {
         if self.dim == 0 || self.entries.is_empty() {
             return;
         }
-        // The coalesced prefix stays binary-searchable; appended rows
-        // are unique (targets were deduplicated), so they are never
-        // looked up again within this merge.
-        let sorted_len = update.len();
+        let grad_len = update.len();
+        let mut cursor = 0;
         for (e, nv) in self.entries.iter().zip(self.noise.chunks_exact(self.dim)) {
-            let slot = match update.indices()[..sorted_len].binary_search(&e.row) {
-                Ok(i) => i,
-                Err(_) => {
-                    let i = update.len();
-                    let _ = update.push_zeros(e.row);
-                    i
-                }
+            let rows = &update.indices()[..grad_len];
+            cursor += rows[cursor..].partition_point(|&r| r < e.row);
+            let slot = if rows.get(cursor) == Some(&e.row) {
+                cursor
+            } else {
+                let _ = update.push_zeros(e.row);
+                update.len() - 1
             };
             for (w, &n) in update.entry_mut(slot).iter_mut().zip(nv.iter()) {
                 *w += n;

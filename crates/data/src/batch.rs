@@ -48,6 +48,16 @@ impl MiniBatch {
         self.sparse.iter().map(BagIndices::total_lookups).sum()
     }
 
+    /// Lookups whose row an earlier lookup of the same table already
+    /// gathers: each table's lookups minus its distinct rows.
+    #[must_use]
+    pub fn duplicate_lookups(&self) -> usize {
+        self.sparse
+            .iter()
+            .map(|s| s.total_lookups() - s.unique_rows().len())
+            .sum()
+    }
+
     /// The flat lookup indices of table `t`.
     ///
     /// # Panics

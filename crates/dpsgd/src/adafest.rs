@@ -327,7 +327,6 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
         self.core.begin_step();
         assert_lookup_bound(batch, self.cfg.max_lookups);
         let clipped = self.core.clipped_aggregate(model, batch);
-        self.core.scale_and_coalesce();
         self.core.dense_update(model);
         // Table stage: privately select partitions, then noise them.
         // σ_select is relative to the count query's sensitivity; the

@@ -17,8 +17,9 @@ pub struct KernelCounters {
     pub table_rows_read: u64,
     /// Embedding rows gathered in forward passes.
     pub rows_gathered: u64,
-    /// Duplicate indices removed by gradient coalescing / next-batch
-    /// dedup (the dominant LazyDP overhead, Fig. 11).
+    /// Duplicate lookups removed by deduplicating each step's batch, once
+    /// per batch: per table, lookups minus distinct rows (the dominant
+    /// LazyDP overhead, Fig. 11).
     pub duplicates_removed: u64,
     /// HistoryTable entries read (LazyDP only).
     pub history_reads: u64,

@@ -68,7 +68,6 @@ impl<N: RowNoise> Optimizer for EagerDpSgd<N> {
     ) -> StepStats {
         self.core.begin_step();
         let clipped = self.core.clipped_aggregate(model, batch);
-        self.core.scale_and_coalesce();
         self.core.dense_update(model);
         // Table stage: every row of every table receives fresh noise, in
         // one chunk-addressed sweep per table — the paper's tuned

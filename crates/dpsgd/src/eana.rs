@@ -55,7 +55,6 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
     ) -> StepStats {
         self.core.begin_step();
         let clipped = self.core.clipped_aggregate(model, batch);
-        self.core.scale_and_coalesce();
         self.core.dense_update(model);
         // Table stage: noise lands only on the rows the batch accessed.
         // An empty batch accesses none, so EANA adds no embedding noise

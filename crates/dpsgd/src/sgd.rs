@@ -59,6 +59,7 @@ impl Optimizer for SgdOptimizer {
             model.forward_with(batch, &mut s.cache, &mut s.model_scratch);
         }
         self.counters.rows_gathered += batch.total_lookups() as u64;
+        self.counters.duplicates_removed += batch.duplicate_lookups() as u64;
         Dlrm::logit_grads_into(&s.cache, &batch.labels, true, &mut s.logit_g);
         {
             lazydp_obs::span!(step_backward);
@@ -70,7 +71,6 @@ impl Optimizer for SgdOptimizer {
                 &mut s.model_scratch,
             );
         }
-        self.counters.duplicates_removed += s.grads.coalesce_with(&mut s.coalesce) as u64;
         {
             lazydp_obs::span!(step_dense_update);
             model.bottom.apply(&s.grads.bottom, self.lr);

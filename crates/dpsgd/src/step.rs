@@ -2,7 +2,8 @@
 //!
 //! Eager DP-SGD(F), EANA, DP-AdaFEST and LazyDP run the *same* front
 //! half each iteration — forward, fused ghost-norm clip, reweighted
-//! backward, `1/B` scaling and coalescing, MLP update plus MLP noise
+//! backward straight into each table's distinct rows, `1/B` scaling,
+//! MLP update plus MLP noise
 //! (Algorithm 1 "omits the MLP layers because both apply the identical
 //! protection") — and differ only in **which embedding rows receive
 //! noise, and when**. [`DpStep`] is that front half, written once: it
@@ -11,7 +12,7 @@
 //! optimizer embeds a `DpStep`, drives
 //!
 //! ```text
-//! begin_step → clipped_aggregate → scale_and_coalesce → dense_update
+//! begin_step → clipped_aggregate → dense_update
 //!            → (its own table stage, over `table_stage()`) → finish_step
 //! ```
 //!
@@ -24,7 +25,7 @@ use crate::config::DpConfig;
 use crate::counters::KernelCounters;
 use crate::optimizer::StepStats;
 use lazydp_data::MiniBatch;
-use lazydp_embedding::{CoalesceScratch, EmbeddingStorage, SparseGrad};
+use lazydp_embedding::{EmbeddingStorage, SparseGrad};
 use lazydp_exec::Executor;
 use lazydp_model::{Dlrm, DlrmCache, DlrmGrads, DlrmScratch};
 use lazydp_rng::RowNoise;
@@ -44,7 +45,6 @@ pub(crate) struct StepScratch {
     pub(crate) model_scratch: DlrmScratch,
     pub(crate) grads: DlrmGrads,
     pub(crate) logit_g: Vec<f32>,
-    pub(crate) coalesce: CoalesceScratch,
     norms: Vec<f64>,
 }
 
@@ -61,7 +61,7 @@ pub struct DpStep<N> {
 }
 
 /// What a table stage works on once the front half is done: the
-/// scaled, coalesced per-table gradients and the pieces of the step
+/// averaged, coalesced per-table gradients and the pieces of the step
 /// core its noise kernels need, borrowed disjointly.
 #[derive(Debug)]
 pub struct TableStage<'a, N> {
@@ -118,11 +118,13 @@ impl<N: RowNoise> DpStep<N> {
     }
 
     /// Derives the clipped, summed gradient `Σ_i min(1, C/‖g_i‖)·g_i`
-    /// (not yet divided by B) into the scratch grads with the fused
-    /// ghost-clipping backward — one gradient chain yields the ghost
-    /// norms, the clip factors and the clipped aggregate — and returns
-    /// the clipped fraction. Does not touch the noise source, so LazyDP
-    /// may run it concurrently with its lookahead flush.
+    /// into the scratch grads with the fused ghost-clipping backward —
+    /// one gradient chain yields the ghost norms, the clip factors and
+    /// the clipped aggregate — and returns the clipped fraction. Table
+    /// entries are divided by B there, MLP gradients in
+    /// [`dense_update`](Self::dense_update). Does not touch the noise
+    /// source, so LazyDP may run it concurrently with its lookahead
+    /// flush.
     pub fn clipped_aggregate<T: EmbeddingStorage>(
         &mut self,
         model: &Dlrm<T>,
@@ -140,6 +142,7 @@ impl<N: RowNoise> DpStep<N> {
             model.forward_with(batch, &mut s.cache, &mut s.model_scratch);
         }
         self.counters.rows_gathered += batch.total_lookups() as u64;
+        self.counters.duplicates_removed += batch.duplicate_lookups() as u64;
         Dlrm::logit_grads_into(&s.cache, &batch.labels, false, &mut s.logit_g);
         let c = self.cfg.max_grad_norm;
         let norms = &mut s.norms;
@@ -147,7 +150,7 @@ impl<N: RowNoise> DpStep<N> {
             lazydp_obs::span!(step_backward_clip);
             // The norms are copied out of the closure so the clipped
             // fraction can be reported without re-deriving them.
-            model.backward_clipped_with(
+            model.backward_clipped_scaled_with(
                 &s.cache,
                 batch,
                 &s.logit_g,
@@ -156,6 +159,7 @@ impl<N: RowNoise> DpStep<N> {
                     norms.extend_from_slice(n);
                     clip_weights_into(n, c, w);
                 },
+                1.0 / self.cfg.nominal_batch as f32,
                 &mut s.grads,
                 &mut s.model_scratch,
             );
@@ -163,32 +167,26 @@ impl<N: RowNoise> DpStep<N> {
         clipped_fraction(norms, c)
     }
 
-    /// Averages the aggregate over the nominal batch and coalesces the
-    /// per-table gradients (sorted, duplicate-free rows).
-    pub fn scale_and_coalesce(&mut self) {
-        lazydp_obs::span!(step_coalesce);
-        let s = &mut self.scratch;
-        s.grads.scale(1.0 / self.cfg.nominal_batch as f32);
-        self.counters.duplicates_removed += s.grads.coalesce_with(&mut s.coalesce) as u64;
-    }
-
-    /// The MLP half of the update: gradient plus dense noise on every
-    /// bottom/top parameter, every iteration, for every algorithm. Each
-    /// layer is one fused noise-and-apply sweep ([`Mlp::apply_noisy`]) on
-    /// a `DpConfig::threads`-wide executor.
+    /// The MLP half of the update: the MLP gradients averaged over the
+    /// nominal batch, then gradient plus dense noise on every bottom/top
+    /// parameter, every iteration, for every algorithm. Each layer is one
+    /// fused noise-and-apply sweep ([`Mlp::apply_noisy`]) on a
+    /// `DpConfig::threads`-wide executor.
     ///
     /// [`Mlp::apply_noisy`]: lazydp_model::Mlp::apply_noisy
     pub fn dense_update<T: EmbeddingStorage>(&mut self, model: &mut Dlrm<T>) {
         let std = self.cfg.noise_std_per_coord();
         let lr = self.cfg.lr;
+        let inv_b = 1.0 / self.cfg.nominal_batch as f32;
         let exec = Executor::new(self.cfg.threads);
-        let grads = &self.scratch.grads;
+        let grads = &mut self.scratch.grads;
         {
             lazydp_obs::span!(step_dense_update);
             for (mlp, g, base) in [
-                (&mut model.bottom, &grads.bottom, BOTTOM_PARAM_BASE),
-                (&mut model.top, &grads.top, TOP_PARAM_BASE),
+                (&mut model.bottom, &mut grads.bottom, BOTTOM_PARAM_BASE),
+                (&mut model.top, &mut grads.top, TOP_PARAM_BASE),
             ] {
+                g.scale(inv_b);
                 mlp.apply_noisy(g, &self.noise, self.iter, base, std, lr, &exec);
             }
         }
@@ -245,7 +243,6 @@ mod tests {
             let mut step = DpStep::new(cfg, CounterNoise::new(4), 0);
             step.begin_step();
             step.clipped_aggregate(&model, &batch);
-            step.scale_and_coalesce();
             step.dense_update(&mut model);
             let layers = model.bottom.layers().iter().chain(model.top.layers());
             layers

@@ -16,10 +16,23 @@ use lazydp_tensor::Matrix;
 
 /// Batched lookup structure for one table: CSR-style offsets into a flat
 /// index list. Sample `i` gathers `indices[offsets[i]..offsets[i+1]]`.
+///
+/// It is also the only code that knows the batch's duplicates: both
+/// constructors deduplicate the lookups once, where the batch is built.
+/// The backward writes into each lookup's slot, the ghost norm reads
+/// `Σ c²`, and LazyDP flushes the distinct rows; none sorts again.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BagIndices {
     offsets: Vec<u32>,
     indices: Vec<u64>,
+    /// The distinct rows of `indices`, ascending.
+    unique: Vec<u64>,
+    /// Per lookup: `unique[slots[k]] == indices[k]`.
+    slots: Vec<u32>,
+    /// Per lookup: whether it is the first, in entry order, of its slot.
+    first: Vec<bool>,
+    /// Per sample: [`count_sq`](Self::count_sq).
+    count_sq: Vec<u64>,
 }
 
 impl BagIndices {
@@ -33,7 +46,7 @@ impl BagIndices {
             indices.extend_from_slice(s);
             offsets.push(indices.len() as u32);
         }
-        Self { offsets, indices }
+        Self::with_duplicates(offsets, indices)
     }
 
     /// Builds from a flat index list in which every sample has exactly
@@ -52,7 +65,43 @@ impl BagIndices {
             .step_by(pooling)
             .map(|o| o as u32)
             .collect();
-        Self { offsets, indices }
+        Self::with_duplicates(offsets, indices)
+    }
+
+    /// The one dedup of a batch: sorted `(row, lookup)` pairs run slot
+    /// by slot, each slot's first lookup first; then each sample's rows
+    /// are counted (`Σ_c (2c − 1) = c²`, exact integers).
+    fn with_duplicates(offsets: Vec<u32>, indices: Vec<u64>) -> Self {
+        let mut order: Vec<(u64, u32)> = indices.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        let mut unique = Vec::new();
+        let mut slots = vec![0u32; indices.len()];
+        let mut first = vec![false; indices.len()];
+        for &(row, k) in &order {
+            if unique.last() != Some(&row) {
+                unique.push(row);
+                first[k as usize] = true;
+            }
+            slots[k as usize] = (unique.len() - 1) as u32;
+        }
+        let mut counts = vec![0u64; unique.len()];
+        let mut count_sq = Vec::with_capacity(offsets.len().saturating_sub(1));
+        for w in offsets.windows(2) {
+            let sample = &slots[w[0] as usize..w[1] as usize];
+            count_sq.push(sample.iter().fold(0, |c_sq, &s| {
+                counts[s as usize] += 1;
+                c_sq + 2 * counts[s as usize] - 1
+            }));
+            sample.iter().for_each(|&s| counts[s as usize] = 0);
+        }
+        Self {
+            offsets,
+            indices,
+            unique,
+            slots,
+            first,
+            count_sq,
+        }
     }
 
     /// Number of samples.
@@ -73,6 +122,25 @@ impl BagIndices {
         &self.indices
     }
 
+    /// The batch's distinct rows, ascending.
+    #[must_use]
+    pub fn unique_rows(&self) -> &[u64] {
+        &self.unique
+    }
+
+    /// Per lookup, the position of its row in [`unique_rows`](Self::unique_rows).
+    #[must_use]
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// `Σ_r c²_{i,r}` of sample `i`, `c_{i,r}` being how often row `r`
+    /// occurs among its lookups. Panics if `i >= batch_size()`.
+    #[must_use]
+    pub fn count_sq(&self, i: usize) -> u64 {
+        self.count_sq[i]
+    }
+
     /// Index list of sample `i`.
     ///
     /// # Panics
@@ -80,9 +148,12 @@ impl BagIndices {
     /// Panics if `i >= batch_size()`.
     #[must_use]
     pub fn sample(&self, i: usize) -> &[u64] {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        &self.indices[lo..hi]
+        &self.indices[self.range(i)]
+    }
+
+    /// Sample `i`'s lookups as positions in the flat list.
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
     }
 }
 
@@ -112,35 +183,22 @@ pub fn forward_into<T: EmbeddingStorage>(table: &T, batch: &BagIndices, out: &mu
     }
 }
 
-/// Backward: the per-row sparse gradient from the pooled-output gradient
+/// Backward: the sparse gradient from the pooled-output gradient
 /// (`B × dim`), into a caller-owned sparse gradient (reset and refilled,
-/// keeping its allocations). The result is **un-coalesced** (one entry
-/// per lookup) so callers can decide when to pay for coalescing —
-/// mirroring the paper's separation of "gradient coalescing" as its own
-/// stage (Fig. 11).
+/// keeping its allocations), coalesced: one entry per
+/// [`unique_rows`](BagIndices::unique_rows) row.
 ///
 /// # Panics
 ///
 /// Panics if `grad_out` has the wrong shape.
 pub fn backward_into(grad_out: &Matrix, batch: &BagIndices, dim: usize, grad: &mut SparseGrad) {
-    assert_eq!(
-        grad_out.shape(),
-        (batch.batch_size(), dim),
-        "grad_out shape mismatch"
-    );
-    grad.reset(dim);
-    for i in 0..batch.batch_size() {
-        let g = grad_out.row(i);
-        for &idx in batch.sample(i) {
-            grad.push_zeros(idx).copy_from_slice(g);
-        }
-    }
+    scatter_into(grad_out, batch, |_| 1.0, 1.0, dim, grad);
 }
 
-/// Weighted backward: like [`backward_into`] but multiplies example
-/// `i`'s contribution by `w[i]` — the sparse half of the clipped-aggregate
-/// backward, fed the *unscaled* gradient chain so the clip factor applies
-/// exactly once, at the gradient-entry write (`entry = w_i · δ_i`).
+/// Weighted backward: like [`backward_into`] but each lookup of example
+/// `i` contributes `(w[i] · δ_i) · scale` — the sparse half of the
+/// clipped-aggregate backward, fed the *unscaled* gradient chain; `scale`
+/// is a DP step's `1/B`, applied before a row's entries are summed.
 ///
 /// # Panics
 ///
@@ -150,6 +208,25 @@ pub fn backward_weighted_into(
     grad_out: &Matrix,
     batch: &BagIndices,
     w: &[f32],
+    scale: f32,
+    dim: usize,
+    grad: &mut SparseGrad,
+) {
+    assert_eq!(w.len(), batch.batch_size(), "one weight per example");
+    scatter_into(grad_out, batch, |i| w[i], scale, dim, grad);
+}
+
+/// The one backward body: lookup `k` of sample `i` writes
+/// `(w(i) · δ_i) · scale` into its slot's row, a copy on the slot's first
+/// touch and an add after that, in entry order. That is the operation
+/// sequence of scaling one entry per lookup and then summing each row's
+/// entries in entry order, so the bits are the same (`−0.0` included:
+/// the first entry is copied, never added to a zero).
+fn scatter_into(
+    grad_out: &Matrix,
+    batch: &BagIndices,
+    w: impl Fn(usize) -> f32,
+    scale: f32,
     dim: usize,
     grad: &mut SparseGrad,
 ) {
@@ -158,14 +235,23 @@ pub fn backward_weighted_into(
         (batch.batch_size(), dim),
         "grad_out shape mismatch"
     );
-    assert_eq!(w.len(), batch.batch_size(), "one weight per example");
     grad.reset(dim);
-    for (i, &wi) in w.iter().enumerate() {
-        let g = grad_out.row(i);
-        for &idx in batch.sample(i) {
-            let entry = grad.push_zeros(idx);
-            for (e, &gv) in entry.iter_mut().zip(g.iter()) {
-                *e = wi * gv;
+    for &row in &batch.unique {
+        let _ = grad.push_zeros(row);
+    }
+    for i in 0..batch.batch_size() {
+        let (wi, g) = (w(i), grad_out.row(i));
+        let k = batch.range(i);
+        for (&s, &first) in batch.slots[k.clone()].iter().zip(&batch.first[k]) {
+            let row = grad.entry_mut(s as usize);
+            if first {
+                for (e, &gv) in row.iter_mut().zip(g) {
+                    *e = wi * gv * scale;
+                }
+            } else {
+                for (e, &gv) in row.iter_mut().zip(g) {
+                    *e += wi * gv * scale;
+                }
             }
         }
     }
@@ -177,46 +263,26 @@ pub fn backward_weighted_into(
 ///
 /// Example `i`'s gradient w.r.t. row `r` is `c_{i,r} · δ_i` where
 /// `c_{i,r}` is the number of times `r` occurs in the sample's lookups,
-/// so `‖g_i‖² = (Σ_r c_{i,r}²) · ‖δ_i‖²`. Duplicate counts come from
-/// sorting the sample's lookups into `idx_scratch` and measuring runs —
-/// no hash map and no allocation at steady state (the `Σ c²` terms are
-/// exact small integers, so summation order cannot change the value).
+/// so `‖g_i‖² = (Σ_r c_{i,r}²) · ‖δ_i‖²`. `Σ c²` is the batch's
+/// [`count_sq`](BagIndices::count_sq), an exact integer.
 ///
 /// # Panics
 ///
 /// Panics if `grad_out` has the wrong number of rows.
-pub fn per_example_norm_sq_into(
-    grad_out: &Matrix,
-    batch: &BagIndices,
-    out: &mut Vec<f64>,
-    idx_scratch: &mut Vec<u64>,
-) {
+pub fn per_example_norm_sq_into(grad_out: &Matrix, batch: &BagIndices, out: &mut Vec<f64>) {
     assert_eq!(
         grad_out.rows(),
         batch.batch_size(),
         "grad_out rows mismatch"
     );
     out.clear();
-    for i in 0..batch.batch_size() {
-        idx_scratch.clear();
-        idx_scratch.extend_from_slice(batch.sample(i));
-        idx_scratch.sort_unstable();
-        let mut c_sq = 0.0f64;
-        let mut run = 0u64;
-        let mut prev = 0u64;
-        for &idx in idx_scratch.iter() {
-            if run > 0 && idx == prev {
-                run += 1;
-            } else {
-                c_sq += (run * run) as f64;
-                prev = idx;
-                run = 1;
-            }
-        }
-        c_sq += (run * run) as f64;
-        let delta_sq = lazydp_tensor::vecops::norm_sq(grad_out.row(i));
-        out.push(c_sq * delta_sq);
-    }
+    out.extend(
+        batch
+            .count_sq
+            .iter()
+            .enumerate()
+            .map(|(i, &c_sq)| c_sq as f64 * lazydp_tensor::vecops::norm_sq(grad_out.row(i))),
+    );
 }
 
 #[cfg(test)]
@@ -250,12 +316,68 @@ mod tests {
         let grad_out = Matrix::from_vec(2, 2, vec![1.0, 2.0, 10.0, 20.0]);
         let mut g = SparseGrad::default();
         backward_into(&grad_out, &batch, 2, &mut g);
-        assert_eq!(g.len(), 4, "one entry per lookup before coalescing");
-        g.coalesce();
+        assert_eq!(g.indices(), &[0, 1], "one entry per distinct row");
         let dense = g.to_dense_map();
         assert_eq!(dense[&0], vec![1.0, 2.0]);
         // Row 1 gets sample 0's grad once and sample 1's grad twice.
         assert_eq!(dense[&1], vec![21.0, 42.0]);
+    }
+
+    /// The slot backward's oracle: one entry per lookup, `w_i · δ_i`,
+    /// scaled, then summed per row by [`SparseGrad::coalesce`].
+    fn per_lookup_oracle(
+        grad_out: &Matrix,
+        batch: &BagIndices,
+        w: &[f32],
+        scale: f32,
+    ) -> SparseGrad {
+        let mut g = SparseGrad::new(grad_out.cols());
+        for (i, &wi) in w.iter().enumerate() {
+            for &idx in batch.sample(i) {
+                for (e, &gv) in g.push_zeros(idx).iter_mut().zip(grad_out.row(i)) {
+                    *e = wi * gv;
+                }
+            }
+        }
+        g.scale(scale);
+        g.coalesce();
+        g
+    }
+
+    #[test]
+    fn slot_backward_is_bitwise_the_per_lookup_sum() {
+        // Row 5 repeats within sample 0 and across samples 0 and 3,
+        // row 1 across samples 0 and 1; sample 2 is empty; row 9's only
+        // entry starts with −0.0, which a sum that starts from +0.0
+        // would lose.
+        let batch = BagIndices::from_samples(&[vec![5, 1, 5], vec![9, 1], vec![], vec![5, 7]]);
+        let grad_out = Matrix::from_vec(
+            4,
+            3,
+            vec![
+                0.1, 0.7, -0.3, -0.0, 0.2, 1e-3, 9.0, 9.0, 9.0, 0.3, -0.6, 0.25,
+            ],
+        );
+        let bits = |g: &SparseGrad| -> Vec<(u64, Vec<u32>)> {
+            g.iter()
+                .map(|(r, v)| (r, v.iter().map(|x| x.to_bits()).collect()))
+                .collect()
+        };
+        let w = [0.5f32, 0.3, 1.0, 0.9];
+        let mut got = SparseGrad::default();
+        for scale in [1.0f32, 1.0 / 7.0] {
+            backward_weighted_into(&grad_out, &batch, &w, scale, 3, &mut got);
+            let want = per_lookup_oracle(&grad_out, &batch, &w, scale);
+            assert_eq!(bits(&got), bits(&want), "weighted, scale {scale}");
+        }
+        backward_into(&grad_out, &batch, 3, &mut got);
+        let want = per_lookup_oracle(&grad_out, &batch, &[1.0; 4], 1.0);
+        assert_eq!(bits(&got), bits(&want), "unweighted");
+        assert_eq!(got.indices(), &[1, 5, 7, 9]);
+        assert_eq!(
+            got.find(9).expect("row 9")[0].to_bits(),
+            (-0.0f32).to_bits()
+        );
     }
 
     #[test]
@@ -267,7 +389,6 @@ mod tests {
         let grad_out = Matrix::from_vec(1, 2, vec![1.0; 2]);
         let mut g = SparseGrad::default();
         backward_into(&grad_out, &batch, 2, &mut g);
-        g.coalesce();
         let mut out = Matrix::default();
         let mut loss = |t: &EmbeddingTable| -> f32 {
             forward_into(t, &batch, &mut out);
@@ -298,14 +419,13 @@ mod tests {
         let batch = BagIndices::from_samples(&[vec![0, 1], vec![2, 2, 3]]);
         let grad_out = Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 0.5]);
         let mut ghost = Vec::new();
-        per_example_norm_sq_into(&grad_out, &batch, &mut ghost, &mut Vec::new());
+        per_example_norm_sq_into(&grad_out, &batch, &mut ghost);
         // Explicit: materialize each example's sparse grad and take its norm.
         for i in 0..2 {
             let single = BagIndices::from_samples(&[batch.sample(i).to_vec()]);
             let g_i = Matrix::from_vec(1, 2, grad_out.row(i).to_vec());
             let mut sg = SparseGrad::default();
             backward_into(&g_i, &single, 2, &mut sg);
-            sg.coalesce();
             let explicit = sg.norm_sq();
             assert!(
                 (ghost[i] - explicit).abs() < 1e-9,

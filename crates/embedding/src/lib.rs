@@ -14,8 +14,8 @@
 //!   primitives,
 //! * [`bag`] — the gather + sum-pooling forward/backward kernels and
 //!   their CSR lookup batch, [`BagIndices`](bag::BagIndices),
-//! * [`SparseGrad`] — per-row gradients with coalescing (the "gradient
-//!   coalescing" stage of Fig. 11),
+//! * [`SparseGrad`] — per-row gradients, written coalesced by the bag
+//!   backward over the batch's distinct rows,
 //! * [`AccessTracker`] — per-row access statistics used to validate the
 //!   skewed-workload generators against Fig. 13(d)'s definitions,
 //! * [`ShardSpec`] — the row→partition hash DP-AdaFEST selects and
@@ -38,6 +38,6 @@ pub mod table;
 
 pub use access::AccessTracker;
 pub use shard::ShardSpec;
-pub use sparse::{CoalesceScratch, SparseGrad};
+pub use sparse::SparseGrad;
 pub use storage::{EmbeddingStorage, RowReader};
 pub use table::EmbeddingTable;

@@ -1,10 +1,13 @@
-//! Sparse per-row gradients and coalescing.
+//! Sparse per-row gradients.
 //!
-//! A mini-batch's embedding gradient only touches the gathered rows. The
-//! *coalescing* step (dedup + accumulate per distinct row) is what LazyDP
-//! reports as part of its 15% overhead (paper Fig. 11: "removing
-//! duplicated embedding indices" is 61% of the overhead), so it is a
-//! first-class, instrumentable operation here.
+//! A mini-batch's embedding gradient only touches the gathered rows.
+//! Removing the duplicated rows is what LazyDP reports as 61 % of its
+//! overhead (paper Fig. 11), so a batch pays for it once, where it is
+//! built ([`BagIndices`](crate::bag::BagIndices)); the bag backward then
+//! writes straight into the distinct rows, and a step's gradient is
+//! coalesced from the start. [`SparseGrad::coalesce`] stays as the
+//! allocating reference that tests sum materialized per-example
+//! gradients with.
 
 use std::collections::BTreeMap;
 
@@ -12,7 +15,7 @@ use std::collections::BTreeMap;
 /// entries, each `values` being a `dim`-wide vector.
 ///
 /// Entries may contain duplicate rows until [`coalesce`](Self::coalesce)
-/// is called.
+/// is called; the bag backward fills it coalesced.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseGrad {
     dim: usize,
@@ -160,53 +163,25 @@ impl SparseGrad {
     }
 
     /// Merges duplicate rows by summation and sorts entries by row index.
+    /// Duplicate rows are summed in their entry order (a stable sort).
     ///
-    /// Returns the number of duplicate entries that were merged away —
-    /// the quantity LazyDP's overhead accounting tracks (Fig. 11).
+    /// Returns the number of duplicate entries that were merged away.
     pub fn coalesce(&mut self) -> usize {
-        self.coalesce_with(&mut CoalesceScratch::default())
-    }
-
-    /// [`coalesce`](Self::coalesce) through caller-owned scratch: the
-    /// permutation and the merged entry buffers live in `scratch` and
-    /// are swapped with the gradient's own buffers at the end, so a
-    /// steady-state training step coalesces without touching the heap.
-    ///
-    /// Duplicate rows are summed in their original entry order (the
-    /// in-place sort is made stable by an index tie-break), so the
-    /// result is bitwise identical to the historical allocating
-    /// implementation.
-    pub fn coalesce_with(&mut self, scratch: &mut CoalesceScratch) -> usize {
-        if self.indices.len() <= 1 {
-            return 0;
-        }
-        let before = self.indices.len();
-        scratch.order.clear();
-        scratch.order.extend(0..before as u32);
-        // Unstable sort (no temp buffer) made stable via the index
-        // tie-break, preserving the duplicate accumulation order.
-        scratch
-            .order
-            .sort_unstable_by_key(|&i| (self.indices[i as usize], i));
-        scratch.indices.clear();
-        scratch.values.clear();
-        for &src in &scratch.order {
-            let src = src as usize;
-            let idx = self.indices[src];
-            let vals = &self.values[src * self.dim..(src + 1) * self.dim];
-            if scratch.indices.last() == Some(&idx) {
-                let start = scratch.values.len() - self.dim;
-                for (acc, &v) in scratch.values[start..].iter_mut().zip(vals.iter()) {
-                    *acc += v;
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&i| self.indices[i]);
+        let mut out = Self::new(self.dim);
+        for (idx, vals) in order.into_iter().map(|i| self.entry(i)) {
+            match out.indices.last() {
+                Some(&last) if last == idx => {
+                    let acc = out.entry_mut(out.len() - 1);
+                    acc.iter_mut().zip(vals).for_each(|(a, &v)| *a += v);
                 }
-            } else {
-                scratch.indices.push(idx);
-                scratch.values.extend_from_slice(vals);
+                _ => out.push(idx, vals),
             }
         }
-        std::mem::swap(&mut self.indices, &mut scratch.indices);
-        std::mem::swap(&mut self.values, &mut scratch.values);
-        before - self.indices.len()
+        let merged = self.len() - out.len();
+        *self = out;
+        merged
     }
 
     /// Sums the squared L2 norms of all entries (in `f64`, accumulated
@@ -251,35 +226,6 @@ impl SparseGrad {
         }
         m
     }
-}
-
-/// Reusable buffers for [`SparseGrad::coalesce_with`]: the sort
-/// permutation plus the merged index/value arrays (swapped into the
-/// gradient each call, so the gradient's previous buffers become next
-/// call's scratch).
-#[derive(Debug, Clone, Default)]
-pub struct CoalesceScratch {
-    order: Vec<u32>,
-    indices: Vec<u64>,
-    values: Vec<f32>,
-}
-
-/// Deduplicates a list of row indices into a caller-owned vector: `out`
-/// is cleared and refilled with the sorted unique set (the in-place
-/// unstable sort and `Vec::dedup` allocate nothing, so the per-step
-/// lookahead dedup reuses one buffer per table). Returns the number of
-/// duplicates removed.
-///
-/// This is the standalone "remove duplicated embedding indices among the
-/// embeddings accessed next" operation of LazyDP (61% of its overhead,
-/// Fig. 11) — split out so `lazydp-core` can instrument it separately
-/// from gradient coalescing.
-pub fn dedup_indices_into(indices: &[u64], out: &mut Vec<u64>) -> usize {
-    out.clear();
-    out.extend_from_slice(indices);
-    out.sort_unstable();
-    out.dedup();
-    indices.len() - out.len()
 }
 
 #[cfg(test)]
@@ -350,17 +296,6 @@ mod tests {
         assert!((g.norm_sq() - 25.0).abs() < 1e-9);
         g.scale(2.0);
         assert!((g.norm_sq() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dedup_indices_counts_duplicates() {
-        let mut uniq = vec![9];
-        let dups = dedup_indices_into(&[5, 1, 5, 3, 1, 1], &mut uniq);
-        assert_eq!(uniq, vec![1, 3, 5]);
-        assert_eq!(dups, 3);
-        let zero = dedup_indices_into(&[], &mut uniq);
-        assert!(uniq.is_empty());
-        assert_eq!(zero, 0);
     }
 
     #[test]

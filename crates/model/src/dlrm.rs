@@ -6,7 +6,7 @@ use crate::interaction::{interaction_backward_into, interaction_forward_into};
 use crate::mlp::{Mlp, MlpCache, MlpGrads};
 use lazydp_data::MiniBatch;
 use lazydp_embedding::bag::{self, BagIndices};
-use lazydp_embedding::{CoalesceScratch, EmbeddingStorage, EmbeddingTable, SparseGrad};
+use lazydp_embedding::{EmbeddingStorage, EmbeddingTable, SparseGrad};
 use lazydp_rng::Prng;
 use lazydp_tensor::{bce_with_logits, bce_with_logits_grad_into, Matrix};
 
@@ -71,8 +71,6 @@ pub struct DlrmScratch {
     part_norms: Vec<f64>,
     /// Per-example clip weights of the clipped backward.
     clip_w: Vec<f32>,
-    /// Sorted-run scratch for the embedding ghost norms.
-    bag_idx: Vec<u64>,
     /// Per-layer top-MLP activation gradients stashed between the two
     /// phases of the fused clipped backward.
     top_dz: Vec<Matrix>,
@@ -102,12 +100,6 @@ impl DlrmGrads {
         total
     }
 
-    /// Total L2 norm.
-    #[must_use]
-    pub fn norm(&self) -> f64 {
-        self.norm_sq().sqrt()
-    }
-
     /// In-place scaling of every gradient value.
     pub fn scale(&mut self, alpha: f32) {
         self.bottom.scale(alpha);
@@ -120,15 +112,6 @@ impl DlrmGrads {
     /// Coalesces every table gradient, returning total duplicates merged.
     pub fn coalesce(&mut self) -> usize {
         self.tables.iter_mut().map(SparseGrad::coalesce).sum()
-    }
-
-    /// [`coalesce`](Self::coalesce) through caller-owned scratch (see
-    /// [`SparseGrad::coalesce_with`]).
-    pub fn coalesce_with(&mut self, scratch: &mut CoalesceScratch) -> usize {
-        self.tables
-            .iter_mut()
-            .map(|t| t.coalesce_with(scratch))
-            .sum()
     }
 
     /// (Re)shapes `self` to match `model` — MLP gradients zeroed, table
@@ -145,16 +128,10 @@ impl DlrmGrads {
         } else {
             self.top.set_zero();
         }
-        if self.tables.len() != model.tables.len() {
-            self.tables = model
-                .tables
-                .iter()
-                .map(|t| SparseGrad::new(t.dim()))
-                .collect();
-        } else {
-            for (g, t) in self.tables.iter_mut().zip(model.tables.iter()) {
-                g.reset(t.dim());
-            }
+        self.tables
+            .resize_with(model.tables.len(), SparseGrad::default);
+        for (g, t) in self.tables.iter_mut().zip(model.tables.iter()) {
+            g.reset(t.dim());
         }
     }
 }
@@ -355,8 +332,8 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     }
 
     /// Loads `grad_logits` as the `B × 1` top-MLP output gradient and
-    /// gives `grads` one sparse gradient per table — the start of both
-    /// backward passes.
+    /// gives `grads` one sparse gradient per table (each backward resets
+    /// it) — the start of both backward passes.
     fn begin_backward(
         &self,
         batch: &MiniBatch,
@@ -367,19 +344,15 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         let b = batch.batch_size();
         assert_eq!(grad_logits.len(), b, "one logit grad per example");
         scratch.g.assign_from_slice(b, 1, grad_logits);
-        if grads.tables.len() != self.tables.len() {
-            grads.tables = self
-                .tables
-                .iter()
-                .map(|t| SparseGrad::new(t.dim()))
-                .collect();
-        }
+        grads
+            .tables
+            .resize_with(self.tables.len(), SparseGrad::default);
     }
 
     /// Per-batch backward pass (plain SGD) into caller-owned gradients,
     /// with working buffers from `scratch` (zero allocation at steady
-    /// state). `grad_logits[i]` is ∂L/∂logit_i. The table gradients are
-    /// **un-coalesced**.
+    /// state). `grad_logits[i]` is ∂L/∂logit_i. The table gradients come
+    /// out coalesced, one entry per distinct row of the batch.
     ///
     /// # Panics
     ///
@@ -450,6 +423,24 @@ impl<T: EmbeddingStorage> Dlrm<T> {
         grads: &mut DlrmGrads,
         scratch: &mut DlrmScratch,
     ) {
+        self.backward_clipped_scaled_with(cache, batch, grad_logits, clip, 1.0, grads, scratch);
+    }
+
+    /// [`backward_clipped_with`](Self::backward_clipped_with) with each
+    /// table gradient entry scaled by `table_scale` (a DP step's `1/B`)
+    /// before a row's entries are summed; the MLP gradients stay
+    /// unscaled. At `table_scale = 1.0` the two are the same function.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward_clipped_scaled_with(
+        &self,
+        cache: &DlrmCache,
+        batch: &MiniBatch,
+        grad_logits: &[f32],
+        clip: impl FnOnce(&[f64], &mut Vec<f32>),
+        table_scale: f32,
+        grads: &mut DlrmGrads,
+        scratch: &mut DlrmScratch,
+    ) {
         self.begin_backward(batch, grad_logits, grads, scratch);
         // Phase A: the ghost-norm chain, stashing each layer's δ.
         let s = scratch;
@@ -482,7 +473,6 @@ impl<T: EmbeddingStorage> Dlrm<T> {
                 &s.inter_grads[t + 1],
                 &batch.sparse[t],
                 &mut s.part_norms,
-                &mut s.bag_idx,
             );
             for (n, en) in s.norms.iter_mut().zip(s.part_norms.iter()) {
                 *n += en;
@@ -503,6 +493,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
                 &s.inter_grads[t + 1],
                 &batch.sparse[t],
                 w,
+                table_scale,
                 self.config.embedding_dim,
                 &mut grads.tables[t],
             );
@@ -510,7 +501,7 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     }
 
     /// Materialized per-example gradients (DP-SGD(B) style), each with
-    /// un-coalesced table gradients. Memory is `O(B × params)` for the
+    /// coalesced table gradients. Memory is `O(B × params)` for the
     /// MLP part — exactly the overhead the paper describes in §2.5. This
     /// is the definition the clipped backward is tested against.
     ///

@@ -150,9 +150,9 @@ pub struct PhaseMetrics {
     pub step_backward_clip: Histogram,
     /// Plain SGD's unclipped backward.
     pub step_backward: Histogram,
-    /// Averaging and coalescing the per-table gradients.
-    pub step_coalesce: Histogram,
-    /// Gradient plus dense noise on the MLP parameters.
+    /// Averaging the MLP gradients over the batch, then gradient plus
+    /// dense noise on the MLP parameters (the table gradients are
+    /// averaged and coalesced inside the backward).
     pub step_dense_update: Histogram,
     /// Eager DP-SGD's, EANA's and DP-AdaFEST's table stage: noise
     /// sampling and the noisy table update.
@@ -275,7 +275,6 @@ impl Metrics {
                 step_forward: Histogram::new(),
                 step_backward_clip: Histogram::new(),
                 step_backward: Histogram::new(),
-                step_coalesce: Histogram::new(),
                 step_dense_update: Histogram::new(),
                 step_table_noise: Histogram::new(),
                 step_flush_overlap: Histogram::new(),

@@ -108,7 +108,6 @@ pub fn capture_metrics() -> MetricsSnapshot {
         capture_histogram("phase.step_forward_ns", &p.step_forward),
         capture_histogram("phase.step_backward_clip_ns", &p.step_backward_clip),
         capture_histogram("phase.step_backward_ns", &p.step_backward),
-        capture_histogram("phase.step_coalesce_ns", &p.step_coalesce),
         capture_histogram("phase.step_dense_update_ns", &p.step_dense_update),
         capture_histogram("phase.step_table_noise_ns", &p.step_table_noise),
         capture_histogram("phase.step_flush_overlap_ns", &p.step_flush_overlap),

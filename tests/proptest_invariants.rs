@@ -5,7 +5,6 @@
 
 use lazydp::data::{MiniBatch, SyntheticConfig, SyntheticDataset};
 use lazydp::dpsgd::{clip_weights_into, ClipStyle, DpConfig, EagerDpSgd, Optimizer};
-use lazydp::embedding::sparse::dedup_indices_into;
 use lazydp::embedding::{EmbeddingStorage, SparseGrad};
 use lazydp::lazy::{aggregated_std, HistoryTable, LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
@@ -447,15 +446,32 @@ proptest! {
         }
     }
 
-    /// Dedup: sorted unique output, duplicate count consistent.
+    /// A bag's one dedup: the distinct rows are the sorted, deduplicated
+    /// lookups, every lookup's slot names its row, and each sample's
+    /// `Σ c²` is the sum of its squared run lengths once sorted.
     #[test]
-    fn dedup_invariants(indices in proptest::collection::vec(0u64..30, 0..60)) {
-        let mut uniq = Vec::new();
-        let dups = dedup_indices_into(&indices, &mut uniq);
-        prop_assert_eq!(uniq.len() + dups, indices.len());
-        prop_assert!(uniq.windows(2).all(|w| w[0] < w[1]));
-        let set: std::collections::HashSet<_> = indices.iter().collect();
-        prop_assert_eq!(uniq.len(), set.len());
+    fn bag_dedup_invariants(
+        samples in proptest::collection::vec(proptest::collection::vec(0u64..30, 0..8), 0..12),
+    ) {
+        let bag = lazydp::embedding::bag::BagIndices::from_samples(&samples);
+        let flat = bag.flat_indices();
+        let mut want = flat.to_vec();
+        want.sort_unstable();
+        want.dedup();
+        prop_assert_eq!(bag.unique_rows(), &want[..]);
+        prop_assert_eq!(bag.slots().len(), flat.len());
+        for (k, &s) in bag.slots().iter().enumerate() {
+            prop_assert_eq!(bag.unique_rows()[s as usize], flat[k]);
+        }
+        for (i, sample) in samples.iter().enumerate() {
+            let mut sorted = sample.clone();
+            sorted.sort_unstable();
+            let mut c_sq = 0u64;
+            for run in sorted.chunk_by(|a, b| a == b) {
+                c_sq += (run.len() * run.len()) as u64;
+            }
+            prop_assert_eq!(bag.count_sq(i), c_sq, "sample {}", i);
+        }
     }
 }
 
