@@ -15,13 +15,15 @@
 //! serialization dependency), versioned and magic-tagged. An FNV-1a-64
 //! checksum trails the whole payload: any flipped or truncated byte
 //! surfaces as a typed `InvalidData` error at load — never a panic,
-//! never a silent load of torn state. Version 3 has version 2's bytes
-//! but marks the lane-wise Box–Muller noise stream: a version-2
-//! checkpoint owes noise from the old libm stream, and resuming it on
-//! the new one would match neither uninterrupted run, so it is refused
-//! as an unsupported version. The config block keeps a `u32` interaction
-//! tag so the byte layout stays version 3's; it is always 0 (the dot
-//! interaction), and any other value is refused. Crash-consistent
+//! never a silent load of torn state. The version also names the noise
+//! stream a checkpoint owes its pending noise from, since resuming on
+//! another stream would match neither uninterrupted run: version 3 has
+//! version 2's bytes but marks the lane-wise Box–Muller (version 2 owes
+//! the old libm stream), and version 4 has version 3's bytes but marks
+//! the one-round counter hash (version 3 owes the two-round one). Older
+//! versions are refused as unsupported. The config block keeps a `u32`
+//! interaction tag so the byte layout stays version 3's; it is always 0
+//! (the dot interaction), and any other value is refused. Crash-consistent
 //! *placement* of these bytes (temp file + `sync_all` + atomic rename +
 //! versioned manifest) lives in [`crate::recovery`].
 
@@ -35,7 +37,7 @@ use lazydp_store::{StorageConfig, StoredTable};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"LAZYDP\x01\x00";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 /// Bytes before the checksummed payload: magic + version word.
 const HEADER_LEN: usize = 12;
 /// The FNV-1a-64 payload checksum trailing the stream.
@@ -256,7 +258,7 @@ impl Checkpoint {
         LazyDpOptimizer::from_state(cfg, noise, history, self.iteration)
     }
 
-    /// Serializes to a writer (the version-3 stream: header, payload,
+    /// Serializes to a writer (the version-4 stream: header, payload,
     /// FNV-1a-64 payload checksum trailer).
     ///
     /// # Errors
@@ -664,17 +666,20 @@ mod tests {
     }
 
     #[test]
-    fn version_2_checkpoints_are_refused() {
-        // A v2 checkpoint owes noise from the pre-v3 sampler stream; it
-        // must not resume, even with an intact payload and checksum.
+    fn checkpoints_owing_an_older_noise_stream_are_refused() {
+        // A v2 checkpoint owes noise from the libm sampler stream, a v3
+        // one from the two-round counter hash; neither may resume, even
+        // with an intact payload and checksum.
         let (model, _, cfg) = setup();
         let opt = LazyDpOptimizer::new(cfg, &model, CounterNoise::new(1));
         let mut buf = Checkpoint::capture(&model, &opt).to_bytes();
         assert!(Checkpoint::from_bytes(&buf).is_ok());
-        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let err = Checkpoint::from_bytes(&buf).expect_err("v2 must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), "unsupported checkpoint version");
+        for old in [2u32, 3] {
+            buf[8..12].copy_from_slice(&old.to_le_bytes());
+            let err = Checkpoint::from_bytes(&buf).expect_err("must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v{old}");
+            assert_eq!(err.to_string(), "unsupported checkpoint version");
+        }
     }
 
     /// A freshly captured checkpoint of the `setup` model.

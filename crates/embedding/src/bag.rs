@@ -37,6 +37,11 @@ pub struct BagIndices {
 
 impl BagIndices {
     /// Builds from per-sample index lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row does not fit in the `64 − k` bits above a lookup
+    /// index, `k` being the bit length of the lookup count.
     #[must_use]
     pub fn from_samples(samples: &[Vec<u64>]) -> Self {
         let mut offsets = Vec::with_capacity(samples.len() + 1);
@@ -55,8 +60,8 @@ impl BagIndices {
     ///
     /// # Panics
     ///
-    /// Panics if `pooling == 0` or `indices.len()` is not a multiple of
-    /// it.
+    /// Panics if `pooling == 0`, `indices.len()` is not a multiple of
+    /// it, or a row does not fit in the bits above a lookup index.
     #[must_use]
     pub fn from_fixed_pooling(indices: Vec<u64>, pooling: usize) -> Self {
         assert!(pooling > 0, "pooling must be positive");
@@ -71,18 +76,38 @@ impl BagIndices {
     /// The one dedup of a batch: sorted `(row, lookup)` pairs run slot
     /// by slot, each slot's first lookup first; then each sample's rows
     /// are counted (`Σ_c (2c − 1) = c²`, exact integers).
+    ///
+    /// Each pair sorts as one packed key `row << k_bits | lookup`, where
+    /// `k_bits` is the bit length of the lookup count: every lookup index
+    /// fits below the row, so the keys sort exactly as the pairs do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row does not fit in the `64 − k_bits` bits above the
+    /// lookup index.
     fn with_duplicates(offsets: Vec<u32>, indices: Vec<u64>) -> Self {
-        let mut order: Vec<(u64, u32)> = indices.iter().copied().zip(0..).collect();
+        let k_bits = u64::BITS - (indices.len() as u64).leading_zeros();
+        let max_row = indices.iter().copied().max().unwrap_or(0);
+        assert!(
+            max_row.leading_zeros() >= k_bits,
+            "row {max_row} does not fit above a {k_bits}-bit lookup index"
+        );
+        let k_mask = (1u64 << k_bits) - 1;
+        let mut order: Vec<u64> = (indices.iter())
+            .zip(0u64..)
+            .map(|(&row, k)| row << k_bits | k)
+            .collect();
         order.sort_unstable();
         let mut unique = Vec::new();
         let mut slots = vec![0u32; indices.len()];
         let mut first = vec![false; indices.len()];
-        for &(row, k) in &order {
+        for &key in &order {
+            let (row, k) = (key >> k_bits, (key & k_mask) as usize);
             if unique.last() != Some(&row) {
                 unique.push(row);
-                first[k as usize] = true;
+                first[k] = true;
             }
-            slots[k as usize] = (unique.len() - 1) as u32;
+            slots[k] = (unique.len() - 1) as u32;
         }
         let mut counts = vec![0u64; unique.len()];
         let mut count_sq = Vec::with_capacity(offsets.len().saturating_sub(1));
@@ -454,5 +479,21 @@ mod tests {
             BagIndices::from_fixed_pooling(Vec::new(), 3),
             BagIndices::from_samples(&[])
         );
+    }
+
+    #[test]
+    fn packed_sort_key_holds_rows_up_to_its_limit() {
+        // Four lookups take a 3-bit index, leaving 61 bits for the row.
+        let top = u64::MAX >> 3;
+        let batch = BagIndices::from_samples(&[vec![top, 0], vec![top - 1, top]]);
+        assert_eq!(batch.unique_rows(), &[0, top - 1, top]);
+        assert_eq!(batch.slots(), &[2, 0, 1, 2]);
+        assert_eq!(batch.count_sq(0), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit above a 3-bit lookup index")]
+    fn packed_sort_key_rejects_a_row_over_its_limit() {
+        let _ = BagIndices::from_samples(&[vec![1u64 << 61, 0], vec![2, 3]]);
     }
 }

@@ -15,10 +15,14 @@
 use crate::gaussian;
 use crate::prng::{splitmix64_mix, Prng, SPLITMIX64_GAMMA};
 
-/// Stateless keyed generator: `value(i) = mix(key, i)`.
+/// Stateless keyed generator: `value(i) = mix(key ^ i·γ)`.
 ///
-/// Built from two rounds of the SplitMix64 finalizer over a Weyl-spread
-/// counter, which gives full avalanche between nearby counters.
+/// One round of the SplitMix64 finalizer over the keyed Weyl-spread
+/// counter: exactly the output function SplitMix64 applies to its own
+/// Weyl sequence, with the key XORed in. The Weyl spread already moves
+/// adjacent counters far apart; the finalizer gives full avalanche from
+/// there. The independence tests below check values and squares across
+/// adjacent counters and across table, row and iteration keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterRng {
     key: u64,
@@ -35,9 +39,7 @@ impl CounterRng {
     /// (e.g. one sub-stream per embedding table).
     #[must_use]
     pub fn derive(&self, label: u64) -> Self {
-        Self {
-            key: splitmix64_mix(self.key ^ label.wrapping_mul(SPLITMIX64_GAMMA)),
-        }
+        Self::new(self.at(label))
     }
 
     /// The value at counter position `i`. Pure: same `(key, i)` → same bits.
@@ -49,7 +51,7 @@ impl CounterRng {
     /// The value at the counter position whose Weyl spread `i·γ` is
     /// `weyl`.
     fn at_weyl(&self, weyl: u64) -> u64 {
-        splitmix64_mix(splitmix64_mix(self.key ^ weyl).wrapping_add(SPLITMIX64_GAMMA))
+        splitmix64_mix(self.key ^ weyl)
     }
 
     /// A sequential [`Prng`] view starting at counter position `start`.
@@ -377,6 +379,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Streaming Pearson correlation of pairs `(x, y)`.
+    #[derive(Default)]
+    struct Correlation {
+        n: f64,
+        sums: [f64; 5],
+    }
+
+    impl Correlation {
+        fn add(&mut self, x: f64, y: f64) {
+            self.n += 1.0;
+            for (s, v) in self.sums.iter_mut().zip([x, y, x * x, y * y, x * y]) {
+                *s += v;
+            }
+        }
+
+        fn rho(&self) -> f64 {
+            let [x, y, xx, yy, xy] = self.sums.map(|s| s / self.n);
+            (xy - x * y) / ((xx - x * x) * (yy - y * y)).sqrt()
+        }
+    }
+
+    /// Draws `draws` unit-noise values at each of four neighbour pairs
+    /// of addresses and requires every correlation, of the values and
+    /// of their squares, to be below `5/√draws` in magnitude: adjacent
+    /// elements of a row, rows `r`/`r + 1`, iterations `t`/`t + 1` and
+    /// tables 0/1, each pair at otherwise equal addresses.
+    fn check_neighbour_independence(draws: usize) {
+        const DIM: usize = 64;
+        let mut noise = CounterNoise::new(2026);
+        let names = [
+            "adjacent elements",
+            "rows r/r+1",
+            "iterations t/t+1",
+            "tables 0/1",
+        ];
+        let mut values: [Correlation; 4] = Default::default();
+        let mut squares: [Correlation; 4] = Default::default();
+        // Row `2m` of table 0 at iteration 1 (one lane longer, so the
+        // adjacent-element pairs reach its last lane) against each
+        // neighbour, lane by lane.
+        let mut base = [0.0f32; DIM + 1];
+        let mut other = [[0.0f32; DIM]; 3];
+        for m in 0..(draws / DIM) as u64 {
+            noise.fill_unit(0, 2 * m, 1, &mut base);
+            noise.fill_unit(0, 2 * m + 1, 1, &mut other[0]);
+            noise.fill_unit(0, 2 * m, 2, &mut other[1]);
+            noise.fill_unit(1, 2 * m, 1, &mut other[2]);
+            for k in 0..DIM {
+                let x = f64::from(base[k]);
+                let ys = [base[k + 1], other[0][k], other[1][k], other[2][k]].map(f64::from);
+                for (c, y) in ys.into_iter().enumerate() {
+                    values[c].add(x, y);
+                    squares[c].add(x * x, y * y);
+                }
+            }
+        }
+        let bound = 5.0 / (draws as f64).sqrt();
+        let failures: Vec<String> = (names.iter().enumerate())
+            .flat_map(|(c, name)| {
+                [("values", values[c].rho()), ("squares", squares[c].rho())]
+                    .into_iter()
+                    .filter(|(_, rho)| rho.abs() >= bound)
+                    .map(move |(of, rho)| format!("{name}, {of}: ρ {rho}"))
+            })
+            .collect();
+        assert!(failures.is_empty(), "|ρ| ≥ {bound}: {failures:#?}");
+    }
+
+    /// Every output bit of [`CounterRng::at`] over `draws` consecutive
+    /// counters, at two keys, is set within `5σ` of half the time.
+    fn check_bit_balance(draws: u64) {
+        let bound = 5.0 * (draws as f64).sqrt() / 2.0;
+        for key in [0, 0x5eed_1a2d] {
+            let rng = CounterRng::new(key);
+            let mut ones = [0u64; 64];
+            for i in 0..draws {
+                let v = rng.at(i);
+                for (b, n) in ones.iter_mut().enumerate() {
+                    *n += (v >> b) & 1;
+                }
+            }
+            for (b, &n) in ones.iter().enumerate() {
+                let off = (n as f64 - draws as f64 / 2.0).abs();
+                assert!(off < bound, "key {key:#x} bit {b}: {n} of {draws} set");
+            }
+        }
+    }
+
+    #[test]
+    fn neighbouring_addresses_are_uncorrelated() {
+        check_neighbour_independence(1 << 20);
+    }
+
+    #[test]
+    fn every_output_bit_is_balanced() {
+        check_bit_balance(1 << 20);
+    }
+
+    /// The 2²⁴-draw variants: a 4× tighter bound. Run in release with
+    /// `cargo test --release -p lazydp_rng -- --include-ignored`.
+    #[test]
+    #[ignore = "2²⁴ draws per check; run in release"]
+    fn neighbouring_addresses_are_uncorrelated_at_2_pow_24() {
+        check_neighbour_independence(1 << 24);
+    }
+
+    #[test]
+    #[ignore = "2²⁴ draws per key; run in release"]
+    fn every_output_bit_is_balanced_at_2_pow_24() {
+        check_bit_balance(1 << 24);
     }
 
     #[test]

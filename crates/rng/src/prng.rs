@@ -70,7 +70,9 @@ pub trait Prng {
 /// The SplitMix64 finalizer: a full-avalanche 64-bit mixing function.
 ///
 /// Exposed publicly because the counter-based streams of
-/// [`crate::counter`] are built from it.
+/// [`crate::counter`] are built from it: value `i` of a key is one round
+/// over `key ^ i·γ`, the output function [`SplitMix64`] applies to its
+/// own Weyl state, with the key XORed in.
 #[inline]
 #[must_use]
 pub fn splitmix64_mix(mut z: u64) -> u64 {

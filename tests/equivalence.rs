@@ -213,10 +213,10 @@ fn release_digests_are_pinned() {
     assert_eq!(
         got.map(|d| format!("{d:016x}")),
         [
-            "8d9d7c9c9a7fbe63",
-            "7f11b32b23c2f8d4",
-            "8d9d7c9c9a7fbe63",
-            "7813b459c9e80ee3",
+            "b59a56c6c07d43bb",
+            "930ae1e2db44bac7",
+            "b59a56c6c07d43bb",
+            "4825abbece2b9564",
         ],
         "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP"
     );
