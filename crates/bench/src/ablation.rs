@@ -170,7 +170,7 @@ pub fn traffic() -> Table {
     }
     {
         let (mut model, batches) = setup(SkewLevel::Random);
-        let mut o = EanaOptimizer::new(dp, CounterNoise::new(5));
+        let o: &mut dyn Optimizer = &mut EanaOptimizer::new(dp, CounterNoise::new(5));
         for b in batches.iter().take(STEPS) {
             o.step(&mut model, b, None);
         }

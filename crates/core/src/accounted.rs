@@ -58,7 +58,7 @@ impl<N: RowNoise, T: EmbeddingStorage> AccountedOptimizer<T> for LazyDpOptimizer
     }
 }
 
-impl<N: RowNoise> AccountedOptimizer for EagerDpSgd<N> {
+impl<N: RowNoise, T: EmbeddingStorage> AccountedOptimizer<T> for EagerDpSgd<N, T> {
     fn mechanism(&self) -> Mechanism {
         Mechanism::Gaussian {
             sigma: self.config().noise_multiplier,

@@ -30,6 +30,7 @@
 use crate::history::HistoryTable;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
 use lazydp_embedding::{EmbeddingStorage, RowReader};
+use lazydp_exec::Executor;
 use lazydp_fault::checksum::fnv1a64;
 use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_rng::RowNoise;
@@ -178,7 +179,7 @@ impl Checkpoint {
         // Rebuild the model skeleton, then overwrite every weight.
         let mut seed_rng = lazydp_rng::Xoshiro256PlusPlus::seed_from(0);
         let mut model = Dlrm::new(self.config.clone(), &mut seed_rng);
-        self.fill_model(&mut model);
+        self.fill_model(&mut model, &Executor::new(cfg.dp.threads));
         let opt = self.rebuild_optimizer(cfg, noise);
         (model, opt)
     }
@@ -213,17 +214,17 @@ impl Checkpoint {
             &mut seed_rng,
             |rows, dim, _| StoredTable::zeros(rows, dim, storage),
         )?;
-        self.fill_model(&mut model);
+        self.fill_model(&mut model, &Executor::new(cfg.dp.threads));
         let opt = self.rebuild_optimizer(cfg, noise);
         Ok((model, opt))
     }
 
     /// Overwrites every weight of a freshly-built skeleton with the
-    /// checkpoint's tensors. Table rows go through the
-    /// [`EmbeddingStorage`] row accessor in global order — on a
-    /// disk-backed table that is a sequential page walk, each page
-    /// faulted once and written back on eviction.
-    fn fill_model<T: EmbeddingStorage>(&self, model: &mut Dlrm<T>) {
+    /// checkpoint's tensors. Each table is copied in by one
+    /// [`sweep_rows_mut`](EmbeddingStorage::sweep_rows_mut) on `exec` —
+    /// on a disk-backed table a sequential page walk, each page faulted
+    /// once and written back on eviction.
+    fn fill_model<T: EmbeddingStorage>(&self, model: &mut Dlrm<T>, exec: &Executor) {
         let mut it = self.weights.iter();
         let mut take = || it.next().expect("checkpoint weight tensors");
         for layer in model
@@ -242,9 +243,11 @@ impl Checkpoint {
         for t in &mut model.tables {
             let w = take();
             assert_eq!(w.len(), t.elements(), "table shape mismatch");
-            for (r, row) in w.chunks_exact(t.dim()).enumerate() {
-                t.with_row_mut(r as u64, |dst| dst.copy_from_slice(row));
-            }
+            let dim = t.dim();
+            t.sweep_rows_mut(exec, |first_row, rows| {
+                let start = first_row as usize * dim;
+                rows.copy_from_slice(&w[start..start + rows.len()]);
+            });
         }
     }
 

@@ -51,22 +51,26 @@ impl HistoryTable {
     }
 
     /// The number of pending (delayed) noise updates for `row` at
-    /// `current_iter`, *and* marks the row as flushed through
-    /// `current_iter` (Algorithm 1 lines 14–15 fused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range, `current_iter` exceeds `u32`
-    /// range, or time runs backwards for this row.
-    pub fn take_delays(&mut self, row: u64, current_iter: u64) -> u64 {
-        let h = &mut self.last_iter[usize::try_from(row).expect("row fits usize")];
+    /// `current_iter` (Algorithm 1 line 14). Panics if `row` is out of
+    /// range, `current_iter` exceeds `u32` range, or time runs backwards
+    /// for this row.
+    #[must_use]
+    pub fn delays(&self, row: u64, current_iter: u64) -> u64 {
+        let h = self.last_iter[usize::try_from(row).expect("row fits usize")];
         let cur = u32::try_from(current_iter).expect("iteration fits u32");
         assert!(
-            *h <= cur,
+            h <= cur,
             "history ahead of current iteration ({h} > {cur}) for row {row}"
         );
-        let delays = u64::from(cur - *h);
-        *h = cur;
+        u64::from(cur - h)
+    }
+
+    /// [`delays`](Self::delays), *and* marks the row as flushed through
+    /// `current_iter` (Algorithm 1 lines 14–15 fused). Panics as
+    /// `delays` does.
+    pub fn take_delays(&mut self, row: u64, current_iter: u64) -> u64 {
+        let delays = self.delays(row, current_iter);
+        self.last_iter[row as usize] = current_iter as u32;
         delays
     }
 }

@@ -23,21 +23,17 @@
 //! [`merge_into`](LookaheadFlush::merge_into).
 
 use crate::history::HistoryTable;
-use crate::plan::{plan_all_rows, sample_entries_into, LookaheadFlush};
+use crate::plan::{add_pending_noise, LookaheadFlush};
 use lazydp_data::MiniBatch;
+use lazydp_dpsgd::noise_update::sparse_grad_update;
 use lazydp_dpsgd::{DpConfig, DpStep, KernelCounters, Optimizer, StepStats, TableStage};
 use lazydp_embedding::bag::BagIndices;
 use lazydp_embedding::EmbeddingStorage;
 use lazydp_exec::Executor;
 use lazydp_fault::{Faults, Site};
 use lazydp_model::Dlrm;
-use lazydp_rng::RowNoise;
+use lazydp_rng::{RowNoise, NOISE_BLOCK};
 use std::sync::Mutex;
-
-/// Planned rows flushed per staging segment in
-/// [`LazyDpOptimizer::finalize_model`] — bounds the noise buffer even
-/// when every row of a huge table is pending.
-const FINALIZE_SEGMENT_ENTRIES: usize = 16_384;
 
 /// LazyDP hyper-parameters: the DP-SGD parameters plus the ANS switch
 /// (the paper evaluates both `LazyDP` and `LazyDP(w/o ANS)`, Fig. 10).
@@ -179,14 +175,19 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
     /// adversary sees the final model, so deferred noise must land
     /// before release). Idempotent.
     ///
-    /// Runs on the same two-phase machinery as the per-step flush: the
-    /// history scan ([`plan_all_rows`]) is serial, the noise sampling
-    /// inside each bounded segment is data-parallel on the executor.
-    /// Each row's noise is addressed by `(table, row, iter)`, so the
-    /// released model is bitwise identical for any thread count — and
-    /// for any embedding backend: on a disk-backed table each bounded
-    /// segment touches its rows through the page cache, so release never
-    /// needs the whole table resident.
+    /// Per table, one read-only pass over the history counts the rows
+    /// that owe noise; if any do, one
+    /// [`sweep_rows_mut`](EmbeddingStorage::sweep_rows_mut) has each
+    /// row read its delay from the history (read-only while the sweep
+    /// runs) and, if it owes noise, sum its draws into a zeroed
+    /// accumulator (`add_pending_noise`) and apply `w -= η·acc`; then
+    /// every row's history is set to this iteration. A table that owes
+    /// nothing is not swept, so a second release touches no row. Each
+    /// row's noise is addressed by `(table, row, iter)`, so the released
+    /// model is bitwise identical for any thread count — and for any
+    /// embedding backend: on a disk-backed table the sweep walks the
+    /// pages in order, each faulted in and written back once, so release
+    /// never needs the whole table resident.
     pub fn finalize_model<T: EmbeddingStorage>(&mut self, model: &mut Dlrm<T>) {
         lazydp_obs::span!(finalize_flush_all);
         let ans = self.cfg.ans;
@@ -195,44 +196,45 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
             noise,
             counters,
             iter,
-            noise_std,
+            noise_std: std,
             lr,
             ..
         } = self.core.table_stage();
-        // Plan and noise-block staging, shared by every table and freed
-        // on return (a full-table plan is table-sized).
-        let mut entries = Vec::new();
-        let mut noise_acc = Vec::new();
         for (t, (table, history)) in model.tables.iter_mut().zip(&mut self.history).enumerate() {
-            let dim = table.dim();
-            plan_all_rows(iter, history, counters, &mut entries);
-            lazydp_obs::metrics()
-                .trainer
-                .finalize_rows
-                .add(entries.len() as u64);
-            for seg in entries.chunks(FINALIZE_SEGMENT_ENTRIES) {
-                sample_entries_into(
-                    t as u32,
-                    iter,
-                    seg,
-                    dim,
-                    noise_std,
-                    ans,
-                    noise,
-                    &exec,
-                    counters,
-                    &mut noise_acc,
-                );
-                for (e, nv) in seg.iter().zip(noise_acc.chunks_exact(dim)) {
-                    table.with_row_mut(e.row, |row| {
-                        for (w, &n) in row.iter_mut().zip(nv.iter()) {
-                            *w -= lr * n;
-                        }
-                    });
-                    counters.table_rows_read += 1;
-                    counters.table_rows_written += 1;
-                }
+            let (table_id, dim) = (t as u32, table.dim());
+            let (mut owing, mut draws) = (0, 0);
+            for row in 0..history.rows() as u64 {
+                let delays = history.delays(row, iter);
+                owing += delays.min(1);
+                draws += if ans { delays.min(1) } else { delays };
             }
+            counters.history_reads += history.rows() as u64;
+            if owing == 0 {
+                continue;
+            }
+            table.sweep_rows_mut(&exec, |first_row, rows| {
+                let (mut noise, mut block) = (noise.clone(), [0.0f32; NOISE_BLOCK]);
+                let mut acc = vec![0.0f32; dim];
+                for (row, w) in (first_row..).zip(rows.chunks_mut(dim)) {
+                    let delays = history.delays(row, iter);
+                    if delays == 0 {
+                        continue;
+                    }
+                    acc.fill(0.0);
+                    add_pending_noise(
+                        &mut noise, table_id, row, iter, delays, std, ans, &mut acc, &mut block,
+                    );
+                    for (w, &a) in w.iter_mut().zip(&acc) {
+                        *w -= lr * a;
+                    }
+                }
+            });
+            *history = HistoryTable::from_raw(vec![iter as u32; history.rows()]);
+            counters.gaussian_samples += draws * dim as u64;
+            counters.history_writes += owing;
+            counters.table_rows_read += owing;
+            counters.table_rows_written += owing;
+            lazydp_obs::metrics().trainer.finalize_rows.add(owing);
         }
     }
 }
@@ -441,12 +443,8 @@ where
             if next.is_some() {
                 flush.merge_into(update);
             }
-            {
-                lazydp_obs::span!(step_sparse_update);
-                table.sparse_update(update, lr);
-            }
-            counters.table_rows_read += update.len() as u64;
-            counters.table_rows_written += update.len() as u64;
+            lazydp_obs::span!(step_sparse_update);
+            sparse_grad_update(table, update, lr, counters);
         }
         self.core.finish_step(batch, clipped)
     }
@@ -535,6 +533,64 @@ mod tests {
                 .max_abs_diff(&lazy_model.top.layers()[l].weight);
             assert!(d < 1e-3, "top MLP layer {l} diverged by {d}");
         }
+    }
+
+    /// Every weight of `m` as a bit pattern: MLP layers, then tables.
+    fn bits(m: &Dlrm) -> Vec<u32> {
+        let layers = m.bottom.layers().iter().chain(m.top.layers());
+        let mlp = layers.flat_map(|l| l.weight.as_slice().iter().chain(&l.bias));
+        mlp.chain(m.tables.iter().flat_map(|t| t.as_slice()))
+            .map(|w| w.to_bits())
+            .collect()
+    }
+
+    /// Eager DP-SGD(F) and LazyDP without ANS, same noise seed, over
+    /// `batches` (the last one only as lookahead) on backend `T`; the
+    /// released models with their tables read back into memory.
+    fn eager_and_lazy_release<T: EmbeddingStorage>(
+        mut eager_model: Dlrm<T>,
+        mut lazy_model: Dlrm<T>,
+        cfg: DpConfig,
+        batches: &[MiniBatch],
+    ) -> (Dlrm, Dlrm) {
+        let mut eager = EagerDpSgd::<_, T>::for_storage(cfg, CounterNoise::new(99));
+        let lazy_cfg = LazyDpConfig::new(cfg, false);
+        let mut lazy = LazyDpOptimizer::new(lazy_cfg, &lazy_model, CounterNoise::new(99));
+        for i in 0..batches.len() - 1 {
+            eager.step(&mut eager_model, &batches[i], None);
+            lazy.step(&mut lazy_model, &batches[i], Some(&batches[i + 1]));
+        }
+        lazy.finalize_model(&mut lazy_model);
+        let dense = |m: Dlrm<T>| m.map_tables(|_, t| t.to_dense_table());
+        (dense(eager_model), dense(lazy_model))
+    }
+
+    /// The theorem above with both sides on `StoredTable`s (5-row pages,
+    /// two frames, so the sweeps evict and the last page is partly
+    /// padding): each side releases bitwise what it releases in memory,
+    /// so the paged backend keeps the equivalence.
+    #[test]
+    fn lazydp_without_ans_exactly_matches_eager_dpsgd_on_stored_tables() {
+        use lazydp_store::{StorageConfig, StoredTable};
+        let (model0, ds) = setup(3, 48, 128);
+        let cfg = DpConfig::new(0.8, 0.9, 0.05, 16);
+        let batches: Vec<MiniBatch> = (0..=6)
+            .map(|i| ds.batch_of(&(i * 16..(i + 1) * 16).collect::<Vec<_>>()))
+            .collect();
+        let (eager_mem, lazy_mem) =
+            eager_and_lazy_release(model0.clone(), model0.clone(), cfg, &batches);
+        let scfg = StorageConfig::new().with_page_rows(5).with_cache_pages(2);
+        let stored = || {
+            model0
+                .clone()
+                .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
+                .expect("spill dir must be writable")
+        };
+        let (eager_st, lazy_st) = eager_and_lazy_release(stored(), stored(), cfg, &batches);
+        assert!(bits(&eager_st) == bits(&eager_mem), "stored eager release");
+        assert!(bits(&lazy_st) == bits(&lazy_mem), "stored LazyDP release");
+        let d = max_table_diff(&eager_st, &lazy_st);
+        assert!(d < 1e-3, "final models diverged by {d}");
     }
 
     /// ANS equivalence is distributional (Theorem 5.1): on a pure-noise

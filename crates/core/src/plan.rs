@@ -18,9 +18,8 @@
 //!
 //! The per-step lookahead flush (Algorithm 1 lines 12–21) is
 //! [`LookaheadFlush`]: plan the next batch's rows, sample, then merge
-//! into the step's sparse update. The release-time flush
-//! (`LazyDpOptimizer::finalize_model`) plans with [`plan_all_rows`] and
-//! samples through the same phase 2.
+//! into the step's sparse update. The release flush needs no plan: it
+//! sweeps the table with phase 2's row body, `add_pending_noise`.
 
 use crate::ans::aggregated_std;
 use crate::history::HistoryTable;
@@ -44,38 +43,44 @@ pub struct NoisePlanEntry {
     pub delays: u64,
 }
 
-/// Phase 1 for the release-time flush (threat model §3): scans every row
-/// of the table and plans the ones with pending noise into a
-/// caller-owned entry buffer (cleared and refilled).
-pub fn plan_all_rows(
+/// Adds the pending noise of row `row`, owing `delays` updates at
+/// `iter`, into the `dim`-wide accumulator `acc` (gradient units), per
+/// Algorithm 1: with ANS one draw `~ N(0, delays·σ²C²/B²)` (line 38);
+/// without, the `delays` separate draws addressed by the iteration whose
+/// noise they are, in ascending order — the exact values eager DP-SGD
+/// would have drawn (lines 32–35).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn add_pending_noise<N: RowNoise>(
+    noise: &mut N,
+    table_id: u32,
+    row: u64,
     iter: u64,
-    history: &mut HistoryTable,
-    counters: &mut KernelCounters,
-    entries: &mut Vec<NoisePlanEntry>,
+    delays: u64,
+    per_step_std: f32,
+    ans: bool,
+    acc: &mut [f32],
+    block: &mut [f32; NOISE_BLOCK],
 ) {
-    entries.clear();
-    for row in 0..history.rows() as u64 {
-        counters.history_reads += 1;
-        let delays = history.take_delays(row, iter);
-        if delays == 0 {
-            continue;
-        }
-        counters.history_writes += 1;
-        entries.push(NoisePlanEntry { row, delays });
+    let (std, iters) = if ans {
+        (aggregated_std(per_step_std, delays), iter..=iter)
+    } else {
+        (per_step_std, iter - delays + 1..=iter)
+    };
+    for k_iter in iters {
+        noisy_row(noise, table_id, row, k_iter, acc, block, |_, acc, n| {
+            for (a, &n) in acc.iter_mut().zip(n) {
+                *a += std * n;
+            }
+        });
     }
 }
 
 /// Phase 2: samples the pending noise of every row in `entries`
 /// data-parallel on `exec` into `acc`, the caller-owned `entries.len() ×
 /// dim` row-major noise block in plan order (gradient units — callers
-/// scale by −η when applying). Takes an explicit entry slice so
-/// `finalize_model` can flush a huge table in bounded segments without
-/// materializing table-sized noise buffers.
-///
-/// Per entry this reproduces Algorithm 1 exactly: with ANS one draw
-/// `~ N(0, delays·σ²C²/B²)` (line 38); without, the `delays` separate
-/// draws addressed by the iteration whose noise they are — the exact
-/// values eager DP-SGD would have drawn (lines 32–35).
+/// scale by −η when applying), each entry's through
+/// `add_pending_noise`.
 ///
 /// Each chunk draws through its own clone of the source, which draws
 /// the same values because a [`RowNoise`] source is a pure function of
@@ -109,28 +114,17 @@ pub fn sample_entries_into<N>(
         let mut block = [0.0f32; NOISE_BLOCK];
         let first = c * ENTRIES_PER_CHUNK;
         for (e, out) in entries[first..].iter().zip(chunk.chunks_mut(dim)) {
-            // With ANS one draw ~ N(0, delays·σ²C²/B²) — line 38;
-            // without, one draw per pending iteration at the per-step std.
-            let (std, iters) = if ans {
-                (aggregated_std(per_step_std, e.delays), iter..=iter)
-            } else {
-                (per_step_std, iter - e.delays + 1..=iter)
-            };
-            for k_iter in iters {
-                noisy_row(
-                    &mut noise,
-                    table_id,
-                    e.row,
-                    k_iter,
-                    out,
-                    &mut block,
-                    |_, out, n| {
-                        for (o, &n) in out.iter_mut().zip(n) {
-                            *o += std * n;
-                        }
-                    },
-                );
-            }
+            add_pending_noise(
+                &mut noise,
+                table_id,
+                e.row,
+                iter,
+                e.delays,
+                per_step_std,
+                ans,
+                out,
+                &mut block,
+            );
         }
     });
 }
@@ -401,21 +395,6 @@ mod tests {
         let before = update.to_dense_map();
         flush.merge_into(&mut update);
         assert_eq!(update.to_dense_map(), before);
-    }
-
-    #[test]
-    fn plan_all_rows_plans_every_pending_row() {
-        let mut h = history_at(4, &[(1, 3), (3, 7)]);
-        let mut c = KernelCounters::new();
-        // A stale entry proves the buffer is cleared, not appended to.
-        let mut plan = entries_of(&[(99, 1)]);
-        plan_all_rows(7, &mut h, &mut c, &mut plan);
-        assert_eq!(plan, entries_of(&[(0, 7), (1, 4), (2, 7)])); // row 3 is current
-        assert_eq!(c.history_reads, 4);
-        assert_eq!(c.history_writes, 3);
-        // Idempotent: a second scan owes nothing.
-        plan_all_rows(7, &mut h, &mut c, &mut plan);
-        assert!(plan.is_empty());
     }
 
     #[test]

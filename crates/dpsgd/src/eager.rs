@@ -16,9 +16,11 @@ use crate::noise_update::dense_noisy_update;
 use crate::optimizer::{Optimizer, StepStats};
 use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
+use lazydp_embedding::{EmbeddingStorage, EmbeddingTable};
 use lazydp_exec::Executor;
 use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
+use std::marker::PhantomData;
 
 /// How per-example clipping is computed: ghost norms plus the
 /// reweighted pass, the only style [`EagerDpSgd`] runs.
@@ -29,23 +31,31 @@ pub enum ClipStyle {
 }
 
 /// Eager (non-lazy) DP-SGD(F): the shared [`DpStep`] front half plus a
-/// dense noisy update of every table at `DpConfig::threads`. The whole
-/// step runs allocation-free at steady state (pinned by
-/// `tests/alloc_steady_state_eager.rs`).
+/// dense noisy update of every table at `DpConfig::threads`, on the
+/// embedding backend `T`. The whole in-memory step runs allocation-free
+/// at steady state (pinned by `tests/alloc_steady_state_eager.rs`).
 #[derive(Debug, Clone)]
-pub struct EagerDpSgd<N> {
+pub struct EagerDpSgd<N, T = EmbeddingTable> {
     core: DpStep<N>,
+    backend: PhantomData<fn() -> T>,
 }
 
 impl<N: RowNoise> EagerDpSgd<N> {
-    /// Creates an eager DP-SGD(F) optimizer. `_style` is always
-    /// [`ClipStyle::Fast`]; it keeps the argument list that existing
-    /// callers pass.
+    /// [`for_storage`](Self::for_storage) on in-memory tables. `_style`
+    /// is always [`ClipStyle::Fast`]; it keeps the argument list that
+    /// existing callers pass.
     #[must_use]
     pub fn new(cfg: DpConfig, _style: ClipStyle, noise: N) -> Self {
-        Self {
-            core: DpStep::new(cfg, noise, 0),
-        }
+        Self::for_storage(cfg, noise)
+    }
+}
+
+impl<N: RowNoise, T: EmbeddingStorage> EagerDpSgd<N, T> {
+    /// Creates an eager DP-SGD(F) optimizer for tables of backend `T`.
+    #[must_use]
+    pub fn for_storage(cfg: DpConfig, noise: N) -> Self {
+        let (core, backend) = (DpStep::new(cfg, noise, 0), PhantomData);
+        Self { core, backend }
     }
 
     /// The hyper-parameters.
@@ -55,14 +65,14 @@ impl<N: RowNoise> EagerDpSgd<N> {
     }
 }
 
-impl<N: RowNoise> Optimizer for EagerDpSgd<N> {
+impl<N: RowNoise, T: EmbeddingStorage> Optimizer<T> for EagerDpSgd<N, T> {
     fn name(&self) -> &'static str {
         "DP-SGD(F)"
     }
 
     fn step(
         &mut self,
-        model: &mut Dlrm,
+        model: &mut Dlrm<T>,
         batch: &MiniBatch,
         _next: Option<&MiniBatch>,
     ) -> StepStats {

@@ -14,6 +14,7 @@ use crate::noise_update::sparse_noisy_update_with;
 use crate::optimizer::{Optimizer, StepStats};
 use crate::step::{DpStep, TableStage};
 use lazydp_data::MiniBatch;
+use lazydp_embedding::EmbeddingStorage;
 use lazydp_model::Dlrm;
 use lazydp_rng::RowNoise;
 
@@ -42,14 +43,14 @@ impl<N: RowNoise> EanaOptimizer<N> {
     }
 }
 
-impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
+impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for EanaOptimizer<N> {
     fn name(&self) -> &'static str {
         "EANA"
     }
 
     fn step(
         &mut self,
-        model: &mut Dlrm,
+        model: &mut Dlrm<T>,
         batch: &MiniBatch,
         _next: Option<&MiniBatch>,
     ) -> StepStats {
@@ -130,7 +131,7 @@ mod tests {
         let batch = ds.batch_of(&(0..8).collect::<Vec<_>>());
         let mlp_params = (model.bottom.params() + model.top.params()) as u64;
         opt.step(&mut model, &batch, None);
-        let c = opt.counters();
+        let c = Optimizer::<lazydp_embedding::EmbeddingTable>::counters(&opt);
         let emb_samples = c.gaussian_samples - mlp_params;
         let dim = model.config().embedding_dim as u64;
         // At most one noise vector per lookup (fewer after dedup),

@@ -10,10 +10,10 @@
 //!   bottleneck the paper root-causes in §4.3. The sweep is
 //!   embarrassingly parallel over rows and the paper's tuned baseline
 //!   multi-threads it with TBB/OpenMP (§6); here it is one
-//!   chunk-addressed region on the [`lazydp_exec::Executor`], over
-//!   fixed-size row chunks (never sized by the thread count), so with
-//!   counter-based noise it is *identical* at any executor width —
-//!   verified by the tests.
+//!   [`EmbeddingStorage::sweep_rows_mut`] over the backend's row runs,
+//!   each row's noise addressed by the row, never by its run, so with
+//!   counter-based noise it is *identical* at any executor width and on
+//!   any backend.
 //! * [`sparse_noisy_update_with`] — EANA's variant (§7.4): noise lands
 //!   only on the rows that were accessed, which is cheap but leaks
 //!   which rows were never touched.
@@ -23,18 +23,13 @@
 //! one body, [`noisy_row`].
 
 use crate::counters::KernelCounters;
-use lazydp_embedding::{EmbeddingTable, SparseGrad};
+use lazydp_embedding::{EmbeddingStorage, SparseGrad};
 use lazydp_exec::Executor;
 use lazydp_rng::{RowNoise, NOISE_BLOCK};
 
-/// Embedding rows per executor chunk of the dense sweep. Fixed (not
-/// derived from the thread count) so chunk addressing — and therefore
-/// any per-chunk noise state — is thread-count independent.
-const ROWS_PER_CHUNK: usize = 512;
-
 /// SGD sparse update: `θ[r] -= lr · g[r]` for gathered rows only.
-pub fn sparse_grad_update(
-    table: &mut EmbeddingTable,
+pub fn sparse_grad_update<T: EmbeddingStorage>(
+    table: &mut T,
     grad: &SparseGrad,
     lr: f32,
     counters: &mut KernelCounters,
@@ -104,22 +99,22 @@ pub(crate) fn noisy_update_row<N: RowNoise>(
 /// The dense noisy update on `exec`: for **every** row `r` of the table,
 /// `θ[r] -= lr · (noise_std·n_r + g[r])`, where `n_r` is a fresh
 /// standard-normal vector drawn from `noise` for `(table_id, r, iter)`
-/// and `g[r]` is zero for non-gathered rows. Each chunk finds its first
-/// entry of the coalesced (sorted) gradient by one binary search, then
-/// walks the entries in step with its rows. One `par_for` region over
-/// fixed row chunks; each chunk draws through its own clone of `noise`
-/// (the same values: a [`RowNoise`] source is a pure function of the
-/// address) and one stack block, so no chunk body allocates or zeroes
-/// per-row scratch, the sweep allocates nothing at executor width 1, and
-/// it is bitwise the same at any width.
+/// and `g[r]` is zero for non-gathered rows. One table sweep, whose
+/// row runs the backend chooses; each run finds its first entry of the
+/// coalesced (sorted) gradient by one binary search, then walks the
+/// entries in step with its rows, drawing through its own clone of
+/// `noise` (the same values: a [`RowNoise`] source is a pure function of
+/// the address) and one stack block, so the in-memory sweep allocates
+/// nothing at executor width 1, and it is bitwise the same at any width
+/// and on any backend.
 ///
 /// # Panics
 ///
 /// Panics if `grad` is not coalesced or its dimension mismatches.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dense_noisy_update<N: RowNoise>(
+pub(crate) fn dense_noisy_update<N: RowNoise, T: EmbeddingStorage>(
     table_id: u32,
-    table: &mut EmbeddingTable,
+    table: &mut T,
     grad: &SparseGrad,
     noise: &N,
     iter: u64,
@@ -133,17 +128,15 @@ pub(crate) fn dense_noisy_update<N: RowNoise>(
         grad.is_coalesced(),
         "gradient must be coalesced (sorted, duplicate-free rows)"
     );
-    counters.gaussian_samples += (table.rows() * table.dim()) as u64;
+    counters.gaussian_samples += table.elements() as u64;
     counters.table_rows_read += table.rows() as u64;
     counters.table_rows_written += table.rows() as u64;
     let dim = table.dim();
-    exec.par_for(table.as_mut_slice(), ROWS_PER_CHUNK * dim, |c, chunk| {
+    table.sweep_rows_mut(exec, |first_row, rows| {
         let mut noise = noise.clone();
         let mut block = [0.0f32; NOISE_BLOCK];
-        let first_row = c * ROWS_PER_CHUNK;
-        let mut next = grad.indices().partition_point(|&i| i < first_row as u64);
-        for (k, row) in chunk.chunks_mut(dim).enumerate() {
-            let r = (first_row + k) as u64;
+        let mut next = grad.indices().partition_point(|&i| i < first_row);
+        for (r, row) in (first_row..).zip(rows.chunks_mut(dim)) {
             let g = if grad.indices().get(next) == Some(&r) {
                 next += 1;
                 Some(grad.entry(next - 1).1)
@@ -166,9 +159,9 @@ pub(crate) fn dense_noisy_update<N: RowNoise>(
 ///
 /// Panics if `grad` is not coalesced or its dimension mismatches.
 #[allow(clippy::too_many_arguments)]
-pub fn dense_noisy_update_with<N: RowNoise>(
+pub fn dense_noisy_update_with<N: RowNoise, T: EmbeddingStorage>(
     table_id: u32,
-    table: &mut EmbeddingTable,
+    table: &mut T,
     grad: &SparseGrad,
     noise: &mut N,
     iter: u64,
@@ -192,9 +185,9 @@ pub fn dense_noisy_update_with<N: RowNoise>(
 ///
 /// Panics if `grad` is not coalesced or its dimension mismatches.
 #[allow(clippy::too_many_arguments)]
-pub fn sparse_noisy_update_with<N: RowNoise>(
+pub fn sparse_noisy_update_with<N: RowNoise, T: EmbeddingStorage>(
     table_id: u32,
-    table: &mut EmbeddingTable,
+    table: &mut T,
     grad: &SparseGrad,
     noise: &mut N,
     iter: u64,
@@ -214,18 +207,19 @@ pub fn sparse_noisy_update_with<N: RowNoise>(
             "gradient must be coalesced (row {idx} out of order or duplicated)"
         );
         last_idx = Some(idx);
-        let row = table.row_mut(idx as usize);
-        noisy_update_row(
-            noise,
-            table_id,
-            idx,
-            iter,
-            row,
-            Some(g),
-            noise_std,
-            lr,
-            &mut block,
-        );
+        table.with_row_mut(idx, |row| {
+            noisy_update_row(
+                noise,
+                table_id,
+                idx,
+                iter,
+                row,
+                Some(g),
+                noise_std,
+                lr,
+                &mut block,
+            );
+        });
     }
     counters.gaussian_samples += (grad.len() * table.dim()) as u64;
     counters.table_rows_read += grad.len() as u64;
@@ -235,6 +229,7 @@ pub fn sparse_noisy_update_with<N: RowNoise>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazydp_embedding::EmbeddingTable;
     use lazydp_rng::counter::CounterNoise;
     use lazydp_rng::fill_standard_normal;
 
@@ -437,9 +432,11 @@ mod tests {
 
     #[test]
     fn tables_larger_than_one_chunk_match_the_row_by_row_reference() {
-        // > ROWS_PER_CHUNK rows so several chunks are actually in
-        // flight, with gradient rows scattered across chunks; every
-        // chunk must address its rows from the table's row 0.
+        // The in-memory sweep hands over 512-row chunks: more rows than
+        // that so several chunks are actually in flight, with gradient
+        // rows scattered across chunks; every chunk must address its
+        // rows from the table's row 0.
+        const ROWS_PER_CHUNK: usize = 512;
         let rows = 2 * ROWS_PER_CHUNK + 37;
         let g = grad_for(
             2,

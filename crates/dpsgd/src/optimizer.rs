@@ -24,14 +24,10 @@ pub struct StepStats {
 /// LazyDP requires it for every step except the last before
 /// [`finalize`](Self::finalize).
 ///
-/// `T` is the embedding backend the algorithm can drive. It defaults to
-/// the in-memory [`EmbeddingTable`], which every optimizer supports.
-/// Algorithms whose per-row work is `O(batch)` — LazyDP — additionally
-/// implement the trait for *every* [`EmbeddingStorage`], including the
-/// out-of-core `lazydp_store::StoredTable`; eager DP-SGD deliberately
-/// does not, because its dense full-table noisy update would thrash any
-/// bounded page cache (that full-table traffic is precisely what the
-/// paper removes).
+/// `T` is the embedding backend the algorithm drives, the in-memory
+/// [`EmbeddingTable`] by default. Every algorithm runs on every
+/// [`EmbeddingStorage`], including the out-of-core
+/// `lazydp_store::StoredTable`.
 pub trait Optimizer<T: EmbeddingStorage = EmbeddingTable> {
     /// Algorithm name as the paper spells it (e.g. `"DP-SGD(F)"`).
     fn name(&self) -> &'static str;

@@ -6,44 +6,55 @@ use crate::noise_update::sparse_grad_update;
 use crate::optimizer::{Optimizer, StepStats};
 use crate::step::StepScratch;
 use lazydp_data::MiniBatch;
+use lazydp_embedding::{EmbeddingStorage, EmbeddingTable};
 use lazydp_model::Dlrm;
+use std::marker::PhantomData;
 
-/// Plain mini-batch SGD with sparse embedding updates (paper Fig. 4(a)).
+/// Plain mini-batch SGD with sparse embedding updates (paper Fig. 4(a)),
+/// on the embedding backend `T`.
 ///
 /// Owns the same step scratch as the DP optimizers (forward
 /// cache, gradient buffers): after the first step sizes it,
 /// steady-state steps perform no heap allocations.
-#[derive(Debug, Clone, Default)]
-pub struct SgdOptimizer {
+#[derive(Debug, Clone)]
+pub struct SgdOptimizer<T = EmbeddingTable> {
     lr: f32,
     counters: KernelCounters,
     scratch: StepScratch,
+    backend: PhantomData<fn() -> T>,
 }
 
 impl SgdOptimizer {
-    /// Creates an SGD optimizer with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
+    /// [`for_storage`](Self::for_storage) on in-memory tables.
     #[must_use]
     pub fn new(lr: f32) -> Self {
+        Self::for_storage(lr)
+    }
+}
+
+impl<T: EmbeddingStorage> SgdOptimizer<T> {
+    /// An SGD optimizer with learning rate `lr` for tables of backend
+    /// `T`. Panics if `lr` is not positive and finite.
+    #[must_use]
+    pub fn for_storage(lr: f32) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         Self {
             lr,
-            ..Self::default()
+            counters: KernelCounters::default(),
+            scratch: StepScratch::default(),
+            backend: PhantomData,
         }
     }
 }
 
-impl Optimizer for SgdOptimizer {
+impl<T: EmbeddingStorage> Optimizer<T> for SgdOptimizer<T> {
     fn name(&self) -> &'static str {
         "SGD"
     }
 
     fn step(
         &mut self,
-        model: &mut Dlrm,
+        model: &mut Dlrm<T>,
         batch: &MiniBatch,
         _next: Option<&MiniBatch>,
     ) -> StepStats {

@@ -1,10 +1,10 @@
 //! The row-access surface shared by every embedding-table backend.
 //!
-//! LazyDP's training loop only ever touches an embedding table through a
-//! handful of row-granular operations: gather a batch's rows, apply a
-//! coalesced sparse update, and (at release time) add pending noise to
-//! individual rows. [`EmbeddingStorage`] captures exactly that surface,
-//! so the optimizer stack (`lazydp-core`), the DLRM forward/backward
+//! Training only ever touches an embedding table through a handful of
+//! operations: gather a batch's rows, apply a coalesced sparse update,
+//! and sweep the whole table (eager DP-SGD's noise, LazyDP's release, a
+//! checkpoint restore). [`EmbeddingStorage`] captures exactly that
+//! surface, so every optimizer, the DLRM forward/backward
 //! (`lazydp-model`), and checkpointing are written once and run
 //! unchanged against either backend:
 //!
@@ -14,21 +14,21 @@
 //!   table lives on disk (or, never written, nowhere at all).
 //!
 //! The contract is *bitwise*: for the same logical row contents, every
-//! backend must return identical bytes from its [`RowReader`] and apply
-//! identical arithmetic in [`sparse_update`] — backends change where a
-//! row lives, never what happens to it. Row borrows are scoped — to a
-//! [`reader`] that batch reads share, or to a closure
-//! ([`with_row`]/[`with_row_mut`]) — rather than returned from the
-//! table, because a paged backend can only pin a row while it holds its
-//! page in the cache.
+//! backend must return identical bytes from its [`RowReader`], apply
+//! identical arithmetic in [`sparse_update`], and hand
+//! [`sweep_rows_mut`] every row once by its global index — backends
+//! change where a row lives, never what happens to it. Row borrows are
+//! scoped — to a [`reader`] that batch reads share, or to a closure —
+//! rather than returned from the table, because a paged backend can
+//! only pin a row while it holds its page in the cache.
 //!
 //! [`reader`]: EmbeddingStorage::reader
-//! [`with_row`]: EmbeddingStorage::with_row
-//! [`with_row_mut`]: EmbeddingStorage::with_row_mut
 //! [`sparse_update`]: EmbeddingStorage::sparse_update
+//! [`sweep_rows_mut`]: EmbeddingStorage::sweep_rows_mut
 
 use crate::sparse::SparseGrad;
 use crate::table::EmbeddingTable;
+use lazydp_exec::Executor;
 use lazydp_tensor::Matrix;
 
 /// Reads rows of one table for as long as it lives: the batch read path
@@ -95,6 +95,14 @@ pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
     /// Panics if `r >= rows()`.
     fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R;
 
+    /// Writes the whole table in one pass: calls `f(first_row, rows)` on
+    /// runs of whole rows, starting at row `first_row`, that together
+    /// cover every row once, on `exec`, and persists what `f` writes.
+    /// The grouping is the backend's (fixed-size chunks of one region in
+    /// memory, a page walk on disk), so `f` must address its work by
+    /// row, never by call.
+    fn sweep_rows_mut(&mut self, exec: &Executor, f: impl Fn(u64, &mut [f32]) + Sync);
+
     /// Total number of `f32` parameters.
     fn elements(&self) -> usize {
         self.rows() * self.dim()
@@ -115,9 +123,8 @@ pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
         out
     }
 
-    /// Sparse SGD update: `row[idx] -= lr * grad_row` for every entry —
-    /// identical arithmetic to [`EmbeddingTable::sparse_update`] on
-    /// every backend.
+    /// Sparse SGD update (Fig. 4(a)): `row[idx] -= lr * grad_row` for
+    /// every entry, coalesced or not, on every backend.
     ///
     /// # Panics
     ///
@@ -153,42 +160,10 @@ pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
     }
 }
 
-impl EmbeddingStorage for EmbeddingTable {
-    type Reader<'a> = &'a EmbeddingTable;
-
-    fn rows(&self) -> usize {
-        EmbeddingTable::rows(self)
-    }
-
-    fn dim(&self) -> usize {
-        EmbeddingTable::dim(self)
-    }
-
-    fn bytes(&self) -> u64 {
-        EmbeddingTable::bytes(self)
-    }
-
-    fn reader(&self) -> &EmbeddingTable {
-        self
-    }
-
-    fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
-        f(self.row_mut(usize::try_from(r).expect("row fits usize")))
-    }
-
-    fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
-        EmbeddingTable::sparse_update(self, grad, lr);
-    }
-
-    fn to_dense_table(&self) -> EmbeddingTable {
-        self.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lazydp_rng::{Prng, Xoshiro256PlusPlus};
+    use lazydp_rng::Xoshiro256PlusPlus;
 
     fn dense(rows: usize, dim: usize) -> EmbeddingTable {
         let mut rng = Xoshiro256PlusPlus::seed_from(5);
@@ -222,45 +197,26 @@ mod tests {
         backend.sparse_update(&grad, 0.1);
         backend.with_row_mut(4, |row| row[0] = 42.0);
         want.row_mut(4)[0] = 42.0;
+        // A sweep on two threads: every row exactly once, in whole
+        // rows, addressed by its global index.
+        let dim = reference.dim();
+        backend.sweep_rows_mut(&Executor::new(2), |first, rows| {
+            assert!(!rows.is_empty() && rows.len() % dim == 0);
+            for (r, row) in (first..).zip(rows.chunks_mut(dim)) {
+                row[dim - 1] += r as f32;
+            }
+        });
+        for r in 0..want.rows() {
+            want.row_mut(r)[dim - 1] += r as f32;
+        }
         backend.prefetch_rows(&[2, 9]); // must be value-invisible
         assert_eq!(backend.to_dense_table(), want);
     }
 
     #[test]
     fn dense_table_satisfies_the_trait_contract() {
-        let d = dense(12, 4);
+        // More rows than one sweep chunk holds, and not a multiple of it.
+        let d = dense(2 * 512 + 37, 4);
         check_backend(d.clone(), &d);
-    }
-
-    #[test]
-    fn default_gather_and_update_match_inherent_ones() {
-        // A minimal backend that only supplies a reader and the mutable
-        // row accessor must still gather/update exactly like the dense
-        // table (this is what keeps `lazydp_store` honest).
-        #[derive(Debug)]
-        struct Wrapper(EmbeddingTable);
-        impl EmbeddingStorage for Wrapper {
-            type Reader<'a> = &'a EmbeddingTable;
-            fn rows(&self) -> usize {
-                self.0.rows()
-            }
-            fn dim(&self) -> usize {
-                self.0.dim()
-            }
-            fn bytes(&self) -> u64 {
-                self.0.bytes()
-            }
-            fn reader(&self) -> &EmbeddingTable {
-                &self.0
-            }
-            fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
-                f(self.0.row_mut(r as usize))
-            }
-        }
-        let d = dense(10, 3);
-        check_backend(Wrapper(d.clone()), &d);
-        let mut rng = Xoshiro256PlusPlus::seed_from(9);
-        let probe: Vec<u64> = (0..6).map(|_| rng.next_u64() % 10).collect();
-        assert_eq!(Wrapper(d.clone()).gather(&probe), d.gather(&probe));
     }
 }

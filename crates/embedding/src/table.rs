@@ -1,15 +1,22 @@
-//! Embedding table storage and update primitives.
+//! The dense in-memory embedding table.
 
-use crate::sparse::SparseGrad;
+use crate::storage::EmbeddingStorage;
+use lazydp_exec::Executor;
 use lazydp_rng::Prng;
-use lazydp_tensor::Matrix;
+
+/// Rows per executor chunk of a whole-table sweep. Fixed, never derived
+/// from the thread count, so a sweep's chunks are the same at any
+/// executor width.
+const SWEEP_CHUNK_ROWS: usize = 512;
 
 /// An embedding table: `rows` vectors of `dim` `f32` weights.
 ///
 /// The table is a *trainable* weight tensor (paper §1): SGD updates only
 /// gathered rows, while DP-SGD must add noise to every row. Both access
-/// styles are provided as primitives here; optimizers in `lazydp-dpsgd`
-/// and `lazydp-core` choose which to invoke and account for their cost.
+/// styles are [`EmbeddingStorage`] methods —
+/// `sparse_update` and `sweep_rows_mut` — shared with every other
+/// backend; optimizers in `lazydp-dpsgd` and `lazydp-core` choose which
+/// to invoke and account for their cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
     rows: usize,
@@ -60,18 +67,6 @@ impl EmbeddingTable {
         self.dim
     }
 
-    /// Total number of `f32` parameters.
-    #[must_use]
-    pub fn elements(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Size in bytes of the weight storage.
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        (self.weights.len() * std::mem::size_of::<f32>()) as u64
-    }
-
     /// Row `r` as a slice.
     ///
     /// # Panics
@@ -100,48 +95,6 @@ impl EmbeddingTable {
         &self.weights
     }
 
-    /// Mutable flat weight view.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.weights
-    }
-
-    /// Gathers `indices` into a dense `indices.len() × dim` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    #[must_use]
-    pub fn gather(&self, indices: &[u64]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.dim);
-        for (i, &idx) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(idx as usize));
-        }
-        out
-    }
-
-    /// Sparse SGD update: `row[idx] -= lr * grad_row` for every entry of
-    /// the (coalesced or not) sparse gradient — the paper's Fig. 4(a)
-    /// update path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient dimension differs from the table's.
-    pub fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
-        assert_eq!(grad.dim(), self.dim, "sparse grad dim mismatch");
-        for (idx, values) in grad.iter() {
-            let row = self.row_mut(idx as usize);
-            for (w, &g) in row.iter_mut().zip(values.iter()) {
-                *w -= lr * g;
-            }
-        }
-    }
-
-    /// L2 norm of the full table (test helper).
-    #[must_use]
-    pub fn frob_norm(&self) -> f64 {
-        lazydp_tensor::vecops::norm(&self.weights)
-    }
-
     /// Maximum absolute element-wise difference to another table.
     ///
     /// # Panics
@@ -158,9 +111,45 @@ impl EmbeddingTable {
     }
 }
 
+impl EmbeddingStorage for EmbeddingTable {
+    type Reader<'a> = &'a EmbeddingTable;
+
+    fn rows(&self) -> usize {
+        EmbeddingTable::rows(self)
+    }
+
+    fn dim(&self) -> usize {
+        EmbeddingTable::dim(self)
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.weights.len() * std::mem::size_of::<f32>()) as u64
+    }
+
+    fn reader(&self) -> &EmbeddingTable {
+        self
+    }
+
+    fn with_row_mut<R>(&mut self, r: u64, f: impl FnOnce(&mut [f32]) -> R) -> R {
+        f(self.row_mut(usize::try_from(r).expect("row fits usize")))
+    }
+
+    /// One `exec` region over the weights, in 512-row chunks.
+    fn sweep_rows_mut(&mut self, exec: &Executor, f: impl Fn(u64, &mut [f32]) + Sync) {
+        exec.par_for(&mut self.weights, SWEEP_CHUNK_ROWS * self.dim, |c, rows| {
+            f((c * SWEEP_CHUNK_ROWS) as u64, rows);
+        });
+    }
+
+    fn to_dense_table(&self) -> EmbeddingTable {
+        self.clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SparseGrad;
     use lazydp_rng::Xoshiro256PlusPlus;
 
     #[test]

@@ -181,7 +181,7 @@ pub struct TrainerMetrics {
     pub noise_plan_rows: Counter,
     /// Pending-history depth (delayed iterations) per flushed row.
     pub pending_depth: Histogram,
-    /// Rows flushed by `finalize_model`'s segmented sweep.
+    /// Rows that owed noise when `finalize_model`'s sweep flushed them.
     pub finalize_rows: Counter,
 }
 

@@ -209,6 +209,34 @@ impl PageCache {
         &mut frame.data
     }
 
+    /// Takes every frame's second chance away. The next `capacity`
+    /// distinct pages faulted then all stay resident, unless a fault
+    /// fails and is retried: for the clock hand to come back round to
+    /// one of them, every other frame would have to be referenced, that
+    /// is, hold a page faulted since. A failed fault stops the hand
+    /// without filling a frame, so retries can revolve it.
+    pub fn clear_references(&mut self) {
+        for frame in &mut self.frames {
+            frame.referenced = false;
+        }
+    }
+
+    /// The frames of `pages`, in page order, each marked dirty — or
+    /// `None` unless every one of them is resident. Lends several frames
+    /// at once, so a sweep can share a run of pages out to threads.
+    pub fn frames_mut(&mut self, pages: std::ops::Range<usize>) -> Option<Vec<&mut [f32]>> {
+        let slots: Vec<usize> = pages
+            .map(|page| self.slot_of(page))
+            .collect::<Option<_>>()?;
+        let mut frames: Vec<Option<&mut Frame>> = self.frames.iter_mut().map(Some).collect();
+        let lend = |slot: usize| {
+            let frame = frames[slot].take().expect("a page has one frame");
+            frame.dirty = true;
+            &mut frame.data[..]
+        };
+        Some(slots.into_iter().map(lend).collect())
+    }
+
     /// Runs `f` on the resident copy of `page`.
     ///
     /// # Errors
@@ -525,6 +553,39 @@ mod tests {
             pages.sort_unstable();
             pages
         }
+    }
+
+    #[test]
+    fn a_run_no_longer_than_the_cache_stays_resident_once_references_are_cleared() {
+        use lazydp_rng::{Prng, Xoshiro256PlusPlus};
+        for seed in 0..200u64 {
+            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+            let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+            let (capacity, pages) = (1 + pick(6), 16);
+            let mut f = file(pages, 2);
+            let mut c = PageCache::new(capacity, 2);
+            // Any history: hits leave frames referenced wherever the
+            // hand stands.
+            for _ in 0..pick(40) {
+                c.touch(pick(pages), &mut f).unwrap();
+            }
+            let first = pick(pages);
+            let run = first..(first + 1 + pick(capacity)).min(pages);
+            c.clear_references();
+            for page in run.clone() {
+                c.touch(page, &mut f).unwrap();
+            }
+            let frames = c.frames_mut(run.clone()).expect("the run is resident");
+            assert_eq!(frames.len(), run.len(), "seed {seed}");
+        }
+        // Without the clearing, a run's hit can be its next miss's
+        // victim: a run of pages 0 and 2 after pages 0 and 1.
+        let mut f = file(3, 2);
+        let mut c = PageCache::new(2, 2);
+        for page in [0, 1, 0, 2] {
+            c.touch(page, &mut f).unwrap();
+        }
+        assert!(c.frames_mut(0..1).is_none(), "page 0 was evicted");
     }
 
     #[test]

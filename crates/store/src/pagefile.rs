@@ -125,6 +125,8 @@ pub struct PageFile {
     pages: usize,
     /// What never-written pages hold; `None` is zeros.
     fill: Option<RowFill>,
+    /// Pages a write was ever attempted on.
+    written: Vec<bool>,
     /// Scratch byte buffer reused across reads/writes (one slot:
     /// data bytes plus the checksum trailer).
     scratch: Vec<u8>,
@@ -177,6 +179,7 @@ impl PageFile {
             page_elems,
             pages,
             fill: None,
+            written: vec![false; pages],
             scratch: vec![0u8; slot_bytes(page_elems) as usize],
             faults: Faults::current(),
             read_ops: 0,
@@ -314,6 +317,17 @@ impl PageFile {
         Ok(())
     }
 
+    /// Fills `out` with what page `page` holds, read from no device, if
+    /// no write was ever attempted on it; returns whether it did.
+    pub fn read_unwritten(&self, page: usize, out: &mut [f32]) -> bool {
+        match (self.written[page], &self.fill) {
+            (true, _) => return false,
+            (false, Some(fill)) => fill.fill_page(page, out),
+            (false, None) => out.fill(0.0),
+        }
+        true
+    }
+
     /// Writes `data` (`page_elems` long) as page `page`, appending its
     /// checksum trailer.
     ///
@@ -327,6 +341,8 @@ impl PageFile {
     /// or when the fault plan fires an injected kill here.
     pub fn write_page(&mut self, page: usize, data: &[f32]) -> Result<(), StorageError> {
         assert_eq!(data.len(), self.page_elems, "page buffer length mismatch");
+        self.written[page] = true; // a failed write may still land
+
         let ord = self.write_ops;
         self.write_ops += 1;
         let injected = self.injection(Site::PageWrite, ord, page)?;

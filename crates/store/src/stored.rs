@@ -5,9 +5,14 @@ use crate::config::StorageConfig;
 use crate::error::StorageError;
 use crate::pagefile::PageFile;
 use lazydp_embedding::{EmbeddingStorage, EmbeddingTable, RowReader, SparseGrad};
+use lazydp_exec::Executor;
 use lazydp_rng::Prng;
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Rows per executor chunk of a whole-table sweep, rounded up to whole
+/// pages.
+const SWEEP_CHUNK_ROWS: usize = 512;
 
 /// The paged engine state: the spill file and the page cache that fronts
 /// it. One lock guards both — every access is a (cache op, possible file
@@ -46,13 +51,12 @@ enum Backend {
 /// pages in a spill file; a bounded [`PageCache`] keeps the hot set
 /// resident with clock eviction and dirty write-back.
 ///
-/// `StoredTable` implements [`EmbeddingStorage`], so the whole LazyDP
-/// training stack — `LazyDpOptimizer::step`, the lookahead pending-noise
-/// flush, `finalize_model`, and checkpointing — runs against it
-/// unchanged, and (the tentpole invariant, proven by the workspace
-/// proptests and `examples/out_of_core.rs`) releases a model **bitwise
-/// identical** to the in-memory backend for any page size and any cache
-/// capacity, including a pathological 1-page cache.
+/// `StoredTable` implements [`EmbeddingStorage`], so every optimizer and
+/// checkpointing run against it unchanged, and (the tentpole invariant,
+/// proven by the workspace proptests, the stored release pins of
+/// `tests/equivalence.rs` and `examples/out_of_core.rs`) release a model
+/// **bitwise identical** to the in-memory backend for any page size and
+/// any cache capacity, including a pathological 1-page cache.
 ///
 /// # Determinism contract
 ///
@@ -312,9 +316,10 @@ impl StoredTable {
     }
 
     /// Reads the whole table into a page-major buffer: file pages for
-    /// everything not resident, then the resident cache frames on top
-    /// (they are authoritative — at least as new as the file's copy, and
-    /// a dirty frame may be the *only* copy after a failed write-back).
+    /// everything not resident (a page never written is its fill, read
+    /// from no device), then the resident cache frames on top (they are
+    /// authoritative — at least as new as the file's copy, and a dirty
+    /// frame may be the *only* copy after a failed write-back).
     fn drain_to_resident(&self, engine: &mut Engine) -> Result<Vec<f32>, StorageError> {
         let page_elems = self.page_elems();
         let mut data = vec![0.0f32; self.pages * page_elems];
@@ -324,7 +329,9 @@ impl StoredTable {
             if resident.contains(&page) {
                 continue;
             }
-            lazydp_fault::with_retry(|| engine.file.read_page(page, &mut buf))?;
+            if !engine.file.read_unwritten(page, &mut buf) {
+                lazydp_fault::with_retry(|| engine.file.read_page(page, &mut buf))?;
+            }
             data[page * page_elems..(page + 1) * page_elems].copy_from_slice(&buf);
         }
         for (page, frame) in engine.cache.resident_pages() {
@@ -482,6 +489,67 @@ impl EmbeddingStorage for StoredTable {
         f(&mut self.page_mut(&mut guard, page)[start..start + self.dim])
     }
 
+    /// Walks the pages in order under one engine lock, in runs of as
+    /// many pages as the cache holds: each page of a run is faulted in
+    /// once (with every reference bit cleared first, so the run's own
+    /// faults evict none of it unless one is retried — then the run goes
+    /// page by page), then the run's frames are shared out to `exec` as
+    /// one region of whole pages — their valid rows, never the last
+    /// page's padding — of at least 512 rows per chunk,
+    /// and a dirtied page is written back once, on eviction. A
+    /// persistent device failure mid-walk degrades the table and the
+    /// walk goes on over the resident rows.
+    fn sweep_rows_mut(&mut self, exec: &Executor, f: impl Fn(u64, &mut [f32]) + Sync) {
+        let page_elems = self.page_elems();
+        let rows_of = |page: usize| {
+            let first = page * self.page_rows;
+            (first, self.page_rows.min(self.rows - first) * self.dim)
+        };
+        let mut guard = self.lock();
+        let mut next = 0;
+        while next < self.pages {
+            let end = match &mut *guard {
+                Backend::Paged(engine) => {
+                    engine.cache.clear_references();
+                    (next + engine.cache.capacity()).min(self.pages)
+                }
+                Backend::Resident(_) => self.pages,
+            };
+            for page in next..end {
+                let _ = self.ensure_page(&mut guard, page);
+            }
+            let frames = match &mut *guard {
+                Backend::Paged(engine) => engine.cache.frames_mut(next..end),
+                Backend::Resident(data) => Some(
+                    data[next * page_elems..end * page_elems]
+                        .chunks_mut(page_elems)
+                        .collect(),
+                ),
+            };
+            if let Some(frames) = frames {
+                let mut run: Vec<(u64, &mut [f32])> = (next..end)
+                    .zip(frames)
+                    .map(|(page, frame)| {
+                        let (first, valid) = rows_of(page);
+                        (first as u64, &mut frame[..valid])
+                    })
+                    .collect();
+                let chunk_pages = SWEEP_CHUNK_ROWS.div_ceil(self.page_rows);
+                exec.par_for(&mut run, chunk_pages, |_, pages| {
+                    for (first, rows) in pages {
+                        f(*first, rows);
+                    }
+                });
+            } else {
+                for page in next..end {
+                    let (first, valid) = rows_of(page);
+                    f(first as u64, &mut self.page_mut(&mut guard, page)[..valid]);
+                }
+            }
+            next = end;
+        }
+    }
+
     fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
         assert_eq!(grad.dim(), self.dim, "sparse grad dim mismatch");
         let mut guard = self.lock();
@@ -630,6 +698,57 @@ mod tests {
             let stats = s.stats();
             assert!(stats.evictions > 0, "an undersized cache must evict");
             assert!(stats.write_backs > 0, "dirty pages must spill");
+        }
+    }
+
+    #[test]
+    fn a_sweep_hands_over_every_row_once_at_any_geometry() {
+        let (rows, dim) = (1300, 3);
+        let d = dense(rows, dim);
+        let mut want = d.clone();
+        for r in 0..rows {
+            want.row_mut(r)[dim - 1] += r as f32;
+        }
+        // Pages of one row, of a few, of more than a sweep chunk (1 100
+        // rows, a 200-row last page) and of more than the table, runs of
+        // one page to the whole table; the padding of a partial last
+        // page never shows.
+        let geometries = [
+            (1usize, 1usize),
+            (4, 2),
+            (64, 100),
+            (64, 1),
+            (1100, 1),
+            (2048, 1),
+        ];
+        for ((page_rows, cache_pages), threads) in geometries
+            .into_iter()
+            .zip([1usize, 2, 3].into_iter().cycle())
+        {
+            let mut s = StoredTable::from_dense(&d, &cfg(page_rows, cache_pages)).expect("spill");
+            // Pages 0 and 5 resident and referenced, the hand at page 0:
+            // without the sweep's clearing, its first miss would evict
+            // page 0, a hit of the same run.
+            s.with_row(0, |_| ());
+            s.with_row((5 * page_rows).min(rows - 1) as u64, |_| ());
+            let warm = s.stats();
+            s.sweep_rows_mut(&Executor::new(threads), |first, rows| {
+                assert!(!rows.is_empty() && rows.len() <= page_rows * dim && rows.len() % dim == 0);
+                for (r, row) in (first..).zip(rows.chunks_mut(dim)) {
+                    row[dim - 1] += r as f32;
+                }
+            });
+            let stats = s.stats();
+            assert_eq!(
+                stats.hits + stats.misses - warm.hits - warm.misses,
+                s.total_pages() as u64,
+                "one fault per page"
+            );
+            assert_eq!(
+                s.to_dense_table(),
+                want,
+                "pages {page_rows} cache {cache_pages} threads {threads}"
+            );
         }
     }
 

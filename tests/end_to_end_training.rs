@@ -61,8 +61,8 @@ fn every_optimizer_learns() {
     }
     {
         let mut m = model0.clone();
-        let mut o = EanaOptimizer::new(dp, CounterNoise::new(11));
-        let (b, a) = train(&mut o, &mut m, &ds);
+        let o: &mut dyn Optimizer = &mut EanaOptimizer::new(dp, CounterNoise::new(11));
+        let (b, a) = train(o, &mut m, &ds);
         results.push((o.name().to_owned(), b, a));
     }
     for ans in [true, false] {

@@ -10,15 +10,16 @@ use lazydp::data::{
 use lazydp::dpsgd::noise_update::dense_noisy_update_with;
 use lazydp::dpsgd::{
     clip_weights_into, AdaFestConfig, AdaFestOptimizer, ClipStyle, DpConfig, EagerDpSgd,
-    EanaOptimizer, KernelCounters, Optimizer, StepStats,
+    EanaOptimizer, KernelCounters, Optimizer, SgdOptimizer, StepStats,
 };
-use lazydp::embedding::SparseGrad;
+use lazydp::embedding::{EmbeddingStorage, SparseGrad};
 use lazydp::exec::Executor;
 use lazydp::fault::checksum::Fnv1a64;
 use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig, DlrmGrads, MlpGrads};
 use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
+use lazydp::store::{StorageConfig, StoredTable};
 
 const TABLES: usize = 4;
 const ROWS: u64 = 96;
@@ -220,6 +221,122 @@ fn release_digests_are_pinned() {
         ],
         "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP"
     );
+}
+
+/// The model, batches and DP parameters of `release_digests_are_pinned`.
+fn pinned_setup() -> (Dlrm, Vec<MiniBatch>, DpConfig) {
+    const BATCH: usize = 13;
+    let mut cfg = DlrmConfig::tiny(3, 40, 12);
+    cfg.bottom_layers = vec![20, 12];
+    cfg.top_layers = vec![11, 1];
+    let model0 = Dlrm::new(cfg, &mut Xoshiro256PlusPlus::seed_from(2024));
+    let ds = SyntheticDataset::new(SyntheticConfig::small(3, 40, BATCH * 5));
+    let batches = (0..5)
+        .map(|i| ds.batch_of(&(i * BATCH..(i + 1) * BATCH).collect::<Vec<_>>()))
+        .collect();
+    (model0, batches, DpConfig::new(0.9, 0.6, 0.05, BATCH))
+}
+
+/// Four pinned steps of `opt` from `model`, then its release, with the
+/// tables read back into memory.
+fn pinned_release<T: EmbeddingStorage>(
+    mut model: Dlrm<T>,
+    batches: &[MiniBatch],
+    opt: &mut dyn Optimizer<T>,
+) -> Dlrm {
+    for i in 0..4 {
+        opt.step(&mut model, &batches[i], Some(&batches[i + 1]));
+    }
+    opt.finalize(&mut model);
+    model.map_tables(|_, t| t.to_dense_table())
+}
+
+/// LazyDP without ANS on the pinned run: each row's pending draws summed
+/// in ascending iteration order, then applied once.
+const LAZYDP_WITHOUT_ANS_DIGEST: &str = "6267e504f9e16267";
+
+#[test]
+fn lazydp_without_ans_release_digest_is_pinned() {
+    let (model0, batches, dp) = pinned_setup();
+    let cfg = LazyDpConfig::new(dp, false);
+    let mut opt = LazyDpOptimizer::new(cfg, &model0, CounterNoise::new(99));
+    let released = pinned_release(model0, &batches, &mut opt);
+    assert_eq!(
+        format!("{:016x}", release_digest(&released)),
+        LAZYDP_WITHOUT_ANS_DIGEST
+    );
+}
+
+/// Page-cache sizes of the stored pins: the whole table (7 pages of 6
+/// rows, the last partly padding) and one page in ten (one frame).
+const PINNED_CACHE_PAGES: [usize; 2] = [7, 1];
+
+/// `model0` on `StoredTable`s of 6-row pages with `cache_pages` frames.
+fn stored_pinned_model(model0: &Dlrm, cache_pages: usize) -> Dlrm<StoredTable> {
+    let scfg = StorageConfig::new()
+        .with_page_rows(6)
+        .with_cache_pages(cache_pages);
+    model0
+        .clone()
+        .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
+        .expect("spill dir must be writable")
+}
+
+/// Every DP algorithm releases the in-memory pinned bits on
+/// `StoredTable`s at both cache sizes: the eager and AdaFEST sweeps, the
+/// EANA row updates and LazyDP's release flush go through the paged
+/// backend and never change a bit.
+#[test]
+fn stored_tables_release_the_pinned_digests() {
+    let (model0, batches, dp) = pinned_setup();
+    let noise = || CounterNoise::new(99);
+    let ada = AdaFestConfig::new(dp, 1.0, 0.0, 8).select_all();
+    let lazy = |ans| LazyDpOptimizer::new(LazyDpConfig::new(dp, ans), &model0, noise());
+    for cache_pages in PINNED_CACHE_PAGES {
+        let optimizers: [Box<dyn Optimizer<StoredTable>>; 5] = [
+            Box::new(EagerDpSgd::for_storage(dp, noise())),
+            Box::new(EanaOptimizer::new(dp, noise())),
+            Box::new(AdaFestOptimizer::new(ada, noise())),
+            Box::new(lazy(true)),
+            Box::new(lazy(false)),
+        ];
+        let got = optimizers.map(|mut opt| {
+            let stored = stored_pinned_model(&model0, cache_pages);
+            format!(
+                "{:016x}",
+                release_digest(&pinned_release(stored, &batches, opt.as_mut()))
+            )
+        });
+        assert_eq!(
+            got,
+            [
+                "b59a56c6c07d43bb",
+                "930ae1e2db44bac7",
+                "b59a56c6c07d43bb",
+                "4825abbece2b9564",
+                LAZYDP_WITHOUT_ANS_DIGEST,
+            ],
+            "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP, LazyDP(w/o ANS); {cache_pages} frame(s)"
+        );
+    }
+}
+
+/// SGD on `StoredTable`s trains bitwise the in-memory SGD model.
+#[test]
+fn sgd_on_stored_tables_is_bitwise_sgd_in_memory() {
+    let (model0, batches, _) = pinned_setup();
+    let want = release_digest(&pinned_release(
+        model0.clone(),
+        &batches,
+        &mut SgdOptimizer::new(0.05),
+    ));
+    assert_ne!(want, release_digest(&model0), "SGD must move the model");
+    for cache_pages in PINNED_CACHE_PAGES {
+        let stored = stored_pinned_model(&model0, cache_pages);
+        let mut sgd = SgdOptimizer::for_storage(0.05);
+        let got = release_digest(&pinned_release(stored, &batches, &mut sgd));
+        assert_eq!(got, want, "{cache_pages} frame(s)");
+    }
 }
 
 /// EANA differs from DP-SGD exactly on the never-accessed rows (the
