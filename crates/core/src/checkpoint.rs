@@ -29,12 +29,13 @@
 
 use crate::history::HistoryTable;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
-use lazydp_embedding::{EmbeddingStorage, RowReader};
+use lazydp_embedding::{EmbeddingStorage, EmbeddingTable, RowReader};
 use lazydp_exec::Executor;
 use lazydp_fault::checksum::fnv1a64;
 use lazydp_model::{Dlrm, DlrmConfig};
 use lazydp_rng::RowNoise;
 use lazydp_store::{StorageConfig, StoredTable};
+use std::convert::Infallible;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"LAZYDP\x01\x00";
@@ -176,12 +177,10 @@ impl Checkpoint {
     /// Panics if the checkpoint's shapes are internally inconsistent.
     #[must_use]
     pub fn restore<N: RowNoise>(&self, cfg: LazyDpConfig, noise: N) -> (Dlrm, LazyDpOptimizer<N>) {
-        // Rebuild the model skeleton, then overwrite every weight.
-        let mut seed_rng = lazydp_rng::Xoshiro256PlusPlus::seed_from(0);
-        let mut model = Dlrm::new(self.config.clone(), &mut seed_rng);
-        self.fill_model(&mut model, &Executor::new(cfg.dp.threads));
-        let opt = self.rebuild_optimizer(cfg, noise);
-        (model, opt)
+        let Ok(restored) = self.restore_with(cfg, noise, |rows, dim| {
+            Ok::<_, Infallible>(EmbeddingTable::zeros(rows, dim))
+        });
+        restored
     }
 
     /// [`restore`](Self::restore) onto **disk-backed** embedding tables:
@@ -206,25 +205,31 @@ impl Checkpoint {
         noise: N,
         storage: &StorageConfig,
     ) -> io::Result<(Dlrm<StoredTable>, LazyDpOptimizer<N>)> {
-        // Zero-initialized stored tables (sparse spill files — no RNG
-        // draws, no dense staging); every weight is overwritten below.
-        let mut seed_rng = lazydp_rng::Xoshiro256PlusPlus::seed_from(0);
-        let mut model = Dlrm::<StoredTable>::try_new_with(
-            self.config.clone(),
-            &mut seed_rng,
-            |rows, dim, _| StoredTable::zeros(rows, dim, storage),
-        )?;
-        self.fill_model(&mut model, &Executor::new(cfg.dp.threads));
-        let opt = self.rebuild_optimizer(cfg, noise);
-        Ok((model, opt))
+        // Sparse spill files: no RNG draws, no dense staging.
+        Ok(self.restore_with(cfg, noise, |rows, dim| {
+            StoredTable::zeros(rows, dim, storage)
+        })?)
     }
 
-    /// Overwrites every weight of a freshly-built skeleton with the
-    /// checkpoint's tensors. Each table is copied in by one
-    /// [`sweep_rows_mut`](EmbeddingStorage::sweep_rows_mut) on `exec` —
-    /// on a disk-backed table a sequential page walk, each page faulted
-    /// once and written back on eviction.
-    fn fill_model<T: EmbeddingStorage>(&self, model: &mut Dlrm<T>, exec: &Executor) {
+    /// The body of both restores: a skeleton whose tables
+    /// `zero_table(rows, dim)` builds, every weight then overwritten
+    /// with the checkpoint's tensors, and the optimizer rebuilt from the
+    /// checkpointed history. Each table is copied in by one
+    /// [`sweep_rows_mut`](EmbeddingStorage::sweep_rows_mut) — on a
+    /// disk-backed table a sequential page walk, each page faulted once
+    /// and written back on eviction.
+    fn restore_with<T: EmbeddingStorage, N: RowNoise, E>(
+        &self,
+        cfg: LazyDpConfig,
+        noise: N,
+        mut zero_table: impl FnMut(usize, usize) -> Result<T, E>,
+    ) -> Result<(Dlrm<T>, LazyDpOptimizer<N>), E> {
+        // The MLPs' seed-0 initialisation is overwritten below too.
+        let mut model = Dlrm::try_new_with(
+            self.config.clone(),
+            &mut lazydp_rng::Xoshiro256PlusPlus::seed_from(0),
+            |rows, dim, _| zero_table(rows, dim),
+        )?;
         let mut it = self.weights.iter();
         let mut take = || it.next().expect("checkpoint weight tensors");
         for layer in model
@@ -240,25 +245,23 @@ impl Checkpoint {
             assert_eq!(b.len(), layer.bias.len(), "bias shape mismatch");
             layer.bias.copy_from_slice(b);
         }
+        let exec = Executor::new(cfg.dp.threads);
         for t in &mut model.tables {
             let w = take();
             assert_eq!(w.len(), t.elements(), "table shape mismatch");
             let dim = t.dim();
-            t.sweep_rows_mut(exec, |first_row, rows| {
+            t.sweep_rows_mut(&exec, |first_row, rows| {
                 let start = first_row as usize * dim;
                 rows.copy_from_slice(&w[start..start + rows.len()]);
             });
         }
-    }
-
-    /// Rebuilds the optimizer from the checkpointed history.
-    fn rebuild_optimizer<N: RowNoise>(&self, cfg: LazyDpConfig, noise: N) -> LazyDpOptimizer<N> {
         let history = self
             .history
             .iter()
             .map(|h| HistoryTable::from_raw(h.clone()))
             .collect();
-        LazyDpOptimizer::from_state(cfg, noise, history, self.iteration)
+        let opt = LazyDpOptimizer::from_state(cfg, noise, history, self.iteration);
+        Ok((model, opt))
     }
 
     /// Serializes to a writer (the version-4 stream: header, payload,

@@ -23,9 +23,10 @@
 //!    guarantee is untouched (same σ, q, T — see `lazydp-privacy`).
 //!
 //! Scaling machinery on top of the algorithm (see `ARCHITECTURE.md`):
-//! with more than one thread the per-step [`LookaheadFlush`] is
-//! *overlapped* with the step's dense compute, bitwise invisibly in the
-//! trained model.
+//! the per-step [`LookaheadFlush`] runs beside the step's dense compute
+//! through one `Executor::overlap` at every executor width (a worker
+//! thread of its own only when the width is above 1), bitwise invisibly
+//! in the trained model.
 //!
 //! The user-facing entry point mirrors the paper's Fig. 9 wrapper:
 //!

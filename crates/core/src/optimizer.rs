@@ -6,15 +6,14 @@
 //! flush is one [`LookaheadFlush`] per table. One per-table body fills
 //! it (prefetch the rows, the `flush` kill point at table 0, then
 //! [`fill`](LookaheadFlush::fill)), and threads claim the tables from
-//! one queue per step. Who claims what follows from what the code
-//! observes, never from an option:
-//!
-//! * with `threads > 1` and a next batch, [`step`](Optimizer::step)
-//!   runs a scoped overlap worker that claims tables from the back of
-//!   the queue while the main thread computes the clipped gradient; the
-//!   main thread then claims from the front until the queue is empty;
-//! * a single-width executor drains the queue on the main thread alone,
-//!   in the table stage.
+//! one queue per step. Every step with a next batch takes one path:
+//! [`step`](Optimizer::step) runs [`Executor::overlap`], whose worker
+//! side claims tables from the back of the queue while the main thread
+//! computes the clipped gradient, and the main thread then claims from
+//! the front until the queue is empty. On a multi-width executor the
+//! worker is a thread of its own; a width-1 executor runs it on the main
+//! thread after the gradient, by which time the front has drained every
+//! table.
 //!
 //! Each table's flush is a pure function of the table, the iteration,
 //! its targets (the next batch's distinct rows of that table) and its
@@ -84,8 +83,8 @@ impl LazyDpConfig {
 #[derive(Debug, Clone)]
 pub struct LazyDpOptimizer<N> {
     cfg: LazyDpConfig,
-    /// The step core; a field disjoint from `history` so the overlap
-    /// path can run the clipped aggregate on it while the flush worker
+    /// The step core; a field disjoint from `history` so the main
+    /// thread can run the clipped aggregate on it while the flush worker
     /// mutably borrows the history.
     core: DpStep<N>,
     history: Vec<HistoryTable>,
@@ -367,18 +366,14 @@ where
         // Gradient derivation and lookahead flush (Algorithm 1 line 12 on:
         // the rows each table gathers *next* iteration). The flush needs
         // only the next-batch targets, the history, and the noise source
-        // — never the gradients — so on a multi-width executor a scoped
-        // worker claims tables from the back of the flush queue *while*
-        // the main thread does the forward/backward, and the main thread
-        // claims the rest from the front once its gradient is done. A
-        // single-width executor drains the queue in the table stage
-        // below instead (the overlap worker would only interleave with
-        // itself), which also keeps the steady-state step
-        // allocation-free.
-        let overlap = self.cfg.dp.threads > 1;
-        let clipped = if let Some(next) = next.filter(|_| overlap) {
+        // — never the gradients — so the executor's overlap worker claims
+        // tables from the back of the flush queue *while* the main thread
+        // does the forward/backward, and the main thread claims the rest
+        // from the front once its gradient is done. A width-1 executor
+        // runs the worker's side after the main thread's, which has
+        // drained the queue by then.
+        let clipped = if let Some(next) = next {
             lazydp_obs::span!(step_flush_overlap);
-            lazydp_obs::metrics().trainer.flush_overlaps.incr();
             // The worker samples through its own handle: the source is a
             // pure function of the address, so a clone draws the same
             // values while the core stays borrowed by the aggregate.
@@ -387,7 +382,7 @@ where
             let queue = flush_queue(&mut self.flushes, &mut self.history, next);
             let core = &mut self.core;
             let model_ref: &Dlrm<T> = model;
-            let (fc, cl) = lazydp_exec::overlap(
+            let (fc, cl) = flush.exec.overlap(
                 || {
                     let mut c = KernelCounters::new();
                     flush.drain(&queue, End::Back, &noise, &mut c);
@@ -418,17 +413,6 @@ where
         // step. The recovery harness proves a crash here resumes
         // bitwise from the last checkpoint.
         self.faults.point(Site::MidStep, iter);
-
-        if let Some(next) = next.filter(|_| !overlap) {
-            lazydp_obs::span!(step_flush_seq);
-            let stage = self.core.table_stage();
-            FlushStep::new(&model.tables, iter, &self.cfg, &self.faults).drain(
-                &flush_queue(&mut self.flushes, &mut self.history, next),
-                End::Front,
-                &*stage.noise,
-                stage.counters,
-            );
-        }
 
         // Table stage: merge the (sparse) gradient with the lazy noise
         // of the rows the *next* iteration will gather, then apply one
@@ -934,7 +918,7 @@ mod tests {
         let noise = CounterNoise::new(4);
         let claimed = Barrier::new(2);
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            lazydp_exec::overlap(
+            Executor::new(2).overlap(
                 || {
                     claimed.wait();
                     flush.drain(&queue, End::Back, &noise, &mut KernelCounters::new());

@@ -21,9 +21,10 @@ pub struct DpConfig {
     /// (`lazydp_exec::global_threads` / `LAZYDP_THREADS`), not by this
     /// field. Every kernel is chunk-addressed on the `lazydp_exec`
     /// executor, so the trained model is bitwise identical for any value
-    /// here — including where LazyDP fills its lookahead flush:
-    /// overlapped with the dense forward/backward iff `threads > 1`,
-    /// inline otherwise. [`new`](Self::new) defaults it to
+    /// here. LazyDP's lookahead flush takes one path at every width: an
+    /// `Executor::overlap` beside the dense forward/backward, whose
+    /// worker side gets a thread of its own only when `threads > 1`.
+    /// [`new`](Self::new) defaults it to
     /// [`lazydp_exec::global_threads`].
     pub threads: usize,
 }

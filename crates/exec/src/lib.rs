@@ -27,7 +27,9 @@
 //! executor or a one-chunk region spawns none. The caller's thread-local
 //! scratch (the GEMM pack buffers of `lazydp_tensor`) therefore persists
 //! from one region to the next; a spawned worker's scratch lives only as
-//! long as its region. The workers are born and joined per region under
+//! long as its region. [`Executor::overlap`] follows the same width: its
+//! worker side gets a thread of its own only on a multi-width executor,
+//! and a width-1 executor runs both sides inline. The workers are born and joined per region under
 //! [`std::thread::scope`]: a parked pool would have to lend borrowed
 //! chunks to `'static` threads, which safe Rust cannot express, and
 //! every crate root forbids `unsafe`.
@@ -223,68 +225,131 @@ impl Executor {
             }
         });
     }
-}
 
-/// Runs `a` on a freshly spawned scoped thread while `b` runs on the
-/// calling thread, then joins and returns both results.
-///
-/// This is the **only** sanctioned way to overlap two pieces of work that
-/// are not chunk-addressed (e.g. LazyDP's pending-noise flush for step
-/// `t+1` overlapped with step `t`'s clipped aggregation). Keeping the
-/// raw `std::thread::scope` here, inside the executor crate, means
-/// clippy (rule D3) can verify that no other crate spawns threads —
-/// every parallel region in the training path is either chunk-addressed
-/// ([`Executor::par_for`]) or an explicit two-sided overlap whose sides
-/// touch disjoint state.
-///
-/// Determinism: `overlap(a, b)` computes exactly `(a(), b())` — each
-/// side runs once, to completion, and the results are returned in a
-/// fixed order. Scheduling affects only wall-clock interleaving, never
-/// values, provided the two sides share no mutable state (which safe
-/// Rust enforces at the closure captures).
-///
-/// # Panics
-///
-/// Propagates a panic from either closure.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "D3: the executor is the one sanctioned home of raw threads"
-)]
-pub fn overlap<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    std::thread::scope(|s| {
-        let worker = s.spawn(a);
-        let rb = b();
-        // Re-raise the worker's own payload instead of replacing it with
-        // a generic message: callers (the crash-recovery harness in
-        // particular) downcast the payload to identify injected kills.
-        let ra = match worker.join() {
-            Ok(ra) => ra,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (ra, rb)
-    })
+    /// Runs `worker` beside `caller` and returns both results. A
+    /// multi-width executor runs `worker` on one freshly spawned scoped
+    /// thread while `caller` runs on the calling thread; a width-1
+    /// executor spawns nothing and runs `caller`, then `worker`, on the
+    /// calling thread.
+    ///
+    /// This is the **only** sanctioned way to overlap two pieces of work
+    /// that are not chunk-addressed (LazyDP's lookahead flush beside the
+    /// clipped gradient). Keeping the raw `std::thread::scope` here,
+    /// inside the executor crate, means clippy (rule D3) can verify that
+    /// no other crate spawns threads: every parallel region in the
+    /// training path is either chunk-addressed
+    /// ([`par_for`](Self::par_for)) or an explicit two-sided overlap
+    /// whose sides touch disjoint state.
+    ///
+    /// Determinism: each side runs once, to completion, and the results
+    /// come back in a fixed order. Scheduling affects only wall-clock
+    /// interleaving, never values, provided the two sides share no
+    /// mutable state (which safe Rust enforces at the closure captures)
+    /// or share it only through work claimed from one queue, each item
+    /// a pure function of itself.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from either side with its own payload.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D3: the executor is the one sanctioned home of raw threads"
+    )]
+    pub fn overlap<A, B, RA, RB>(&self, worker: A, caller: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB,
+        RA: Send,
+    {
+        if self.threads == 1 {
+            let rb = caller();
+            return (worker(), rb);
+        }
+        std::thread::scope(|s| {
+            let worker = s.spawn(worker);
+            let rb = caller();
+            // Re-raise the worker's own payload instead of replacing it
+            // with a generic message: callers (the crash-recovery
+            // harness in particular) downcast the payload to identify
+            // injected kills. A panicking `caller` unwinds out of the
+            // scope with its own payload once the worker has joined.
+            match worker.join() {
+                Ok(ra) => (ra, rb),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn overlap_returns_both_results_in_order() {
-        let xs = [1u64, 2, 3];
-        let (a, b) = overlap(|| xs.iter().copied().max().unwrap_or(0), || xs.len());
-        assert_eq!((a, b), (3, 3));
+    /// The thread each side of an `overlap` ran on, in the order the
+    /// sides ran.
+    fn overlap_sides(threads: usize) -> Vec<(&'static str, std::thread::ThreadId)> {
+        let ran = Mutex::new(Vec::new());
+        let side = |name| {
+            ran.lock()
+                .unwrap()
+                .push((name, std::thread::current().id()))
+        };
+        let (a, b) = Executor::new(threads).overlap(|| side("worker"), || side("caller"));
+        assert_eq!((a, b), ((), ()));
+        ran.into_inner().unwrap()
+    }
+
+    /// The payload of an `overlap` whose `worker` or `caller` side panics.
+    fn overlap_panic(threads: usize, worker_fails: bool) -> String {
+        let caught = std::panic::catch_unwind(|| {
+            Executor::new(threads).overlap(
+                || assert!(!worker_fails, "worker failed"),
+                || assert!(worker_fails, "caller failed"),
+            )
+        });
+        let payload = caught.expect_err("one side must panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .expect("a literal panic message")
     }
 
     #[test]
-    #[should_panic(expected = "boom")]
-    fn overlap_propagates_worker_panic_payload() {
-        let _ = overlap(|| panic!("boom"), || 1u32);
+    fn overlap_returns_both_results_in_order() {
+        let xs = [1u64, 2, 3];
+        for threads in [1usize, 2] {
+            let (a, b) = Executor::new(threads)
+                .overlap(|| xs.iter().copied().max().unwrap_or(0), || xs.len());
+            assert_eq!((a, b), (3, 3), "width {threads}");
+        }
+    }
+
+    #[test]
+    fn a_width_1_overlap_runs_the_caller_then_the_worker_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        assert_eq!(overlap_sides(1), vec![("caller", me), ("worker", me)]);
+    }
+
+    #[test]
+    fn a_wider_overlap_runs_the_worker_on_a_thread_of_its_own() {
+        let me = std::thread::current().id();
+        let sides = overlap_sides(2);
+        let on = |name| sides.iter().find(|&&(n, _)| n == name).map(|&(_, id)| id);
+        assert_eq!(on("caller"), Some(me));
+        assert!(on("worker").is_some_and(|id| id != me));
+    }
+
+    #[test]
+    fn overlap_surfaces_either_sides_own_payload() {
+        for threads in [1usize, 2] {
+            for (worker_fails, want) in [(true, "worker failed"), (false, "caller failed")] {
+                assert_eq!(
+                    overlap_panic(threads, worker_fails),
+                    want,
+                    "width {threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -86,13 +86,14 @@ pub enum Site {
     /// `ckpt.rename` — the atomic rename publishing a checkpoint.
     CkptRename,
     /// `step` — a kill point inside the optimizer step, after the dense
-    /// update but before the sparse updates land (an overlapped
-    /// lookahead flush has already run by then, an inline one has not).
+    /// update but before the sparse updates land (LazyDP's lookahead
+    /// flush has already run by then, at every executor width).
     MidStep,
     /// `flush` — a kill point at the head of LazyDP's per-step lookahead
     /// flush (table 0), wherever it runs: on whichever thread claims
-    /// table 0 from the flush queue (the overlap worker or the main
-    /// thread), or inline in the table stage on a single-width executor.
+    /// table 0 from the flush queue: the overlap worker or the main
+    /// thread, which on a single-width executor claims every table
+    /// after its gradient.
     MidFlush,
     /// `checkpoint` — a kill point between writing a checkpoint's temp
     /// file and publishing it (rename + manifest update).

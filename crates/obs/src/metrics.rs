@@ -9,6 +9,10 @@
 //! `pub(crate)` so recorded values can only leave through
 //! [`crate::snapshot::capture_metrics`] (lint rule **O1**).
 //!
+//! Each metric is declared once, in the `registry!` invocation below:
+//! its group struct field, the `const` constructor and its snapshot name
+//! all come from that one line.
+//!
 //! Call sites spell the registry access fully qualified —
 //! `lazydp_obs::metrics().store.hits.incr()` — which is also what
 //! anchors lint rule **P1**'s scan of metric-recording statements.
@@ -133,191 +137,204 @@ impl Default for Histogram {
     }
 }
 
-/// Step-phase wall-clock durations in nanoseconds, one histogram per
-/// phase, recorded by [`crate::span!`] (snapshot name
-/// `phase.<field>_ns`).
-///
-/// Phases nest, so their totals are not additive everywhere: when
-/// LazyDP's flush overlaps the gradient (a multi-width executor and a
-/// next batch), `step_forward` and `step_backward_clip` run on the main
-/// thread *inside* `step_flush_overlap`, which ends when both sides have
-/// drained the flush queue.
-#[derive(Debug)]
-pub struct PhaseMetrics {
-    /// The DP optimizers' forward pass (the shared front half).
-    pub step_forward: Histogram,
-    /// The fused ghost-clipping backward that yields the clipped sum.
-    pub step_backward_clip: Histogram,
-    /// Plain SGD's unclipped backward.
-    pub step_backward: Histogram,
-    /// Averaging the MLP gradients over the batch, then gradient plus
-    /// dense noise on the MLP parameters (the table gradients are
-    /// averaged and coalesced inside the backward).
-    pub step_dense_update: Histogram,
-    /// Eager DP-SGD's, EANA's and DP-AdaFEST's table stage: noise
-    /// sampling and the noisy table update.
-    pub step_table_noise: Histogram,
-    /// LazyDP's lookahead flush overlapped with the gradient: the
-    /// worker's share beside the forward/backward, then the main
-    /// thread's share of what is left.
-    pub step_flush_overlap: Histogram,
-    /// LazyDP's lookahead flush of every table, drained on the main
-    /// thread of a single-width executor.
-    pub step_flush_seq: Histogram,
-    /// One table's sparse update (LazyDP and SGD).
-    pub step_sparse_update: Histogram,
-    /// LazyDP's release-time flush of all pending noise.
-    pub finalize_flush_all: Histogram,
+/// One registry metric, as [`Metrics::visit`] hands it to the snapshot.
+pub(crate) enum Metric<'a> {
+    /// A [`Counter`].
+    Counter(&'a Counter),
+    /// A [`GaugeF64`].
+    Gauge(&'a GaugeF64),
+    /// A [`Histogram`].
+    Histogram(&'a Histogram),
 }
 
-/// Trainer-step counts and noise-plan shape (`crates/core`).
-#[derive(Debug)]
-pub struct TrainerMetrics {
-    /// Optimizer steps completed.
-    pub steps: Counter,
-    /// Steps whose noise flush ran overlapped with dense compute.
-    pub flush_overlaps: Counter,
-    /// Rows planned for lazy noise flushes (across all tables).
-    pub noise_plan_rows: Counter,
-    /// Pending-history depth (delayed iterations) per flushed row.
-    pub pending_depth: Histogram,
-    /// Rows that owed noise when `finalize_model`'s sweep flushed them.
-    pub finalize_rows: Counter,
+impl<'a> From<&'a Counter> for Metric<'a> {
+    fn from(c: &'a Counter) -> Self {
+        Self::Counter(c)
+    }
 }
 
-/// DP-AdaFEST private partition selection (`crates/dpsgd`).
-#[derive(Debug)]
-pub struct AdafestMetrics {
-    /// Partitions whose noisy count cleared the threshold.
-    pub partitions_selected: Counter,
-    /// Partitions dropped (gradient contribution discarded).
-    pub partitions_dropped: Counter,
+impl<'a> From<&'a GaugeF64> for Metric<'a> {
+    fn from(g: &'a GaugeF64) -> Self {
+        Self::Gauge(g)
+    }
 }
 
-/// Paged out-of-core store (`crates/store`).
-#[derive(Debug)]
-pub struct StoreMetrics {
-    /// Page faults satisfied by a resident frame.
-    pub hits: Counter,
-    /// Page faults that had to load from the spill file.
-    pub misses: Counter,
-    /// Frames evicted by the clock hand.
-    pub evictions: Counter,
-    /// Dirty frames written back to the spill file.
-    pub write_backs: Counter,
-    /// Bytes written to the spill file.
-    pub bytes_spilled: Counter,
-    /// Bytes read from the spill file.
-    pub bytes_loaded: Counter,
+impl<'a> From<&'a Histogram> for Metric<'a> {
+    fn from(h: &'a Histogram) -> Self {
+        Self::Histogram(h)
+    }
 }
 
-/// Deterministic executor (`crates/exec`).
-#[derive(Debug)]
-pub struct ExecMetrics {
-    /// Parallel regions entered (`par_for`).
-    pub par_regions: Counter,
-    /// Chunks dispatched across all regions.
-    pub par_chunks: Counter,
-    /// Chunks per region — occupancy of the worker pool.
-    pub chunks_per_region: Histogram,
-}
-
-/// Privacy accounting (`crates/privacy`).
-#[derive(Debug)]
-pub struct PrivacyMetrics {
-    /// Successful budget compositions.
-    pub compositions: Counter,
-    /// ε spent so far at the engine's δ (updated on each composition).
-    pub spent_epsilon: GaugeF64,
-}
-
-/// Fault injection and recovery (`crates/fault`, `crates/store`,
-/// `crates/core`).
-#[derive(Debug)]
-pub struct FaultMetrics {
-    /// Faults fired by the active `FaultPlan` (all kinds).
-    pub injected: Counter,
-    /// Retries of an operation after a transient failure.
-    pub retries: Counter,
-    /// Operations abandoned after exhausting their retry budget.
-    pub giveups: Counter,
-    /// Pages whose checksum did not match at fault-in (torn/corrupt).
-    pub checksum_failures: Counter,
-    /// Tables promoted from the paged to the resident backend after a
-    /// persistently failing spill device.
-    pub degradations: Counter,
-}
-
-/// The whole registry. One static instance exists; get it with
-/// [`metrics()`].
-#[derive(Debug)]
-pub struct Metrics {
-    /// Step-phase durations.
-    pub phase: PhaseMetrics,
-    /// Trainer-step counts and noise-plan shape.
-    pub trainer: TrainerMetrics,
-    /// DP-AdaFEST partition selection.
-    pub adafest: AdafestMetrics,
-    /// Paged out-of-core store.
-    pub store: StoreMetrics,
-    /// Deterministic executor.
-    pub exec: ExecMetrics,
-    /// Privacy accounting.
-    pub privacy: PrivacyMetrics,
-    /// Fault injection and recovery.
-    pub fault: FaultMetrics,
-}
-
-impl Metrics {
-    const fn new() -> Self {
-        Self {
-            phase: PhaseMetrics {
-                step_forward: Histogram::new(),
-                step_backward_clip: Histogram::new(),
-                step_backward: Histogram::new(),
-                step_dense_update: Histogram::new(),
-                step_table_noise: Histogram::new(),
-                step_flush_overlap: Histogram::new(),
-                step_flush_seq: Histogram::new(),
-                step_sparse_update: Histogram::new(),
-                finalize_flush_all: Histogram::new(),
-            },
-            trainer: TrainerMetrics {
-                steps: Counter::new(),
-                flush_overlaps: Counter::new(),
-                noise_plan_rows: Counter::new(),
-                pending_depth: Histogram::new(),
-                finalize_rows: Counter::new(),
-            },
-            adafest: AdafestMetrics {
-                partitions_selected: Counter::new(),
-                partitions_dropped: Counter::new(),
-            },
-            store: StoreMetrics {
-                hits: Counter::new(),
-                misses: Counter::new(),
-                evictions: Counter::new(),
-                write_backs: Counter::new(),
-                bytes_spilled: Counter::new(),
-                bytes_loaded: Counter::new(),
-            },
-            exec: ExecMetrics {
-                par_regions: Counter::new(),
-                par_chunks: Counter::new(),
-                chunks_per_region: Histogram::new(),
-            },
-            privacy: PrivacyMetrics {
-                compositions: Counter::new(),
-                spent_epsilon: GaugeF64::new(),
-            },
-            fault: FaultMetrics {
-                injected: Counter::new(),
-                retries: Counter::new(),
-                giveups: Counter::new(),
-                checksum_failures: Counter::new(),
-                degradations: Counter::new(),
-            },
+/// Declares the registry once. Each group is written
+/// `<field doc> group + "suffix": <struct doc> GroupStruct { <doc> metric: Kind, … }`
+/// and becomes a group struct, a field of [`Metrics`], a part of the
+/// `const` constructor, and entries of [`Metrics::visit`], which names
+/// each metric `group.metric` followed by the group's suffix.
+macro_rules! registry {
+    ($(
+        $(#[$field_doc:meta])*
+        $group:ident + $suffix:literal:
+        $(#[$struct_doc:meta])*
+        $Group:ident {
+            $($(#[$doc:meta])* $metric:ident: $Kind:ident,)*
         }
+    )*) => {
+        $(
+            $(#[$struct_doc])*
+            #[derive(Debug)]
+            pub struct $Group {
+                $($(#[$doc])* pub $metric: $Kind,)*
+            }
+        )*
+
+        /// The whole registry. One static instance exists; get it with
+        /// [`metrics()`].
+        #[derive(Debug)]
+        pub struct Metrics {
+            $($(#[$field_doc])* pub $group: $Group,)*
+        }
+
+        impl Metrics {
+            const fn new() -> Self {
+                Self {
+                    $($group: $Group {
+                        $($metric: $Kind::new(),)*
+                    },)*
+                }
+            }
+
+            /// Hands every metric to `f` with its snapshot name, in
+            /// declaration order.
+            pub(crate) fn visit(&self, mut f: impl FnMut(&'static str, Metric<'_>)) {
+                $($(
+                    f(
+                        concat!(stringify!($group), ".", stringify!($metric), $suffix),
+                        Metric::from(&self.$group.$metric),
+                    );
+                )*)*
+            }
+        }
+    };
+}
+
+registry! {
+    /// Step-phase durations.
+    phase + "_ns":
+    /// Step-phase wall-clock durations in nanoseconds, one histogram per
+    /// phase, recorded by [`crate::span!`] (snapshot name
+    /// `phase.<field>_ns`).
+    ///
+    /// Phases nest, so their totals are not additive everywhere: every
+    /// LazyDP step with a next batch runs its forward and clipped
+    /// backward (`step_forward`, `step_backward_clip`) on the main thread
+    /// *inside* `step_flush_overlap`, which ends when both sides of the
+    /// overlap have drained the flush queue. The phase set is the same at
+    /// every executor width.
+    PhaseMetrics {
+        /// The DP optimizers' forward pass (the shared front half).
+        step_forward: Histogram,
+        /// The fused ghost-clipping backward that yields the clipped sum.
+        step_backward_clip: Histogram,
+        /// Plain SGD's unclipped backward.
+        step_backward: Histogram,
+        /// Averaging the MLP gradients over the batch, then gradient plus
+        /// dense noise on the MLP parameters (the table gradients are
+        /// averaged and coalesced inside the backward).
+        step_dense_update: Histogram,
+        /// Eager DP-SGD's, EANA's and DP-AdaFEST's table stage: noise
+        /// sampling and the noisy table update.
+        step_table_noise: Histogram,
+        /// LazyDP's lookahead flush beside the gradient: the overlap
+        /// worker's share beside the forward/backward, then the main
+        /// thread's share of what is left (on a width-1 executor the main
+        /// thread fills every table after its gradient).
+        step_flush_overlap: Histogram,
+        /// One table's sparse update (LazyDP and SGD).
+        step_sparse_update: Histogram,
+        /// LazyDP's release-time flush of all pending noise.
+        finalize_flush_all: Histogram,
+    }
+
+    /// Trainer-step counts and noise-plan shape.
+    trainer + "":
+    /// Trainer-step counts and noise-plan shape (`crates/core`).
+    TrainerMetrics {
+        /// Optimizer steps completed.
+        steps: Counter,
+        /// Rows planned for lazy noise flushes (across all tables).
+        noise_plan_rows: Counter,
+        /// Pending-history depth (delayed iterations) per flushed row.
+        pending_depth: Histogram,
+        /// Rows that owed noise when `finalize_model`'s sweep flushed them.
+        finalize_rows: Counter,
+    }
+
+    /// DP-AdaFEST partition selection.
+    adafest + "":
+    /// DP-AdaFEST private partition selection (`crates/dpsgd`).
+    AdafestMetrics {
+        /// Partitions whose noisy count cleared the threshold.
+        partitions_selected: Counter,
+        /// Partitions dropped (gradient contribution discarded).
+        partitions_dropped: Counter,
+    }
+
+    /// Paged out-of-core store.
+    store + "":
+    /// Paged out-of-core store (`crates/store`).
+    StoreMetrics {
+        /// Page faults satisfied by a resident frame.
+        hits: Counter,
+        /// Page faults that had to load from the spill file.
+        misses: Counter,
+        /// Frames evicted by the clock hand.
+        evictions: Counter,
+        /// Dirty frames written back to the spill file.
+        write_backs: Counter,
+        /// Bytes written to the spill file.
+        bytes_spilled: Counter,
+        /// Bytes read from the spill file.
+        bytes_loaded: Counter,
+    }
+
+    /// Deterministic executor.
+    exec + "":
+    /// Deterministic executor (`crates/exec`).
+    ExecMetrics {
+        /// Parallel regions entered (`par_for`).
+        par_regions: Counter,
+        /// Chunks dispatched across all regions.
+        par_chunks: Counter,
+        /// Chunks per region — occupancy of the worker pool.
+        chunks_per_region: Histogram,
+    }
+
+    /// Privacy accounting.
+    privacy + "":
+    /// Privacy accounting (`crates/privacy`).
+    PrivacyMetrics {
+        /// Successful budget compositions.
+        compositions: Counter,
+        /// ε spent so far at the engine's δ (updated on each composition).
+        spent_epsilon: GaugeF64,
+    }
+
+    /// Fault injection and recovery.
+    fault + "":
+    /// Fault injection and recovery (`crates/fault`, `crates/store`,
+    /// `crates/core`).
+    FaultMetrics {
+        /// Faults fired by the active `FaultPlan` (all kinds).
+        injected: Counter,
+        /// Retries of an operation after a transient failure.
+        retries: Counter,
+        /// Operations abandoned after exhausting their retry budget.
+        giveups: Counter,
+        /// Pages whose checksum did not match at fault-in (torn/corrupt).
+        checksum_failures: Counter,
+        /// Tables promoted from the paged to the resident backend after a
+        /// persistently failing spill device.
+        degradations: Counter,
     }
 }
 

@@ -10,7 +10,7 @@
 //! The JSON form carries a top-level `schema_version` so downstream
 //! tooling can detect drift; adding a metric adds a name, not a shape.
 
-use crate::metrics::{metrics, HISTOGRAM_BUCKETS};
+use crate::metrics::{metrics, Histogram, Metric, HISTOGRAM_BUCKETS};
 use std::fmt::Write as _;
 
 /// Version of the JSON schema emitted by [`MetricsSnapshot::to_json`].
@@ -67,65 +67,21 @@ pub struct MetricsSnapshot {
 /// `crates/bench`, `crates/obs`, and tests (lint rule **O1**).
 #[must_use]
 pub fn capture_metrics() -> MetricsSnapshot {
-    let m = metrics();
-    let counters = vec![
-        ("trainer.steps", m.trainer.steps.get()),
-        ("trainer.flush_overlaps", m.trainer.flush_overlaps.get()),
-        ("trainer.noise_plan_rows", m.trainer.noise_plan_rows.get()),
-        ("trainer.finalize_rows", m.trainer.finalize_rows.get()),
-        (
-            "adafest.partitions_selected",
-            m.adafest.partitions_selected.get(),
-        ),
-        (
-            "adafest.partitions_dropped",
-            m.adafest.partitions_dropped.get(),
-        ),
-        ("store.hits", m.store.hits.get()),
-        ("store.misses", m.store.misses.get()),
-        ("store.evictions", m.store.evictions.get()),
-        ("store.write_backs", m.store.write_backs.get()),
-        ("store.bytes_spilled", m.store.bytes_spilled.get()),
-        ("store.bytes_loaded", m.store.bytes_loaded.get()),
-        ("exec.par_regions", m.exec.par_regions.get()),
-        ("exec.par_chunks", m.exec.par_chunks.get()),
-        ("privacy.compositions", m.privacy.compositions.get()),
-        ("fault.injected", m.fault.injected.get()),
-        ("fault.retries", m.fault.retries.get()),
-        ("fault.giveups", m.fault.giveups.get()),
-        ("fault.checksum_failures", m.fault.checksum_failures.get()),
-        ("fault.degradations", m.fault.degradations.get()),
-    ]
-    .into_iter()
-    .map(|(n, v)| (n.to_string(), v))
-    .collect();
-    let gauges = vec![(
-        "privacy.spent_epsilon".to_string(),
-        m.privacy.spent_epsilon.get(),
-    )];
-    let p = &m.phase;
-    let histograms = vec![
-        capture_histogram("phase.step_forward_ns", &p.step_forward),
-        capture_histogram("phase.step_backward_clip_ns", &p.step_backward_clip),
-        capture_histogram("phase.step_backward_ns", &p.step_backward),
-        capture_histogram("phase.step_dense_update_ns", &p.step_dense_update),
-        capture_histogram("phase.step_table_noise_ns", &p.step_table_noise),
-        capture_histogram("phase.step_flush_overlap_ns", &p.step_flush_overlap),
-        capture_histogram("phase.step_flush_seq_ns", &p.step_flush_seq),
-        capture_histogram("phase.step_sparse_update_ns", &p.step_sparse_update),
-        capture_histogram("phase.finalize_flush_all_ns", &p.finalize_flush_all),
-        capture_histogram("trainer.pending_depth", &m.trainer.pending_depth),
-        capture_histogram("exec.chunks_per_region", &m.exec.chunks_per_region),
-    ];
-    MetricsSnapshot {
+    let mut snap = MetricsSnapshot {
         schema_version: SCHEMA_VERSION,
-        counters,
-        gauges,
-        histograms,
-    }
+        counters: Vec::new(),
+        gauges: Vec::new(),
+        histograms: Vec::new(),
+    };
+    metrics().visit(|name, metric| match metric {
+        Metric::Counter(c) => snap.counters.push((name.to_string(), c.get())),
+        Metric::Gauge(g) => snap.gauges.push((name.to_string(), g.get())),
+        Metric::Histogram(h) => snap.histograms.push(capture_histogram(name, h)),
+    });
+    snap
 }
 
-fn capture_histogram(name: &str, h: &crate::metrics::Histogram) -> HistogramSnapshot {
+fn capture_histogram(name: &str, h: &Histogram) -> HistogramSnapshot {
     let mut buckets: Vec<u64> = (0..HISTOGRAM_BUCKETS).map(|i| h.bucket(i)).collect();
     while buckets.last() == Some(&0) {
         buckets.pop();
@@ -254,6 +210,54 @@ mod tests {
             "}\n",
         );
         assert_eq!(snap.to_json(), golden);
+    }
+
+    #[test]
+    fn the_snapshot_names_every_metric_once_in_registry_order() {
+        let snap = capture_metrics();
+        let counters: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let gauges: Vec<&str> = snap.gauges.iter().map(|(n, _)| n.as_str()).collect();
+        let histograms: Vec<&str> = snap.histograms.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(
+            counters,
+            [
+                "trainer.steps",
+                "trainer.noise_plan_rows",
+                "trainer.finalize_rows",
+                "adafest.partitions_selected",
+                "adafest.partitions_dropped",
+                "store.hits",
+                "store.misses",
+                "store.evictions",
+                "store.write_backs",
+                "store.bytes_spilled",
+                "store.bytes_loaded",
+                "exec.par_regions",
+                "exec.par_chunks",
+                "privacy.compositions",
+                "fault.injected",
+                "fault.retries",
+                "fault.giveups",
+                "fault.checksum_failures",
+                "fault.degradations",
+            ]
+        );
+        assert_eq!(gauges, ["privacy.spent_epsilon"]);
+        assert_eq!(
+            histograms,
+            [
+                "phase.step_forward_ns",
+                "phase.step_backward_clip_ns",
+                "phase.step_backward_ns",
+                "phase.step_dense_update_ns",
+                "phase.step_table_noise_ns",
+                "phase.step_flush_overlap_ns",
+                "phase.step_sparse_update_ns",
+                "phase.finalize_flush_all_ns",
+                "trainer.pending_depth",
+                "exec.chunks_per_region",
+            ]
+        );
     }
 
     #[test]

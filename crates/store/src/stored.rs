@@ -178,20 +178,11 @@ impl StoredTable {
     /// Propagates spill-file I/O errors once retries are exhausted.
     pub fn from_dense(table: &EmbeddingTable, cfg: &StorageConfig) -> Result<Self, StorageError> {
         let out = Self::zeros(table.rows(), table.dim(), cfg)?;
-        {
-            let mut guard = out.lock();
-            let engine = paged(&mut guard);
-            let mut buf = vec![0.0f32; out.page_rows * out.dim];
-            for page in 0..out.pages {
-                buf.fill(0.0);
-                let first = page * out.page_rows;
-                let last = (first + out.page_rows).min(table.rows());
-                for (k, r) in (first..last).enumerate() {
-                    buf[k * out.dim..(k + 1) * out.dim].copy_from_slice(table.row(r));
-                }
-                lazydp_fault::with_retry(|| engine.file.write_page(page, &buf))?;
+        out.write_pages(|first, rows| {
+            for (r, w) in (first..).zip(rows.chunks_exact_mut(table.dim())) {
+                w.copy_from_slice(table.row(r));
             }
-        }
+        })?;
         Ok(out)
     }
 
@@ -211,21 +202,30 @@ impl StoredTable {
     ) -> Result<Self, StorageError> {
         let out = Self::zeros(rows, dim, cfg)?;
         let a = 1.0 / (rows as f32).sqrt();
-        {
-            let mut guard = out.lock();
-            let engine = paged(&mut guard);
-            let mut buf = vec![0.0f32; out.page_rows * out.dim];
-            for page in 0..out.pages {
-                buf.fill(0.0);
-                let first = page * out.page_rows;
-                let valid = ((first + out.page_rows).min(rows) - first) * dim;
-                for w in &mut buf[..valid] {
-                    *w = (rng.next_f32() * 2.0 - 1.0) * a;
-                }
-                lazydp_fault::with_retry(|| engine.file.write_page(page, &buf))?;
+        out.write_pages(|_, valid| {
+            for w in valid {
+                *w = (rng.next_f32() * 2.0 - 1.0) * a;
             }
-        }
+        })?;
         Ok(out)
+    }
+
+    /// Writes every page of a fresh table in order, bypassing the cache:
+    /// `fill(first_row, rows)` writes the page's valid rows (the rest of
+    /// the page stays zero), then the page goes to the spill file, a
+    /// transient write fault retried.
+    fn write_pages(&self, mut fill: impl FnMut(usize, &mut [f32])) -> Result<(), StorageError> {
+        let mut guard = self.lock();
+        let engine = paged(&mut guard);
+        let mut buf = vec![0.0f32; self.page_elems()];
+        for page in 0..self.pages {
+            buf.fill(0.0);
+            let first = page * self.page_rows;
+            let valid = ((first + self.page_rows).min(self.rows) - first) * self.dim;
+            fill(first, &mut buf[..valid]);
+            lazydp_fault::with_retry(|| engine.file.write_page(page, &buf))?;
+        }
+        Ok(())
     }
 
     fn lock(&self) -> MutexGuard<'_, Backend> {

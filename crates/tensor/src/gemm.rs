@@ -321,15 +321,20 @@ fn row_block_sweep(
 /// below this a tile's pack/spawn overhead outweighs the arithmetic).
 const TILE_MIN_FLOPS: usize = 1 << 19;
 
-/// Column-slab width for the 2-D macro-tile driver, or `None` when the
-/// row-only split already feeds every worker (or the executor is
-/// sequential, or the product is too small to amortize per-tile
-/// packing). The decision reads only shape and the process-wide thread
-/// count — never scheduling state — and tiling never changes the
+/// Column-slab width for the 2-D macro-tile driver at executor width
+/// `threads`, or `None` when the row-only split already feeds every
+/// worker (or the executor is sequential, or the product is too small to
+/// amortize per-tile packing). The decision reads only shape and the
+/// width — never scheduling state — and tiling never changes the
 /// per-element accumulation order, so both paths produce identical
 /// bits; the choice is purely a performance one.
-fn macro_tile_cols(rows: usize, n: usize, k: usize, chunk_rows: usize) -> Option<usize> {
-    let threads = lazydp_exec::global_threads();
+fn macro_tile_cols(
+    threads: usize,
+    rows: usize,
+    n: usize,
+    k: usize,
+    chunk_rows: usize,
+) -> Option<usize> {
     if threads <= 1 || n < 2 * NR {
         return None;
     }
@@ -485,7 +490,8 @@ fn blocked_driver(
     pack_b: impl Fn(usize, usize, usize, usize, &mut [f32]) + Sync,
 ) {
     let kc = kc.max(1);
-    if let Some(col_block) = macro_tile_cols(out.rows(), n, k, chunk_rows) {
+    let threads = lazydp_exec::global_threads();
+    if let Some(col_block) = macro_tile_cols(threads, out.rows(), n, k, chunk_rows) {
         tiled_driver(a, n, out, k, kc, chunk_rows, col_block, pack_a, pack_b);
         return;
     }
@@ -1141,23 +1147,79 @@ mod tests {
     #[test]
     fn macro_tile_engagement_is_shape_driven() {
         // Sequential executor: never tiles regardless of shape.
-        let threads = lazydp_exec::global_threads();
-        if threads <= 1 {
-            assert_eq!(macro_tile_cols(6, 4096, 512, 6), None);
-            return;
-        }
-        // Enough row chunks for every worker: stays on the row split.
-        assert_eq!(macro_tile_cols(6 * threads * 4, 4096, 512, 6), None);
-        // Tall-thin output: too narrow to split columns.
-        assert_eq!(macro_tile_cols(6, NR, 512, 6), None);
-        // Few fat rows, wide output, deep k: tiles engage, NR-aligned.
-        let cols = macro_tile_cols(MR, 4096, 2048, MR);
-        if let Some(cb) = cols {
+        assert_eq!(macro_tile_cols(1, 6, 4096, 512, 6), None);
+        for threads in [2usize, 4, 8] {
+            // Enough row chunks for every worker: stays on the row split.
+            assert_eq!(
+                macro_tile_cols(threads, 6 * threads * 4, 4096, 512, 6),
+                None
+            );
+            // Tall-thin output: too narrow to split columns.
+            assert_eq!(macro_tile_cols(threads, 6, NR, 512, 6), None);
+            // Few fat rows, wide output, deep k: tiles engage, NR-aligned.
+            let cb = macro_tile_cols(threads, MR, 4096, 2048, MR)
+                .expect("macro tiling engages for 6x4096x2048");
             assert!(cb.is_multiple_of(NR), "col block {cb} not NR-aligned");
             assert!(cb >= 2 * NR);
-        } else {
-            panic!("expected macro tiling to engage for 6x4096x2048");
         }
+    }
+
+    /// The blocked GEMMs of an MLP stack (`dims[0] → dims[1] → …`) at
+    /// batch `b` that take the 2-D driver at executor width `threads`:
+    /// each layer's forward (`b × in · in × out`) and clipped weight
+    /// gradient (`in × b · b × out`), chunked as the `Matrix` wrappers
+    /// chunk them. (The input gradient, `matmul_t`, has no 2-D driver.)
+    fn tiled_mlp_gemms(threads: usize, b: usize, dims: &[usize]) -> Vec<String> {
+        let chunk = |rows, flops_per_row| {
+            blocked_chunk_rows(crate::matrix::rows_per_chunk(rows, flops_per_row), rows, MR)
+        };
+        let mut tiled = Vec::new();
+        for layer in dims.windows(2) {
+            let (i, o) = (layer[0], layer[1]);
+            if macro_tile_cols(threads, b, o, i, chunk(b, i * o)).is_some() {
+                tiled.push(format!("forward {i}x{o}"));
+            }
+            if macro_tile_cols(threads, i, o, b, chunk(i, b * o)).is_some() {
+                tiled.push(format!("weight gradient {i}x{o}"));
+            }
+        }
+        tiled
+    }
+
+    #[test]
+    fn the_benchmark_mlps_take_the_2d_driver_only_at_width_8() {
+        // `DlrmConfig::mlperf` at B = 128 (`dense_lazydp`): 26 tables of
+        // dim 128 make a 479-wide top input. `rmc1` at B = 256 (the T8
+        // workloads): 8 tables of dim 64 make 100.
+        let mlperf = |threads| {
+            let mut g = tiled_mlp_gemms(threads, 128, &[13, 512, 256, 128]);
+            g.extend(tiled_mlp_gemms(
+                threads,
+                128,
+                &[479, 1024, 1024, 512, 256, 1],
+            ));
+            g
+        };
+        let rmc1 = |threads| {
+            let mut g = tiled_mlp_gemms(threads, 256, &[13, 256, 128, 64]);
+            g.extend(tiled_mlp_gemms(threads, 256, &[100, 512, 128, 1]));
+            g
+        };
+        for threads in [2, 4] {
+            assert_eq!(mlperf(threads), Vec::<String>::new(), "width {threads}");
+            assert_eq!(rmc1(threads), Vec::<String>::new(), "width {threads}");
+        }
+        assert_eq!(
+            mlperf(8),
+            [
+                "forward 512x256",
+                "forward 479x1024",
+                "forward 1024x1024",
+                "forward 1024x512",
+                "forward 512x256",
+            ]
+        );
+        assert_eq!(rmc1(8), ["weight gradient 100x512"]);
     }
 
     #[test]

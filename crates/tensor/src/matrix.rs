@@ -24,7 +24,7 @@ const MIN_CHUNK_FLOPS: usize = 1 << 19;
 /// Rows per GEMM chunk so each chunk carries at least
 /// [`MIN_CHUNK_FLOPS`] work (tiny products become a single chunk, which
 /// `par_for` runs inline).
-fn rows_per_chunk(total_rows: usize, flops_per_row: usize) -> usize {
+pub(crate) fn rows_per_chunk(total_rows: usize, flops_per_row: usize) -> usize {
     MIN_CHUNK_FLOPS
         .div_ceil(flops_per_row.max(1))
         .clamp(1, total_rows.max(1))

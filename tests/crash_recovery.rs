@@ -12,8 +12,8 @@
 //! * **mid-flush** — the lazy-noise flush for the next batch's rows is
 //!   under way (at 4 threads it fires on whichever thread fills table
 //!   0, the overlap worker or the main thread, so this also proves the
-//!   panic payload survives the join; at 1 thread it fires inline in
-//!   the table stage, after the dense update);
+//!   panic payload survives the join; at 1 thread it fires on the main
+//!   thread after its gradient, before the dense update);
 //! * **mid-checkpoint** — the checkpoint file is written and synced but
 //!   not yet atomically renamed into place;
 //!

@@ -31,6 +31,9 @@
 //!
 //! Eager's executor regions per step are pinned: one sweep region per
 //! table plus the step's fixed MLP and GEMM regions, a measured number.
+//! So are LazyDP's, at widths 1 and 2, with the rows it plans for noise
+//! each step (the next batch's distinct rows, read off the reference
+//! history).
 //! The obs registry behind that count is process-global, so every test
 //! here holds one lock.
 
@@ -183,16 +186,18 @@ impl History {
     }
 
     /// Flushes the next batch's distinct rows at iteration `iter`;
-    /// returns the iterations they missed, summed over the rows.
-    fn flush(&mut self, iter: u64, next: &MiniBatch) -> u64 {
-        let mut missed = 0;
+    /// returns how many rows it flushed and the iterations they missed,
+    /// both summed over the tables.
+    fn flush(&mut self, iter: u64, next: &MiniBatch) -> (u64, u64) {
+        let (mut rows, mut missed) = (0, 0);
         for (t, last) in self.0.iter_mut().enumerate() {
             for &r in next.sparse[t].unique_rows() {
+                rows += 1;
                 missed += iter - last[r as usize];
                 last[r as usize] = iter;
             }
         }
-        missed
+        (rows, missed)
     }
 }
 
@@ -203,12 +208,8 @@ fn lazydp_want(ans: bool) -> Vec<(u64, u64)> {
     let mut history = History::new();
     (0..STEPS)
         .map(|i| {
-            let missed = history.flush(i as u64 + 1, &b[i + 1]);
-            let vectors = if ans {
-                distinct_rows(&[&b[i + 1]])
-            } else {
-                missed
-            };
+            let (rows, missed) = history.flush(i as u64 + 1, &b[i + 1]);
+            let vectors = if ans { rows } else { missed };
             let written = distinct_rows(&[&b[i], &b[i + 1]]);
             (vectors * DIM as u64 + mlp_params(&m), written)
         })
@@ -400,6 +401,39 @@ fn eager_regions_per_step_are_pinned() {
             assert_eq!(
                 regions,
                 TABLES as u64 + EAGER_MLP_REGIONS,
+                "width {threads}, step {i}"
+            );
+        }
+    }
+}
+
+/// The executor regions of one LazyDP step on this shape — one flush
+/// sampling region per table beside the regions eager's MLP half counts
+/// — as measured at both widths; no formula is kept for them.
+const LAZYDP_REGIONS: u64 = 19;
+
+#[test]
+fn lazydp_regions_and_plan_rows_per_step_are_pinned() {
+    let _serial = serial();
+    let b = batches();
+    let mut history = History::new();
+    let plan_rows: Vec<u64> = (0..STEPS)
+        .map(|i| history.flush(i as u64 + 1, &b[i + 1]).0)
+        .collect();
+    for threads in [1, 2] {
+        let mut m = model();
+        let cfg = LazyDpConfig::new(dp(threads), true);
+        let mut opt = LazyDpOptimizer::new(cfg, &m, CounterNoise::new(5));
+        for (i, &rows) in plan_rows.iter().enumerate() {
+            let before = capture_metrics();
+            opt.step(&mut m, &b[i], Some(&b[i + 1]));
+            let delta = capture_metrics().delta_since(&before);
+            assert_eq!(
+                (
+                    delta.counter("exec.par_regions"),
+                    delta.counter("trainer.noise_plan_rows")
+                ),
+                (LAZYDP_REGIONS, rows),
                 "width {threads}, step {i}"
             );
         }
