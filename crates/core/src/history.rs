@@ -73,6 +73,13 @@ impl HistoryTable {
         self.last_iter[row as usize] = current_iter as u32;
         delays
     }
+
+    /// Marks every row as flushed through `current_iter`, in place (the
+    /// release flush). Panics if `current_iter` exceeds `u32` range.
+    pub fn mark_all_flushed(&mut self, current_iter: u64) {
+        let cur = u32::try_from(current_iter).expect("iteration fits u32");
+        self.last_iter.fill(cur);
+    }
 }
 
 #[cfg(test)]
@@ -107,6 +114,15 @@ mod tests {
         let _ = h.take_delays(3, 3);
         let pending: Vec<u64> = (0..4).map(|r| h.take_delays(r, 3)).collect();
         assert_eq!(pending, vec![3, 0, 3, 0]);
+    }
+
+    #[test]
+    fn marking_all_flushed_clears_every_delay() {
+        let mut h = HistoryTable::new(3);
+        let _ = h.take_delays(1, 2);
+        h.mark_all_flushed(5);
+        assert_eq!(h.as_raw(), [5; 3]);
+        assert_eq!(h.take_delays(0, 7), 2);
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl<N: RowNoise> LazyDpOptimizer<N> {
                     }
                 }
             });
-            *history = HistoryTable::from_raw(vec![iter as u32; history.rows()]);
+            history.mark_all_flushed(iter);
             counters.gaussian_samples += draws * dim as u64;
             counters.history_writes += owing;
             counters.table_rows_read += owing;

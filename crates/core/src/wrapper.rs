@@ -24,8 +24,10 @@ use lazydp_rng::RowNoise;
 /// the pieces explicitly — any [`AccountedOptimizer`] (`O`: LazyDP,
 /// DP-AdaFEST, eager DP-SGD) over a [`LookaheadLoader`] of any
 /// [`BatchSource`] (`L = LookaheadLoader<S>`), and any embedding backend
-/// (`T`: e.g. disk-backed tables via
-/// `model.try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))`).
+/// (`T`: e.g. disk-backed tables built with
+/// `Dlrm::try_new_with(config, rng, |rows, dim, rng|
+/// StoredTable::init_uniform(rows, dim, rng, &storage))`, bitwise
+/// `Dlrm::new(config, rng)`).
 /// Every combination gets the same loop and per-step accounting of the
 /// mechanism the optimizer reports, and all of them train the
 /// bitwise-same model given the same algorithm, batch stream and noise

@@ -45,14 +45,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
 
-pub mod alias;
 pub mod batch;
 pub mod dataset;
 pub mod loader;
 pub mod queue;
 pub mod trace;
 
-pub use alias::AliasTable;
 pub use batch::MiniBatch;
 pub use dataset::{SyntheticConfig, SyntheticDataset};
 pub use loader::{BatchSource, FixedBatchLoader, PoissonLoader};

@@ -167,25 +167,6 @@ impl AccessDistribution {
         }
     }
 
-    /// Builds a Zipf distribution backed by a Walker
-    /// [`AliasTable`](crate::alias::AliasTable) for O(1) draws instead
-    /// of the inverse-CDF binary search — same distribution, faster
-    /// sampling for the trace-generation-heavy experiments.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`zipf`](Self::zipf).
-    #[must_use]
-    pub fn zipf_alias(rows: u64, exponent: f64) -> crate::alias::AliasTable {
-        assert!(rows > 0, "distribution needs at least one row");
-        assert!(exponent > 0.0, "zipf exponent must be positive");
-        assert!(rows <= 100_000_000, "alias table too large");
-        let weights: Vec<f64> = (0..rows)
-            .map(|r| ((r + 1) as f64).powf(-exponent))
-            .collect();
-        crate::alias::AliasTable::new(&weights)
-    }
-
     /// Builds the distribution for a [`SkewLevel`], calibrating the Zipf
     /// exponent so the skew target holds for this table size.
     #[must_use]

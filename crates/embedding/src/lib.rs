@@ -40,4 +40,4 @@ pub use access::AccessTracker;
 pub use shard::ShardSpec;
 pub use sparse::SparseGrad;
 pub use storage::{EmbeddingStorage, RowReader};
-pub use table::EmbeddingTable;
+pub use table::{uniform_row, EmbeddingTable};

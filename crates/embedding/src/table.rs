@@ -2,12 +2,32 @@
 
 use crate::storage::EmbeddingStorage;
 use lazydp_exec::Executor;
+use lazydp_rng::counter::CounterRng;
 use lazydp_rng::Prng;
 
 /// Rows per executor chunk of a whole-table sweep. Fixed, never derived
 /// from the thread count, so a sweep's chunks are the same at any
 /// executor width.
 const SWEEP_CHUNK_ROWS: usize = 512;
+
+/// Fills `out` with row `row` of the uniform initialisation of a
+/// `rows`-row table keyed by `seed`: draw `i` of
+/// `CounterRng::new(seed).derive(row).stream(0)` gives
+/// `out[i] = (2u − 1)/√rows`, the DLRM reference's
+/// `U(-1/√rows, 1/√rows)`.
+///
+/// The one table initialisation. A row is a pure function of
+/// `(seed, row)`, so every backend computes the same bits in whatever
+/// order it meets its rows: [`EmbeddingTable::init_uniform`] row by
+/// row, a stored table one page at a time when the page is first
+/// faulted in.
+pub fn uniform_row(seed: u64, rows: usize, row: u64, out: &mut [f32]) {
+    let bound = 1.0 / (rows as f32).sqrt();
+    let mut stream = CounterRng::new(seed).derive(row).stream(0);
+    for w in out {
+        *w = (stream.next_f32() * 2.0 - 1.0) * bound;
+    }
+}
 
 /// An embedding table: `rows` vectors of `dim` `f32` weights.
 ///
@@ -43,14 +63,18 @@ impl EmbeddingTable {
         }
     }
 
-    /// Creates a table initialized uniformly in `[-a, a]` with
-    /// `a = 1/rows` scaled like the DLRM reference (`U(-1/√rows, 1/√rows)`).
+    /// Creates a table initialized uniformly in `±1/√rows`: every row
+    /// is [`uniform_row`] of one seed, `rng`'s next `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0` or `dim == 0`.
     #[must_use]
     pub fn init_uniform<R: Prng>(rows: usize, dim: usize, rng: &mut R) -> Self {
+        let seed = rng.next_u64();
         let mut t = Self::zeros(rows, dim);
-        let a = 1.0 / (rows as f32).sqrt();
-        for w in &mut t.weights {
-            *w = (rng.next_f32() * 2.0 - 1.0) * a;
+        for (r, row) in (0..).zip(t.weights.chunks_exact_mut(dim)) {
+            uniform_row(seed, rows, r, row);
         }
         t
     }

@@ -193,9 +193,10 @@ impl<T: EmbeddingStorage> Dlrm<T> {
     /// dim, rng)`, which may fail (disk-backed tables can hit I/O
     /// errors). The RNG is threaded through in the exact order
     /// [`Dlrm::new`] uses (bottom MLP, top MLP, then tables), so a
-    /// backend whose constructor draws the same values — e.g.
-    /// `StoredTable::init_uniform` — yields a model bitwise identical to
-    /// the in-memory one from the same seed.
+    /// backend whose constructor takes the same table seed from `rng` —
+    /// `StoredTable::init_uniform`, whose rows are the same
+    /// [`uniform_row`](lazydp_embedding::uniform_row)s — yields a model
+    /// bitwise identical to the in-memory one from the same seed.
     ///
     /// # Errors
     ///

@@ -23,9 +23,10 @@
 //!
 //! [`StorageConfig`] carries the knobs (page size, cache capacity in
 //! pages, spill directory): it is passed to the [`StoredTable`]
-//! constructors (`model.try_map_tables(|_, t| StoredTable::from_dense(&t,
-//! &storage))` spills a dense model, `StoredTable::lazy_uniform` builds
-//! one that costs nothing until touched) and to
+//! constructors (`Dlrm::try_new_with(config, rng, |rows, dim, rng|
+//! StoredTable::init_uniform(rows, dim, rng, &storage))` builds a model
+//! bitwise `Dlrm::new`'s that writes no page until training dirties one;
+//! `StoredTable::from_dense` spills a dense table) and to
 //! `Checkpoint::restore_stored` in `lazydp-core`; the
 //! `LAZYDP_STORE_PAGES` environment variable
 //! ([`CACHE_PAGES_ENV`]) force-overrides the cache capacity so CI can

@@ -37,10 +37,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use lazydp_embedding::uniform_row;
 use lazydp_fault::checksum::page_sum64;
 use lazydp_fault::{FaultKind, Faults, InjectedKill, Site};
-use lazydp_rng::counter::CounterRng;
-use lazydp_rng::Prng;
 
 use crate::error::StorageError;
 
@@ -90,27 +89,23 @@ pub fn sweep_stale_spill_files(dir: &Path) -> io::Result<usize> {
     Ok(removed)
 }
 
-/// The row-addressed initial contents [`PageFile::set_row_fill`]
-/// installs.
+/// The initial contents [`PageFile::set_row_fill`] installs: the
+/// uniform initialisation of a `rows × dim` table keyed by `seed`.
 #[derive(Debug)]
 struct RowFill {
-    rng: CounterRng,
+    seed: u64,
     rows: usize,
     dim: usize,
 }
 
 impl RowFill {
     fn fill_page(&self, page: usize, out: &mut [f32]) {
-        let bound = 1.0 / (self.rows as f32).sqrt();
         let first = page * (out.len() / self.dim);
         for (r, row) in (first..).zip(out.chunks_exact_mut(self.dim)) {
-            if r >= self.rows {
+            if r < self.rows {
+                uniform_row(self.seed, self.rows, r as u64, row);
+            } else {
                 row.fill(0.0);
-                continue;
-            }
-            let mut stream = self.rng.derive(r as u64).stream(0);
-            for w in row {
-                *w = (stream.next_f32() * 2.0 - 1.0) * bound;
             }
         }
     }
@@ -189,9 +184,9 @@ impl PageFile {
 
     /// Makes never-written pages read as the uniform `±1/√rows`
     /// initialisation of a `rows × dim` table instead of zeros: row `r`
-    /// is drawn from `CounterRng::new(seed).derive(r).stream(0)`, so its
-    /// value is the same for any page size, and rows past `rows` (the
-    /// last page's padding) stay zero.
+    /// is [`uniform_row`]`(seed, rows, r)`, so its value is the same for
+    /// any page size, and rows past `rows` (the last page's padding)
+    /// stay zero.
     ///
     /// # Panics
     ///
@@ -202,11 +197,7 @@ impl PageFile {
             "pages of {} elements do not hold whole {dim}-wide rows",
             self.page_elems
         );
-        self.fill = Some(RowFill {
-            rng: CounterRng::new(seed),
-            rows,
-            dim,
-        });
+        self.fill = Some(RowFill { seed, rows, dim });
     }
 
     /// Number of pages.

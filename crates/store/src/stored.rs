@@ -140,16 +140,16 @@ impl StoredTable {
         })
     }
 
-    /// Creates a table holding a uniform `±1/√rows` initialisation
-    /// without writing it: [`zeros`](Self::zeros), except that a page
-    /// nothing has written yet reads as a pure function of `(seed, row)`
-    /// (see [`PageFile::set_row_fill`]), computed when it is faulted in.
+    /// Creates a table initialized uniformly in `±1/√rows`, bitwise
+    /// [`EmbeddingTable::init_uniform`] from the same RNG: one seed,
+    /// `rng`'s next `u64`, and row `r` is
+    /// [`uniform_row`](lazydp_embedding::uniform_row)`(seed, rows, r)`.
+    /// Nothing is written: [`zeros`](Self::zeros), except that a page
+    /// nothing has written yet reads as its rows' initial values (see
+    /// [`PageFile::set_row_fill`]), computed when it is faulted in.
     /// Construction is O(1) in the table size, memory and disk track the
     /// pages training has dirtied, and row values do not depend on the
-    /// page size or the cache capacity. (The draws are addressed per
-    /// row, so they differ from [`init_uniform`](Self::init_uniform)'s
-    /// sequential ones; [`to_dense_table`](EmbeddingStorage::to_dense_table) gives the in-memory
-    /// twin.)
+    /// page size or the cache capacity.
     ///
     /// # Errors
     ///
@@ -158,42 +158,6 @@ impl StoredTable {
     /// # Panics
     ///
     /// Panics if `rows == 0` or `dim == 0`.
-    pub fn lazy_uniform(
-        rows: usize,
-        dim: usize,
-        seed: u64,
-        cfg: &StorageConfig,
-    ) -> Result<Self, StorageError> {
-        let out = Self::zeros(rows, dim, cfg)?;
-        paged(&mut out.lock()).file.set_row_fill(seed, rows, dim);
-        Ok(out)
-    }
-
-    /// Spills a dense in-memory table to disk (bitwise copy of every
-    /// row, written page-sequentially, bypassing the cache). Transient
-    /// write faults are retried.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spill-file I/O errors once retries are exhausted.
-    pub fn from_dense(table: &EmbeddingTable, cfg: &StorageConfig) -> Result<Self, StorageError> {
-        let out = Self::zeros(table.rows(), table.dim(), cfg)?;
-        out.write_pages(|first, rows| {
-            for (r, w) in (first..).zip(rows.chunks_exact_mut(table.dim())) {
-                w.copy_from_slice(table.row(r));
-            }
-        })?;
-        Ok(out)
-    }
-
-    /// Creates a table initialized exactly like
-    /// [`EmbeddingTable::init_uniform`] — the same RNG draw order, row
-    /// by row — so a stored model and an in-memory model built from the
-    /// same seed are bitwise identical from step 0.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spill-file I/O errors once retries are exhausted.
     pub fn init_uniform<R: Prng>(
         rows: usize,
         dim: usize,
@@ -201,31 +165,33 @@ impl StoredTable {
         cfg: &StorageConfig,
     ) -> Result<Self, StorageError> {
         let out = Self::zeros(rows, dim, cfg)?;
-        let a = 1.0 / (rows as f32).sqrt();
-        out.write_pages(|_, valid| {
-            for w in valid {
-                *w = (rng.next_f32() * 2.0 - 1.0) * a;
-            }
-        })?;
+        paged(&mut out.lock())
+            .file
+            .set_row_fill(rng.next_u64(), rows, dim);
         Ok(out)
     }
 
-    /// Writes every page of a fresh table in order, bypassing the cache:
-    /// `fill(first_row, rows)` writes the page's valid rows (the rest of
-    /// the page stays zero), then the page goes to the spill file, a
-    /// transient write fault retried.
-    fn write_pages(&self, mut fill: impl FnMut(usize, &mut [f32])) -> Result<(), StorageError> {
-        let mut guard = self.lock();
-        let engine = paged(&mut guard);
-        let mut buf = vec![0.0f32; self.page_elems()];
-        for page in 0..self.pages {
-            buf.fill(0.0);
-            let first = page * self.page_rows;
-            let valid = ((first + self.page_rows).min(self.rows) - first) * self.dim;
-            fill(first, &mut buf[..valid]);
-            lazydp_fault::with_retry(|| engine.file.write_page(page, &buf))?;
+    /// Spills a dense in-memory table to disk: a bitwise copy of every
+    /// row, written page-sequentially and bypassing the cache (a last
+    /// page's padding stays zero). Transient write faults are retried.
+    ///
+    /// # Errors
+    ///
+    /// Propagates spill-file I/O errors once retries are exhausted.
+    pub fn from_dense(table: &EmbeddingTable, cfg: &StorageConfig) -> Result<Self, StorageError> {
+        let out = Self::zeros(table.rows(), table.dim(), cfg)?;
+        {
+            let mut guard = out.lock();
+            let engine = paged(&mut guard);
+            let mut buf = vec![0.0f32; out.page_elems()];
+            for (page, rows) in table.as_slice().chunks(out.page_elems()).enumerate() {
+                let (data, padding) = buf.split_at_mut(rows.len());
+                data.copy_from_slice(rows);
+                padding.fill(0.0);
+                lazydp_fault::with_retry(|| engine.file.write_page(page, &buf))?;
+            }
         }
-        Ok(())
+        Ok(out)
     }
 
     fn lock(&self) -> MutexGuard<'_, Backend> {
@@ -638,15 +604,53 @@ mod tests {
         }
     }
 
+    /// The first words of [`EmbeddingTable::init_uniform`]`(100, 8)` at
+    /// seed 42: rows 0 and 99, two each.
+    const INIT_KAT: [u32; 4] = [0x3d46_68ba, 0x3c60_42cd, 0x3d88_832a, 0xbcd6_63e7];
+
     #[test]
     fn init_uniform_matches_the_in_memory_table_bitwise() {
+        use lazydp_model::{Dlrm, DlrmConfig};
         let mut r1 = Xoshiro256PlusPlus::seed_from(42);
-        let mut r2 = Xoshiro256PlusPlus::seed_from(42);
         let mem = EmbeddingTable::init_uniform(100, 8, &mut r1);
-        let stored = StoredTable::init_uniform(100, 8, &mut r2, &cfg(16, 3)).expect("spill");
-        assert_eq!(stored.to_dense_table(), mem);
-        // Both RNGs drew the same number of values.
-        assert_eq!(r1.next_u64(), r2.next_u64());
+        let words = [mem.row(0), mem.row(99)].map(|row| [row[0].to_bits(), row[1].to_bits()]);
+        assert_eq!(words.concat(), INIT_KAT, "the known answer");
+        // Never-written pages are filled from the same rows: pages of
+        // one row, of a few (the last page partly padding), of whole
+        // rows and of more than the table.
+        for page_rows in [1usize, 7, 64, 128] {
+            let mut r2 = Xoshiro256PlusPlus::seed_from(42);
+            let stored =
+                StoredTable::init_uniform(100, 8, &mut r2, &cfg(page_rows, 3)).expect("spill");
+            assert_eq!(stored.to_dense_table(), mem, "{page_rows}-row pages");
+            // Both RNGs drew the same number of values.
+            assert_eq!(r1.clone().next_u64(), r2.next_u64());
+        }
+        // A whole model: bitwise `Dlrm::new`, at one frame, half the
+        // pages and the whole table, and building it writes no page:
+        // under a plan that fails every page write, it still builds.
+        let config = DlrmConfig::tiny(3, 100, 8);
+        let want = Dlrm::new(config.clone(), &mut Xoshiro256PlusPlus::seed_from(7));
+        for cache_pages in [1usize, 5, 10] {
+            let mut rng = Xoshiro256PlusPlus::seed_from(7);
+            let no_writes = FaultPlan::new(0).rule(Site::PageWrite, 0, FaultKind::Persistent);
+            let got = lazydp_fault::scoped(no_writes, || {
+                Dlrm::try_new_with(config.clone(), &mut rng, |rows, dim, rng| {
+                    StoredTable::init_uniform(rows, dim, rng, &cfg(10, cache_pages))
+                })
+            })
+            .expect("building writes no page");
+            let spilled: Vec<_> = got
+                .tables
+                .iter()
+                .map(|t| (t.stats().write_backs, t.stats().bytes_spilled))
+                .collect();
+            assert_eq!(spilled, [(0, 0); 3], "building writes no page");
+            assert_eq!((&got.bottom, &got.top), (&want.bottom, &want.top));
+            for (t, (g, w)) in got.tables.iter().zip(&want.tables).enumerate() {
+                assert_eq!(&g.to_dense_table(), w, "table {t}, {cache_pages} frame(s)");
+            }
+        }
     }
 
     #[test]
@@ -944,7 +948,8 @@ mod tests {
     const LAZY_DIM: usize = 5;
 
     fn lazy(page_rows: usize, cache_pages: usize) -> StoredTable {
-        StoredTable::lazy_uniform(LAZY_ROWS, LAZY_DIM, 0xC0FFEE, &cfg(page_rows, cache_pages))
+        let mut rng = Xoshiro256PlusPlus::seed_from(0xC0FFEE);
+        StoredTable::init_uniform(LAZY_ROWS, LAZY_DIM, &mut rng, &cfg(page_rows, cache_pages))
             .expect("spill")
     }
 
@@ -974,7 +979,8 @@ mod tests {
                 );
             }
         }
-        let reseeded = StoredTable::lazy_uniform(LAZY_ROWS, LAZY_DIM, 0xC0FFEF, &cfg(4, 2))
+        let mut rng = Xoshiro256PlusPlus::seed_from(0xC0FFEF);
+        let reseeded = StoredTable::init_uniform(LAZY_ROWS, LAZY_DIM, &mut rng, &cfg(4, 2))
             .expect("spill")
             .to_dense_table();
         assert_ne!(reseeded, want, "the fill is keyed by the seed");
@@ -1056,7 +1062,8 @@ mod tests {
     fn a_lazy_table_is_resident_only_where_it_was_touched() {
         // 3.2 GB logical; the cache could hold every page touched below.
         let (rows, dim) = (50_000_000usize, 16usize);
-        let mut s = StoredTable::lazy_uniform(rows, dim, 3, &cfg(64, 256)).expect("spill");
+        let seeded = &mut Xoshiro256PlusPlus::seed_from(3);
+        let mut s = StoredTable::init_uniform(rows, dim, seeded, &cfg(64, 256)).expect("spill");
         let mut rng = Xoshiro256PlusPlus::seed_from(5);
         let mut touched = BTreeSet::new();
         for _ in 0..10 {

@@ -1,14 +1,14 @@
 //! Out-of-core training: embedding tables bigger than their page cache.
 //!
-//! The storage tentpole end to end: a DLRM whose embedding tables are
-//! spilled to disk pages (`lazydp_store::StoredTable`) with a page
-//! cache deliberately sized to ~12% of each table, trained through the
-//! full LazyDP pipeline (the lookahead flush, whose view of step
-//! *t+1*'s rows also drives page prefetch), then released and compared
-//! against the in-memory run:
+//! The storage tentpole end to end: a DLRM built straight on disk pages
+//! (`lazydp_store::StoredTable::init_uniform`: no page written and no
+//! dense copy staged) with a page cache deliberately sized to ~12% of
+//! each table, trained through the full LazyDP pipeline (the lookahead
+//! flush, whose view of step *t+1*'s rows also drives page prefetch),
+//! then released and compared against the in-memory run:
 //!
-//! * the released models must be **bitwise identical** — paging changes
-//!   where rows live, never their values;
+//! * the models must be **bitwise identical** at step 0 and at release
+//!   — paging changes where rows live, never their values;
 //! * the cache counters show the table genuinely did not fit (evictions
 //!   and dirty write-backs are non-zero).
 //!
@@ -22,6 +22,22 @@ use lazydp::rng::counter::CounterNoise;
 use lazydp::rng::Xoshiro256PlusPlus;
 use lazydp::store::{StorageConfig, StoredTable};
 
+/// Every weight of `m` as bits: MLP weights and biases in layer order,
+/// then every table row in order.
+fn weight_bits<T: EmbeddingStorage>(m: &Dlrm<T>) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for layer in m.bottom.layers().iter().chain(m.top.layers()) {
+        let params = layer.weight.as_slice().iter().chain(&layer.bias);
+        bits.extend(params.map(|w| w.to_bits()));
+    }
+    for table in &m.tables {
+        for r in 0..table.rows() as u64 {
+            table.with_row(r, |row| bits.extend(row.iter().map(|w| w.to_bits())));
+        }
+    }
+    bits
+}
+
 fn main() {
     let tables = 2usize;
     let rows = 4096u64;
@@ -29,8 +45,8 @@ fn main() {
     let samples = 2048usize;
     let steps = 12usize;
 
-    let mut rng = Xoshiro256PlusPlus::seed_from(13);
-    let model = Dlrm::new(DlrmConfig::tiny(tables, rows, 16), &mut rng);
+    let config = DlrmConfig::tiny(tables, rows, 16);
+    let model = Dlrm::new(config.clone(), &mut Xoshiro256PlusPlus::seed_from(13));
     let make_loader = || {
         let cfg = SyntheticConfig::small(tables, rows, samples).with_distributions(
             (0..tables)
@@ -57,24 +73,25 @@ fn main() {
     let _ = mem.train_steps(steps);
     let mem_model = mem.finish();
 
-    // Disk-backed run: same model spilled to the paged storage engine,
-    // same batches, same noise seed.
-    let model = model
-        .try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))
-        .expect("spill directory must be writable");
+    // Disk-backed run: the same model built on the paged storage engine
+    // from the same draws, the same batches, the same noise seed.
+    let stored0 = Dlrm::try_new_with(
+        config,
+        &mut Xoshiro256PlusPlus::seed_from(13),
+        |rows, dim, rng| StoredTable::init_uniform(rows, dim, rng, &storage),
+    )
+    .expect("spill directory must be writable");
+    assert!(
+        weight_bits(&stored0) == weight_bits(&model),
+        "the stored model must start as the in-memory one, bitwise"
+    );
     let mut stored =
-        PrivateTrainer::make_private(model, cfg, make_loader(), CounterNoise::new(5), q);
+        PrivateTrainer::make_private(stored0, cfg, make_loader(), CounterNoise::new(5), q);
     let _ = stored.train_steps(steps);
     let stored_model = stored.finish();
 
-    println!("trained {steps} steps on both backends:\n");
-    let mut worst = 0.0f32;
-    for (t, (st, mt)) in stored_model
-        .tables
-        .iter()
-        .zip(mem_model.tables.iter())
-        .enumerate()
-    {
+    println!("built bitwise-identical models, trained {steps} steps on both backends:\n");
+    for (t, st) in stored_model.tables.iter().enumerate() {
         let footprint = st.bytes();
         let resident_cap = (st.cache_pages() * st.page_rows() * st.dim() * 4) as u64;
         assert!(
@@ -91,7 +108,6 @@ fn main() {
             st.cache_pages(),
             st.total_pages(),
         );
-        worst = worst.max(st.to_dense_table().max_abs_diff(mt));
     }
     // Cache traffic (hits, misses, evictions, spilled/loaded bytes) for
     // the whole run, straight from the lazydp_obs registry: every
@@ -100,9 +116,8 @@ fn main() {
     // surface them outside the bench harness.
     println!();
     lazydp::obs::export::print_store_summary();
-    println!("\nmax |Δ| between released models (stored vs memory): {worst}");
-    assert_eq!(
-        worst, 0.0,
+    assert!(
+        weight_bits(&stored_model) == weight_bits(&mem_model),
         "out-of-core training must release the bitwise-identical model"
     );
     println!("out-of-core run released the bitwise-identical model ✓");

@@ -5,7 +5,7 @@
 //! 256 GB server: every iteration touches all 187,767,399 embedding
 //! rows (24 billion Gaussian draws + a 96 GB stream). LazyDP touches
 //! `O(batch)` rows — so the full-size MLPerf DLRM (26 Criteo tables,
-//! dim 128) is built here on `StoredTable::lazy_uniform` tables, whose
+//! dim 128) is built here on `StoredTable::init_uniform` tables, whose
 //! rows are a pure function of `(seed, row)` until training dirties
 //! their page, and trained with the same `LazyDpOptimizer` +
 //! `PrivateTrainer` every test and benchmark drives: forward, fused
@@ -26,7 +26,7 @@ use lazydp::lazy::{LazyDpConfig, LazyDpOptimizer, PrivateTrainer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::obs::clock::Stopwatch;
 use lazydp::rng::counter::CounterNoise;
-use lazydp::rng::{Prng, RowNoise, Xoshiro256PlusPlus};
+use lazydp::rng::{RowNoise, Xoshiro256PlusPlus};
 use lazydp::store::{StorageConfig, StoredTable};
 
 const BATCH: usize = 2048;
@@ -56,7 +56,7 @@ fn main() {
     let t0 = Stopwatch::start();
     let mut rng = Xoshiro256PlusPlus::seed_from(1);
     let model = Dlrm::try_new_with(config.clone(), &mut rng, |rows, dim, rng| {
-        StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &storage)
+        StoredTable::init_uniform(rows, dim, rng, &storage)
     })
     .expect("spill directory must be writable");
     println!(

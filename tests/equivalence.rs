@@ -183,16 +183,7 @@ fn release_digest(m: &Dlrm) -> u64 {
 /// `matmul_t`.
 #[test]
 fn release_digests_are_pinned() {
-    const BATCH: usize = 13;
-    let mut cfg = DlrmConfig::tiny(3, 40, 12);
-    cfg.bottom_layers = vec![20, 12];
-    cfg.top_layers = vec![11, 1];
-    let model0 = Dlrm::new(cfg, &mut Xoshiro256PlusPlus::seed_from(2024));
-    let ds = SyntheticDataset::new(SyntheticConfig::small(3, 40, BATCH * 5));
-    let batches: Vec<MiniBatch> = (0..5)
-        .map(|i| ds.batch_of(&(i * BATCH..(i + 1) * BATCH).collect::<Vec<_>>()))
-        .collect();
-    let dp = DpConfig::new(0.9, 0.6, 0.05, BATCH);
+    let (model0, batches, dp) = pinned_setup();
     let noise = || CounterNoise::new(99);
     let train = |opt: &mut dyn Optimizer| {
         let mut m = model0.clone();
@@ -214,22 +205,33 @@ fn release_digests_are_pinned() {
     assert_eq!(
         got.map(|d| format!("{d:016x}")),
         [
-            "b59a56c6c07d43bb",
-            "930ae1e2db44bac7",
-            "b59a56c6c07d43bb",
-            "4825abbece2b9564",
+            "8a46061f702873d7",
+            "bc23ec689c443f5d",
+            "8a46061f702873d7",
+            "e5d090b4c9780aef",
         ],
         "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP"
     );
 }
 
-/// The model, batches and DP parameters of `release_digests_are_pinned`.
-fn pinned_setup() -> (Dlrm, Vec<MiniBatch>, DpConfig) {
-    const BATCH: usize = 13;
+/// The model shape of `release_digests_are_pinned`.
+fn pinned_config() -> DlrmConfig {
     let mut cfg = DlrmConfig::tiny(3, 40, 12);
     cfg.bottom_layers = vec![20, 12];
     cfg.top_layers = vec![11, 1];
-    let model0 = Dlrm::new(cfg, &mut Xoshiro256PlusPlus::seed_from(2024));
+    cfg
+}
+
+/// The model seed of `release_digests_are_pinned`.
+const PINNED_SEED: u64 = 2024;
+
+/// The model, batches and DP parameters of `release_digests_are_pinned`.
+fn pinned_setup() -> (Dlrm, Vec<MiniBatch>, DpConfig) {
+    const BATCH: usize = 13;
+    let model0 = Dlrm::new(
+        pinned_config(),
+        &mut Xoshiro256PlusPlus::seed_from(PINNED_SEED),
+    );
     let ds = SyntheticDataset::new(SyntheticConfig::small(3, 40, BATCH * 5));
     let batches = (0..5)
         .map(|i| ds.batch_of(&(i * BATCH..(i + 1) * BATCH).collect::<Vec<_>>()))
@@ -253,7 +255,7 @@ fn pinned_release<T: EmbeddingStorage>(
 
 /// LazyDP without ANS on the pinned run: each row's pending draws summed
 /// in ascending iteration order, then applied once.
-const LAZYDP_WITHOUT_ANS_DIGEST: &str = "6267e504f9e16267";
+const LAZYDP_WITHOUT_ANS_DIGEST: &str = "2cdaf1b3c04353b9";
 
 #[test]
 fn lazydp_without_ans_release_digest_is_pinned() {
@@ -271,15 +273,17 @@ fn lazydp_without_ans_release_digest_is_pinned() {
 /// rows, the last partly padding) and one page in ten (one frame).
 const PINNED_CACHE_PAGES: [usize; 2] = [7, 1];
 
-/// `model0` on `StoredTable`s of 6-row pages with `cache_pages` frames.
-fn stored_pinned_model(model0: &Dlrm, cache_pages: usize) -> Dlrm<StoredTable> {
+/// The pinned model built on `StoredTable`s of 6-row pages with
+/// `cache_pages` frames, from the same draws as `pinned_setup`'s.
+fn stored_pinned_model(cache_pages: usize) -> Dlrm<StoredTable> {
     let scfg = StorageConfig::new()
         .with_page_rows(6)
         .with_cache_pages(cache_pages);
-    model0
-        .clone()
-        .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
-        .expect("spill dir must be writable")
+    let mut rng = Xoshiro256PlusPlus::seed_from(PINNED_SEED);
+    Dlrm::try_new_with(pinned_config(), &mut rng, |rows, dim, rng| {
+        StoredTable::init_uniform(rows, dim, rng, &scfg)
+    })
+    .expect("spill dir must be writable")
 }
 
 /// Every DP algorithm releases the in-memory pinned bits on
@@ -301,7 +305,7 @@ fn stored_tables_release_the_pinned_digests() {
             Box::new(lazy(false)),
         ];
         let got = optimizers.map(|mut opt| {
-            let stored = stored_pinned_model(&model0, cache_pages);
+            let stored = stored_pinned_model(cache_pages);
             format!(
                 "{:016x}",
                 release_digest(&pinned_release(stored, &batches, opt.as_mut()))
@@ -310,10 +314,10 @@ fn stored_tables_release_the_pinned_digests() {
         assert_eq!(
             got,
             [
-                "b59a56c6c07d43bb",
-                "930ae1e2db44bac7",
-                "b59a56c6c07d43bb",
-                "4825abbece2b9564",
+                "8a46061f702873d7",
+                "bc23ec689c443f5d",
+                "8a46061f702873d7",
+                "e5d090b4c9780aef",
                 LAZYDP_WITHOUT_ANS_DIGEST,
             ],
             "DP-SGD(F), EANA, AdaFEST(select-all), LazyDP, LazyDP(w/o ANS); {cache_pages} frame(s)"
@@ -332,7 +336,7 @@ fn sgd_on_stored_tables_is_bitwise_sgd_in_memory() {
     ));
     assert_ne!(want, release_digest(&model0), "SGD must move the model");
     for cache_pages in PINNED_CACHE_PAGES {
-        let stored = stored_pinned_model(&model0, cache_pages);
+        let stored = stored_pinned_model(cache_pages);
         let mut sgd = SgdOptimizer::for_storage(0.05);
         let got = release_digest(&pinned_release(stored, &batches, &mut sgd));
         assert_eq!(got, want, "{cache_pages} frame(s)");

@@ -9,7 +9,7 @@ use lazydp::embedding::{EmbeddingStorage, SparseGrad};
 use lazydp::lazy::{aggregated_std, HistoryTable, LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
-use lazydp::rng::{Prng, Xoshiro256PlusPlus};
+use lazydp::rng::Xoshiro256PlusPlus;
 use proptest::prelude::*;
 
 /// Builds batches from a proptest-chosen access script so the trace
@@ -213,7 +213,7 @@ proptest! {
     /// traces, across page geometries, cache capacities (including a
     /// pathological 1-page cache), and both ways a
     /// stored model comes to be: a dense one spilled page by page, or
-    /// `lazy_uniform` tables that are written nowhere until training
+    /// `init_uniform` tables that are written nowhere until training
     /// dirties a page. Paging changes where rows live, never their
     /// values. The paged runs are pinned at widths 1 and 2, so even a
     /// 1-vCPU host checks the overlapped flush against paged tables.
@@ -241,24 +241,15 @@ proptest! {
             .with_cache_pages(cache_pages);
         let tiny = DlrmConfig::tiny(2, rows, 4);
         let rng = Xoshiro256PlusPlus::seed_from(seed);
-        // Same RNG draws on both sides (MLPs, then, for lazy tables, one
-        // fill seed per table); a lazy memory side is the step-0
-        // `to_dense_table` snapshot.
-        let lazy_table = |rows, dim, rng: &mut Xoshiro256PlusPlus| {
-            StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &scfg)
-        };
-        let mut mem = if lazy_init {
-            Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), |rows, dim, rng| {
-                lazy_table(rows, dim, rng).map(|t| t.to_dense_table())
-            })
-            .expect("spill dir must be writable")
-        } else {
-            Dlrm::new(tiny.clone(), &mut rng.clone())
-        };
+        // Same RNG draws on both sides: the MLPs, then one init seed per
+        // table.
+        let mut mem = Dlrm::new(tiny.clone(), &mut rng.clone());
         let mem0 = mem.clone();
         let stored_model = || {
             if lazy_init {
-                Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), lazy_table)
+                Dlrm::try_new_with(tiny.clone(), &mut rng.clone(), |rows, dim, rng| {
+                    StoredTable::init_uniform(rows, dim, rng, &scfg)
+                })
             } else {
                 mem0.clone().try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
             }

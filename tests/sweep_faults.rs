@@ -8,7 +8,7 @@
 //! release: no row the sweep updated before the failure, or after it,
 //! is lost.
 //!
-//! The tables start as `StoredTable::lazy_uniform`, so nothing is
+//! The tables start as `StoredTable::init_uniform`, so nothing is
 //! written before the sweep and the failures land at fixed points of
 //! it whatever page cache `LAZYDP_STORE_PAGES` forces (at least two
 //! frames):
@@ -26,7 +26,7 @@ use lazydp::fault::{FaultKind, FaultPlan, Site};
 use lazydp::lazy::{HistoryTable, LazyDpConfig, LazyDpOptimizer};
 use lazydp::model::{Dlrm, DlrmConfig};
 use lazydp::rng::counter::CounterNoise;
-use lazydp::rng::{Prng, Xoshiro256PlusPlus};
+use lazydp::rng::Xoshiro256PlusPlus;
 use lazydp::store::{StorageConfig, StoredTable};
 
 const TABLES: usize = 2;
@@ -58,17 +58,14 @@ fn lazy_table(rows: usize, dim: usize, rng: &mut Xoshiro256PlusPlus, cache: usiz
     let scfg = StorageConfig::new()
         .with_page_rows(PAGE_ROWS)
         .with_cache_pages(cache);
-    StoredTable::lazy_uniform(rows, dim, rng.next_u64(), &scfg).expect("spill dir must be writable")
+    StoredTable::init_uniform(rows, dim, rng, &scfg).expect("spill dir must be writable")
 }
 
 /// The same model twice, from the same draws: in memory, and on lazy
 /// `StoredTable`s whose spill files follow `plan`.
 fn twin_models((plan, cache): (FaultPlan, usize)) -> (Dlrm, Dlrm<StoredTable>) {
     let rng = Xoshiro256PlusPlus::seed_from(8);
-    let memory = Dlrm::try_new_with(config(), &mut rng.clone(), |rows, dim, rng| {
-        Ok::<_, std::convert::Infallible>(lazy_table(rows, dim, rng, cache).to_dense_table())
-    })
-    .expect("infallible");
+    let memory = Dlrm::new(config(), &mut rng.clone());
     let stored = lazydp::fault::scoped(plan, || {
         Dlrm::try_new_with(config(), &mut rng.clone(), |rows, dim, rng| {
             Ok::<_, std::convert::Infallible>(lazy_table(rows, dim, rng, cache))

@@ -33,9 +33,12 @@
 //! table plus the step's fixed MLP and GEMM regions, a measured number.
 //! So are LazyDP's, at widths 1 and 2, with the rows it plans for noise
 //! each step (the next batch's distinct rows, read off the reference
-//! history).
-//! The obs registry behind that count is process-global, so every test
-//! here holds one lock.
+//! history). So are LazyDP's page-cache misses and write-backs per step
+//! on `StoredTable::init_uniform` tables with half their pages cached,
+//! at width 1, with one `trainer.steps` each; building those tables
+//! faults and writes no page.
+//! The obs registry behind these counts is process-global, so every
+//! test here holds one lock.
 
 #![allow(clippy::disallowed_methods)]
 
@@ -75,12 +78,23 @@ fn model() -> Dlrm {
     )
 }
 
-/// [`model`] on `StoredTable`s of 5-row pages with two frames.
+/// [`model`] built on `StoredTable`s of 5-row pages with two frames.
 fn stored_model() -> Dlrm<StoredTable> {
-    let scfg = StorageConfig::new().with_page_rows(5).with_cache_pages(2);
-    model()
-        .try_map_tables(|_, t| StoredTable::from_dense(&t, &scfg))
-        .expect("spill dir must be writable")
+    stored_model_with(5, 2)
+}
+
+/// [`model`] built on `StoredTable`s of `page_rows`-row pages with
+/// `cache_pages` frames: bitwise [`model`], and no page written.
+fn stored_model_with(page_rows: usize, cache_pages: usize) -> Dlrm<StoredTable> {
+    let scfg = StorageConfig::new()
+        .with_page_rows(page_rows)
+        .with_cache_pages(cache_pages);
+    Dlrm::try_new_with(
+        DlrmConfig::tiny(TABLES, ROWS, DIM),
+        &mut Xoshiro256PlusPlus::seed_from(29),
+        |rows, dim, rng| StoredTable::init_uniform(rows, dim, rng, &scfg),
+    )
+    .expect("spill dir must be writable")
 }
 
 fn loader() -> FixedBatchLoader {
@@ -378,6 +392,42 @@ fn a_second_release_on_stored_tables_touches_no_page() {
     for counter in ["store.hits", "store.misses", "store.write_backs"] {
         assert_eq!(delta.counter(counter), 0, "{counter}");
     }
+}
+
+/// LazyDP's per-step `(store.misses, store.write_backs)` on
+/// [`stored_model_with`]`(8, 4)` at width 1: eight pages a table, half
+/// of them cached (so `LAZYDP_STORE_PAGES=4` changes nothing), as
+/// measured. At width 1 they do not depend on timing.
+const LAZYDP_STORE_COUNTS: [(u64, u64); STEPS] = [(100, 31), (91, 42), (78, 40)];
+
+#[test]
+fn lazydp_store_counts_per_step_are_pinned() {
+    let _serial = serial();
+    let before = capture_metrics();
+    let m = stored_model_with(8, 4);
+    let built = capture_metrics().delta_since(&before);
+    assert_eq!(
+        (
+            built.counter("store.misses"),
+            built.counter("store.write_backs")
+        ),
+        (0, 0),
+        "building the model faults no page and writes none back"
+    );
+    let cfg = LazyDpConfig::new(dp(1), true);
+    let lazy = LazyDpOptimizer::new(cfg, &model(), CounterNoise::new(5));
+    let mut trainer =
+        PrivateTrainer::make_private_optimizer(m, lazy, LookaheadLoader::new(loader()), 0.125);
+    let got: Vec<_> = (0..STEPS)
+        .map(|_| {
+            let before = capture_metrics();
+            trainer.train_steps(1);
+            let d = capture_metrics().delta_since(&before);
+            assert_eq!(d.counter("trainer.steps"), 1);
+            (d.counter("store.misses"), d.counter("store.write_backs"))
+        })
+        .collect();
+    assert_eq!(got, LAZYDP_STORE_COUNTS);
 }
 
 /// The executor regions of one eager step on this shape outside its
